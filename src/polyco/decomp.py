@@ -288,16 +288,24 @@ class Decomposition:
         return tuple(f for f in self.factors if isinstance(f.provenance, Bracket))
 
     def series_product(self, N: int):
-        """The product of the factor series through degree N, or Unsupported."""
-        out = series_mod.PoincareSeries.one(N)
+        """The product of the factor series through degree N, or Unsupported.
+
+        Each distinct expression is evaluated once and raised to its total
+        multiplicity; an Unsupported reason names the first such factor."""
+        series: dict = {}
+        totals: Counter = Counter()
         for f in self.factors:
-            p = series_mod.series_of(f.expr, N)
-            if isinstance(p, series_mod.Unsupported):
-                return series_mod.Unsupported(
-                    f"factor {render(f.expr)} [{_provenance_text(f.provenance)}]: {p.reason}"
-                )
-            for _ in range(f.multiplicity):
-                out = out * p
+            if f.expr not in series:
+                p = series_mod.series_of(f.expr, N)
+                if isinstance(p, series_mod.Unsupported):
+                    return series_mod.Unsupported(
+                        f"factor {render(f.expr)} [{_provenance_text(f.provenance)}]: {p.reason}"
+                    )
+                series[f.expr] = p
+            totals[f.expr] += f.multiplicity
+        out = series_mod.PoincareSeries.one(N)
+        for e, k in totals.items():
+            out = out * series[e] ** k
         return out
 
     def render(self) -> str:

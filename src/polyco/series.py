@@ -1,20 +1,27 @@
 """
-Truncated Poincare series with exact rational coefficients.
+Truncated Poincare series with exact coefficients.
 
 A PoincareSeries holds the coefficients of the rational homology series of a
-space through a fixed degree N; all arithmetic is exact and never silently
-extends the truncation.  series_of evaluates an expression by the classical
-rules (Bott-Samelson for loops of suspensions, the James-style formulas for
-loops of spheres, rational Eilenberg-MacLane factors for iterated loops of
-spheres, reciprocal additivity for loops of wedges of simply connected
-spaces).  Anything outside those rules yields an Unsupported value carrying a
-human-readable chain of reasons; Unsupported is data, not an error.
+space through a fixed degree N.  Coefficients are `int` where integral and
+`fractions.Fraction` otherwise; all arithmetic and comparisons are exact and
+never silently extend the truncation.  The rules below build integer series,
+so a `Fraction` appears only where a caller supplies a non-integral value or
+a declared denominator whose constant term is not 1.
+
+series_of evaluates an expression by the classical rules (Bott-Samelson for
+loops of suspensions, the James-style formulas for loops of spheres, rational
+Eilenberg-MacLane factors for iterated loops of spheres, reciprocal
+additivity for loops of wedges of simply connected spaces), memoized on the
+normalized expression and N.  Anything outside those rules yields an
+Unsupported value carrying a human-readable chain of reasons; Unsupported is
+data, not an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Union
 
 from .spacexpr import (
@@ -48,11 +55,22 @@ class Unsupported:
 SeriesOrUnsupported = Union["PoincareSeries", Unsupported]
 
 
+Coeff = Union[int, Fraction]
+
+
+def _exact(v: int | Fraction | float) -> Coeff:
+    """v as an int when integral, else as its exact Fraction (never a float)."""
+    if type(v) is int:
+        return v
+    q = Fraction(v)
+    return q.numerator if q.denominator == 1 else q
+
+
 @dataclass(frozen=True, slots=True)
 class PoincareSeries:
-    """Coefficients of t^0..t^N, exact rationals."""
+    """Coefficients of t^0..t^N: ints where integral, exact Fractions otherwise."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Coeff, ...]
 
     @property
     def N(self) -> int:
@@ -60,24 +78,24 @@ class PoincareSeries:
 
     @staticmethod
     def from_ints(values: Sequence[int | Fraction], N: int | None = None) -> "PoincareSeries":
-        cs = [Fraction(v) for v in values]
+        cs = [_exact(v) for v in values]
         if N is not None:
-            cs = (cs + [Fraction(0)] * (N + 1))[: N + 1]
+            cs = (cs + [0] * (N + 1))[: N + 1]
         return PoincareSeries(tuple(cs))
 
     @staticmethod
     def one(N: int) -> "PoincareSeries":
-        return PoincareSeries((Fraction(1),) + (Fraction(0),) * N)
+        return PoincareSeries((1,) + (0,) * N)
 
     @staticmethod
     def zero(N: int) -> "PoincareSeries":
-        return PoincareSeries((Fraction(0),) * (N + 1))
+        return PoincareSeries((0,) * (N + 1))
 
     @staticmethod
     def monomial(degree: int, N: int, coeff: int | Fraction = 1) -> "PoincareSeries":
-        cs = [Fraction(0)] * (N + 1)
+        cs = [0] * (N + 1)
         if 0 <= degree <= N:
-            cs[degree] = Fraction(coeff)
+            cs[degree] = _exact(coeff)
         return PoincareSeries(tuple(cs))
 
     @staticmethod
@@ -85,15 +103,18 @@ class PoincareSeries:
         num: Sequence[int | Fraction], den: Sequence[int | Fraction], N: int
     ) -> "PoincareSeries":
         """Expand num(t)/den(t) through degree N; den(0) must be nonzero."""
-        d0 = Fraction(den[0]) if den else Fraction(0)
-        if d0 == 0:
+        if not den or den[0] == 0:
             raise ValueError("denominator needs a nonzero constant term")
         p = PoincareSeries.from_ints(num, N)
         q = PoincareSeries.from_ints(den, N)
-        scaled = PoincareSeries(tuple(c / d0 for c in q.coeffs))
-        return PoincareSeries(tuple(c / d0 for c in p.coeffs)) * scaled.invert()
+        d0 = q.coeffs[0]
+        if d0 != 1:
+            d0 = Fraction(d0)
+            p = PoincareSeries(tuple(c / d0 for c in p.coeffs))
+            q = PoincareSeries(tuple(c / d0 for c in q.coeffs))
+        return p * q.invert()
 
-    def coeff(self, d: int) -> Fraction:
+    def coeff(self, d: int) -> Coeff:
         return self.coeffs[d]
 
     def _check(self, other: "PoincareSeries") -> None:
@@ -113,29 +134,44 @@ class PoincareSeries:
     def __mul__(self, other: "PoincareSeries") -> "PoincareSeries":
         self._check(other)
         n = self.N
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (n + 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j in range(0, n + 1 - i):
-                bj = b[j]
-                if bj != 0:
-                    out[i + j] += ai * bj
+        out = [0] * (n + 1)
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
+        for i, a in enumerate(self.coeffs):
+            if a:
+                top = n - i
+                for j, b in terms:
+                    if j > top:
+                        break
+                    out[i + j] += a * b
         return PoincareSeries(tuple(out))
+
+    def __pow__(self, k: int) -> "PoincareSeries":
+        """self^k for k >= 0, by repeated squaring."""
+        if k < 0:
+            raise ValueError("series powers need a nonnegative exponent")
+        out, base = PoincareSeries.one(self.N), self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
 
     def invert(self) -> "PoincareSeries":
         """Multiplicative inverse; requires constant term 1."""
         if self.coeffs[0] != 1:
             raise ValueError("non-invertible series: constant term is not 1")
         n = self.N
-        out = [Fraction(1)] + [Fraction(0)] * n
+        terms = [(j, -c) for j, c in enumerate(self.coeffs) if j and c]
+        out = [1] + [0] * n
         for d in range(1, n + 1):
-            s = Fraction(0)
-            for j in range(1, d + 1):
-                if self.coeffs[j] != 0:
-                    s += self.coeffs[j] * out[d - j]
-            out[d] = -s
+            s = 0
+            for j, c in terms:
+                if j > d:
+                    break
+                s += c * out[d - j]
+            out[d] = s
         return PoincareSeries(tuple(out))
 
     def reduced(self) -> "PoincareSeries":
@@ -177,16 +213,6 @@ class PoincareSeries:
         }
 
 
-def series_from_json(data: dict) -> PoincareSeries:
-    return PoincareSeries(
-        tuple(Fraction(n, d) for n, d in data["coefficients"])
-    )
-
-
-def reduced(p: PoincareSeries) -> PoincareSeries:
-    return p.reduced()
-
-
 def tensor_algebra_series(reduced_part: PoincareSeries) -> PoincareSeries:
     """Series of the tensor algebra on classes with the given reduced series:
     1/(1 - reduced).  This is the Bott-Samelson answer for Loop(Susp(X))."""
@@ -209,15 +235,18 @@ def free_product_series(components: Sequence[PoincareSeries]) -> PoincareSeries:
 
 
 def _em_product_series(degrees: Sequence[int], N: int) -> PoincareSeries:
-    """Rational homology of a product of Eilenberg-MacLane factors K(Q, d):
-    exterior generator (1 + t^d) for odd d, polynomial 1/(1 - t^d) for even d."""
-    out = PoincareSeries.one(N)
+    """Rational homology of a product of Eilenberg-MacLane factors K(Q, d), d >= 1:
+    exterior generator (1 + t^d) for odd d, polynomial 1/(1 - t^d) for even d.
+    Each factor is multiplied in place in one pass over the coefficients."""
+    out = [1] + [0] * N
     for d in degrees:
         if d % 2 == 1:
-            out = out * (PoincareSeries.one(N) + PoincareSeries.monomial(d, N))
+            for k in range(N, d - 1, -1):
+                out[k] += out[k - d]
         else:
-            out = out * (PoincareSeries.one(N) - PoincareSeries.monomial(d, N)).invert()
-    return out
+            for k in range(d, N + 1):
+                out[k] += out[k - d]
+    return PoincareSeries(tuple(out))
 
 
 def _loop_sphere_series(n: int, k: int, N: int) -> SeriesOrUnsupported:
@@ -235,7 +264,13 @@ def series_of(e: SpaceExpr, N: int) -> SeriesOrUnsupported:
     """Evaluate the homology series of an expression through degree N."""
     if N < 0:
         raise ValueError("truncation degree must be >= 0")
-    return _series(normalize(e), N)
+    return _series_memo(normalize(e), N)
+
+
+@lru_cache(maxsize=1024)
+def _series_memo(e: SpaceExpr, N: int) -> SeriesOrUnsupported:
+    """_series on a normalized expression, memoized: both result types are frozen."""
+    return _series(e, N)
 
 
 def _series(e: SpaceExpr, N: int) -> SeriesOrUnsupported:

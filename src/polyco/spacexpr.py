@@ -78,8 +78,22 @@ class Atom:
     series: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     contractible: bool = False
 
+    def __post_init__(self) -> None:
+        # tuples keep the atom hashable, so series_of can memoize on it
+        if self.series is not None:
+            num, den = self.series
+            object.__setattr__(self, "series", (_int_coeffs(num), _int_coeffs(den)))
+
     def __str__(self) -> str:
         return self.name
+
+
+def _int_coeffs(values) -> tuple[int, ...]:
+    values = tuple(values)
+    out = tuple(int(c) for c in values)
+    if out != values:
+        raise ValueError(f"declared series coefficients must be integers, got {list(values)}")
+    return out
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,8 +3,9 @@
 import random
 from fractions import Fraction
 
+from polyco.decomp import Decomposition, _provenance_text
 from polyco.scomplex import SimplicialComplex, build
-from polyco.series import PoincareSeries
+from polyco.series import PoincareSeries, Unsupported, _series
 from polyco.spacexpr import (
     POINT,
     Atom,
@@ -16,6 +17,8 @@ from polyco.spacexpr import (
     Sphere,
     Susp,
     Wedge,
+    normalize,
+    render,
 )
 
 ATOM_POOL = (
@@ -59,8 +62,89 @@ def random_expr(rng: random.Random, depth: int = 3) -> SpaceExpr:
     return MapFromSusp(random_complex(rng, 3), random_expr(rng, depth - 1))
 
 
-def random_series(rng: random.Random, N: int, unit: bool = False) -> PoincareSeries:
-    coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(N + 1)]
+def random_series(
+    rng: random.Random,
+    N: int,
+    unit: bool = False,
+    integral: bool = False,
+    density: float | None = None,
+) -> PoincareSeries:
+    """Fraction coefficients, or ints when integral; with a density, each
+    coefficient is drawn with that probability and is 0 otherwise."""
+    coeffs = []
+    for _ in range(N + 1):
+        if density is not None and rng.random() >= density:
+            coeffs.append(0)
+        elif integral:
+            coeffs.append(rng.randint(-9, 9))
+        else:
+            coeffs.append(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
     if unit:
-        coeffs[0] = Fraction(1)
+        coeffs[0] = 1 if integral else Fraction(1)
     return PoincareSeries(tuple(coeffs))
+
+
+# ---------------------------------------------------------------------------
+# reference arithmetic: the dense Fraction kernels the sparse int ones replace
+# ---------------------------------------------------------------------------
+
+
+def dense_mul(p: PoincareSeries, q: PoincareSeries) -> PoincareSeries:
+    assert p.N == q.N
+    n = p.N
+    a, b = p.coeffs, q.coeffs
+    out = [Fraction(0)] * (n + 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j in range(0, n + 1 - i):
+            bj = b[j]
+            if bj != 0:
+                out[i + j] += ai * bj
+    return PoincareSeries(tuple(out))
+
+
+def dense_invert(p: PoincareSeries) -> PoincareSeries:
+    assert p.coeffs[0] == 1
+    n = p.N
+    out = [Fraction(1)] + [Fraction(0)] * n
+    for d in range(1, n + 1):
+        s = Fraction(0)
+        for j in range(1, d + 1):
+            if p.coeffs[j] != 0:
+                s += p.coeffs[j] * out[d - j]
+        out[d] = -s
+    return PoincareSeries(tuple(out))
+
+
+def dense_monomial(degree: int, N: int) -> PoincareSeries:
+    cs = [Fraction(0)] * (N + 1)
+    if degree <= N:
+        cs[degree] = Fraction(1)
+    return PoincareSeries(tuple(cs))
+
+
+def reference_em_product_series(degrees, N: int) -> PoincareSeries:
+    """Multiply (1 + t^d) for odd d and invert (1 - t^d) for even d."""
+    one = dense_monomial(0, N)
+    out = one
+    for d in degrees:
+        if d % 2 == 1:
+            out = dense_mul(out, one + dense_monomial(d, N))
+        else:
+            out = dense_mul(out, dense_invert(one - dense_monomial(d, N)))
+    return out
+
+
+def reference_series_product(dec: Decomposition, N: int):
+    """Factor by factor, multiplicity by multiplicity, with no memo."""
+    out = dense_monomial(0, N)
+    for f in dec.factors:
+        p = _series(normalize(f.expr), N)
+        if isinstance(p, Unsupported):
+            return Unsupported(
+                f"factor {render(f.expr)} [{_provenance_text(f.provenance)}]: {p.reason}"
+            )
+        for _ in range(f.multiplicity):
+            out = dense_mul(out, p)
+    return out

@@ -6,8 +6,10 @@ from itertools import combinations
 
 import pytest
 
-from _helpers import random_complex
+from _helpers import random_complex, reference_series_product
 from polyco.decomp import (
+    Decomposition,
+    Factor,
     bbcg_cone_splitting,
     bbcg_wedge_splitting,
     coproduct_diagram,
@@ -25,7 +27,7 @@ from polyco.decomp import (
 )
 from polyco.liealg import restricted_support
 from polyco.scomplex import build, disjoint_union, join
-from polyco.series import PoincareSeries, series_of
+from polyco.series import PoincareSeries, Unsupported, series_of
 from polyco.spacexpr import (
     CP_INFINITY,
     POINT,
@@ -541,3 +543,43 @@ def test_general_vs_contractible_theorem_agreement():
         a = loop_decompose(K, pairs, 2)
         b = loop_decompose_contractible(K, pairs, 2)
         assert a.factor_multiset() == b.factor_multiset(), K
+
+
+# ---------------------------------------------------------------------------
+# grouped series product
+# ---------------------------------------------------------------------------
+
+
+def test_series_product_matches_factor_by_factor_reference():
+    N = 12
+    wedge = loop_decompose_wedge(simplex(3), [S(2)] * 3, N + 1, degree_bound=N)
+    union = disjoint_union_decomp(
+        build(2, [[1, 2]]), build(2, [[1], [2]]), [S(2), S(3), S(2), S(2)], N + 1, degree_bound=N
+    )
+    for dec in (wedge, union):
+        assert len(dec.factor_multiset()) < sum(f.multiplicity for f in dec.factors)
+        assert dec.series_product(N) == reference_series_product(dec, N)
+
+
+def test_series_product_repeated_multiplicities():
+    dec = Decomposition((Factor(Loop(S(3)), 3), Factor(S(2), 2), Factor(Loop(S(3)), 4)), "test")
+    assert dec.series_product(10) == reference_series_product(dec, 10)
+
+
+def test_series_product_unsupported_reason_names_first_factor():
+    bad, worse = Atom("B", 1), Atom("C", 1)
+    dec = Decomposition(
+        (
+            Factor(Loop(S(3)), 2, 1),
+            Factor(S(2), 1, (1, 2)),
+            Factor(Loop(bad), 1, 2),
+            Factor(Loop(S(3)), 1, 3),
+            Factor(Loop(worse), 1, 4),
+            Factor(Loop(bad), 3, (2, 3)),
+        ),
+        "mixed",
+    )
+    out = dec.series_product(6)
+    assert isinstance(out, Unsupported)
+    assert out == reference_series_product(dec, 6)
+    assert out.reason.startswith("factor ΩB [vertex 2]: ")

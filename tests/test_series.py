@@ -5,10 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from _helpers import random_expr, random_series
+from _helpers import (
+    dense_invert,
+    dense_mul,
+    random_expr,
+    random_series,
+    reference_em_product_series,
+)
 from polyco.series import (
     PoincareSeries,
     Unsupported,
+    _em_product_series,
+    _series_memo,
     free_product_series,
     series_of,
     tensor_algebra_series,
@@ -105,6 +113,99 @@ def test_atom_series():
     bare = Atom("B", 1)
     out = series_of(bare, 4)
     assert isinstance(out, Unsupported)
+
+
+def test_atom_series_declared_with_lists():
+    listed = Atom("CP", 1, series=([1], [1, 0, -1]))
+    tupled = Atom("CP", 1, series=((1,), (1, 0, -1)))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    p = series_of(Loop(Susp(listed)), 6)
+    assert p == PoincareSeries.from_ints([1, 0, 1, 0, 2, 0, 4])
+    assert p == series_of(Loop(Susp(tupled)), 6)
+
+
+def test_atom_series_rejects_non_integer_coefficients():
+    with pytest.raises(ValueError):
+        Atom("A", 1, series=([1], [1, 0.5]))
+
+
+def test_from_ints_keeps_exact_values():
+    cs = PoincareSeries.from_ints([1, 2.5, Fraction(3, 1)]).coeffs
+    assert cs == (1, Fraction(5, 2), 3)
+    assert [type(c) for c in cs] == [int, Fraction, int]
+
+
+def test_from_rational_non_unit_constant_term():
+    # 1/(2 - t) = sum t^k / 2^(k+1)
+    N = 12
+    p = PoincareSeries.from_rational([1], [2, -1], N)
+    assert p.coeffs == tuple(Fraction(1, 2 ** (k + 1)) for k in range(N + 1))
+    assert all(type(c) is Fraction for c in p.coeffs)
+
+
+def test_rule_series_have_int_coefficients():
+    N = 12
+    for e in [Loop(S(4), 2), Loop(Wedge((S(3), S(5)))), Loop(Susp(Wedge((S(2), S(3)))))]:
+        p = series_of(e, N)
+        assert all(type(c) is int for c in p.coeffs), e
+
+
+def test_sparse_kernels_match_dense_reference():
+    rng = random.Random(4040)
+    for trial in range(120):
+        N = rng.randint(0, 40)
+        integral = trial % 2 == 0
+        density = rng.choice([0.1, 0.4, 1.0])
+        a = random_series(rng, N, unit=trial % 3 != 0, integral=integral, density=density)
+        b = random_series(rng, N, unit=True, integral=integral, density=density)
+        assert a * b == dense_mul(a, b)
+        assert b * a == dense_mul(a, b)
+        if a.coeffs[0] == 1:
+            assert a.invert() == dense_invert(a)
+        assert b.invert() == dense_invert(b)
+
+
+def test_power_matches_repeated_multiplication():
+    rng = random.Random(4141)
+    for _ in range(20):
+        N = rng.randint(0, 20)
+        p = random_series(rng, N, unit=True, integral=rng.random() < 0.5, density=0.5)
+        expected = one(N)
+        for k in range(9):
+            assert p**k == expected
+            expected = dense_mul(expected, p)
+    with pytest.raises(ValueError):
+        p ** -1
+
+
+def test_em_product_series_matches_multiply_invert():
+    # every list of up to two degrees in 1..N+1, then longer seeded lists
+    for N in range(0, 13):
+        degrees = range(1, N + 2)
+        lists = [[d] for d in degrees] + [[d, e] for d in degrees for e in degrees]
+        for ds in lists:
+            assert _em_product_series(ds, N) == reference_em_product_series(ds, N), (ds, N)
+    rng = random.Random(4242)
+    for _ in range(40):
+        N = rng.randint(1, 40)
+        ds = [rng.randint(1, N) for _ in range(rng.randint(0, 5))]
+        assert _em_product_series(ds, N) == reference_em_product_series(ds, N), (ds, N)
+
+
+def test_series_memo_is_bounded_and_agrees_with_fresh_evaluation():
+    assert _series_memo.cache_info().maxsize is not None
+    rng = random.Random(4343)
+    exprs = [random_expr(rng) for _ in range(200)]
+    warm = []
+    for e in exprs:
+        try:
+            warm.append(series_of(e, 6))
+        except ValueError:
+            warm.append(None)
+    _series_memo.cache_clear()
+    for e, before in zip(exprs, warm):
+        if before is not None:
+            assert series_of(e, 6) == before
 
 
 def test_bott_samelson_consistency():

@@ -116,17 +116,19 @@ def test_disjoint_union_randomized():
 
 def test_equal_verdicts_reproduce_at_higher_degree():
     checks = [
-        lambda N: check_hilton_milnor([S(3), S(5)], N),
-        lambda N: check_porter([S(2), S(2)], N),
-        lambda N: check_wedge_case(build(3, [[1, 2, 3]]), [S(2)] * 3, N),
+        (lambda N: check_hilton_milnor([S(3), S(5)], N), (13,)),
+        (lambda N: check_porter([S(2), S(2)], N), (13,)),
+        # N=16 took minutes with dense Fraction series and no memo
+        (lambda N: check_wedge_case(build(3, [[1, 2, 3]]), [S(2)] * 3, N), (13, 16)),
     ]
-    for make in checks:
+    for make, degrees in checks:
         low = make(8)
-        high = make(13)
         assert isinstance(low.verdict, Equal)
-        assert isinstance(high.verdict, Equal)
-        # the deeper run restricts to the shallower one
-        assert high.lhs.coeffs[:9] == low.lhs.coeffs[:9]
+        for N in degrees:
+            high = make(N)
+            assert isinstance(high.verdict, Equal)
+            # the deeper run restricts to the shallower one
+            assert high.lhs.coeffs[:9] == low.lhs.coeffs[:9]
 
 
 def test_reports_sorted_by_name():
