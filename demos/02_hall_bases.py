@@ -1,4 +1,5 @@
-"""Hall bases: Lyndon brackets, face alphabets, and the Witt count oracle.
+"""Hall bases: Lyndon brackets, face alphabets, the Witt count oracle, and
+the per-class bracket counts the decompositions run on.
 
 Run as: python demos/02_hall_bases.py
 """
@@ -8,6 +9,7 @@ from collections import Counter
 from polyco import (
     generators_for,
     hall_basis,
+    lyndon_class_counts,
     plain_alphabet,
     restricted_support,
     stats,
@@ -43,3 +45,12 @@ for b in hall_basis(alphabet, 6):
 print("\nmultidegree counts vs the Witt formula (weight <= 6):")
 for md in sorted(counts):
     print(f"  {md}: enumerated {counts[md]}, Witt {witt_dimension(md)}")
+
+# A bracket factor depends only on the bracket's weight and vertex content
+# l, so the decompositions count brackets per (weight, l) class instead of
+# listing them.  Face letters a_{J,i} enter as (vector e_J, |J| - 1 copies).
+letters = [((1, 1, 0), 1), ((1, 0, 1), 1), ((0, 1, 1), 1), ((1, 1, 1), 2)]
+classes = lyndon_class_counts(letters, 3)
+listed = Counter((b.weight, stats(b, 3).l) for b in hall_basis(gens, 3))
+print(f"\nface alphabet over {{1,2,3}}, weight <= 3: {sum(classes.values())} brackets "
+      f"in {len(classes)} classes; counted == enumerated: {classes == dict(listed)}")

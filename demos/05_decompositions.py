@@ -45,8 +45,8 @@ print("\n" + hilton_milnor([Atom("X1", 1), Atom("X2", 1)], 3).render())
 square = build(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
 print("\n" + loop_decompose_wedge(square, [CP_INFINITY] * 4, 1).render())
 
-# The general decomposition covers arbitrary endpoint data.  Mixed brackets
-# stay symbolic with their defining diagram attached.
+# The general decomposition covers arbitrary endpoint data.  Mixed bracket
+# classes stay symbolic with their defining diagram attached.
 mixed = PairAssignment.of([(POINT, Atom("A1", 1)), (Atom("Y", 1), POINT)])
 dec = loop_decompose(two_points, mixed, 1)
 print("\n" + dec.render())
@@ -54,8 +54,9 @@ for f in dec.factors:
     if f.diagram is not None:
         print(f.diagram.render())
 
-# Contractible domains: one mapping-space factor per bracket whose support
-# is a missing face; certified realizations reduce to iterated loops.
+# Contractible domains: one mapping-space factor per bracket class whose
+# support is a missing face, with the class's bracket count as multiplicity;
+# certified realizations reduce to iterated loops.
 bd_triangle = build(3, [[1, 2], [1, 3], [2, 3]])
 pairs3 = PairAssignment.path_fibrations([S(2)] * 3)
 dec = loop_decompose_contractible(bd_triangle, pairs3, 2)

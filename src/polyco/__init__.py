@@ -33,6 +33,7 @@ from .liealg import (
     Generator,
     generators_for,
     hall_basis,
+    lyndon_class_counts,
     lyndon_words,
     plain_alphabet,
     restricted_support,
@@ -70,6 +71,7 @@ from .series import (
     tensor_algebra_series,
 )
 from .decomp import (
+    BracketClass,
     Decomposition,
     DiagramDescription,
     Factor,

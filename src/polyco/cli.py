@@ -70,6 +70,8 @@ def _load_json(path: str):
         raise InputError(f"{path}: file not found")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno}: {exc.msg}")
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply to parse")
 
 
 def load_complex(path: str) -> SimplicialComplex:

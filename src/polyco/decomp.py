@@ -22,41 +22,45 @@ decompositions of the looped coproduct:
     or every codomain over the support is a point (a single loop-suspension
     factor when the support is a face, nothing otherwise); mixed factors stay
     symbolic with their defining diagram attached;
-  * loop_decompose_wedge: the all-codomains-point case, indexed by brackets
-    over the maximal faces and deduplicated across overlaps;
-  * loop_decompose_contractible: the all-domains-contractible case, indexed
-    by brackets whose support is a missing face;
+  * loop_decompose_wedge: the all-codomains-point case, the brackets whose
+    support is a face of K, each counted once across overlapping faces;
+  * loop_decompose_contractible: the all-domains-contractible case, the
+    brackets whose support is a missing face;
   * the suspension-splitting summand lists (bbcg_*) for the dual comparison,
     and the structural operations for joined vertices, gluings, and disjoint
     unions.
 
+A bracket factor depends only on the bracket's vertex content l (l_j counts
+the letters whose vertex set contains j), so brackets are never listed: they
+are counted per class (weight w, content l) by the multigraded Witt formula
+(liealg.lyndon_class_counts), and each class becomes one Factor whose
+multiplicity is its bracket count and whose provenance is BracketClass(w, l),
+rendered in JSON as {"kind": "class", "weight": w, "l": [...]}.  The three
+polyhedral decompositions are one engine over the face alphabet; they differ
+only in which letters they count and which supports they keep.
+
 Every emitted factor expression is normalized, factors that normalize to a
 point are dropped, and factor order is deterministic: vertex factors first by
-vertex, then bracket factors by (weight, serialization).
+vertex, then bracket classes by weight and then by l in descending
+lexicographic order (so x_1 comes first at weight 1, and raising the weight
+bound only appends factors).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from typing import Sequence
 
 from . import series as series_mod
-from .liealg import (
-    Bracket,
-    Generator,
-    generators_for,
-    hall_basis,
-    plain_alphabet,
-    stats,
-)
+from .liealg import lyndon_class_counts
 from .scomplex import (
     Face,
     SimplicialComplex,
     build,
     full_subcomplex,
-    maximal_faces_ge2,
     missing_subsets,
     union_along,
     wedge_of_spheres_type,
@@ -131,6 +135,11 @@ class DiagramDescription:
         }
 
 
+def _check_arity(m: int, given: int, what: str, name: str = "complex") -> None:
+    if given != m:
+        raise ValueError(f"{name} has {m} vertices but {given} {what} given")
+
+
 def _display_wedge(children: Sequence[SpaceExpr]) -> SpaceExpr:
     # keep vertex order and named contractible atoms; only drop literal points
     kids = [c for c in children if not isinstance(c, Point)]
@@ -154,8 +163,7 @@ def _strict_face_pairs(K: SimplicialComplex):
 
 def coproduct_diagram(K: SimplicialComplex, pairs: PairAssignment) -> DiagramDescription:
     """The defining diagram: wedges of the Y_i over the opposite face poset."""
-    if pairs.m != K.m:
-        raise ValueError(f"complex has {K.m} vertices but {pairs.m} pairs given")
+    _check_arity(K.m, pairs.m, "pairs")
     objects: dict[Face, SpaceExpr] = {}
     for f in K.faces():
         sel = set(f)
@@ -175,8 +183,7 @@ def smash_coproduct(
     k_i-th smash power, zero-fold factors omitted.  Its homotopy limit is
     kept symbolic; only the reductions in loop_decompose evaluate it.
     """
-    if pairs.m != K.m:
-        raise ValueError(f"complex has {K.m} vertices but {pairs.m} pairs given")
+    _check_arity(K.m, pairs.m, "pairs")
     ks = tuple(int(k) for k in weights)
     if len(ks) != K.m:
         raise ValueError(f"expected {K.m} weights, got {len(ks)}")
@@ -206,8 +213,7 @@ def evaluate_special(K: SimplicialComplex, pairs: PairAssignment) -> SpaceExpr |
     over the covered vertices.  Two disjoint points with both domains
     contractible: the cojoin Loop Susp (Loop A_1 smash Loop A_2).
     """
-    if pairs.m != K.m:
-        raise ValueError(f"complex has {K.m} vertices but {pairs.m} pairs given")
+    _check_arity(K.m, pairs.m, "pairs")
     if K.has_face(range(1, K.m + 1)):
         return normalize(Wedge(tuple(pairs.domain(i) for i in range(1, K.m + 1))))
     if K.dim() <= 0 and all(pairs.codomain_is_point(i) for i in range(1, K.m + 1)):
@@ -229,12 +235,31 @@ def evaluate_special(K: SimplicialComplex, pairs: PairAssignment) -> SpaceExpr |
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
+class BracketClass:
+    """The Hall brackets of one weight (number of letters) and one vertex
+    content l, where l_j counts the letters whose vertex set contains j.
+    A bracket factor depends only on l, so one class is one factor."""
+
+    weight: int
+    l: tuple[int, ...]
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        return tuple(j for j, lj in enumerate(self.l, start=1) if lj)
+
+    def sort_key(self) -> tuple:
+        # by weight, then l in descending lexicographic order
+        return (self.weight, tuple(-lj for lj in self.l))
+
+
 @dataclass(frozen=True)
 class Factor:
     """One product factor: a normalized expression with multiplicity and origin.
 
-    provenance is a Bracket, a face tuple, a vertex number, or "base"; a
-    symbolic smash-coproduct factor carries its defining diagram.
+    provenance is a BracketClass (the multiplicity is its bracket count), a
+    face tuple, a vertex number, or "base"; a symbolic smash-coproduct factor
+    carries its defining diagram.
     """
 
     expr: SpaceExpr
@@ -244,8 +269,8 @@ class Factor:
 
 
 def _provenance_text(p: object) -> str:
-    if isinstance(p, Bracket):
-        return f"bracket {p.serialize()}"
+    if isinstance(p, BracketClass):
+        return f"class w={p.weight} l=({','.join(map(str, p.l))})"
     if isinstance(p, tuple):
         return "face {" + ",".join(map(str, p)) + "}"
     if isinstance(p, int):
@@ -254,8 +279,8 @@ def _provenance_text(p: object) -> str:
 
 
 def _provenance_json(p: object) -> dict:
-    if isinstance(p, Bracket):
-        return {"kind": "bracket", "bracket": p.serialize(), "weight": p.weight}
+    if isinstance(p, BracketClass):
+        return {"kind": "class", "weight": p.weight, "l": list(p.l)}
     if isinstance(p, tuple):
         return {"kind": "face", "vertices": list(p)}
     if isinstance(p, int):
@@ -275,17 +300,14 @@ class Decomposition:
     theorem: str
     truncation: int | None = None
 
-    def exprs(self) -> list[SpaceExpr]:
-        out: list[SpaceExpr] = []
+    def factor_multiset(self) -> Counter:
+        out: Counter = Counter()
         for f in self.factors:
-            out.extend([f.expr] * f.multiplicity)
+            out[f.expr] += f.multiplicity
         return out
 
-    def factor_multiset(self) -> Counter:
-        return Counter(self.exprs())
-
     def bracket_factors(self) -> tuple[Factor, ...]:
-        return tuple(f for f in self.factors if isinstance(f.provenance, Bracket))
+        return tuple(f for f in self.factors if isinstance(f.provenance, BracketClass))
 
     def series_product(self, N: int):
         """The product of the factor series through degree N, or Unsupported.
@@ -293,7 +315,6 @@ class Decomposition:
         Each distinct expression is evaluated once and raised to its total
         multiplicity; an Unsupported reason names the first such factor."""
         series: dict = {}
-        totals: Counter = Counter()
         for f in self.factors:
             if f.expr not in series:
                 p = series_mod.series_of(f.expr, N)
@@ -302,9 +323,8 @@ class Decomposition:
                         f"factor {render(f.expr)} [{_provenance_text(f.provenance)}]: {p.reason}"
                     )
                 series[f.expr] = p
-            totals[f.expr] += f.multiplicity
         out = series_mod.PoincareSeries.one(N)
-        for e, k in totals.items():
+        for e, k in self.factor_multiset().items():
             out = out * series[e] ** k
         return out
 
@@ -378,16 +398,50 @@ def porter_loop_decomp(spaces: Sequence[SpaceExpr]) -> Decomposition:
     return Decomposition(tuple(factors), "porter", None)
 
 
-def _letter_degree(spaces_for: dict[int, SpaceExpr], g: Generator) -> int:
-    # lower bound for the bottom reduced degree contributed by one letter
-    if g.subset is None:
-        x = spaces_for[g.index]
-        return max(1, int(conn(x)) + 1 if conn(x) != float("inf") else 1)
-    total = 0
-    for j in g.subset:
-        c = conn(spaces_for[j])
-        total += max(1, int(c) if c != float("inf") else 1)
-    return total
+def _vertex_degrees(spaces: Sequence[SpaceExpr], offset: int) -> tuple[int, ...]:
+    # lower bound for the bottom reduced degree each vertex adds to a letter:
+    # conn + 1 for the suspended X_i of a plain letter (offset 1), conn for
+    # the loop space Loop X_j a face letter contributes (offset 0)
+    out = []
+    for x in spaces:
+        c = conn(x)
+        out.append(1 if c == float("inf") else max(1, int(c) + offset))
+    return tuple(out)
+
+
+def _class_factors(
+    letters: Sequence[tuple[tuple[int, ...], int]],
+    weight_bound: int,
+    rule,
+    keep=None,
+    vertex_degrees: Sequence[int] | None = None,
+    degree_bound: int | None = None,
+) -> list[Factor]:
+    """The bracket engine: one factor per counted (weight, l) class.
+
+    rule(support, l) returns (expression, diagram) and runs once per l;
+    classes whose support keep rejects, or whose expression normalizes to a
+    point, are dropped.  Ordered by weight, then l in descending
+    lexicographic order, so raising the weight bound only appends.
+    """
+    counts = lyndon_class_counts(
+        letters, weight_bound, vertex_degrees=vertex_degrees, degree_bound=degree_bound
+    )
+    made: dict[tuple[int, ...], tuple[SpaceExpr, DiagramDescription | None]] = {}
+    out = []
+    for cls in sorted((BracketClass(w, l) for w, l in counts), key=BracketClass.sort_key):
+        if cls.l not in made:
+            kept = keep is None or keep(cls.support)
+            made[cls.l] = rule(cls.support, cls.l) if kept else (POINT, None)
+        expr, diagram = made[cls.l]
+        if not isinstance(expr, Point):
+            out.append(Factor(expr, counts[(cls.weight, cls.l)], cls, diagram=diagram))
+    return out
+
+
+def _assert_conn_at_least_weight(factors: Sequence[Factor]) -> None:
+    for f in factors:
+        assert conn(f.expr) >= f.provenance.weight, (render(f.expr), f.provenance)
 
 
 def hilton_milnor(
@@ -398,10 +452,11 @@ def hilton_milnor(
 ) -> Decomposition:
     """Loops of Susp X_1 v ... v Susp X_m as a Hall-basis product.
 
-    Each bracket b contributes Loop Susp of the smash of k_i(b) copies of
-    each X_i, zero-fold powers omitted.  degree_bound optionally drops the
-    brackets whose factors carry no homology at or below that degree, which
-    leaves truncated series products unchanged.
+    Each bracket contributes Loop Susp of the smash of l_i copies of each
+    X_i, zero-fold powers omitted, where l_i counts the letter x_i; the
+    brackets are counted per l, one factor per class.  degree_bound
+    optionally drops the brackets whose factors carry no homology at or
+    below that degree, which leaves truncated series products unchanged.
     """
     if weight_bound < 1:
         raise ValueError("weight bound must be >= 1")
@@ -411,30 +466,25 @@ def hilton_milnor(
     for i, x in enumerate(spaces, start=1):
         if conn(x) < 0:
             raise ValueError(f"vertex {i}: summand {render(x)} must be connected")
-    alphabet = plain_alphabet(m)
-    degrees = None
-    if degree_bound is not None:
-        by_vertex = {i + 1: spaces[i] for i in range(m)}
-        degrees = [_letter_degree(by_vertex, g) for g in alphabet]
-    all_simply = all(conn(x) >= 1 for x in spaces)
-    factors = []
-    for b in hall_basis(alphabet, weight_bound, letter_degrees=degrees, degree_bound=degree_bound):
-        md = b.multidegree()
-        children: list[SpaceExpr] = []
-        for g, count in sorted(md.items(), key=lambda kv: kv[0].key()):
-            children.extend([spaces[g.index - 1]] * count)
-        expr = normalize(Loop(Susp(Smash(tuple(children)))))
-        if isinstance(expr, Point):
-            continue
-        if all_simply:
-            assert conn(expr) >= b.weight, (render(expr), b.serialize())
-        factors.append(Factor(expr, 1, b))
-    factors.sort(key=lambda f: (f.provenance.weight, f.provenance.serialize()))
+
+    def rule(support, l):
+        children = [x for x, k in zip(spaces, l) for _ in range(k)]
+        return normalize(Loop(Susp(Smash(tuple(children))))), None
+
+    letters = [(tuple(int(j == i) for j in range(m)), 1) for i in range(m)]
+    degrees = _vertex_degrees(spaces, 1) if degree_bound is not None else None
+    factors = _class_factors(
+        letters, weight_bound, rule, vertex_degrees=degrees, degree_bound=degree_bound
+    )
+    if all(conn(x) >= 1 for x in spaces):
+        _assert_conn_at_least_weight(factors)
     return Decomposition(tuple(factors), "hilton-milnor", weight_bound if m >= 2 else None)
 
 
 # ---------------------------------------------------------------------------
-# the polyhedral decompositions
+# the polyhedral decompositions: one engine over the face alphabet, with
+# presets that differ only in which letters they count and which supports
+# they keep
 # ---------------------------------------------------------------------------
 
 
@@ -450,12 +500,85 @@ def _base_factors(K: SimplicialComplex, pairs: PairAssignment) -> list[Factor]:
     return out
 
 
-def _smash_of_loops(exprs: dict[int, SpaceExpr], l: Sequence[int]) -> Smash:
+def _face_letters(vertex_sets, m: int) -> list[tuple[tuple[int, ...], int]]:
+    """The face letters a_{J,i} for the given J with |J| >= 2, as (e_J, |J| - 1)."""
+    return [
+        (tuple(int(j in J) for j in range(1, m + 1)), len(J) - 1)
+        for J in vertex_sets
+        if len(J) >= 2
+    ]
+
+
+def _all_face_letters(m: int) -> list[tuple[tuple[int, ...], int]]:
+    return _face_letters(
+        (J for k in range(2, m + 1) for J in combinations(range(1, m + 1), k)), m
+    )
+
+
+def _smash_of_loops(space, l: Sequence[int]) -> Smash:
+    # space(j) is the space at vertex j
     children: list[SpaceExpr] = []
     for j, lj in enumerate(l, start=1):
         if lj:
-            children.extend([Loop(exprs[j])] * lj)
+            children.extend([Loop(space(j))] * lj)
     return Smash(tuple(children))
+
+
+def _bracket_factor(
+    K: SimplicialComplex,
+    pairs: PairAssignment,
+    support: tuple[int, ...],
+    l: tuple[int, ...],
+) -> tuple[SpaceExpr, DiagramDescription | None]:
+    """The factor of a class with vertex content l: the looped weighted smash
+    coproduct over the full subcomplex on its support, reduced where a
+    lemma applies."""
+    if all(pairs.domain_contractible(j) for j in support):
+        sub = full_subcomplex(K, support).complex
+        inner = Susp(_smash_of_loops(pairs.codomain, l))
+        return normalize(Loop(MapFromSusp(sub, inner))), None
+    if all(pairs.codomain_is_point(j) for j in support):
+        if K.has_face(support):
+            return normalize(Loop(Susp(_smash_of_loops(pairs.domain, l)))), None
+        return POINT, None
+    # mixed endpoint data over the support: no lemma applies, stay symbolic
+    sub = full_subcomplex(K, support).complex
+    restricted = PairAssignment.of([pairs.pairs[j - 1] for j in support])
+    weights = tuple(l[j - 1] for j in support)
+    diagram = smash_coproduct(sub, restricted, weights)
+    vert_text = ",".join(map(str, support))
+    atom = Atom(
+        name=f"ŝ-coprod[K_{{{vert_text}}}; weights {list(weights)}]",
+        connectivity=max(0, sum(l) - sub.dim() - 1),
+    )
+    return Loop(atom), diagram
+
+
+def _coproduct_decomposition(
+    K: SimplicialComplex,
+    pairs: PairAssignment,
+    weight_bound: int,
+    theorem: str,
+    letters: Sequence[tuple[tuple[int, ...], int]],
+    truncated: bool,
+    keep=None,
+    vertex_degrees: Sequence[int] | None = None,
+    degree_bound: int | None = None,
+) -> Decomposition:
+    # truncated: whether the full bracket set is infinite, so that the
+    # weight bound cuts it
+    if weight_bound < 1:
+        raise ValueError("weight bound must be >= 1")
+    brackets = _class_factors(
+        letters,
+        weight_bound,
+        partial(_bracket_factor, K, pairs),
+        keep,
+        vertex_degrees=vertex_degrees,
+        degree_bound=degree_bound,
+    )
+    factors = _base_factors(K, pairs) + brackets
+    return Decomposition(tuple(factors), theorem, weight_bound if truncated else None)
 
 
 def loop_decompose_wedge(
@@ -467,51 +590,32 @@ def loop_decompose_wedge(
 ) -> Decomposition:
     """Loops of the coproduct of (X_i, point) pairs over K.
 
-    One factor Loop X_i per vertex of K, plus one factor per Hall bracket
-    over the alphabets of the maximal faces with at least two vertices,
-    deduplicated across overlapping faces: Loop Susp of the smash of l_j(b)
-    copies of Loop X_j.
+    One factor Loop X_i per vertex of K, plus one factor per class of Hall
+    brackets whose support is a face of K: Loop Susp of the smash of l_j
+    copies of Loop X_j, with the class's bracket count as multiplicity.
+    A bracket over overlapping maximal faces is counted once.
     """
-    if weight_bound < 1:
-        raise ValueError("weight bound must be >= 1")
-    if len(spaces) != K.m:
-        raise ValueError(f"complex has {K.m} vertices but {len(spaces)} spaces given")
+    _check_arity(K.m, len(spaces), "spaces")
     _require_simply_connected(spaces, "space")
-    pairs = PairAssignment.constant_maps(spaces)
-    factors = _base_factors(K, pairs)
-
-    by_vertex = {i + 1: spaces[i] for i in range(K.m)}
-    seen: dict[Bracket, None] = {}
-    maximal = maximal_faces_ge2(K)
-    for sigma in maximal:
-        alphabet = generators_for(sigma)
-        degrees = None
-        if degree_bound is not None:
-            degrees = [_letter_degree(by_vertex, g) for g in alphabet]
-        for b in hall_basis(
-            alphabet, weight_bound, letter_degrees=degrees, degree_bound=degree_bound
-        ):
-            seen.setdefault(b, None)
-
-    bracket_factors = []
-    for b in sorted(seen, key=lambda b: (b.weight, b.serialize())):
-        st = stats(b, K.m)
-        expr = normalize(Loop(Susp(_smash_of_loops(by_vertex, st.l))))
-        if isinstance(expr, Point):
-            continue
-        assert conn(expr) >= b.weight, (render(expr), b.serialize())
-        bracket_factors.append(Factor(expr, 1, b))
-    factors.extend(bracket_factors)
-
-    truncated = any(len(sigma) >= 3 for sigma in maximal)
-    return Decomposition(
-        tuple(factors), "wedge-coproduct", weight_bound if truncated else None
+    faces = K.face_set()
+    dec = _coproduct_decomposition(
+        K,
+        PairAssignment.constant_maps(spaces),
+        weight_bound,
+        "wedge-coproduct",
+        _face_letters(faces, K.m),
+        # infinite exactly when some maximal face has two or more letters
+        K.dim() >= 2,
+        faces.__contains__,
+        _vertex_degrees(spaces, 0) if degree_bound is not None else None,
+        degree_bound,
     )
+    _assert_conn_at_least_weight(dec.bracket_factors())
+    return dec
 
 
 def _validate_pairs(K: SimplicialComplex, pairs: PairAssignment) -> None:
-    if pairs.m != K.m:
-        raise ValueError(f"complex has {K.m} vertices but {pairs.m} pairs given")
+    _check_arity(K.m, pairs.m, "pairs")
     for i in range(1, K.m + 1):
         if not pairs.domain_contractible(i) and conn(pairs.domain(i)) < 1:
             raise ValueError(
@@ -530,73 +634,20 @@ def loop_decompose(
 ) -> Decomposition:
     """The general decomposition of the looped polyhedral coproduct.
 
-    Factors: Loop X_i per vertex, and per Hall bracket b on the face alphabet
-    of {1..m} (weight <= weight_bound) the looped weighted smash coproduct
-    over the full subcomplex on the support of b.  When every domain over the
-    support is contractible the factor reduces to a looped mapping space out
-    of Susp of the realization; when every codomain over the support is a
-    point it reduces to a loop-suspension factor if the support is a face and
-    vanishes otherwise; mixed factors stay symbolic with the diagram attached.
+    Factors: Loop X_i per vertex, and per class of Hall brackets on the face
+    alphabet of {1..m} (weight <= weight_bound) the looped weighted smash
+    coproduct over the full subcomplex on the class support.  When every
+    domain over the support is contractible the factor reduces to a looped
+    mapping space out of Susp of the realization; when every codomain over
+    the support is a point it reduces to a loop-suspension factor if the
+    support is a face and vanishes otherwise; mixed factors stay symbolic
+    with the diagram attached.
     """
-    if weight_bound < 1:
-        raise ValueError("weight bound must be >= 1")
     _validate_pairs(K, pairs)
-    m = K.m
-    factors = _base_factors(K, pairs)
-    domains = {i: pairs.domain(i) for i in range(1, m + 1)}
-    codomains = {i: pairs.codomain(i) for i in range(1, m + 1)}
-
-    alphabet = generators_for(range(1, m + 1))
-    memo: dict[tuple, tuple[SpaceExpr, DiagramDescription | None]] = {}
-    bracket_factors = []
-    for b in hall_basis(alphabet, weight_bound):
-        st = stats(b, m)
-        support = tuple(j for j, lj in enumerate(st.l, start=1) if lj)
-        if not support:
-            continue
-        key = (support, st.l)
-        if key in memo:
-            expr, diagram = memo[key]
-        else:
-            expr, diagram = _bracket_factor(K, pairs, domains, codomains, support, st.l)
-            memo[key] = (expr, diagram)
-        if isinstance(expr, Point):
-            continue
-        bracket_factors.append(Factor(expr, 1, b, diagram=diagram))
-    bracket_factors.sort(key=lambda f: (f.provenance.weight, f.provenance.serialize()))
-    factors.extend(bracket_factors)
-    return Decomposition(
-        tuple(factors), "general-coproduct", weight_bound if len(alphabet) >= 2 else None
+    # the face alphabet of {1..m} has two or more letters exactly when m >= 3
+    return _coproduct_decomposition(
+        K, pairs, weight_bound, "general-coproduct", _all_face_letters(K.m), K.m >= 3
     )
-
-
-def _bracket_factor(
-    K: SimplicialComplex,
-    pairs: PairAssignment,
-    domains: dict[int, SpaceExpr],
-    codomains: dict[int, SpaceExpr],
-    support: tuple[int, ...],
-    l: tuple[int, ...],
-) -> tuple[SpaceExpr, DiagramDescription | None]:
-    sub = full_subcomplex(K, support).complex
-    if all(pairs.domain_contractible(j) for j in support):
-        inner = Susp(_smash_of_loops(codomains, l))
-        return normalize(Loop(MapFromSusp(sub, inner))), None
-    if all(pairs.codomain_is_point(j) for j in support):
-        if K.has_face(support):
-            return normalize(Loop(Susp(_smash_of_loops(domains, l)))), None
-        return POINT, None
-    # mixed endpoint data over the support: no lemma applies, stay symbolic
-    total = sum(l)
-    restricted = PairAssignment.of([(domains[j], codomains[j]) for j in support])
-    weights = tuple(l[j - 1] for j in support)
-    diagram = smash_coproduct(sub, restricted, weights)
-    vert_text = ",".join(map(str, support))
-    atom = Atom(
-        name=f"ŝ-coprod[K_{{{vert_text}}}; weights {list(weights)}]",
-        connectivity=max(0, total - sub.dim() - 1),
-    )
-    return Loop(atom), diagram
 
 
 def loop_decompose_contractible(
@@ -604,18 +655,16 @@ def loop_decompose_contractible(
 ) -> Decomposition:
     """The decomposition when every domain is contractible.
 
-    One factor per Hall bracket whose support is a missing face of K: the
-    looped mapping space out of Susp of the realization of the full
-    subcomplex on the support, into Susp of the smash of l_j(b) copies of
-    Loop A_j.  Mapping spaces over certified subcomplexes reduce to iterated
-    loops; the rest stay symbolic.
+    One factor per class of Hall brackets whose support is a missing face of
+    K: the looped mapping space out of Susp of the realization of the full
+    subcomplex on the support, into Susp of the smash of l_j copies of
+    Loop A_j.  (Over a face the mapping space is out of a suspended simplex
+    and normalizes to a point, so this is the general decomposition.)
+    Mapping spaces over certified subcomplexes reduce to iterated loops; the
+    rest stay symbolic.
     """
-    if weight_bound < 1:
-        raise ValueError("weight bound must be >= 1")
-    if pairs.m != K.m:
-        raise ValueError(f"complex has {K.m} vertices but {pairs.m} pairs given")
-    m = K.m
-    for i in range(1, m + 1):
+    _check_arity(K.m, pairs.m, "pairs")
+    for i in range(1, K.m + 1):
         if not pairs.domain_contractible(i):
             raise ValueError(
                 f"vertex {i}: domain {render(pairs.domain(i))} is not contractible"
@@ -625,34 +674,15 @@ def loop_decompose_contractible(
                 f"vertex {i}: codomain {render(pairs.codomain(i))} must be simply "
                 f"connected or a point"
             )
-    factors = _base_factors(K, pairs)
-    codomains = {i: pairs.codomain(i) for i in range(1, m + 1)}
-
-    alphabet = generators_for(range(1, m + 1))
-    face_lookup = K.face_set()
-    memo: dict[tuple, SpaceExpr] = {}
-    bracket_factors = []
-    for b in hall_basis(alphabet, weight_bound):
-        st = stats(b, m)
-        support = tuple(j for j, lj in enumerate(st.l, start=1) if lj)
-        if support in face_lookup:
-            continue  # the smash coproduct over a face is contractible
-        key = (support, st.l)
-        expr = memo.get(key)
-        if expr is None:
-            sub = full_subcomplex(K, support).complex
-            inner = Susp(_smash_of_loops(codomains, st.l))
-            expr = normalize(Loop(MapFromSusp(sub, inner)))
-            memo[key] = expr
-        if isinstance(expr, Point):
-            continue
-        bracket_factors.append(Factor(expr, 1, b))
-    bracket_factors.sort(key=lambda f: (f.provenance.weight, f.provenance.serialize()))
-    factors.extend(bracket_factors)
-    return Decomposition(
-        tuple(factors),
+    faces = K.face_set()
+    return _coproduct_decomposition(
+        K,
+        pairs,
+        weight_bound,
         "contractible-domains",
-        weight_bound if len(alphabet) >= 2 else None,
+        _all_face_letters(K.m),
+        K.m >= 3,
+        lambda support: support not in faces,
     )
 
 
@@ -665,8 +695,7 @@ def bbcg_wedge_splitting(
     K: SimplicialComplex, spaces: Sequence[SpaceExpr]
 ) -> list[tuple[Face, SpaceExpr]]:
     """Summands Susp(X^smash sigma) of the suspended polyhedral product, per face."""
-    if len(spaces) != K.m:
-        raise ValueError(f"complex has {K.m} vertices but {len(spaces)} spaces given")
+    _check_arity(K.m, len(spaces), "spaces")
     out = []
     for f in K.faces():
         if not f:
@@ -694,8 +723,7 @@ def bbcg_cone_splitting(
     wedge distributes through the smash); a contractible certified |K_I|
     contributes a point.
     """
-    if len(spaces) != K.m:
-        raise ValueError(f"complex has {K.m} vertices but {len(spaces)} spaces given")
+    _check_arity(K.m, len(spaces), "spaces")
     out = []
     for I in missing_subsets(K):
         sub = full_subcomplex(K, I).complex
@@ -726,8 +754,7 @@ def join_vertex_reduce(
     over the stripped complex, so decompositions may be computed there.
     """
     m = K.m
-    if pairs.m != m:
-        raise ValueError(f"complex has {m} vertices but {pairs.m} pairs given")
+    _check_arity(m, pairs.m, "pairs")
     if m < 2:
         raise ValueError("need at least two vertices to strip one")
     if not K.has_face((m,)) or not all(m in f for f in K.facets):
@@ -789,8 +816,7 @@ def pullback_square(
     o = L.m if L is not None else 0
     offset = K1.m - o
     m = K1.m + K2.m - o
-    if pairs.m != m:
-        raise ValueError(f"glued complex has {m} vertices but {pairs.m} pairs given")
+    _check_arity(m, pairs.m, "pairs", "glued complex")
     K = union_along(K1, K2, L)
     k1bar = build(m, K1.facets)
     k2bar = build(m, [tuple(v + offset for v in f) for f in K2.facets])
@@ -806,18 +832,6 @@ def pullback_square(
     return PullbackSquare(corners, diagrams, maps)
 
 
-def _shift_generator(g: Generator, offset: int) -> Generator:
-    if g.subset is None:
-        return Generator.plain(g.index + offset)
-    return Generator.face(tuple(v + offset for v in g.subset), g.index)
-
-
-def _shift_bracket(b: Bracket, offset: int) -> Bracket:
-    if b.gen is not None:
-        return Bracket.leaf(_shift_generator(b.gen, offset))
-    return Bracket.pair(_shift_bracket(b.left, offset), _shift_bracket(b.right, offset))
-
-
 def disjoint_union_decomp(
     K1: SimplicialComplex,
     K2: SimplicialComplex,
@@ -829,23 +843,22 @@ def disjoint_union_decomp(
     """Decomposition of the coproduct over K1 disjoint-union K2 with A = point:
     the multiset union of the component decompositions."""
     m1, m2 = K1.m, K2.m
-    if len(spaces) != m1 + m2:
-        raise ValueError(f"expected {m1 + m2} spaces, got {len(spaces)}")
+    _check_arity(m1 + m2, len(spaces), "spaces", "disjoint union")
     d1 = loop_decompose_wedge(K1, spaces[:m1], weight_bound, degree_bound=degree_bound)
     d2 = loop_decompose_wedge(K2, spaces[m1:], weight_bound, degree_bound=degree_bound)
-    base = []
-    brackets = []
-    for f in d1.factors:
-        (base if isinstance(f.provenance, int) else brackets).append(f)
-    for f in d2.factors:
-        if isinstance(f.provenance, int):
-            base.append(Factor(f.expr, f.multiplicity, f.provenance + m1))
-        else:
-            brackets.append(
-                Factor(f.expr, f.multiplicity, _shift_bracket(f.provenance, m1))
-            )
-    base.sort(key=lambda f: f.provenance)
-    brackets.sort(key=lambda f: (f.provenance.weight, f.provenance.serialize()))
+
+    def padded(f: Factor, before: int, after: int) -> Factor:
+        p = f.provenance
+        if isinstance(p, int):
+            return Factor(f.expr, f.multiplicity, p + before)
+        return Factor(f.expr, f.multiplicity, BracketClass(p.weight, (0,) * before + p.l + (0,) * after))
+
+    factors = [padded(f, 0, m2) for f in d1.factors] + [padded(f, m1, 0) for f in d2.factors]
+    base = sorted((f for f in factors if isinstance(f.provenance, int)), key=lambda f: f.provenance)
+    brackets = sorted(
+        (f for f in factors if isinstance(f.provenance, BracketClass)),
+        key=lambda f: f.provenance.sort_key(),
+    )
     truncation = (
         weight_bound if (d1.truncation is not None or d2.truncation is not None) else None
     )

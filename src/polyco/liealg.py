@@ -11,7 +11,10 @@ over the larger one.  That coherence is what makes deduplicating brackets
 across overlapping maximal faces well defined.
 
 witt_dimension is the classical multigraded Witt formula and serves as an
-independent counting oracle for the Lyndon enumeration.
+independent counting oracle for the Lyndon enumeration.  lyndon_class_counts
+generalizes it to letters graded by vertex vectors with several copies each:
+it counts Lyndon words per (length, vertex content) class without listing
+them, which is all the decompositions need.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import factorial, gcd, prod
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 
@@ -255,6 +259,12 @@ def _mobius(n: int) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
+def _mobius_divisors(n: int) -> tuple[tuple[int, int], ...]:
+    """(d, mu(d)) for the divisors d > 1 of n with mu(d) != 0."""
+    return tuple((d, _mobius(d)) for d in range(2, n + 1) if n % d == 0 and _mobius(d))
+
+
 def witt_dimension(multidegree: Sequence[int]) -> int:
     """Number of Hall-basis brackets with the given generator multidegree.
 
@@ -278,3 +288,79 @@ def witt_dimension(multidegree: Sequence[int]) -> int:
             )
     assert total % n == 0
     return total // n
+
+
+def lyndon_class_counts(
+    letters: Sequence[tuple[Sequence[int], int]],
+    weight_bound: int,
+    *,
+    vertex_degrees: Sequence[int] | None = None,
+    degree_bound: int | None = None,
+) -> dict[tuple[int, tuple[int, ...]], int]:
+    """Number of Lyndon words per (length w, vertex content l), for w <= weight_bound.
+
+    letters lists (vertex vector, number of copies): a face letter a_J is
+    (e_J, |J| - 1), a plain letter x_i is (e_i, 1).  The content l of a word
+    is the sum of its letters' vectors.  Words are counted by a DP over l,
+    words[n][l] = sum over letters of copies * words[n-1][l - v], and the
+    Lyndon words by the multigraded Witt formula generalized to graded
+    letters (Kang & Kim, J. Algebra 183, 1996):
+    w * L(w, l) = sum over d | gcd(w, l) of mu(d) * words[w/d][l/d].
+    With vertex_degrees and degree_bound, classes with sum_j l_j * deg_j
+    above the bound are omitted; that is a function of l, so it omits
+    exactly the brackets hall_basis prunes with the induced letter degrees.
+    """
+    if weight_bound < 1:
+        raise ValueError("weight bound must be >= 1")
+    merged: Counter[tuple[int, ...]] = Counter()
+    for vector, copies in letters:
+        v = tuple(int(x) for x in vector)
+        if copies < 1 or any(x < 0 for x in v) or not any(v):
+            raise ValueError(f"letter {v} x{copies}: need a nonzero vector and copies >= 1")
+        merged[v] += copies
+    if not merged:
+        return {}
+    width = {len(v) for v in merged}
+    if len(width) != 1:
+        raise ValueError("letter vectors must share one length")
+    degs = None
+    if degree_bound is not None:
+        if vertex_degrees is None or len(vertex_degrees) != width.pop():
+            raise ValueError("degree_bound needs one degree per vertex")
+        degs = tuple(vertex_degrees)
+        if any(d < 1 for d in degs):
+            raise ValueError("vertex degrees must be >= 1")
+
+    # each state carries its degree (0 without a bound), so pruning costs one add
+    step = [
+        (v, copies, sum(map(mul, v, degs)) if degs else 0) for v, copies in merged.items()
+    ]
+    layer = {(0,) * len(step[0][0]): (1, 0)}
+    words: list[dict[tuple[int, ...], tuple[int, int]]] = [layer]
+    for _ in range(weight_bound):
+        nxt: dict[tuple[int, ...], tuple[int, int]] = {}
+        for l, (count, deg) in layer.items():
+            for v, copies, dv in step:
+                if degs is not None and deg + dv > degree_bound:
+                    continue
+                lv = tuple(map(add, l, v))
+                hit = nxt.get(lv)
+                nxt[lv] = (count * copies + (hit[0] if hit else 0), deg + dv)
+        if not nxt:
+            break
+        words.append(nxt)
+        layer = nxt
+
+    out: dict[tuple[int, tuple[int, ...]], int] = {}
+    for w in range(1, len(words)):
+        for l, (count, _) in words[w].items():
+            g = gcd(w, *l)
+            total = count
+            for d, mu in _mobius_divisors(g):
+                hit = words[w // d].get(tuple(lj // d for lj in l))
+                if hit:
+                    total += mu * hit[0]
+            assert total % w == 0
+            if total:
+                out[(w, l)] = total // w
+    return out

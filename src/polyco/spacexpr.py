@@ -29,7 +29,6 @@ symbolic: the rewriter never invents a homotopy type.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Union
@@ -155,29 +154,6 @@ class MapFromSusp:
 SpaceExpr = Union[Point, Sphere, Atom, Wedge, Product, Smash, Susp, Loop, MapFromSusp]
 
 POINT = Point()
-
-
-def wedge(*children: SpaceExpr) -> SpaceExpr:
-    return Wedge(tuple(children))
-
-
-def product(*children: SpaceExpr) -> SpaceExpr:
-    return Product(tuple(children))
-
-
-def smash(*children: SpaceExpr) -> SpaceExpr:
-    return Smash(tuple(children))
-
-
-def susp(child: SpaceExpr, times: int = 1) -> SpaceExpr:
-    out = child
-    for _ in range(times):
-        out = Susp(out)
-    return out
-
-
-def loop(child: SpaceExpr, count: int = 1) -> SpaceExpr:
-    return Loop(child, count)
 
 
 _RANK = {
@@ -421,7 +397,18 @@ def expr_to_json(e: SpaceExpr) -> dict:
     raise TypeError(f"not a space expression: {e!r}")
 
 
+MAX_JSON_DEPTH = 100
+
+
 def expr_from_json(data: dict) -> SpaceExpr:
+    """Parse a space description; nesting deeper than MAX_JSON_DEPTH raises
+    ValueError, so no later recursive pass can overflow the stack."""
+    return _expr_from_json(data, 1)
+
+
+def _expr_from_json(data: dict, depth: int) -> SpaceExpr:
+    if depth > MAX_JSON_DEPTH:
+        raise ValueError(f"space JSON nested deeper than {MAX_JSON_DEPTH} levels")
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError(f'space JSON needs a "kind" field: {data!r}')
     kind = data["kind"]
@@ -430,7 +417,7 @@ def expr_from_json(data: dict) -> SpaceExpr:
     if kind == "sphere":
         return Sphere(int(data["n"]))
     if kind == "atom":
-        loop_expr = expr_from_json(data["loop"]) if "loop" in data else None
+        loop_expr = _expr_from_json(data["loop"], depth + 1) if "loop" in data else None
         series = None
         if "series" in data:
             series = (
@@ -446,20 +433,16 @@ def expr_from_json(data: dict) -> SpaceExpr:
         )
     if kind in ("wedge", "product", "smash"):
         cls = {"wedge": Wedge, "product": Product, "smash": Smash}[kind]
-        return cls(tuple(expr_from_json(c) for c in data["children"]))
+        return cls(tuple(_expr_from_json(c, depth + 1) for c in data["children"]))
     if kind == "susp":
-        return Susp(expr_from_json(data["child"]))
+        return Susp(_expr_from_json(data["child"], depth + 1))
     if kind == "loop":
-        return Loop(expr_from_json(data["child"]), int(data.get("count", 1)))
+        return Loop(_expr_from_json(data["child"], depth + 1), int(data.get("count", 1)))
     if kind == "map_from_susp":
         return MapFromSusp(
-            complex_from_json(data["complex"]), expr_from_json(data["child"])
+            complex_from_json(data["complex"]), _expr_from_json(data["child"], depth + 1)
         )
     raise ValueError(f"unknown space kind {kind!r}")
-
-
-def expr_to_json_str(e: SpaceExpr) -> str:
-    return json.dumps(expr_to_json(e), sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ truncated-series oracle at a chosen degree N.
 The bracket weight bound is always derived from N as W = N + 1, which is the
 truncation-soundness bound: any omitted bracket factor carries no homology at
 or below degree N, so the truncated products are exact.  Internally the
-enumeration prunes by factor bottom degree instead of listing every word of
-weight up to N + 1; the two cuts agree through degree N and the pruned one
-stays small.
+bracket counting also prunes by factor bottom degree instead of counting
+every class of weight up to N + 1; the two cuts agree through degree N and
+the pruned one stays small.
 
 Verdicts: Equal (coefficientwise equality through degree N), FirstDifference
 (the first degree where the two sides disagree, with both coefficients), or

@@ -3,20 +3,24 @@
 import random
 from fractions import Fraction
 
-from polyco.decomp import Decomposition, _provenance_text
-from polyco.scomplex import SimplicialComplex, build
+from polyco.decomp import Decomposition, Factor, _base_factors, _bracket_factor, _provenance_text
+from polyco.liealg import generators_for, hall_basis, plain_alphabet, stats
+from polyco.scomplex import SimplicialComplex, build, full_subcomplex, maximal_faces_ge2
 from polyco.series import PoincareSeries, Unsupported, _series
 from polyco.spacexpr import (
     POINT,
     Atom,
     Loop,
     MapFromSusp,
+    PairAssignment,
+    Point,
     Product,
     Smash,
     SpaceExpr,
     Sphere,
     Susp,
     Wedge,
+    conn,
     normalize,
     render,
 )
@@ -148,3 +152,113 @@ def reference_series_product(dec: Decomposition, N: int):
         for _ in range(f.multiplicity):
             out = dense_mul(out, p)
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference engines: one factor per enumerated Hall bracket (hall_basis +
+# stats), the listing the per-class counting engines replace
+# ---------------------------------------------------------------------------
+
+
+def _letter_degree(spaces_for, g) -> int:
+    # lower bound for the bottom reduced degree contributed by one letter
+    if g.subset is None:
+        x = spaces_for[g.index]
+        return max(1, int(conn(x)) + 1 if conn(x) != float("inf") else 1)
+    total = 0
+    for j in g.subset:
+        c = conn(spaces_for[j])
+        total += max(1, int(c) if c != float("inf") else 1)
+    return total
+
+
+def _bracket_order(f):
+    return (f.provenance.weight, f.provenance.serialize())
+
+
+def _loop_smash_of_loops(exprs, l, looped=True):
+    children = []
+    for j, lj in enumerate(l, start=1):
+        children.extend([Loop(exprs[j]) if looped else exprs[j]] * lj)
+    return Smash(tuple(children))
+
+
+def enumerated_hilton_milnor(spaces, weight_bound, degree_bound=None) -> Decomposition:
+    m = len(spaces)
+    alphabet = plain_alphabet(m)
+    by_vertex = {i + 1: spaces[i] for i in range(m)}
+    degrees = None
+    if degree_bound is not None:
+        degrees = [_letter_degree(by_vertex, g) for g in alphabet]
+    factors = []
+    for b in hall_basis(alphabet, weight_bound, letter_degrees=degrees, degree_bound=degree_bound):
+        md = b.multidegree()
+        l = [md.get(g, 0) for g in alphabet]
+        expr = normalize(Loop(Susp(_loop_smash_of_loops(by_vertex, l, looped=False))))
+        if not isinstance(expr, Point):
+            factors.append(Factor(expr, 1, b))
+    factors.sort(key=_bracket_order)
+    return Decomposition(tuple(factors), "hilton-milnor", weight_bound if m >= 2 else None)
+
+
+def enumerated_wedge(K, spaces, weight_bound, degree_bound=None) -> Decomposition:
+    by_vertex = {i + 1: spaces[i] for i in range(K.m)}
+    factors = _base_factors(K, PairAssignment.constant_maps(spaces))
+    seen = {}
+    maximal = maximal_faces_ge2(K)
+    for sigma in maximal:
+        alphabet = generators_for(sigma)
+        degrees = None
+        if degree_bound is not None:
+            degrees = [_letter_degree(by_vertex, g) for g in alphabet]
+        for b in hall_basis(alphabet, weight_bound, letter_degrees=degrees, degree_bound=degree_bound):
+            seen.setdefault(b, None)
+    brackets = []
+    for b in seen:
+        expr = normalize(Loop(Susp(_loop_smash_of_loops(by_vertex, stats(b, K.m).l))))
+        if not isinstance(expr, Point):
+            brackets.append(Factor(expr, 1, b))
+    brackets.sort(key=_bracket_order)
+    truncated = any(len(sigma) >= 3 for sigma in maximal)
+    return Decomposition(
+        tuple(factors + brackets), "wedge-coproduct", weight_bound if truncated else None
+    )
+
+
+def _enumerated_face_alphabet(K, pairs, weight_bound, theorem, rule) -> Decomposition:
+    alphabet = generators_for(range(1, K.m + 1))
+    brackets = []
+    memo = {}
+    for b in hall_basis(alphabet, weight_bound):
+        l = stats(b, K.m).l
+        if l not in memo:
+            memo[l] = rule(tuple(j for j, lj in enumerate(l, start=1) if lj), l)
+        expr = memo[l]
+        if expr is not None and not isinstance(expr, Point):
+            brackets.append(Factor(expr, 1, b))
+    brackets.sort(key=_bracket_order)
+    return Decomposition(
+        tuple(_base_factors(K, pairs) + brackets),
+        theorem,
+        weight_bound if len(alphabet) >= 2 else None,
+    )
+
+
+def enumerated_general(K, pairs, weight_bound) -> Decomposition:
+    return _enumerated_face_alphabet(
+        K, pairs, weight_bound, "general-coproduct",
+        lambda support, l: _bracket_factor(K, pairs, support, l)[0],
+    )
+
+
+def enumerated_contractible(K, pairs, weight_bound) -> Decomposition:
+    codomains = {i: pairs.codomain(i) for i in range(1, K.m + 1)}
+    faces = K.face_set()
+
+    def rule(support, l):
+        if support in faces:
+            return None
+        sub = full_subcomplex(K, support).complex
+        return normalize(Loop(MapFromSusp(sub, Susp(_loop_smash_of_loops(codomains, l)))))
+
+    return _enumerated_face_alphabet(K, pairs, weight_bound, "contractible-domains", rule)

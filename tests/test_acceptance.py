@@ -17,7 +17,7 @@ from polyco.decomp import (
     loop_decompose_contractible,
     loop_decompose_wedge,
 )
-from polyco.liealg import hall_basis, plain_alphabet, restricted_support, witt_dimension
+from polyco.liealg import hall_basis, plain_alphabet, witt_dimension
 from polyco.scomplex import build, disjoint_union, homology
 from polyco.series import PoincareSeries
 from polyco.spacexpr import (
@@ -175,8 +175,8 @@ def test_criterion_8_missing_face_filter():
         assert dec.factors, f"no factors at m={m}"
         full = tuple(range(1, m + 1))
         for f in dec.factors:
-            assert restricted_support(f.provenance, full) == full
-    print("PASS criterion 8: over boundary simplices every bracket factor has "
+            assert f.provenance.support == full
+    print("PASS criterion 8: over boundary simplices every bracket class has "
           "full support (m=3 and m=4 at W=5)")
 
 

@@ -180,3 +180,39 @@ def test_deterministic_output(square_file, cp_file, capsys):
               "--max-weight", "1", "--format", "json"])
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1]
+
+
+def test_decompose_wedge_default_degree_on_simplex(tmp_path, capsys):
+    # the default N = 12 gives W = 13: 119,939,427 brackets over the face
+    # alphabet of the 2-simplex, listed as 2,343 classes (a MemoryError
+    # while every bracket was its own factor)
+    cx = write(tmp_path, "d2.json", {"m": 3, "facets": [[1, 2, 3]]})
+    spaces = write(tmp_path, "s2.json", {str(i): {"kind": "sphere", "n": 2} for i in (1, 2, 3)})
+    assert main(["decompose-wedge", "--complex", cx, "--spaces", spaces]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("wedge-coproduct: 2346 factors (bracket weight ≤ 13)")
+    assert out.endswith("ΩΣ(ΩS^2^∧26)   [class w=13 l=(1,12,13)]\n")
+
+
+def _nested_spaces(tmp_path, depth):
+    # written by hand: json.dumps itself recurses once per level
+    inner = '{"kind": "susp", "child": ' * depth + '{"kind": "sphere", "n": 2}' + "}" * depth
+    path = tmp_path / f"nested{depth}.json"
+    path.write_text('{"1": ' + inner + ', "2": {"kind": "sphere", "n": 3}}')
+    return str(path)
+
+
+def test_deeply_nested_spaces_exit_2(tmp_path, capsys):
+    # too deep for the JSON parser
+    path = _nested_spaces(tmp_path, 5000)
+    assert main(["verify", "--check", "porter", "--spaces", path]) == 2
+    err = capsys.readouterr().err
+    assert "nested5000.json" in err and "nested too deeply" in err
+    # parsed, but deeper than expressions may nest
+    path = _nested_spaces(tmp_path, 500)
+    assert main(["verify", "--check", "porter", "--spaces", path]) == 2
+    err = capsys.readouterr().err
+    assert "nested500.json" in err and "nested deeper than 100 levels" in err
+    # a modest depth still loads
+    path = _nested_spaces(tmp_path, 20)
+    assert main(["porter", "--spaces", path]) == 0

@@ -6,8 +6,16 @@ from itertools import combinations
 
 import pytest
 
-from _helpers import random_complex, reference_series_product
+from _helpers import (
+    enumerated_contractible,
+    enumerated_general,
+    enumerated_hilton_milnor,
+    enumerated_wedge,
+    random_complex,
+    reference_series_product,
+)
 from polyco.decomp import (
+    BracketClass,
     Decomposition,
     Factor,
     bbcg_cone_splitting,
@@ -24,8 +32,9 @@ from polyco.decomp import (
     porter_loop_decomp,
     pullback_square,
     smash_coproduct,
+    _bracket_factor,
 )
-from polyco.liealg import restricted_support
+from polyco.liealg import Bracket, stats
 from polyco.scomplex import build, disjoint_union, join
 from polyco.series import PoincareSeries, Unsupported, series_of
 from polyco.spacexpr import (
@@ -177,7 +186,8 @@ def test_hilton_milnor_examples():
     ]
     dec3 = hilton_milnor([X1, X2], 3)
     extra = [render(f.expr) for f in dec3.factors[3:]]
-    assert extra == ["ΩΣ(X1 ∧ X2^∧2)", "ΩΣ(X1^∧2 ∧ X2)"]
+    # weight 3 classes in descending l: (2, 1) before (1, 2)
+    assert extra == ["ΩΣ(X1^∧2 ∧ X2)", "ΩΣ(X1 ∧ X2^∧2)"]
     assert dec3.truncation == 3
 
 
@@ -301,16 +311,13 @@ def test_wedge_decomp_one_dimensional():
 
 
 def test_wedge_decomp_dedup_across_overlapping_faces():
-    # two triangles sharing the edge {2,3}: brackets supported on the shared
-    # edge appear exactly once
+    # two triangles sharing the edge {2,3}: the brackets supported on the
+    # shared edge form one class, counted once
     K = build(4, [[1, 2, 3], [2, 3, 4]])
     dec = loop_decompose_wedge(K, [X1, X2, X3, Atom("X4", 1)], 2)
-    shared = [
-        f
-        for f in dec.bracket_factors()
-        if all(g.subset == (2, 3) for g in f.provenance.leaves())
-    ]
+    shared = [f for f in dec.bracket_factors() if f.provenance.support == (2, 3)]
     assert len(shared) == 1
+    assert shared[0].multiplicity == 1
 
 
 def test_wedge_decomp_monotone_in_weight():
@@ -358,7 +365,7 @@ def test_contractible_missing_face_filter():
     dec = loop_decompose_contractible(K, path_pairs([A1, A2, Atom("A3", 1)]), 3)
     assert len(dec.factors) > 0
     for f in dec.factors:
-        assert restricted_support(f.provenance, [1, 2, 3]) == (1, 2, 3)
+        assert f.provenance.support == (1, 2, 3)
 
 
 def test_contractible_rejects_solid_domain():
@@ -474,19 +481,24 @@ def test_pullback_square_empty_overlap():
 
 
 def test_disjoint_union_decomp_is_component_union():
-    K1 = build(2, [[1, 2]])
-    K2 = build(2, [[1], [2]])
-    spaces = [X1, X2, X3, Atom("X4", 1)]
-    du = disjoint_union_decomp(K1, K2, spaces, 3)
-    d1 = loop_decompose_wedge(K1, spaces[:2], 3)
-    d2 = loop_decompose_wedge(K2, spaces[2:], 3)
-    assert du.factor_multiset() == d1.factor_multiset() + d2.factor_multiset()
-    # and it agrees with decomposing the union complex directly
-    full = loop_decompose_wedge(disjoint_union(K1, K2), spaces, 3)
-    assert du.factor_multiset() == full.factor_multiset()
-    assert [str(f.provenance) for f in du.factors] == [
-        str(f.provenance) for f in full.factors
-    ]
+    spaces = [X1, X2, X3, Atom("X4", 1), Atom("X5", 1)]
+    # the second pair gives both components bracket classes, so the
+    # second component's classes are padded on the left
+    for K1, K2 in (
+        (build(2, [[1, 2]]), build(2, [[1], [2]])),
+        (build(2, [[1, 2]]), build(3, [[1, 2, 3]])),
+    ):
+        sp = spaces[: K1.m + K2.m]
+        du = disjoint_union_decomp(K1, K2, sp, 3)
+        d1 = loop_decompose_wedge(K1, sp[: K1.m], 3)
+        d2 = loop_decompose_wedge(K2, sp[K1.m :], 3)
+        assert du.factor_multiset() == d1.factor_multiset() + d2.factor_multiset()
+        # and it agrees with decomposing the union complex directly
+        full = loop_decompose_wedge(disjoint_union(K1, K2), sp, 3)
+        assert du.factor_multiset() == full.factor_multiset()
+        assert [str(f.provenance) for f in du.factors] == [
+            str(f.provenance) for f in full.factors
+        ]
 
 
 def test_disjoint_union_two_vertices():
@@ -528,6 +540,15 @@ def test_general_vs_wedge_theorem_agreement():
         a = loop_decompose(K, const(spaces), 3)
         b = loop_decompose_wedge(K, spaces, 3)
         assert a.factor_multiset() == b.factor_multiset(), K
+    # the default CLI weight bound on the 2-simplex: 119,939,427 Lyndon words
+    # over its five face letters, in 2,343 classes, so the multiset must not
+    # expand multiplicities
+    a = loop_decompose(simplex(3), const([S(2)] * 3), 13)
+    b = loop_decompose_wedge(simplex(3), [S(2)] * 3, 13)
+    assert a.factor_multiset() == b.factor_multiset()
+    assert len(b.bracket_factors()) == 2_343
+    assert sum(f.multiplicity for f in b.bracket_factors()) == 119_939_427
+    assert sum(b.factor_multiset().values()) == 3 + 119_939_427
 
 
 def test_general_vs_contractible_theorem_agreement():
@@ -583,3 +604,111 @@ def test_series_product_unsupported_reason_names_first_factor():
     assert isinstance(out, Unsupported)
     assert out == reference_series_product(dec, 6)
     assert out.reason.startswith("factor ΩB [vertex 2]: ")
+
+
+# ---------------------------------------------------------------------------
+# counted classes against the enumerated brackets they replace
+# ---------------------------------------------------------------------------
+
+PX = Atom("PX", 0, contractible=True)
+WEDGE_POOL = (S(2), S(3), X1, CP_INFINITY, PX)
+DOMAIN_POOL = (S(3), X2, CP_INFINITY, POINT, PX)
+CODOMAIN_POOL = (S(2), A1, CP_INFINITY, POINT)
+
+
+def class_listing(dec, m):
+    """{(weight, l, expr): brackets} for bracket factors, {(vertex, expr): 1} otherwise."""
+    out = Counter()
+    for f in dec.factors:
+        p = f.provenance
+        if isinstance(p, BracketClass):
+            out[(p.weight, p.l, f.expr)] += f.multiplicity
+        elif isinstance(p, Bracket):
+            if p.leaves()[0].subset is None:
+                md = p.multidegree()
+                l = tuple(sum(n for g, n in md.items() if g.index == j) for j in range(1, m + 1))
+            else:
+                l = stats(p, m).l
+            out[(p.weight, l, f.expr)] += f.multiplicity
+        else:
+            out[(p, f.expr)] += f.multiplicity
+    return out
+
+
+def assert_counted_matches(counted, enumerated, m):
+    assert counted.factor_multiset() == enumerated.factor_multiset()
+    assert class_listing(counted, m) == class_listing(enumerated, m)
+    assert (counted.theorem, counted.truncation) == (enumerated.theorem, enumerated.truncation)
+    keys = [f.provenance.sort_key() for f in counted.bracket_factors()]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+def affordable_weight(letters, cap=5, budget=5000):
+    # the largest W <= cap whose enumerated basis stays small
+    W = 1
+    while W < cap and letters ** (W + 1) <= budget:
+        W += 1
+    return W
+
+
+def test_counted_wedge_matches_enumerated():
+    rng = random.Random(5051)
+    for _ in range(40):
+        K = random_complex(rng, 4)
+        spaces = [rng.choice(WEDGE_POOL) for _ in range(K.m)]
+        biggest = max((len(f) for f in K.facets), default=0)
+        W = affordable_weight(max(1, (biggest - 2) * 2 ** (biggest - 1) + 1))
+        bound = rng.choice((None, 3, 6, 9))
+        counted = loop_decompose_wedge(K, spaces, W, degree_bound=bound)
+        enumerated = enumerated_wedge(K, spaces, W, degree_bound=bound)
+        assert_counted_matches(counted, enumerated, K.m)
+
+
+def test_counted_general_matches_enumerated():
+    rng = random.Random(5059)
+    for _ in range(30):
+        K = random_complex(rng, 4)
+        pairs = PairAssignment.of(
+            [(rng.choice(DOMAIN_POOL), rng.choice(CODOMAIN_POOL)) for _ in range(K.m)]
+        )
+        W = affordable_weight(max(1, (K.m - 2) * 2 ** (K.m - 1) + 1))
+        assert_counted_matches(loop_decompose(K, pairs, W), enumerated_general(K, pairs, W), K.m)
+
+
+def test_counted_contractible_matches_enumerated():
+    rng = random.Random(5077)
+    for _ in range(30):
+        K = random_complex(rng, 4)
+        pairs = path_pairs([rng.choice(CODOMAIN_POOL) for _ in range(K.m)])
+        W = affordable_weight(max(1, (K.m - 2) * 2 ** (K.m - 1) + 1))
+        assert_counted_matches(
+            loop_decompose_contractible(K, pairs, W), enumerated_contractible(K, pairs, W), K.m
+        )
+
+
+def test_counted_hilton_milnor_matches_enumerated():
+    rng = random.Random(5081)
+    pool = (S(2), S(3), S(4), X1, CP_INFINITY)
+    for _ in range(30):
+        m = rng.randint(1, 4)
+        spaces = [rng.choice(pool) for _ in range(m)]
+        W = affordable_weight(m)
+        bound = rng.choice((None, 4, 7, 10))
+        counted = hilton_milnor(spaces, W, degree_bound=bound)
+        enumerated = enumerated_hilton_milnor(spaces, W, degree_bound=bound)
+        assert_counted_matches(counted, enumerated, m)
+
+
+def test_contractible_rule_over_a_face_is_a_point():
+    # over a face the mapping space is out of a suspended simplex, so the
+    # contractible-domain preset may skip face supports: the general rule
+    # sends them to a point
+    rng = random.Random(5087)
+    for _ in range(20):
+        K = random_complex(rng, 5, allow_empty=False)
+        pairs = path_pairs([rng.choice((S(2), A1, CP_INFINITY)) for _ in range(K.m)])
+        for face in K.faces():
+            if len(face) < 2:
+                continue
+            l = tuple(rng.randint(1, 3) if j in face else 0 for j in range(1, K.m + 1))
+            assert _bracket_factor(K, pairs, face, l) == (POINT, None), (K, face)

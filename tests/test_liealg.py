@@ -11,6 +11,7 @@ from polyco.liealg import (
     Generator,
     generators_for,
     hall_basis,
+    lyndon_class_counts,
     lyndon_words,
     plain_alphabet,
     restricted_support,
@@ -187,3 +188,82 @@ def test_support_of_plain_brackets():
     bs = hall_basis(plain_alphabet(3), 3)
     for b in bs:
         assert support(b) == tuple(sorted({g.index for g in b.leaves()}))
+
+
+# ---------------------------------------------------------------------------
+# per-class counts against the Witt formula and the enumerated basis
+# ---------------------------------------------------------------------------
+
+
+def plain_letters(k):
+    return [(tuple(int(j == i) for j in range(k)), 1) for i in range(k)]
+
+
+def face_letters(I, m):
+    return [
+        (tuple(int(j in g.subset) for j in range(1, m + 1)), 1)
+        for g in generators_for(I)
+    ]
+
+
+def enumerated_classes(alphabet, m, W, letter_degrees=None, degree_bound=None):
+    basis = hall_basis(alphabet, W, letter_degrees=letter_degrees, degree_bound=degree_bound)
+    return dict(Counter((b.weight, stats(b, m).l) for b in basis))
+
+
+def test_class_counts_match_witt_on_plain_alphabets():
+    for k, W in ((1, 8), (2, 8), (3, 6), (4, 5)):
+        counts = lyndon_class_counts(plain_letters(k), W)
+        for total in range(1, W + 1):
+            for md in iproduct(range(total + 1), repeat=k):
+                if sum(md) != total:
+                    continue
+                assert counts.get((total, md), 0) == witt_dimension(md), (k, md)
+        assert all(w == sum(l) and n > 0 for (w, l), n in counts.items())
+
+
+def test_class_counts_match_enumerated_face_alphabets():
+    # letters given one copy at a time and merged by the counter must agree
+    # with the |J| - 1 copies form the decompositions use
+    rng = random.Random(4099)
+    for I, m, W in (([1, 2], 2, 5), ([1, 2, 3], 3, 5), ([1, 3, 4], 4, 4), ([1, 2, 3, 4], 4, 3)):
+        alphabet = generators_for(I)
+        assert lyndon_class_counts(face_letters(I, m), W) == enumerated_classes(alphabet, m, W)
+        grouped = list(Counter(v for v, _ in face_letters(I, m)).items())
+        assert lyndon_class_counts(grouped, W) == enumerated_classes(alphabet, m, W)
+        for _ in range(4):
+            vdeg = [rng.randint(1, 3) for _ in range(m)]
+            bound = rng.randint(2, 14)
+            ldeg = [sum(vdeg[j - 1] for j in g.subset) for g in alphabet]
+            got = lyndon_class_counts(
+                face_letters(I, m), W, vertex_degrees=vdeg, degree_bound=bound
+            )
+            assert got == enumerated_classes(alphabet, m, W, ldeg, bound), (I, vdeg, bound)
+
+
+def test_class_counts_degree_bound_on_plain_alphabets():
+    for degs, bound in (([2, 2, 3], 8), ([1, 4], 9), ([3], 3)):
+        k = len(degs)
+        alphabet = plain_alphabet(k)
+        got = lyndon_class_counts(plain_letters(k), 7, vertex_degrees=degs, degree_bound=bound)
+        want = Counter()
+        for b in hall_basis(alphabet, 7, letter_degrees=degs, degree_bound=bound):
+            md = b.multidegree()
+            want[(b.weight, tuple(md.get(g, 0) for g in alphabet))] += 1
+        assert got == dict(want)
+
+
+def test_class_counts_validation():
+    assert lyndon_class_counts([], 3) == {}
+    with pytest.raises(ValueError):
+        lyndon_class_counts(plain_letters(2), 0)
+    with pytest.raises(ValueError):
+        lyndon_class_counts([((0, 0), 1)], 2)
+    with pytest.raises(ValueError):
+        lyndon_class_counts([((1, 0), 0)], 2)
+    with pytest.raises(ValueError):
+        lyndon_class_counts([((1, 0), 1), ((1,), 1)], 2)
+    with pytest.raises(ValueError):
+        lyndon_class_counts(plain_letters(2), 3, degree_bound=4)
+    with pytest.raises(ValueError):
+        lyndon_class_counts(plain_letters(2), 3, vertex_degrees=[1, 0], degree_bound=4)
