@@ -391,8 +391,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - internal invariant failures
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # internal invariant failures, MemoryError
+        # MemoryError usually carries no message; name the type instead
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -329,7 +329,8 @@ class Decomposition:
         return out
 
     def render(self) -> str:
-        head = f"{self.theorem}: {len(self.factors)} factors"
+        total = sum(f.multiplicity for f in self.factors)
+        head = f"{self.theorem}: {len(self.factors)} entries, {total} factors with multiplicity"
         if self.truncation is not None:
             head += f" (bracket weight ≤ {self.truncation})"
         lines = [head]

@@ -10,18 +10,19 @@ Conventions
   the complex genuinely depends on m, not just on the covered vertices.
 * All face sets and facet lists are kept sorted, so equal complexes compare
   and serialize identically.
-* Homology is reduced homology with rational coefficients, computed by exact
-  Gaussian elimination over Fraction.  Torsion is invisible by design: the
-  downstream series oracles are rational.
+* Homology is reduced homology with rational coefficients.  Boundary ranks
+  come from an exact sparse column reduction over int: plain integer updates
+  on +-1 pivots, fraction-free ones with gcd division otherwise.  Torsion is
+  invisible by design: the downstream series oracles are rational.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iproduct
+from math import gcd
 from typing import Iterable, NamedTuple
 
 Face = tuple[int, ...]
@@ -112,12 +113,13 @@ def build(m: int, faces: Iterable[Iterable[int]]) -> SimplicialComplex:
             bad = [v for v in f if v < 1 or v > m]
             raise ValueError(f"vertex {bad[0]} out of range 1..{m}")
         cleaned.add(f)
-    maximal = [
-        f
-        for f in cleaned
-        if not any(set(f) < set(g) for g in cleaned)
-    ]
-    return SimplicialComplex(m, tuple(sorted(maximal)))
+    # largest first: a face is maximal iff no facet kept so far contains it
+    kept: list[frozenset[int]] = []
+    for f in sorted(cleaned, key=len, reverse=True):
+        s = frozenset(f)
+        if not any(s <= g for g in kept):
+            kept.append(s)
+    return SimplicialComplex(m, tuple(sorted(tuple(sorted(g)) for g in kept)))
 
 
 @lru_cache(maxsize=None)
@@ -143,13 +145,9 @@ def full_subcomplex(K: SimplicialComplex, I: Iterable[int]) -> Subcomplex:
     if not iv:
         raise ValueError("full subcomplex needs a nonempty vertex set")
     relabel = {v: j + 1 for j, v in enumerate(iv)}
-    iset = set(iv)
-    faces = [
-        tuple(relabel[v] for v in f)
-        for f in _face_set(K)
-        if f and set(f) <= iset
-    ]
-    return Subcomplex(build(len(iv), faces) if faces else build(len(iv), []), iv)
+    # every face of K inside I lies in some F ∩ I, F a facet of K
+    traces = [tuple(relabel[v] for v in f if v in relabel) for f in K.facets]
+    return Subcomplex(build(len(iv), [t for t in traces if t]), iv)
 
 
 def maximal_faces_ge2(K: SimplicialComplex) -> tuple[Face, ...]:
@@ -229,46 +227,40 @@ class HomologyProfile:
         return f"H~ ranks {list(self.ranks)} (dim {self.top_dim})"
 
 
-def _matrix_rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals by exact Gaussian elimination."""
-    if not rows or not rows[0]:
-        return 0
-    mat = [[Fraction(x) for x in row] for row in rows]
-    nrows, ncols = len(mat), len(mat[0])
-    rank = 0
-    prow = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(prow, nrows):
-            if mat[r][col] != 0:
-                pivot = r
+def _reduce(columns: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Column-reduce a sparse integer matrix given as {row: coeff} columns.
+
+    Returns the nonzero reduced columns keyed by their lowest (largest) row;
+    their number is the rank over the rationals.  A column whose lowest row
+    is already a pivot is cleared there: by a plain integer update when the
+    pivot entry is +-1, else fraction-free (b*col - a*piv) and then divided
+    by the gcd of its entries.  Exact throughout; no modular shortcut, since
+    ranks mod p can differ (RP^2 has rank 0 over Q, 1 over F_2).
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for col in columns:
+        while col:
+            low = max(col)
+            piv = pivots.get(low)
+            if piv is None:
+                pivots[low] = col
                 break
-        if pivot is None:
-            continue
-        mat[prow], mat[pivot] = mat[pivot], mat[prow]
-        pv = mat[prow][col]
-        for r in range(prow + 1, nrows):
-            if mat[r][col] != 0:
-                fac = mat[r][col] / pv
-                row_r, row_p = mat[r], mat[prow]
-                for c in range(col, ncols):
-                    row_r[c] -= fac * row_p[c]
-        prow += 1
-        rank += 1
-        if prow == nrows:
-            break
-    return rank
-
-
-def _boundary_matrix(lower: list[Face], upper: list[Face]) -> list[list[int]]:
-    """Matrix of the simplicial boundary map, rows = lower faces, cols = upper."""
-    index = {f: i for i, f in enumerate(lower)}
-    rows = [[0] * len(upper) for _ in lower]
-    for j, f in enumerate(upper):
-        for pos in range(len(f)):
-            sub = f[:pos] + f[pos + 1 :]
-            rows[index[sub]][j] = (-1) ** pos
-    return rows
+            a, b = col[low], piv[low]
+            unit = b == 1 or b == -1
+            if not unit:
+                col = {r: b * v for r, v in col.items()}
+            f = a * b if unit else a
+            for r, v in piv.items():
+                x = col.get(r, 0) - f * v
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
+            if not unit:
+                g = gcd(*col.values())
+                if g > 1:
+                    col = {r: v // g for r, v in col.items()}
+    return pivots
 
 
 @lru_cache(maxsize=None)
@@ -281,12 +273,15 @@ def homology(K: SimplicialComplex) -> HomologyProfile:
     for f in K.faces():
         if f:
             by_dim[len(f) - 1].append(f)
-    for d in by_dim:
-        by_dim[d].sort()
     # rank of the augmentation C_0 -> C_{-1}: 1 as soon as a vertex exists
     ranks_d = [1 if by_dim[0] else 0]
     for d in range(1, top + 1):
-        ranks_d.append(_matrix_rank(_boundary_matrix(by_dim[d - 1], by_dim[d])))
+        row = {f: i for i, f in enumerate(by_dim[d - 1])}
+        columns = (
+            {row[f[:pos] + f[pos + 1 :]]: -1 if pos % 2 else 1 for pos in range(len(f))}
+            for f in by_dim[d]
+        )
+        ranks_d.append(len(_reduce(columns)))
     ranks_d.append(0)
     betti = tuple(
         len(by_dim[d]) - ranks_d[d] - ranks_d[d + 1] for d in range(top + 1)

@@ -285,8 +285,14 @@ def _series(e: SpaceExpr, N: int) -> SeriesOrUnsupported:
     if isinstance(e, Atom):
         if e.series is None:
             return Unsupported(f"atom {e.name} has no declared homology series")
-        num, den = e.series
-        return PoincareSeries.from_rational(num, den, N)
+        p = PoincareSeries.from_rational(*e.series, N)
+        for d, c in enumerate(p.coeffs):
+            if c < 0:
+                return Unsupported(
+                    f"atom {e.name}: declared series has coefficient {c} in degree {d}, "
+                    "not a Betti number"
+                )
+        return p
 
     if isinstance(e, Wedge):
         out = PoincareSeries.one(N)

@@ -80,8 +80,14 @@ class Atom:
     def __post_init__(self) -> None:
         # tuples keep the atom hashable, so series_of can memoize on it
         if self.series is not None:
-            num, den = self.series
-            object.__setattr__(self, "series", (_int_coeffs(num), _int_coeffs(den)))
+            num, den = (_int_coeffs(c) for c in self.series)
+            for part, cs in (("numerator", num), ("denominator", den)):
+                if not cs or cs[0] != 1:
+                    raise ValueError(
+                        f"atom {self.name}: declared series {part} needs constant term 1, "
+                        f"got {list(cs)}"
+                    )
+            object.__setattr__(self, "series", (num, den))
 
     def __str__(self) -> str:
         return self.name
@@ -420,10 +426,7 @@ def _expr_from_json(data: dict, depth: int) -> SpaceExpr:
         loop_expr = _expr_from_json(data["loop"], depth + 1) if "loop" in data else None
         series = None
         if "series" in data:
-            series = (
-                tuple(int(c) for c in data["series"]["num"]),
-                tuple(int(c) for c in data["series"]["den"]),
-            )
+            series = (data["series"]["num"], data["series"]["den"])
         return Atom(
             name=str(data["name"]),
             connectivity=int(data.get("conn", 0)),

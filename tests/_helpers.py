@@ -5,7 +5,13 @@ from fractions import Fraction
 
 from polyco.decomp import Decomposition, Factor, _base_factors, _bracket_factor, _provenance_text
 from polyco.liealg import generators_for, hall_basis, plain_alphabet, stats
-from polyco.scomplex import SimplicialComplex, build, full_subcomplex, maximal_faces_ge2
+from polyco.scomplex import (
+    SimplicialComplex,
+    Subcomplex,
+    build,
+    full_subcomplex,
+    maximal_faces_ge2,
+)
 from polyco.series import PoincareSeries, Unsupported, _series
 from polyco.spacexpr import (
     POINT,
@@ -262,3 +268,110 @@ def enumerated_contractible(K, pairs, weight_bound) -> Decomposition:
         return normalize(Loop(MapFromSusp(sub, Susp(_loop_smash_of_loops(codomains, l)))))
 
     return _enumerated_face_alphabet(K, pairs, weight_bound, "contractible-domains", rule)
+
+
+# ---------------------------------------------------------------------------
+# reference complexes and homology: the face-enumerating build/full_subcomplex
+# and the dense Fraction elimination that the facet-based and sparse ones
+# replace
+# ---------------------------------------------------------------------------
+
+
+def reference_build(m, faces) -> SimplicialComplex:
+    """Keep each generating face that no other one properly contains."""
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"vertex count must be a positive integer, got {m!r}")
+    cleaned = set()
+    for face in faces:
+        f = tuple(sorted(set(face)))
+        if not f:
+            raise ValueError("generating faces must be nonempty")
+        if f[0] < 1 or f[-1] > m:
+            bad = [v for v in f if v < 1 or v > m]
+            raise ValueError(f"vertex {bad[0]} out of range 1..{m}")
+        cleaned.add(f)
+    maximal = [f for f in cleaned if not any(set(f) < set(g) for g in cleaned)]
+    return SimplicialComplex(m, tuple(sorted(maximal)))
+
+
+def reference_full_subcomplex(K: SimplicialComplex, I) -> Subcomplex:
+    """Every face of K inside I, relabeled, fed to reference_build."""
+    iv = tuple(sorted(set(I)))
+    for v in iv:
+        if v < 1 or v > K.m:
+            raise ValueError(f"vertex {v} out of range 1..{K.m}")
+    if not iv:
+        raise ValueError("full subcomplex needs a nonempty vertex set")
+    relabel = {v: j + 1 for j, v in enumerate(iv)}
+    faces = [tuple(relabel[v] for v in f) for f in K.face_set() if f and set(f) <= set(iv)]
+    return Subcomplex(reference_build(len(iv), faces), iv)
+
+
+def dense_rank(rows) -> int:
+    """Rank over the rationals by exact Gaussian elimination over Fraction."""
+    if not rows or not rows[0]:
+        return 0
+    mat = [[Fraction(x) for x in row] for row in rows]
+    nrows, ncols = len(mat), len(mat[0])
+    rank = 0
+    prow = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(prow, nrows):
+            if mat[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        mat[prow], mat[pivot] = mat[pivot], mat[prow]
+        pv = mat[prow][col]
+        for r in range(prow + 1, nrows):
+            if mat[r][col] != 0:
+                fac = mat[r][col] / pv
+                row_r, row_p = mat[r], mat[prow]
+                for c in range(col, ncols):
+                    row_r[c] -= fac * row_p[c]
+        prow += 1
+        rank += 1
+        if prow == nrows:
+            break
+    return rank
+
+
+def dense_boundary_matrix(lower, upper):
+    """Rows = lower faces, columns = upper faces, entry (-1)^pos for the face
+    that drops position pos."""
+    index = {f: i for i, f in enumerate(lower)}
+    rows = [[0] * len(upper) for _ in lower]
+    for j, f in enumerate(upper):
+        for pos in range(len(f)):
+            rows[index[f[:pos] + f[pos + 1 :]]][j] = (-1) ** pos
+    return rows
+
+
+def reference_boundary_ranks(K: SimplicialComplex) -> list[int]:
+    """Dense ranks of the boundary maps C_d -> C_{d-1}, d = 1..dim."""
+    by_dim = [sorted(f for f in K.faces() if len(f) == d + 1) for d in range(K.dim() + 1)]
+    return [dense_rank(dense_boundary_matrix(by_dim[d - 1], by_dim[d])) for d in range(1, K.dim() + 1)]
+
+
+def reference_homology_ranks(K: SimplicialComplex) -> tuple[int, ...]:
+    """Reduced rational Betti numbers from the dense boundary ranks."""
+    top = K.dim()
+    if top < 0:
+        return ()
+    f = K.f_vector()
+    ranks = [1] + reference_boundary_ranks(K) + [0]
+    return tuple(f[d] - ranks[d] - ranks[d + 1] for d in range(top + 1))
+
+
+def random_int_matrix(rng: random.Random, max_size: int = 8):
+    """Rows of a random integer matrix with non-unit entries; every other one
+    is a product of two thin matrices, so its rank falls short of full."""
+    n, m = rng.randint(1, max_size), rng.randint(1, max_size)
+    if rng.random() < 0.5:
+        return [[rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(m)] for _ in range(n)]
+    k = rng.randint(1, min(n, m))
+    a = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+    b = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(k)]
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]

@@ -190,7 +190,9 @@ def test_decompose_wedge_default_degree_on_simplex(tmp_path, capsys):
     spaces = write(tmp_path, "s2.json", {str(i): {"kind": "sphere", "n": 2} for i in (1, 2, 3)})
     assert main(["decompose-wedge", "--complex", cx, "--spaces", spaces]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("wedge-coproduct: 2346 factors (bracket weight ≤ 13)")
+    assert out.startswith(
+        "wedge-coproduct: 2346 entries, 119939430 factors with multiplicity (bracket weight ≤ 13)\n"
+    )
     assert out.endswith("ΩΣ(ΩS^2^∧26)   [class w=13 l=(1,12,13)]\n")
 
 
@@ -216,3 +218,35 @@ def test_deeply_nested_spaces_exit_2(tmp_path, capsys):
     # a modest depth still loads
     path = _nested_spaces(tmp_path, 20)
     assert main(["porter", "--spaces", path]) == 0
+
+
+def _atom_spaces(tmp_path, num, den):
+    atom = {"kind": "atom", "name": "A", "conn": 1, "series": {"num": num, "den": den}}
+    return write(tmp_path, "atom.json", {"1": atom, "2": {"kind": "sphere", "n": 3}})
+
+
+def test_declared_series_validated_on_load(tmp_path, capsys):
+    for num, den, message in [
+        ([1], [0, 1], "declared series denominator needs constant term 1, got [0, 1]"),
+        ([1], [2, -1], "declared series denominator needs constant term 1, got [2, -1]"),
+        ([3, 1], [1], "declared series numerator needs constant term 1, got [3, 1]"),
+        ([1, 0.5], [1], "declared series coefficients must be integers, got [1, 0.5]"),
+    ]:
+        path = _atom_spaces(tmp_path, num, den)
+        assert main(["porter", "--spaces", path]) == 2
+        err = capsys.readouterr().err
+        assert "atom.json" in err and message in err
+
+
+def test_internal_error_names_empty_exceptions(monkeypatch, capsys):
+    def fail(exc):
+        def run(args):
+            raise exc
+        return run
+
+    monkeypatch.setattr("polyco.cli._run", fail(MemoryError()))
+    assert main(["hall-basis", "--alphabet", "2", "--max-weight", "2"]) == 1
+    assert capsys.readouterr().err == "internal error: MemoryError\n"
+    monkeypatch.setattr("polyco.cli._run", fail(RuntimeError("invariant broken")))
+    assert main(["hall-basis", "--alphabet", "2", "--max-weight", "2"]) == 1
+    assert capsys.readouterr().err == "internal error: invariant broken\n"

@@ -1,11 +1,21 @@
 """Combinatorics and homology of simplicial complexes."""
 
 import random
+import time
 from itertools import chain, combinations
 
 import pytest
 
+from _helpers import (
+    dense_rank,
+    random_int_matrix,
+    reference_boundary_ranks,
+    reference_build,
+    reference_full_subcomplex,
+    reference_homology_ranks,
+)
 from polyco.scomplex import (
+    _reduce,
     build,
     complex_from_json_str,
     complex_to_json_str,
@@ -194,10 +204,14 @@ def test_homology_examples():
 
 
 def test_homology_boundary_simplices():
-    for m in range(3, 7):
-        prof = homology(boundary_simplex(m))
+    # the boundary of the k-simplex, k = m - 1 <= 12: one rank 1, in degree k - 1
+    for m in range(2, 14):
+        K = boundary_simplex(m)
+        prof = homology(K)
         expected = tuple(1 if d == m - 2 else 0 for d in range(m - 1))
         assert prof.ranks == expected
+        if m <= 8:
+            assert prof.ranks == reference_homology_ranks(K)
 
 
 def test_cones_are_contractible():
@@ -363,3 +377,141 @@ def test_json_round_trip_is_canonical():
     text = complex_to_json_str(K)
     assert complex_from_json_str(text) == K
     assert complex_to_json_str(complex_from_json_str(text)) == text
+
+
+# ---------------------------------------------------------------------------
+# sparse integer rank and facet-based constructions against the dense
+# Fraction elimination and the face-enumerating references
+# ---------------------------------------------------------------------------
+
+# the 6-vertex triangulation of the real projective plane
+RP2 = build(6, [
+    [1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6],
+    [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6],
+])
+
+
+def columns_of(rows):
+    ncols = len(rows[0]) if rows else 0
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
+
+
+def sparse_boundary_ranks(K):
+    # the ranks homology() derives, recovered from its Betti numbers
+    if K.dim() < 0:
+        return []
+    f = K.f_vector()
+    betti = homology(K).ranks
+    ranks = [1]
+    for d in range(K.dim() + 1):
+        ranks.append(f[d] - betti[d] - ranks[d])
+    assert ranks[-1] == 0
+    return ranks[1:-1]
+
+
+def random_generating_faces(rng, m, n_faces, max_size):
+    # unsorted faces, repeated vertices, duplicates and nested faces
+    faces = []
+    for _ in range(n_faces):
+        f = rng.sample(range(1, m + 1), rng.randint(1, min(m, max_size)))
+        faces.append(f + [f[0]] if rng.random() < 0.2 else f)
+        if rng.random() < 0.3:
+            faces.append(list(reversed(f)))
+        if rng.random() < 0.3 and len(f) > 1:
+            faces.append(rng.sample(f, rng.randint(1, len(f) - 1)))
+    rng.shuffle(faces)
+    return faces
+
+
+def test_sparse_rank_matches_dense_on_random_integer_matrices():
+    rng = random.Random(314)
+    deficient = 0
+    for _ in range(400):
+        rows = random_int_matrix(rng)
+        rank = len(_reduce(columns_of(rows)))
+        assert rank == dense_rank(rows), rows
+        deficient += rank < min(len(rows), len(rows[0]))
+    assert deficient > 50
+
+
+def test_sparse_rank_fraction_free_update_divides_by_gcd():
+    # pivot entry 2 at row 1: col2 <- 2*col2 - 3*col1 = (-4, 0), then / 4
+    pivots = _reduce([{0: 2, 1: 2}, {0: 1, 1: 3}])
+    assert pivots == {1: {0: 2, 1: 2}, 0: {0: -1}}
+    # a +-1 pivot: col2 <- col2 - (-1)(2)*col1 with no scaling, no gcd
+    pivots = _reduce([{0: 3, 2: -1}, {1: 4, 2: 2}])
+    assert pivots == {2: {0: 3, 2: -1}, 1: {0: 6, 1: 4}}
+    assert _reduce([{}, {0: 5}, {0: -5}]) == {0: {0: 5}}
+
+
+def test_homology_matches_dense_on_random_complexes():
+    rng = random.Random(2718)
+    for _ in range(60):
+        m = rng.randint(1, 9)
+        K = build(m, random_generating_faces(rng, m, rng.randint(0, m + 2), 6))
+        assert homology(K).ranks == reference_homology_ranks(K), K
+        assert sparse_boundary_ranks(K) == reference_boundary_ranks(K), K
+
+
+def test_homology_of_rp2_is_rationally_trivial():
+    assert RP2.f_vector() == (6, 15, 10)
+    assert homology(RP2).ranks == (0, 0, 0)
+    # rank 10 over Q for the top boundary; it drops to 9 mod 2 (H_2 = F_2)
+    assert sparse_boundary_ranks(RP2) == reference_boundary_ranks(RP2) == [5, 10]
+
+
+def test_homology_of_boundary_of_11_simplex_is_fast():
+    K = boundary_simplex(12)
+    assert len(K.faces()) == 4095  # with the empty face
+    start = time.process_time()
+    ranks = homology(K).ranks
+    assert time.process_time() - start < 1.0
+    assert ranks == (0,) * 10 + (1,)
+
+
+def test_build_matches_face_enumerating_reference():
+    rng = random.Random(1618)
+    for _ in range(300):
+        m = rng.randint(1, 9)
+        faces = random_generating_faces(rng, m, rng.randint(0, 8), m)
+        K = build(m, faces)
+        assert K == reference_build(m, faces)
+
+
+def test_build_errors_match_reference():
+    for m, faces in [
+        (0, [[1]]), (-2, []), (2.0, [[1]]),
+        (3, [[1, 2], []]), (3, [[1, 4]]), (3, [[0, 1]]), (3, [[2, -1, 5]]),
+    ]:
+        with pytest.raises(ValueError) as new:
+            build(m, faces)
+        with pytest.raises(ValueError) as ref:
+            reference_build(m, faces)
+        assert str(new.value) == str(ref.value)
+
+
+def test_full_subcomplex_matches_face_enumerating_reference():
+    rng = random.Random(5772)
+    cases = [build(4, []), build(6, [[1, 2], [2, 3]]), RP2]
+    for _ in range(150):
+        m = rng.randint(1, 9)
+        cases.append(build(m, random_generating_faces(rng, m, rng.randint(0, 6), m)))
+    for K in cases:
+        subsets = [range(1, K.m + 1)] + [[v] for v in range(1, K.m + 1)]
+        subsets += [rng.sample(range(1, K.m + 1), rng.randint(1, K.m)) for _ in range(4)]
+        for I in subsets:
+            assert full_subcomplex(K, I) == reference_full_subcomplex(K, I)
+            # ghost vertices of K inside I stay ghosts of K_I
+            sub, verts = full_subcomplex(K, I)
+            ghosts = set(K.ghost_vertices())
+            assert {verts[j - 1] for j in sub.ghost_vertices()} == ghosts & set(verts)
+
+
+def test_full_subcomplex_errors_match_reference():
+    K = square()
+    for I in ([], [0, 1], [2, 5], [-1], [1, 4, 9]):
+        with pytest.raises(ValueError) as new:
+            full_subcomplex(K, I)
+        with pytest.raises(ValueError) as ref:
+            reference_full_subcomplex(K, I)
+        assert str(new.value) == str(ref.value)

@@ -129,6 +129,25 @@ def test_atom_series_rejects_non_integer_coefficients():
         Atom("A", 1, series=([1], [1, 0.5]))
 
 
+def test_atom_series_needs_unit_constant_terms():
+    for series in [((1,), (0, 1)), ((1,), (2, -1)), ((0, 1), (1,)), ((), (1,)), ((1,), ())]:
+        with pytest.raises(ValueError, match="constant term 1"):
+            Atom("A", 1, series=series)
+
+
+def test_atom_series_with_negative_coefficient_is_unsupported():
+    bad = Atom("A", 1, series=((1, -3), (1,)))
+    out = series_of(bad, 4)
+    assert isinstance(out, Unsupported)
+    assert out.reason == "atom A: declared series has coefficient -3 in degree 1, not a Betti number"
+    looped = series_of(Loop(Susp(bad)), 4)
+    assert isinstance(looped, Unsupported) and "coefficient -3 in degree 1" in looped.reason
+    # 1 - t^3 is a valid series through degree 2 and not beyond
+    late = Atom("B", 1, series=((1, 0, 0, -1), (1,)))
+    assert series_of(late, 2) == PoincareSeries.from_ints([1, 0, 0])
+    assert isinstance(series_of(late, 3), Unsupported)
+
+
 def test_from_ints_keeps_exact_values():
     cs = PoincareSeries.from_ints([1, 2.5, Fraction(3, 1)]).coeffs
     assert cs == (1, Fraction(5, 2), 3)
