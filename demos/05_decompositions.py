@@ -10,6 +10,7 @@ from polyco import (
     PairAssignment,
     Sphere,
     build,
+    class_diagram,
     coproduct_diagram,
     evaluate_special,
     hilton_milnor,
@@ -46,13 +47,12 @@ square = build(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
 print("\n" + loop_decompose_wedge(square, [CP_INFINITY] * 4, 1).render())
 
 # The general decomposition covers arbitrary endpoint data.  Mixed bracket
-# classes stay symbolic with their defining diagram attached.
+# classes stay symbolic; class_diagram builds the defining diagram of one.
 mixed = PairAssignment.of([(POINT, Atom("A1", 1)), (Atom("Y", 1), POINT)])
 dec = loop_decompose(two_points, mixed, 1)
 print("\n" + dec.render())
-for f in dec.factors:
-    if f.diagram is not None:
-        print(f.diagram.render())
+for f in dec.bracket_factors():
+    print(class_diagram(two_points, mixed, f.provenance).render())
 
 # Contractible domains: one mapping-space factor per bracket class whose
 # support is a missing face, with the class's bracket count as multiplicity;

@@ -78,6 +78,7 @@ from .decomp import (
     PullbackSquare,
     bbcg_cone_splitting,
     bbcg_wedge_splitting,
+    class_diagram,
     coproduct_diagram,
     disjoint_union_decomp,
     evaluate_special,

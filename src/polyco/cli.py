@@ -82,10 +82,6 @@ def load_complex(path: str) -> SimplicialComplex:
         raise InputError(f"{path}: {exc}")
 
 
-def _entry_to_space(entry) -> SpaceExpr:
-    return expr_from_json(entry)
-
-
 def _entry_to_pair(entry, *, contractible_default: bool) -> tuple[SpaceExpr, SpaceExpr]:
     if isinstance(entry, dict) and "domain" in entry:
         domain = expr_from_json(entry["domain"])
@@ -112,8 +108,7 @@ def _entry_to_pair(entry, *, contractible_default: bool) -> tuple[SpaceExpr, Spa
 def load_spaces(path: str, m: int | None = None) -> list[SpaceExpr]:
     data = _load_json(path)
     try:
-        entries = _indexed_entries(path, data, m)
-        return [_entry_to_space(e) for e in entries]
+        return [expr_from_json(e) for e in _indexed_entries(data, m)]
     except (ValueError, TypeError, KeyError) as exc:
         raise InputError(f"{path}: {exc}")
 
@@ -121,7 +116,7 @@ def load_spaces(path: str, m: int | None = None) -> list[SpaceExpr]:
 def load_pairs(path: str, m: int | None, *, contractible_default: bool) -> PairAssignment:
     data = _load_json(path)
     try:
-        entries = _indexed_entries(path, data, m)
+        entries = _indexed_entries(data, m)
         return PairAssignment.of(
             [_entry_to_pair(e, contractible_default=contractible_default) for e in entries]
         )
@@ -129,7 +124,7 @@ def load_pairs(path: str, m: int | None, *, contractible_default: bool) -> PairA
         raise InputError(f"{path}: {exc}")
 
 
-def _indexed_entries(path: str, data, m: int | None) -> list:
+def _indexed_entries(data, m: int | None) -> list:
     if not isinstance(data, dict) or not data:
         raise ValueError("spaces file must be a nonempty object keyed by vertex")
     try:
@@ -248,16 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> None:
-    N = getattr(args, "max_degree", None)
-    if N is None:
-        N = _default_degree()
-    if N < 1:
-        raise InputError("--max-degree must be >= 1")
-    W = getattr(args, "max_weight", None)
-    if W is None:
-        W = N + 1
-    if W < 1:
-        raise InputError("--max-weight must be >= 1")
+    if hasattr(args, "max_degree"):  # hall-basis, homology and bbcg take no degree
+        N = _default_degree() if args.max_degree is None else args.max_degree
+        if N < 1:
+            raise InputError("--max-degree must be >= 1")
+        W = N + 1 if getattr(args, "max_weight", None) is None else args.max_weight
+        if W < 1:
+            raise InputError("--max-weight must be >= 1")
 
     if args.command == "decompose":
         K = load_complex(args.complex)

@@ -21,7 +21,7 @@ decompositions of the looped coproduct:
     contractible (a pointed mapping space out of the suspended realization)
     or every codomain over the support is a point (a single loop-suspension
     factor when the support is a face, nothing otherwise); mixed factors stay
-    symbolic with their defining diagram attached;
+    symbolic atoms, and class_diagram builds their defining diagrams;
   * loop_decompose_wedge: the all-codomains-point case, the brackets whose
     support is a face of K, each counted once across overlapping faces;
   * loop_decompose_contractible: the all-domains-contractible case, the
@@ -49,7 +49,7 @@ bound only appends factors).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 from typing import Sequence
@@ -258,14 +258,13 @@ class Factor:
     """One product factor: a normalized expression with multiplicity and origin.
 
     provenance is a BracketClass (the multiplicity is its bracket count), a
-    face tuple, a vertex number, or "base"; a symbolic smash-coproduct factor
-    carries its defining diagram.
+    face tuple, a vertex number, or "base"; class_diagram(K, pairs,
+    provenance) gives the defining diagram of a symbolic bracket factor.
     """
 
     expr: SpaceExpr
     multiplicity: int = 1
     provenance: object = "base"
-    diagram: DiagramDescription | None = field(default=None, compare=False)
 
 
 def _provenance_text(p: object) -> str:
@@ -420,7 +419,7 @@ def _class_factors(
 ) -> list[Factor]:
     """The bracket engine: one factor per counted (weight, l) class.
 
-    rule(support, l) returns (expression, diagram) and runs once per l;
+    rule(support, l) returns the class's expression and runs once per l;
     classes whose support keep rejects, or whose expression normalizes to a
     point, are dropped.  Ordered by weight, then l in descending
     lexicographic order, so raising the weight bound only appends.
@@ -428,15 +427,15 @@ def _class_factors(
     counts = lyndon_class_counts(
         letters, weight_bound, vertex_degrees=vertex_degrees, degree_bound=degree_bound
     )
-    made: dict[tuple[int, ...], tuple[SpaceExpr, DiagramDescription | None]] = {}
+    made: dict[tuple[int, ...], SpaceExpr] = {}
     out = []
     for cls in sorted((BracketClass(w, l) for w, l in counts), key=BracketClass.sort_key):
         if cls.l not in made:
             kept = keep is None or keep(cls.support)
-            made[cls.l] = rule(cls.support, cls.l) if kept else (POINT, None)
-        expr, diagram = made[cls.l]
+            made[cls.l] = rule(cls.support, cls.l) if kept else POINT
+        expr = made[cls.l]
         if not isinstance(expr, Point):
-            out.append(Factor(expr, counts[(cls.weight, cls.l)], cls, diagram=diagram))
+            out.append(Factor(expr, counts[(cls.weight, cls.l)], cls))
     return out
 
 
@@ -470,7 +469,7 @@ def hilton_milnor(
 
     def rule(support, l):
         children = [x for x, k in zip(spaces, l) for _ in range(k)]
-        return normalize(Loop(Susp(Smash(tuple(children))))), None
+        return normalize(Loop(Susp(Smash(tuple(children)))))
 
     letters = [(tuple(int(j == i) for j in range(m)), 1) for i in range(m)]
     degrees = _vertex_degrees(spaces, 1) if degree_bound is not None else None
@@ -530,29 +529,34 @@ def _bracket_factor(
     pairs: PairAssignment,
     support: tuple[int, ...],
     l: tuple[int, ...],
-) -> tuple[SpaceExpr, DiagramDescription | None]:
+) -> SpaceExpr:
     """The factor of a class with vertex content l: the looped weighted smash
     coproduct over the full subcomplex on its support, reduced where a
     lemma applies."""
     if all(pairs.domain_contractible(j) for j in support):
         sub = full_subcomplex(K, support).complex
         inner = Susp(_smash_of_loops(pairs.codomain, l))
-        return normalize(Loop(MapFromSusp(sub, inner))), None
+        return normalize(Loop(MapFromSusp(sub, inner)))
     if all(pairs.codomain_is_point(j) for j in support):
         if K.has_face(support):
-            return normalize(Loop(Susp(_smash_of_loops(pairs.domain, l)))), None
-        return POINT, None
+            return normalize(Loop(Susp(_smash_of_loops(pairs.domain, l))))
+        return POINT
     # mixed endpoint data over the support: no lemma applies, stay symbolic
-    sub = full_subcomplex(K, support).complex
-    restricted = PairAssignment.of([pairs.pairs[j - 1] for j in support])
-    weights = tuple(l[j - 1] for j in support)
-    diagram = smash_coproduct(sub, restricted, weights)
     vert_text = ",".join(map(str, support))
-    atom = Atom(
-        name=f"ŝ-coprod[K_{{{vert_text}}}; weights {list(weights)}]",
-        connectivity=max(0, sum(l) - sub.dim() - 1),
-    )
-    return Loop(atom), diagram
+    weights = [lj for lj in l if lj]
+    dim = full_subcomplex(K, support).complex.dim()
+    return Loop(Atom(f"ŝ-coprod[K_{{{vert_text}}}; weights {weights}]", max(0, sum(l) - dim - 1)))
+
+
+def class_diagram(
+    K: SimplicialComplex, pairs: PairAssignment, cls: BracketClass
+) -> DiagramDescription:
+    """The defining diagram of a class's bracket factor: the smash coproduct
+    over the full subcomplex on its support, weighted by cls.l."""
+    _check_arity(K.m, pairs.m, "pairs")
+    sub = full_subcomplex(K, cls.support).complex
+    restricted = PairAssignment.of([pairs.pairs[j - 1] for j in cls.support])
+    return smash_coproduct(sub, restricted, [lj for lj in cls.l if lj])
 
 
 def _coproduct_decomposition(
@@ -642,7 +646,7 @@ def loop_decompose(
     mapping space out of Susp of the realization; when every codomain over
     the support is a point it reduces to a loop-suspension factor if the
     support is a face and vanishes otherwise; mixed factors stay symbolic
-    with the diagram attached.
+    atoms, whose diagrams class_diagram builds on demand.
     """
     _validate_pairs(K, pairs)
     # the face alphabet of {1..m} has two or more letters exactly when m >= 3

@@ -220,9 +220,6 @@ class HomologyProfile:
     ranks: tuple[int, ...]
     top_dim: int
 
-    def total_rank(self) -> int:
-        return sum(self.ranks)
-
     def __str__(self) -> str:
         return f"H~ ranks {list(self.ranks)} (dim {self.top_dim})"
 
@@ -418,10 +415,19 @@ def complex_to_json(K: SimplicialComplex) -> dict:
     return {"m": K.m, "facets": [list(f) for f in K.facets]}
 
 
+def json_int(value, field: str) -> int:
+    """value, if it is an int: a float is not truncated, a bool not read as 0/1."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def complex_from_json(data: dict) -> SimplicialComplex:
     if not isinstance(data, dict) or "m" not in data or "facets" not in data:
         raise ValueError('complex JSON needs keys "m" and "facets"')
-    return build(data["m"], data["facets"])
+    m = json_int(data["m"], '"m"')
+    facets = [[json_int(v, '"facets" vertex') for v in f] for f in data["facets"]]
+    return build(m, facets)
 
 
 def complex_to_json_str(K: SimplicialComplex) -> str:

@@ -178,13 +178,6 @@ class PoincareSeries:
         """p - 1: the reduced part of the series of a pointed space."""
         return self - PoincareSeries.one(self.N)
 
-    def bottom_degree(self) -> int | None:
-        """Smallest degree with a nonzero coefficient, or None for 0."""
-        for d, c in enumerate(self.coeffs):
-            if c != 0:
-                return d
-        return None
-
     def compare(self, other: "PoincareSeries"):
         """None when equal through degree N, else (degree, self[d], other[d])."""
         self._check(other)

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .scomplex import SimplicialComplex, build, complex_from_json, complex_to_json
+from .scomplex import SimplicialComplex, build, complex_from_json, complex_to_json, json_int
 from .scomplex import wedge_of_spheres_type
 
 INFINITE = math.inf
@@ -421,7 +421,7 @@ def _expr_from_json(data: dict, depth: int) -> SpaceExpr:
     if kind == "point":
         return POINT
     if kind == "sphere":
-        return Sphere(int(data["n"]))
+        return Sphere(json_int(data["n"], 'sphere "n"'))
     if kind == "atom":
         loop_expr = _expr_from_json(data["loop"], depth + 1) if "loop" in data else None
         series = None
@@ -429,7 +429,7 @@ def _expr_from_json(data: dict, depth: int) -> SpaceExpr:
             series = (data["series"]["num"], data["series"]["den"])
         return Atom(
             name=str(data["name"]),
-            connectivity=int(data.get("conn", 0)),
+            connectivity=json_int(data.get("conn", 0), 'atom "conn"'),
             loop=loop_expr,
             series=series,
             contractible=bool(data.get("contractible", False)),
@@ -440,7 +440,8 @@ def _expr_from_json(data: dict, depth: int) -> SpaceExpr:
     if kind == "susp":
         return Susp(_expr_from_json(data["child"], depth + 1))
     if kind == "loop":
-        return Loop(_expr_from_json(data["child"], depth + 1), int(data.get("count", 1)))
+        count = json_int(data.get("count", 1), 'loop "count"')
+        return Loop(_expr_from_json(data["child"], depth + 1), count)
     if kind == "map_from_susp":
         return MapFromSusp(
             complex_from_json(data["complex"]), _expr_from_json(data["child"], depth + 1)

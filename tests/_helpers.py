@@ -253,7 +253,7 @@ def _enumerated_face_alphabet(K, pairs, weight_bound, theorem, rule) -> Decompos
 def enumerated_general(K, pairs, weight_bound) -> Decomposition:
     return _enumerated_face_alphabet(
         K, pairs, weight_bound, "general-coproduct",
-        lambda support, l: _bracket_factor(K, pairs, support, l)[0],
+        lambda support, l: _bracket_factor(K, pairs, support, l),
     )
 
 

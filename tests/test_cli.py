@@ -165,6 +165,31 @@ def test_env_default_degree(tmp_path, capsys, monkeypatch):
     assert data["checks"][0]["N"] == 7
 
 
+def test_degree_env_ignored_without_a_degree(tmp_path, capsys, monkeypatch):
+    # only the subcommands that take --max-degree read POLYCO_MAX_DEGREE
+    monkeypatch.setenv("POLYCO_MAX_DEGREE", "abc")
+    cx = write(tmp_path, "edge.json", {"m": 2, "facets": [[1, 2]]})
+    sphere = {"kind": "sphere", "n": 3}
+    spaces = write(tmp_path, "s.json", {"1": sphere, "2": sphere})
+    assert main(["homology", "--complex", cx]) == 0
+    assert main(["hall-basis", "--alphabet", "2", "--max-weight", "2"]) == 0
+    assert main(["bbcg", "--complex", cx, "--spaces", spaces]) == 0
+    capsys.readouterr()
+    assert main(["porter", "--spaces", spaces]) == 2
+    assert "POLYCO_MAX_DEGREE='abc' is not an integer" in capsys.readouterr().err
+
+
+def test_non_integer_json_fields_exit_2(tmp_path, capsys):
+    cx = write(tmp_path, "frac.json", {"m": 3, "facets": [[1, 2.5]]})
+    assert main(["homology", "--complex", cx]) == 2
+    err = capsys.readouterr().err
+    assert "frac.json" in err and '"facets" vertex must be an integer, got 2.5' in err
+    spaces = write(tmp_path, "half.json", {"1": {"kind": "sphere", "n": 2.5}})
+    assert main(["porter", "--spaces", spaces]) == 2
+    err = capsys.readouterr().err
+    assert "half.json" in err and 'sphere "n" must be an integer, got 2.5' in err
+
+
 def test_output_file(tmp_path):
     dest = tmp_path / "report.json"
     assert main(["hall-basis", "--alphabet", "2", "--max-weight", "2",

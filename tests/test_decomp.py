@@ -1,6 +1,8 @@
 """The decomposition operations: diagrams, special cases, theorems, structure."""
 
 import random
+import re
+import time
 from collections import Counter
 from itertools import combinations
 
@@ -20,6 +22,7 @@ from polyco.decomp import (
     Factor,
     bbcg_cone_splitting,
     bbcg_wedge_splitting,
+    class_diagram,
     coproduct_diagram,
     disjoint_union_decomp,
     evaluate_special,
@@ -35,7 +38,7 @@ from polyco.decomp import (
     _bracket_factor,
 )
 from polyco.liealg import Bracket, stats
-from polyco.scomplex import build, disjoint_union, join
+from polyco.scomplex import build, disjoint_union, full_subcomplex, join
 from polyco.series import PoincareSeries, Unsupported, series_of
 from polyco.spacexpr import (
     CP_INFINITY,
@@ -255,8 +258,9 @@ def test_loop_decompose_mixed_pair_stays_symbolic():
     assert len(brackets) == 1
     f = brackets[0]
     assert isinstance(f.expr, Loop) and isinstance(f.expr.child, Atom)
-    assert f.diagram is not None
-    assert f.diagram.objects[(2,)] == Susp(Smash((Loop(A1), Loop(Atom("Y", 1)))))
+    d = class_diagram(two_points(), pairs, f.provenance)
+    assert d.kind == "suspended-smash"
+    assert d.objects[(2,)] == Susp(Smash((Loop(A1), Loop(Atom("Y", 1)))))
 
 
 def test_loop_decompose_connectivity_validation():
@@ -430,7 +434,7 @@ def test_join_vertex_reduce():
     informative = Counter(
         f.expr
         for f in dec_orig.factors
-        if f.diagram is None
+        if "ŝ-coprod[" not in render(f.expr)
         for _ in range(f.multiplicity)
     )
     assert informative == dec_red.factor_multiset()
@@ -711,4 +715,50 @@ def test_contractible_rule_over_a_face_is_a_point():
             if len(face) < 2:
                 continue
             l = tuple(rng.randint(1, 3) if j in face else 0 for j in range(1, K.m + 1))
-            assert _bracket_factor(K, pairs, face, l) == (POINT, None), (K, face)
+            assert _bracket_factor(K, pairs, face, l) == POINT, (K, face)
+
+
+SYMBOLIC_NAME = re.compile(r"ŝ-coprod\[K_\{([\d,]+)\}; weights \[([\d, ]+)\]\]")
+
+
+def test_class_diagram_matches_the_symbolic_atom():
+    # the diagram built on demand has the complex and the weights that the
+    # symbolic factor's atom names, and is the smash coproduct over the full
+    # subcomplex on the support with the pairs restricted there
+    rng = random.Random(5099)
+    seen = 0
+    for _ in range(15):
+        K = random_complex(rng, 4)
+        pairs = PairAssignment.of(
+            [(rng.choice(DOMAIN_POOL), rng.choice(CODOMAIN_POOL)) for _ in range(K.m)]
+        )
+        for f in loop_decompose(K, pairs, rng.randint(1, 4)).bracket_factors():
+            if not (isinstance(f.expr, Loop) and isinstance(f.expr.child, Atom)):
+                continue
+            match = SYMBOLIC_NAME.fullmatch(f.expr.child.name)
+            if match is None:
+                continue
+            seen += 1
+            support = tuple(int(v) for v in match.group(1).split(","))
+            weights = tuple(int(k) for k in match.group(2).split(","))
+            assert support == f.provenance.support
+            sub = full_subcomplex(K, support).complex
+            d = class_diagram(K, pairs, f.provenance)
+            assert (d.complex, d.weights) == (sub, weights)
+            assert f.expr.child.connectivity == max(0, sum(f.provenance.l) - sub.dim() - 1)
+            restricted = PairAssignment.of([pairs.pairs[j - 1] for j in support])
+            assert d == smash_coproduct(sub, restricted, weights)
+    assert seen > 0
+
+
+def test_mixed_decomposition_builds_no_diagrams():
+    # 2,343 symbolic classes at the default weight bound: naming them must
+    # not cost a diagram each (building them all takes about 0.7 s of CPU)
+    pairs = PairAssignment.of(
+        [(Atom("P(S^2)", 0, contractible=True), S(2)), (S(3), POINT), (S(3), S(2))]
+    )
+    start = time.process_time()
+    dec = loop_decompose(simplex(3), pairs, 13)
+    elapsed = time.process_time() - start
+    assert len(dec.bracket_factors()) == 2343
+    assert elapsed < 0.3, elapsed

@@ -17,6 +17,7 @@ from _helpers import (
 from polyco.scomplex import (
     _reduce,
     build,
+    complex_from_json,
     complex_from_json_str,
     complex_to_json_str,
     disjoint_union,
@@ -377,6 +378,20 @@ def test_json_round_trip_is_canonical():
     text = complex_to_json_str(K)
     assert complex_from_json_str(text) == K
     assert complex_to_json_str(complex_from_json_str(text)) == text
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"m": 3, "facets": [[1, 2.5]]}, '"facets" vertex must be an integer, got 2.5'),
+        ({"m": 3, "facets": [[1, True]]}, '"facets" vertex must be an integer, got True'),
+        ({"m": True, "facets": [[1]]}, '"m" must be an integer, got True'),
+        ({"m": 3.0, "facets": [[1]]}, '"m" must be an integer, got 3.0'),
+    ],
+)
+def test_complex_json_rejects_non_integers(data, message):
+    with pytest.raises(ValueError, match=message):
+        complex_from_json(data)
 
 
 # ---------------------------------------------------------------------------

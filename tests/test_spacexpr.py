@@ -167,3 +167,19 @@ def test_json_round_trip():
     for _ in range(60):
         e = normalize(random_expr(rng))
         assert expr_from_json(expr_to_json(e)) == e
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"kind": "sphere", "n": 2.5}, 'sphere "n" must be an integer, got 2.5'),
+        ({"kind": "sphere", "n": True}, 'sphere "n" must be an integer, got True'),
+        ({"kind": "loop", "count": 1.9, "child": {"kind": "sphere", "n": 3}},
+         'loop "count" must be an integer, got 1.9'),
+        ({"kind": "atom", "name": "X", "conn": 1.5}, 'atom "conn" must be an integer, got 1.5'),
+    ],
+)
+def test_json_rejects_non_integer_fields(data, message):
+    # no truncation to int, and no boolean read as 0 or 1
+    with pytest.raises(ValueError, match=message):
+        expr_from_json(data)
