@@ -132,13 +132,16 @@ def _indexed_entries(data, m: int | None) -> list:
     except ValueError:
         raise ValueError("spaces file keys must be vertex numbers")
     count = m if m is not None else max(keyed)
+    stray = sorted(k for k in keyed if not 1 <= k <= count)
+    if stray:
+        raise ValueError(f"entries for vertices {stray} outside 1..{count}")
     missing = [i for i in range(1, count + 1) if i not in keyed]
     if missing:
         raise ValueError(f"missing entries for vertices {missing}")
     return [keyed[i] for i in range(1, count + 1)]
 
 
-def _emit(args, payload_json: dict, payload_text: str) -> None:
+def _emit(args, payload_json: dict | None, payload_text: str | None) -> None:
     if args.format == "json":
         text = json.dumps(payload_json, sort_keys=True, indent=2) + "\n"
     else:
@@ -150,13 +153,16 @@ def _emit(args, payload_json: dict, payload_text: str) -> None:
         sys.stdout.write(text)
 
 
-def _decomposition_payload(dec: Decomposition, K: SimplicialComplex | None, N: int, W: int):
+def _emit_decomposition(args, dec: Decomposition, K: SimplicialComplex | None, N: int, W: int):
+    # build only the form that is written: a long listing's JSON is not cheap
+    if args.format == "text":
+        return _emit(args, None, dec.render())
     payload = dec.to_json()
     payload["max_degree"] = N
     payload["max_weight"] = W
     if K is not None:
         payload["complex"] = complex_to_json(K)
-    return payload, dec.render()
+    _emit(args, payload, None)
 
 
 def _default_degree() -> int:
@@ -255,33 +261,33 @@ def _run(args) -> None:
         K = load_complex(args.complex)
         pairs = load_pairs(args.spaces, K.m, contractible_default=False)
         dec = loop_decompose(K, pairs, W)
-        _emit(args, *_decomposition_payload(dec, K, N, W))
+        _emit_decomposition(args, dec, K, N, W)
         return
 
     if args.command == "decompose-wedge":
         K = load_complex(args.complex)
         spaces = load_spaces(args.spaces, K.m)
         dec = loop_decompose_wedge(K, spaces, W)
-        _emit(args, *_decomposition_payload(dec, K, N, W))
+        _emit_decomposition(args, dec, K, N, W)
         return
 
     if args.command == "decompose-contractible":
         K = load_complex(args.complex)
         pairs = load_pairs(args.spaces, K.m, contractible_default=True)
         dec = loop_decompose_contractible(K, pairs, W)
-        _emit(args, *_decomposition_payload(dec, K, N, W))
+        _emit_decomposition(args, dec, K, N, W)
         return
 
     if args.command == "porter":
         spaces = load_spaces(args.spaces)
         dec = porter_loop_decomp(spaces)
-        _emit(args, *_decomposition_payload(dec, None, N, W))
+        _emit_decomposition(args, dec, None, N, W)
         return
 
     if args.command == "hilton-milnor":
         spaces = load_spaces(args.spaces)
         dec = hilton_milnor(spaces, W)
-        _emit(args, *_decomposition_payload(dec, None, N, W))
+        _emit_decomposition(args, dec, None, N, W)
         return
 
     if args.command == "hall-basis":

@@ -194,13 +194,10 @@ def smash_coproduct(
     objects: dict[Face, SpaceExpr] = {}
     for f in K.faces():
         sel = set(f)
-        children: list[SpaceExpr] = []
-        for i in range(1, K.m + 1):
-            if ks[i - 1] == 0:
-                continue
-            y = pairs.domain(i) if i in sel else pairs.codomain(i)
-            children.extend([Loop(y)] * ks[i - 1])
-        objects[f] = normalize(Susp(Smash(tuple(children))))
+        smash = _smash_powers(
+            lambda i: Loop(pairs.domain(i) if i in sel else pairs.codomain(i)), ks
+        )
+        objects[f] = normalize(Susp(smash))
     arrows = {(sig, tau): coords for sig, tau, coords in _strict_face_pairs(K)}
     return DiagramDescription(K, "suspended-smash", objects, arrows, weights=ks)
 
@@ -339,13 +336,15 @@ class Decomposition:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
+        """The listing as JSON data; factors with equal expressions share one "expr" object."""
+        forms = {e: (expr_to_json(e), render(e)) for e in {f.expr for f in self.factors}}
         return {
             "theorem": self.theorem,
             "truncation": self.truncation,
             "factors": [
                 {
-                    "expr": expr_to_json(f.expr),
-                    "text": render(f.expr),
+                    "expr": forms[f.expr][0],
+                    "text": forms[f.expr][1],
                     "multiplicity": f.multiplicity,
                     "provenance": _provenance_json(f.provenance),
                 }
@@ -377,11 +376,12 @@ def porter_fiber(spaces: Sequence[SpaceExpr]) -> SpaceExpr:
     _require_simply_connected(spaces, "wedge summand")
     m = len(spaces)
     summands: list[SpaceExpr] = []
+    powers: list[int] = []
     for k in range(2, m + 1):
         for I in combinations(range(1, m + 1), k):
-            term = normalize(Susp(Smash(tuple(Loop(spaces[i - 1]) for i in I))))
-            summands.extend([term] * (k - 1))
-    return normalize(Wedge(tuple(summands)))
+            summands.append(normalize(Susp(Smash(tuple(Loop(spaces[i - 1]) for i in I)))))
+            powers.append(k - 1)
+    return normalize(Wedge(tuple(summands), tuple(powers)))
 
 
 def porter_loop_decomp(spaces: Sequence[SpaceExpr]) -> Decomposition:
@@ -468,8 +468,7 @@ def hilton_milnor(
             raise ValueError(f"vertex {i}: summand {render(x)} must be connected")
 
     def rule(support, l):
-        children = [x for x, k in zip(spaces, l) for _ in range(k)]
-        return normalize(Loop(Susp(Smash(tuple(children)))))
+        return normalize(Loop(Susp(_smash_powers(lambda j: spaces[j - 1], l))))
 
     letters = [(tuple(int(j == i) for j in range(m)), 1) for i in range(m)]
     degrees = _vertex_degrees(spaces, 1) if degree_bound is not None else None
@@ -515,13 +514,10 @@ def _all_face_letters(m: int) -> list[tuple[tuple[int, ...], int]]:
     )
 
 
-def _smash_of_loops(space, l: Sequence[int]) -> Smash:
-    # space(j) is the space at vertex j
-    children: list[SpaceExpr] = []
-    for j, lj in enumerate(l, start=1):
-        if lj:
-            children.extend([Loop(space(j))] * lj)
-    return Smash(tuple(children))
+def _smash_powers(space, l: Sequence[int]) -> Smash:
+    # l_j copies of space(j), as one child of power l_j per vertex j
+    terms = [(space(j), lj) for j, lj in enumerate(l, start=1) if lj]
+    return Smash(tuple(x for x, _ in terms), tuple(lj for _, lj in terms))
 
 
 def _bracket_factor(
@@ -535,11 +531,11 @@ def _bracket_factor(
     lemma applies."""
     if all(pairs.domain_contractible(j) for j in support):
         sub = full_subcomplex(K, support).complex
-        inner = Susp(_smash_of_loops(pairs.codomain, l))
+        inner = Susp(_smash_powers(lambda j: Loop(pairs.codomain(j)), l))
         return normalize(Loop(MapFromSusp(sub, inner)))
     if all(pairs.codomain_is_point(j) for j in support):
         if K.has_face(support):
-            return normalize(Loop(Susp(_smash_of_loops(pairs.domain, l))))
+            return normalize(Loop(Susp(_smash_powers(lambda j: Loop(pairs.domain(j)), l))))
         return POINT
     # mixed endpoint data over the support: no lemma applies, stay symbolic
     vert_text = ",".join(map(str, support))

@@ -18,7 +18,6 @@ Conventions
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product as iproduct
@@ -429,10 +428,3 @@ def complex_from_json(data: dict) -> SimplicialComplex:
     facets = [[json_int(v, '"facets" vertex') for v in f] for f in data["facets"]]
     return build(m, facets)
 
-
-def complex_to_json_str(K: SimplicialComplex) -> str:
-    return json.dumps(complex_to_json(K), sort_keys=True, separators=(",", ":"))
-
-
-def complex_from_json_str(text: str) -> SimplicialComplex:
-    return complex_from_json(json.loads(text))

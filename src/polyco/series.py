@@ -145,18 +145,22 @@ class PoincareSeries:
                     out[i + j] += a * b
         return PoincareSeries(tuple(out))
 
+    def __rmul__(self, k: int) -> "PoincareSeries":
+        """k * self for an integer k, coefficientwise."""
+        return PoincareSeries(tuple(k * c for c in self.coeffs))
+
     def __pow__(self, k: int) -> "PoincareSeries":
-        """self^k for k >= 0, by repeated squaring."""
+        """self^k for k >= 0, by repeated squaring (self^1 multiplies nothing)."""
         if k < 0:
             raise ValueError("series powers need a nonnegative exponent")
-        out, base = PoincareSeries.one(self.N), self
+        out, base = None, self
         while k:
             if k & 1:
-                out = out * base
+                out = base if out is None else out * base
             k >>= 1
             if k:
                 base = base * base
-        return out
+        return PoincareSeries.one(self.N) if out is None else out
 
     def invert(self) -> "PoincareSeries":
         """Multiplicative inverse; requires constant term 1."""
@@ -287,32 +291,20 @@ def _series(e: SpaceExpr, N: int) -> SeriesOrUnsupported:
                 )
         return p
 
-    if isinstance(e, Wedge):
+    if isinstance(e, (Wedge, Product, Smash)):
+        # reduced series add over a wedge; series multiply over a product and
+        # reduced series over a smash; a child of power k counts k times
+        role = {Wedge: "wedge summand", Product: "product factor", Smash: "smash factor"}[type(e)]
         out = PoincareSeries.one(N)
-        for c in e.children:
+        for c, k in zip(e.children, e.powers):
             p = _series(c, N)
             if isinstance(p, Unsupported):
-                return Unsupported(f"wedge summand {render(c)}: {p.reason}")
-            out = out + p.reduced()
-        return out
-
-    if isinstance(e, Product):
-        out = PoincareSeries.one(N)
-        for c in e.children:
-            p = _series(c, N)
-            if isinstance(p, Unsupported):
-                return Unsupported(f"product factor {render(c)}: {p.reason}")
-            out = out * p
-        return out
-
-    if isinstance(e, Smash):
-        out = PoincareSeries.one(N)
-        for c in e.children:
-            p = _series(c, N)
-            if isinstance(p, Unsupported):
-                return Unsupported(f"smash factor {render(c)}: {p.reason}")
-            out = out * p.reduced()
-        return PoincareSeries.one(N) + out
+                return Unsupported(f"{role} {render(c)}: {p.reason}")
+            if isinstance(e, Wedge):
+                out = out + k * p.reduced()
+            else:
+                out = out * (p if isinstance(e, Product) else p.reduced()) ** k
+        return PoincareSeries.one(N) + out if isinstance(e, Smash) else out
 
     if isinstance(e, Susp):
         p = _series(e.child, N)
@@ -362,8 +354,10 @@ def _loop_series(e: Loop, N: int) -> SeriesOrUnsupported:
         return tensor_algebra_series(p.reduced())
 
     if isinstance(c, Wedge):
-        parts = []
-        for child in c.children:
+        # free-product rule: 1/P = 1 + sum of k (1/P_i - 1) over summands of power k
+        one = PoincareSeries.one(N)
+        inverse = one
+        for child, k in zip(c.children, c.powers):
             if _safe_conn(child) < 1:
                 return Unsupported(
                     f"free-product rule needs simply connected summands, "
@@ -372,7 +366,7 @@ def _loop_series(e: Loop, N: int) -> SeriesOrUnsupported:
             p = series_of(Loop(child), N)
             if isinstance(p, Unsupported):
                 return Unsupported(f"loop of wedge summand {render(child)}: {p.reason}")
-            parts.append(p)
-        return free_product_series(parts)
+            inverse = inverse + k * (p.invert() - one)
+        return inverse.invert()
 
     return Unsupported(f"no loop rule for {render(c)}")

@@ -10,7 +10,8 @@ realization of a simplicial complex.
 
 normalize() rewrites to a fixed point of:
   * associative constructors flattened, children sorted by a fixed total
-    order (duplicates are kept: a wedge of two copies is not one copy);
+    order; equal children merge into one child with a power (a wedge of
+    two copies is one child of power 2, not one copy);
   * Point absorbs smashes and disappears from wedges/products; empty wedge
     and product collapse to Point, empty smash to S^0 (the smash unit);
   * Susp(Point) = Loop(Point) = Point, Susp(S^n) = S^{n+1},
@@ -31,6 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import eq, itemgetter
 from typing import Iterable, Union
 
 from .scomplex import SimplicialComplex, build, complex_from_json, complex_to_json, json_int
@@ -94,35 +97,57 @@ class Atom:
 
 
 def _int_coeffs(values) -> tuple[int, ...]:
+    # an int only: a float is not truncated, a bool not read as 0 or 1
     values = tuple(values)
-    out = tuple(int(c) for c in values)
-    if out != values:
+    if any(type(c) is not int for c in values):
         raise ValueError(f"declared series coefficients must be integers, got {list(values)}")
-    return out
+    return values
 
 
 @dataclass(frozen=True, slots=True)
-class Wedge:
+class _Compound:
+    """An associative constructor over children[i] taken powers[i] times.
+
+    powers defaults to all ones.  Adjacent equal children merge into one
+    child whose power is the sum, so a k-fold smash is one child of power k.
+    """
+
     children: tuple["SpaceExpr", ...]
+    powers: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        children = tuple(self.children)
+        if self.powers is None:
+            powers = (1,) * len(children)
+        else:
+            powers = tuple(self.powers)
+            if len(powers) != len(children) or not all(type(p) is int and p >= 1 for p in powers):
+                got = f"{list(powers)} for {len(children)} children"
+                raise ValueError(f"{self.kind} needs one integer power >= 1 per child, got {got}")
+        if len(children) > 1 and any(map(eq, children, children[1:])):
+            runs = groupby(zip(children, powers), itemgetter(0))
+            runs = [(c, sum(p for _, p in g)) for c, g in runs]
+            children, powers = tuple(c for c, _ in runs), tuple(p for _, p in runs)
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "powers", powers)
 
     def __str__(self) -> str:
         return render(self)
 
 
-@dataclass(frozen=True, slots=True)
-class Product:
-    children: tuple["SpaceExpr", ...]
-
-    def __str__(self) -> str:
-        return render(self)
+class Wedge(_Compound):
+    __slots__ = ()
+    kind, symbol = "wedge", "∨"
 
 
-@dataclass(frozen=True, slots=True)
-class Smash:
-    children: tuple["SpaceExpr", ...]
+class Product(_Compound):
+    __slots__ = ()
+    kind, symbol = "product", "×"
 
-    def __str__(self) -> str:
-        return render(self)
+
+class Smash(_Compound):
+    __slots__ = ()
+    kind, symbol = "smash", "∧"
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,17 +215,8 @@ def sort_key(e: SpaceExpr) -> tuple:
         return (r, e.count, sort_key(e.child))
     if isinstance(e, MapFromSusp):
         return (r, e.complex.m, e.complex.facets, sort_key(e.child))
-    return (r, len(e.children), tuple(sort_key(c) for c in e.children))
-
-
-def _flatten(cls, children: Iterable[SpaceExpr]) -> list[SpaceExpr]:
-    out: list[SpaceExpr] = []
-    for c in children:
-        if isinstance(c, cls):
-            out.extend(c.children)
-        else:
-            out.append(c)
-    return out
+    # a larger power sorts first, as k+1 copies of c precede k copies and a larger child
+    return (r, sum(e.powers), tuple((sort_key(c), -p) for c, p in zip(e.children, e.powers)))
 
 
 def normalize(e: SpaceExpr) -> SpaceExpr:
@@ -212,29 +228,8 @@ def normalize(e: SpaceExpr) -> SpaceExpr:
     if isinstance(e, Atom):
         return POINT if e.contractible else e
 
-    if isinstance(e, (Wedge, Product)):
-        cls = type(e)
-        kids = _flatten(cls, (normalize(c) for c in e.children))
-        kids = [c for c in kids if not isinstance(c, Point)]
-        if not kids:
-            return POINT
-        if len(kids) == 1:
-            return kids[0]
-        return cls(tuple(sorted(kids, key=sort_key)))
-
-    if isinstance(e, Smash):
-        kids = _flatten(Smash, (normalize(c) for c in e.children))
-        if any(isinstance(c, Point) for c in kids):
-            return POINT
-        total = sum(c.n for c in kids if isinstance(c, Sphere))
-        rest = [c for c in kids if not isinstance(c, Sphere)]
-        if total > 0:
-            rest.append(Sphere(total))
-        if not rest:
-            return Sphere(0)
-        if len(rest) == 1:
-            return rest[0]
-        return Smash(tuple(sorted(rest, key=sort_key)))
+    if isinstance(e, _Compound):
+        return _compound(type(e), ((normalize(c), p) for c, p in zip(e.children, e.powers)))
 
     if isinstance(e, Susp):
         c = normalize(e.child)
@@ -245,29 +240,59 @@ def normalize(e: SpaceExpr) -> SpaceExpr:
         return Susp(c)
 
     if isinstance(e, Loop):
-        c = normalize(e.child)
-        k = e.count
-        while isinstance(c, Loop):
-            k += c.count
-            c = c.child
-        if isinstance(c, Point):
-            return POINT
-        if isinstance(c, Product):
-            return normalize(Product(tuple(Loop(x, k) for x in c.children)))
-        if isinstance(c, Atom) and c.loop is not None:
-            once = normalize(c.loop)
-            return once if k == 1 else normalize(Loop(once, k - 1))
-        return Loop(c, k)
+        return _loop(normalize(e.child), e.count)
 
     if isinstance(e, MapFromSusp):
         c = normalize(e.child)
         dims = wedge_of_spheres_type(e.complex)
         if dims is None:
             return MapFromSusp(e.complex, c)
-        factors = [c if d + 1 == 0 else Loop(c, d + 1) for d in dims]
-        return normalize(Product(tuple(factors)))
+        return _compound(Product, ((c if d + 1 == 0 else _loop(c, d + 1), 1) for d in dims))
 
     raise TypeError(f"not a space expression: {e!r}")
+
+
+def _compound(cls, normal_terms: Iterable[tuple[SpaceExpr, int]]) -> SpaceExpr:
+    """The normal form of cls over (child, power) terms whose children are normal."""
+    terms: list[tuple[SpaceExpr, int]] = []
+    for c, p in normal_terms:
+        if isinstance(c, cls):
+            terms.extend((cc, pp * p) for cc, pp in zip(c.children, c.powers))
+        else:
+            terms.append((c, p))
+    if cls is Smash:
+        if any(isinstance(c, Point) for c, _ in terms):
+            return POINT
+        total = sum(c.n * p for c, p in terms if isinstance(c, Sphere))
+        terms = [(c, p) for c, p in terms if not isinstance(c, Sphere)]
+        if total > 0:
+            terms.append((Sphere(total), 1))
+        if not terms:
+            return Sphere(0)
+    else:
+        terms = [(c, p) for c, p in terms if not isinstance(c, Point)]
+        if not terms:
+            return POINT
+    if len(terms) > 1:
+        terms.sort(key=lambda t: sort_key(t[0]))
+    elif terms[0][1] == 1:
+        return terms[0][0]
+    return cls(tuple(c for c, _ in terms), tuple(p for _, p in terms))
+
+
+def _loop(c: SpaceExpr, k: int) -> SpaceExpr:
+    """The normal form of Loop(c, k) for c in normal form."""
+    while isinstance(c, Loop):
+        k += c.count
+        c = c.child
+    if isinstance(c, Point):
+        return POINT
+    if isinstance(c, Product):
+        return _compound(Product, ((_loop(x, k), p) for x, p in zip(c.children, c.powers)))
+    if isinstance(c, Atom) and c.loop is not None:
+        once = normalize(c.loop)
+        return once if k == 1 else normalize(Loop(once, k - 1))
+    return Loop(c, k)
 
 
 def expr_equal(a: SpaceExpr, b: SpaceExpr) -> bool:
@@ -293,10 +318,8 @@ def conn(e: SpaceExpr) -> float:
         if not e.children:
             return INFINITE
         return min(conn(c) for c in e.children)
-    if isinstance(e, Smash):
-        if not e.children:
-            return -1  # S^0
-        return sum(conn(c) for c in e.children) + len(e.children) - 1
+    if isinstance(e, Smash):  # the empty smash is S^0, of connectivity -1
+        return sum((conn(c) + 1) * p for c, p in zip(e.children, e.powers)) - 1
     if isinstance(e, Susp):
         return conn(e.child) + 1
     if isinstance(e, Loop):
@@ -322,23 +345,8 @@ def conn(e: SpaceExpr) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _grouped(children: tuple[SpaceExpr, ...], sep: str, power: str) -> str:
-    parts: list[str] = []
-    i = 0
-    while i < len(children):
-        j = i
-        while j < len(children) and children[j] == children[i]:
-            j += 1
-        text = _wrap(children[i])
-        if j - i > 1:
-            text = f"{text}^{power}{j - i}"
-        parts.append(text)
-        i = j
-    return sep.join(parts)
-
-
 def _wrap(e: SpaceExpr) -> str:
-    if isinstance(e, (Wedge, Product, Smash)):
+    if isinstance(e, _Compound):
         return f"({render(e)})"
     return render(e)
 
@@ -351,12 +359,10 @@ def render(e: SpaceExpr) -> str:
         return f"S^{e.n}"
     if isinstance(e, Atom):
         return e.name
-    if isinstance(e, Wedge):
-        return _grouped(e.children, " ∨ ", "∨")
-    if isinstance(e, Product):
-        return _grouped(e.children, " × ", "×")
-    if isinstance(e, Smash):
-        return _grouped(e.children, " ∧ ", "∧")
+    if isinstance(e, _Compound):
+        return f" {e.symbol} ".join(
+            _wrap(c) + (f"^{e.symbol}{p}" if p > 1 else "") for c, p in zip(e.children, e.powers)
+        )
     if isinstance(e, Susp):
         return "Σ" + _wrap(e.child)
     if isinstance(e, Loop):
@@ -387,9 +393,12 @@ def expr_to_json(e: SpaceExpr) -> dict:
         if e.contractible:
             out["contractible"] = True
         return out
-    if isinstance(e, (Wedge, Product, Smash)):
-        kind = {Wedge: "wedge", Product: "product", Smash: "smash"}[type(e)]
-        return {"kind": kind, "children": [expr_to_json(c) for c in e.children]}
+    if isinstance(e, _Compound):
+        return {
+            "kind": e.kind,
+            "children": [expr_to_json(c) for c in e.children],
+            "powers": list(e.powers),
+        }
     if isinstance(e, Susp):
         return {"kind": "susp", "child": expr_to_json(e.child)}
     if isinstance(e, Loop):
@@ -435,8 +444,9 @@ def _expr_from_json(data: dict, depth: int) -> SpaceExpr:
             contractible=bool(data.get("contractible", False)),
         )
     if kind in ("wedge", "product", "smash"):
-        cls = {"wedge": Wedge, "product": Product, "smash": Smash}[kind]
-        return cls(tuple(_expr_from_json(c, depth + 1) for c in data["children"]))
+        cls = {c.kind: c for c in (Wedge, Product, Smash)}[kind]
+        children = tuple(_expr_from_json(c, depth + 1) for c in data["children"])
+        return cls(children, data.get("powers"))  # optional: repeated children still load
     if kind == "susp":
         return Susp(_expr_from_json(data["child"], depth + 1))
     if kind == "loop":

@@ -198,8 +198,8 @@ def check_porter(spaces: Sequence[SpaceExpr], N: int) -> VerificationReport:
     if isinstance(fiber, Point):
         fiber_series = PoincareSeries.one(N)
     else:
-        fib_summands = [fiber] if not isinstance(fiber, Wedge) else list(fiber.children)
-        desusp = [_desuspend(x) for x in fib_summands]
+        fib = fiber if isinstance(fiber, Wedge) else Wedge((fiber,))
+        desusp = [_desuspend(c) for c, k in zip(fib.children, fib.powers) for _ in range(k)]
         fiber_series = hilton_milnor(desusp, W, degree_bound=N).series_product(N)
         if isinstance(fiber_series, Unsupported):
             return VerificationReport(

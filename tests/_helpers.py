@@ -11,11 +11,22 @@ from polyco.scomplex import (
     build,
     full_subcomplex,
     maximal_faces_ge2,
+    wedge_of_spheres_type,
 )
-from polyco.series import PoincareSeries, Unsupported, _series
+from polyco.series import (
+    PoincareSeries,
+    Unsupported,
+    _loop_sphere_series,
+    _series,
+    free_product_series,
+    tensor_algebra_series,
+)
 from polyco.spacexpr import (
+    _RANK,
+    INFINITE,
     POINT,
     Atom,
+    ConnectivityUnderflowError,
     Loop,
     MapFromSusp,
     PairAssignment,
@@ -70,6 +81,24 @@ def random_expr(rng: random.Random, depth: int = 3) -> SpaceExpr:
     if kind == 6:
         return Loop(random_expr(rng, depth - 1), rng.randint(1, 2))
     return MapFromSusp(random_complex(rng, 3), random_expr(rng, depth - 1))
+
+
+def with_repeats(rng: random.Random, e: SpaceExpr) -> SpaceExpr:
+    """e with compound children duplicated, next to each other or apart, and
+    with random powers, all the way down."""
+    if isinstance(e, (Wedge, Product, Smash)):
+        kids = [with_repeats(rng, c) for c in e.children]
+        if kids:
+            kids += [rng.choice(kids) for _ in range(rng.randint(0, 3))]
+            rng.shuffle(kids)
+        return type(e)(tuple(kids), tuple(rng.choice((1, 1, 1, 2, 3)) for _ in kids))
+    if isinstance(e, Susp):
+        return Susp(with_repeats(rng, e.child))
+    if isinstance(e, Loop):
+        return Loop(with_repeats(rng, e.child), e.count)
+    if isinstance(e, MapFromSusp):
+        return MapFromSusp(e.complex, with_repeats(rng, e.child))
+    return e
 
 
 def random_series(
@@ -158,6 +187,244 @@ def reference_series_product(dec: Decomposition, N: int):
         for _ in range(f.multiplicity):
             out = dense_mul(out, p)
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference expressions: normalize, sort_key, render, conn and the compound
+# series rules on the expanded children, where a child of power k is k
+# copies; the power-reading ones must agree with them
+# ---------------------------------------------------------------------------
+
+
+def expanded(e) -> list:
+    """The children of a wedge, product or smash, each repeated by its power."""
+    return [c for c, p in zip(e.children, e.powers) for _ in range(p)]
+
+
+def reference_sort_key(e: SpaceExpr) -> tuple:
+    r = _RANK[type(e)]
+    if isinstance(e, Point):
+        return (r,)
+    if isinstance(e, Sphere):
+        return (r, e.n)
+    if isinstance(e, Atom):
+        return (r, e.name, e.connectivity)
+    if isinstance(e, Susp):
+        return (r, reference_sort_key(e.child))
+    if isinstance(e, Loop):
+        return (r, e.count, reference_sort_key(e.child))
+    if isinstance(e, MapFromSusp):
+        return (r, e.complex.m, e.complex.facets, reference_sort_key(e.child))
+    kids = expanded(e)
+    return (r, len(kids), tuple(reference_sort_key(c) for c in kids))
+
+
+def _reference_flatten(cls, children) -> list:
+    out = []
+    for c in children:
+        if isinstance(c, cls):
+            out.extend(expanded(c))
+        else:
+            out.append(c)
+    return out
+
+
+def reference_normalize(e: SpaceExpr) -> SpaceExpr:
+    """Sorts the expanded copies; the constructor then merges equal runs."""
+    if isinstance(e, Point):
+        return POINT
+    if isinstance(e, Sphere):
+        return e
+    if isinstance(e, Atom):
+        return POINT if e.contractible else e
+    if isinstance(e, (Wedge, Product)):
+        cls = type(e)
+        kids = _reference_flatten(cls, (reference_normalize(c) for c in expanded(e)))
+        kids = [c for c in kids if not isinstance(c, Point)]
+        if not kids:
+            return POINT
+        if len(kids) == 1:
+            return kids[0]
+        return cls(tuple(sorted(kids, key=reference_sort_key)))
+    if isinstance(e, Smash):
+        kids = _reference_flatten(Smash, (reference_normalize(c) for c in expanded(e)))
+        if any(isinstance(c, Point) for c in kids):
+            return POINT
+        total = sum(c.n for c in kids if isinstance(c, Sphere))
+        rest = [c for c in kids if not isinstance(c, Sphere)]
+        if total > 0:
+            rest.append(Sphere(total))
+        if not rest:
+            return Sphere(0)
+        if len(rest) == 1:
+            return rest[0]
+        return Smash(tuple(sorted(rest, key=reference_sort_key)))
+    if isinstance(e, Susp):
+        c = reference_normalize(e.child)
+        if isinstance(c, Point):
+            return POINT
+        if isinstance(c, Sphere):
+            return Sphere(c.n + 1)
+        return Susp(c)
+    if isinstance(e, Loop):
+        c = reference_normalize(e.child)
+        k = e.count
+        while isinstance(c, Loop):
+            k += c.count
+            c = c.child
+        if isinstance(c, Point):
+            return POINT
+        if isinstance(c, Product):
+            return reference_normalize(Product(tuple(Loop(x, k) for x in expanded(c))))
+        if isinstance(c, Atom) and c.loop is not None:
+            once = reference_normalize(c.loop)
+            return once if k == 1 else reference_normalize(Loop(once, k - 1))
+        return Loop(c, k)
+    c = reference_normalize(e.child)
+    dims = wedge_of_spheres_type(e.complex)
+    if dims is None:
+        return MapFromSusp(e.complex, c)
+    factors = [c if d + 1 == 0 else Loop(c, d + 1) for d in dims]
+    return reference_normalize(Product(tuple(factors)))
+
+
+def _reference_grouped(children, sep: str, power: str) -> str:
+    parts = []
+    i = 0
+    while i < len(children):
+        j = i
+        while j < len(children) and children[j] == children[i]:
+            j += 1
+        text = _reference_wrap(children[i])
+        if j - i > 1:
+            text = f"{text}^{power}{j - i}"
+        parts.append(text)
+        i = j
+    return sep.join(parts)
+
+
+def _reference_wrap(e: SpaceExpr) -> str:
+    if isinstance(e, (Wedge, Product, Smash)):
+        return f"({reference_render(e)})"
+    return reference_render(e)
+
+
+def reference_render(e: SpaceExpr) -> str:
+    """Finds the runs of equal children again in the expanded sequence."""
+    if isinstance(e, Wedge):
+        return _reference_grouped(expanded(e), " ∨ ", "∨")
+    if isinstance(e, Product):
+        return _reference_grouped(expanded(e), " × ", "×")
+    if isinstance(e, Smash):
+        return _reference_grouped(expanded(e), " ∧ ", "∧")
+    if isinstance(e, Susp):
+        return "Σ" + _reference_wrap(e.child)
+    if isinstance(e, Loop):
+        prefix = "Ω" if e.count == 1 else f"Ω^{e.count}"
+        return prefix + _reference_wrap(e.child)
+    if isinstance(e, MapFromSusp):
+        facets = ",".join("{" + ",".join(map(str, f)) + "}" for f in e.complex.facets)
+        return f"Map_*(Σ|K[{facets or '∅'}; m={e.complex.m}]|, {reference_render(e.child)})"
+    return render(e)
+
+
+def reference_conn(e: SpaceExpr) -> float:
+    if isinstance(e, (Wedge, Product)):
+        kids = expanded(e)
+        return min((reference_conn(c) for c in kids), default=INFINITE)
+    if isinstance(e, Smash):
+        kids = expanded(e)
+        if not kids:
+            return -1
+        return sum(reference_conn(c) for c in kids) + len(kids) - 1
+    if isinstance(e, Susp):
+        return reference_conn(e.child) + 1
+    if isinstance(e, Loop):
+        c = reference_conn(e.child)
+        for _ in range(e.count):
+            if c < 0:
+                raise ConnectivityUnderflowError("connectivity underflow")
+            c -= 1
+        return c
+    if isinstance(e, MapFromSusp):
+        c = reference_conn(e.child)
+        if c is INFINITE:
+            return INFINITE
+        return max(-1, c - (e.complex.dim() + 1))
+    return conn(e)
+
+
+def _reference_safe_conn(e: SpaceExpr) -> float:
+    try:
+        return reference_conn(e)
+    except ConnectivityUnderflowError:
+        return -1
+
+
+def reference_series(e: SpaceExpr, N: int):
+    """The series of a reference-normalized expression, one copy at a time."""
+    one = PoincareSeries.one(N)
+    if isinstance(e, Wedge):
+        out = one
+        for c in expanded(e):
+            p = reference_series(c, N)
+            if isinstance(p, Unsupported):
+                return Unsupported(f"wedge summand {render(c)}: {p.reason}")
+            out = out + p.reduced()
+        return out
+    if isinstance(e, Product):
+        out = one
+        for c in expanded(e):
+            p = reference_series(c, N)
+            if isinstance(p, Unsupported):
+                return Unsupported(f"product factor {render(c)}: {p.reason}")
+            out = out * p
+        return out
+    if isinstance(e, Smash):
+        out = one
+        for c in expanded(e):
+            p = reference_series(c, N)
+            if isinstance(p, Unsupported):
+                return Unsupported(f"smash factor {render(c)}: {p.reason}")
+            out = out * p.reduced()
+        return one + out
+    if isinstance(e, Susp):
+        p = reference_series(e.child, N)
+        if isinstance(p, Unsupported):
+            return Unsupported(f"suspension of {render(e.child)}: {p.reason}")
+        return one + PoincareSeries.monomial(1, N) * p.reduced()
+    if not isinstance(e, Loop):
+        return _series(e, N)
+    c, k = e.child, e.count
+    if isinstance(c, Sphere):
+        return _loop_sphere_series(c.n, k, N)
+    if k >= 2:
+        return Unsupported(f"iterated loops are only evaluated on spheres, not {render(c)}")
+    if isinstance(c, Susp):
+        base = c.child
+        if _reference_safe_conn(base) < 1:
+            return Unsupported(
+                f"Bott-Samelson needs a simply connected argument, "
+                f"{render(base)} has connectivity {_reference_safe_conn(base)}"
+            )
+        p = reference_series(base, N)
+        if isinstance(p, Unsupported):
+            return Unsupported(f"loop of suspension of {render(base)}: {p.reason}")
+        return tensor_algebra_series(p.reduced())
+    if isinstance(c, Wedge):
+        parts = []
+        for child in expanded(c):
+            if _reference_safe_conn(child) < 1:
+                return Unsupported(
+                    f"free-product rule needs simply connected summands, "
+                    f"{render(child)} has connectivity {_reference_safe_conn(child)}"
+                )
+            p = reference_series(reference_normalize(Loop(child)), N)
+            if isinstance(p, Unsupported):
+                return Unsupported(f"loop of wedge summand {render(child)}: {p.reason}")
+            parts.append(p)
+        return free_product_series(parts)
+    return Unsupported(f"no loop rule for {render(c)}")
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,33 @@ def test_non_integer_json_fields_exit_2(tmp_path, capsys):
     assert "half.json" in err and 'sphere "n" must be an integer, got 2.5' in err
 
 
+def test_non_integer_powers_and_coefficients_exit_2(tmp_path, capsys):
+    sphere = {"kind": "sphere", "n": 3}
+    spaces = write(tmp_path, "pow.json", {"1": {"kind": "wedge", "children": [sphere], "powers": [0]}})
+    assert main(["porter", "--spaces", spaces]) == 2
+    err = capsys.readouterr().err
+    assert "pow.json" in err and "wedge needs one integer power >= 1 per child, got [0]" in err
+    atom = {"kind": "atom", "name": "A", "conn": 1, "series": {"num": [True, 2.0], "den": [1]}}
+    spaces = write(tmp_path, "coef.json", {"1": atom, "2": sphere})
+    assert main(["porter", "--spaces", spaces]) == 2
+    err = capsys.readouterr().err
+    assert "coef.json" in err and "declared series coefficients must be integers, got [True, 2.0]" in err
+
+
+def test_stray_vertex_entries_exit_2(tmp_path, capsys):
+    # an entry no vertex of the complex reads is an error, not dropped
+    cx = write(tmp_path, "d2.json", {"m": 3, "facets": [[1, 2, 3]]})
+    sphere = {"kind": "sphere", "n": 2}
+    for keys, stray in [(["1", "2", "3", "4"], "[4]"), (["0", "1", "2", "3"], "[0]")]:
+        spaces = write(tmp_path, "s.json", {k: sphere for k in keys})
+        assert main(["decompose-wedge", "--complex", cx, "--spaces", spaces]) == 2
+        err = capsys.readouterr().err
+        assert "s.json" in err and f"entries for vertices {stray} outside 1..3" in err
+    spaces = write(tmp_path, "p.json", {k: sphere for k in ["0", "1", "2", "-3"]})
+    assert main(["porter", "--spaces", spaces]) == 2
+    assert "entries for vertices [-3, 0] outside 1..2" in capsys.readouterr().err
+
+
 def test_output_file(tmp_path):
     dest = tmp_path / "report.json"
     assert main(["hall-basis", "--alphabet", "2", "--max-weight", "2",

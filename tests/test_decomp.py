@@ -1,5 +1,6 @@
 """The decomposition operations: diagrams, special cases, theorems, structure."""
 
+import json
 import random
 import re
 import time
@@ -143,7 +144,7 @@ def test_porter_fiber_m2():
 def test_porter_fiber_m3_multiplicities():
     fib = porter_fiber([X1, X2, X3])
     assert isinstance(fib, Wedge)
-    counts = Counter(fib.children)
+    counts = Counter(dict(zip(fib.children, fib.powers)))
     pairs = [
         normalize(Susp(Smash((Loop(a), Loop(b)))))
         for a, b in combinations([X1, X2, X3], 2)
@@ -526,7 +527,8 @@ def test_delta_vs_porter_series_consistency():
     lhs = dec.series_product(N)
 
     fiber = porter_fiber(spaces)
-    hm = hilton_milnor([_desuspend(c) for c in fiber.children], N + 1, degree_bound=N)
+    summands = [c for c, k in zip(fiber.children, fiber.powers) for _ in range(k)]
+    hm = hilton_milnor([_desuspend(c) for c in summands], N + 1, degree_bound=N)
     rhs = PoincareSeries.one(N)
     for x in spaces:
         rhs = rhs * series_of(Loop(x), N)
@@ -762,3 +764,13 @@ def test_mixed_decomposition_builds_no_diagrams():
     elapsed = time.process_time() - start
     assert len(dec.bracket_factors()) == 2343
     assert elapsed < 0.3, elapsed
+
+
+def test_contractible_listing_json_stays_small():
+    # 6,420 entries over 29 expressions: each smash power is one child, so
+    # the JSON does not spell out up to 32 copies of each loop space
+    K = build(4, [list(f) for f in combinations(range(1, 5), 3)])
+    dec = loop_decompose_contractible(K, PairAssignment.path_fibrations([S(2)] * 4), 8)
+    text = json.dumps(dec.to_json(), sort_keys=True, indent=2)
+    assert len(dec.factors) == 6420
+    assert len(text) < 6_000_000

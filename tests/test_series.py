@@ -302,3 +302,19 @@ def test_normalize_preserves_series_randomized():
         assert raw == cooked
         checked += 1
     assert checked >= 100
+
+
+def test_powers_are_read_without_copies():
+    # a billion-fold wedge, product or smash costs a few multiplications,
+    # not a billion copies
+    k = 10**9
+    N = 6
+    loops = series_of(Loop(Wedge((Sphere(3),), (k,))), N)  # 1/(1 - k t^2)
+    assert loops == PoincareSeries.from_ints([1, 0, k, 0, k**2, 0, k**3])
+    assert series_of(Wedge((Sphere(2),), (k,)), N) == PoincareSeries.from_ints([1, 0, k], N)
+    assert series_of(Product((Sphere(2),), (k,)), N).coeffs[:3] == (1, 0, k)
+    assert series_of(Smash((Loop(Sphere(3)),), (k,)), N) == PoincareSeries.one(N)
+    three = series_of(Loop(Wedge((Sphere(3), Sphere(4)), (3, 2))), 12)
+    p, q = series_of(Loop(Sphere(3)), 12), series_of(Loop(Sphere(4)), 12)
+    assert three == free_product_series([p, p, p, q, q])
+    assert 3 * p == p + p + p

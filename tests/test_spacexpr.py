@@ -1,11 +1,20 @@
 """Space-expression normalization, equality, connectivity, rendering."""
 
+import json
 import math
 import random
 
 import pytest
 
-from _helpers import random_expr
+from _helpers import (
+    random_expr,
+    reference_conn,
+    reference_normalize,
+    reference_render,
+    reference_series,
+    reference_sort_key,
+    with_repeats,
+)
 from polyco.scomplex import build
 from polyco.spacexpr import (
     CP_INFINITY,
@@ -26,8 +35,10 @@ from polyco.spacexpr import (
     expr_to_json,
     normalize,
     render,
+    sort_key,
     two_points,
 )
+from polyco.series import series_of
 
 S = Sphere
 X = Atom("X", 1)
@@ -62,9 +73,10 @@ def test_flattening_and_sorting():
     e = Wedge((Wedge((Y, X)), X))
     n = normalize(e)
     assert isinstance(n, Wedge)
-    assert n.children == (X, X, Y)
-    # duplicates are kept: a wedge of two copies is not one copy
-    assert normalize(Wedge((X, X))) != X
+    assert n.children == (X, Y) and n.powers == (2, 1)
+    # equal children merge into one child with a power: a wedge of two
+    # copies is not one copy
+    assert normalize(Wedge((X, X))) == Wedge((X,), (2,)) != X
 
 
 def test_loop_rules():
@@ -182,4 +194,105 @@ def test_json_round_trip():
 def test_json_rejects_non_integer_fields(data, message):
     # no truncation to int, and no boolean read as 0 or 1
     with pytest.raises(ValueError, match=message):
+        expr_from_json(data)
+
+
+def test_powers_merge_adjacent_equal_children():
+    assert Smash((X, X, Y)) == Smash((X, Y), (2, 1))
+    assert Smash((X, X), (2, 3)) == Smash((X,), (5,))
+    # only neighbours merge; normalize sorts first
+    assert Wedge((X, Y, X)).powers == (1, 1, 1)
+    assert normalize(Wedge((X, Y, X))) == Wedge((X, Y), (2, 1))
+    assert render(Smash((X, X, Y))) == "X^∧2 ∧ Y"
+    assert normalize(Smash((Smash((X, Y), (2, 1)),), (3,))) == Smash((X, Y), (6, 3))
+    assert normalize(Loop(Product((S(3),), (2,)))) == Product((Loop(S(3)),), (2,))
+    assert normalize(Smash((S(2),), (3,))) == S(6)
+    assert conn(Smash((Loop(S(3)),), (2,))) == 3
+
+
+@pytest.mark.parametrize(
+    "children, powers",
+    [((X,), (0,)), ((X,), (-1,)), ((X,), (1.0,)), ((X,), (True,)), ((X,), ("2",)),
+     ((X,), (1, 1)), ((X, Y), (1,))],
+)
+def test_powers_must_be_positive_integers_one_per_child(children, powers):
+    with pytest.raises(ValueError, match="needs one integer power >= 1 per child"):
+        Smash(children, powers)
+
+
+def test_powers_match_the_expanded_reference():
+    # normalize, render, conn, sort order and series read the powers; the
+    # references spell every power out as copies, as the expanded form did
+    rng = random.Random(20261018)
+    normals = []
+    for _ in range(400):
+        e = with_repeats(rng, random_expr(rng))
+        n = normalize(e)
+        assert n == reference_normalize(e)
+        assert render(n) == reference_render(n)
+        assert render(e) == reference_render(e)
+        try:
+            c = conn(e)
+        except ConnectivityUnderflowError:
+            with pytest.raises(ConnectivityUnderflowError):
+                reference_conn(e)
+        else:
+            assert c == reference_conn(e)
+        assert series_of(e, 8) == reference_series(n, 8)
+        normals.append(n)
+    for a, b in zip(normals, normals[1:] + normals[:1]):
+        new = (sort_key(a) > sort_key(b)) - (sort_key(a) < sort_key(b))
+        old = (reference_sort_key(a) > reference_sort_key(b)) - (
+            reference_sort_key(a) < reference_sort_key(b)
+        )
+        assert new == old, (render(a), render(b))
+
+
+def _expanded_json(data):
+    # the JSON form before powers: every power spelled out as repeated children
+    if isinstance(data, list):
+        return [_expanded_json(x) for x in data]
+    if not isinstance(data, dict):
+        return data
+    out = {k: _expanded_json(v) for k, v in data.items() if k != "powers"}
+    if "powers" in data:
+        out["children"] = [c for c, p in zip(out["children"], data["powers"]) for _ in range(p)]
+    return out
+
+
+def test_expanded_json_loads_to_the_same_value():
+    rng = random.Random(77)
+    for _ in range(200):
+        n = normalize(with_repeats(rng, random_expr(rng)))
+        new = expr_to_json(n)
+        old = _expanded_json(new)
+        assert '"powers"' not in json.dumps(old)
+        assert expr_from_json(new) == n
+        assert normalize(expr_from_json(old)) == n
+    # a smash of three loop spaces as written before the powers key
+    loop = {"kind": "loop", "count": 1, "child": {"kind": "sphere", "n": 2}}
+    old = {"kind": "susp", "child": {"kind": "smash", "children": [loop, loop, loop]}}
+    new = {"kind": "susp", "child": {"kind": "smash", "children": [loop], "powers": [3]}}
+    assert expr_from_json(old) == expr_from_json(new) == Susp(Smash((Loop(S(2)),), (3,)))
+    assert expr_to_json(expr_from_json(old)) == new
+
+
+@pytest.mark.parametrize(
+    "powers, message",
+    [([0], r"needs one integer power >= 1 per child, got \[0\]"),
+     ([2.0], r"got \[2.0\]"),
+     ([True], r"got \[True\]"),
+     ([1, 1], r"got \[1, 1\] for 1 children")],
+)
+def test_json_powers_are_validated(powers, message):
+    data = {"kind": "wedge", "children": [{"kind": "sphere", "n": 2}], "powers": powers}
+    with pytest.raises(ValueError, match=message):
+        expr_from_json(data)
+
+
+@pytest.mark.parametrize("num, den", [([True, 2.0], [1]), ([1], [True]), ([1, 2.0], [1])])
+def test_json_series_coefficients_must_be_integers(num, den):
+    # neither a bool nor an integral float passes as an integer coefficient
+    data = {"kind": "atom", "name": "A", "conn": 1, "series": {"num": num, "den": den}}
+    with pytest.raises(ValueError, match="declared series coefficients must be integers"):
         expr_from_json(data)
