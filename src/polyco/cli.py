@@ -44,6 +44,7 @@ from .spacexpr import (
     SpaceExpr,
     expr_from_json,
     expr_to_json,
+    json_bool,
     render,
 )
 from .verify import (
@@ -86,7 +87,7 @@ def _entry_to_pair(entry, *, contractible_default: bool) -> tuple[SpaceExpr, Spa
     if isinstance(entry, dict) and "domain" in entry:
         domain = expr_from_json(entry["domain"])
         codomain = expr_from_json(entry["codomain"])
-        if entry.get("domain_contractible", False):
+        if json_bool(entry.get("domain_contractible", False), '"domain_contractible"'):
             if isinstance(domain, Atom):
                 domain = Atom(
                     domain.name, domain.connectivity, domain.loop, domain.series, True
@@ -131,6 +132,9 @@ def _indexed_entries(data, m: int | None) -> list:
         keyed = {int(k): v for k, v in data.items()}
     except ValueError:
         raise ValueError("spaces file keys must be vertex numbers")
+    odd = [k for k in data if str(int(k)) != k]
+    if odd:
+        raise ValueError(f"spaces file keys {odd} are not plain vertex numbers")
     count = m if m is not None else max(keyed)
     stray = sorted(k for k in keyed if not 1 <= k <= count)
     if stray:

@@ -22,10 +22,10 @@ decompositions of the looped coproduct:
     or every codomain over the support is a point (a single loop-suspension
     factor when the support is a face, nothing otherwise); mixed factors stay
     symbolic atoms, and class_diagram builds their defining diagrams;
-  * loop_decompose_wedge: the all-codomains-point case, the brackets whose
-    support is a face of K, each counted once across overlapping faces;
-  * loop_decompose_contractible: the all-domains-contractible case, the
-    brackets whose support is a missing face;
+  * loop_decompose_wedge: the all-codomains-point case, over the letters of
+    the faces of K, so a bracket over overlapping faces is counted once;
+  * loop_decompose_contractible: the all-domains-contractible case, where
+    only the brackets whose support is a missing face survive;
   * the suspension-splitting summand lists (bbcg_*) for the dual comparison,
     and the structural operations for joined vertices, gluings, and disjoint
     unions.
@@ -36,8 +36,8 @@ are counted per class (weight w, content l) by the multigraded Witt formula
 (liealg.lyndon_class_counts), and each class becomes one Factor whose
 multiplicity is its bracket count and whose provenance is BracketClass(w, l),
 rendered in JSON as {"kind": "class", "weight": w, "l": [...]}.  The three
-polyhedral decompositions are one engine over the face alphabet; they differ
-only in which letters they count and which supports they keep.
+polyhedral decompositions are one engine and one bracket rule over the face
+alphabet; they differ only in their letters, truncation and input checks.
 
 Every emitted factor expression is normalized, factors that normalize to a
 point are dropped, and factor order is deterministic: vertex factors first by
@@ -413,26 +413,29 @@ def _class_factors(
     letters: Sequence[tuple[tuple[int, ...], int]],
     weight_bound: int,
     rule,
-    keep=None,
     vertex_degrees: Sequence[int] | None = None,
     degree_bound: int | None = None,
 ) -> list[Factor]:
     """The bracket engine: one factor per counted (weight, l) class.
 
-    rule(support, l) returns the class's expression and runs once per l;
-    classes whose support keep rejects, or whose expression normalizes to a
-    point, are dropped.  Ordered by weight, then l in descending
-    lexicographic order, so raising the weight bound only appends.
+    rule(support) runs once per support and returns None when every class
+    over it vanishes, else the function of l that builds a class's
+    expression, run once per l; vanishing classes and expressions that
+    normalize to a point are dropped.  Ordered by weight, then l in
+    descending lexicographic order, so raising the weight bound only appends.
     """
     counts = lyndon_class_counts(
         letters, weight_bound, vertex_degrees=vertex_degrees, degree_bound=degree_bound
     )
+    rules: dict[tuple[int, ...], object] = {}
     made: dict[tuple[int, ...], SpaceExpr] = {}
     out = []
     for cls in sorted((BracketClass(w, l) for w, l in counts), key=BracketClass.sort_key):
         if cls.l not in made:
-            kept = keep is None or keep(cls.support)
-            made[cls.l] = rule(cls.support, cls.l) if kept else POINT
+            if cls.support not in rules:
+                rules[cls.support] = rule(cls.support)
+            factor_of = rules[cls.support]
+            made[cls.l] = POINT if factor_of is None else factor_of(cls.l)
         expr = made[cls.l]
         if not isinstance(expr, Point):
             out.append(Factor(expr, counts[(cls.weight, cls.l)], cls))
@@ -467,8 +470,8 @@ def hilton_milnor(
         if conn(x) < 0:
             raise ValueError(f"vertex {i}: summand {render(x)} must be connected")
 
-    def rule(support, l):
-        return normalize(Loop(Susp(_smash_powers(lambda j: spaces[j - 1], l))))
+    def rule(support):
+        return lambda l: normalize(Loop(Susp(_smash_powers(lambda j: spaces[j - 1], l))))
 
     letters = [(tuple(int(j == i) for j in range(m)), 1) for i in range(m)]
     degrees = _vertex_degrees(spaces, 1) if degree_bound is not None else None
@@ -481,9 +484,9 @@ def hilton_milnor(
 
 
 # ---------------------------------------------------------------------------
-# the polyhedral decompositions: one engine over the face alphabet, with
-# presets that differ only in which letters they count and which supports
-# they keep
+# the polyhedral decompositions: one engine over the face alphabet and one
+# bracket rule, with presets that differ only in their letters, truncation
+# and input checks
 # ---------------------------------------------------------------------------
 
 
@@ -520,28 +523,28 @@ def _smash_powers(space, l: Sequence[int]) -> Smash:
     return Smash(tuple(x for x, _ in terms), tuple(lj for _, lj in terms))
 
 
-def _bracket_factor(
-    K: SimplicialComplex,
-    pairs: PairAssignment,
-    support: tuple[int, ...],
-    l: tuple[int, ...],
-) -> SpaceExpr:
-    """The factor of a class with vertex content l: the looped weighted smash
-    coproduct over the full subcomplex on its support, reduced where a
+def _bracket_rule(K: SimplicialComplex, pairs: PairAssignment, support: tuple[int, ...]):
+    """The factor of the classes over one support: None when they all vanish,
+    else the function of the vertex content l that builds the looped weighted
+    smash coproduct over the full subcomplex on the support, reduced where a
     lemma applies."""
-    if all(pairs.domain_contractible(j) for j in support):
-        sub = full_subcomplex(K, support).complex
-        inner = Susp(_smash_powers(lambda j: Loop(pairs.codomain(j)), l))
-        return normalize(Loop(MapFromSusp(sub, inner)))
     if all(pairs.codomain_is_point(j) for j in support):
+        # point codomains: only a face support survives
+        if not K.has_face(support):
+            return None
+        return lambda l: normalize(Loop(Susp(_smash_powers(lambda j: Loop(pairs.domain(j)), l))))
+    if all(pairs.domain_contractible(j) for j in support):
+        # over a face this is a mapping space out of a suspended simplex
         if K.has_face(support):
-            return normalize(Loop(Susp(_smash_powers(lambda j: Loop(pairs.domain(j)), l))))
-        return POINT
+            return None
+        sub = full_subcomplex(K, support).complex
+        return lambda l: normalize(
+            Loop(MapFromSusp(sub, Susp(_smash_powers(lambda j: Loop(pairs.codomain(j)), l))))
+        )
     # mixed endpoint data over the support: no lemma applies, stay symbolic
-    vert_text = ",".join(map(str, support))
-    weights = [lj for lj in l if lj]
+    name = "ŝ-coprod[K_{" + ",".join(map(str, support)) + "}; weights "
     dim = full_subcomplex(K, support).complex.dim()
-    return Loop(Atom(f"ŝ-coprod[K_{{{vert_text}}}; weights {weights}]", max(0, sum(l) - dim - 1)))
+    return lambda l: Loop(Atom(f"{name}{[lj for lj in l if lj]}]", max(0, sum(l) - dim - 1)))
 
 
 def class_diagram(
@@ -562,7 +565,6 @@ def _coproduct_decomposition(
     theorem: str,
     letters: Sequence[tuple[tuple[int, ...], int]],
     truncated: bool,
-    keep=None,
     vertex_degrees: Sequence[int] | None = None,
     degree_bound: int | None = None,
 ) -> Decomposition:
@@ -573,8 +575,7 @@ def _coproduct_decomposition(
     brackets = _class_factors(
         letters,
         weight_bound,
-        partial(_bracket_factor, K, pairs),
-        keep,
+        partial(_bracket_rule, K, pairs),
         vertex_degrees=vertex_degrees,
         degree_bound=degree_bound,
     )
@@ -598,16 +599,14 @@ def loop_decompose_wedge(
     """
     _check_arity(K.m, len(spaces), "spaces")
     _require_simply_connected(spaces, "space")
-    faces = K.face_set()
     dec = _coproduct_decomposition(
         K,
         PairAssignment.constant_maps(spaces),
         weight_bound,
         "wedge-coproduct",
-        _face_letters(faces, K.m),
+        _face_letters(K.face_set(), K.m),
         # infinite exactly when some maximal face has two or more letters
         K.dim() >= 2,
-        faces.__contains__,
         _vertex_degrees(spaces, 0) if degree_bound is not None else None,
         degree_bound,
     )
@@ -670,20 +669,9 @@ def loop_decompose_contractible(
             raise ValueError(
                 f"vertex {i}: domain {render(pairs.domain(i))} is not contractible"
             )
-        if not pairs.codomain_is_point(i) and conn(pairs.codomain(i)) < 1:
-            raise ValueError(
-                f"vertex {i}: codomain {render(pairs.codomain(i))} must be simply "
-                f"connected or a point"
-            )
-    faces = K.face_set()
+    _validate_pairs(K, pairs)
     return _coproduct_decomposition(
-        K,
-        pairs,
-        weight_bound,
-        "contractible-domains",
-        _all_face_letters(K.m),
-        K.m >= 3,
-        lambda support: support not in faces,
+        K, pairs, weight_bound, "contractible-domains", _all_face_letters(K.m), K.m >= 3
     )
 
 

@@ -415,6 +415,13 @@ def expr_to_json(e: SpaceExpr) -> dict:
 MAX_JSON_DEPTH = 100
 
 
+def json_bool(value, field: str) -> bool:
+    """value, if it is a JSON boolean: "false", 0 and null are not flags."""
+    if type(value) is not bool:
+        raise ValueError(f"{field} must be true or false, got {value!r}")
+    return value
+
+
 def expr_from_json(data: dict) -> SpaceExpr:
     """Parse a space description; nesting deeper than MAX_JSON_DEPTH raises
     ValueError, so no later recursive pass can overflow the stack."""
@@ -441,7 +448,7 @@ def _expr_from_json(data: dict, depth: int) -> SpaceExpr:
             connectivity=json_int(data.get("conn", 0), 'atom "conn"'),
             loop=loop_expr,
             series=series,
-            contractible=bool(data.get("contractible", False)),
+            contractible=json_bool(data.get("contractible", False), 'atom "contractible"'),
         )
     if kind in ("wedge", "product", "smash"):
         cls = {c.kind: c for c in (Wedge, Product, Smash)}[kind]

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from polyco.decomp import Decomposition, Factor, _base_factors, _bracket_factor, _provenance_text
+from polyco.decomp import Decomposition, Factor, _base_factors, _provenance_text, _smash_powers
 from polyco.liealg import generators_for, hall_basis, plain_alphabet, stats
 from polyco.scomplex import (
     SimplicialComplex,
@@ -517,10 +517,29 @@ def _enumerated_face_alphabet(K, pairs, weight_bound, theorem, rule) -> Decompos
     )
 
 
+def reference_bracket_factor(K, pairs, support, l):
+    """The bracket rule run once per vertex content l, with the lemma tests
+    and the full subcomplex redone on every call: the reference for the
+    rule that resolves each support once."""
+    if all(pairs.domain_contractible(j) for j in support):
+        sub = full_subcomplex(K, support).complex
+        inner = Susp(_smash_powers(lambda j: Loop(pairs.codomain(j)), l))
+        return normalize(Loop(MapFromSusp(sub, inner)))
+    if all(pairs.codomain_is_point(j) for j in support):
+        if K.has_face(support):
+            return normalize(Loop(Susp(_smash_powers(lambda j: Loop(pairs.domain(j)), l))))
+        return POINT
+    # mixed endpoint data over the support: no lemma applies, stay symbolic
+    vert_text = ",".join(map(str, support))
+    weights = [lj for lj in l if lj]
+    dim = full_subcomplex(K, support).complex.dim()
+    return Loop(Atom(f"ŝ-coprod[K_{{{vert_text}}}; weights {weights}]", max(0, sum(l) - dim - 1)))
+
+
 def enumerated_general(K, pairs, weight_bound) -> Decomposition:
     return _enumerated_face_alphabet(
         K, pairs, weight_bound, "general-coproduct",
-        lambda support, l: _bracket_factor(K, pairs, support, l),
+        lambda support, l: reference_bracket_factor(K, pairs, support, l),
     )
 
 

@@ -217,6 +217,35 @@ def test_stray_vertex_entries_exit_2(tmp_path, capsys):
     assert "entries for vertices [-3, 0] outside 1..2" in capsys.readouterr().err
 
 
+def test_json_flags_must_be_booleans_exit_2(tmp_path, capsys):
+    # "no" is not read as true, so no vertex factor is dropped for it
+    cx = write(tmp_path, "edge.json", {"m": 2, "facets": [[1, 2]]})
+    sphere = {"kind": "sphere", "n": 3}
+    pair = {"domain": sphere, "codomain": {"kind": "point"}}
+    spaces = write(tmp_path, "pairs.json", {"1": pair, "2": {**pair, "domain_contractible": "no"}})
+    assert main(["decompose", "--complex", cx, "--spaces", spaces]) == 2
+    err = capsys.readouterr().err
+    assert "pairs.json" in err and "\"domain_contractible\" must be true or false, got 'no'" in err
+    atom = {"kind": "atom", "name": "X", "conn": 1, "contractible": "false"}
+    spaces = write(tmp_path, "atoms.json", {"1": atom, "2": sphere})
+    assert main(["decompose-wedge", "--complex", cx, "--spaces", spaces]) == 2
+    err = capsys.readouterr().err
+    assert "atoms.json" in err and "atom \"contractible\" must be true or false, got 'false'" in err
+
+
+def test_non_canonical_vertex_keys_exit_2(tmp_path, capsys):
+    # "01" and "1" would both name vertex 1, and one of the entries be lost
+    cx = write(tmp_path, "edge.json", {"m": 2, "facets": [[1, 2]]})
+    sphere = {"kind": "sphere", "n": 2}
+    spaces = write(tmp_path, "s.json", {"1": sphere, "01": sphere, "2": sphere})
+    assert main(["decompose-wedge", "--complex", cx, "--spaces", spaces]) == 2
+    err = capsys.readouterr().err
+    assert "s.json" in err and "spaces file keys ['01'] are not plain vertex numbers" in err
+    spaces = write(tmp_path, "p.json", {" 1": sphere, "+2": sphere, "1_0": sphere})
+    assert main(["porter", "--spaces", spaces]) == 2
+    assert "spaces file keys [' 1', '+2', '1_0'] are not plain vertex numbers" in capsys.readouterr().err
+
+
 def test_output_file(tmp_path):
     dest = tmp_path / "report.json"
     assert main(["hall-basis", "--alphabet", "2", "--max-weight", "2",

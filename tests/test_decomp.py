@@ -9,12 +9,14 @@ from itertools import combinations
 
 import pytest
 
+import polyco.decomp
 from _helpers import (
     enumerated_contractible,
     enumerated_general,
     enumerated_hilton_milnor,
     enumerated_wedge,
     random_complex,
+    reference_bracket_factor,
     reference_series_product,
 )
 from polyco.decomp import (
@@ -36,7 +38,7 @@ from polyco.decomp import (
     porter_loop_decomp,
     pullback_square,
     smash_coproduct,
-    _bracket_factor,
+    _bracket_rule,
 )
 from polyco.liealg import Bracket, stats
 from polyco.scomplex import build, disjoint_union, full_subcomplex, join
@@ -46,6 +48,7 @@ from polyco.spacexpr import (
     POINT,
     Atom,
     Loop,
+    MapFromSusp,
     PairAssignment,
     Product,
     Smash,
@@ -706,9 +709,8 @@ def test_counted_hilton_milnor_matches_enumerated():
 
 
 def test_contractible_rule_over_a_face_is_a_point():
-    # over a face the mapping space is out of a suspended simplex, so the
-    # contractible-domain preset may skip face supports: the general rule
-    # sends them to a point
+    # over a face the mapping space is out of a suspended simplex: the
+    # per-l reference sends it to a point, and the rule drops the support
     rng = random.Random(5087)
     for _ in range(20):
         K = random_complex(rng, 5, allow_empty=False)
@@ -717,7 +719,78 @@ def test_contractible_rule_over_a_face_is_a_point():
             if len(face) < 2:
                 continue
             l = tuple(rng.randint(1, 3) if j in face else 0 for j in range(1, K.m + 1))
-            assert _bracket_factor(K, pairs, face, l) == POINT, (K, face)
+            assert reference_bracket_factor(K, pairs, face, l) == POINT, (K, face)
+            assert _bracket_rule(K, pairs, face) is None, (K, face)
+
+
+def _map_into_a_point(e):
+    # the reference's form of a contractible-domain factor whose codomains
+    # are points over a support with an uncertified full subcomplex
+    return isinstance(e, Loop) and isinstance(e.child, MapFromSusp) and e.child.child == POINT
+
+
+def test_bracket_rule_matches_the_reference():
+    # resolving a support once gives the factor the per-l rule gives, for
+    # every support and several contents on it; where every domain is
+    # contractible and every codomain a point, the point-codomain lemma
+    # decides first and drops a non-face support whose mapping space into
+    # a point the reference leaves symbolic
+    rng = random.Random(5089)
+    compared = 0
+    for _ in range(40):
+        K = random_complex(rng, 5)
+        pairs = PairAssignment.of(
+            [(rng.choice(DOMAIN_POOL), rng.choice(CODOMAIN_POOL)) for _ in range(K.m)]
+        )
+        for k in range(2, K.m + 1):
+            for support in combinations(range(1, K.m + 1), k):
+                factor_of = _bracket_rule(K, pairs, support)
+                for _ in range(3):
+                    l = tuple(rng.randint(1, 4) if j in support else 0 for j in range(1, K.m + 1))
+                    got = POINT if factor_of is None else factor_of(l)
+                    want = reference_bracket_factor(K, pairs, support, l)
+                    compared += 1
+                    if got != want:
+                        assert factor_of is None and _map_into_a_point(want), (K, pairs, l)
+    assert compared > 1000
+
+
+def test_point_codomains_drop_a_non_face_support_with_contractible_domains():
+    # on the 4-cycle with contractible domains and point codomains every
+    # bracket factor is a mapping space into a point: no preset lists one
+    square = build(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
+    pairs = PairAssignment.of([(PX, POINT)] * 4)
+    assert reference_bracket_factor(square, pairs, (1, 2, 3, 4), (1, 1, 1, 1)) == Loop(
+        MapFromSusp(square, POINT)
+    )
+    assert _bracket_rule(square, pairs, (1, 2, 3, 4)) is None
+    for dec in (
+        loop_decompose(square, pairs, 5),
+        loop_decompose_contractible(square, pairs, 5),
+        loop_decompose_wedge(square, [PX] * 4, 5),
+    ):
+        assert dec.factors == ()
+        assert dec.series_product(6) == PoincareSeries.one(6)
+
+
+def test_full_subcomplex_built_once_per_support(monkeypatch):
+    # the lemma tests and the full subcomplex are per support, not per l:
+    # on ∂Δ³ the one missing face {1,2,3,4} is the only surviving support
+    built = Counter()
+
+    def counting(K, support):
+        built[tuple(support)] += 1
+        return full_subcomplex(K, support)
+
+    monkeypatch.setattr(polyco.decomp, "full_subcomplex", counting)
+    boundary = build(4, [list(f) for f in combinations(range(1, 5), 3)])
+    dec = loop_decompose_contractible(boundary, path_pairs([S(2)] * 4), 8)
+    assert {f.provenance.support for f in dec.bracket_factors()} == {(1, 2, 3, 4)}
+    assert built == {(1, 2, 3, 4): 1}
+    built.clear()
+    pairs = PairAssignment.of([(S(3), S(2)), (PX, A1), (X2, POINT), (PX, CP_INFINITY)])
+    dec = loop_decompose(boundary, pairs, 5)
+    assert dec.bracket_factors() and max(built.values()) == 1
 
 
 SYMBOLIC_NAME = re.compile(r"ŝ-coprod\[K_\{([\d,]+)\}; weights \[([\d, ]+)\]\]")

@@ -296,3 +296,18 @@ def test_json_series_coefficients_must_be_integers(num, den):
     data = {"kind": "atom", "name": "A", "conn": 1, "series": {"num": num, "den": den}}
     with pytest.raises(ValueError, match="declared series coefficients must be integers"):
         expr_from_json(data)
+
+
+@pytest.mark.parametrize("flag", ["false", 1, None, 0, "true"])
+def test_json_contractible_flag_must_be_a_boolean(flag):
+    # a truthy string is not read as true, nor null as false
+    data = {"kind": "atom", "name": "X", "conn": 1, "contractible": flag}
+    with pytest.raises(ValueError, match=f'atom "contractible" must be true or false, got {flag!r}'):
+        expr_from_json(data)
+
+
+def test_json_contractible_flag_is_read():
+    data = {"kind": "atom", "name": "X", "conn": 1}
+    assert normalize(expr_from_json(data)) == Atom("X", 1)
+    assert normalize(expr_from_json({**data, "contractible": False})) == Atom("X", 1)
+    assert normalize(expr_from_json({**data, "contractible": True})) == POINT
