@@ -99,10 +99,7 @@ def _entry_to_pair(entry, *, contractible_default: bool) -> tuple[SpaceExpr, Spa
         return domain, codomain
     space = expr_from_json(entry)
     if contractible_default:
-        return (
-            Atom(name=f"P({render(space)})", connectivity=0, contractible=True),
-            space,
-        )
+        return PairAssignment.path_fibrations([space]).pairs[0]
     return space, Point()
 
 

@@ -60,6 +60,7 @@ from .scomplex import (
     Face,
     SimplicialComplex,
     build,
+    complex_to_json,
     full_subcomplex,
     missing_subsets,
     union_along,
@@ -122,7 +123,7 @@ class DiagramDescription:
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
-            "complex": {"m": self.complex.m, "facets": [list(f) for f in self.complex.facets]},
+            "complex": complex_to_json(self.complex),
             "weights": list(self.weights) if self.weights is not None else None,
             "objects": [
                 {"face": list(f), "value": expr_to_json(self.objects[f])}
@@ -255,8 +256,8 @@ class Factor:
     """One product factor: a normalized expression with multiplicity and origin.
 
     provenance is a BracketClass (the multiplicity is its bracket count), a
-    face tuple, a vertex number, or "base"; class_diagram(K, pairs,
-    provenance) gives the defining diagram of a symbolic bracket factor.
+    vertex number, or "base"; class_diagram(K, pairs, provenance) gives the
+    defining diagram of a symbolic bracket factor.
     """
 
     expr: SpaceExpr
@@ -267,8 +268,6 @@ class Factor:
 def _provenance_text(p: object) -> str:
     if isinstance(p, BracketClass):
         return f"class w={p.weight} l=({','.join(map(str, p.l))})"
-    if isinstance(p, tuple):
-        return "face {" + ",".join(map(str, p)) + "}"
     if isinstance(p, int):
         return f"vertex {p}"
     return str(p)
@@ -277,8 +276,6 @@ def _provenance_text(p: object) -> str:
 def _provenance_json(p: object) -> dict:
     if isinstance(p, BracketClass):
         return {"kind": "class", "weight": p.weight, "l": list(p.l)}
-    if isinstance(p, tuple):
-        return {"kind": "face", "vertices": list(p)}
     if isinstance(p, int):
         return {"kind": "vertex", "vertex": p}
     return {"kind": "base"}
@@ -777,10 +774,7 @@ class PullbackSquare:
 
     def to_json(self) -> dict:
         return {
-            "corners": {
-                name: {"m": K.m, "facets": [list(f) for f in K.facets]}
-                for name, K in self.corners.items()
-            },
+            "corners": {name: complex_to_json(K) for name, K in self.corners.items()},
             "maps": [
                 {"from": src, "to": dst, "description": desc}
                 for src, dst, desc in self.maps

@@ -49,11 +49,6 @@ class SimplicialComplex:
             cov.update(f)
         return tuple(sorted(cov))
 
-    def ghost_vertices(self) -> tuple[int, ...]:
-        """Vertices of {1..m} not contained in any face."""
-        cov = set(self.vertices())
-        return tuple(v for v in range(1, self.m + 1) if v not in cov)
-
     def faces(self) -> tuple[Face, ...]:
         """All faces including the empty face, sorted by (size, lex)."""
         return _faces(self)

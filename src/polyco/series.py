@@ -1,26 +1,25 @@
 """
-Truncated Poincare series with exact coefficients.
+Truncated Poincare series with exact integer coefficients.
 
 A PoincareSeries holds the coefficients of the rational homology series of a
-space through a fixed degree N.  Coefficients are `int` where integral and
-`fractions.Fraction` otherwise; all arithmetic and comparisons are exact and
-never silently extend the truncation.  The rules below build integer series,
-so a `Fraction` appears only where a caller supplies a non-integral value or
-a declared denominator whose constant term is not 1.
+space through a fixed degree N.  Coefficients are `int` only: `from_ints`
+rejects any other value, and a declared rational series needs a denominator
+with constant term 1, so every expansion stays integral.  All arithmetic and
+comparisons are exact and never silently extend the truncation.
 
 series_of evaluates an expression by the classical rules (Bott-Samelson for
 loops of suspensions, the James-style formulas for loops of spheres, rational
 Eilenberg-MacLane factors for iterated loops of spheres, reciprocal
 additivity for loops of wedges of simply connected spaces), memoized on the
-normalized expression and N.  Anything outside those rules yields an
-Unsupported value carrying a human-readable chain of reasons; Unsupported is
-data, not an error.
+normalized expression and N.  The loop-of-wedge rule doubles as the
+free-product oracle of `verify`, which calls series_of on Loop(Wedge(...)).
+Anything outside those rules yields an Unsupported value carrying a
+human-readable chain of reasons; Unsupported is data, not an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
@@ -55,30 +54,22 @@ class Unsupported:
 SeriesOrUnsupported = Union["PoincareSeries", Unsupported]
 
 
-Coeff = Union[int, Fraction]
-
-
-def _exact(v: int | Fraction | float) -> Coeff:
-    """v as an int when integral, else as its exact Fraction (never a float)."""
-    if type(v) is int:
-        return v
-    q = Fraction(v)
-    return q.numerator if q.denominator == 1 else q
-
-
 @dataclass(frozen=True, slots=True)
 class PoincareSeries:
-    """Coefficients of t^0..t^N: ints where integral, exact Fractions otherwise."""
+    """Integer coefficients of t^0..t^N."""
 
-    coeffs: tuple[Coeff, ...]
+    coeffs: tuple[int, ...]
 
     @property
     def N(self) -> int:
         return len(self.coeffs) - 1
 
     @staticmethod
-    def from_ints(values: Sequence[int | Fraction], N: int | None = None) -> "PoincareSeries":
-        cs = [_exact(v) for v in values]
+    def from_ints(values: Sequence[int], N: int | None = None) -> "PoincareSeries":
+        bad = [v for v in values if type(v) is not int]
+        if bad:
+            raise ValueError(f"series coefficients must be integers, got {bad}")
+        cs = list(values)
         if N is not None:
             cs = (cs + [0] * (N + 1))[: N + 1]
         return PoincareSeries(tuple(cs))
@@ -92,30 +83,18 @@ class PoincareSeries:
         return PoincareSeries((0,) * (N + 1))
 
     @staticmethod
-    def monomial(degree: int, N: int, coeff: int | Fraction = 1) -> "PoincareSeries":
+    def monomial(degree: int, N: int, coeff: int = 1) -> "PoincareSeries":
         cs = [0] * (N + 1)
         if 0 <= degree <= N:
-            cs[degree] = _exact(coeff)
+            cs[degree] = coeff
         return PoincareSeries(tuple(cs))
 
     @staticmethod
-    def from_rational(
-        num: Sequence[int | Fraction], den: Sequence[int | Fraction], N: int
-    ) -> "PoincareSeries":
-        """Expand num(t)/den(t) through degree N; den(0) must be nonzero."""
-        if not den or den[0] == 0:
-            raise ValueError("denominator needs a nonzero constant term")
-        p = PoincareSeries.from_ints(num, N)
-        q = PoincareSeries.from_ints(den, N)
-        d0 = q.coeffs[0]
-        if d0 != 1:
-            d0 = Fraction(d0)
-            p = PoincareSeries(tuple(c / d0 for c in p.coeffs))
-            q = PoincareSeries(tuple(c / d0 for c in q.coeffs))
-        return p * q.invert()
-
-    def coeff(self, d: int) -> Coeff:
-        return self.coeffs[d]
+    def from_rational(num: Sequence[int], den: Sequence[int], N: int) -> "PoincareSeries":
+        """Expand num(t)/den(t) through degree N; den(0) must be 1, as in Atom."""
+        if not den or den[0] != 1:
+            raise ValueError(f"denominator needs constant term 1, got {list(den)}")
+        return PoincareSeries.from_ints(num, N) * PoincareSeries.from_ints(den, N).invert()
 
     def _check(self, other: "PoincareSeries") -> None:
         if self.N != other.N:
@@ -206,7 +185,7 @@ class PoincareSeries:
     def to_json(self) -> dict:
         return {
             "N": self.N,
-            "coefficients": [[c.numerator, c.denominator] for c in self.coeffs],
+            "coefficients": [[c, 1] for c in self.coeffs],
         }
 
 

@@ -244,6 +244,8 @@ def normalize(e: SpaceExpr) -> SpaceExpr:
 
     if isinstance(e, MapFromSusp):
         c = normalize(e.child)
+        if isinstance(c, Point):  # every pointed map into a point is constant
+            return POINT
         dims = wedge_of_spheres_type(e.complex)
         if dims is None:
             return MapFromSusp(e.complex, c)
@@ -501,9 +503,6 @@ class PairAssignment:
 
     def codomain_is_point(self, i: int) -> bool:
         return isinstance(normalize(self.codomain(i)), Point)
-
-    def simply_connected(self, i: int) -> bool:
-        return conn(self.domain(i)) >= 1 and conn(self.codomain(i)) >= 1
 
     @staticmethod
     def of(pairs: Iterable[tuple[SpaceExpr, SpaceExpr]]) -> "PairAssignment":

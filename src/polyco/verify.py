@@ -4,20 +4,24 @@ truncated-series oracle at a chosen degree N.
 
 The bracket weight bound is always derived from N as W = N + 1, which is the
 truncation-soundness bound: any omitted bracket factor carries no homology at
-or below degree N, so the truncated products are exact.  Internally the
-bracket counting also prunes by factor bottom degree instead of counting
-every class of weight up to N + 1; the two cuts agree through degree N and
-the pruned one stays small.
+or below degree N, so the truncated products are exact.  A report reads W off
+N.  Internally the bracket counting also prunes by factor bottom degree
+instead of counting every class of weight up to N + 1; the two cuts agree
+through degree N and the pruned one stays small.
 
-Verdicts: Equal (coefficientwise equality through degree N), FirstDifference
-(the first degree where the two sides disagree, with both coefficients), or
-Skipped (some side was outside the series rules; never conflated with Equal).
+The free-product oracle for loops on a wedge is a `series_of` call on
+Loop(Wedge(...)), whose loop-of-wedge rule adds reciprocals.
+
+Every check returns through `_report`, whose verdict is Equal
+(coefficientwise equality through degree N), FirstDifference (the first
+degree where the two sides disagree, with both coefficients), or Skipped
+(some side was outside the series rules, named as "lhs: ..." or "rhs: ...";
+never conflated with Equal).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Union
 
 from .decomp import (
@@ -30,7 +34,6 @@ from .scomplex import SimplicialComplex, build, disjoint_union, join
 from .series import (
     PoincareSeries,
     Unsupported,
-    free_product_series,
     series_of,
     tensor_algebra_series,
 )
@@ -57,8 +60,8 @@ class Equal:
 @dataclass(frozen=True, slots=True)
 class FirstDifference:
     degree: int
-    lhs: Fraction
-    rhs: Fraction
+    lhs: int
+    rhs: int
 
     def __str__(self) -> str:
         return f"FirstDifference(degree {self.degree}: {self.lhs} vs {self.rhs})"
@@ -79,11 +82,14 @@ Verdict = Union[Equal, FirstDifference, Skipped]
 class VerificationReport:
     name: str
     N: int
-    W: int | None
     lhs: PoincareSeries | Unsupported
     rhs: PoincareSeries | Unsupported
     verdict: Verdict
     notes: tuple[str, ...] = ()
+
+    @property
+    def W(self) -> int:
+        return self.N + 1
 
     def render(self) -> str:
         lines = [f"{self.name}: {self.verdict} (N={self.N}, W={self.W})"]
@@ -105,8 +111,8 @@ class VerificationReport:
             verdict = {
                 "kind": "first_difference",
                 "degree": self.verdict.degree,
-                "lhs": [self.verdict.lhs.numerator, self.verdict.lhs.denominator],
-                "rhs": [self.verdict.rhs.numerator, self.verdict.rhs.denominator],
+                "lhs": [self.verdict.lhs, 1],
+                "rhs": [self.verdict.rhs, 1],
             }
         else:
             verdict = {"kind": "skipped", "reason": self.verdict.reason}
@@ -132,6 +138,18 @@ def _verdict(lhs, rhs) -> Verdict:
     return FirstDifference(*diff)
 
 
+def _report(name: str, N: int, lhs, rhs, notes: Sequence[str] = ()) -> VerificationReport:
+    return VerificationReport(name, N, lhs, rhs, _verdict(lhs, rhs), tuple(notes))
+
+
+def _loops_on_wedge(spaces: Sequence[SpaceExpr], N: int):
+    """The free-product oracle: series_of's rule for loops on a wedge.  No
+    spaces is an error, as in free_product_series, not the point's series."""
+    if not spaces:
+        raise ValueError("free product needs at least one component")
+    return series_of(Loop(Wedge(tuple(spaces))), N)
+
+
 def _desuspend(e: SpaceExpr) -> SpaceExpr:
     e = normalize(e)
     if isinstance(e, Sphere) and e.n >= 1:
@@ -149,72 +167,53 @@ def check_hilton_milnor(summands: Sequence[SpaceExpr], N: int) -> VerificationRe
     summands, (c) the product of the Hall-bracket factor series.  The
     verdict is Equal only when all three agree.
     """
-    W = N + 1
     desusp = [_desuspend(x) for x in summands]
     parts = [series_of(x, N) for x in desusp]
     bad = [p for p in parts if isinstance(p, Unsupported)]
     if bad:
-        return VerificationReport(
-            "hilton-milnor", N, W, bad[0], bad[0], Skipped(bad[0].reason)
-        )
+        return _report("hilton-milnor", N, bad[0], bad[0])
     red = PoincareSeries.zero(N)
     for p in parts:
         red = red + p.reduced()
     oracle_bs = tensor_algebra_series(red)
 
-    looped = [series_of(Loop(normalize(x)), N) for x in summands]
-    for p in looped:
-        if isinstance(p, Unsupported):
-            return VerificationReport(
-                "hilton-milnor", N, W, oracle_bs, p, Skipped(f"rhs: {p.reason}")
-            )
-    oracle_fp = free_product_series(looped)
+    oracle_fp = _loops_on_wedge(summands, N)
+    if isinstance(oracle_fp, Unsupported):
+        return _report("hilton-milnor", N, oracle_bs, oracle_fp)
 
-    product = hilton_milnor(desusp, W, degree_bound=N).series_product(N)
+    product = hilton_milnor(desusp, N + 1, degree_bound=N).series_product(N)
     notes = (f"{len(summands)} summands; Hall product vs tensor-algebra and free-product oracles",)
-    verdict = _verdict(oracle_bs, product)
-    if isinstance(verdict, Equal):
-        cross = oracle_bs.compare(oracle_fp)
-        if cross is not None:
-            verdict = FirstDifference(*cross)
-            notes = notes + ("tensor-algebra and free-product oracles disagree",)
-    return VerificationReport("hilton-milnor", N, W, oracle_bs, product, verdict, notes)
+    # the oracles are cross-checked once the product matches the first
+    if product == oracle_bs != oracle_fp:
+        notes = notes + ("tensor-algebra and free-product oracles disagree",)
+        return _report("hilton-milnor", N, oracle_bs, oracle_fp, notes)
+    return _report("hilton-milnor", N, oracle_bs, product, notes)
 
 
 def check_porter(spaces: Sequence[SpaceExpr], N: int) -> VerificationReport:
     """Product of loops of the summands times loops of the fiber wedge,
     against the free-product oracle for loops of the wedge."""
-    W = N + 1
     lhs = PoincareSeries.one(N)
-    looped = []
     for x in spaces:
-        p = series_of(Loop(normalize(x)), N)
+        p = series_of(Loop(x), N)
         if isinstance(p, Unsupported):
-            return VerificationReport("porter", N, W, p, p, Skipped(p.reason))
-        looped.append(p)
+            return _report("porter", N, p, p)
         lhs = lhs * p
 
     fiber = porter_fiber(spaces)
-    if isinstance(fiber, Point):
-        fiber_series = PoincareSeries.one(N)
-    else:
+    if not isinstance(fiber, Point):
         fib = fiber if isinstance(fiber, Wedge) else Wedge((fiber,))
         desusp = [_desuspend(c) for c, k in zip(fib.children, fib.powers) for _ in range(k)]
-        fiber_series = hilton_milnor(desusp, W, degree_bound=N).series_product(N)
+        fiber_series = hilton_milnor(desusp, N + 1, degree_bound=N).series_product(N)
         if isinstance(fiber_series, Unsupported):
-            return VerificationReport(
-                "porter", N, W, fiber_series, fiber_series, Skipped(fiber_series.reason)
-            )
-    lhs = lhs * fiber_series
-    rhs = free_product_series(looped)
-    return VerificationReport(
+            return _report("porter", N, fiber_series, fiber_series)
+        lhs = lhs * fiber_series
+    return _report(
         "porter",
         N,
-        W,
         lhs,
-        rhs,
-        _verdict(lhs, rhs),
-        (f"fiber wedge expanded through Hall brackets at W={W}",),
+        _loops_on_wedge(spaces, N),
+        (f"fiber wedge expanded through Hall brackets at W={N + 1}",),
     )
 
 
@@ -223,19 +222,10 @@ def check_wedge_case(
 ) -> VerificationReport:
     """The wedge-coproduct decomposition at the full simplex, where loops of
     the coproduct are loops of the wedge and the free-product oracle applies."""
-    W = N + 1
     if not K.has_face(range(1, K.m + 1)):
         raise ValueError("the wedge case needs the full simplex as the complex")
-    dec = loop_decompose_wedge(K, spaces, W, degree_bound=N)
-    lhs = dec.series_product(N)
-    looped = [series_of(Loop(normalize(x)), N) for x in spaces]
-    for p in looped:
-        if isinstance(p, Unsupported):
-            return VerificationReport(
-                "wedge-case", N, W, lhs, p, Skipped(f"rhs: {p.reason}")
-            )
-    rhs = free_product_series(looped)
-    return VerificationReport("wedge-case", N, W, lhs, rhs, _verdict(lhs, rhs))
+    dec = loop_decompose_wedge(K, spaces, N + 1, degree_bound=N)
+    return _report("wedge-case", N, dec.series_product(N), _loops_on_wedge(spaces, N))
 
 
 def counterexample_inputs() -> tuple[SimplicialComplex, list[SpaceExpr]]:
@@ -249,19 +239,15 @@ def check_counterexample(N: int) -> VerificationReport:
     """Coproducts do not split over joins: the decomposition over the square
     (a finite product of circles and loops of 3-spheres) differs from loops of
     the wedge of two products, starting in degree 3."""
-    W = N + 1
     square, spaces = counterexample_inputs()
-    dec = loop_decompose_wedge(square, spaces, 1)
-    lhs = dec.series_product(N)
+    lhs = loop_decompose_wedge(square, spaces, 1).series_product(N)
     pp = Product((CP_INFINITY, CP_INFINITY))
     rhs = series_of(Loop(Wedge((pp, pp))), N)
-    return VerificationReport(
+    return _report(
         "join-counterexample",
         N,
-        W,
         lhs,
         rhs,
-        _verdict(lhs, rhs),
         (
             "a difference is the expected outcome: the coproduct over a join "
             "is not the wedge of the factor coproducts",
@@ -277,12 +263,10 @@ def check_disjoint_union(
 ) -> VerificationReport:
     """Multiplicativity over disjoint unions: the series of the union
     decomposition equals the product of the component series."""
-    W = N + 1
     K = disjoint_union(K1, K2)
-    lhs = loop_decompose_wedge(K, spaces, W, degree_bound=N).series_product(N)
-    union = disjoint_union_decomp(K1, K2, spaces, W, degree_bound=N)
-    rhs = union.series_product(N)
-    return VerificationReport("disjoint-union", N, W, lhs, rhs, _verdict(lhs, rhs))
+    lhs = loop_decompose_wedge(K, spaces, N + 1, degree_bound=N).series_product(N)
+    rhs = disjoint_union_decomp(K1, K2, spaces, N + 1, degree_bound=N).series_product(N)
+    return _report("disjoint-union", N, lhs, rhs)
 
 
 def run_reports(reports: Sequence[VerificationReport]) -> list[VerificationReport]:

@@ -48,7 +48,6 @@ from polyco.spacexpr import (
     POINT,
     Atom,
     Loop,
-    MapFromSusp,
     PairAssignment,
     Product,
     Smash,
@@ -723,18 +722,9 @@ def test_contractible_rule_over_a_face_is_a_point():
             assert _bracket_rule(K, pairs, face) is None, (K, face)
 
 
-def _map_into_a_point(e):
-    # the reference's form of a contractible-domain factor whose codomains
-    # are points over a support with an uncertified full subcomplex
-    return isinstance(e, Loop) and isinstance(e.child, MapFromSusp) and e.child.child == POINT
-
-
 def test_bracket_rule_matches_the_reference():
     # resolving a support once gives the factor the per-l rule gives, for
-    # every support and several contents on it; where every domain is
-    # contractible and every codomain a point, the point-codomain lemma
-    # decides first and drops a non-face support whose mapping space into
-    # a point the reference leaves symbolic
+    # every support and several contents on it
     rng = random.Random(5089)
     compared = 0
     for _ in range(40):
@@ -750,9 +740,19 @@ def test_bracket_rule_matches_the_reference():
                     got = POINT if factor_of is None else factor_of(l)
                     want = reference_bracket_factor(K, pairs, support, l)
                     compared += 1
-                    if got != want:
-                        assert factor_of is None and _map_into_a_point(want), (K, pairs, l)
+                    assert got == want, (K, pairs, l)
     assert compared > 1000
+
+
+def test_mixed_point_codomains_list_no_mapping_space_into_a_point():
+    # on the 4-cycle with path fibrations over S^2, S^2, S^2 and a point, the
+    # supports through the point vertex give Map_*(Σ|K_S|, *), which is a point
+    square = build(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
+    pairs = PairAssignment.path_fibrations([S(2), S(2), S(2), POINT])
+    dec = loop_decompose_contractible(square, pairs, 4)
+    assert [(render(f.expr), f.provenance) for f in dec.factors] == [
+        ("Ω^2Σ(ΩS^2^∧2)", BracketClass(1, (1, 0, 1, 0)))
+    ]
 
 
 def test_point_codomains_drop_a_non_face_support_with_contractible_domains():
@@ -760,9 +760,7 @@ def test_point_codomains_drop_a_non_face_support_with_contractible_domains():
     # bracket factor is a mapping space into a point: no preset lists one
     square = build(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
     pairs = PairAssignment.of([(PX, POINT)] * 4)
-    assert reference_bracket_factor(square, pairs, (1, 2, 3, 4), (1, 1, 1, 1)) == Loop(
-        MapFromSusp(square, POINT)
-    )
+    assert reference_bracket_factor(square, pairs, (1, 2, 3, 4), (1, 1, 1, 1)) == POINT
     assert _bracket_rule(square, pairs, (1, 2, 3, 4)) is None
     for dec in (
         loop_decompose(square, pairs, 5),

@@ -1,6 +1,7 @@
 """Exact truncated series arithmetic and the evaluation rules."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from polyco.series import (
     tensor_algebra_series,
 )
 from polyco.spacexpr import (
+    CP_INFINITY,
     POINT,
     Atom,
     Loop,
@@ -148,18 +150,18 @@ def test_atom_series_with_negative_coefficient_is_unsupported():
     assert isinstance(series_of(late, 3), Unsupported)
 
 
-def test_from_ints_keeps_exact_values():
-    cs = PoincareSeries.from_ints([1, 2.5, Fraction(3, 1)]).coeffs
-    assert cs == (1, Fraction(5, 2), 3)
-    assert [type(c) for c in cs] == [int, Fraction, int]
+def test_from_ints_rejects_non_integers():
+    # coefficients are ints only: a float, a bool or a Fraction is named, not converted
+    for values, named in [([1, 2.5], "2.5"), ([1, True], "True"), ([Fraction(3, 1)], "Fraction(3, 1)")]:
+        with pytest.raises(ValueError, match=r"must be integers, got \[" + re.escape(named)):
+            PoincareSeries.from_ints(values)
 
 
-def test_from_rational_non_unit_constant_term():
-    # 1/(2 - t) = sum t^k / 2^(k+1)
-    N = 12
-    p = PoincareSeries.from_rational([1], [2, -1], N)
-    assert p.coeffs == tuple(Fraction(1, 2 ** (k + 1)) for k in range(N + 1))
-    assert all(type(c) is Fraction for c in p.coeffs)
+def test_from_rational_needs_unit_constant_term():
+    # as for a declared Atom series, the denominator's constant term is 1
+    with pytest.raises(ValueError, match="constant term 1"):
+        PoincareSeries.from_rational([1], [2, -1], 12)
+    assert PoincareSeries.from_rational([1], [1, -2], 4).coeffs == (1, 2, 4, 8, 16)
 
 
 def test_rule_series_have_int_coefficients():
@@ -318,3 +320,22 @@ def test_powers_are_read_without_copies():
     p, q = series_of(Loop(Sphere(3)), 12), series_of(Loop(Sphere(4)), 12)
     assert three == free_product_series([p, p, p, q, q])
     assert 3 * p == p + p + p
+
+
+def test_loops_on_a_wedge_match_the_free_product_of_the_summands():
+    # verify's free-product oracle is series_of on Loop(Wedge(...)); the
+    # free-product formula over the looped summands is the reference
+    declared = Atom("A", 1, series=((1, 0, 1), (1,)))
+    looped = Atom("Z", 2, loop=Atom("ΩZ", 1, series=((1,), (1, 0, -1))))
+    pool = [S(2), S(3), S(4), S(5), POINT, CP_INFINITY, Susp(declared), looped,
+            Product((S(2), S(3))), Wedge((S(3), S(4)))]
+    rng = random.Random(2626)
+    repeated = 0
+    for _ in range(240):
+        N = rng.randint(0, 14)
+        spaces = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        repeated += len(set(spaces)) < len(spaces)
+        got = series_of(Loop(Wedge(tuple(spaces))), N)
+        assert got == free_product_series([series_of(Loop(x), N) for x in spaces]), spaces
+        assert all(type(c) is int for c in got.coeffs)
+    assert repeated > 40

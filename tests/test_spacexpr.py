@@ -115,6 +115,17 @@ def test_map_from_susp_uncertified_stays_symbolic():
     assert normalize(e) == e
 
 
+def test_map_into_a_point_is_a_point():
+    # pointed maps into a point are constant, whether or not K is certified
+    square = build(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
+    assert normalize(MapFromSusp(square, POINT)) == POINT
+    assert normalize(Loop(MapFromSusp(square, Atom("P", 0, contractible=True)))) == POINT
+    data = {"kind": "map_from_susp", "complex": {"m": 4, "facets": [[1, 2], [2, 3], [3, 4], [1, 4]]},
+            "child": {"kind": "point"}}
+    assert series_of(expr_from_json(data), 6) == series_of(POINT, 6)
+    assert series_of(expr_from_json({"kind": "loop", "child": data}), 6).coeffs == (1,) + (0,) * 6
+
+
 def test_normalize_idempotent_randomized():
     rng = random.Random(20240812)
     for _ in range(300):
@@ -162,7 +173,6 @@ def test_pair_assignment_flags():
     assert pairs.m == 2
     assert pairs.domain_contractible(1)
     assert not pairs.codomain_is_point(1)
-    assert pairs.simply_connected(2)
     const = PairAssignment.constant_maps([S(2)])
     assert const.codomain_is_point(1)
 

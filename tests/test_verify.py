@@ -1,13 +1,14 @@
 """Series checks against their independent oracles."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from polyco.scomplex import build
 from polyco.series import PoincareSeries
-from polyco.spacexpr import Atom, Sphere, Susp
+from polyco.spacexpr import CP_INFINITY, Atom, Sphere, Susp
 from polyco.verify import (
     Equal,
     FirstDifference,
@@ -144,3 +145,42 @@ def test_report_json_shape():
     assert data["verdict"]["kind"] == "first_difference"
     assert data["verdict"]["degree"] == 3
     assert data["N"] == 4 and data["W"] == 5
+
+
+def test_skipped_reasons_name_their_side_and_w_follows_n():
+    # a seeded matrix of the five checks, with atoms outside the series
+    # rules mixed in so that each check meets unsupported sides
+    bare, declared = Atom("B", 1), Atom("A", 1, series=((1, 0, 1), (1,)))
+    suspensions = [S(2), S(3), S(4), Susp(bare), Susp(declared)]
+    spaces = [S(2), S(3), CP_INFINITY, bare, Susp(bare), Susp(declared)]
+    rng = random.Random(8080)
+    kinds, late = Counter(), 0
+    for _ in range(60):
+        N = rng.randint(2, 7)
+        late += N >= 3  # the counterexample differs from degree 3 on
+        picks = [rng.choice(spaces) for _ in range(rng.randint(1, 3))]
+        m = len(picks)
+        K1 = build(1, [[1]])
+        reports = [
+            check_hilton_milnor([rng.choice(suspensions) for _ in range(rng.randint(1, 3))], N),
+            check_porter(picks, N),
+            check_wedge_case(build(m, [range(1, m + 1)]), picks, N),
+            check_disjoint_union(K1, K1, [rng.choice(spaces), rng.choice(spaces)], N),
+            check_counterexample(N),
+        ]
+        for r in reports:
+            assert r.W == N + 1 and r.to_json()["W"] == N + 1
+            kinds[type(r.verdict).__name__] += 1
+            if isinstance(r.verdict, Skipped):
+                assert r.verdict.reason.startswith(("lhs: ", "rhs: ")), r.render()
+                side = r.lhs if r.verdict.reason.startswith("lhs: ") else r.rhs
+                assert r.verdict.reason.endswith(side.reason)
+    assert kinds["Skipped"] > 50 and kinds["Equal"] > 50 and kinds["FirstDifference"] == late
+
+
+def test_porter_checks_simple_connectivity_before_the_oracle():
+    # the loop series of T is declared, but T is not simply connected: the
+    # fiber's precondition raises before the free-product oracle could skip
+    T = Atom("T", 0, loop=S(3))
+    with pytest.raises(ValueError, match="vertex 1: wedge summand T must be simply connected"):
+        check_porter([T, S(2)], 5)
