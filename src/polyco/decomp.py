@@ -38,6 +38,9 @@ multiplicity is its bracket count and whose provenance is BracketClass(w, l),
 rendered in JSON as {"kind": "class", "weight": w, "l": [...]}.  The three
 polyhedral decompositions are one engine and one bracket rule over the face
 alphabet; they differ only in their letters, truncation and input checks.
+The rule is resolved once per support and a factor built once per key: in the
+reduced branches the letter count per distinct vertex space (and the
+realization), not l, so classes with equal factors share one factor object.
 
 Every emitted factor expression is normalized, factors that normalize to a
 point are dropped, and factor order is deterministic: vertex factors first by
@@ -67,6 +70,7 @@ from .scomplex import (
     wedge_of_spheres_type,
 )
 from .spacexpr import (
+    POINT,
     Atom,
     Loop,
     MapFromSusp,
@@ -83,8 +87,6 @@ from .spacexpr import (
     normalize,
     render,
 )
-
-POINT = Point()
 
 
 # ---------------------------------------------------------------------------
@@ -321,27 +323,32 @@ class Decomposition:
             out = out * series[e] ** k
         return out
 
+    def _forms(self, form) -> dict[int, object]:
+        # form(e) once per factor object, keyed by id: no deep hashing
+        return {k: form(e) for k, e in {id(f.expr): f.expr for f in self.factors}.items()}
+
     def render(self) -> str:
         total = sum(f.multiplicity for f in self.factors)
         head = f"{self.theorem}: {len(self.factors)} entries, {total} factors with multiplicity"
         if self.truncation is not None:
             head += f" (bracket weight ≤ {self.truncation})"
+        texts = self._forms(render)
         lines = [head]
         for f in self.factors:
             mult = f" ^{f.multiplicity}" if f.multiplicity > 1 else ""
-            lines.append(f"  {render(f.expr)}{mult}   [{_provenance_text(f.provenance)}]")
+            lines.append(f"  {texts[id(f.expr)]}{mult}   [{_provenance_text(f.provenance)}]")
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        """The listing as JSON data; factors with equal expressions share one "expr" object."""
-        forms = {e: (expr_to_json(e), render(e)) for e in {f.expr for f in self.factors}}
+        """The listing as JSON data; entries with one factor object share one "expr" object."""
+        forms = self._forms(lambda e: (expr_to_json(e), render(e)))
         return {
             "theorem": self.theorem,
             "truncation": self.truncation,
             "factors": [
                 {
-                    "expr": forms[f.expr][0],
-                    "text": forms[f.expr][1],
+                    "expr": forms[id(f.expr)][0],
+                    "text": forms[id(f.expr)][1],
                     "multiplicity": f.multiplicity,
                     "provenance": _provenance_json(f.provenance),
                 }
@@ -415,32 +422,35 @@ def _class_factors(
 ) -> list[Factor]:
     """The bracket engine: one factor per counted (weight, l) class.
 
-    rule(support) runs once per support and returns None when every class
-    over it vanishes, else the function of l that builds a class's
-    expression, run once per l; vanishing classes and expressions that
-    normalize to a point are dropped.  Ordered by weight, then l in
-    descending lexicographic order, so raising the weight bound only appends.
+    rule(support) runs once per support: None when every class over it
+    vanishes, else (key, build), and build(l) runs once per distinct key(l)
+    (a key of tuple keys by l itself), so classes with one key share one
+    factor object.  Expressions that normalize to a point are dropped.
+    Ordered by weight, then l in descending lexicographic order, so raising
+    the weight bound only appends.
     """
     counts = lyndon_class_counts(
         letters, weight_bound, vertex_degrees=vertex_degrees, degree_bound=degree_bound
     )
     rules: dict[tuple[int, ...], object] = {}
-    made: dict[tuple[int, ...], SpaceExpr] = {}
+    made: dict[object, SpaceExpr] = {}
     out = []
     for cls in sorted((BracketClass(w, l) for w, l in counts), key=BracketClass.sort_key):
-        if cls.l not in made:
-            if cls.support not in rules:
-                rules[cls.support] = rule(cls.support)
-            factor_of = rules[cls.support]
-            made[cls.l] = POINT if factor_of is None else factor_of(cls.l)
-        expr = made[cls.l]
-        if not isinstance(expr, Point):
-            out.append(Factor(expr, counts[(cls.weight, cls.l)], cls))
+        if (support := cls.support) not in rules:
+            rules[support] = rule(support)
+        if rules[support] is not None:
+            key, build = rules[support]
+            k = key(cls.l)
+            if k not in made:
+                made[k] = build(cls.l)
+            if not isinstance(made[k], Point):
+                out.append(Factor(made[k], counts[(cls.weight, cls.l)], cls))
     return out
 
 
 def _assert_conn_at_least_weight(factors: Sequence[Factor]) -> None:
-    for f in factors:
+    # by weight, so each factor object's last entry has its largest weight
+    for f in {id(f.expr): f for f in factors}.values():
         assert conn(f.expr) >= f.provenance.weight, (render(f.expr), f.provenance)
 
 
@@ -468,7 +478,7 @@ def hilton_milnor(
             raise ValueError(f"vertex {i}: summand {render(x)} must be connected")
 
     def rule(support):
-        return lambda l: normalize(Loop(Susp(_smash_powers(lambda j: spaces[j - 1], l))))
+        return tuple, lambda l: normalize(Loop(Susp(_smash_powers(lambda j: spaces[j - 1], l))))
 
     letters = [(tuple(int(j == i) for j in range(m)), 1) for i in range(m)]
     degrees = _vertex_degrees(spaces, 1) if degree_bound is not None else None
@@ -520,28 +530,47 @@ def _smash_powers(space, l: Sequence[int]) -> Smash:
     return Smash(tuple(x for x, _ in terms), tuple(lj for _, lj in terms))
 
 
-def _bracket_rule(K: SimplicialComplex, pairs: PairAssignment, support: tuple[int, ...]):
+def _vertex_pieces(pairs: PairAssignment):
+    # once per decomposition: normalized (domain, codomain) per vertex, ids per side
+    normal = tuple((normalize(x), normalize(a)) for x, a in pairs.pairs)
+    ids: dict[SpaceExpr, int] = {}
+    return normal, [[ids.setdefault(xa[side], len(ids)) for xa in normal] for side in (0, 1)]
+
+
+def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
     """The factor of the classes over one support: None when they all vanish,
-    else the function of the vertex content l that builds the looped weighted
-    smash coproduct over the full subcomplex on the support, reduced where a
-    lemma applies."""
-    if all(pairs.codomain_is_point(j) for j in support):
+    else (key, build).  build(l) makes the looped weighted smash coproduct
+    over the full subcomplex on the support, reduced where a lemma applies;
+    key(l) is all that it depends on (l itself in the mixed branch)."""
+    normal, ids = pieces
+    if all(isinstance(normal[j - 1][1], Point) for j in support):
         # point codomains: only a face support survives
         if not K.has_face(support):
             return None
-        return lambda l: normalize(Loop(Susp(_smash_powers(lambda j: Loop(pairs.domain(j)), l))))
-    if all(pairs.domain_contractible(j) for j in support):
-        # over a face this is a mapping space out of a suspended simplex
-        if K.has_face(support):
+        side, shape = 0, "point"
+    elif all(isinstance(normal[j - 1][0], Point) for j in support):
+        # over a face, or any certified contractible realization, this is a point
+        sub = None if K.has_face(support) else full_subcomplex(K, support).complex
+        if sub is None or wedge_of_spheres_type(sub) == ():
             return None
-        sub = full_subcomplex(K, support).complex
-        return lambda l: normalize(
-            Loop(MapFromSusp(sub, Susp(_smash_powers(lambda j: Loop(pairs.codomain(j)), l))))
-        )
-    # mixed endpoint data over the support: no lemma applies, stay symbolic
-    name = "ŝ-coprod[K_{" + ",".join(map(str, support)) + "}; weights "
-    dim = full_subcomplex(K, support).complex.dim()
-    return lambda l: Loop(Atom(f"{name}{[lj for lj in l if lj]}]", max(0, sum(l) - dim - 1)))
+        side, shape = 1, wedge_of_spheres_type(sub) or sub
+    else:
+        # mixed endpoint data over the support: no lemma applies, stay symbolic
+        name = "ŝ-coprod[K_{" + ",".join(map(str, support)) + "}; weights "
+        top = full_subcomplex(K, support).complex.dim() + 1
+        return tuple, lambda l: Loop(Atom(f"{name}{[x for x in l if x]}]", max(0, sum(l) - top)))
+
+    def key(l):
+        total = [0] * 2 * len(normal)
+        for i, lj in zip(ids[side], l):
+            total[i] += lj
+        return shape, tuple(total)
+
+    def build(l):
+        smash = Susp(_smash_powers(lambda j: Loop(normal[j - 1][side]), l))
+        return normalize(Loop(smash if side == 0 else MapFromSusp(sub, smash)))
+
+    return key, build
 
 
 def class_diagram(
@@ -569,13 +598,8 @@ def _coproduct_decomposition(
     # weight bound cuts it
     if weight_bound < 1:
         raise ValueError("weight bound must be >= 1")
-    brackets = _class_factors(
-        letters,
-        weight_bound,
-        partial(_bracket_rule, K, pairs),
-        vertex_degrees=vertex_degrees,
-        degree_bound=degree_bound,
-    )
+    rule = partial(_bracket_rule, K, _vertex_pieces(pairs))
+    brackets = _class_factors(letters, weight_bound, rule, vertex_degrees, degree_bound)
     factors = _base_factors(K, pairs) + brackets
     return Decomposition(tuple(factors), theorem, weight_bound if truncated else None)
 

@@ -201,14 +201,15 @@ _RANK = {
 
 
 def sort_key(e: SpaceExpr) -> tuple:
-    """A total order on expressions; only used for deterministic output."""
+    """A total order: equal keys only for equal expressions, as normalize's merge needs."""
     r = _RANK[type(e)]
     if isinstance(e, Point):
         return (r,)
     if isinstance(e, Sphere):
         return (r, e.n)
     if isinstance(e, Atom):
-        return (r, e.name, e.connectivity)
+        loop = () if e.loop is None else sort_key(e.loop)
+        return (r, e.name, e.connectivity, e.contractible, e.series or (), loop)
     if isinstance(e, Susp):
         return (r, sort_key(e.child))
     if isinstance(e, Loop):

@@ -3,8 +3,15 @@
 import random
 from fractions import Fraction
 
-from polyco.decomp import Decomposition, Factor, _base_factors, _provenance_text, _smash_powers
-from polyco.liealg import generators_for, hall_basis, plain_alphabet, stats
+from polyco.decomp import (
+    BracketClass,
+    Decomposition,
+    Factor,
+    _base_factors,
+    _provenance_text,
+    _smash_powers,
+)
+from polyco.liealg import generators_for, hall_basis, lyndon_class_counts, plain_alphabet, stats
 from polyco.scomplex import (
     SimplicialComplex,
     Subcomplex,
@@ -208,7 +215,8 @@ def reference_sort_key(e: SpaceExpr) -> tuple:
     if isinstance(e, Sphere):
         return (r, e.n)
     if isinstance(e, Atom):
-        return (r, e.name, e.connectivity)
+        loop = () if e.loop is None else reference_sort_key(e.loop)
+        return (r, e.name, e.connectivity, e.contractible, e.series or (), loop)
     if isinstance(e, Susp):
         return (r, reference_sort_key(e.child))
     if isinstance(e, Loop):
@@ -534,6 +542,23 @@ def reference_bracket_factor(K, pairs, support, l):
     weights = [lj for lj in l if lj]
     dim = full_subcomplex(K, support).complex.dim()
     return Loop(Atom(f"ŝ-coprod[K_{{{vert_text}}}; weights {weights}]", max(0, sum(l) - dim - 1)))
+
+
+def per_l_listing(
+    letters, weight_bound, factor_of, base, theorem, truncated,
+    vertex_degrees=None, degree_bound=None,
+) -> Decomposition:
+    """The class listing with factor_of(support, l) run afresh for every
+    class: the reference for the engine that builds a factor once per key."""
+    counts = lyndon_class_counts(
+        letters, weight_bound, vertex_degrees=vertex_degrees, degree_bound=degree_bound
+    )
+    brackets = []
+    for cls in sorted((BracketClass(w, l) for w, l in counts), key=BracketClass.sort_key):
+        expr = factor_of(cls.support, cls.l)
+        if not isinstance(expr, Point):
+            brackets.append(Factor(expr, counts[(cls.weight, cls.l)], cls))
+    return Decomposition(tuple(base + brackets), theorem, weight_bound if truncated else None)
 
 
 def enumerated_general(K, pairs, weight_bound) -> Decomposition:

@@ -1,0 +1,39 @@
+"""The benchmark's recorded answers, checked on one request per decomposition slot.
+
+perfbench/ is read, never written: its workload catalogue and its answer
+digests are loaded as they are, so a change in any factor listing fails
+here and not only in a timed benchmark run.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import polyco
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_workloads(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the file runs; no bytecode
+    # cache is written next to it
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_first_variant_of_every_decomposition_slot_matches_its_recorded_answer(monkeypatch):
+    workloads = load_workloads(monkeypatch)
+    answers = json.loads((PERFBENCH / "answers.json").read_text())
+    catalogue = workloads.catalogue()
+    specs = [slot.variants[0] for slot in catalogue["decompose-deep"].slots]
+    wide = [s.variants[0] for s in catalogue["complexes-wide"].slots]
+    specs += [spec for spec in wide if "decompose" in spec]
+    assert len(specs) == len(catalogue["decompose-deep"].slots) + 4
+    for spec in specs:
+        out = workloads.execute(polyco, workloads.make_inputs(polyco, spec))
+        assert workloads.check(polyco, spec, out, answers) is None, spec

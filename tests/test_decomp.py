@@ -1,28 +1,33 @@
 """The decomposition operations: diagrams, special cases, theorems, structure."""
 
 import json
+import math
 import random
 import re
 import time
 from collections import Counter
+from functools import partial
 from itertools import combinations
 
 import pytest
 
 import polyco.decomp
 from _helpers import (
+    _loop_smash_of_loops,
     enumerated_contractible,
     enumerated_general,
     enumerated_hilton_milnor,
     enumerated_wedge,
     random_complex,
     reference_bracket_factor,
+    per_l_listing,
     reference_series_product,
 )
 from polyco.decomp import (
     BracketClass,
     Decomposition,
     Factor,
+    _base_factors,
     bbcg_cone_splitting,
     bbcg_wedge_splitting,
     class_diagram,
@@ -39,9 +44,10 @@ from polyco.decomp import (
     pullback_square,
     smash_coproduct,
     _bracket_rule,
+    _vertex_pieces,
 )
 from polyco.liealg import Bracket, stats
-from polyco.scomplex import build, disjoint_union, full_subcomplex, join
+from polyco.scomplex import build, disjoint_union, full_subcomplex, join, wedge_of_spheres_type
 from polyco.series import PoincareSeries, Unsupported, series_of
 from polyco.spacexpr import (
     CP_INFINITY,
@@ -49,6 +55,7 @@ from polyco.spacexpr import (
     Atom,
     Loop,
     PairAssignment,
+    Point,
     Product,
     Smash,
     Sphere,
@@ -719,12 +726,13 @@ def test_contractible_rule_over_a_face_is_a_point():
                 continue
             l = tuple(rng.randint(1, 3) if j in face else 0 for j in range(1, K.m + 1))
             assert reference_bracket_factor(K, pairs, face, l) == POINT, (K, face)
-            assert _bracket_rule(K, pairs, face) is None, (K, face)
+            assert _bracket_rule(K, _vertex_pieces(pairs), face) is None, (K, face)
 
 
 def test_bracket_rule_matches_the_reference():
     # resolving a support once gives the factor the per-l rule gives, for
-    # every support and several contents on it
+    # every support and several contents on it, and one key never stands for
+    # two factors, across all supports of a complex
     rng = random.Random(5089)
     compared = 0
     for _ in range(40):
@@ -732,15 +740,19 @@ def test_bracket_rule_matches_the_reference():
         pairs = PairAssignment.of(
             [(rng.choice(DOMAIN_POOL), rng.choice(CODOMAIN_POOL)) for _ in range(K.m)]
         )
+        pieces = _vertex_pieces(pairs)
+        keyed = {}
         for k in range(2, K.m + 1):
             for support in combinations(range(1, K.m + 1), k):
-                factor_of = _bracket_rule(K, pairs, support)
+                resolved = _bracket_rule(K, pieces, support)
                 for _ in range(3):
                     l = tuple(rng.randint(1, 4) if j in support else 0 for j in range(1, K.m + 1))
-                    got = POINT if factor_of is None else factor_of(l)
+                    got = POINT if resolved is None else resolved[1](l)
                     want = reference_bracket_factor(K, pairs, support, l)
                     compared += 1
                     assert got == want, (K, pairs, l)
+                    if resolved is not None:
+                        assert keyed.setdefault(resolved[0](l), want) == want, (K, pairs, l)
     assert compared > 1000
 
 
@@ -761,7 +773,7 @@ def test_point_codomains_drop_a_non_face_support_with_contractible_domains():
     square = build(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
     pairs = PairAssignment.of([(PX, POINT)] * 4)
     assert reference_bracket_factor(square, pairs, (1, 2, 3, 4), (1, 1, 1, 1)) == POINT
-    assert _bracket_rule(square, pairs, (1, 2, 3, 4)) is None
+    assert _bracket_rule(square, _vertex_pieces(pairs), (1, 2, 3, 4)) is None
     for dec in (
         loop_decompose(square, pairs, 5),
         loop_decompose_contractible(square, pairs, 5),
@@ -789,6 +801,182 @@ def test_full_subcomplex_built_once_per_support(monkeypatch):
     pairs = PairAssignment.of([(S(3), S(2)), (PX, A1), (X2, POINT), (PX, CP_INFINITY)])
     dec = loop_decompose(boundary, pairs, 5)
     assert dec.bracket_factors() and max(built.values()) == 1
+
+
+# ---------------------------------------------------------------------------
+# the factor memo: one build per key, against the listing that builds per l
+# ---------------------------------------------------------------------------
+
+X_PLAIN = Atom("X", 1)
+X_SERIES = Atom("X", 1, series=((1,), (1, 0, -1)))
+X_LOOP = Atom("X", 1, loop=S(1))
+# the full subcomplexes on {1,2,3,4} and {1,2,3,4,5} are both uncertified
+SQUARE_AND_APEX = build(5, [[1, 2], [2, 3], [3, 4], [1, 4], [1, 5], [3, 5]])
+UNCERTIFIED = (
+    build(4, [[1, 2], [2, 3], [3, 4], [1, 4]]),
+    SQUARE_AND_APEX,
+    build(5, [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]),
+)
+MEMO_DOMAINS = (S(3), CP_INFINITY, POINT, PX, X_PLAIN, X_SERIES, X_LOOP)
+MEMO_CODOMAINS = (S(2), S(3), CP_INFINITY, POINT, X_PLAIN, X_SERIES, X_LOOP)
+MEMO_SPACES = (S(2), S(3), CP_INFINITY, PX, X_PLAIN, X_SERIES, X_LOOP)
+
+
+def face_letters(faces, m):
+    return [(tuple(int(j in J) for j in range(1, m + 1)), len(J) - 1) for J in faces if len(J) >= 2]
+
+
+def bottom_degrees(spaces, offset):
+    return [1 if conn(x) == math.inf else max(1, int(conn(x)) + offset) for x in spaces]
+
+
+def per_l_references(K, pairs, spaces, hm_spaces, W, bound):
+    """The four engines' listings with every class's factor built afresh."""
+    everything = list(combinations(range(1, K.m + 1), k) for k in range(2, K.m + 1))
+    all_letters = face_letters([J for js in everything for J in js], K.m)
+    contractible = PairAssignment.path_fibrations([a for _, a in pairs.pairs])
+    constant = PairAssignment.constant_maps(spaces)
+    by_vertex = dict(enumerate(hm_spaces, start=1))
+
+    def hm_factor(support, l):
+        return normalize(Loop(Susp(_loop_smash_of_loops(by_vertex, l, looped=False))))
+
+    n = len(hm_spaces)
+    return {
+        "general": per_l_listing(
+            all_letters, W, partial(reference_bracket_factor, K, pairs), _base_factors(K, pairs),
+            "general-coproduct", K.m >= 3,
+        ),
+        "contractible": per_l_listing(
+            all_letters, W, partial(reference_bracket_factor, K, contractible),
+            _base_factors(K, contractible), "contractible-domains", K.m >= 3,
+        ),
+        "wedge": per_l_listing(
+            face_letters(K.face_set(), K.m), W,
+            partial(reference_bracket_factor, K, constant), _base_factors(K, constant),
+            "wedge-coproduct", K.dim() >= 2,
+            bottom_degrees(spaces, 0) if bound is not None else None, bound,
+        ),
+        "hilton-milnor": per_l_listing(
+            [(tuple(int(j == i) for j in range(n)), 1) for i in range(n)], W,
+            hm_factor,
+            [], "hilton-milnor", n >= 2,
+            bottom_degrees(hm_spaces, 1) if bound is not None else None, bound,
+        ),
+    }
+
+
+def test_factor_memo_matches_the_per_l_reference():
+    # byte-identical text and JSON on repeated vertex spaces, same-named
+    # atoms and complexes with uncertified full subcomplexes; in the reduced
+    # branches the memo must be doing work, with fewer objects than contents
+    rng = random.Random(5101)
+    objects = contents = 0
+    for i in range(60):
+        K = UNCERTIFIED[i % 3] if i % 3 == 0 else random_complex(rng, 5)
+        W = rng.randint(1, {1: 5, 2: 5, 3: 5, 4: 3, 5: 2}[K.m])
+        bound = rng.choice((None, 5, 8))
+        domains, codomains = rng.sample(MEMO_DOMAINS, 2), rng.sample(MEMO_CODOMAINS, 2)
+        pairs = PairAssignment.of(
+            [(rng.choice(domains), rng.choice(codomains)) for _ in range(K.m)]
+        )
+        hm_pool = (S(2), X_PLAIN, X_SERIES, X_LOOP)
+        hm_spaces = [rng.choice(hm_pool) for _ in range(rng.randint(1, 4))]
+        wedge_spaces = [rng.choice(MEMO_SPACES) for _ in range(K.m)]
+        refs = per_l_references(K, pairs, wedge_spaces, hm_spaces, W, bound)
+        got = {
+            "general": loop_decompose(K, pairs, W),
+            "contractible": loop_decompose_contractible(
+                K, PairAssignment.path_fibrations([a for _, a in pairs.pairs]), W
+            ),
+            "wedge": loop_decompose_wedge(K, wedge_spaces, W, degree_bound=bound),
+            "hilton-milnor": hilton_milnor(hm_spaces, W, degree_bound=bound),
+        }
+        for name, dec in got.items():
+            assert dec.render() == refs[name].render(), (name, K, pairs)
+            assert json.dumps(dec.to_json()) == json.dumps(refs[name].to_json()), (name, K)
+            if name in ("contractible", "wedge"):
+                brackets = dec.bracket_factors()
+                objects += len({id(f.expr) for f in brackets})
+                contents += len({f.provenance.l for f in brackets})
+    assert objects < contents / 2, (objects, contents)
+
+
+def test_different_uncertified_subcomplexes_do_not_share_a_factor():
+    # {1,2,3,4} and {1,2,3,4,5} carry different uncertified subcomplexes:
+    # equal letter counts there must still give two factors, while
+    # {1,2,3,5}, another square, shares the factors of {1,2,3,4}
+    K = SQUARE_AND_APEX
+    for support in ((1, 2, 3, 4), (1, 2, 3, 4, 5)):
+        assert wedge_of_spheres_type(full_subcomplex(K, support).complex) is None
+    dec = loop_decompose_contractible(K, path_pairs([S(2)] * 5), 3)
+    by_total = {}
+    for f in dec.bracket_factors():
+        by_total.setdefault((f.provenance.support, sum(f.provenance.l)), set()).add(id(f.expr))
+    both = [t for s, t in by_total if s == (1, 2, 3, 4) and ((1, 2, 3, 4, 5), t) in by_total]
+    assert both
+    for t in both:
+        assert not by_total[((1, 2, 3, 4), t)] & by_total[((1, 2, 3, 4, 5), t)]
+        if ((1, 2, 3, 5), t) in by_total:
+            assert by_total[((1, 2, 3, 5), t)] == by_total[((1, 2, 3, 4), t)]
+
+
+def count_builds(monkeypatch):
+    """Counts each key's builds through a wrapper around the bracket rule;
+    a build that gives a point is counted under the key "point"."""
+    builds = Counter()
+    rule = polyco.decomp._bracket_rule
+
+    def counting(K, pieces, support):
+        resolved = rule(K, pieces, support)
+        if resolved is None:
+            return None
+        key, make = resolved
+
+        def counted(l):
+            builds[key(l)] += 1
+            expr = make(l)
+            builds["point"] += isinstance(expr, Point)
+            return expr
+
+        return key, counted
+
+    monkeypatch.setattr(polyco.decomp, "_bracket_rule", counting)
+    return builds
+
+
+def test_contractible_factor_built_once_per_key(monkeypatch):
+    builds = count_builds(monkeypatch)
+    boundary3 = build(4, [list(f) for f in combinations(range(1, 5), 3)])
+    dec = loop_decompose_contractible(boundary3, path_pairs([S(2)] * 4), 8)
+    brackets = dec.bracket_factors()
+    assert builds.pop("point", 0) == 0
+    assert set(builds.values()) == {1}
+    assert len(builds) == len({id(f.expr) for f in brackets}) == len({f.expr for f in brackets})
+    assert len({f.provenance.l for f in brackets}) > 20 * len(builds)
+    builds.clear()
+    # ∂Δ⁶ at W=2: 128 contents, so building per l takes 128 builds
+    boundary6 = build(7, [list(f) for f in combinations(range(1, 8), 6)])
+    dec = loop_decompose_contractible(boundary6, path_pairs([S(2)] * 4 + [S(3)] * 3), 2)
+    brackets = dec.bracket_factors()
+    assert len({f.provenance.l for f in brackets}) == 128
+    assert builds.pop("point", 0) == 0
+    assert set(builds.values()) == {1} and sum(builds.values()) <= 30
+    assert len({id(f.expr) for f in brackets}) == len({f.expr for f in brackets})
+
+
+def test_contractible_realization_builds_no_factor(monkeypatch):
+    # on the path 1-2-3 the missing face {1,2,3} has a contractible full
+    # subcomplex: the rule drops it, so no build gives a point
+    path = build(3, [[1, 2], [2, 3]])
+    pairs = path_pairs([S(2), S(3), CP_INFINITY])
+    assert wedge_of_spheres_type(path) == ()
+    assert reference_bracket_factor(path, pairs, (1, 2, 3), (1, 2, 1)) == POINT
+    assert _bracket_rule(path, _vertex_pieces(pairs), (1, 2, 3)) is None
+    builds = count_builds(monkeypatch)
+    dec = loop_decompose_contractible(path, pairs, 6)
+    assert {f.provenance.support for f in dec.bracket_factors()} == {(1, 3)}
+    assert builds.pop("point", 0) == 0 and set(builds.values()) == {1}
 
 
 SYMBOLIC_NAME = re.compile(r"ŝ-coprod\[K_\{([\d,]+)\}; weights \[([\d, ]+)\]\]")

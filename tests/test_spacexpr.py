@@ -141,6 +141,46 @@ def test_expr_equal_permutation_invariance():
     assert not expr_equal(Wedge((X, X)), Wedge((X,)))
 
 
+SAME_NAMED = (
+    Atom("X", 1),
+    Atom("X", 1, series=((1,), (1, 0, -1))),
+    Atom("X", 1, loop=S(1)),
+    Atom("X", 1, loop=S(2)),
+    Atom("X", 1, contractible=True),
+)
+
+
+def test_same_named_atoms_sort_apart():
+    # atoms with one name and connectivity that differ in loop, series or
+    # contractibility get different sort keys, so the merge sees equal
+    # children side by side whatever the input order
+    plain, declared = SAME_NAMED[:2]
+    assert expr_equal(Wedge((declared, plain)), Wedge((plain, declared)))
+    n = normalize(Smash((declared, plain, declared)))
+    assert (n.children, n.powers) == ((plain, declared), (1, 2))
+    keys = [sort_key(a) for a in SAME_NAMED]
+    assert len(set(keys)) == len(keys)
+
+
+def test_normalize_is_invariant_under_permuting_same_named_children():
+    rng = random.Random(20261019)
+    atoms = SAME_NAMED[:4]
+    pool = atoms + tuple(Loop(a) for a in atoms) + tuple(Susp(a) for a in atoms)
+    pool += tuple(cls((a, b)) for cls in (Wedge, Smash) for a in atoms for b in atoms)
+    for _ in range(300):
+        cls = rng.choice((Wedge, Product, Smash))
+        kids = [rng.choice(pool) for _ in range(rng.randint(2, 6))]
+        powers = [rng.randint(1, 3) for _ in kids]
+        want = normalize(cls(tuple(kids), tuple(powers)))
+        order = list(range(len(kids)))
+        for _ in range(3):
+            rng.shuffle(order)
+            got = normalize(cls(tuple(kids[i] for i in order), tuple(powers[i] for i in order)))
+            assert got == want, (render(got), render(want))
+    normals = {normalize(e) for e in pool}
+    assert len({sort_key(e) for e in normals}) == len(normals)
+
+
 def test_expr_equal_is_equivalence_randomized():
     rng = random.Random(3)
     exprs = [random_expr(rng) for _ in range(40)]
