@@ -46,7 +46,8 @@ Every emitted factor expression is normalized, factors that normalize to a
 point are dropped, and factor order is deterministic: vertex factors first by
 vertex, then bracket classes by weight and then by l in descending
 lexicographic order (so x_1 comes first at weight 1, and raising the weight
-bound only appends factors).
+bound only appends factors).  lyndon_class_counts returns the classes in that
+order, so the engine takes them as they come and sorts nothing.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Sequence
 
 from . import series as series_mod
@@ -295,11 +296,18 @@ class Decomposition:
     theorem: str
     truncation: int | None = None
 
-    def factor_multiset(self) -> Counter:
-        out: Counter = Counter()
+    def _totals(self) -> dict[SpaceExpr, list]:
+        # expr -> [first factor, multiplicity], summed by object id before any deep hash
+        per_object: dict[int, list] = {}
         for f in self.factors:
-            out[f.expr] += f.multiplicity
+            per_object.setdefault(id(f.expr), [f, 0])[1] += f.multiplicity
+        out: dict[SpaceExpr, list] = {}
+        for f, k in per_object.values():
+            out.setdefault(f.expr, [f, 0])[1] += k
         return out
+
+    def factor_multiset(self) -> Counter:
+        return Counter({e: k for e, (_, k) in self._totals().items()})
 
     def bracket_factors(self) -> tuple[Factor, ...]:
         return tuple(f for f in self.factors if isinstance(f.provenance, BracketClass))
@@ -309,18 +317,14 @@ class Decomposition:
 
         Each distinct expression is evaluated once and raised to its total
         multiplicity; an Unsupported reason names the first such factor."""
-        series: dict = {}
-        for f in self.factors:
-            if f.expr not in series:
-                p = series_mod.series_of(f.expr, N)
-                if isinstance(p, series_mod.Unsupported):
-                    return series_mod.Unsupported(
-                        f"factor {render(f.expr)} [{_provenance_text(f.provenance)}]: {p.reason}"
-                    )
-                series[f.expr] = p
         out = series_mod.PoincareSeries.one(N)
-        for e, k in self.factor_multiset().items():
-            out = out * series[e] ** k
+        for f, k in self._totals().values():
+            p = series_mod.series_of(f.expr, N)
+            if isinstance(p, series_mod.Unsupported):
+                return series_mod.Unsupported(
+                    f"factor {render(f.expr)} [{_provenance_text(f.provenance)}]: {p.reason}"
+                )
+            out = out * p**k
         return out
 
     def _forms(self, form) -> dict[int, object]:
@@ -426,8 +430,8 @@ def _class_factors(
     vanishes, else (key, build), and build(l) runs once per distinct key(l)
     (a key of tuple keys by l itself), so classes with one key share one
     factor object.  Expressions that normalize to a point are dropped.
-    Ordered by weight, then l in descending lexicographic order, so raising
-    the weight bound only appends.
+    The classes arrive sorted from lyndon_class_counts, by weight and then l
+    in descending lexicographic order, so raising the weight bound only appends.
     """
     counts = lyndon_class_counts(
         letters, weight_bound, vertex_degrees=vertex_degrees, degree_bound=degree_bound
@@ -435,16 +439,16 @@ def _class_factors(
     rules: dict[tuple[int, ...], object] = {}
     made: dict[object, SpaceExpr] = {}
     out = []
-    for cls in sorted((BracketClass(w, l) for w, l in counts), key=BracketClass.sort_key):
-        if (support := cls.support) not in rules:
+    for (w, l), count in counts.items():
+        if (support := tuple(compress(range(1, len(l) + 1), l))) not in rules:
             rules[support] = rule(support)
         if rules[support] is not None:
             key, build = rules[support]
-            k = key(cls.l)
+            k = key(l)
             if k not in made:
-                made[k] = build(cls.l)
+                made[k] = build(l)
             if not isinstance(made[k], Point):
-                out.append(Factor(made[k], counts[(cls.weight, cls.l)], cls))
+                out.append(Factor(made[k], count, BracketClass(w, l)))
     return out
 
 

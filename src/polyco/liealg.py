@@ -14,7 +14,8 @@ witt_dimension is the classical multigraded Witt formula and serves as an
 independent counting oracle for the Lyndon enumeration.  lyndon_class_counts
 generalizes it to letters graded by vertex vectors with several copies each:
 it counts Lyndon words per (length, vertex content) class without listing
-them, which is all the decompositions need.
+them, which is all the decompositions need.  It packs each content into one
+int, so the DP adds ints and the classes come out in listing order.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import factorial, gcd, prod
-from operator import add, mul
+from operator import mul
+from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
 
@@ -309,43 +311,57 @@ def lyndon_class_counts(
     With vertex_degrees and degree_bound, classes with sum_j l_j * deg_j
     above the bound are omitted; that is a function of l, so it omits
     exactly the brackets hall_basis prunes with the induced letter degrees.
+
+    Each l is one int with a fixed-width lane per vertex, vertex 1 the most
+    significant, so a DP step is one add; the Moebius terms are pushed from
+    each root l' of length w/d to l' * d when that is present at length w.
+    Int order is lexicographic order on l, so the result is in listing order:
+    by w, then l in descending lexicographic order.
     """
     if weight_bound < 1:
         raise ValueError("weight bound must be >= 1")
     merged: Counter[tuple[int, ...]] = Counter()
     for vector, copies in letters:
-        v = tuple(int(x) for x in vector)
+        v = tuple(vector)
+        if not all(type(x) is int for x in (*v, copies)):  # no bool, no float
+            raise ValueError(f"letter {v} x{copies!r}: entries and copies must be integers")
         if copies < 1 or any(x < 0 for x in v) or not any(v):
             raise ValueError(f"letter {v} x{copies}: need a nonzero vector and copies >= 1")
         merged[v] += copies
     if not merged:
         return {}
-    width = {len(v) for v in merged}
-    if len(width) != 1:
+    m, *others = {len(v) for v in merged}
+    if others:
         raise ValueError("letter vectors must share one length")
     degs = None
     if degree_bound is not None:
-        if vertex_degrees is None or len(vertex_degrees) != width.pop():
+        if vertex_degrees is None or len(vertex_degrees) != m:
             raise ValueError("degree_bound needs one degree per vertex")
         degs = tuple(vertex_degrees)
         if any(d < 1 for d in degs):
             raise ValueError("vertex degrees must be >= 1")
+    # a lane holds word length times the largest entry; each letter adds degree >= 1
+    top = min(weight_bound, degree_bound if degs else weight_bound) * max(map(max, merged))
+    fits = [c for b, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")) if top < 256**b]
+    if not fits:
+        raise ValueError(f"vertex contents up to {top} do not fit a 64-bit lane")
+    lanes = Struct(f">{m}{fits[0]}")
 
     # each state carries its degree (0 without a bound), so pruning costs one add
     step = [
-        (v, copies, sum(map(mul, v, degs)) if degs else 0) for v, copies in merged.items()
+        (int.from_bytes(lanes.pack(*v), "big"), copies, sum(map(mul, v, degs)) if degs else 0)
+        for v, copies in merged.items()
     ]
-    layer = {(0,) * len(step[0][0]): (1, 0)}
-    words: list[dict[tuple[int, ...], tuple[int, int]]] = [layer]
+    layer = {0: (1, 0)}
+    words: list[dict[int, tuple[int, int]]] = [layer]
     for _ in range(weight_bound):
-        nxt: dict[tuple[int, ...], tuple[int, int]] = {}
+        nxt: dict[int, tuple[int, int]] = {}
         for l, (count, deg) in layer.items():
             for v, copies, dv in step:
                 if degs is not None and deg + dv > degree_bound:
                     continue
-                lv = tuple(map(add, l, v))
-                hit = nxt.get(lv)
-                nxt[lv] = (count * copies + (hit[0] if hit else 0), deg + dv)
+                hit = nxt.get(l + v)
+                nxt[l + v] = (count * copies + (hit[0] if hit else 0), deg + dv)
         if not nxt:
             break
         words.append(nxt)
@@ -353,14 +369,14 @@ def lyndon_class_counts(
 
     out: dict[tuple[int, tuple[int, ...]], int] = {}
     for w in range(1, len(words)):
-        for l, (count, _) in words[w].items():
-            g = gcd(w, *l)
-            total = count
-            for d, mu in _mobius_divisors(g):
-                hit = words[w // d].get(tuple(lj // d for lj in l))
-                if hit:
-                    total += mu * hit[0]
+        totals = {l: count for l, (count, _) in words[w].items()}
+        for d, mu in _mobius_divisors(w):
+            for root, (count, _) in words[w // d].items():
+                if root * d in totals:
+                    totals[root * d] += mu * count
+        for l in sorted(totals, reverse=True):
+            total = totals[l]
             assert total % w == 0
             if total:
-                out[(w, l)] = total // w
+                out[(w, lanes.unpack(l.to_bytes(lanes.size, "big")))] = total // w
     return out

@@ -1,7 +1,10 @@
 """Seeded random generators shared by the property suites."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
+from operator import add, mul
 
 from polyco.decomp import (
     BracketClass,
@@ -11,7 +14,14 @@ from polyco.decomp import (
     _provenance_text,
     _smash_powers,
 )
-from polyco.liealg import generators_for, hall_basis, lyndon_class_counts, plain_alphabet, stats
+from polyco.liealg import (
+    _mobius_divisors,
+    generators_for,
+    hall_basis,
+    lyndon_class_counts,
+    plain_alphabet,
+    stats,
+)
 from polyco.scomplex import (
     SimplicialComplex,
     Subcomplex,
@@ -433,6 +443,53 @@ def reference_series(e: SpaceExpr, N: int):
             parts.append(p)
         return free_product_series(parts)
     return Unsupported(f"no loop rule for {render(c)}")
+
+
+# ---------------------------------------------------------------------------
+# reference class counts: the DP over content tuples, with the Moebius terms
+# pulled per state through gcd(w, *l), that the packed-int kernel replaces
+# ---------------------------------------------------------------------------
+
+
+def reference_class_counts(letters, weight_bound, vertex_degrees=None, degree_bound=None):
+    merged = Counter()
+    for vector, copies in letters:
+        merged[tuple(vector)] += copies
+    if not merged:
+        return {}
+    degs = tuple(vertex_degrees) if degree_bound is not None else None
+    step = [
+        (v, copies, sum(map(mul, v, degs)) if degs else 0) for v, copies in merged.items()
+    ]
+    layer = {(0,) * len(step[0][0]): (1, 0)}
+    words = [layer]
+    for _ in range(weight_bound):
+        nxt = {}
+        for l, (count, deg) in layer.items():
+            for v, copies, dv in step:
+                if degs is not None and deg + dv > degree_bound:
+                    continue
+                lv = tuple(map(add, l, v))
+                hit = nxt.get(lv)
+                nxt[lv] = (count * copies + (hit[0] if hit else 0), deg + dv)
+        if not nxt:
+            break
+        words.append(nxt)
+        layer = nxt
+
+    out = {}
+    for w in range(1, len(words)):
+        for l, (count, _) in words[w].items():
+            g = gcd(w, *l)
+            total = count
+            for d, mu in _mobius_divisors(g):
+                hit = words[w // d].get(tuple(lj // d for lj in l))
+                if hit:
+                    total += mu * hit[0]
+            assert total % w == 0
+            if total:
+                out[(w, l)] = total // w
+    return out
 
 
 # ---------------------------------------------------------------------------

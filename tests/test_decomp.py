@@ -602,6 +602,21 @@ def test_series_product_repeated_multiplicities():
     assert dec.series_product(10) == reference_series_product(dec, 10)
 
 
+def test_factor_multiset_merges_equal_expressions_across_objects():
+    # entries share one object or carry distinct objects of one expression;
+    # both count towards one key, in order of first appearance
+    shared, twin = Loop(S(3)), Loop(S(3))
+    assert shared is not twin
+    dec = Decomposition(
+        (Factor(shared, 2), Factor(S(2), 1), Factor(shared, 5), Factor(twin, 3), Factor(S(2), 4)),
+        "test",
+    )
+    got = dec.factor_multiset()
+    assert got == Counter({Loop(S(3)): 10, S(2): 5})
+    assert list(got) == [Loop(S(3)), S(2)]
+    assert dec.series_product(12) == reference_series_product(dec, 12)
+
+
 def test_series_product_unsupported_reason_names_first_factor():
     bad, worse = Atom("B", 1), Atom("C", 1)
     dec = Decomposition(

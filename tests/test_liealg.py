@@ -6,6 +6,8 @@ from itertools import product as iproduct
 
 import pytest
 
+from _helpers import reference_class_counts
+from polyco.decomp import BracketClass, _all_face_letters
 from polyco.liealg import (
     Bracket,
     Generator,
@@ -267,3 +269,57 @@ def test_class_counts_validation():
         lyndon_class_counts(plain_letters(2), 3, degree_bound=4)
     with pytest.raises(ValueError):
         lyndon_class_counts(plain_letters(2), 3, vertex_degrees=[1, 0], degree_bound=4)
+    # vector entries and copies are plain ints, and the error names the letter
+    for letter in (((1.5, 0), 1), ((1.0, 0), 1), ((True, 0), 1), ((1, 0), 1.5), ((1, 0), True)):
+        with pytest.raises(ValueError, match=r"letter \("):
+            lyndon_class_counts([letter], 2)
+
+
+def _random_letters(rng):
+    # plain, face or free vectors over m <= 7 vertices with 1-3 copies; some
+    # sets carry entries up to 300 (2-byte lanes), some up to 10**6 or 10**12
+    # (4- and 8-byte lanes)
+    m = rng.randint(1, 7)
+    top = rng.choice((1, 1, 2, 3, 3, 3, 300, 300, 10**6, 10**12))
+    letters = []
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            v = [0] * m
+            v[rng.randrange(m)] = 1
+        elif kind == 1 and m >= 2:
+            J = rng.sample(range(m), rng.randint(2, m))
+            v = [int(j in J) for j in range(m)]
+        else:
+            v = [rng.choice((0, 0, 1, rng.randint(1, top))) for _ in range(m)]
+            if not any(v):
+                v[rng.randrange(m)] = rng.randint(1, top)
+        letters.append((tuple(v), rng.randint(1, 3)))
+    return m, letters
+
+
+def _assert_matches_reference(letters, W, degs=None, bound=None):
+    got = lyndon_class_counts(letters, W, vertex_degrees=degs, degree_bound=bound)
+    assert got == reference_class_counts(letters, W, degs, bound), (letters, W, degs, bound)
+    assert list(got) == sorted(got, key=lambda wl: BracketClass(*wl).sort_key())
+    return got
+
+
+def test_packed_class_counts_match_the_tuple_reference():
+    rng = random.Random(8111)
+    bounded = wide = 0
+    for _ in range(240):
+        m, letters = _random_letters(rng)
+        W = rng.randint(1, 8)
+        degs = bound = None
+        if rng.random() < 0.5:
+            degs = [rng.randint(1, 4) for _ in range(m)]
+            bound = rng.randint(1, 20)
+            bounded += 1
+        wide += W * max(max(v) for v, _ in letters) >= 256
+        _assert_matches_reference(letters, W, degs, bound)
+    assert bounded >= 100 and wide >= 40
+    # the boundary of the 3-simplex's face alphabet, as the contractible engine counts it
+    for W, classes in ((10, None), (13, 67463)):
+        got = _assert_matches_reference(_all_face_letters(4), W)
+        assert classes is None or len(got) == classes
