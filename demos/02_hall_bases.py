@@ -1,5 +1,5 @@
 """Hall bases: Lyndon brackets, face alphabets, the Witt count oracle, and
-the per-class bracket counts the decompositions run on.
+the per-group bracket counts the decompositions run on.
 
 Run as: python demos/02_hall_bases.py
 """
@@ -11,7 +11,6 @@ from polyco import (
     hall_basis,
     lyndon_class_counts,
     plain_alphabet,
-    restricted_support,
     stats,
     witt_dimension,
 )
@@ -26,14 +25,14 @@ for b in hall_basis(plain_alphabet(2), 4):
 gens = generators_for([1, 2, 3])
 print("\nface alphabet over {1,2,3}:", [g.name() for g in gens])
 
-# Bracket statistics drive the decompositions: b(J) counts letters per
-# subset, l_j totals the appearances of each vertex, and the support within
-# I picks out the full subcomplex a bracket factor lives over.
+# Bracket statistics: b(J) counts letters per subset, l_j totals the
+# appearances of each vertex, and the vertices with l_j > 0 form the support,
+# which picks out the full subcomplex a bracket factor lives over.
 basis = hall_basis(gens, 2)
 b = basis[-1]
 st = stats(b, 3)
 print(f"\nbracket {b.serialize()}: b(J)={st.bJ} l={st.l}")
-print("support in {1,2,3}:", restricted_support(b, [1, 2, 3]))
+print("support:", tuple(j for j, lj in enumerate(st.l, start=1) if lj))
 
 # The multigraded Witt formula counts brackets per multidegree and serves as
 # an independent oracle for the enumeration.
@@ -46,11 +45,17 @@ print("\nmultidegree counts vs the Witt formula (weight <= 6):")
 for md in sorted(counts):
     print(f"  {md}: enumerated {counts[md]}, Witt {witt_dimension(md)}")
 
-# A bracket factor depends only on the bracket's weight and vertex content
-# l, so the decompositions count brackets per (weight, l) class instead of
-# listing them.  Face letters a_{J,i} enter as (vector e_J, |J| - 1 copies).
+# The decompositions count brackets instead of listing them, per (weight,
+# support, piece content): with one piece per vertex the content is l.  Face
+# letters a_{J,i} enter as (vector e_J, |J| - 1 copies).
 letters = [((1, 1, 0), 1), ((1, 0, 1), 1), ((0, 1, 1), 1), ((1, 1, 1), 2)]
 classes = lyndon_class_counts(letters, 3)
 listed = Counter((b.weight, stats(b, 3).l) for b in hall_basis(gens, 3))
+counted = {(w, l): n for (w, _, l), n in classes.items()}
 print(f"\nface alphabet over {{1,2,3}}, weight <= 3: {sum(classes.values())} brackets "
-      f"in {len(classes)} classes; counted == enumerated: {classes == dict(listed)}")
+      f"in {len(classes)} classes; counted == enumerated: {counted == dict(listed)}")
+
+# When all three vertices carry one space they form one piece, and a factor
+# depends only on the weight, the support and the total letter count.
+groups = lyndon_class_counts(letters, 3, pieces=[0, 0, 0])
+print(f"one piece: {len(groups)} groups, for example {next(iter(groups.items()))}")

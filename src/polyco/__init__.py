@@ -36,9 +36,7 @@ from .liealg import (
     lyndon_class_counts,
     lyndon_words,
     plain_alphabet,
-    restricted_support,
     stats,
-    support,
     witt_dimension,
 )
 from .spacexpr import (
@@ -71,7 +69,7 @@ from .series import (
     tensor_algebra_series,
 )
 from .decomp import (
-    BracketClass,
+    BracketGroup,
     Decomposition,
     DiagramDescription,
     Factor,

@@ -30,24 +30,24 @@ decompositions of the looped coproduct:
     and the structural operations for joined vertices, gluings, and disjoint
     unions.
 
-A bracket factor depends only on the bracket's vertex content l (l_j counts
-the letters whose vertex set contains j), so brackets are never listed: they
-are counted per class (weight w, content l) by the multigraded Witt formula
-(liealg.lyndon_class_counts), and each class becomes one Factor whose
-multiplicity is its bracket count and whose provenance is BracketClass(w, l),
-rendered in JSON as {"kind": "class", "weight": w, "l": [...]}.  The three
-polyhedral decompositions are one engine and one bracket rule over the face
-alphabet; they differ only in their letters, truncation and input checks.
-The rule is resolved once per support and a factor built once per key: in the
-reduced branches the letter count per distinct vertex space (and the
-realization), not l, so classes with equal factors share one factor object.
+A bracket factor depends only on its support and its vertex content l (l_j
+counts the letters whose vertex set contains j) summed over each piece, a set
+of vertices with one normalized (domain, codomain) pair (one summand for
+hilton_milnor); when some support can be mixed (a non-point domain and a
+non-point codomain both occur) every vertex is its own piece.
+So brackets are never listed: lyndon_class_counts counts them per group
+(weight, support, piece content), and each group becomes one Factor with its
+bracket count as multiplicity and BracketGroup(weight, support, pieces,
+counts) as provenance, in JSON {"kind": "group", "weight": ..., "support":
+[...], "pieces": [...], "counts": [...]}.  The three polyhedral
+decompositions are one engine and one bracket rule over the face alphabet,
+resolved once per support, and each distinct factor is built once.
 
 Every emitted factor expression is normalized, factors that normalize to a
 point are dropped, and factor order is deterministic: vertex factors first by
-vertex, then bracket classes by weight and then by l in descending
-lexicographic order (so x_1 comes first at weight 1, and raising the weight
-bound only appends factors).  lyndon_class_counts returns the classes in that
-order, so the engine takes them as they come and sorts nothing.
+vertex, then bracket groups by weight, piece content descending and support,
+as lyndon_class_counts returns them (so raising the weight bound only
+appends factors).
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, compress
-from typing import Sequence
+from itertools import combinations
+from typing import NamedTuple, Sequence
 
 from . import series as series_mod
 from .liealg import lyndon_class_counts
@@ -199,7 +199,7 @@ def smash_coproduct(
     for f in K.faces():
         sel = set(f)
         smash = _smash_powers(
-            lambda i: Loop(pairs.domain(i) if i in sel else pairs.codomain(i)), ks
+            [Loop(x if i in sel else a) for i, (x, a) in enumerate(pairs.pairs, start=1)], ks
         )
         objects[f] = normalize(Susp(smash))
     arrows = {(sig, tau): coords for sig, tau, coords in _strict_face_pairs(K)}
@@ -236,29 +236,27 @@ def evaluate_special(K: SimplicialComplex, pairs: PairAssignment) -> SpaceExpr |
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class BracketClass:
-    """The Hall brackets of one weight (number of letters) and one vertex
-    content l, where l_j counts the letters whose vertex set contains j.
-    A bracket factor depends only on l, so one class is one factor."""
+class BracketGroup(NamedTuple):
+    """The Hall brackets of one weight (number of letters), one support and
+    one piece content: counts[i] sums the vertex content l over the vertices
+    pieces[i] of the support.  A bracket factor depends only on these, so one
+    group is one factor; with one vertex per piece, counts is l itself."""
 
     weight: int
-    l: tuple[int, ...]
+    support: tuple[int, ...]
+    pieces: tuple[tuple[int, ...], ...]
+    counts: tuple[int, ...]
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(j for j, lj in enumerate(self.l, start=1) if lj)
-
-    def sort_key(self) -> tuple:
-        # by weight, then l in descending lexicographic order
-        return (self.weight, tuple(-lj for lj in self.l))
+    def text(self) -> str:
+        pairs = zip(self.pieces, self.counts)
+        return " ".join(f"{{{','.join(map(str, p))}}}:{n}" for p, n in pairs)
 
 
 @dataclass(frozen=True)
 class Factor:
     """One product factor: a normalized expression with multiplicity and origin.
 
-    provenance is a BracketClass (the multiplicity is its bracket count), a
+    provenance is a BracketGroup (the multiplicity is its bracket count), a
     vertex number, or "base"; class_diagram(K, pairs, provenance) gives the
     defining diagram of a symbolic bracket factor.
     """
@@ -269,16 +267,19 @@ class Factor:
 
 
 def _provenance_text(p: object) -> str:
-    if isinstance(p, BracketClass):
-        return f"class w={p.weight} l=({','.join(map(str, p.l))})"
+    if isinstance(p, BracketGroup):
+        return f"group w={p.weight} {p.text()}"
     if isinstance(p, int):
         return f"vertex {p}"
     return str(p)
 
 
-def _provenance_json(p: object) -> dict:
-    if isinstance(p, BracketClass):
-        return {"kind": "class", "weight": p.weight, "l": list(p.l)}
+def _provenance_json(p: object, shared: dict) -> dict:
+    # shared: the support and piece lists of each support, for all its entries
+    if isinstance(p, BracketGroup):
+        if p.support not in shared:
+            shared[p.support] = {"support": list(p.support), "pieces": [*map(list, p.pieces)]}
+        return {"kind": "group", "weight": p.weight, **shared[p.support], "counts": list(p.counts)}
     if isinstance(p, int):
         return {"kind": "vertex", "vertex": p}
     return {"kind": "base"}
@@ -310,7 +311,7 @@ class Decomposition:
         return Counter({e: k for e, (_, k) in self._totals().items()})
 
     def bracket_factors(self) -> tuple[Factor, ...]:
-        return tuple(f for f in self.factors if isinstance(f.provenance, BracketClass))
+        return tuple(f for f in self.factors if isinstance(f.provenance, BracketGroup))
 
     def series_product(self, N: int):
         """The product of the factor series through degree N, or Unsupported.
@@ -344,8 +345,10 @@ class Decomposition:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        """The listing as JSON data; entries with one factor object share one "expr" object."""
+        """The listing as JSON data; entries share one factor object's "expr" and one
+        support's lists."""
         forms = self._forms(lambda e: (expr_to_json(e), render(e)))
+        shared: dict = {}
         return {
             "theorem": self.theorem,
             "truncation": self.truncation,
@@ -354,7 +357,7 @@ class Decomposition:
                     "expr": forms[id(f.expr)][0],
                     "text": forms[id(f.expr)][1],
                     "multiplicity": f.multiplicity,
-                    "provenance": _provenance_json(f.provenance),
+                    "provenance": _provenance_json(f.provenance, shared),
                 }
                 for f in self.factors
             ],
@@ -421,34 +424,34 @@ def _class_factors(
     letters: Sequence[tuple[tuple[int, ...], int]],
     weight_bound: int,
     rule,
-    vertex_degrees: Sequence[int] | None = None,
-    degree_bound: int | None = None,
+    grading: Sequence[int],
+    degrees: Sequence[int] | None = None,
+    bound: int | None = None,
 ) -> list[Factor]:
-    """The bracket engine: one factor per counted (weight, l) class.
-
-    rule(support) runs once per support: None when every class over it
-    vanishes, else (key, build), and build(l) runs once per distinct key(l)
-    (a key of tuple keys by l itself), so classes with one key share one
-    factor object.  Expressions that normalize to a point are dropped.
-    The classes arrive sorted from lyndon_class_counts, by weight and then l
-    in descending lexicographic order, so raising the weight bound only appends.
+    """The bracket engine: one factor per counted (weight, support, piece
+    content q) group, with grading[j - 1] the piece of vertex j, in the
+    order lyndon_class_counts gives.  rule(support) runs once per support:
+    None when every group over it vanishes, else (shape, build), and build(q)
+    runs once per distinct (shape, q).  Factors that are points are dropped.
     """
     counts = lyndon_class_counts(
-        letters, weight_bound, vertex_degrees=vertex_degrees, degree_bound=degree_bound
+        letters, weight_bound, pieces=grading, vertex_degrees=degrees, degree_bound=bound
     )
-    rules: dict[tuple[int, ...], object] = {}
+    rules: dict[tuple[int, ...], tuple] = {}
     made: dict[object, SpaceExpr] = {}
     out = []
-    for (w, l), count in counts.items():
-        if (support := tuple(compress(range(1, len(l) + 1), l))) not in rules:
-            rules[support] = rule(support)
-        if rules[support] is not None:
-            key, build = rules[support]
-            k = key(l)
-            if k not in made:
-                made[k] = build(l)
-            if not isinstance(made[k], Point):
-                out.append(Factor(made[k], count, BracketClass(w, l)))
+    for (w, support, q), n in counts.items():
+        if support not in rules:
+            on: dict[int, list[int]] = {}
+            for j in support:
+                on.setdefault(grading[j - 1], []).append(j)
+            rules[support] = rule(support), tuple(tuple(on[p]) for p in sorted(on))
+        resolved, on = rules[support]
+        if resolved is not None:
+            if (key := (resolved[0], q)) not in made:
+                made[key] = resolved[1](q)
+            if not isinstance(expr := made[key], Point):  # the pieces on the support have q_p > 0
+                out.append(Factor(expr, n, BracketGroup(w, support, on, tuple(filter(None, q)))))
     return out
 
 
@@ -468,26 +471,27 @@ def hilton_milnor(
 
     Each bracket contributes Loop Susp of the smash of l_i copies of each
     X_i, zero-fold powers omitted, where l_i counts the letter x_i; the
-    brackets are counted per l, one factor per class.  degree_bound
+    brackets are counted per group, by letter count per distinct summand.  degree_bound
     optionally drops the brackets whose factors carry no homology at or
     below that degree, which leaves truncated series products unchanged.
     """
-    if weight_bound < 1:
-        raise ValueError("weight bound must be >= 1")
     m = len(spaces)
     if m == 0:
         raise ValueError("need at least one wedge summand")
     for i, x in enumerate(spaces, start=1):
         if conn(x) < 0:
             raise ValueError(f"vertex {i}: summand {render(x)} must be connected")
+    ids: dict[SpaceExpr, int] = {}
+    grading = [ids.setdefault(x, len(ids)) for x in spaces]
+    summands = list(ids)
 
-    def rule(support):
-        return tuple, lambda l: normalize(Loop(Susp(_smash_powers(lambda j: spaces[j - 1], l))))
+    def build(q):
+        return normalize(Loop(Susp(_smash_powers(summands, q))))
 
     letters = [(tuple(int(j == i) for j in range(m)), 1) for i in range(m)]
-    degrees = _vertex_degrees(spaces, 1) if degree_bound is not None else None
+    degrees = None if degree_bound is None else _vertex_degrees(spaces, 1)
     factors = _class_factors(
-        letters, weight_bound, rule, vertex_degrees=degrees, degree_bound=degree_bound
+        letters, weight_bound, lambda support: (None, build), grading, degrees, degree_bound
     )
     if all(conn(x) >= 1 for x in spaces):
         _assert_conn_at_least_weight(factors)
@@ -528,64 +532,66 @@ def _all_face_letters(m: int) -> list[tuple[tuple[int, ...], int]]:
     )
 
 
-def _smash_powers(space, l: Sequence[int]) -> Smash:
-    # l_j copies of space(j), as one child of power l_j per vertex j
-    terms = [(space(j), lj) for j, lj in enumerate(l, start=1) if lj]
-    return Smash(tuple(x for x, _ in terms), tuple(lj for _, lj in terms))
+def _smash_powers(spaces: Sequence[SpaceExpr], counts: Sequence[int]) -> Smash:
+    # counts[i] copies of spaces[i], as one child of that power, zero-fold ones omitted
+    return Smash(tuple(x for x, k in zip(spaces, counts) if k), tuple(k for k in counts if k))
 
 
 def _vertex_pieces(pairs: PairAssignment):
-    # once per decomposition: normalized (domain, codomain) per vertex, ids per side
-    normal = tuple((normalize(x), normalize(a)) for x, a in pairs.pairs)
-    ids: dict[SpaceExpr, int] = {}
-    return normal, [[ids.setdefault(xa[side], len(ids)) for xa in normal] for side in (0, 1)]
+    # each vertex's piece and each piece's normalized (domain, codomain): one
+    # per distinct pair, or one per vertex when a support can be mixed
+    normal = [(normalize(x), normalize(a)) for x, a in pairs.pairs]
+    if not any(all(isinstance(xa[side], Point) for xa in normal) for side in (0, 1)):
+        return list(range(len(normal))), normal
+    ids: dict[tuple[SpaceExpr, SpaceExpr], int] = {}
+    return [ids.setdefault(xa, len(ids)) for xa in normal], list(ids)
 
 
 def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
-    """The factor of the classes over one support: None when they all vanish,
-    else (key, build).  build(l) makes the looped weighted smash coproduct
-    over the full subcomplex on the support, reduced where a lemma applies;
-    key(l) is all that it depends on (l itself in the mixed branch)."""
-    normal, ids = pieces
-    if all(isinstance(normal[j - 1][1], Point) for j in support):
+    """The factor of the groups over one support: None when they all vanish,
+    else (shape, build).  build(q) makes the looped weighted smash coproduct
+    over the full subcomplex on the support, reduced where a lemma applies,
+    for piece content q; shape and q are all that it depends on."""
+    grading, spaces = pieces
+    on = [spaces[grading[j - 1]] for j in support]
+    if all(isinstance(a, Point) for _, a in on):
         # point codomains: only a face support survives
         if not K.has_face(support):
             return None
         side, shape = 0, "point"
-    elif all(isinstance(normal[j - 1][0], Point) for j in support):
+    elif all(isinstance(x, Point) for x, _ in on):
         # over a face, or any certified contractible realization, this is a point
         sub = None if K.has_face(support) else full_subcomplex(K, support).complex
         if sub is None or wedge_of_spheres_type(sub) == ():
             return None
         side, shape = 1, wedge_of_spheres_type(sub) or sub
     else:
-        # mixed endpoint data over the support: no lemma applies, stay symbolic
+        # mixed endpoint data (one piece per vertex, q is l): stay symbolic
         name = "ŝ-coprod[K_{" + ",".join(map(str, support)) + "}; weights "
         top = full_subcomplex(K, support).complex.dim() + 1
-        return tuple, lambda l: Loop(Atom(f"{name}{[x for x in l if x]}]", max(0, sum(l) - top)))
+        return name, lambda q: Loop(Atom(f"{name}{[x for x in q if x]}]", max(0, sum(q) - top)))
+    loops = [Loop(xa[side]) for xa in spaces]
 
-    def key(l):
-        total = [0] * 2 * len(normal)
-        for i, lj in zip(ids[side], l):
-            total[i] += lj
-        return shape, tuple(total)
-
-    def build(l):
-        smash = Susp(_smash_powers(lambda j: Loop(normal[j - 1][side]), l))
+    def build(q):
+        smash = Susp(_smash_powers(loops, q))
         return normalize(Loop(smash if side == 0 else MapFromSusp(sub, smash)))
 
-    return key, build
+    return shape, build
 
 
 def class_diagram(
-    K: SimplicialComplex, pairs: PairAssignment, cls: BracketClass
+    K: SimplicialComplex, pairs: PairAssignment, group: BracketGroup
 ) -> DiagramDescription:
-    """The defining diagram of a class's bracket factor: the smash coproduct
-    over the full subcomplex on its support, weighted by cls.l."""
+    """The defining diagram of a group's bracket factor: the smash coproduct
+    over the full subcomplex on its support, weighted by the vertex content,
+    which needs one vertex per piece (as in every mixed group)."""
     _check_arity(K.m, pairs.m, "pairs")
-    sub = full_subcomplex(K, cls.support).complex
-    restricted = PairAssignment.of([pairs.pairs[j - 1] for j in cls.support])
-    return smash_coproduct(sub, restricted, [lj for lj in cls.l if lj])
+    if any(len(piece) > 1 for piece in group.pieces):
+        raise ValueError(f"group w={group.weight} {group.text()}: the content of a piece of "
+                         "several vertices is summed, so no one weighted diagram stands for it")
+    sub = full_subcomplex(K, group.support).complex
+    restricted = PairAssignment.of([pairs.pairs[j - 1] for j in group.support])
+    return smash_coproduct(sub, restricted, group.counts)
 
 
 def _coproduct_decomposition(
@@ -595,15 +601,14 @@ def _coproduct_decomposition(
     theorem: str,
     letters: Sequence[tuple[tuple[int, ...], int]],
     truncated: bool,
-    vertex_degrees: Sequence[int] | None = None,
     degree_bound: int | None = None,
 ) -> Decomposition:
     # truncated: whether the full bracket set is infinite, so that the
     # weight bound cuts it
-    if weight_bound < 1:
-        raise ValueError("weight bound must be >= 1")
-    rule = partial(_bracket_rule, K, _vertex_pieces(pairs))
-    brackets = _class_factors(letters, weight_bound, rule, vertex_degrees, degree_bound)
+    grading, spaces = pieces = _vertex_pieces(pairs)
+    degrees = None if degree_bound is None else _vertex_degrees([spaces[p][0] for p in grading], 0)
+    rule = partial(_bracket_rule, K, pieces)
+    brackets = _class_factors(letters, weight_bound, rule, grading, degrees, degree_bound)
     factors = _base_factors(K, pairs) + brackets
     return Decomposition(tuple(factors), theorem, weight_bound if truncated else None)
 
@@ -617,9 +622,9 @@ def loop_decompose_wedge(
 ) -> Decomposition:
     """Loops of the coproduct of (X_i, point) pairs over K.
 
-    One factor Loop X_i per vertex of K, plus one factor per class of Hall
+    One factor Loop X_i per vertex of K, plus one factor per group of Hall
     brackets whose support is a face of K: Loop Susp of the smash of l_j
-    copies of Loop X_j, with the class's bracket count as multiplicity.
+    copies of Loop X_j, with the group's bracket count as multiplicity.
     A bracket over overlapping maximal faces is counted once.
     """
     _check_arity(K.m, len(spaces), "spaces")
@@ -632,7 +637,6 @@ def loop_decompose_wedge(
         _face_letters(K.face_set(), K.m),
         # infinite exactly when some maximal face has two or more letters
         K.dim() >= 2,
-        _vertex_degrees(spaces, 0) if degree_bound is not None else None,
         degree_bound,
     )
     _assert_conn_at_least_weight(dec.bracket_factors())
@@ -659,9 +663,9 @@ def loop_decompose(
 ) -> Decomposition:
     """The general decomposition of the looped polyhedral coproduct.
 
-    Factors: Loop X_i per vertex, and per class of Hall brackets on the face
+    Factors: Loop X_i per vertex, and per group of Hall brackets on the face
     alphabet of {1..m} (weight <= weight_bound) the looped weighted smash
-    coproduct over the full subcomplex on the class support.  When every
+    coproduct over the full subcomplex on the group's support.  When every
     domain over the support is contractible the factor reduces to a looped
     mapping space out of Susp of the realization; when every codomain over
     the support is a point it reduces to a loop-suspension factor if the
@@ -680,7 +684,7 @@ def loop_decompose_contractible(
 ) -> Decomposition:
     """The decomposition when every domain is contractible.
 
-    One factor per class of Hall brackets whose support is a missing face of
+    One factor per group of Hall brackets whose support is a missing face of
     K: the looped mapping space out of Susp of the realization of the full
     subcomplex on the support, into Susp of the smash of l_j copies of
     Loop A_j.  (Over a face the mapping space is out of a suspended simplex
@@ -858,19 +862,21 @@ def disjoint_union_decomp(
     d1 = loop_decompose_wedge(K1, spaces[:m1], weight_bound, degree_bound=degree_bound)
     d2 = loop_decompose_wedge(K2, spaces[m1:], weight_bound, degree_bound=degree_bound)
 
-    def padded(f: Factor, before: int, after: int) -> Factor:
+    def shifted(f: Factor) -> Factor:
         p = f.provenance
         if isinstance(p, int):
-            return Factor(f.expr, f.multiplicity, p + before)
-        return Factor(f.expr, f.multiplicity, BracketClass(p.weight, (0,) * before + p.l + (0,) * after))
+            return Factor(f.expr, f.multiplicity, p + m1)
+        pieces = tuple(tuple(j + m1 for j in piece) for piece in p.pieces)
+        support = tuple(j + m1 for j in p.support)
+        return Factor(f.expr, f.multiplicity, p._replace(support=support, pieces=pieces))
 
-    factors = [padded(f, 0, m2) for f in d1.factors] + [padded(f, m1, 0) for f in d2.factors]
-    base = sorted((f for f in factors if isinstance(f.provenance, int)), key=lambda f: f.provenance)
-    brackets = sorted(
-        (f for f in factors if isinstance(f.provenance, BracketClass)),
-        key=lambda f: f.provenance.sort_key(),
-    )
+    # vertices first, then groups by weight; stable, so K1's groups come first in a weight
+    def order(f: Factor) -> tuple:
+        p = f.provenance
+        return (1, p.weight) if isinstance(p, BracketGroup) else (0, p)
+
+    factors = sorted([*d1.factors, *map(shifted, d2.factors)], key=order)
     truncation = (
         weight_bound if (d1.truncation is not None or d2.truncation is not None) else None
     )
-    return Decomposition(tuple(base + brackets), "disjoint-union", truncation)
+    return Decomposition(tuple(factors), "disjoint-union", truncation)

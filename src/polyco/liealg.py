@@ -13,9 +13,10 @@ across overlapping maximal faces well defined.
 witt_dimension is the classical multigraded Witt formula and serves as an
 independent counting oracle for the Lyndon enumeration.  lyndon_class_counts
 generalizes it to letters graded by vertex vectors with several copies each:
-it counts Lyndon words per (length, vertex content) class without listing
-them, which is all the decompositions need.  It packs each content into one
-int, so the DP adds ints and the classes come out in listing order.
+it counts Lyndon words per (length, support, piece content) group without
+listing them, which is all the decompositions need.  It packs each grading
+into one int, so the DP adds and ors ints and the groups come out in listing
+order.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress, repeat
 from math import factorial, gcd, prod
-from operator import mul
+from operator import and_, mul
 from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
@@ -227,28 +228,9 @@ def stats(b: Bracket, m: int) -> BracketStats:
     return BracketStats(dict(bJ), tuple(l), b.weight)
 
 
-def support(b: Bracket) -> tuple[int, ...]:
-    """Vertices occurring in the leaves of b (face or plain generators)."""
-    verts: set[int] = set()
-    for g in b.leaves():
-        if g.subset is None:
-            verts.add(g.index)
-        else:
-            verts.update(g.subset)
-    return tuple(sorted(verts))
-
-
-def restricted_support(b: Bracket, I: Iterable[int]) -> tuple[int, ...]:
-    """I_b: the elements of I that appear in the subsets of b."""
-    return tuple(sorted(set(I) & set(support(b))))
-
-
 @lru_cache(maxsize=None)
 def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    out = 1
-    p = 2
+    out, p = 1, 2
     while p * p <= n:
         if n % p == 0:
             n //= p
@@ -256,9 +238,7 @@ def _mobius(n: int) -> int:
                 return 0
             out = -out
         p += 1
-    if n > 1:
-        out = -out
-    return out
+    return -out if n > 1 else out
 
 
 @lru_cache(maxsize=None)
@@ -279,15 +259,10 @@ def witt_dimension(multidegree: Sequence[int]) -> int:
     n = sum(counts)
     if n < 1:
         raise ValueError("total weight must be >= 1")
-    g = 0
-    for c in counts:
-        g = gcd(g, c)
-    total = 0
-    for d in range(1, g + 1):
-        if g % d == 0:
-            total += _mobius(d) * factorial(n // d) // prod(
-                factorial(c // d) for c in counts
-            )
+    total = sum(
+        mu * factorial(n // d) // prod(factorial(c // d) for c in counts)
+        for d, mu in ((1, 1), *_mobius_divisors(gcd(*counts)))
+    )
     assert total % n == 0
     return total // n
 
@@ -296,87 +271,106 @@ def lyndon_class_counts(
     letters: Sequence[tuple[Sequence[int], int]],
     weight_bound: int,
     *,
+    pieces: Sequence[int] | None = None,
     vertex_degrees: Sequence[int] | None = None,
     degree_bound: int | None = None,
-) -> dict[tuple[int, tuple[int, ...]], int]:
-    """Number of Lyndon words per (length w, vertex content l), for w <= weight_bound.
+) -> dict[tuple[int, tuple[int, ...], tuple[int, ...]], int]:
+    """Number of Lyndon words per (length w, support, piece content q), w <= weight_bound.
 
     letters lists (vertex vector, number of copies): a face letter a_J is
-    (e_J, |J| - 1), a plain letter x_i is (e_i, 1).  The content l of a word
-    is the sum of its letters' vectors.  Words are counted by a DP over l,
-    words[n][l] = sum over letters of copies * words[n-1][l - v], and the
-    Lyndon words by the multigraded Witt formula generalized to graded
-    letters (Kang & Kim, J. Algebra 183, 1996):
-    w * L(w, l) = sum over d | gcd(w, l) of mu(d) * words[w/d][l/d].
-    With vertex_degrees and degree_bound, classes with sum_j l_j * deg_j
-    above the bound are omitted; that is a function of l, so it omits
-    exactly the brackets hall_basis prunes with the induced letter degrees.
+    (e_J, |J| - 1), a plain letter x_i is (e_i, 1).  pieces numbers each
+    vertex's piece (default: one per vertex, where q is the vertex content
+    l); q_p sums a word's vectors over piece p, and its support is the set
+    of vertices its letters touch.  Words are counted by a DP over these
+    gradings, supports combining by union, and the Lyndon words by the
+    multigraded Witt formula for graded letters (Kang & Kim, J. Algebra 183,
+    1996): u^d has grading (d * q_u, S_u), so w * L(w, q, S) = sum over
+    d | gcd(w, q) of mu(d) * words[w/d][q/d, S].  With vertex_degrees (equal
+    within a piece) and degree_bound, gradings with sum_j l_j * deg_j above
+    the bound are omitted, exactly the brackets hall_basis prunes.
 
-    Each l is one int with a fixed-width lane per vertex, vertex 1 the most
-    significant, so a DP step is one add; the Moebius terms are pushed from
-    each root l' of length w/d to l' * d when that is present at length w.
-    Int order is lexicographic order on l, so the result is in listing order:
-    by w, then l in descending lexicographic order.
+    A grading is one int, q in fixed-width lanes (piece 0 the most
+    significant) above an m-bit support mask (vertex 1 its top bit): a DP
+    step is (k + q_u) | S_u, and the Moebius terms are pushed from each root
+    to (d * q, S).  Int order is lexicographic order on (q, mask), so the
+    result is in listing order: by w, then q descending, then support.
     """
-    if weight_bound < 1:
-        raise ValueError("weight bound must be >= 1")
-    merged: Counter[tuple[int, ...]] = Counter()
-    for vector, copies in letters:
-        v = tuple(vector)
-        if not all(type(x) is int for x in (*v, copies)):  # no bool, no float
-            raise ValueError(f"letter {v} x{copies!r}: entries and copies must be integers")
-        if copies < 1 or any(x < 0 for x in v) or not any(v):
-            raise ValueError(f"letter {v} x{copies}: need a nonzero vector and copies >= 1")
-        merged[v] += copies
-    if not merged:
+    if type(weight_bound) is not int or weight_bound < 1:  # no bool, no float
+        raise ValueError(f"weight_bound must be an integer >= 1, got {weight_bound!r}")
+    if degree_bound is not None and type(degree_bound) is not int:
+        raise ValueError(f"degree_bound must be an integer, got {degree_bound!r}")
+    letters = [(tuple(vector), copies) for vector, copies in letters]
+    if not letters:
         return {}
-    m, *others = {len(v) for v in merged}
-    if others:
-        raise ValueError("letter vectors must share one length")
-    degs = None
+    m = len(letters[0][0])
+    grading = tuple(range(m)) if pieces is None else tuple(pieces)
+    if len(grading) != m or not all(type(p) is int and p >= 0 for p in grading):
+        raise ValueError(f"pieces must give each of the {m} vertices a number >= 0, got {pieces!r}")
+    size = max(grading) + 1
+    degs = [0] * size  # per piece; all 0 without a bound
     if degree_bound is not None:
-        if vertex_degrees is None or len(vertex_degrees) != m:
-            raise ValueError("degree_bound needs one degree per vertex")
-        degs = tuple(vertex_degrees)
-        if any(d < 1 for d in degs):
-            raise ValueError("vertex degrees must be >= 1")
+        for p, d in zip(grading, vertex_degrees or ()):
+            degs[p] = d
+        if vertex_degrees is None or [degs[p] for p in grading] != list(vertex_degrees) or not all(
+            type(d) is int and d >= 1 for d in vertex_degrees
+        ):
+            raise ValueError(f"degree_bound needs vertex_degrees, one integer >= 1 per vertex, "
+                             f"equal within a piece; got {vertex_degrees!r}")
+
+    bits = [1 << (m - j) for j in range(1, m + 1)]
+    graded: dict[tuple[tuple[int, ...], int], int] = {}  # (q, support mask) -> copies
+    for v, copies in letters:
+        if not all(type(x) is int for x in (*v, copies)):
+            raise ValueError(f"letter {v} x{copies!r}: entries and copies must be integers")
+        if copies < 1 or any(x < 0 for x in v) or not any(v) or len(v) != m:
+            raise ValueError(f"letter {v} x{copies}: need a nonzero length-{m} vector, copies >= 1")
+        q = [0] * size
+        for p, x in zip(grading, v):
+            q[p] += x
+        key = (tuple(q), sum(compress(bits, v)))
+        graded[key] = graded.get(key, 0) + copies
     # a lane holds word length times the largest entry; each letter adds degree >= 1
-    top = min(weight_bound, degree_bound if degs else weight_bound) * max(map(max, merged))
+    top = max(1, min(weight_bound, degree_bound or weight_bound)) * max(max(q) for q, _ in graded)
     fits = [c for b, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")) if top < 256**b]
     if not fits:
-        raise ValueError(f"vertex contents up to {top} do not fit a 64-bit lane")
-    lanes = Struct(f">{m}{fits[0]}")
+        raise ValueError(f"piece contents up to {top} do not fit a 64-bit lane")
+    lanes = Struct(f">{size}{fits[0]}")
 
-    # each state carries its degree (0 without a bound), so pruning costs one add
+    # each state carries its degree, so pruning costs one add
     step = [
-        (int.from_bytes(lanes.pack(*v), "big"), copies, sum(map(mul, v, degs)) if degs else 0)
-        for v, copies in merged.items()
+        (int.from_bytes(lanes.pack(*q), "big") << m, mask, copies, sum(map(mul, q, degs)))
+        for (q, mask), copies in graded.items()
     ]
     layer = {0: (1, 0)}
     words: list[dict[int, tuple[int, int]]] = [layer]
     for _ in range(weight_bound):
         nxt: dict[int, tuple[int, int]] = {}
-        for l, (count, deg) in layer.items():
-            for v, copies, dv in step:
-                if degs is not None and deg + dv > degree_bound:
+        for k, (count, deg) in layer.items():
+            for a, mask, copies, dv in step:
+                if degree_bound is not None and deg + dv > degree_bound:
                     continue
-                hit = nxt.get(l + v)
-                nxt[l + v] = (count * copies + (hit[0] if hit else 0), deg + dv)
+                hit = nxt.get(key := (k + a) | mask)
+                nxt[key] = (count * copies + (hit[0] if hit else 0), deg + dv)
         if not nxt:
             break
         words.append(nxt)
         layer = nxt
 
-    out: dict[tuple[int, tuple[int, ...]], int] = {}
+    low = (1 << m) - 1
+    supports: dict[int, tuple[int, ...]] = {}
+    out: dict[tuple[int, tuple[int, ...], tuple[int, ...]], int] = {}
     for w in range(1, len(words)):
-        totals = {l: count for l, (count, _) in words[w].items()}
+        totals = {k: count for k, (count, _) in words[w].items()}
         for d, mu in _mobius_divisors(w):
             for root, (count, _) in words[w // d].items():
-                if root * d in totals:
-                    totals[root * d] += mu * count
-        for l in sorted(totals, reverse=True):
-            total = totals[l]
+                if (key := (root >> m) * d << m | (root & low)) in totals:
+                    totals[key] += mu * count
+        for k in sorted(totals, reverse=True):
+            total = totals[k]
             assert total % w == 0
             if total:
-                out[(w, lanes.unpack(l.to_bytes(lanes.size, "big")))] = total // w
+                if (mask := k & low) not in supports:
+                    supports[mask] = tuple(compress(range(1, m + 1), map(and_, bits, repeat(mask))))
+                q = lanes.unpack((k >> m).to_bytes(lanes.size, "big"))
+                out[(w, supports[mask], q)] = total // w
     return out

@@ -7,7 +7,7 @@ from math import gcd
 from operator import add, mul
 
 from polyco.decomp import (
-    BracketClass,
+    BracketGroup,
     Decomposition,
     Factor,
     _base_factors,
@@ -18,7 +18,6 @@ from polyco.liealg import (
     _mobius_divisors,
     generators_for,
     hall_basis,
-    lyndon_class_counts,
     plain_alphabet,
     stats,
 )
@@ -446,6 +445,28 @@ def reference_series(e: SpaceExpr, N: int):
 
 
 # ---------------------------------------------------------------------------
+# bracket supports, which no decomposition reads since brackets are counted
+# per group rather than listed
+# ---------------------------------------------------------------------------
+
+
+def support(b) -> tuple[int, ...]:
+    """Vertices occurring in the leaves of b (face or plain generators)."""
+    verts: set[int] = set()
+    for g in b.leaves():
+        if g.subset is None:
+            verts.add(g.index)
+        else:
+            verts.update(g.subset)
+    return tuple(sorted(verts))
+
+
+def restricted_support(b, I) -> tuple[int, ...]:
+    """I_b: the elements of I that appear in the subsets of b."""
+    return tuple(sorted(set(I) & set(support(b))))
+
+
+# ---------------------------------------------------------------------------
 # reference class counts: the DP over content tuples, with the Moebius terms
 # pulled per state through gcd(w, *l), that the packed-int kernel replaces
 # ---------------------------------------------------------------------------
@@ -588,11 +609,11 @@ def reference_bracket_factor(K, pairs, support, l):
     rule that resolves each support once."""
     if all(pairs.domain_contractible(j) for j in support):
         sub = full_subcomplex(K, support).complex
-        inner = Susp(_smash_powers(lambda j: Loop(pairs.codomain(j)), l))
+        inner = Susp(_smash_powers([Loop(a) for _, a in pairs.pairs], l))
         return normalize(Loop(MapFromSusp(sub, inner)))
     if all(pairs.codomain_is_point(j) for j in support):
         if K.has_face(support):
-            return normalize(Loop(Susp(_smash_powers(lambda j: Loop(pairs.domain(j)), l))))
+            return normalize(Loop(Susp(_smash_powers([Loop(x) for x, _ in pairs.pairs], l))))
         return POINT
     # mixed endpoint data over the support: no lemma applies, stay symbolic
     vert_text = ",".join(map(str, support))
@@ -601,21 +622,93 @@ def reference_bracket_factor(K, pairs, support, l):
     return Loop(Atom(f"ŝ-coprod[K_{{{vert_text}}}; weights {weights}]", max(0, sum(l) - dim - 1)))
 
 
-def per_l_listing(
-    letters, weight_bound, factor_of, base, theorem, truncated,
+def reference_grading(pairs) -> list[int]:
+    """Each vertex's piece: one per distinct normalized (domain, codomain)
+    pair, in order of first vertex, or one per vertex when some vertex has a
+    non-point domain and some vertex a non-point codomain."""
+    normal = [(normalize(x), normalize(a)) for x, a in pairs.pairs]
+    if not all(isinstance(x, Point) for x, _ in normal) and not all(
+        isinstance(a, Point) for _, a in normal
+    ):
+        return list(range(len(normal)))
+    first = {}
+    return [first.setdefault(xa, len(first)) for xa in normal]
+
+
+def summand_grading(spaces) -> list[int]:
+    """Each summand's piece for hilton_milnor: one per distinct summand."""
+    first = {}
+    return [first.setdefault(x, len(first)) for x in spaces]
+
+
+def group_of(w, l, grading):
+    """The (weight, support, piece content) key of the class (w, l)."""
+    q = [0] * (max(grading) + 1)
+    for p, lj in zip(grading, l):
+        q[p] += lj
+    return (w, tuple(j for j, lj in enumerate(l, start=1) if lj), tuple(q))
+
+
+def group_key(group: BracketGroup, grading):
+    """The (weight, support, piece content) key of a listed group."""
+    q = [0] * (max(grading) + 1)
+    for piece, n in zip(group.pieces, group.counts):
+        q[grading[piece[0] - 1]] = n
+    return (group.weight, group.support, tuple(q))
+
+
+def regrouped(class_counts, grading):
+    """{(w, l): n} summed into {(w, support, piece content): n}."""
+    out = Counter()
+    for (w, l), n in class_counts.items():
+        out[group_of(w, l, grading)] += n
+    return dict(out)
+
+
+def listing_order(key, m):
+    """Weight, then piece content descending, then the support as a vertex
+    indicator descending."""
+    w, support, q = key
+    return (w, tuple(-x for x in q), tuple(-(j in support) for j in range(1, m + 1)))
+
+
+def per_group_listing(
+    letters, weight_bound, factor_of, base, theorem, truncated, grading,
     vertex_degrees=None, degree_bound=None,
-) -> Decomposition:
-    """The class listing with factor_of(support, l) run afresh for every
-    class: the reference for the engine that builds a factor once per key."""
-    counts = lyndon_class_counts(
-        letters, weight_bound, vertex_degrees=vertex_degrees, degree_bound=degree_bound
-    )
+):
+    """The group listing from the per-class tuple counts, with
+    factor_of(support, l) run afresh for every class and every class of a
+    group giving the same factor: the reference for the engine that counts
+    groups and builds a factor once per key.  Returns the listing and, per
+    listed group, its number of classes."""
+    counts = reference_class_counts(letters, weight_bound, vertex_degrees, degree_bound)
+    groups = {}
+    for (w, l), n in counts.items():
+        key = group_of(w, l, grading)
+        expr = factor_of(key[1], l)
+        if key in groups:
+            assert groups[key][0] == expr, (key, l)
+            groups[key][1] += n
+            groups[key][2] += 1
+        else:
+            groups[key] = [expr, n, 1]
+    m = len(grading)
     brackets = []
-    for cls in sorted((BracketClass(w, l) for w, l in counts), key=BracketClass.sort_key):
-        expr = factor_of(cls.support, cls.l)
+    classes = {}
+    for key in sorted(groups, key=lambda k: listing_order(k, m)):
+        expr, n, classes[key] = groups[key]
         if not isinstance(expr, Point):
-            brackets.append(Factor(expr, counts[(cls.weight, cls.l)], cls))
-    return Decomposition(tuple(base + brackets), theorem, weight_bound if truncated else None)
+            w, support, q = key
+            on = {}
+            for j in support:
+                on.setdefault(grading[j - 1], []).append(j)
+            pieces = tuple(tuple(on[p]) for p in sorted(on))
+            counts = tuple(q[p] for p in sorted(on))
+            brackets.append(Factor(expr, n, BracketGroup(w, support, pieces, counts)))
+        else:
+            del classes[key]
+    dec = Decomposition(tuple(base + brackets), theorem, weight_bound if truncated else None)
+    return dec, classes
 
 
 def enumerated_general(K, pairs, weight_bound) -> Decomposition:

@@ -1,10 +1,17 @@
 """End-to-end runs of the command line."""
 
 import json
+import os
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from _helpers import listing_order, reference_class_counts, regrouped
 from polyco.cli import main
+from polyco.decomp import _all_face_letters
 
 
 def write(tmp_path, name, payload):
@@ -265,16 +272,67 @@ def test_deterministic_output(square_file, cp_file, capsys):
 
 def test_decompose_wedge_default_degree_on_simplex(tmp_path, capsys):
     # the default N = 12 gives W = 13: 119,939,427 brackets over the face
-    # alphabet of the 2-simplex, listed as 2,343 classes (a MemoryError
-    # while every bracket was its own factor)
+    # alphabet of the 2-simplex in 2,343 classes, listed as their groups by
+    # (weight, support, letter count), since every vertex carries S^2 (a
+    # MemoryError while every bracket was its own factor)
     cx = write(tmp_path, "d2.json", {"m": 3, "facets": [[1, 2, 3]]})
     spaces = write(tmp_path, "s2.json", {str(i): {"kind": "sphere", "n": 2} for i in (1, 2, 3)})
     assert main(["decompose-wedge", "--complex", cx, "--spaces", spaces]) == 0
     out = capsys.readouterr().out
+    classes = reference_class_counts(_all_face_letters(3), 13)
+    groups = regrouped(classes, [0] * 3)
+    assert (len(classes), sum(classes.values()), len(groups)) == (2343, 119939427, 106)
     assert out.startswith(
-        "wedge-coproduct: 2346 entries, 119939430 factors with multiplicity (bracket weight ≤ 13)\n"
+        f"wedge-coproduct: {3 + len(groups)} entries, {3 + sum(classes.values())} factors "
+        "with multiplicity (bracket weight ≤ 13)\n"
     )
-    assert out.endswith("ΩΣ(ΩS^2^∧26)   [class w=13 l=(1,12,13)]\n")
+    last = max(groups, key=lambda key: listing_order(key, 3))
+    assert last == (13, (1, 2, 3), (26,))
+    assert out.endswith(f"ΩΣ(ΩS^2^∧26) ^{groups[last]}   [group w=13 {{1,2,3}}:26]\n")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _run_capped(args):
+    """The command line in a child process whose address space is capped at 1 GiB."""
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from polyco.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def _boundary_with_spheres(tmp_path, m):
+    facets = [list(f) for f in combinations(range(1, m + 1), m - 1)]
+    cx = write(tmp_path, f"bd{m}.json", {"m": m, "facets": facets})
+    s2 = {str(i): {"kind": "sphere", "n": 2} for i in range(1, m + 1)}
+    spaces = write(tmp_path, f"s2x{m}.json", s2)
+    return ["decompose-contractible", "--complex", cx, "--spaces", spaces]
+
+
+def test_contractible_boundary_spheres_at_the_default_weight_fit_in_memory(tmp_path, capsys):
+    # ∂Δ⁴ with S^2 at every vertex at the default W = 13 lists 282 groups;
+    # one entry per vertex content took 31 s and 626 MB in text and ended in
+    # a MemoryError in JSON
+    args = _boundary_with_spheres(tmp_path, 5)
+    for fmt in ("text", "json"):
+        proc = _run_capped(args + ["--format", fmt])
+        assert proc.returncode == 0, proc.stderr
+        if fmt == "text":
+            assert proc.stdout.startswith("contractible-domains: 282 entries, ")
+        else:
+            assert len(json.loads(proc.stdout)["factors"]) == 282
+    # ∂Δ³: 193 groups for its 58,097 vertex contents, well under 1 MB of JSON
+    out = tmp_path / "bd4.out.json"
+    assert main(_boundary_with_spheres(tmp_path, 4) + ["--format", "json", "--output", str(out)]) == 0
+    assert len(json.loads(out.read_text())["factors"]) == 193
+    assert out.stat().st_size < 1_000_000
 
 
 def _nested_spaces(tmp_path, depth):

@@ -18,13 +18,20 @@ from _helpers import (
     enumerated_general,
     enumerated_hilton_milnor,
     enumerated_wedge,
+    group_key,
+    group_of,
+    listing_order,
+    per_group_listing,
     random_complex,
     reference_bracket_factor,
-    per_l_listing,
+    reference_class_counts,
+    reference_grading,
     reference_series_product,
+    regrouped,
+    summand_grading,
 )
 from polyco.decomp import (
-    BracketClass,
+    BracketGroup,
     Decomposition,
     Factor,
     _base_factors,
@@ -43,6 +50,7 @@ from polyco.decomp import (
     porter_loop_decomp,
     pullback_square,
     smash_coproduct,
+    _all_face_letters,
     _bracket_rule,
     _vertex_pieces,
 )
@@ -556,12 +564,14 @@ def test_general_vs_wedge_theorem_agreement():
         b = loop_decompose_wedge(K, spaces, 3)
         assert a.factor_multiset() == b.factor_multiset(), K
     # the default CLI weight bound on the 2-simplex: 119,939,427 Lyndon words
-    # over its five face letters, in 2,343 classes, so the multiset must not
-    # expand multiplicities
+    # over its five face letters, in 2,343 classes and 106 groups, so the
+    # multiset must not expand multiplicities
     a = loop_decompose(simplex(3), const([S(2)] * 3), 13)
     b = loop_decompose_wedge(simplex(3), [S(2)] * 3, 13)
     assert a.factor_multiset() == b.factor_multiset()
-    assert len(b.bracket_factors()) == 2_343
+    classes = reference_class_counts(_all_face_letters(3), 13)
+    assert len(classes) == 2_343
+    assert len(b.bracket_factors()) == len(regrouped(classes, [0] * 3)) == 106
     assert sum(f.multiplicity for f in b.bracket_factors()) == 119_939_427
     assert sum(b.factor_multiset().values()) == 3 + 119_939_427
 
@@ -646,30 +656,32 @@ DOMAIN_POOL = (S(3), X2, CP_INFINITY, POINT, PX)
 CODOMAIN_POOL = (S(2), A1, CP_INFINITY, POINT)
 
 
-def class_listing(dec, m):
-    """{(weight, l, expr): brackets} for bracket factors, {(vertex, expr): 1} otherwise."""
+def group_listing(dec, m, grading):
+    """{((weight, support, piece content), expr): brackets} for bracket
+    factors, whether listed per group or per enumerated bracket, and
+    {(vertex, expr): 1} otherwise."""
     out = Counter()
     for f in dec.factors:
         p = f.provenance
-        if isinstance(p, BracketClass):
-            out[(p.weight, p.l, f.expr)] += f.multiplicity
+        if isinstance(p, BracketGroup):
+            out[(group_key(p, grading), f.expr)] += f.multiplicity
         elif isinstance(p, Bracket):
             if p.leaves()[0].subset is None:
                 md = p.multidegree()
                 l = tuple(sum(n for g, n in md.items() if g.index == j) for j in range(1, m + 1))
             else:
                 l = stats(p, m).l
-            out[(p.weight, l, f.expr)] += f.multiplicity
+            out[(group_of(p.weight, l, grading), f.expr)] += f.multiplicity
         else:
             out[(p, f.expr)] += f.multiplicity
     return out
 
 
-def assert_counted_matches(counted, enumerated, m):
+def assert_counted_matches(counted, enumerated, m, grading):
     assert counted.factor_multiset() == enumerated.factor_multiset()
-    assert class_listing(counted, m) == class_listing(enumerated, m)
+    assert group_listing(counted, m, grading) == group_listing(enumerated, m, grading)
     assert (counted.theorem, counted.truncation) == (enumerated.theorem, enumerated.truncation)
-    keys = [f.provenance.sort_key() for f in counted.bracket_factors()]
+    keys = [listing_order(group_key(f.provenance, grading), m) for f in counted.bracket_factors()]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
@@ -691,7 +703,8 @@ def test_counted_wedge_matches_enumerated():
         bound = rng.choice((None, 3, 6, 9))
         counted = loop_decompose_wedge(K, spaces, W, degree_bound=bound)
         enumerated = enumerated_wedge(K, spaces, W, degree_bound=bound)
-        assert_counted_matches(counted, enumerated, K.m)
+        grading = reference_grading(PairAssignment.constant_maps(spaces))
+        assert_counted_matches(counted, enumerated, K.m, grading)
 
 
 def test_counted_general_matches_enumerated():
@@ -702,7 +715,9 @@ def test_counted_general_matches_enumerated():
             [(rng.choice(DOMAIN_POOL), rng.choice(CODOMAIN_POOL)) for _ in range(K.m)]
         )
         W = affordable_weight(max(1, (K.m - 2) * 2 ** (K.m - 1) + 1))
-        assert_counted_matches(loop_decompose(K, pairs, W), enumerated_general(K, pairs, W), K.m)
+        assert_counted_matches(
+            loop_decompose(K, pairs, W), enumerated_general(K, pairs, W), K.m, reference_grading(pairs)
+        )
 
 
 def test_counted_contractible_matches_enumerated():
@@ -712,7 +727,8 @@ def test_counted_contractible_matches_enumerated():
         pairs = path_pairs([rng.choice(CODOMAIN_POOL) for _ in range(K.m)])
         W = affordable_weight(max(1, (K.m - 2) * 2 ** (K.m - 1) + 1))
         assert_counted_matches(
-            loop_decompose_contractible(K, pairs, W), enumerated_contractible(K, pairs, W), K.m
+            loop_decompose_contractible(K, pairs, W), enumerated_contractible(K, pairs, W), K.m,
+            reference_grading(pairs),
         )
 
 
@@ -726,7 +742,24 @@ def test_counted_hilton_milnor_matches_enumerated():
         bound = rng.choice((None, 4, 7, 10))
         counted = hilton_milnor(spaces, W, degree_bound=bound)
         enumerated = enumerated_hilton_milnor(spaces, W, degree_bound=bound)
-        assert_counted_matches(counted, enumerated, m)
+        grading = summand_grading(spaces)
+        assert_counted_matches(counted, enumerated, m, grading)
+
+
+def test_presets_reject_float_and_bool_bounds():
+    # the decompositions pass their bounds to the counter, which names them
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="weight_bound"):
+            loop_decompose_wedge(simplex(3), [S(2)] * 3, bad)
+        with pytest.raises(ValueError, match="weight_bound"):
+            hilton_milnor([S(2), S(3)], bad)
+        with pytest.raises(ValueError, match="weight_bound"):
+            loop_decompose(two_points(), const([X1, X2]), bad)
+    for bad in (4.5, True):
+        with pytest.raises(ValueError, match="degree_bound"):
+            loop_decompose_wedge(simplex(3), [S(2)] * 3, 3, degree_bound=bad)
+        with pytest.raises(ValueError, match="degree_bound"):
+            hilton_milnor([S(2), S(3)], 3, degree_bound=bad)
 
 
 def test_contractible_rule_over_a_face_is_a_point():
@@ -745,9 +778,10 @@ def test_contractible_rule_over_a_face_is_a_point():
 
 
 def test_bracket_rule_matches_the_reference():
-    # resolving a support once gives the factor the per-l rule gives, for
-    # every support and several contents on it, and one key never stands for
-    # two factors, across all supports of a complex
+    # resolving a support once gives the factor the per-l rule gives, built
+    # from the piece content of l, for every support and several contents on
+    # it, and one (shape, piece content) never stands for two factors, across
+    # all supports of a complex
     rng = random.Random(5089)
     compared = 0
     for _ in range(40):
@@ -756,18 +790,21 @@ def test_bracket_rule_matches_the_reference():
             [(rng.choice(DOMAIN_POOL), rng.choice(CODOMAIN_POOL)) for _ in range(K.m)]
         )
         pieces = _vertex_pieces(pairs)
+        grading = reference_grading(pairs)
+        assert pieces[0] == grading
         keyed = {}
         for k in range(2, K.m + 1):
             for support in combinations(range(1, K.m + 1), k):
                 resolved = _bracket_rule(K, pieces, support)
                 for _ in range(3):
                     l = tuple(rng.randint(1, 4) if j in support else 0 for j in range(1, K.m + 1))
-                    got = POINT if resolved is None else resolved[1](l)
+                    q = group_of(0, l, grading)[2]
+                    got = POINT if resolved is None else resolved[1](q)
                     want = reference_bracket_factor(K, pairs, support, l)
                     compared += 1
                     assert got == want, (K, pairs, l)
                     if resolved is not None:
-                        assert keyed.setdefault(resolved[0](l), want) == want, (K, pairs, l)
+                        assert keyed.setdefault((resolved[0], q), want) == want, (K, pairs, l)
     assert compared > 1000
 
 
@@ -778,7 +815,7 @@ def test_mixed_point_codomains_list_no_mapping_space_into_a_point():
     pairs = PairAssignment.path_fibrations([S(2), S(2), S(2), POINT])
     dec = loop_decompose_contractible(square, pairs, 4)
     assert [(render(f.expr), f.provenance) for f in dec.factors] == [
-        ("Ω^2Σ(ΩS^2^∧2)", BracketClass(1, (1, 0, 1, 0)))
+        ("Ω^2Σ(ΩS^2^∧2)", BracketGroup(1, (1, 3), ((1, 3),), (2,)))
     ]
 
 
@@ -845,8 +882,10 @@ def bottom_degrees(spaces, offset):
     return [1 if conn(x) == math.inf else max(1, int(conn(x)) + offset) for x in spaces]
 
 
-def per_l_references(K, pairs, spaces, hm_spaces, W, bound):
-    """The four engines' listings with every class's factor built afresh."""
+def per_group_references(K, pairs, spaces, hm_spaces, W, bound, only=None):
+    """The four engines' group listings (or the one named only) with every
+    class's factor built afresh, each with its number of classes per listed
+    group."""
     everything = list(combinations(range(1, K.m + 1), k) for k in range(2, K.m + 1))
     all_letters = face_letters([J for js in everything for J in js], K.m)
     contractible = PairAssignment.path_fibrations([a for _, a in pairs.pairs])
@@ -857,32 +896,36 @@ def per_l_references(K, pairs, spaces, hm_spaces, W, bound):
         return normalize(Loop(Susp(_loop_smash_of_loops(by_vertex, l, looped=False))))
 
     n = len(hm_spaces)
-    return {
-        "general": per_l_listing(
+    listings = {
+        "general": lambda: per_group_listing(
             all_letters, W, partial(reference_bracket_factor, K, pairs), _base_factors(K, pairs),
-            "general-coproduct", K.m >= 3,
+            "general-coproduct", K.m >= 3, reference_grading(pairs),
         ),
-        "contractible": per_l_listing(
+        "contractible": lambda: per_group_listing(
             all_letters, W, partial(reference_bracket_factor, K, contractible),
             _base_factors(K, contractible), "contractible-domains", K.m >= 3,
+            reference_grading(contractible),
         ),
-        "wedge": per_l_listing(
+        "wedge": lambda: per_group_listing(
             face_letters(K.face_set(), K.m), W,
             partial(reference_bracket_factor, K, constant), _base_factors(K, constant),
-            "wedge-coproduct", K.dim() >= 2,
+            "wedge-coproduct", K.dim() >= 2, reference_grading(constant),
             bottom_degrees(spaces, 0) if bound is not None else None, bound,
         ),
-        "hilton-milnor": per_l_listing(
+        "hilton-milnor": lambda: per_group_listing(
             [(tuple(int(j == i) for j in range(n)), 1) for i in range(n)], W,
             hm_factor,
             [], "hilton-milnor", n >= 2,
+            summand_grading(hm_spaces),
             bottom_degrees(hm_spaces, 1) if bound is not None else None, bound,
         ),
     }
+    return {name: make() for name, make in listings.items() if only in (None, name)}
 
 
 def test_factor_memo_matches_the_per_l_reference():
-    # byte-identical text and JSON on repeated vertex spaces, same-named
+    # byte-identical text and JSON against the per-class listing regrouped by
+    # (weight, support, piece content), on repeated vertex spaces, same-named
     # atoms and complexes with uncertified full subcomplexes; in the reduced
     # branches the memo must be doing work, with fewer objects than contents
     rng = random.Random(5101)
@@ -898,7 +941,7 @@ def test_factor_memo_matches_the_per_l_reference():
         hm_pool = (S(2), X_PLAIN, X_SERIES, X_LOOP)
         hm_spaces = [rng.choice(hm_pool) for _ in range(rng.randint(1, 4))]
         wedge_spaces = [rng.choice(MEMO_SPACES) for _ in range(K.m)]
-        refs = per_l_references(K, pairs, wedge_spaces, hm_spaces, W, bound)
+        refs = per_group_references(K, pairs, wedge_spaces, hm_spaces, W, bound)
         got = {
             "general": loop_decompose(K, pairs, W),
             "contractible": loop_decompose_contractible(
@@ -908,13 +951,62 @@ def test_factor_memo_matches_the_per_l_reference():
             "hilton-milnor": hilton_milnor(hm_spaces, W, degree_bound=bound),
         }
         for name, dec in got.items():
-            assert dec.render() == refs[name].render(), (name, K, pairs)
-            assert json.dumps(dec.to_json()) == json.dumps(refs[name].to_json()), (name, K)
+            ref, classes = refs[name]
+            assert dec.render() == ref.render(), (name, K, pairs)
+            assert json.dumps(dec.to_json()) == json.dumps(ref.to_json()), (name, K)
+            assert dec.factor_multiset() == ref.factor_multiset()
             if name in ("contractible", "wedge"):
                 brackets = dec.bracket_factors()
                 objects += len({id(f.expr) for f in brackets})
-                contents += len({f.provenance.l for f in brackets})
+                contents += sum(classes.values())
     assert objects < contents / 2, (objects, contents)
+
+
+GROUP_POOL = (S(2), S(3), CP_INFINITY, X_PLAIN, X_SERIES)
+
+
+def test_grouped_listing_matches_the_regrouped_reference():
+    # 200 seeded decompositions on m <= 6 vertices, each against the
+    # per-class listing regrouped by (weight, support, piece content): a
+    # few vertex spaces drawn with repeats (so pieces of several vertices
+    # and one piece per vertex both occur), mixed pairs in the general
+    # preset, with and without degree bounds
+    rng = random.Random(5107)
+    seen = Counter()
+    for _ in range(200):
+        K = random_complex(rng, 6)
+        W = {1: 5, 2: 5, 3: 4, 4: 3, 5: 2, 6: 2}[K.m]
+        pool = rng.sample(GROUP_POOL, rng.randint(1, 3))
+        spaces = [rng.choice(pool) for _ in range(K.m)]
+        bound = rng.choice((None, 5, 8, 12))
+        name = rng.choice(("general", "contractible", "wedge", "hilton-milnor"))
+        if name == "general":
+            # mixed pairs, or constant maps or path fibrations over the pool
+            pairs = rng.choice((
+                PairAssignment.of(
+                    [(rng.choice(DOMAIN_POOL), rng.choice(CODOMAIN_POOL)) for _ in range(K.m)]
+                ),
+                const(spaces),
+                path_pairs(spaces),
+            ))
+            dec = loop_decompose(K, pairs, W)
+        elif name == "contractible":
+            pairs = path_pairs(spaces)
+            dec = loop_decompose_contractible(K, pairs, W)
+        elif name == "wedge":
+            pairs = const(spaces)
+            dec = loop_decompose_wedge(K, spaces, W, degree_bound=bound)
+        else:
+            pairs = const(spaces)
+            dec = hilton_milnor(spaces, W, degree_bound=bound)
+        ref, _ = per_group_references(K, pairs, spaces, spaces, W, bound, name)[name]
+        assert dec.render() == ref.render(), (name, K, pairs, W, bound)
+        assert dec.factor_multiset() == ref.factor_multiset()
+        assert dec.series_product(6) == ref.series_product(6)
+        grading = summand_grading(spaces) if name == "hilton-milnor" else reference_grading(pairs)
+        seen[name, "coarse" if len(set(grading)) < K.m else "per vertex"] += 1
+        seen["bounded"] += bound is not None and name in ("wedge", "hilton-milnor")
+    assert len(seen) == 9 and min(seen.values()) >= 5, seen
 
 
 def test_different_uncertified_subcomplexes_do_not_share_a_factor():
@@ -927,7 +1019,8 @@ def test_different_uncertified_subcomplexes_do_not_share_a_factor():
     dec = loop_decompose_contractible(K, path_pairs([S(2)] * 5), 3)
     by_total = {}
     for f in dec.bracket_factors():
-        by_total.setdefault((f.provenance.support, sum(f.provenance.l)), set()).add(id(f.expr))
+        total = sum(f.provenance.counts)
+        by_total.setdefault((f.provenance.support, total), set()).add(id(f.expr))
     both = [t for s, t in by_total if s == (1, 2, 3, 4) and ((1, 2, 3, 4, 5), t) in by_total]
     assert both
     for t in both:
@@ -937,8 +1030,9 @@ def test_different_uncertified_subcomplexes_do_not_share_a_factor():
 
 
 def count_builds(monkeypatch):
-    """Counts each key's builds through a wrapper around the bracket rule;
-    a build that gives a point is counted under the key "point"."""
+    """Counts each (shape, piece content) key's builds through a wrapper
+    around the bracket rule; a build that gives a point is counted under the
+    key "point"."""
     builds = Counter()
     rule = polyco.decomp._bracket_rule
 
@@ -946,18 +1040,25 @@ def count_builds(monkeypatch):
         resolved = rule(K, pieces, support)
         if resolved is None:
             return None
-        key, make = resolved
+        shape, make = resolved
 
-        def counted(l):
-            builds[key(l)] += 1
-            expr = make(l)
+        def counted(q):
+            builds[(shape, q)] += 1
+            expr = make(q)
             builds["point"] += isinstance(expr, Point)
             return expr
 
-        return key, counted
+        return shape, counted
 
     monkeypatch.setattr(polyco.decomp, "_bracket_rule", counting)
     return builds
+
+
+def listed_contents(dec, m, W, grading):
+    """The vertex contents l of the face-alphabet classes in dec's groups."""
+    listed = {group_key(f.provenance, grading) for f in dec.bracket_factors()}
+    classes = reference_class_counts(_all_face_letters(m), W)
+    return {l for w, l in classes if group_of(w, l, grading) in listed}
 
 
 def test_contractible_factor_built_once_per_key(monkeypatch):
@@ -968,13 +1069,13 @@ def test_contractible_factor_built_once_per_key(monkeypatch):
     assert builds.pop("point", 0) == 0
     assert set(builds.values()) == {1}
     assert len(builds) == len({id(f.expr) for f in brackets}) == len({f.expr for f in brackets})
-    assert len({f.provenance.l for f in brackets}) > 20 * len(builds)
+    assert len(listed_contents(dec, 4, 8, [0] * 4)) > 20 * len(builds)
     builds.clear()
     # ∂Δ⁶ at W=2: 128 contents, so building per l takes 128 builds
     boundary6 = build(7, [list(f) for f in combinations(range(1, 8), 6)])
     dec = loop_decompose_contractible(boundary6, path_pairs([S(2)] * 4 + [S(3)] * 3), 2)
     brackets = dec.bracket_factors()
-    assert len({f.provenance.l for f in brackets}) == 128
+    assert len(listed_contents(dec, 7, 2, [0] * 4 + [1] * 3)) == 128
     assert builds.pop("point", 0) == 0
     assert set(builds.values()) == {1} and sum(builds.values()) <= 30
     assert len({id(f.expr) for f in brackets}) == len({f.expr for f in brackets})
@@ -1021,10 +1122,29 @@ def test_class_diagram_matches_the_symbolic_atom():
             sub = full_subcomplex(K, support).complex
             d = class_diagram(K, pairs, f.provenance)
             assert (d.complex, d.weights) == (sub, weights)
-            assert f.expr.child.connectivity == max(0, sum(f.provenance.l) - sub.dim() - 1)
+            total = sum(f.provenance.counts)
+            assert f.expr.child.connectivity == max(0, total - sub.dim() - 1)
             restricted = PairAssignment.of([pairs.pairs[j - 1] for j in support])
             assert d == smash_coproduct(sub, restricted, weights)
     assert seen > 0
+
+
+def test_class_diagram_needs_one_vertex_per_piece():
+    # a group over a piece of several vertices fixes only their total letter
+    # count, so no one weighted diagram stands for it; with one vertex per
+    # piece the counts are the weights
+    K = build(4, [list(f) for f in combinations(range(1, 5), 3)])
+    pairs = path_pairs([S(2)] * 4)
+    group = loop_decompose_contractible(K, pairs, 2).bracket_factors()[0].provenance
+    assert group.pieces == ((1, 2, 3, 4),)
+    with pytest.raises(ValueError, match="is summed"):
+        class_diagram(K, pairs, group)
+    distinct = path_pairs([S(2), S(3), S(4), CP_INFINITY])
+    group = loop_decompose_contractible(K, distinct, 2).bracket_factors()[0].provenance
+    assert group.pieces == ((1,), (2,), (3,), (4,))
+    d = class_diagram(K, distinct, group)
+    assert (d.complex, d.weights) == (K, group.counts)
+    assert d == smash_coproduct(K, distinct, group.counts)
 
 
 def test_mixed_decomposition_builds_no_diagrams():
@@ -1041,10 +1161,19 @@ def test_mixed_decomposition_builds_no_diagrams():
 
 
 def test_contractible_listing_json_stays_small():
-    # 6,420 entries over 29 expressions: each smash power is one child, so
-    # the JSON does not spell out up to 32 copies of each loop space
+    # the 6,420 classes with support {1,2,3,4} fall into 78 groups over 29
+    # expressions: each smash power is one child, so the JSON does not spell
+    # out up to 32 copies of each loop space
     K = build(4, [list(f) for f in combinations(range(1, 5), 3)])
     dec = loop_decompose_contractible(K, PairAssignment.path_fibrations([S(2)] * 4), 8)
     text = json.dumps(dec.to_json(), sort_keys=True, indent=2)
-    assert len(dec.factors) == 6420
+    classes = {
+        wl: n for wl, n in reference_class_counts(_all_face_letters(4), 8).items()
+        if all(wl[1])
+    }
+    groups = regrouped(classes, [0] * 4)
+    assert len(classes) == 6420 and len(groups) == 78
+    assert len(dec.factors) == len(groups)
+    assert sum(f.multiplicity for f in dec.factors) == sum(classes.values())
+    assert len({f.expr for f in dec.factors}) == 29
     assert len(text) < 6_000_000

@@ -6,8 +6,14 @@ from itertools import product as iproduct
 
 import pytest
 
-from _helpers import reference_class_counts
-from polyco.decomp import BracketClass, _all_face_letters
+from _helpers import (
+    listing_order,
+    reference_class_counts,
+    regrouped,
+    restricted_support,
+    support,
+)
+from polyco.decomp import _all_face_letters
 from polyco.liealg import (
     Bracket,
     Generator,
@@ -16,9 +22,7 @@ from polyco.liealg import (
     lyndon_class_counts,
     lyndon_words,
     plain_alphabet,
-    restricted_support,
     stats,
-    support,
     witt_dimension,
 )
 
@@ -208,6 +212,16 @@ def face_letters(I, m):
     ]
 
 
+def as_classes(counts):
+    """The counter's keys under one piece per vertex, (w, support, l), as
+    (w, l); the support must be the vertices l touches."""
+    out = {}
+    for (w, support, l), n in counts.items():
+        assert support == tuple(j for j, lj in enumerate(l, start=1) if lj), (support, l)
+        out[(w, l)] = n
+    return out
+
+
 def enumerated_classes(alphabet, m, W, letter_degrees=None, degree_bound=None):
     basis = hall_basis(alphabet, W, letter_degrees=letter_degrees, degree_bound=degree_bound)
     return dict(Counter((b.weight, stats(b, m).l) for b in basis))
@@ -215,7 +229,7 @@ def enumerated_classes(alphabet, m, W, letter_degrees=None, degree_bound=None):
 
 def test_class_counts_match_witt_on_plain_alphabets():
     for k, W in ((1, 8), (2, 8), (3, 6), (4, 5)):
-        counts = lyndon_class_counts(plain_letters(k), W)
+        counts = as_classes(lyndon_class_counts(plain_letters(k), W))
         for total in range(1, W + 1):
             for md in iproduct(range(total + 1), repeat=k):
                 if sum(md) != total:
@@ -230,16 +244,17 @@ def test_class_counts_match_enumerated_face_alphabets():
     rng = random.Random(4099)
     for I, m, W in (([1, 2], 2, 5), ([1, 2, 3], 3, 5), ([1, 3, 4], 4, 4), ([1, 2, 3, 4], 4, 3)):
         alphabet = generators_for(I)
-        assert lyndon_class_counts(face_letters(I, m), W) == enumerated_classes(alphabet, m, W)
+        want = enumerated_classes(alphabet, m, W)
+        assert as_classes(lyndon_class_counts(face_letters(I, m), W)) == want
         grouped = list(Counter(v for v, _ in face_letters(I, m)).items())
-        assert lyndon_class_counts(grouped, W) == enumerated_classes(alphabet, m, W)
+        assert as_classes(lyndon_class_counts(grouped, W)) == want
         for _ in range(4):
             vdeg = [rng.randint(1, 3) for _ in range(m)]
             bound = rng.randint(2, 14)
             ldeg = [sum(vdeg[j - 1] for j in g.subset) for g in alphabet]
-            got = lyndon_class_counts(
+            got = as_classes(lyndon_class_counts(
                 face_letters(I, m), W, vertex_degrees=vdeg, degree_bound=bound
-            )
+            ))
             assert got == enumerated_classes(alphabet, m, W, ldeg, bound), (I, vdeg, bound)
 
 
@@ -247,7 +262,9 @@ def test_class_counts_degree_bound_on_plain_alphabets():
     for degs, bound in (([2, 2, 3], 8), ([1, 4], 9), ([3], 3)):
         k = len(degs)
         alphabet = plain_alphabet(k)
-        got = lyndon_class_counts(plain_letters(k), 7, vertex_degrees=degs, degree_bound=bound)
+        got = as_classes(
+            lyndon_class_counts(plain_letters(k), 7, vertex_degrees=degs, degree_bound=bound)
+        )
         want = Counter()
         for b in hall_basis(alphabet, 7, letter_degrees=degs, degree_bound=bound):
             md = b.multidegree()
@@ -298,10 +315,14 @@ def _random_letters(rng):
     return m, letters
 
 
-def _assert_matches_reference(letters, W, degs=None, bound=None):
-    got = lyndon_class_counts(letters, W, vertex_degrees=degs, degree_bound=bound)
-    assert got == reference_class_counts(letters, W, degs, bound), (letters, W, degs, bound)
-    assert list(got) == sorted(got, key=lambda wl: BracketClass(*wl).sort_key())
+def _assert_matches_reference(letters, W, degs=None, bound=None, pieces=None):
+    # the counter against the tuple DP's classes summed per group, in listing order
+    m = len(letters[0][0])
+    got = lyndon_class_counts(letters, W, pieces=pieces, vertex_degrees=degs, degree_bound=bound)
+    grading = list(range(m)) if pieces is None else pieces
+    want = regrouped(reference_class_counts(letters, W, degs, bound), grading)
+    assert got == want, (letters, W, pieces, degs, bound)
+    assert list(got) == sorted(want, key=lambda key: listing_order(key, m))
     return got
 
 
@@ -323,3 +344,64 @@ def test_packed_class_counts_match_the_tuple_reference():
     for W, classes in ((10, None), (13, 67463)):
         got = _assert_matches_reference(_all_face_letters(4), W)
         assert classes is None or len(got) == classes
+
+
+def _random_grading(rng, m):
+    # pieces numbered in order of first vertex, as the decompositions number them
+    shape = [rng.randrange(rng.randint(1, m)) for _ in range(m)]
+    first = {}
+    return [first.setdefault(p, len(first)) for p in shape]
+
+
+def test_grouped_counts_match_the_regrouped_reference():
+    # random piece maps on m <= 6 vertices, some with every vertex its own
+    # piece and some with one piece; degrees shared within each piece
+    rng = random.Random(8123)
+    coarse = bounded = 0
+    for _ in range(240):
+        m, letters = _random_letters(rng)
+        while m > 6:
+            m, letters = _random_letters(rng)
+        pieces = rng.choice((_random_grading(rng, m), [0] * m, list(range(m))))
+        W = rng.randint(1, 7)
+        degs = bound = None
+        if rng.random() < 0.5:
+            per_piece = [rng.randint(1, 4) for _ in range(m)]
+            degs = [per_piece[p] for p in pieces]
+            bound = rng.randint(1, 20)
+            bounded += 1
+        coarse += len(set(pieces)) < m
+        _assert_matches_reference(letters, W, degs, bound, pieces)
+    assert coarse >= 100 and bounded >= 100
+    # the boundary of the 3-simplex with one space at every vertex: 193
+    # groups for the 67,463 classes of the face alphabet at W = 13
+    got = _assert_matches_reference(_all_face_letters(4), 13, pieces=[0, 0, 0, 0])
+    assert len(got) == 611
+    assert sum(n for (_, support, _), n in got.items() if support == (1, 2, 3, 4)) == 813773326765155
+
+
+def test_class_counts_numeric_arguments_are_integers():
+    # a float or a bool bound or degree is an error naming the argument,
+    # not a bare TypeError, a count at 1 or a pruning by float degrees
+    letters = plain_letters(2)
+    for bad in (2.5, True, 2.0, 0, -1):
+        with pytest.raises(ValueError, match="weight_bound"):
+            lyndon_class_counts(letters, bad)
+    for degs in ([1.5, 1], [True, 1], [0, 1]):
+        with pytest.raises(ValueError, match="vertex_degrees"):
+            lyndon_class_counts(letters, 3, vertex_degrees=degs, degree_bound=4)
+    for bound in (4.5, True):
+        with pytest.raises(ValueError, match="degree_bound"):
+            lyndon_class_counts(letters, 3, vertex_degrees=[1, 1], degree_bound=bound)
+    # a bound of 0 or below leaves nothing, whatever the lane width of the letters
+    for bound in (0, -2):
+        assert lyndon_class_counts([((300, 1), 1), ((0, 1), 1)], 3, vertex_degrees=[1, 1],
+                                   degree_bound=bound) == {}
+    # the empty alphabet still checks its bound
+    with pytest.raises(ValueError, match="weight_bound"):
+        lyndon_class_counts([], 2.5)
+    for pieces in ([0], [0, -1], [0, True], [0, 1.0]):
+        with pytest.raises(ValueError, match="pieces"):
+            lyndon_class_counts(letters, 3, pieces=pieces)
+    with pytest.raises(ValueError, match="equal within a piece"):
+        lyndon_class_counts(letters, 3, pieces=[0, 0], vertex_degrees=[1, 2], degree_bound=4)
