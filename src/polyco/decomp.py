@@ -188,11 +188,11 @@ def smash_coproduct(
     kept symbolic; only the reductions in loop_decompose evaluate it.
     """
     _check_arity(K.m, pairs.m, "pairs")
-    ks = tuple(int(k) for k in weights)
+    ks = tuple(weights)
     if len(ks) != K.m:
         raise ValueError(f"expected {K.m} weights, got {len(ks)}")
-    if any(k < 0 for k in ks):
-        raise ValueError("weights must be nonnegative")
+    if any(type(k) is not int or k < 0 for k in ks):  # no bool, no float
+        raise ValueError(f"weights must be nonnegative integers, got {list(ks)!r}")
     if not any(ks):
         raise ValueError("weights must not all be zero")
     objects: dict[Face, SpaceExpr] = {}

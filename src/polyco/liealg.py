@@ -179,8 +179,8 @@ def hall_basis(
     this prunes exactly the brackets invisible below that degree, which keeps
     truncated series products finite without changing them.
     """
-    if weight_bound < 1:
-        raise ValueError("weight bound must be >= 1")
+    if type(weight_bound) is not int or weight_bound < 1:  # no bool, no float
+        raise ValueError(f"weight_bound must be an integer >= 1, got {weight_bound!r}")
     k = len(alphabet)
     if k == 0:
         return []

@@ -14,6 +14,8 @@ Conventions
   come from an exact sparse column reduction over int: plain integer updates
   on +-1 pivots, fraction-free ones with gcd division otherwise.  Torsion is
   invisible by design: the downstream series oracles are rational.
+* The shifted and flag certificates read faces as int bitmasks (bit v for
+  vertex v).  A ghost vertex is a minimal non-face, so it makes K non-flag.
 """
 
 from __future__ import annotations
@@ -285,23 +287,14 @@ def homology(K: SimplicialComplex) -> HomologyProfile:
 # ---------------------------------------------------------------------------
 
 
-def _replaceable(faces: frozenset[Face], u: int, v: int) -> bool:
+def _face_masks(K: SimplicialComplex) -> frozenset[int]:
+    return frozenset(sum(1 << v for v in f) for f in _face_set(K))
+
+
+def _replaceable(masks: frozenset[int], u: int, v: int) -> bool:
     # u can stand in for v: every face through v (avoiding u) survives the swap
-    for f in faces:
-        if v in f and u not in f:
-            g = tuple(sorted(set(f) - {v} | {u}))
-            if g not in faces:
-                return False
-    return True
-
-
-def _shifted_under_identity(faces: frozenset[Face], m: int) -> bool:
-    for f in faces:
-        for v in f:
-            for u in range(1, v):
-                if u not in f and tuple(sorted(set(f) - {v} | {u})) not in faces:
-                    return False
-    return True
+    bu, bv = 1 << u, 1 << v
+    return all(f ^ bv | bu in masks for f in masks if f & bv and not f & bu)
 
 
 @lru_cache(maxsize=None)
@@ -311,27 +304,24 @@ def is_shifted(K: SimplicialComplex) -> bool:
     K is shifted for a labeling when replacing any vertex of any face by a
     smaller vertex again yields a face.  The search uses the replacement
     quasi-order "u can stand in for v everywhere", which is transitive; a
-    valid labeling exists iff every vertex pair is comparable, and sorting by
-    how many vertices each one can replace produces one.  The candidate
-    labeling is verified directly before returning True.
+    valid labeling exists iff every vertex pair is comparable, so the first
+    incomparable pair answers False, and sorting by how many vertices each
+    one can replace produces a labeling.  That labeling is verified directly
+    before returning True.  Faces are bitmasks (bit v for vertex v).
     """
-    faces = _face_set(K)
+    masks = _face_masks(K)
     verts = range(1, K.m + 1)
-    repl = {
-        (u, v): _replaceable(faces, u, v)
-        for u in verts
-        for v in verts
-        if u != v
-    }
-    for u in verts:
-        for v in verts:
-            if u < v and not (repl[(u, v)] or repl[(v, u)]):
-                return False
-    score = {u: sum(repl[(u, v)] for v in verts if v != u) for u in verts}
+    score = dict.fromkeys(verts, 0)
+    for u, v in combinations(verts, 2):
+        uv, vu = _replaceable(masks, u, v), _replaceable(masks, v, u)
+        if not (uv or vu):
+            return False
+        score[u] += uv
+        score[v] += vu
     order = sorted(verts, key=lambda u: (-score[u], u))
-    relabel = {old: new + 1 for new, old in enumerate(order)}
-    relabeled = frozenset(tuple(sorted(relabel[v] for v in f)) for f in faces)
-    return _shifted_under_identity(relabeled, K.m)
+    bit = {old: 1 << new for new, old in enumerate(order, start=1)}
+    relabeled = frozenset(sum(bit[v] for v in f) for f in _face_set(K))
+    return all(_replaceable(relabeled, u, v) for u, v in combinations(verts, 2))
 
 
 def minimal_non_faces(K: SimplicialComplex) -> tuple[Face, ...]:
@@ -346,8 +336,22 @@ def minimal_non_faces(K: SimplicialComplex) -> tuple[Face, ...]:
 
 
 def is_flag(K: SimplicialComplex) -> bool:
-    """Flag: every minimal non-face has exactly two vertices."""
-    return all(len(f) == 2 for f in minimal_non_faces(K))
+    """Flag: every minimal non-face has exactly two vertices.
+
+    A ghost vertex is a minimal non-face of size 1, so K is then not flag.
+    A minimal non-face S of size >= 3 is f + v for the face f = S - v, so
+    only those candidates are tested, on faces as bitmasks (bit v for v).
+    """
+    masks = _face_masks(K)
+    bits = [1 << v for v in range(1, K.m + 1)]
+    if any(b not in masks for b in bits):
+        return False
+    return not any(
+        f | b not in masks and all(f ^ c | b in masks for c in bits if f & c)
+        for f in masks
+        if f.bit_count() >= 2
+        for b in bits
+    )
 
 
 def has_chordal_1skeleton(K: SimplicialComplex) -> bool:

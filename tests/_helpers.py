@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from operator import add, mul
 
@@ -26,6 +27,8 @@ from polyco.scomplex import (
     Subcomplex,
     build,
     full_subcomplex,
+    has_chordal_1skeleton,
+    homology,
     maximal_faces_ge2,
     wedge_of_spheres_type,
 )
@@ -824,6 +827,69 @@ def reference_homology_ranks(K: SimplicialComplex) -> tuple[int, ...]:
     f = K.f_vector()
     ranks = [1] + reference_boundary_ranks(K) + [0]
     return tuple(f[d] - ranks[d] - ranks[d + 1] for d in range(top + 1))
+
+
+# ---------------------------------------------------------------------------
+# reference certificates: the tuple-based shifted and flag tests that the
+# bitmask ones replace (every vertex pair compared up front; every subset of
+# {1..m} scanned for minimal non-faces)
+# ---------------------------------------------------------------------------
+
+
+def _reference_replaceable(faces, u, v) -> bool:
+    for f in faces:
+        if v in f and u not in f:
+            if tuple(sorted(set(f) - {v} | {u})) not in faces:
+                return False
+    return True
+
+
+def _reference_shifted_under_identity(faces) -> bool:
+    for f in faces:
+        for v in f:
+            for u in range(1, v):
+                if u not in f and tuple(sorted(set(f) - {v} | {u})) not in faces:
+                    return False
+    return True
+
+
+def reference_is_shifted(K: SimplicialComplex) -> bool:
+    faces = frozenset(K.faces())
+    verts = range(1, K.m + 1)
+    repl = {(u, v): _reference_replaceable(faces, u, v) for u in verts for v in verts if u != v}
+    for u in verts:
+        for v in verts:
+            if u < v and not (repl[(u, v)] or repl[(v, u)]):
+                return False
+    score = {u: sum(repl[(u, v)] for v in verts if v != u) for u in verts}
+    order = sorted(verts, key=lambda u: (-score[u], u))
+    relabel = {old: new + 1 for new, old in enumerate(order)}
+    return _reference_shifted_under_identity(
+        frozenset(tuple(sorted(relabel[v] for v in f)) for f in faces)
+    )
+
+
+def reference_is_flag(K: SimplicialComplex) -> bool:
+    faces = frozenset(K.faces())
+    for k in range(1, K.m + 1):
+        for c in combinations(range(1, K.m + 1), k):
+            minimal = c not in faces and all(c[:i] + c[i + 1 :] in faces for i in range(k))
+            if minimal and k != 2:
+                return False
+    return True
+
+
+def reference_wedge_of_spheres_type(K: SimplicialComplex) -> tuple[int, ...] | None:
+    if K.dim() < 0:
+        return (-1,)
+    if not (
+        K.dim() == 0
+        or K.is_simplex()
+        or reference_is_shifted(K)
+        or (reference_is_flag(K) and has_chordal_1skeleton(K))
+    ):
+        return None
+    return tuple(d for d, r in enumerate(homology(K).ranks) for _ in range(r))
 
 
 def random_int_matrix(rng: random.Random, max_size: int = 8):

@@ -26,14 +26,28 @@ def load_workloads(monkeypatch):
     return module
 
 
+def assert_recorded(workloads, specs):
+    answers = json.loads((PERFBENCH / "answers.json").read_text())
+    for spec in specs:
+        out = workloads.execute(polyco, workloads.make_inputs(polyco, spec))
+        assert workloads.check(polyco, spec, out, answers) is None, spec
+
+
 def test_first_variant_of_every_decomposition_slot_matches_its_recorded_answer(monkeypatch):
     workloads = load_workloads(monkeypatch)
-    answers = json.loads((PERFBENCH / "answers.json").read_text())
     catalogue = workloads.catalogue()
     specs = [slot.variants[0] for slot in catalogue["decompose-deep"].slots]
     wide = [s.variants[0] for s in catalogue["complexes-wide"].slots]
     specs += [spec for spec in wide if "decompose" in spec]
     assert len(specs) == len(catalogue["decompose-deep"].slots) + 4
-    for spec in specs:
-        out = workloads.execute(polyco, workloads.make_inputs(polyco, spec))
-        assert workloads.check(polyco, spec, out, answers) is None, spec
+    assert_recorded(workloads, specs)
+
+
+def test_first_variant_of_every_homology_slot_matches_its_recorded_answer(monkeypatch):
+    # the digest of a homology-only request covers its reduced Betti numbers
+    # and its wedge-of-spheres type, certificate included
+    workloads = load_workloads(monkeypatch)
+    wide = [s.variants[0] for s in workloads.catalogue()["complexes-wide"].slots]
+    specs = [spec for spec in wide if "decompose" not in spec]
+    assert len(specs) == 21
+    assert_recorded(workloads, specs)

@@ -243,6 +243,10 @@ def test_smash_coproduct_weights():
     assert d.objects[()] == Susp(Smash((Loop(A1), Loop(A1))))
     with pytest.raises(ValueError):
         smash_coproduct(K, pairs, (0, 0))
+    # weights are plain ints: 1.5 is not read as 1, nor True as 1
+    for bad in ((1.5, 1), (True, 1), (2, 1.0), (-1, 1)):
+        with pytest.raises(ValueError, match="weights must be nonnegative integers"):
+            smash_coproduct(K, pairs, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,14 @@ def test_hall_basis_single_generator():
         assert [b.serialize() for b in bs] == ["x1"]
 
 
+def test_hall_basis_weight_bound_is_an_integer():
+    # 2.5 would list the weight-3 brackets and True would count as 1
+    assert len(hall_basis(plain_alphabet(2), 2)) == 3
+    for bad in (2.5, True, 2.0, 0):
+        with pytest.raises(ValueError, match="weight_bound"):
+            hall_basis(plain_alphabet(2), bad)
+
+
 def test_hall_basis_weight_one_is_alphabet():
     alph = generators_for([1, 2, 3])
     bs = hall_basis(alph, 1)

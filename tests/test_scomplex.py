@@ -14,6 +14,9 @@ from _helpers import (
     reference_build,
     reference_full_subcomplex,
     reference_homology_ranks,
+    reference_is_flag,
+    reference_is_shifted,
+    reference_wedge_of_spheres_type,
 )
 from polyco.scomplex import (
     _reduce,
@@ -293,16 +296,101 @@ def brute_is_shifted(K):
     return any(shifted_under(p) for p in permutations(range(1, K.m + 1)))
 
 
+def random_certificate_complex(rng, m):
+    """Sparse, dense or clique complexes on a random part of {1..m}; the
+    vertices left out are ghosts.  A clique complex is flag by construction,
+    and dropping one of its facets of size >= 3 leaves a larger minimal
+    non-face."""
+    covered = rng.sample(range(1, m + 1), rng.randint(max(1, m - 2), m))
+    n, kind = len(covered), rng.randrange(3)
+    if kind < 2:
+        # sparse: points and edges; dense: triangles and up, short of a simplex
+        lo, hi = (1, min(2, n)) if kind == 0 else (min(3, n), max(min(3, n), n - 1))
+        faces = [rng.sample(covered, rng.randint(lo, hi)) for _ in range(rng.randint(m // 2, 2 * m))]
+        return build(m, faces)
+    edges = {e for e in combinations(sorted(covered), 2) if rng.random() < 0.6}
+    cliques = [
+        c for c in powerset(sorted(covered))
+        if c and all(e in edges for e in combinations(c, 2))
+    ]
+    K = build(m, cliques)
+    big = [f for f in K.facets if len(f) >= 3]
+    if big and rng.random() < 0.3:
+        drop = rng.choice(big)
+        K = build(m, [f for f in cliques if f != drop])
+    return K
+
+
+def random_shifted_complex(rng, m):
+    # the shifted closure of a few faces, relabeled at random
+    faces = {
+        tuple(sorted(rng.sample(range(1, m + 1), rng.randint(1, min(m, 4)))))
+        for _ in range(rng.randint(1, 3))
+    }
+    todo = list(faces)
+    while todo:
+        f = todo.pop()
+        for v in f:
+            for u in set(range(1, v)) - set(f):
+                g = tuple(sorted(set(f) - {v} | {u}))
+                if g not in faces:
+                    faces.add(g)
+                    todo.append(g)
+    perm = rng.sample(range(1, m + 1), m)
+    return build(m, [[perm[v - 1] for v in f] for f in faces])
+
+
 def test_is_shifted_matches_permutation_search():
     rng = random.Random(271)
-    for _ in range(60):
-        m = rng.randint(1, 5)
-        faces = [
-            rng.sample(range(1, m + 1), rng.randint(1, m))
-            for _ in range(rng.randint(0, 5))
-        ]
-        K = build(m, faces)
-        assert is_shifted(K) == brute_is_shifted(K), K
+    seen = {"shifted": 0, "not shifted": 0, "ghost": 0, "facet >= 3": 0}
+    for i in range(120):
+        if i % 3:
+            K = random_certificate_complex(rng, 6)
+        else:
+            K = random_shifted_complex(rng, rng.randint(1, 6))
+        want = brute_is_shifted(K)
+        assert is_shifted(K) == want, K
+        seen["shifted" if want else "not shifted"] += 1
+        seen["ghost"] += bool(uncovered(K))
+        seen["facet >= 3"] += K.dim() >= 2
+    assert min(seen.values()) >= 20, seen
+
+
+def test_is_flag_matches_minimal_non_faces():
+    rng = random.Random(1729)
+    seen = {"flag": 0, "not flag": 0, "ghost": 0, "minimal non-face >= 3": 0}
+    for _ in range(600):
+        K = random_certificate_complex(rng, rng.randint(1, 9))
+        sizes = {len(f) for f in minimal_non_faces(K)}
+        want = sizes <= {2}
+        assert is_flag(K) == want, K
+        seen["flag" if want else "not flag"] += 1
+        seen["ghost"] += 1 in sizes
+        seen["minimal non-face >= 3"] += max(sizes, default=0) >= 3
+    assert min(seen.values()) >= 50, seen
+
+
+def test_ghost_vertex_makes_a_complex_non_flag():
+    # {5} is a minimal non-face of size 1; the rest is flag and chordal
+    K = build(5, [[1, 2, 4], [3]])
+    assert minimal_non_faces(K)[0] == (5,)
+    assert not is_flag(K)
+    assert is_flag(build(4, [[1, 2, 4], [3]]))
+    assert not is_flag(build(3, []))
+
+
+def test_wedge_type_matches_tuple_based_certificates():
+    rng = random.Random(3141)
+    certified = 0
+    for i in range(400):  # about three in four get a certificate
+        m = rng.randint(1, 9)
+        K = random_certificate_complex(rng, m) if i % 4 else random_shifted_complex(rng, m)
+        want = reference_wedge_of_spheres_type(K)
+        assert wedge_of_spheres_type(K) == want, K
+        assert is_shifted(K) == reference_is_shifted(K), K
+        assert is_flag(K) == reference_is_flag(K), K
+        certified += want is not None
+    assert 250 <= certified <= 350, certified
 
 
 def brute_chordal(K):
