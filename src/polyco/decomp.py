@@ -43,11 +43,13 @@ counts) as provenance, in JSON {"kind": "group", "weight": ..., "support":
 decompositions are one engine and one bracket rule over the face alphabet,
 resolved once per support, and each distinct factor is built once.
 
-Every emitted factor expression is normalized, factors that normalize to a
-point are dropped, and factor order is deterministic: vertex factors first by
-vertex, then bracket groups by weight, piece content descending and support,
-as lyndon_class_counts returns them (so raising the weight bound only
-appends factors).
+Every emitted factor expression is in normal form: it is built by the
+normal-form helpers of spacexpr from pieces normalized once, not as a raw
+tree normalized afterwards.  Factors that are a point are dropped, and
+factor order is deterministic: vertex factors first by vertex, then bracket
+groups by weight, piece content descending and support, as
+lyndon_class_counts returns them (so raising the weight bound only appends
+factors).
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ from .spacexpr import (
     POINT,
     Atom,
     Loop,
-    MapFromSusp,
     PairAssignment,
     Point,
     Product,
@@ -83,6 +84,10 @@ from .spacexpr import (
     Sphere,
     Susp,
     Wedge,
+    _compound,
+    _loop,
+    _map_from_susp,
+    _susp,
     conn,
     expr_to_json,
     normalize,
@@ -195,13 +200,12 @@ def smash_coproduct(
         raise ValueError(f"weights must be nonnegative integers, got {list(ks)!r}")
     if not any(ks):
         raise ValueError("weights must not all be zero")
+    loops = [(normalize(Loop(x)), normalize(Loop(a))) for x, a in pairs.pairs]
     objects: dict[Face, SpaceExpr] = {}
     for f in K.faces():
         sel = set(f)
-        smash = _smash_powers(
-            [Loop(x if i in sel else a) for i, (x, a) in enumerate(pairs.pairs, start=1)], ks
-        )
-        objects[f] = normalize(Susp(smash))
+        on = [lx if i in sel else la for i, (lx, la) in enumerate(loops, start=1)]
+        objects[f] = _susp(_smash_of(on, ks))
     arrows = {(sig, tau): coords for sig, tau, coords in _strict_face_pairs(K)}
     return DiagramDescription(K, "suspended-smash", objects, arrows, weights=ks)
 
@@ -317,10 +321,14 @@ class Decomposition:
         """The product of the factor series through degree N, or Unsupported.
 
         Each distinct expression is evaluated once and raised to its total
-        multiplicity; an Unsupported reason names the first such factor."""
+        multiplicity; an Unsupported reason names the first such factor.
+        Factors are in normal form, so each goes straight to the memoized
+        evaluator behind series_of, without a second normalize."""
+        if N < 0:
+            raise ValueError("truncation degree must be >= 0")
         out = series_mod.PoincareSeries.one(N)
         for f, k in self._totals().values():
-            p = series_mod.series_of(f.expr, N)
+            p = series_mod._series_memo(f.expr, N)
             if isinstance(p, series_mod.Unsupported):
                 return series_mod.Unsupported(
                     f"factor {render(f.expr)} [{_provenance_text(f.provenance)}]: {p.reason}"
@@ -386,13 +394,12 @@ def porter_fiber(spaces: Sequence[SpaceExpr]) -> SpaceExpr:
     """
     _require_simply_connected(spaces, "wedge summand")
     m = len(spaces)
-    summands: list[SpaceExpr] = []
-    powers: list[int] = []
+    loops = [normalize(Loop(x)) for x in spaces]
+    terms = []
     for k in range(2, m + 1):
-        for I in combinations(range(1, m + 1), k):
-            summands.append(normalize(Susp(Smash(tuple(Loop(spaces[i - 1]) for i in I)))))
-            powers.append(k - 1)
-    return normalize(Wedge(tuple(summands), tuple(powers)))
+        for I in combinations(range(m), k):
+            terms.append((_susp(_compound(Smash, ((loops[i], 1) for i in I))), k - 1))
+    return _compound(Wedge, terms)
 
 
 def porter_loop_decomp(spaces: Sequence[SpaceExpr]) -> Decomposition:
@@ -402,8 +409,7 @@ def porter_loop_decomp(spaces: Sequence[SpaceExpr]) -> Decomposition:
         f = normalize(Loop(x))
         if not isinstance(f, Point):
             factors.append(Factor(f, 1, i))
-    fib = porter_fiber(spaces)
-    lf = normalize(Loop(fib))
+    lf = _loop(porter_fiber(spaces), 1)
     if not isinstance(lf, Point):
         factors.append(Factor(lf, 1, "base"))
     return Decomposition(tuple(factors), "porter", None)
@@ -471,7 +477,9 @@ def hilton_milnor(
 
     Each bracket contributes Loop Susp of the smash of l_i copies of each
     X_i, zero-fold powers omitted, where l_i counts the letter x_i; the
-    brackets are counted per group, by letter count per distinct summand.  degree_bound
+    brackets are counted per group, by letter count per distinct summand.
+    Each distinct summand is normalized once, and each factor is built in
+    normal form from those summands.  degree_bound
     optionally drops the brackets whose factors carry no homology at or
     below that degree, which leaves truncated series products unchanged.
     """
@@ -483,10 +491,10 @@ def hilton_milnor(
             raise ValueError(f"vertex {i}: summand {render(x)} must be connected")
     ids: dict[SpaceExpr, int] = {}
     grading = [ids.setdefault(x, len(ids)) for x in spaces]
-    summands = list(ids)
+    summands = [normalize(x) for x in ids]
 
     def build(q):
-        return normalize(Loop(Susp(_smash_powers(summands, q))))
+        return _loop(_susp(_smash_of(summands, q)), 1)
 
     letters = [(tuple(int(j == i) for j in range(m)), 1) for i in range(m)]
     degrees = None if degree_bound is None else _vertex_degrees(spaces, 1)
@@ -532,9 +540,9 @@ def _all_face_letters(m: int) -> list[tuple[tuple[int, ...], int]]:
     )
 
 
-def _smash_powers(spaces: Sequence[SpaceExpr], counts: Sequence[int]) -> Smash:
-    # counts[i] copies of spaces[i], as one child of that power, zero-fold ones omitted
-    return Smash(tuple(x for x, k in zip(spaces, counts) if k), tuple(k for k in counts if k))
+def _smash_of(normal: Sequence[SpaceExpr], counts: Sequence[int]) -> SpaceExpr:
+    # the normal form of the smash of counts[i] copies of each normal[i], zero-fold ones omitted
+    return _compound(Smash, ((x, k) for x, k in zip(normal, counts) if k))
 
 
 def _vertex_pieces(pairs: PairAssignment):
@@ -551,7 +559,13 @@ def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
     """The factor of the groups over one support: None when they all vanish,
     else (shape, build).  build(q) makes the looped weighted smash coproduct
     over the full subcomplex on the support, reduced where a lemma applies,
-    for piece content q; shape and q are all that it depends on."""
+    for piece content q; shape and q are all that it depends on.
+
+    In the reduced branches the loop of each piece's space on the surviving
+    side is normalized once per support, and build(q) assembles the factor
+    in normal form from those: Loop Susp of the smash of q_p copies of each
+    piece's loop space, through a mapping space out of Susp|K_S| when the
+    domains are contractible."""
     grading, spaces = pieces
     on = [spaces[grading[j - 1]] for j in support]
     if all(isinstance(a, Point) for _, a in on):
@@ -570,11 +584,11 @@ def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
         name = "ŝ-coprod[K_{" + ",".join(map(str, support)) + "}; weights "
         top = full_subcomplex(K, support).complex.dim() + 1
         return name, lambda q: Loop(Atom(f"{name}{[x for x in q if x]}]", max(0, sum(q) - top)))
-    loops = [Loop(xa[side]) for xa in spaces]
+    loops = [_loop(xa[side], 1) for xa in spaces]
 
     def build(q):
-        smash = Susp(_smash_powers(loops, q))
-        return normalize(Loop(smash if side == 0 else MapFromSusp(sub, smash)))
+        smash = _susp(_smash_of(loops, q))
+        return _loop(smash if side == 0 else _map_from_susp(sub, smash), 1)
 
     return shape, build
 

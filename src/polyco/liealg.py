@@ -187,11 +187,13 @@ def hall_basis(
     max_len = weight_bound
     degs = None
     if degree_bound is not None:
+        if type(degree_bound) is not int:
+            raise ValueError(f"degree_bound must be an integer, got {degree_bound!r}")
         if letter_degrees is None or len(letter_degrees) != k:
             raise ValueError("degree_bound needs letter_degrees for the alphabet")
         degs = list(letter_degrees)
-        if any(d < 1 for d in degs):
-            raise ValueError("letter degrees must be >= 1")
+        if not all(type(d) is int and d >= 1 for d in degs):
+            raise ValueError(f"letter_degrees must be integers >= 1, got {degs!r}")
         max_len = min(max_len, degree_bound // min(degs))
     words = []
     for w in lyndon_words(k, max_len):

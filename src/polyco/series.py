@@ -237,7 +237,8 @@ def _loop_sphere_series(n: int, k: int, N: int) -> SeriesOrUnsupported:
 
 
 def series_of(e: SpaceExpr, N: int) -> SeriesOrUnsupported:
-    """Evaluate the homology series of an expression through degree N."""
+    """Evaluate the homology series of an expression through degree N:
+    normalize, then the memoized evaluator _series_memo."""
     if N < 0:
         raise ValueError("truncation degree must be >= 0")
     return _series_memo(normalize(e), N)
@@ -245,7 +246,10 @@ def series_of(e: SpaceExpr, N: int) -> SeriesOrUnsupported:
 
 @lru_cache(maxsize=1024)
 def _series_memo(e: SpaceExpr, N: int) -> SeriesOrUnsupported:
-    """_series on a normalized expression, memoized: both result types are frozen."""
+    """_series on an expression in normal form, memoized: both result types
+    are frozen.  Callers whose expressions are normal by construction (the
+    factors of a Decomposition) call it directly; anything else goes
+    through series_of."""
     return _series(e, N)
 
 

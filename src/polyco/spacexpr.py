@@ -26,6 +26,13 @@ normalize() rewrites to a fixed point of:
 
 Uncertified mapping spaces, Loop(S^1), and loops of bare atoms stay
 symbolic: the rewriter never invents a homotopy type.
+
+Each constructor's rules live in one helper that takes children already in
+normal form and returns the normal form: _compound (wedge, product, smash),
+_susp, _loop and _map_from_susp.  normalize is their fold over the tree,
+normalizing the children first.  A caller whose pieces are already normal,
+as the decompositions' factor builds are, calls the helpers directly and
+never walks a tree a second time.
 """
 
 from __future__ import annotations
@@ -233,24 +240,13 @@ def normalize(e: SpaceExpr) -> SpaceExpr:
         return _compound(type(e), ((normalize(c), p) for c, p in zip(e.children, e.powers)))
 
     if isinstance(e, Susp):
-        c = normalize(e.child)
-        if isinstance(c, Point):
-            return POINT
-        if isinstance(c, Sphere):
-            return Sphere(c.n + 1)
-        return Susp(c)
+        return _susp(normalize(e.child))
 
     if isinstance(e, Loop):
         return _loop(normalize(e.child), e.count)
 
     if isinstance(e, MapFromSusp):
-        c = normalize(e.child)
-        if isinstance(c, Point):  # every pointed map into a point is constant
-            return POINT
-        dims = wedge_of_spheres_type(e.complex)
-        if dims is None:
-            return MapFromSusp(e.complex, c)
-        return _compound(Product, ((c if d + 1 == 0 else _loop(c, d + 1), 1) for d in dims))
+        return _map_from_susp(e.complex, normalize(e.child))
 
     raise TypeError(f"not a space expression: {e!r}")
 
@@ -294,8 +290,27 @@ def _loop(c: SpaceExpr, k: int) -> SpaceExpr:
         return _compound(Product, ((_loop(x, k), p) for x, p in zip(c.children, c.powers)))
     if isinstance(c, Atom) and c.loop is not None:
         once = normalize(c.loop)
-        return once if k == 1 else normalize(Loop(once, k - 1))
+        return once if k == 1 else _loop(once, k - 1)
     return Loop(c, k)
+
+
+def _susp(c: SpaceExpr) -> SpaceExpr:
+    """The normal form of Susp(c) for c in normal form."""
+    if isinstance(c, Point):
+        return POINT
+    if isinstance(c, Sphere):
+        return Sphere(c.n + 1)
+    return Susp(c)
+
+
+def _map_from_susp(K: SimplicialComplex, c: SpaceExpr) -> SpaceExpr:
+    """The normal form of MapFromSusp(K, c) for c in normal form."""
+    if isinstance(c, Point):  # every pointed map into a point is constant
+        return POINT
+    dims = wedge_of_spheres_type(K)
+    if dims is None:
+        return MapFromSusp(K, c)
+    return _compound(Product, ((c if d + 1 == 0 else _loop(c, d + 1), 1) for d in dims))
 
 
 def expr_equal(a: SpaceExpr, b: SpaceExpr) -> bool:

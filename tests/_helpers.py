@@ -13,7 +13,6 @@ from polyco.decomp import (
     Factor,
     _base_factors,
     _provenance_text,
-    _smash_powers,
 )
 from polyco.liealg import (
     _mobius_divisors,
@@ -606,6 +605,11 @@ def _enumerated_face_alphabet(K, pairs, weight_bound, theorem, rule) -> Decompos
     )
 
 
+def _smash_powers(spaces, counts) -> Smash:
+    # counts[i] copies of spaces[i], as one child of that power, zero-fold ones omitted
+    return Smash(tuple(x for x, k in zip(spaces, counts) if k), tuple(k for k in counts if k))
+
+
 def reference_bracket_factor(K, pairs, support, l):
     """The bracket rule run once per vertex content l, with the lemma tests
     and the full subcomplex redone on every call: the reference for the
@@ -623,6 +627,24 @@ def reference_bracket_factor(K, pairs, support, l):
     weights = [lj for lj in l if lj]
     dim = full_subcomplex(K, support).complex.dim()
     return Loop(Atom(f"ŝ-coprod[K_{{{vert_text}}}; weights {weights}]", max(0, sum(l) - dim - 1)))
+
+
+def reference_group_factor(K, pairs, group: BracketGroup):
+    """The factor of a polyhedral group built as a raw tree and normalized
+    from the root: Loop Susp of the smash of the raw looped spaces, or its
+    MapFromSusp variant over contractible domains, with counts[i] copies of
+    the pair of the first vertex of pieces[i]."""
+    l = [0] * K.m
+    for piece, n in zip(group.pieces, group.counts):
+        l[piece[0] - 1] = n
+    return reference_bracket_factor(K, pairs, group.support, l)
+
+
+def reference_summand_factor(spaces, group: BracketGroup):
+    """The factor of a hilton_milnor group as a normalized raw tree: Loop Susp
+    of the smash of counts[i] copies of the summand pieces[i] starts with."""
+    summands = [spaces[piece[0] - 1] for piece in group.pieces]
+    return normalize(Loop(Susp(_smash_powers(summands, group.counts))))
 
 
 def reference_grading(pairs) -> list[int]:

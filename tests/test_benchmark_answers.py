@@ -51,3 +51,11 @@ def test_first_variant_of_every_homology_slot_matches_its_recorded_answer(monkey
     specs = [spec for spec in wide if "decompose" not in spec]
     assert len(specs) == 21
     assert_recorded(workloads, specs)
+
+
+def test_first_variant_of_every_verify_slot_gives_its_expected_verdict(monkeypatch):
+    # Equal, or the recorded first difference for the counterexample slots
+    workloads = load_workloads(monkeypatch)
+    specs = [slot.variants[0] for slot in workloads.catalogue()["verify"].slots]
+    assert len(specs) == 35
+    assert_recorded(workloads, specs)

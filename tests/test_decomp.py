@@ -26,7 +26,10 @@ from _helpers import (
     reference_bracket_factor,
     reference_class_counts,
     reference_grading,
+    reference_group_factor,
+    reference_normalize,
     reference_series_product,
+    reference_summand_factor,
     regrouped,
     summand_grading,
 )
@@ -1181,3 +1184,95 @@ def test_contractible_listing_json_stays_small():
     assert sum(f.multiplicity for f in dec.factors) == sum(classes.values())
     assert len({f.expr for f in dec.factors}) == 29
     assert len(text) < 6_000_000
+
+
+# ---------------------------------------------------------------------------
+# factors built in normal form against the raw trees normalized from the root
+# ---------------------------------------------------------------------------
+
+# atoms whose loop replacement is a product or a smash (the smash flattens
+# into the smash of a bracket factor); Susp(S^2) normalizes to S^3, so it is
+# a summand of its own that builds the same factors as S^3
+T_PRODUCT = Atom("T", 2, loop=Product((Loop(S(3)), Loop(S(5)))))
+U_SMASH = Atom("U", 1, loop=Smash((S(1), Atom("V", 1))))
+PARITY_DOMAINS = (S(3), CP_INFINITY, T_PRODUCT, U_SMASH, POINT, PX)
+PARITY_CODOMAINS = (S(2), CP_INFINITY, T_PRODUCT, U_SMASH, POINT)
+PARITY_SPACES = (S(2), S(3), CP_INFINITY, T_PRODUCT, U_SMASH, X_PLAIN, PX)
+PARITY_SUMMANDS = (S(2), S(3), Susp(S(2)), CP_INFINITY, T_PRODUCT, U_SMASH, X_PLAIN, PX)
+
+
+def parity_decompositions():
+    """About 200 seeded decompositions with m <= 5, each with the reference
+    build of its groups: repeated and distinct spaces, point domains and
+    codomains, and complexes with uncertified full subcomplexes."""
+    rng = random.Random(5113)
+    out = []
+    for i in range(50):
+        K = UNCERTIFIED[i % 3] if i % 5 == 0 else random_complex(rng, 5)
+        W = rng.randint(1, {1: 5, 2: 5, 3: 4, 4: 3, 5: 2}[K.m])
+        bound = rng.choice((None, 6, 9))
+        domains, codomains = rng.sample(PARITY_DOMAINS, 3), rng.sample(PARITY_CODOMAINS, 3)
+        pairs = PairAssignment.of(
+            [(rng.choice(domains), rng.choice(codomains)) for _ in range(K.m)]
+        )
+        contractible = PairAssignment.path_fibrations([a for _, a in pairs.pairs])
+        spaces = [rng.choice(PARITY_SPACES) for _ in range(K.m)]
+        summands = [rng.choice(PARITY_SUMMANDS) for _ in range(rng.randint(1, 5))]
+        out += [
+            (loop_decompose(K, pairs, W), partial(reference_group_factor, K, pairs)),
+            (
+                loop_decompose_contractible(K, contractible, W),
+                partial(reference_group_factor, K, contractible),
+            ),
+            (
+                loop_decompose_wedge(K, spaces, W, degree_bound=bound),
+                partial(reference_group_factor, K, const(spaces)),
+            ),
+            (
+                hilton_milnor(summands, W, degree_bound=bound),
+                partial(reference_summand_factor, summands),
+            ),
+        ]
+    return out
+
+
+def test_normal_form_builds_match_the_normalized_reference():
+    # every factor equals the raw tree normalized from the root, and is a
+    # fixed point of normalize and of the independent reference normalizer
+    decs = parity_decompositions()
+    assert len(decs) == 200
+    compared = symbolic = spheres = 0
+    for dec, reference in decs:
+        for f in dec.factors:
+            assert normalize(f.expr) == f.expr, render(f.expr)
+            assert reference_normalize(f.expr) == f.expr, render(f.expr)
+            if isinstance(f.provenance, BracketGroup):
+                assert f.expr == reference(f.provenance), (dec.theorem, f.provenance)
+                compared += 1
+                symbolic += "Map_*" in render(f.expr)
+                spheres += isinstance(f.expr, Loop) and isinstance(f.expr.child, Sphere)
+    assert compared > 2000 and symbolic > 20 and spheres > 20, (compared, symbolic, spheres)
+
+
+def test_series_product_evaluates_each_normal_factor_as_series_of_does():
+    # the product of series_of over the factor multiset, or the reason for
+    # the first unsupported factor, exactly as series_of words it
+    supported = unsupported = 0
+    for i, (dec, _) in enumerate(parity_decompositions()):
+        N = 4 + i % 7
+        want = PoincareSeries.one(N)
+        for e, k in dec.factor_multiset().items():
+            p = series_of(e, N)
+            if isinstance(p, Unsupported):
+                first = next(f for f in dec.factors if f.expr == e)
+                where = polyco.decomp._provenance_text(first.provenance)
+                want = Unsupported(f"factor {render(e)} [{where}]: {p.reason}")
+                break
+            want = want * p**k
+        got = dec.series_product(N)
+        assert got == want, (dec.theorem, N)
+        supported += isinstance(got, PoincareSeries)
+        unsupported += isinstance(got, Unsupported)
+        with pytest.raises(ValueError, match="truncation degree"):
+            dec.series_product(-1)
+    assert supported > 50 and unsupported > 50, (supported, unsupported)

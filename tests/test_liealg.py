@@ -94,6 +94,19 @@ def test_hall_basis_weight_bound_is_an_integer():
             hall_basis(plain_alphabet(2), bad)
 
 
+def test_hall_basis_degrees_are_integers():
+    # 2.5 would prune like 2 and True like 1; a True degree would count as 1
+    # and 1.5 would prune by float sums
+    alph = plain_alphabet(2)
+    assert len(hall_basis(alph, 3, letter_degrees=[1, 1], degree_bound=2)) == 3
+    for bound in (2.5, True):
+        with pytest.raises(ValueError, match="degree_bound"):
+            hall_basis(alph, 3, letter_degrees=[1, 1], degree_bound=bound)
+    for degs in ([True, 1], [1.5, 1]):
+        with pytest.raises(ValueError, match="letter_degrees"):
+            hall_basis(alph, 3, letter_degrees=degs, degree_bound=2)
+
+
 def test_hall_basis_weight_one_is_alphabet():
     alph = generators_for([1, 2, 3])
     bs = hall_basis(alph, 1)
