@@ -10,10 +10,13 @@ Conventions
   the complex genuinely depends on m, not just on the covered vertices.
 * All face sets and facet lists are kept sorted, so equal complexes compare
   and serialize identically.
-* Homology is reduced homology with rational coefficients.  Boundary ranks
-  come from an exact sparse column reduction over int: plain integer updates
-  on +-1 pivots, fraction-free ones with gcd division otherwise.  Torsion is
-  invisible by design: the downstream series oracles are rational.
+* Homology is reduced homology with rational coefficients.  It is computed
+  on the strong-collapse core of K (dominated vertices deleted, which keeps
+  the homotopy type), whose faces are listed as int bitmasks.  Boundary
+  ranks come from an exact sparse column reduction over int, top dimension
+  first with clearing: plain integer updates on +-1 pivots, fraction-free
+  ones with gcd division otherwise.  Torsion is invisible by design: the
+  downstream series oracles are rational.
 * The shifted and flag certificates read faces as int bitmasks (bit v for
   vertex v).  A ghost vertex is a minimal non-face, so it makes K non-flag.
 """
@@ -94,15 +97,16 @@ class Subcomplex(NamedTuple):
 def build(m: int, faces: Iterable[Iterable[int]]) -> SimplicialComplex:
     """Build the complex on {1..m} generated by the given faces.
 
-    Raises ValueError when m < 1, a face is empty, or a vertex is out of
-    range.  Listing no faces yields the empty complex (only face: the empty
-    face), which is a legal value.
+    Raises ValueError when m is not an int >= 1 (a bool is not), a vertex
+    is not an int, a face is empty, or a vertex is out of range.  Listing no
+    faces yields the empty complex (only face: the empty face), which is a
+    legal value.
     """
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise ValueError(f"vertex count must be a positive integer, got {m!r}")
     cleaned: set[Face] = set()
     for face in faces:
-        f = tuple(sorted(set(face)))
+        f = tuple(sorted({json_int(v, "vertex") for v in face}))
         if not f:
             raise ValueError("generating faces must be nonempty")
         if f[0] < 1 or f[-1] > m:
@@ -133,8 +137,12 @@ def _faces(K: SimplicialComplex) -> tuple[Face, ...]:
 
 
 def full_subcomplex(K: SimplicialComplex, I: Iterable[int]) -> Subcomplex:
-    """The full subcomplex K_I: all faces of K contained in I, re-indexed."""
-    iv = tuple(sorted(set(I)))
+    """The full subcomplex K_I: all faces of K contained in I, re-indexed.
+
+    Raises ValueError when a vertex of I is not an int or is out of range,
+    or I is empty.
+    """
+    iv = tuple(sorted({json_int(v, "vertex") for v in I}))
     for v in iv:
         if v < 1 or v > K.m:
             raise ValueError(f"vertex {v} out of range 1..{K.m}")
@@ -256,30 +264,91 @@ def _reduce(columns: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     return pivots
 
 
+def _bits(mask: int) -> list[int]:
+    """The one-bit masks of a face bitmask, lowest (smallest vertex) first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
+
+
+def _core(K: SimplicialComplex) -> frozenset[int]:
+    """Facet bitmasks (bit v for vertex v) of a strong-collapse core of K.
+
+    A vertex v is dominated when another vertex w lies in every facet
+    through v; deleting v keeps the homotopy type (Barmak-Minian, strong
+    collapses).  Each facet F through v becomes F - v, dropped when a facet
+    through w contains it.  Only the vertices of the facets through v can
+    change status, so only they go back on the worklist.  The result has no
+    dominated vertex and only maximal facets; it is empty iff K has no
+    vertex.  Ghost vertices are in no facet and play no part.
+    """
+    facets = {sum(1 << v for v in f) for f in K.facets}
+    star: dict[int, set[int]] = {}  # vertex bit -> the facets through it
+    for F in facets:
+        for b in _bits(F):
+            star.setdefault(b, set()).add(F)
+    todo = set(star)
+    while todo:
+        b = todo.pop()
+        rest = ~b
+        for F in star[b]:
+            rest &= F
+            if not rest:
+                break
+        if not rest:
+            continue
+        w = star[rest & -rest]
+        for F in star.pop(b):
+            facets.discard(F)
+            G = F ^ b
+            for u in _bits(G):
+                star[u].discard(F)
+                todo.add(u)
+            if not any(G & H == G for H in w):
+                facets.add(G)
+                for u in _bits(G):
+                    star[u].add(G)
+    return frozenset(facets)
+
+
 @lru_cache(maxsize=None)
 def homology(K: SimplicialComplex) -> HomologyProfile:
-    """Reduced rational homology via boundary matrices of the augmented chain complex."""
+    """Reduced rational homology via the boundary matrices of the core of K.
+
+    Only the faces of the strong-collapse core (:func:`_core`) are listed,
+    as bitmasks, from its facets down.  The boundary matrices are reduced
+    from the top dimension down with clearing (Chen-Kerber): a d-face that
+    is the pivot row of a reduced (d+1)-column has a boundary column that
+    reduces to zero, so that column is skipped.  The core may have a lower
+    dimension than K; its Betti numbers are padded with zeros up to K.dim().
+    """
     top = K.dim()
     if top < 0:
         return HomologyProfile((), -1)
-    by_dim: dict[int, list[Face]] = {d: [] for d in range(top + 1)}
-    for f in K.faces():
-        if f:
-            by_dim[len(f) - 1].append(f)
-    # rank of the augmentation C_0 -> C_{-1}: 1 as soon as a vertex exists
-    ranks_d = [1 if by_dim[0] else 0]
-    for d in range(1, top + 1):
-        row = {f: i for i, f in enumerate(by_dim[d - 1])}
+    core = _core(K)
+    by_dim: list[set[int]] = [set() for _ in range(max(F.bit_count() for F in core))]
+    for F in core:
+        by_dim[F.bit_count() - 1].add(F)
+    for d in range(len(by_dim) - 1, 0, -1):
+        by_dim[d - 1].update(f ^ b for f in by_dim[d] for b in _bits(f))
+    faces = [sorted(s) for s in by_dim]
+    # the augmentation C_0 -> C_{-1} has rank 1, the boundary above the top 0
+    ranks_d = [1] + [0] * len(faces)
+    cleared: dict[int, dict[int, int]] = {}  # pivots of the reduction one dimension up
+    for d in range(len(faces) - 1, 0, -1):
+        row = {f: i for i, f in enumerate(faces[d - 1])}
         columns = (
-            {row[f[:pos] + f[pos + 1 :]]: -1 if pos % 2 else 1 for pos in range(len(f))}
-            for f in by_dim[d]
+            {row[f ^ b]: -1 if pos % 2 else 1 for pos, b in enumerate(_bits(f))}
+            for i, f in enumerate(faces[d])
+            if i not in cleared
         )
-        ranks_d.append(len(_reduce(columns)))
-    ranks_d.append(0)
-    betti = tuple(
-        len(by_dim[d]) - ranks_d[d] - ranks_d[d + 1] for d in range(top + 1)
-    )
-    return HomologyProfile(betti, top)
+        cleared = _reduce(columns)
+        ranks_d[d] = len(cleared)
+    betti = [len(fs) - ranks_d[d] - ranks_d[d + 1] for d, fs in enumerate(faces)]
+    return HomologyProfile(tuple(betti) + (0,) * (top + 1 - len(betti)), top)
 
 
 # ---------------------------------------------------------------------------

@@ -765,10 +765,14 @@ def enumerated_contractible(K, pairs, weight_bound) -> Decomposition:
 
 def reference_build(m, faces) -> SimplicialComplex:
     """Keep each generating face that no other one properly contains."""
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise ValueError(f"vertex count must be a positive integer, got {m!r}")
     cleaned = set()
     for face in faces:
+        face = list(face)
+        for v in face:
+            if type(v) is not int:
+                raise ValueError(f"vertex must be an integer, got {v!r}")
         f = tuple(sorted(set(face)))
         if not f:
             raise ValueError("generating faces must be nonempty")
@@ -782,6 +786,10 @@ def reference_build(m, faces) -> SimplicialComplex:
 
 def reference_full_subcomplex(K: SimplicialComplex, I) -> Subcomplex:
     """Every face of K inside I, relabeled, fed to reference_build."""
+    I = list(I)
+    for v in I:
+        if type(v) is not int:
+            raise ValueError(f"vertex must be an integer, got {v!r}")
     iv = tuple(sorted(set(I)))
     for v in iv:
         if v < 1 or v > K.m:
