@@ -575,10 +575,13 @@ def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
         side, shape = 0, "point"
     elif all(isinstance(x, Point) for x, _ in on):
         # over a face, or any certified contractible realization, this is a point
-        sub = None if K.has_face(support) else full_subcomplex(K, support).complex
-        if sub is None or wedge_of_spheres_type(sub) == ():
+        if K.has_face(support):
             return None
-        side, shape = 1, wedge_of_spheres_type(sub) or sub
+        sub = full_subcomplex(K, support).complex
+        dims = wedge_of_spheres_type(sub)
+        if dims == ():
+            return None
+        side, shape = 1, sub if dims is None else dims
     else:
         # mixed endpoint data (one piece per vertex, q is l): stay symbolic
         name = "ŝ-coprod[K_{" + ",".join(map(str, support)) + "}; weights "

@@ -17,15 +17,20 @@ Conventions
   first with clearing: plain integer updates on +-1 pivots, fraction-free
   ones with gcd division otherwise.  Torsion is invisible by design: the
   downstream series oracles are rational.
-* The shifted and flag certificates read faces as int bitmasks (bit v for
-  vertex v).  A ghost vertex is a minimal non-face, so it makes K non-flag.
+* The wedge-of-spheres certificates (shifted, flag, chordal 1-skeleton)
+  and full subcomplexes work from the facets alone and never list faces.
+  The certificates read facets as int bitmasks (bit v for vertex v) with a
+  vertex -> facets index; a face test scans only the facets through the
+  face's vertex with the fewest.  A ghost vertex is a minimal non-face, so
+  it makes K non-flag.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, product as iproduct
+from functools import cmp_to_key, lru_cache
+from itertools import combinations, pairwise, product as iproduct
 from math import gcd
 from typing import Iterable, NamedTuple
 
@@ -113,13 +118,27 @@ def build(m: int, faces: Iterable[Iterable[int]]) -> SimplicialComplex:
             bad = [v for v in f if v < 1 or v > m]
             raise ValueError(f"vertex {bad[0]} out of range 1..{m}")
         cleaned.add(f)
-    # largest first: a face is maximal iff no facet kept so far contains it
-    kept: list[frozenset[int]] = []
-    for f in sorted(cleaned, key=len, reverse=True):
+    return SimplicialComplex(m, _maximal(cleaned))
+
+
+def _maximal(faces: set[Face]) -> tuple[Face, ...]:
+    """The inclusion-maximal ones among distinct nonempty sorted faces, sorted.
+
+    Largest first, a face is maximal iff no facet kept so far contains it;
+    one of the largest size is maximal outright.  A kept facet containing f
+    passes through every vertex of f, so f is tested only against the kept
+    facets through its vertex with the fewest.
+    """
+    order = sorted(faces, key=len, reverse=True)
+    star: defaultdict[int, list[frozenset[int]]] = defaultdict(list)  # vertex -> kept facets
+    kept = []
+    for f in order:
         s = frozenset(f)
-        if not any(s <= g for g in kept):
-            kept.append(s)
-    return SimplicialComplex(m, tuple(sorted(tuple(sorted(g)) for g in kept)))
+        if len(f) == len(order[0]) or not any(s <= g for g in min(map(star.__getitem__, f), key=len)):
+            kept.append(f)
+            for v in f:
+                star[v].append(s)
+    return tuple(sorted(kept))
 
 
 @lru_cache(maxsize=None)
@@ -139,7 +158,9 @@ def _faces(K: SimplicialComplex) -> tuple[Face, ...]:
 def full_subcomplex(K: SimplicialComplex, I: Iterable[int]) -> Subcomplex:
     """The full subcomplex K_I: all faces of K contained in I, re-indexed.
 
-    Raises ValueError when a vertex of I is not an int or is out of range,
+    Every face of K inside I lies in some trace F ∩ I of a facet F, so the
+    facets of K_I are the maximal traces; no face of K is listed.  Raises
+    ValueError when a vertex of I is not an int or is out of range,
     or I is empty.
     """
     iv = tuple(sorted({json_int(v, "vertex") for v in I}))
@@ -148,10 +169,10 @@ def full_subcomplex(K: SimplicialComplex, I: Iterable[int]) -> Subcomplex:
             raise ValueError(f"vertex {v} out of range 1..{K.m}")
     if not iv:
         raise ValueError("full subcomplex needs a nonempty vertex set")
-    relabel = {v: j + 1 for j, v in enumerate(iv)}
-    # every face of K inside I lies in some F ∩ I, F a facet of K
-    traces = [tuple(relabel[v] for v in f if v in relabel) for f in K.facets]
-    return Subcomplex(build(len(iv), [t for t in traces if t]), iv)
+    relabel = {v: j for j, v in enumerate(iv, start=1)}
+    traces = {tuple(relabel[v] for v in f if v in relabel) for f in K.facets}
+    traces.discard(())
+    return Subcomplex(SimplicialComplex(len(iv), _maximal(traces)), iv)
 
 
 def maximal_faces_ge2(K: SimplicialComplex) -> tuple[Face, ...]:
@@ -274,6 +295,11 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _masks(K: SimplicialComplex) -> list[int]:
+    """The facets of K as bitmasks (bit v for vertex v)."""
+    return [sum(1 << v for v in f) for f in K.facets]
+
+
 def _core(K: SimplicialComplex) -> frozenset[int]:
     """Facet bitmasks (bit v for vertex v) of a strong-collapse core of K.
 
@@ -285,7 +311,7 @@ def _core(K: SimplicialComplex) -> frozenset[int]:
     dominated vertex and only maximal facets; it is empty iff K has no
     vertex.  Ghost vertices are in no facet and play no part.
     """
-    facets = {sum(1 << v for v in f) for f in K.facets}
+    facets = set(_masks(K))
     star: dict[int, set[int]] = {}  # vertex bit -> the facets through it
     for F in facets:
         for b in _bits(F):
@@ -356,14 +382,28 @@ def homology(K: SimplicialComplex) -> HomologyProfile:
 # ---------------------------------------------------------------------------
 
 
-def _face_masks(K: SimplicialComplex) -> frozenset[int]:
-    return frozenset(sum(1 << v for v in f) for f in _face_set(K))
+def _stars(facets: list[int]) -> dict[int, list[int]]:
+    """Vertex bit -> the facet masks through it."""
+    star: dict[int, list[int]] = {}
+    for F in facets:
+        for b in _bits(F):
+            star.setdefault(b, []).append(F)
+    return star
 
 
-def _replaceable(masks: frozenset[int], u: int, v: int) -> bool:
-    # u can stand in for v: every face through v (avoiding u) survives the swap
-    bu, bv = 1 << u, 1 << v
-    return all(f ^ bv | bu in masks for f in masks if f & bv and not f & bu)
+def _is_face(g: int, star: dict[int, list[int]]) -> bool:
+    # a facet containing g passes through every vertex of g: scan the fewest
+    fewest = ()
+    rest = g
+    while rest:
+        b = rest & -rest
+        s = star.get(b)
+        if s is None:
+            return False
+        if not fewest or len(s) < len(fewest):
+            fewest = s
+        rest ^= b
+    return any(g & F == g for F in fewest)
 
 
 @lru_cache(maxsize=None)
@@ -371,26 +411,31 @@ def is_shifted(K: SimplicialComplex) -> bool:
     """Whether some relabeling of {1..m} makes K shifted.
 
     K is shifted for a labeling when replacing any vertex of any face by a
-    smaller vertex again yields a face.  The search uses the replacement
-    quasi-order "u can stand in for v everywhere", which is transitive; a
-    valid labeling exists iff every vertex pair is comparable, so the first
-    incomparable pair answers False, and sorting by how many vertices each
-    one can replace produces a labeling.  That labeling is verified directly
-    before returning True.  Faces are bitmasks (bit v for vertex v).
+    smaller vertex again yields a face, i.e. when every vertex can stand in
+    for every later one.  "u can stand in for v" (every face through v that
+    avoids u gives a face on swapping v for u) is a transitive relation.  It
+    needs testing only on the facets F through v that avoid u: a face f
+    through v avoiding u lies in a facet, and f - v + u lies in it if it
+    holds u, else in its swap.  The vertices are sorted with the relation
+    as the comparison, and the labeling is verified on consecutive pairs
+    only, which by transitivity covers every pair.  If K is shifted for
+    some labeling the relation is a total preorder, so the sort is sound
+    and the check passes; else some consecutive pair fails.  Facets are
+    bitmasks (bit v for vertex v), and faces are never listed.
     """
-    masks = _face_masks(K)
-    verts = range(1, K.m + 1)
-    score = dict.fromkeys(verts, 0)
-    for u, v in combinations(verts, 2):
-        uv, vu = _replaceable(masks, u, v), _replaceable(masks, v, u)
-        if not (uv or vu):
-            return False
-        score[u] += uv
-        score[v] += vu
-    order = sorted(verts, key=lambda u: (-score[u], u))
-    bit = {old: 1 << new for new, old in enumerate(order, start=1)}
-    relabeled = frozenset(sum(bit[v] for v in f) for f in _face_set(K))
-    return all(_replaceable(relabeled, u, v) for u, v in combinations(verts, 2))
+    star = _stars(_masks(K))
+    known: dict[tuple[int, int], bool] = {}
+
+    def replaceable(u: int, v: int) -> bool:  # u can stand in for v (one-bit masks)
+        r = known.get((u, v))
+        if r is None:
+            r = known[u, v] = all(_is_face(F ^ v | u, star) for F in star.get(v, ()) if not F & u)
+        return r
+
+    # a first guess, so that the sort meets long runs: more facets first
+    guess = sorted((1 << v for v in range(1, K.m + 1)), key=lambda b: -len(star.get(b, ())))
+    order = sorted(guess, key=cmp_to_key(lambda u, v: 0 if replaceable(v, u) else -1))
+    return all(replaceable(u, v) for u, v in pairwise(order))
 
 
 def minimal_non_faces(K: SimplicialComplex) -> tuple[Face, ...]:
@@ -404,45 +449,68 @@ def minimal_non_faces(K: SimplicialComplex) -> tuple[Face, ...]:
     return tuple(out)
 
 
+def _closed_neighbourhoods(facets: list[int]) -> dict[int, int]:
+    """Vertex bit -> the mask of the vertex and its neighbours (ghosts absent)."""
+    nbr: dict[int, int] = {}
+    for F in facets:
+        for b in _bits(F):
+            nbr[b] = nbr.get(b, 0) | F
+    return nbr
+
+
 def is_flag(K: SimplicialComplex) -> bool:
     """Flag: every minimal non-face has exactly two vertices.
 
     A ghost vertex is a minimal non-face of size 1, so K is then not flag.
-    A minimal non-face S of size >= 3 is f + v for the face f = S - v, so
-    only those candidates are tested, on faces as bitmasks (bit v for v).
+    Otherwise K is flag iff for every facet F and every vertex b outside F
+    adjacent to at least two vertices of F, (F ∩ N(b)) + b is a face: a
+    minimal non-face S of size >= 3 lies in such a set, taking F a facet
+    through S - b.  Such a b is adjacent to some vertex of F other than its
+    one of highest degree, so only those neighbourhoods are scanned.  Facets
+    and neighbourhoods are bitmasks (bit v for vertex v); faces are never
+    listed.
     """
-    masks = _face_masks(K)
-    bits = [1 << v for v in range(1, K.m + 1)]
-    if any(b not in masks for b in bits):
+    facets = _masks(K)
+    nbr = _closed_neighbourhoods(facets)
+    if len(nbr) < K.m:
         return False
-    return not any(
-        f | b not in masks and all(f ^ c | b in masks for c in bits if f & c)
-        for f in masks
-        if f.bit_count() >= 2
-        for b in bits
-    )
+    star = _stars(facets)
+    for F in facets:
+        bits = _bits(F)
+        bits.remove(max(bits, key=lambda a: nbr[a].bit_count()))
+        near = 0
+        for a in bits:
+            near |= nbr[a]
+        for b in _bits(near & ~F):
+            t = nbr[b] & F
+            if t & (t - 1) and not _is_face(t | b, star):
+                return False
+    return True
 
 
 def has_chordal_1skeleton(K: SimplicialComplex) -> bool:
-    """Chordality of the 1-skeleton via a perfect elimination ordering search."""
-    adj: dict[int, set[int]] = {v: set() for v in range(1, K.m + 1)}
-    for f in _face_set(K):
-        if len(f) == 2:
-            a, b = f
-            adj[a].add(b)
-            adj[b].add(a)
-    remaining = set(adj)
-    while remaining:
-        simplicial = None
-        for v in sorted(remaining):
-            nb = adj[v] & remaining
-            if all(b in adj[a] for a, b in combinations(sorted(nb), 2)):
-                simplicial = v
+    """Chordality of the 1-skeleton: simplicial vertices (neighbours pairwise
+    adjacent) can be deleted one at a time until none is left.  Edges are
+    read from the facets as neighbourhood bitmasks; a vertex that is not
+    simplicial is looked at again only once a neighbour of it is deleted."""
+    nbr = _closed_neighbourhoods(_masks(K))
+    left = sum(nbr)
+    todo = list(nbr)
+    while todo:
+        b = todo.pop()
+        if not left & b:
+            continue
+        nb = nbr[b] & left ^ b
+        rest = nb
+        while rest:
+            a = rest & -rest
+            if nb & ~nbr[a]:
                 break
-        if simplicial is None:
-            return False
-        remaining.remove(simplicial)
-    return True
+            rest ^= a
+        else:
+            left ^= b
+            todo.extend(_bits(nb))
+    return not left
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,7 @@ from itertools import chain, combinations
 import pytest
 
 from _helpers import (
+    _reference_replaceable,
     dense_rank,
     random_int_matrix,
     reference_boundary_ranks,
@@ -20,6 +21,7 @@ from _helpers import (
 )
 from polyco.scomplex import (
     _core,
+    _face_set,
     _reduce,
     build,
     complex_from_json,
@@ -378,6 +380,19 @@ def test_ghost_vertex_makes_a_complex_non_flag():
     assert not is_flag(K)
     assert is_flag(build(4, [[1, 2, 4], [3]]))
     assert not is_flag(build(3, []))
+
+
+def test_flag_test_looks_beside_every_vertex_of_a_facet():
+    # three triangles x a b, y b c, z a c around the missing triangle a b c:
+    # each witness c of {x, a, b} is adjacent to a and b only, never to x
+    from itertools import permutations
+
+    x, y, z, a, b, c = range(1, 7)
+    for perm in permutations(range(1, 7)):
+        p = dict(zip(range(1, 7), perm))
+        facets = [[p[x], p[a], p[b]], [p[y], p[b], p[c]], [p[z], p[a], p[c]]]
+        assert not is_flag(build(6, facets)), perm
+        assert is_flag(build(6, facets + [[p[a], p[b], p[c]]])), perm
 
 
 def test_wedge_type_matches_tuple_based_certificates():
@@ -762,3 +777,117 @@ def test_homology_of_large_sparse_complexes_is_fast(name):
     ranks = homology.__wrapped__(K).ranks  # uncached
     assert time.process_time() - start < 1.0
     assert ranks == (graph_ranks(K) if K.dim() == 1 else (0,) * 10 + (1,))
+
+
+def induced_2k2(K):
+    # two edges with no edge between them: no labeling makes a graph with
+    # one shifted, since the smallest of the four vertices could replace an
+    # end of the edge avoiding it
+    edges = [f for f in K.facets if len(f) == 2]
+    adj = {frozenset(e) for e in edges}
+    return any(
+        not set(e) & set(g) and not any(frozenset((a, b)) in adj for a in e for b in g)
+        for e, g in combinations(edges, 2)
+    )
+
+
+@pytest.mark.parametrize("name", list(SIZE_GUARD_CASES))
+def test_certificates_of_large_sparse_complexes_are_fast(name):
+    # listing faces and comparing every vertex pair took minutes on the path
+    K = SIZE_GUARD_CASES[name]()
+    answers = {}
+    _face_set.cache_clear()
+    for f in (is_shifted.__wrapped__, is_flag, wedge_of_spheres_type.__wrapped__):  # uncached
+        start = time.process_time()
+        answers[f.__name__] = f(K)
+        assert time.process_time() - start < 1.0, f.__name__
+    assert _face_set.cache_info().misses == 0  # no face of K was listed
+    shifted, flag, dims = answers["is_shifted"], answers["is_flag"], answers["wedge_of_spheres_type"]
+    if name == "path":
+        # a tree: flag (no triangle of edges) and chordal, so certified, and contractible
+        assert induced_2k2(K) and not shifted
+        assert flag and has_chordal_1skeleton(K) and dims == ()
+    elif name == "star":
+        # the centre can stand in for any leaf and the leaves for each other: a cone
+        assert shifted and flag and dims == ()
+    elif name == "cycle":
+        # flag but an induced cycle, not chordal, and not shifted: no certificate
+        assert induced_2k2(K) and not shifted
+        assert flag and not has_chordal_1skeleton(K) and dims is None
+    elif name == "graph_60_600":
+        # a triangle of edges bounds no 2-face (not flag), and an induced 2K2
+        assert K.dim() == 1 and induced_2k2(K) and not shifted
+        adj = {frozenset(e) for e in K.facets}
+        assert any(frozenset((a, c)) in adj for (a, b), (b2, c) in combinations(sorted(K.facets), 2) if b == b2)
+        assert not flag and dims is None
+    else:
+        # the sphere S^10: any vertex can stand in for any other by symmetry
+        assert name == "boundary_11_simplex"
+        assert shifted and not flag and dims == (10,)
+
+
+@pytest.mark.parametrize("faces", [
+    [[i, i + 1] for i in range(1, 20000)],
+    [[1, i] for i in range(2, 20001)],
+    [[20000, i] for i in range(1, 20000)],
+], ids=["path", "star", "star_last_centre"])
+def test_build_of_large_sparse_complexes_is_fast(faces):
+    # comparing each face with every facet kept so far took seconds here
+    start = time.process_time()
+    K = build(20000, faces)
+    assert time.process_time() - start < 1.0
+    assert len(K.facets) == 19999 and K.dim() == 1
+
+
+def certificate_families(rng, n):
+    """n seeded complexes with m <= 9: ghost vertices, clique complexes with
+    a facet of size >= 3 dropped, relabeled shifted closures, cones, and
+    boundary spheres alone, relabeled or beside a simplex."""
+    out = []
+    while len(out) < n:
+        kind = len(out) % 5
+        m = rng.randint(1, 9) if kind in (2, 4) else rng.randint(4, 9)
+        if kind == 0:  # ghosts: a complex on part of {1..m}
+            k = rng.randint(m - 3, m)
+            K = relabeled(rng, build(k, random_generating_faces(rng, k, rng.randint(1, 2 * k), 3)), m)
+        elif kind == 1:  # clique complexes, often with a facet dropped
+            K = random_certificate_complex(rng, m)
+        elif kind == 2:
+            K = random_shifted_complex(rng, m)
+        elif kind == 3 and m >= 2:  # a cone on a smaller complex
+            K = join(random_certificate_complex(rng, m - 1), build(1, [[1]]))
+        elif m >= 3:  # a boundary sphere, relabeled with ghosts or beside a simplex
+            k = rng.randint(2, m)
+            K = relabeled(rng, boundary_simplex(k), m) if rng.random() < 0.5 else (
+                disjoint_union(boundary_simplex(k), simplex(m - k)) if k < m else boundary_simplex(k))
+        else:
+            K = build(m, random_generating_faces(rng, m, rng.randint(0, 3), m))
+        out.append(K)
+    return out
+
+
+def test_certificates_match_face_enumerating_references_on_seeded_families():
+    rng = random.Random(1515)
+    seen = {"shifted": 0, "not shifted": 0, "flag": 0, "not flag": 0,
+            "minimal non-face >= 3": 0, "vertices 1, 2 incomparable": 0}
+    families = certificate_families(rng, 2000)
+    for K in families:
+        shifted = reference_is_shifted(K)
+        flag = reference_is_flag(K)
+        assert is_shifted.__wrapped__(K) == shifted, K
+        assert is_flag(K) == flag, K
+        assert wedge_of_spheres_type.__wrapped__(K) == reference_wedge_of_spheres_type(K), K
+        seen["shifted" if shifted else "not shifted"] += 1
+        seen["flag" if flag else "not flag"] += 1
+        seen["minimal non-face >= 3"] += any(len(f) >= 3 for f in minimal_non_faces(K))
+        # the first pair an all-pairs scan looks at already rules out a labeling
+        faces = frozenset(K.faces())
+        seen["vertices 1, 2 incomparable"] += K.m >= 2 and not (
+            _reference_replaceable(faces, 1, 2) or _reference_replaceable(faces, 2, 1))
+    assert max(K.m for K in families) == 9
+    assert min(seen.values()) >= 100, seen
+    # traces of facets against the face-enumerating reference, every subset
+    for K in families[::50]:
+        for I in powerset(range(1, K.m + 1)):
+            if I:
+                assert full_subcomplex(K, I) == reference_full_subcomplex(K, I), (K, I)
