@@ -651,7 +651,7 @@ def loop_decompose_wedge(
         PairAssignment.constant_maps(spaces),
         weight_bound,
         "wedge-coproduct",
-        _face_letters(K.face_set(), K.m),
+        _face_letters(K.faces(), K.m),
         # infinite exactly when some maximal face has two or more letters
         K.dim() >= 2,
         degree_bound,

@@ -5,34 +5,36 @@ that the loop-space decompositions index over.
 
 Conventions
 -----------
+* One face model: the facets as int bitmasks (bit v for vertex v), with a
+  vertex -> facets star and the closed neighbourhoods, built once per
+  complex (:func:`_index`).  Every face test scans only the facets through
+  the face's vertex with the fewest (:func:`_is_face`).  Faces are listed
+  only where a caller needs them all, downward from facet bitmasks by
+  dimension (:func:`_face_masks`).
 * The empty face is always present and never stored.
 * Vertices of {1..m} not covered by any facet are allowed ("ghost vertices");
   the complex genuinely depends on m, not just on the covered vertices.
-* All face sets and facet lists are kept sorted, so equal complexes compare
+  A ghost vertex is a minimal non-face, so it makes K non-flag.
+* Facet lists and face listings are kept sorted, so equal complexes compare
   and serialize identically.
 * Homology is reduced homology with rational coefficients.  It is computed
   on the strong-collapse core of K (dominated vertices deleted, which keeps
-  the homotopy type), whose faces are listed as int bitmasks.  Boundary
-  ranks come from an exact sparse column reduction over int, top dimension
-  first with clearing: plain integer updates on +-1 pivots, fraction-free
-  ones with gcd division otherwise.  Torsion is invisible by design: the
-  downstream series oracles are rational.
-* The wedge-of-spheres certificates (shifted, flag, chordal 1-skeleton)
-  and full subcomplexes work from the facets alone and never list faces.
-  The certificates read facets as int bitmasks (bit v for vertex v) with a
-  vertex -> facets index; a face test scans only the facets through the
-  face's vertex with the fewest.  A ghost vertex is a minimal non-face, so
-  it makes K non-flag.
+  the homotopy type), whose faces alone are listed.  Boundary ranks come
+  from an exact sparse column reduction over int, top dimension first with
+  clearing: plain integer updates on +-1 pivots, fraction-free ones with
+  gcd division otherwise.  Torsion is invisible by design: the downstream
+  series oracles are rational.
+* Face tests, full subcomplexes and the wedge-of-spheres certificates
+  (shifted, flag, chordal 1-skeleton) list no faces.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
 from itertools import combinations, pairwise, product as iproduct
 from math import gcd
-from typing import Iterable, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 Face = tuple[int, ...]
 
@@ -60,22 +62,29 @@ class SimplicialComplex:
         return tuple(sorted(cov))
 
     def faces(self) -> tuple[Face, ...]:
-        """All faces including the empty face, sorted by (size, lex)."""
+        """All faces including the empty face, sorted by (size, lex): listed
+        downward from the facet bitmasks (:func:`_face_masks`) and cached.
+        Face tests go through :meth:`has_face`, which lists none."""
         return _faces(self)
 
-    def face_set(self) -> frozenset[Face]:
-        return _face_set(self)
-
     def has_face(self, face: Iterable[int]) -> bool:
-        return tuple(sorted(face)) in _face_set(self)
+        """Whether the given vertices, in any order, form a face of K.
+
+        The empty face is a face of every K, the empty complex included.  A
+        repeated vertex, or one that is not an int in 1..m (a float or a bool
+        is not), makes it a non-face.  Tested on the facet bitmasks through
+        the face's vertex with the fewest facets (:func:`_is_face`).
+        """
+        g = 0
+        for v in face:
+            if type(v) is not int or not 0 < v <= self.m or g >> v & 1:
+                return False
+            g |= 1 << v
+        return not g or _is_face(g, _index(self).star)
 
     def f_vector(self) -> tuple[int, ...]:
         """Entry d = number of d-dimensional faces, d = 0..dim."""
-        counts = [0] * (self.dim() + 1)
-        for f in self.faces():
-            if f:
-                counts[len(f) - 1] += 1
-        return tuple(counts)
+        return tuple(map(len, _face_masks(_index(self).facets)))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * fd for d, fd in enumerate(self.f_vector()))
@@ -121,38 +130,90 @@ def build(m: int, faces: Iterable[Iterable[int]]) -> SimplicialComplex:
     return SimplicialComplex(m, _maximal(cleaned))
 
 
+def _vertices(mask: int) -> list[int]:
+    """The vertices of a face bitmask (bit v for vertex v), smallest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _maximal(faces: set[Face]) -> tuple[Face, ...]:
     """The inclusion-maximal ones among distinct nonempty sorted faces, sorted.
 
-    Largest first, a face is maximal iff no facet kept so far contains it;
-    one of the largest size is maximal outright.  A kept facet containing f
-    passes through every vertex of f, so f is tested only against the kept
-    facets through its vertex with the fewest.
+    Largest first, a face is maximal iff it is not a face of the facets kept
+    so far: :func:`_is_face` on their bitmasks, through a vertex -> kept
+    facets star.  One of the largest size is maximal outright.
     """
     order = sorted(faces, key=len, reverse=True)
-    star: defaultdict[int, list[frozenset[int]]] = defaultdict(list)  # vertex -> kept facets
+    star: dict[int, list[int]] = {}
     kept = []
     for f in order:
-        s = frozenset(f)
-        if len(f) == len(order[0]) or not any(s <= g for g in min(map(star.__getitem__, f), key=len)):
+        g = sum(1 << v for v in f)
+        if len(f) == len(order[0]) or not _is_face(g, star):
             kept.append(f)
             for v in f:
-                star[v].append(s)
+                star.setdefault(v, []).append(g)
     return tuple(sorted(kept))
 
 
+class _Index(NamedTuple):
+    facets: tuple[int, ...]  # the facet bitmasks, in the order of K.facets
+    star: dict[int, list[int]]  # vertex -> the facet masks through it
+    nbr: dict[int, int]  # vertex -> the mask of the vertex and its neighbours
+
+
 @lru_cache(maxsize=None)
-def _face_set(K: SimplicialComplex) -> frozenset[Face]:
-    out: set[Face] = {()}
-    for facet in K.facets:
-        for k in range(1, len(facet) + 1):
-            out.update(combinations(facet, k))
-    return frozenset(out)
+def _index(K: SimplicialComplex) -> _Index:
+    """K's one face model: its facets as bitmasks (bit v for vertex v), the
+    facets through each vertex and each vertex's closed neighbourhood.
+    The dicts are keyed by vertex number, not by one-bit mask: the hash of
+    1 << v depends only on v mod 61.  Ghost vertices are in neither dict."""
+    facets = tuple(sum(1 << v for v in f) for f in K.facets)
+    star: dict[int, list[int]] = {}
+    nbr: dict[int, int] = {}
+    for f, F in zip(K.facets, facets):
+        for v in f:
+            star.setdefault(v, []).append(F)
+            nbr[v] = nbr.get(v, 0) | F
+    return _Index(facets, star, nbr)
+
+
+def _is_face(g: int, star: dict[int, list[int]]) -> bool:
+    """Whether the nonempty face bitmask g lies in a facet of the star: only
+    the facets through the vertex of g with the fewest are scanned."""
+    fewest = ()
+    rest = g
+    while rest:
+        b = rest & -rest
+        s = star.get(b.bit_length() - 1)
+        if s is None:
+            return False
+        if not fewest or len(s) < len(fewest):
+            fewest = s
+        rest ^= b
+    return any(g & F == g for F in fewest)
+
+
+def _face_masks(facets: Collection[int]) -> list[list[int]]:
+    """The nonempty faces under the given facet bitmasks, listed downward:
+    entry d holds the d-dimensional ones, sorted as ints."""
+    by_dim: list[set[int]] = [set() for _ in range(max((F.bit_count() for F in facets), default=0))]
+    for F in facets:
+        by_dim[F.bit_count() - 1].add(F)
+    for d in range(len(by_dim) - 1, 0, -1):
+        by_dim[d - 1].update(f ^ 1 << v for f in by_dim[d] for v in _vertices(f))
+    return [sorted(s) for s in by_dim]
 
 
 @lru_cache(maxsize=None)
 def _faces(K: SimplicialComplex) -> tuple[Face, ...]:
-    return tuple(sorted(_face_set(K), key=lambda f: (len(f), f)))
+    out: list[Face] = [()]
+    for layer in _face_masks(_index(K).facets):
+        out += sorted(tuple(_vertices(F)) for F in layer)
+    return tuple(out)
 
 
 def full_subcomplex(K: SimplicialComplex, I: Iterable[int]) -> Subcomplex:
@@ -182,13 +243,8 @@ def maximal_faces_ge2(K: SimplicialComplex) -> tuple[Face, ...]:
 
 def missing_subsets(K: SimplicialComplex) -> tuple[Face, ...]:
     """All nonempty subsets of {1..m} that are not faces, sorted by (size, lex)."""
-    fs = _face_set(K)
-    out = []
-    for k in range(1, K.m + 1):
-        for c in combinations(range(1, K.m + 1), k):
-            if c not in fs:
-                out.append(c)
-    return tuple(sorted(out, key=lambda f: (len(f), f)))
+    subsets = (c for k in range(1, K.m + 1) for c in combinations(range(1, K.m + 1), k))
+    return tuple(c for c in subsets if not K.has_face(c))
 
 
 def join(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:
@@ -285,21 +341,6 @@ def _reduce(columns: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def _bits(mask: int) -> list[int]:
-    """The one-bit masks of a face bitmask, lowest (smallest vertex) first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low)
-        mask ^= low
-    return out
-
-
-def _masks(K: SimplicialComplex) -> list[int]:
-    """The facets of K as bitmasks (bit v for vertex v)."""
-    return [sum(1 << v for v in f) for f in K.facets]
-
-
 def _core(K: SimplicialComplex) -> frozenset[int]:
     """Facet bitmasks (bit v for vertex v) of a strong-collapse core of K.
 
@@ -311,31 +352,29 @@ def _core(K: SimplicialComplex) -> frozenset[int]:
     dominated vertex and only maximal facets; it is empty iff K has no
     vertex.  Ghost vertices are in no facet and play no part.
     """
-    facets = set(_masks(K))
-    star: dict[int, set[int]] = {}  # vertex bit -> the facets through it
-    for F in facets:
-        for b in _bits(F):
-            star.setdefault(b, set()).add(F)
+    index = _index(K)
+    facets = set(index.facets)
+    star = {v: set(s) for v, s in index.star.items()}  # vertex -> the facets through it
     todo = set(star)
     while todo:
-        b = todo.pop()
-        rest = ~b
-        for F in star[b]:
+        v = todo.pop()
+        rest = ~(1 << v)
+        for F in star[v]:
             rest &= F
             if not rest:
                 break
         if not rest:
             continue
-        w = star[rest & -rest]
-        for F in star.pop(b):
+        w = star[(rest & -rest).bit_length() - 1]
+        for F in star.pop(v):
             facets.discard(F)
-            G = F ^ b
-            for u in _bits(G):
+            G = F ^ 1 << v
+            for u in _vertices(G):
                 star[u].discard(F)
                 todo.add(u)
             if not any(G & H == G for H in w):
                 facets.add(G)
-                for u in _bits(G):
+                for u in _vertices(G):
                     star[u].add(G)
     return frozenset(facets)
 
@@ -345,29 +384,24 @@ def homology(K: SimplicialComplex) -> HomologyProfile:
     """Reduced rational homology via the boundary matrices of the core of K.
 
     Only the faces of the strong-collapse core (:func:`_core`) are listed,
-    as bitmasks, from its facets down.  The boundary matrices are reduced
-    from the top dimension down with clearing (Chen-Kerber): a d-face that
-    is the pivot row of a reduced (d+1)-column has a boundary column that
-    reduces to zero, so that column is skipped.  The core may have a lower
-    dimension than K; its Betti numbers are padded with zeros up to K.dim().
+    as bitmasks, from its facets down (:func:`_face_masks`).  The boundary
+    matrices are reduced from the top dimension down with clearing
+    (Chen-Kerber): a d-face that is the pivot row of a reduced (d+1)-column
+    has a boundary column that reduces to zero, so that column is skipped.
+    The core may have a lower dimension than K; its Betti numbers are
+    padded with zeros up to K.dim().
     """
     top = K.dim()
     if top < 0:
         return HomologyProfile((), -1)
-    core = _core(K)
-    by_dim: list[set[int]] = [set() for _ in range(max(F.bit_count() for F in core))]
-    for F in core:
-        by_dim[F.bit_count() - 1].add(F)
-    for d in range(len(by_dim) - 1, 0, -1):
-        by_dim[d - 1].update(f ^ b for f in by_dim[d] for b in _bits(f))
-    faces = [sorted(s) for s in by_dim]
+    faces = _face_masks(_core(K))
     # the augmentation C_0 -> C_{-1} has rank 1, the boundary above the top 0
     ranks_d = [1] + [0] * len(faces)
     cleared: dict[int, dict[int, int]] = {}  # pivots of the reduction one dimension up
     for d in range(len(faces) - 1, 0, -1):
         row = {f: i for i, f in enumerate(faces[d - 1])}
         columns = (
-            {row[f ^ b]: -1 if pos % 2 else 1 for pos, b in enumerate(_bits(f))}
+            {row[f ^ 1 << v]: -1 if pos % 2 else 1 for pos, v in enumerate(_vertices(f))}
             for i, f in enumerate(faces[d])
             if i not in cleared
         )
@@ -380,30 +414,6 @@ def homology(K: SimplicialComplex) -> HomologyProfile:
 # ---------------------------------------------------------------------------
 # predicates certifying that |K| is a wedge of spheres
 # ---------------------------------------------------------------------------
-
-
-def _stars(facets: list[int]) -> dict[int, list[int]]:
-    """Vertex bit -> the facet masks through it."""
-    star: dict[int, list[int]] = {}
-    for F in facets:
-        for b in _bits(F):
-            star.setdefault(b, []).append(F)
-    return star
-
-
-def _is_face(g: int, star: dict[int, list[int]]) -> bool:
-    # a facet containing g passes through every vertex of g: scan the fewest
-    fewest = ()
-    rest = g
-    while rest:
-        b = rest & -rest
-        s = star.get(b)
-        if s is None:
-            return False
-        if not fewest or len(s) < len(fewest):
-            fewest = s
-        rest ^= b
-    return any(g & F == g for F in fewest)
 
 
 @lru_cache(maxsize=None)
@@ -423,39 +433,28 @@ def is_shifted(K: SimplicialComplex) -> bool:
     and the check passes; else some consecutive pair fails.  Facets are
     bitmasks (bit v for vertex v), and faces are never listed.
     """
-    star = _stars(_masks(K))
+    star = _index(K).star
     known: dict[tuple[int, int], bool] = {}
 
-    def replaceable(u: int, v: int) -> bool:  # u can stand in for v (one-bit masks)
+    def replaceable(u: int, v: int) -> bool:  # vertex u can stand in for vertex v
         r = known.get((u, v))
         if r is None:
-            r = known[u, v] = all(_is_face(F ^ v | u, star) for F in star.get(v, ()) if not F & u)
+            bu, bv = 1 << u, 1 << v
+            swaps = (F ^ bv | bu for F in star.get(v, ()) if not F & bu)
+            r = known[u, v] = all(_is_face(g, star) for g in swaps)
         return r
 
     # a first guess, so that the sort meets long runs: more facets first
-    guess = sorted((1 << v for v in range(1, K.m + 1)), key=lambda b: -len(star.get(b, ())))
+    guess = sorted(range(1, K.m + 1), key=lambda v: -len(star.get(v, ())))
     order = sorted(guess, key=cmp_to_key(lambda u, v: 0 if replaceable(v, u) else -1))
     return all(replaceable(u, v) for u, v in pairwise(order))
 
 
 def minimal_non_faces(K: SimplicialComplex) -> tuple[Face, ...]:
     """Inclusion-minimal non-faces (every proper subset is a face)."""
-    fs = _face_set(K)
-    out = []
-    for f in missing_subsets(K):
-        s = set(f)
-        if all(tuple(sorted(s - {v})) in fs for v in f):
-            out.append(f)
-    return tuple(out)
-
-
-def _closed_neighbourhoods(facets: list[int]) -> dict[int, int]:
-    """Vertex bit -> the mask of the vertex and its neighbours (ghosts absent)."""
-    nbr: dict[int, int] = {}
-    for F in facets:
-        for b in _bits(F):
-            nbr[b] = nbr.get(b, 0) | F
-    return nbr
+    return tuple(
+        f for f in missing_subsets(K) if all(map(K.has_face, combinations(f, len(f) - 1)))
+    )
 
 
 def is_flag(K: SimplicialComplex) -> bool:
@@ -470,20 +469,18 @@ def is_flag(K: SimplicialComplex) -> bool:
     and neighbourhoods are bitmasks (bit v for vertex v); faces are never
     listed.
     """
-    facets = _masks(K)
-    nbr = _closed_neighbourhoods(facets)
+    facets, star, nbr = _index(K)
     if len(nbr) < K.m:
         return False
-    star = _stars(facets)
     for F in facets:
-        bits = _bits(F)
-        bits.remove(max(bits, key=lambda a: nbr[a].bit_count()))
+        vs = _vertices(F)
+        vs.remove(max(vs, key=lambda a: nbr[a].bit_count()))
         near = 0
-        for a in bits:
+        for a in vs:
             near |= nbr[a]
-        for b in _bits(near & ~F):
+        for b in _vertices(near & ~F):
             t = nbr[b] & F
-            if t & (t - 1) and not _is_face(t | b, star):
+            if t & (t - 1) and not _is_face(t | 1 << b, star):
                 return False
     return True
 
@@ -491,25 +488,30 @@ def is_flag(K: SimplicialComplex) -> bool:
 def has_chordal_1skeleton(K: SimplicialComplex) -> bool:
     """Chordality of the 1-skeleton: simplicial vertices (neighbours pairwise
     adjacent) can be deleted one at a time until none is left.  Edges are
-    read from the facets as neighbourhood bitmasks; a vertex that is not
-    simplicial is looked at again only once a neighbour of it is deleted."""
-    nbr = _closed_neighbourhoods(_masks(K))
-    left = sum(nbr)
+    read from the facets as neighbourhood bitmasks.  A vertex found not
+    simplicial keeps a witness, two live neighbours that are not adjacent;
+    it is looked at again only once one of them is deleted."""
+    nbr = _index(K).nbr
+    left = sum(1 << v for v in nbr)
     todo = list(nbr)
+    witness: dict[int, int] = {}  # vertex -> the mask of its two witnesses
     while todo:
-        b = todo.pop()
-        if not left & b:
+        v = todo.pop()
+        w = witness.get(v, 0)
+        if not left >> v & 1 or w and left & w == w:
             continue
-        nb = nbr[b] & left ^ b
+        nb = nbr[v] & left ^ 1 << v
         rest = nb
         while rest:
             a = rest & -rest
-            if nb & ~nbr[a]:
+            far = nb & ~nbr[a.bit_length() - 1]
+            if far:
+                witness[v] = a | far & -far
                 break
             rest ^= a
         else:
-            left ^= b
-            todo.extend(_bits(nb))
+            left ^= 1 << v
+            todo.extend(_vertices(nb))
     return not left
 
 
@@ -534,11 +536,7 @@ def wedge_of_spheres_type(K: SimplicialComplex) -> tuple[int, ...] | None:
     )
     if not certified:
         return None
-    prof = homology(K)
-    dims: list[int] = []
-    for d, r in enumerate(prof.ranks):
-        dims.extend([d] * r)
-    return tuple(dims)
+    return tuple(d for d, r in enumerate(homology(K).ranks) for _ in range(r))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from polyco.scomplex import (
     Subcomplex,
     build,
     full_subcomplex,
-    has_chordal_1skeleton,
     homology,
     maximal_faces_ge2,
     wedge_of_spheres_type,
@@ -745,7 +744,7 @@ def enumerated_general(K, pairs, weight_bound) -> Decomposition:
 
 def enumerated_contractible(K, pairs, weight_bound) -> Decomposition:
     codomains = {i: pairs.codomain(i) for i in range(1, K.m + 1)}
-    faces = K.face_set()
+    faces = frozenset(K.faces())
 
     def rule(support, l):
         if support in faces:
@@ -797,7 +796,7 @@ def reference_full_subcomplex(K: SimplicialComplex, I) -> Subcomplex:
     if not iv:
         raise ValueError("full subcomplex needs a nonempty vertex set")
     relabel = {v: j + 1 for j, v in enumerate(iv)}
-    faces = [tuple(relabel[v] for v in f) for f in K.face_set() if f and set(f) <= set(iv)]
+    faces = [tuple(relabel[v] for v in f) for f in frozenset(K.faces()) if f and set(f) <= set(iv)]
     return Subcomplex(reference_build(len(iv), faces), iv)
 
 
@@ -860,9 +859,10 @@ def reference_homology_ranks(K: SimplicialComplex) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# reference certificates: the tuple-based shifted and flag tests that the
-# bitmask ones replace (every vertex pair compared up front; every subset of
-# {1..m} scanned for minimal non-faces)
+# reference certificates: the tuple-based shifted and flag tests and the
+# induced-cycle chordality search that the bitmask ones replace (every vertex
+# pair compared up front; every subset of {1..m} scanned for minimal
+# non-faces and for induced cycles)
 # ---------------------------------------------------------------------------
 
 
@@ -909,6 +909,37 @@ def reference_is_flag(K: SimplicialComplex) -> bool:
     return True
 
 
+def brute_chordal(K):
+    # oracle: no induced cycle on four or more vertices (every vertex of the
+    # induced subgraph has degree exactly 2 and the subgraph is connected)
+    edges = {f for f in K.faces() if len(f) == 2}
+    verts = list(range(1, K.m + 1))
+
+    def induced_cycle(S):
+        deg = {v: 0 for v in S}
+        for a, b in combinations(sorted(S), 2):
+            if (a, b) in edges:
+                deg[a] += 1
+                deg[b] += 1
+        if any(d != 2 for d in deg.values()):
+            return False
+        seen = {S[0]}
+        frontier = [S[0]]
+        while frontier:
+            v = frontier.pop()
+            for u in S:
+                if u not in seen and tuple(sorted((u, v))) in edges:
+                    seen.add(u)
+                    frontier.append(u)
+        return len(seen) == len(S)
+
+    for k in range(4, K.m + 1):
+        for S in combinations(verts, k):
+            if induced_cycle(list(S)):
+                return False
+    return True
+
+
 def reference_wedge_of_spheres_type(K: SimplicialComplex) -> tuple[int, ...] | None:
     if K.dim() < 0:
         return (-1,)
@@ -916,7 +947,7 @@ def reference_wedge_of_spheres_type(K: SimplicialComplex) -> tuple[int, ...] | N
         K.dim() == 0
         or K.is_simplex()
         or reference_is_shifted(K)
-        or (reference_is_flag(K) and has_chordal_1skeleton(K))
+        or (reference_is_flag(K) and brute_chordal(K))
     ):
         return None
     return tuple(d for d, r in enumerate(homology(K).ranks) for _ in range(r))

@@ -914,7 +914,7 @@ def per_group_references(K, pairs, spaces, hm_spaces, W, bound, only=None):
             reference_grading(contractible),
         ),
         "wedge": lambda: per_group_listing(
-            face_letters(K.face_set(), K.m), W,
+            face_letters(frozenset(K.faces()), K.m), W,
             partial(reference_bracket_factor, K, constant), _base_factors(K, constant),
             "wedge-coproduct", K.dim() >= 2, reference_grading(constant),
             bottom_degrees(spaces, 0) if bound is not None else None, bound,

@@ -9,6 +9,7 @@ import pytest
 
 from _helpers import (
     _reference_replaceable,
+    brute_chordal,
     dense_rank,
     random_int_matrix,
     reference_boundary_ranks,
@@ -19,9 +20,10 @@ from _helpers import (
     reference_is_shifted,
     reference_wedge_of_spheres_type,
 )
+from polyco.decomp import evaluate_special
 from polyco.scomplex import (
     _core,
-    _face_set,
+    _faces,
     _reduce,
     build,
     complex_from_json,
@@ -39,6 +41,7 @@ from polyco.scomplex import (
     union_along,
     wedge_of_spheres_type,
 )
+from polyco.spacexpr import PairAssignment, Sphere, Wedge, normalize
 
 
 def square():
@@ -409,37 +412,6 @@ def test_wedge_type_matches_tuple_based_certificates():
     assert 250 <= certified <= 350, certified
 
 
-def brute_chordal(K):
-    # oracle: no induced cycle on four or more vertices (every vertex of the
-    # induced subgraph has degree exactly 2 and the subgraph is connected)
-    edges = {f for f in K.faces() if len(f) == 2}
-    verts = list(range(1, K.m + 1))
-
-    def induced_cycle(S):
-        deg = {v: 0 for v in S}
-        for a, b in combinations(sorted(S), 2):
-            if (a, b) in edges:
-                deg[a] += 1
-                deg[b] += 1
-        if any(d != 2 for d in deg.values()):
-            return False
-        seen = {S[0]}
-        frontier = [S[0]]
-        while frontier:
-            v = frontier.pop()
-            for u in S:
-                if u not in seen and tuple(sorted((u, v))) in edges:
-                    seen.add(u)
-                    frontier.append(u)
-        return len(seen) == len(S)
-
-    for k in range(4, K.m + 1):
-        for S in combinations(verts, k):
-            if induced_cycle(list(S)):
-                return False
-    return True
-
-
 def test_chordality_matches_induced_cycle_search():
     rng = random.Random(137)
     for _ in range(60):
@@ -726,7 +698,7 @@ def test_core_keeps_maximal_facets_and_no_dominated_vertex():
     for K in homology_families(rng, 600):
         core = _core(K)
         assert bool(core) == bool(K.vertices()), K
-        assert all(mask_face(F) in K.face_set() for F in core), K
+        assert all(mask_face(F) in frozenset(K.faces()) for F in core), K
         assert not any(F != G and F & G == F for F in core for G in core), K
         for v in {v for F in core for v in mask_face(F)}:
             common = -1
@@ -796,12 +768,12 @@ def test_certificates_of_large_sparse_complexes_are_fast(name):
     # listing faces and comparing every vertex pair took minutes on the path
     K = SIZE_GUARD_CASES[name]()
     answers = {}
-    _face_set.cache_clear()
+    _faces.cache_clear()
     for f in (is_shifted.__wrapped__, is_flag, wedge_of_spheres_type.__wrapped__):  # uncached
         start = time.process_time()
         answers[f.__name__] = f(K)
         assert time.process_time() - start < 1.0, f.__name__
-    assert _face_set.cache_info().misses == 0  # no face of K was listed
+    assert _faces.cache_info().misses == 0  # no face of K was listed
     shifted, flag, dims = answers["is_shifted"], answers["is_flag"], answers["wedge_of_spheres_type"]
     if name == "path":
         # a tree: flag (no triangle of edges) and chordal, so certified, and contractible
@@ -824,6 +796,50 @@ def test_certificates_of_large_sparse_complexes_are_fast(name):
         # the sphere S^10: any vertex can stand in for any other by symmetry
         assert name == "boundary_11_simplex"
         assert shifted and not flag and dims == (10,)
+
+
+def test_chordality_of_a_dense_threshold_graph_is_fast():
+    # vertices 1..39 joined to every vertex, about 77,000 edges: a threshold
+    # graph, so chordal.  Rescanning each hub after every deleted neighbour
+    # took about 2 s here.
+    K = build(2000, [[h, v] for h in range(1, 40) for v in range(h + 1, 2001)])
+    start = time.process_time()
+    chordal = has_chordal_1skeleton(K)
+    assert time.process_time() - start < 1.0
+    assert chordal
+
+
+def test_has_face_contract():
+    K = build(6, [[1, 2, 3], [3, 4], [5]])  # vertex 6 is a ghost
+    faces = frozenset(K.faces())
+    for f in powerset(range(1, 7)):
+        for order in (f, f[::-1], sorted(f, key=lambda v: (v % 2, v))):
+            assert K.has_face(order) == (f in faces), order
+    assert K.has_face(iter([3, 2])) and K.has_face(range(1, 3))
+    # the empty face is a face of every K, the empty complex included
+    assert K.has_face(()) and K.has_face([])
+    assert build(3, []).has_face(()) and not build(3, []).has_face((1,))
+    # a repeated vertex is not a face, nor is one out of range, a float or a bool
+    for bad in [(1, 1), (2, 1, 2), (0,), (7,), (-1,), (1, 7), (1.0,), (1, 2.0), [True], (True, 2), ("1",)]:
+        assert not K.has_face(bad), bad
+
+
+@pytest.mark.parametrize("query", ["has_face", "evaluate_special", "union_along"])
+def test_queries_on_a_40_vertex_simplex_list_no_faces(query):
+    # a cached set of all 2^40 faces made each of these run out of memory
+    K = simplex(40)
+    _faces.cache_clear()
+    start = time.process_time()
+    if query == "has_face":
+        assert K.has_face(range(40, 0, -1)) and K.has_face((7, 3)) and not K.has_face((1, 1))
+    elif query == "evaluate_special":
+        pairs = PairAssignment.constant_maps([Sphere(2), Sphere(3)] * 20)
+        assert evaluate_special(K, pairs) == normalize(Wedge((Sphere(2), Sphere(3)) * 20))
+    else:
+        glued = union_along(K, K, simplex(20))
+        assert glued == build(60, [range(1, 41), range(21, 61)])
+    assert time.process_time() - start < 1.0
+    assert _faces.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("faces", [
