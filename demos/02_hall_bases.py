@@ -46,16 +46,20 @@ for md in sorted(counts):
     print(f"  {md}: enumerated {counts[md]}, Witt {witt_dimension(md)}")
 
 # The decompositions count brackets instead of listing them, per (weight,
-# support, piece content): with one piece per vertex the content is l.  Face
-# letters a_{J,i} enter as (vector e_J, |J| - 1 copies).
-letters = [((1, 1, 0), 1), ((1, 0, 1), 1), ((0, 1, 1), 1), ((1, 1, 1), 2)]
-classes = lyndon_class_counts(letters, 3)
+# support type, piece content).  A support's type counts its vertices in
+# each piece; permuting the vertices of a piece permutes the face letters,
+# so every support of one type carries the same count.  With one piece per
+# vertex the type is the support itself and the content is l.
+classes = lyndon_class_counts([0, 1, 2], 3)
 listed = Counter((b.weight, stats(b, 3).l) for b in hall_basis(gens, 3))
 counted = {(w, l): n for (w, _, l), n in classes.items()}
 print(f"\nface alphabet over {{1,2,3}}, weight <= 3: {sum(classes.values())} brackets "
       f"in {len(classes)} classes; counted == enumerated: {counted == dict(listed)}")
 
 # When all three vertices carry one space they form one piece, and a factor
-# depends only on the weight, the support and the total letter count.
-groups = lyndon_class_counts(letters, 3, pieces=[0, 0, 0])
-print(f"one piece: {len(groups)} groups, for example {next(iter(groups.items()))}")
+# depends only on the weight, the support and the total letter count: each
+# count is that of one support with the given number of vertices.
+groups = lyndon_class_counts([0, 0, 0], 3)
+(w, s, q), n = next(iter(groups.items()))
+print(f"one piece: {len(groups)} groups, for example weight {w} on each {s[0]}-vertex "
+      f"support with {q[0]} letter-vertices: {n} brackets")

@@ -23,7 +23,9 @@ decompositions of the looped coproduct:
     factor when the support is a face, nothing otherwise); mixed factors stay
     symbolic atoms, and class_diagram builds their defining diagrams;
   * loop_decompose_wedge: the all-codomains-point case, over the letters of
-    the faces of K, so a bracket over overlapping faces is counted once;
+    the faces of K, so a bracket over overlapping faces is counted once
+    (a word whose support is a face uses only letters inside it, so these
+    are the counts of the face alphabet of {1..m} on the face supports);
   * loop_decompose_contractible: the all-domains-contractible case, where
     only the brackets whose support is a missing face survive;
   * the suspension-splitting summand lists (bbcg_*) for the dual comparison,
@@ -35,21 +37,26 @@ counts the letters whose vertex set contains j) summed over each piece, a set
 of vertices with one normalized (domain, codomain) pair (one summand for
 hilton_milnor); when some support can be mixed (a non-point domain and a
 non-point codomain both occur) every vertex is its own piece.
-So brackets are never listed: lyndon_class_counts counts them per group
-(weight, support, piece content), and each group becomes one Factor with its
-bracket count as multiplicity and BracketGroup(weight, support, pieces,
-counts) as provenance, in JSON {"kind": "group", "weight": ..., "support":
-[...], "pieces": [...], "counts": [...]}.  The three polyhedral
-decompositions are one engine and one bracket rule over the face alphabet,
-resolved once per support, and each distinct factor is built once.
+So brackets are never listed.  lyndon_class_counts counts them once per
+(weight, support type, piece content), where a support's type counts its
+vertices in each piece, and the engine lists, for each counted type, only
+the supports the bracket rule can keep: faces of K for point codomains
+(whose counts are then cut to the types of K's faces), missing faces for
+contractible domains, and every support otherwise (one per type, since
+every vertex is then its own piece).  Each listed (weight, support, piece
+content) group becomes one Factor with its bracket count as multiplicity
+and BracketGroup(weight, support, pieces, counts) as provenance, in JSON
+{"kind": "group", "weight": ..., "support": [...], "pieces": [...],
+"counts": [...]}.  The three polyhedral decompositions are one engine and
+one bracket rule over the face alphabet, resolved once per listed support,
+and each distinct factor is built once.
 
 Every emitted factor expression is in normal form: it is built by the
 normal-form helpers of spacexpr from pieces normalized once, not as a raw
 tree normalized afterwards.  Factors that are a point are dropped, and
 factor order is deterministic: vertex factors first by vertex, then bracket
-groups by weight, piece content descending and support, as
-lyndon_class_counts returns them (so raising the weight bound only appends
-factors).
+groups by weight, piece content descending and support as a vertex
+indicator descending (so raising the weight bound only appends factors).
 """
 
 from __future__ import annotations
@@ -57,7 +64,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
+from itertools import combinations, compress
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from . import series as series_mod
@@ -427,38 +435,86 @@ def _vertex_degrees(spaces: Sequence[SpaceExpr], offset: int) -> tuple[int, ...]
 
 
 def _class_factors(
-    letters: Sequence[tuple[tuple[int, ...], int]],
+    grading: Sequence[int],
     weight_bound: int,
     rule,
-    grading: Sequence[int],
+    candidates,
+    alphabet: str = "face",
+    types=None,
     degrees: Sequence[int] | None = None,
     bound: int | None = None,
 ) -> list[Factor]:
     """The bracket engine: one factor per counted (weight, support, piece
-    content q) group, with grading[j - 1] the piece of vertex j, in the
-    order lyndon_class_counts gives.  rule(support) runs once per support:
-    None when every group over it vanishes, else (shape, build), and build(q)
-    runs once per distinct (shape, q).  Factors that are points are dropped.
+    content q) group, with grading[j - 1] the piece of vertex j.
+    lyndon_class_counts counts each support type once, over the given
+    alphabet and with its states cut to types when given; candidates(s)
+    lists the supports of type s that rule can keep, and rule(support) runs once
+    per listed support: None when every group over it vanishes, else
+    (shape, build), and build(q) runs once per distinct (shape, q).  The
+    order is by weight, then q descending, then the support as a vertex
+    indicator descending; the groups of one (weight, q) are merged by
+    support only when several types share them.  Factors that are points
+    are dropped.
     """
     counts = lyndon_class_counts(
-        letters, weight_bound, pieces=grading, vertex_degrees=degrees, degree_bound=bound
+        grading, weight_bound, alphabet=alphabet, types=types, vertex_degrees=degrees, degree_bound=bound
     )
-    rules: dict[tuple[int, ...], tuple] = {}
+    m = len(grading)
+    several = len(set(grading)) < m  # a piece of several vertices: types can share a (w, q)
+    listed: dict[tuple[int, ...], list] = {}  # type -> what the rule keeps, support descending
     made: dict[object, SpaceExpr] = {}
-    out = []
-    for (w, support, q), n in counts.items():
-        if support not in rules:
-            on: dict[int, list[int]] = {}
-            for j in support:
-                on.setdefault(grading[j - 1], []).append(j)
-            rules[support] = rule(support), tuple(tuple(on[p]) for p in sorted(on))
-        resolved, on = rules[support]
-        if resolved is not None:
-            if (key := (resolved[0], q)) not in made:
-                made[key] = resolved[1](q)
+    out: list[Factor] = []
+    ranks: list[int] = []  # with several, (run of one (w, q), support descending) per factor, as one int
+    run, at, merge = 0, None, False
+    for (w, s, q), n in counts.items():
+        if (kept := listed.get(s)) is None:
+            kept = listed[s] = []
+            for support in candidates(s):
+                if (resolved := rule(support)) is not None:
+                    on: dict[int, list[int]] = {}
+                    for j in support:
+                        on.setdefault(grading[j - 1], []).append(j)
+                    pieces = tuple(tuple(on[p]) for p in sorted(on))
+                    rank = sum(1 << m - j for j in support) if several else 0
+                    kept.append((rank, support, pieces, *resolved))
+            if several:
+                kept.sort(key=itemgetter(0), reverse=True)
+        if several and kept:
+            if (w, q) != at:
+                run, at = run + 1, (w, q)
+            else:
+                merge = True  # a second type in one (w, q): its supports interleave with the first's
+        for rank, support, pieces, shape, build in kept:
+            if (key := (shape, q)) not in made:
+                made[key] = build(q)
             if not isinstance(expr := made[key], Point):  # the pieces on the support have q_p > 0
-                out.append(Factor(expr, n, BracketGroup(w, support, on, tuple(filter(None, q)))))
+                out.append(Factor(expr, n, BracketGroup(w, support, pieces, tuple(filter(None, q)))))
+                if several:
+                    ranks.append(run << m | (1 << m) - 1 - rank)
+    if merge:
+        out = [out[i] for i in sorted(range(len(out)), key=ranks.__getitem__)]
     return out
+
+
+def _type_supports(grading: Sequence[int]):
+    """candidates(s) for the engine: every support with s[p] vertices in
+    piece p (grading[j - 1] the piece of vertex j), its vertices sorted."""
+    members: list[tuple[int, ...]] = [() for _ in range(max(grading) + 1)]
+    for j, p in enumerate(grading, start=1):
+        members[p] += (j,)
+    if len(members) == len(grading):
+        # one vertex per piece: the type is the support's indicator
+        firsts = [vertices[0] for vertices in members]
+        return lambda s: [tuple(sorted(compress(firsts, s)))]
+
+    def every(s):
+        supports = [()]
+        for vertices, k in zip(members, s):
+            if k:
+                supports = [S + c for S in supports for c in combinations(vertices, k)]
+        return [tuple(sorted(S)) for S in supports]
+
+    return every
 
 
 def _assert_conn_at_least_weight(factors: Sequence[Factor]) -> None:
@@ -496,10 +552,10 @@ def hilton_milnor(
     def build(q):
         return _loop(_susp(_smash_of(summands, q)), 1)
 
-    letters = [(tuple(int(j == i) for j in range(m)), 1) for i in range(m)]
     degrees = None if degree_bound is None else _vertex_degrees(spaces, 1)
     factors = _class_factors(
-        letters, weight_bound, lambda support: (None, build), grading, degrees, degree_bound
+        grading, weight_bound, lambda support: (None, build), _type_supports(grading), "plain", None,
+        degrees, degree_bound,
     )
     if all(conn(x) >= 1 for x in spaces):
         _assert_conn_at_least_weight(factors)
@@ -508,8 +564,8 @@ def hilton_milnor(
 
 # ---------------------------------------------------------------------------
 # the polyhedral decompositions: one engine over the face alphabet and one
-# bracket rule, with presets that differ only in their letters, truncation
-# and input checks
+# bracket rule, with presets that differ only in their truncation and input
+# checks
 # ---------------------------------------------------------------------------
 
 
@@ -523,21 +579,6 @@ def _base_factors(K: SimplicialComplex, pairs: PairAssignment) -> list[Factor]:
         if not isinstance(f, Point):
             out.append(Factor(f, 1, i))
     return out
-
-
-def _face_letters(vertex_sets, m: int) -> list[tuple[tuple[int, ...], int]]:
-    """The face letters a_{J,i} for the given J with |J| >= 2, as (e_J, |J| - 1)."""
-    return [
-        (tuple(int(j in J) for j in range(1, m + 1)), len(J) - 1)
-        for J in vertex_sets
-        if len(J) >= 2
-    ]
-
-
-def _all_face_letters(m: int) -> list[tuple[tuple[int, ...], int]]:
-    return _face_letters(
-        (J for k in range(2, m + 1) for J in combinations(range(1, m + 1), k)), m
-    )
 
 
 def _smash_of(normal: Sequence[SpaceExpr], counts: Sequence[int]) -> SpaceExpr:
@@ -616,7 +657,6 @@ def _coproduct_decomposition(
     pairs: PairAssignment,
     weight_bound: int,
     theorem: str,
-    letters: Sequence[tuple[tuple[int, ...], int]],
     truncated: bool,
     degree_bound: int | None = None,
 ) -> Decomposition:
@@ -625,7 +665,32 @@ def _coproduct_decomposition(
     grading, spaces = pieces = _vertex_pieces(pairs)
     degrees = None if degree_bound is None else _vertex_degrees([spaces[p][0] for p in grading], 0)
     rule = partial(_bracket_rule, K, pieces)
-    brackets = _class_factors(letters, weight_bound, rule, grading, degrees, degree_bound)
+    every = _type_supports(grading)
+    types = None
+    if all(isinstance(a, Point) for _, a in spaces):
+        # point codomains keep faces only: their words use only letters
+        # inside a face, so the states are cut to the types of K's faces
+        if K.has_face(range(1, K.m + 1)):
+            candidates = every  # the full simplex: every support is a face
+        else:
+            faces: dict[tuple[int, ...], list[Face]] = {}
+            for f in K.faces():
+                s = [0] * len(spaces)
+                for j in f:
+                    s[grading[j - 1]] += 1
+                faces.setdefault(tuple(s), []).append(f)
+            types = faces.keys()
+
+            def candidates(s):
+                return faces.get(s, ())
+    elif all(isinstance(x, Point) for x, _ in spaces):
+        # contractible domains keep missing faces only
+        def candidates(s):
+            return [S for S in every(s) if not K.has_face(S)]
+    else:
+        # mixed endpoint data: one vertex per piece, so one support per type
+        candidates = every
+    brackets = _class_factors(grading, weight_bound, rule, candidates, "face", types, degrees, degree_bound)
     factors = _base_factors(K, pairs) + brackets
     return Decomposition(tuple(factors), theorem, weight_bound if truncated else None)
 
@@ -651,7 +716,6 @@ def loop_decompose_wedge(
         PairAssignment.constant_maps(spaces),
         weight_bound,
         "wedge-coproduct",
-        _face_letters(K.faces(), K.m),
         # infinite exactly when some maximal face has two or more letters
         K.dim() >= 2,
         degree_bound,
@@ -692,7 +756,7 @@ def loop_decompose(
     _validate_pairs(K, pairs)
     # the face alphabet of {1..m} has two or more letters exactly when m >= 3
     return _coproduct_decomposition(
-        K, pairs, weight_bound, "general-coproduct", _all_face_letters(K.m), K.m >= 3
+        K, pairs, weight_bound, "general-coproduct", K.m >= 3
     )
 
 
@@ -717,7 +781,7 @@ def loop_decompose_contractible(
             )
     _validate_pairs(K, pairs)
     return _coproduct_decomposition(
-        K, pairs, weight_bound, "contractible-domains", _all_face_letters(K.m), K.m >= 3
+        K, pairs, weight_bound, "contractible-domains", K.m >= 3
     )
 
 

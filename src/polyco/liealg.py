@@ -12,11 +12,14 @@ across overlapping maximal faces well defined.
 
 witt_dimension is the classical multigraded Witt formula and serves as an
 independent counting oracle for the Lyndon enumeration.  lyndon_class_counts
-generalizes it to letters graded by vertex vectors with several copies each:
-it counts Lyndon words per (length, support, piece content) group without
-listing them, which is all the decompositions need.  It packs each grading
-into one int, so the DP adds and ors ints and the groups come out in listing
-order.
+generalizes it to the face (or plain) letters of {1..m}, graded by vertex
+vectors with several copies each: it counts Lyndon words per (length,
+support type, piece content) group without listing them, which is all the
+decompositions need.  A support's type counts its vertices in each piece
+of vertices; all supports of one type carry the same count, so it is
+counted once, summed over the type's supports and divided by their number.
+Each (content, type) grading is packed into one int, so the DP adds and ors
+ints and the groups come out in order.
 """
 
 from __future__ import annotations
@@ -24,10 +27,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress, repeat
-from math import factorial, gcd, prod
-from operator import and_, mul
-from struct import Struct
+from itertools import chain, combinations
+from math import comb, factorial, gcd, prod
+from operator import gt, lshift
 from typing import Iterable, Iterator, Sequence
 
 
@@ -270,45 +272,68 @@ def witt_dimension(multidegree: Sequence[int]) -> int:
 
 
 def lyndon_class_counts(
-    letters: Sequence[tuple[Sequence[int], int]],
+    pieces: Sequence[int],
     weight_bound: int,
     *,
-    pieces: Sequence[int] | None = None,
+    alphabet: str = "face",
+    types: Iterable[Sequence[int]] | None = None,
     vertex_degrees: Sequence[int] | None = None,
     degree_bound: int | None = None,
 ) -> dict[tuple[int, tuple[int, ...], tuple[int, ...]], int]:
-    """Number of Lyndon words per (length w, support, piece content q), w <= weight_bound.
+    """Number of Lyndon words of length w <= weight_bound whose support is one
+    given vertex set S, per (w, support type s, piece content q).
 
-    letters lists (vertex vector, number of copies): a face letter a_J is
-    (e_J, |J| - 1), a plain letter x_i is (e_i, 1).  pieces numbers each
-    vertex's piece (default: one per vertex, where q is the vertex content
-    l); q_p sums a word's vectors over piece p, and its support is the set
-    of vertices its letters touch.  Words are counted by a DP over these
-    gradings, supports combining by union, and the Lyndon words by the
-    multigraded Witt formula for graded letters (Kang & Kim, J. Algebra 183,
-    1996): u^d has grading (d * q_u, S_u), so w * L(w, q, S) = sum over
-    d | gcd(w, q) of mu(d) * words[w/d][q/d, S].  With vertex_degrees (equal
-    within a piece) and degree_bound, gradings with sum_j l_j * deg_j above
-    the bound are omitted, exactly the brackets hall_basis prunes.
+    pieces numbers the piece of each vertex (vertex j has pieces[j - 1]),
+    0, 1, ... with every number used.  The letters are the face letters of
+    {1..m} (alphabet "face": a_{J,i} for |J| >= 2, 1 <= i <= |J| - 1) or
+    the plain ones (alphabet "plain": one x_j per vertex).  A word's support
+    S is the set of vertices its letters touch, its type s_p = |S ∩ piece p|,
+    and q_p sums its letters' vertex contents over piece p.  Permuting the
+    vertices inside a piece maps letters to letters, so the count depends on
+    S only through its type.  types, when given, is a down-closed set of
+    types (such as those of a complex's faces): the DP keeps only states of
+    those types, which loses no word whose support has one of them, since
+    its prefixes' supports have smaller types.
 
-    A grading is one int, q in fixed-width lanes (piece 0 the most
-    significant) above an m-bit support mask (vertex 1 its top bit): a DP
-    step is (k + q_u) | S_u, and the Moebius terms are pushed from each root
-    to (d * q, S).  Int order is lexicographic order on (q, mask), so the
-    result is in listing order: by w, then q descending, then support.
+    The words of all supports of one type are counted at once by a DP on
+    (q, s): from a state of type s, the letters with a_p old and b_p new
+    vertices in piece p form one class of (|a| + |b| - 1) * prod_p C(s_p,
+    a_p) * C(n_p - s_p, b_p) face letters (prod_p ... plain ones with
+    |a| + |b| = 1), where n_p is the size of piece p.  The Lyndon words
+    follow by the multigraded Witt formula for graded letters (Kang & Kim,
+    J. Algebra 183, 1996): u^d has grading (d * q, s), so w * L(w, q, s) =
+    sum over d | gcd(w, q) of mu(d) * words[w/d][q/d, s]; one support's
+    count is that total over w * prod_p C(n_p, s_p).  With vertex_degrees
+    (equal within a piece) and degree_bound, gradings with sum_j l_j *
+    deg_j above the bound are omitted, exactly the brackets hall_basis
+    prunes.
+
+    A grading is one int: q in fixed-width lanes (piece 0 the most
+    significant) above the s part, where a piece of one vertex is one bit,
+    or-ed in as in a support mask, and a larger piece a count lane that
+    new vertices add to.  A DP step is (k + a) | b, and a state's letter
+    classes depend only on its count lanes, so they are listed once per
+    content (once in all when every piece is one vertex).  Int order is
+    lexicographic order on (q, s), so the result is in order: by w, then q
+    descending, then s descending.
     """
     if type(weight_bound) is not int or weight_bound < 1:  # no bool, no float
         raise ValueError(f"weight_bound must be an integer >= 1, got {weight_bound!r}")
     if degree_bound is not None and type(degree_bound) is not int:
         raise ValueError(f"degree_bound must be an integer, got {degree_bound!r}")
-    letters = [(tuple(vector), copies) for vector, copies in letters]
-    if not letters:
-        return {}
-    m = len(letters[0][0])
-    grading = tuple(range(m)) if pieces is None else tuple(pieces)
-    if len(grading) != m or not all(type(p) is int and p >= 0 for p in grading):
-        raise ValueError(f"pieces must give each of the {m} vertices a number >= 0, got {pieces!r}")
-    size = max(grading) + 1
+    if alphabet not in ("face", "plain"):
+        raise ValueError(f"alphabet must be 'face' or 'plain', got {alphabet!r}")
+    grading = tuple(pieces)
+    n: list[int] = []  # the size of each piece
+    for p in grading:
+        if type(p) is not int or p < 0:
+            raise ValueError(f"pieces must number each vertex's piece 0, 1, ..., every number used; got {pieces!r}")
+        if p >= len(n):
+            n += [0] * (p + 1 - len(n))
+        n[p] += 1
+    if 0 in n:
+        raise ValueError(f"pieces must number each vertex's piece 0, 1, ..., every number used; got {pieces!r}")
+    m, size = len(grading), len(n)
     degs = [0] * size  # per piece; all 0 without a bound
     if degree_bound is not None:
         for p, d in zip(grading, vertex_degrees or ()):
@@ -319,60 +344,114 @@ def lyndon_class_counts(
             raise ValueError(f"degree_bound needs vertex_degrees, one integer >= 1 per vertex, "
                              f"equal within a piece; got {vertex_degrees!r}")
 
-    bits = [1 << (m - j) for j in range(1, m + 1)]
-    graded: dict[tuple[tuple[int, ...], int], int] = {}  # (q, support mask) -> copies
-    for v, copies in letters:
-        if not all(type(x) is int for x in (*v, copies)):
-            raise ValueError(f"letter {v} x{copies!r}: entries and copies must be integers")
-        if copies < 1 or any(x < 0 for x in v) or not any(v) or len(v) != m:
-            raise ValueError(f"letter {v} x{copies}: need a nonzero length-{m} vector, copies >= 1")
-        q = [0] * size
-        for p, x in zip(grading, v):
-            q[p] += x
-        key = (tuple(q), sum(compress(bits, v)))
-        graded[key] = graded.get(key, 0) + copies
-    # a lane holds word length times the largest entry; each letter adds degree >= 1
-    top = max(1, min(weight_bound, degree_bound or weight_bound)) * max(max(q) for q, _ in graded)
-    fits = [c for b, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")) if top < 256**b]
-    if not fits:
-        raise ValueError(f"piece contents up to {top} do not fit a 64-bit lane")
-    lanes = Struct(f">{size}{fits[0]}")
+    width = [c.bit_length() for c in n]  # one bit for a piece of one vertex
+    shift = [0] * size
+    sbits = 0
+    for p in reversed(range(size)):
+        shift[p] = sbits
+        sbits += width[p]
+    low = (1 << sbits) - 1
+    allowed = None
+    if types is not None:
+        types = [tuple(t) for t in types]
+        columns = list(zip(*types))
+        if types and ({*map(len, types)} != {size} or {*map(type, chain.from_iterable(types))} - {int}
+                      or min(map(min, columns)) < 0 or any(map(gt, map(max, columns), n))):
+            raise ValueError(f"each type needs {size} integers, each from 0 to its piece's size")
+        packed = [sum(map(lshift, t, shift)) for t in types]
+        allowed = set(packed)
+        for b, column in zip(shift, columns):
+            if not allowed.issuperset([s - (1 << b) for s, x in zip(packed, column) if x]):
+                raise ValueError("types must be down-closed: each type below an allowed one is allowed")
+    face = alphabet == "face"
+    if m < 1 + face:  # no letters
+        return {}
+
+    # a content lane holds word length times a letter's largest entry, in
+    # whole bytes so that a q part decodes through to_bytes
+    width_q = ((weight_bound * (max(n) if face else 1)).bit_length() + 7) // 8
+    qshift = [sbits + 8 * width_q * (size - 1 - p) for p in range(size)]
+    counted = sum(((1 << width[p]) - 1) << shift[p] for p in range(size) if n[p] > 1)
+
+    top, least = (m, 2) if face else (1, 1)
+    # a class's part over the one-vertex pieces is a set of them, so these
+    # parts are listed once, cut where their own type is not allowed (a
+    # type above a disallowed one is disallowed too); each entry is (add,
+    # or, multiplicity, letter size, degree)
+    ones = [(0, 0, 1, 0, 0)]
+    for p in range(size):
+        if n[p] == 1:
+            y, u, g = 1 << qshift[p], 1 << shift[p], degs[p]
+            ones += [
+                (x + y, o | u, 1, t + 1, d + g)
+                for x, o, _, t, d in ones
+                if t < top and (degree_bound is None or d + g <= degree_bound)
+                and (allowed is None or (o | u) in allowed)
+            ]
+    multi = [p for p in range(size) if n[p] > 1]
+
+    def classes(s: int) -> list[tuple[int, int, int, int]]:
+        # (add, or, letters, degree) per letter class from a state of type s;
+        # with a type cut s is the whole s part, else only its count lanes
+        partial = ones
+        for p in multi:
+            have = s >> shift[p] & (1 << width[p]) - 1
+            options = [
+                (((a + b) << qshift[p]) + (b << shift[p]), comb(have, a) * comb(n[p] - have, b), a + b,
+                 (a + b) * degs[p])
+                for a in range(have + 1) for b in range(n[p] - have + 1)
+            ]
+            partial = [
+                (x + y, o, c * e, t + v, d + g)
+                for x, o, c, t, d in partial
+                for y, e, v, g in options
+                if t + v <= top and (degree_bound is None or d + g <= degree_bound)
+                and (allowed is None or ((s + x + y) & low | o) in allowed)
+            ]
+        return [
+            (x, o, (t - 1) * c if face else c, d)
+            for x, o, c, t, d in partial
+            if t >= least and (allowed is None or ((s + x) | o) & low in allowed)
+        ]
 
     # each state carries its degree, so pruning costs one add
-    step = [
-        (int.from_bytes(lanes.pack(*q), "big") << m, mask, copies, sum(map(mul, q, degs)))
-        for (q, mask), copies in graded.items()
-    ]
+    cache = low if allowed is not None else counted
+    steps: dict[int, list[tuple[int, int, int, int]]] = {0: classes(0)}
+    step = steps[0]  # the one list when every piece is one vertex and no type is cut
     layer = {0: (1, 0)}
     words: list[dict[int, tuple[int, int]]] = [layer]
     for _ in range(weight_bound):
         nxt: dict[int, tuple[int, int]] = {}
         for k, (count, deg) in layer.items():
-            for a, mask, copies, dv in step:
+            if cache and (step := steps.get(c := k & cache)) is None:
+                step = steps[c] = classes(c)
+            for a, b, copies, dv in step:
                 if degree_bound is not None and deg + dv > degree_bound:
                     continue
-                hit = nxt.get(key := (k + a) | mask)
+                hit = nxt.get(key := (k + a) | b)
                 nxt[key] = (count * copies + (hit[0] if hit else 0), deg + dv)
         if not nxt:
             break
         words.append(nxt)
         layer = nxt
 
-    low = (1 << m) - 1
-    supports: dict[int, tuple[int, ...]] = {}
+    typed: dict[int, tuple[tuple[int, ...], int]] = {}  # s part -> (type, supports of the type)
     out: dict[tuple[int, tuple[int, ...], tuple[int, ...]], int] = {}
     for w in range(1, len(words)):
         totals = {k: count for k, (count, _) in words[w].items()}
         for d, mu in _mobius_divisors(w):
             for root, (count, _) in words[w // d].items():
-                if (key := (root >> m) * d << m | (root & low)) in totals:
+                if (key := (root >> sbits) * d << sbits | (root & low)) in totals:
                     totals[key] += mu * count
         for k in sorted(totals, reverse=True):
-            total = totals[k]
-            assert total % w == 0
-            if total:
-                if (mask := k & low) not in supports:
-                    supports[mask] = tuple(compress(range(1, m + 1), map(and_, bits, repeat(mask))))
-                q = lanes.unpack((k >> m).to_bytes(lanes.size, "big"))
-                out[(w, supports[mask], q)] = total // w
+            if total := totals[k]:
+                if (typing := typed.get(s := k & low)) is None:
+                    t = tuple(s >> shift[p] & (1 << width[p]) - 1 for p in range(size))
+                    typing = typed[s] = t, prod(map(comb, n, t))
+                raw = (k >> sbits).to_bytes(size * width_q, "big")
+                q = tuple(raw) if width_q == 1 else tuple(
+                    int.from_bytes(raw[i:i + width_q], "big") for i in range(0, len(raw), width_q))
+                t, supports = typing
+                assert total % (w * supports) == 0
+                out[(w, t, q)] = total // (w * supports)
     return out

@@ -3,9 +3,11 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress, repeat
 from math import gcd
-from operator import add, mul
+from operator import add, and_, mul
+from struct import Struct
+from typing import Sequence
 
 from polyco.decomp import (
     BracketGroup,
@@ -512,6 +514,159 @@ def reference_class_counts(letters, weight_bound, vertex_degrees=None, degree_bo
             if total:
                 out[(w, l)] = total // w
     return out
+
+
+# ---------------------------------------------------------------------------
+# the letter-list counter: one packed DP state per (piece content, support
+# mask), every support counted; and the per-type regrouping of the tuple
+# reference that the type counter must equal
+# ---------------------------------------------------------------------------
+
+
+def all_face_letters(m):
+    """The face letters a_{J,i} of {1..m}, as (e_J, |J| - 1)."""
+    return [
+        (tuple(int(j in J) for j in range(1, m + 1)), k - 1)
+        for k in range(2, m + 1)
+        for J in combinations(range(1, m + 1), k)
+    ]
+
+
+def letter_class_counts(
+    letters: Sequence[tuple[Sequence[int], int]],
+    weight_bound: int,
+    *,
+    pieces: Sequence[int] | None = None,
+    vertex_degrees: Sequence[int] | None = None,
+    degree_bound: int | None = None,
+) -> dict[tuple[int, tuple[int, ...], tuple[int, ...]], int]:
+    """Number of Lyndon words per (length w, support, piece content q), w <= weight_bound,
+    over a list of letters: the counter the decompositions ran on before it
+    counted per support type, kept as a reference for the type counter.
+
+    letters lists (vertex vector, number of copies): a face letter a_J is
+    (e_J, |J| - 1), a plain letter x_i is (e_i, 1).  pieces numbers each
+    vertex's piece (default: one per vertex, where q is the vertex content
+    l); q_p sums a word's vectors over piece p, and its support is the set
+    of vertices its letters touch.  Words are counted by a DP over these
+    gradings, supports combining by union, and the Lyndon words by the
+    multigraded Witt formula for graded letters (Kang & Kim, J. Algebra 183,
+    1996): u^d has grading (d * q_u, S_u), so w * L(w, q, S) = sum over
+    d | gcd(w, q) of mu(d) * words[w/d][q/d, S].  With vertex_degrees (equal
+    within a piece) and degree_bound, gradings with sum_j l_j * deg_j above
+    the bound are omitted, exactly the brackets hall_basis prunes.
+
+    A grading is one int, q in fixed-width lanes (piece 0 the most
+    significant) above an m-bit support mask (vertex 1 its top bit): a DP
+    step is (k + q_u) | S_u, and the Moebius terms are pushed from each root
+    to (d * q, S).  Int order is lexicographic order on (q, mask), so the
+    result is in listing order: by w, then q descending, then support.
+    """
+    if type(weight_bound) is not int or weight_bound < 1:  # no bool, no float
+        raise ValueError(f"weight_bound must be an integer >= 1, got {weight_bound!r}")
+    if degree_bound is not None and type(degree_bound) is not int:
+        raise ValueError(f"degree_bound must be an integer, got {degree_bound!r}")
+    letters = [(tuple(vector), copies) for vector, copies in letters]
+    if not letters:
+        return {}
+    m = len(letters[0][0])
+    grading = tuple(range(m)) if pieces is None else tuple(pieces)
+    if len(grading) != m or not all(type(p) is int and p >= 0 for p in grading):
+        raise ValueError(f"pieces must give each of the {m} vertices a number >= 0, got {pieces!r}")
+    size = max(grading) + 1
+    degs = [0] * size  # per piece; all 0 without a bound
+    if degree_bound is not None:
+        for p, d in zip(grading, vertex_degrees or ()):
+            degs[p] = d
+        if vertex_degrees is None or [degs[p] for p in grading] != list(vertex_degrees) or not all(
+            type(d) is int and d >= 1 for d in vertex_degrees
+        ):
+            raise ValueError(f"degree_bound needs vertex_degrees, one integer >= 1 per vertex, "
+                             f"equal within a piece; got {vertex_degrees!r}")
+
+    bits = [1 << (m - j) for j in range(1, m + 1)]
+    graded: dict[tuple[tuple[int, ...], int], int] = {}  # (q, support mask) -> copies
+    for v, copies in letters:
+        if not all(type(x) is int for x in (*v, copies)):
+            raise ValueError(f"letter {v} x{copies!r}: entries and copies must be integers")
+        if copies < 1 or any(x < 0 for x in v) or not any(v) or len(v) != m:
+            raise ValueError(f"letter {v} x{copies}: need a nonzero length-{m} vector, copies >= 1")
+        q = [0] * size
+        for p, x in zip(grading, v):
+            q[p] += x
+        key = (tuple(q), sum(compress(bits, v)))
+        graded[key] = graded.get(key, 0) + copies
+    # a lane holds word length times the largest entry; each letter adds degree >= 1
+    top = max(1, min(weight_bound, degree_bound or weight_bound)) * max(max(q) for q, _ in graded)
+    fits = [c for b, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")) if top < 256**b]
+    if not fits:
+        raise ValueError(f"piece contents up to {top} do not fit a 64-bit lane")
+    lanes = Struct(f">{size}{fits[0]}")
+
+    # each state carries its degree, so pruning costs one add
+    step = [
+        (int.from_bytes(lanes.pack(*q), "big") << m, mask, copies, sum(map(mul, q, degs)))
+        for (q, mask), copies in graded.items()
+    ]
+    layer = {0: (1, 0)}
+    words: list[dict[int, tuple[int, int]]] = [layer]
+    for _ in range(weight_bound):
+        nxt: dict[int, tuple[int, int]] = {}
+        for k, (count, deg) in layer.items():
+            for a, mask, copies, dv in step:
+                if degree_bound is not None and deg + dv > degree_bound:
+                    continue
+                hit = nxt.get(key := (k + a) | mask)
+                nxt[key] = (count * copies + (hit[0] if hit else 0), deg + dv)
+        if not nxt:
+            break
+        words.append(nxt)
+        layer = nxt
+
+    low = (1 << m) - 1
+    supports: dict[int, tuple[int, ...]] = {}
+    out: dict[tuple[int, tuple[int, ...], tuple[int, ...]], int] = {}
+    for w in range(1, len(words)):
+        totals = {k: count for k, (count, _) in words[w].items()}
+        for d, mu in _mobius_divisors(w):
+            for root, (count, _) in words[w // d].items():
+                if (key := (root >> m) * d << m | (root & low)) in totals:
+                    totals[key] += mu * count
+        for k in sorted(totals, reverse=True):
+            total = totals[k]
+            assert total % w == 0
+            if total:
+                if (mask := k & low) not in supports:
+                    supports[mask] = tuple(compress(range(1, m + 1), map(and_, bits, repeat(mask))))
+                q = lanes.unpack((k >> m).to_bytes(lanes.size, "big"))
+                out[(w, supports[mask], q)] = total // w
+    return out
+
+
+def per_type_counts(class_counts, grading, supports=None):
+    """{(w, l): n} summed per (w, support, piece content) and keyed by the
+    support's type, in the type counter's order; every support of a type
+    (or of the given supports) must have the same count, and with supports
+    given every one of a listed type must occur."""
+    size = max(grading) + 1
+
+    def type_of(support):
+        s = [0] * size
+        for j in support:
+            s[grading[j - 1]] += 1
+        return tuple(s)
+
+    out, seen = {}, Counter()
+    for (w, support, q), n in regrouped(class_counts, grading).items():
+        if supports is None or support in supports:
+            key = (w, type_of(support), q)
+            assert out.setdefault(key, n) == n, (key, support)
+            seen[key] += 1
+    if supports is not None:
+        per_type = Counter(map(type_of, supports))
+        assert all(seen[key] == per_type[key[1]] for key in out)
+    order = sorted(out, key=lambda k: (k[0], tuple(-x for x in k[2]), tuple(-x for x in k[1])))
+    return {key: out[key] for key in order}
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from _helpers import listing_order, reference_class_counts, regrouped
+from _helpers import all_face_letters, listing_order, reference_class_counts, regrouped
 from polyco.cli import main
-from polyco.decomp import _all_face_letters
 
 
 def write(tmp_path, name, payload):
@@ -279,7 +278,7 @@ def test_decompose_wedge_default_degree_on_simplex(tmp_path, capsys):
     spaces = write(tmp_path, "s2.json", {str(i): {"kind": "sphere", "n": 2} for i in (1, 2, 3)})
     assert main(["decompose-wedge", "--complex", cx, "--spaces", spaces]) == 0
     out = capsys.readouterr().out
-    classes = reference_class_counts(_all_face_letters(3), 13)
+    classes = reference_class_counts(all_face_letters(3), 13)
     groups = regrouped(classes, [0] * 3)
     assert (len(classes), sum(classes.values()), len(groups)) == (2343, 119939427, 106)
     assert out.startswith(

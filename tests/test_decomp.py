@@ -14,6 +14,7 @@ import pytest
 import polyco.decomp
 from _helpers import (
     _loop_smash_of_loops,
+    all_face_letters,
     enumerated_contractible,
     enumerated_general,
     enumerated_hilton_milnor,
@@ -53,7 +54,6 @@ from polyco.decomp import (
     porter_loop_decomp,
     pullback_square,
     smash_coproduct,
-    _all_face_letters,
     _bracket_rule,
     _vertex_pieces,
 )
@@ -576,7 +576,7 @@ def test_general_vs_wedge_theorem_agreement():
     a = loop_decompose(simplex(3), const([S(2)] * 3), 13)
     b = loop_decompose_wedge(simplex(3), [S(2)] * 3, 13)
     assert a.factor_multiset() == b.factor_multiset()
-    classes = reference_class_counts(_all_face_letters(3), 13)
+    classes = reference_class_counts(all_face_letters(3), 13)
     assert len(classes) == 2_343
     assert len(b.bracket_factors()) == len(regrouped(classes, [0] * 3)) == 106
     assert sum(f.multiplicity for f in b.bracket_factors()) == 119_939_427
@@ -1064,7 +1064,7 @@ def count_builds(monkeypatch):
 def listed_contents(dec, m, W, grading):
     """The vertex contents l of the face-alphabet classes in dec's groups."""
     listed = {group_key(f.provenance, grading) for f in dec.bracket_factors()}
-    classes = reference_class_counts(_all_face_letters(m), W)
+    classes = reference_class_counts(all_face_letters(m), W)
     return {l for w, l in classes if group_of(w, l, grading) in listed}
 
 
@@ -1175,7 +1175,7 @@ def test_contractible_listing_json_stays_small():
     dec = loop_decompose_contractible(K, PairAssignment.path_fibrations([S(2)] * 4), 8)
     text = json.dumps(dec.to_json(), sort_keys=True, indent=2)
     classes = {
-        wl: n for wl, n in reference_class_counts(_all_face_letters(4), 8).items()
+        wl: n for wl, n in reference_class_counts(all_face_letters(4), 8).items()
         if all(wl[1])
     }
     groups = regrouped(classes, [0] * 4)
@@ -1276,3 +1276,38 @@ def test_series_product_evaluates_each_normal_factor_as_series_of_does():
         with pytest.raises(ValueError, match="truncation degree"):
             dec.series_product(-1)
     assert supported > 50 and unsupported > 50, (supported, unsupported)
+
+
+# ---------------------------------------------------------------------------
+# size guards: inputs that stalled while every support was counted
+# ---------------------------------------------------------------------------
+
+OCTAHEDRON = [(a, b, c) for a in (1, 2) for b in (3, 4) for c in (5, 6)]
+DECOMPOSITION_SIZE_GUARD_CASES = {
+    # name: (engine, K, vertex data, W, entries, seconds of process time)
+    "boundary_8_simplex_contractible_w13": (
+        loop_decompose_contractible, lambda: build(9, list(combinations(range(1, 10), 8))),
+        lambda: path_pairs([S(2)] * 9), 13, 634, 1.0,
+    ),
+    "octahedron_distinct_spheres_wedge_w13": (
+        loop_decompose_wedge, lambda: build(6, OCTAHEDRON), lambda: [S(d) for d in range(2, 8)], 13,
+        18_738, 3.0,
+    ),
+    "cycle_10_contractible_w6": (
+        loop_decompose_contractible, lambda: build(10, [(i, i % 10 + 1) for i in range(1, 11)]),
+        lambda: path_pairs([S(2)] * 10), 6, 60_199, 2.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DECOMPOSITION_SIZE_GUARD_CASES))
+def test_decompositions_that_counted_every_support_are_fast(name):
+    # counting per support took 10-19 s on each: the one missing face of
+    # the 8-simplex's boundary, the octahedron's face supports among 1.68
+    # million counted groups, and the 10-cycle's missing faces
+    engine, make_complex, make_data, W, entries, seconds = DECOMPOSITION_SIZE_GUARD_CASES[name]
+    K, data = make_complex(), make_data()
+    start = time.process_time()
+    dec = engine(K, data, W)
+    assert time.process_time() - start < seconds
+    assert len(dec.factors) == entries

@@ -2,18 +2,20 @@
 
 import random
 from collections import Counter
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import pytest
 
 from _helpers import (
+    all_face_letters,
+    letter_class_counts,
     listing_order,
+    per_type_counts,
     reference_class_counts,
     regrouped,
     restricted_support,
     support,
 )
-from polyco.decomp import _all_face_letters
 from polyco.liealg import (
     Bracket,
     Generator,
@@ -25,6 +27,7 @@ from polyco.liealg import (
     stats,
     witt_dimension,
 )
+from polyco.scomplex import build
 
 
 def brute_lyndon(k, maxlen):
@@ -234,13 +237,28 @@ def face_letters(I, m):
 
 
 def as_classes(counts):
-    """The counter's keys under one piece per vertex, (w, support, l), as
-    (w, l); the support must be the vertices l touches."""
+    """The letter-list counter's keys under one piece per vertex, (w,
+    support, l), as (w, l); the support must be the vertices l touches."""
     out = {}
     for (w, support, l), n in counts.items():
         assert support == tuple(j for j, lj in enumerate(l, start=1) if lj), (support, l)
         out[(w, l)] = n
     return out
+
+
+def as_type_classes(counts):
+    """The type counter's keys under one piece per vertex, (w, s, l), as
+    (w, l); the type must be the indicator of the vertices l touches."""
+    out = {}
+    for (w, s, l), n in counts.items():
+        assert s == tuple(int(lj > 0) for lj in l), (s, l)
+        out[(w, l)] = n
+    return out
+
+
+def subset_types(I, m):
+    """The types, under one piece per vertex, of the subsets of I."""
+    return {tuple(int(j in J) for j in range(1, m + 1)) for k in range(len(I) + 1) for J in combinations(I, k)}
 
 
 def enumerated_classes(alphabet, m, W, letter_degrees=None, degree_bound=None):
@@ -250,7 +268,8 @@ def enumerated_classes(alphabet, m, W, letter_degrees=None, degree_bound=None):
 
 def test_class_counts_match_witt_on_plain_alphabets():
     for k, W in ((1, 8), (2, 8), (3, 6), (4, 5)):
-        counts = as_classes(lyndon_class_counts(plain_letters(k), W))
+        counts = as_type_classes(lyndon_class_counts(list(range(k)), W, alphabet="plain"))
+        assert counts == as_classes(letter_class_counts(plain_letters(k), W))
         for total in range(1, W + 1):
             for md in iproduct(range(total + 1), repeat=k):
                 if sum(md) != total:
@@ -260,57 +279,152 @@ def test_class_counts_match_witt_on_plain_alphabets():
 
 
 def test_class_counts_match_enumerated_face_alphabets():
-    # letters given one copy at a time and merged by the counter must agree
-    # with the |J| - 1 copies form the decompositions use
+    # the type counter cut to the subsets of I, and the letter-list counter
+    # with letters given one copy at a time or merged into the |J| - 1
+    # copies form, must agree with the enumerated basis over I
     rng = random.Random(4099)
     for I, m, W in (([1, 2], 2, 5), ([1, 2, 3], 3, 5), ([1, 3, 4], 4, 4), ([1, 2, 3, 4], 4, 3)):
         alphabet = generators_for(I)
         want = enumerated_classes(alphabet, m, W)
-        assert as_classes(lyndon_class_counts(face_letters(I, m), W)) == want
+        cut = subset_types(I, m)
+        assert as_type_classes(lyndon_class_counts(list(range(m)), W, types=cut)) == want
+        assert as_classes(letter_class_counts(face_letters(I, m), W)) == want
         grouped = list(Counter(v for v, _ in face_letters(I, m)).items())
-        assert as_classes(lyndon_class_counts(grouped, W)) == want
+        assert as_classes(letter_class_counts(grouped, W)) == want
         for _ in range(4):
             vdeg = [rng.randint(1, 3) for _ in range(m)]
             bound = rng.randint(2, 14)
             ldeg = [sum(vdeg[j - 1] for j in g.subset) for g in alphabet]
-            got = as_classes(lyndon_class_counts(
+            want = enumerated_classes(alphabet, m, W, ldeg, bound)
+            got = as_type_classes(lyndon_class_counts(
+                list(range(m)), W, types=cut, vertex_degrees=vdeg, degree_bound=bound
+            ))
+            assert got == want, (I, vdeg, bound)
+            got = as_classes(letter_class_counts(
                 face_letters(I, m), W, vertex_degrees=vdeg, degree_bound=bound
             ))
-            assert got == enumerated_classes(alphabet, m, W, ldeg, bound), (I, vdeg, bound)
+            assert got == want, (I, vdeg, bound)
 
 
 def test_class_counts_degree_bound_on_plain_alphabets():
     for degs, bound in (([2, 2, 3], 8), ([1, 4], 9), ([3], 3)):
         k = len(degs)
         alphabet = plain_alphabet(k)
-        got = as_classes(
-            lyndon_class_counts(plain_letters(k), 7, vertex_degrees=degs, degree_bound=bound)
-        )
+        got = as_type_classes(lyndon_class_counts(
+            list(range(k)), 7, alphabet="plain", vertex_degrees=degs, degree_bound=bound
+        ))
         want = Counter()
         for b in hall_basis(alphabet, 7, letter_degrees=degs, degree_bound=bound):
             md = b.multidegree()
             want[(b.weight, tuple(md.get(g, 0) for g in alphabet))] += 1
         assert got == dict(want)
+        assert got == as_classes(
+            letter_class_counts(plain_letters(k), 7, vertex_degrees=degs, degree_bound=bound)
+        )
 
 
 def test_class_counts_validation():
     assert lyndon_class_counts([], 3) == {}
     with pytest.raises(ValueError):
-        lyndon_class_counts(plain_letters(2), 0)
+        lyndon_class_counts([0, 1], 0)
     with pytest.raises(ValueError):
-        lyndon_class_counts([((0, 0), 1)], 2)
+        lyndon_class_counts([0, 1], 3, degree_bound=4)
     with pytest.raises(ValueError):
-        lyndon_class_counts([((1, 0), 0)], 2)
+        lyndon_class_counts([0, 1], 3, vertex_degrees=[1, 0], degree_bound=4)
+    with pytest.raises(ValueError, match="alphabet"):
+        lyndon_class_counts([0, 1], 3, alphabet="letters")
+    # a type names each piece once, within the piece's size, and the types
+    # are down-closed, as the types of a complex's faces are
+    for types in ([(0,)], [(0, 0), (1, 2)], [(0, 0), (1, 0), (1, True)], [(0, 0), (1, 1)]):
+        with pytest.raises(ValueError, match="type"):
+            lyndon_class_counts([0, 1, 1], 3, types=types)
+    assert lyndon_class_counts([0, 1, 1], 3, types=[(0, 0)]) == {}
+    # the letter list: nonzero vectors of one length, copies >= 1
+    assert letter_class_counts([], 3) == {}
     with pytest.raises(ValueError):
-        lyndon_class_counts([((1, 0), 1), ((1,), 1)], 2)
+        letter_class_counts([((0, 0), 1)], 2)
     with pytest.raises(ValueError):
-        lyndon_class_counts(plain_letters(2), 3, degree_bound=4)
+        letter_class_counts([((1, 0), 0)], 2)
     with pytest.raises(ValueError):
-        lyndon_class_counts(plain_letters(2), 3, vertex_degrees=[1, 0], degree_bound=4)
+        letter_class_counts([((1, 0), 1), ((1,), 1)], 2)
     # vector entries and copies are plain ints, and the error names the letter
     for letter in (((1.5, 0), 1), ((1.0, 0), 1), ((True, 0), 1), ((1, 0), 1.5), ((1, 0), True)):
         with pytest.raises(ValueError, match=r"letter \("):
-            lyndon_class_counts([letter], 2)
+            letter_class_counts([letter], 2)
+
+
+# ---------------------------------------------------------------------------
+# the type counter against the tuple reference regrouped per support type
+# ---------------------------------------------------------------------------
+
+
+def _random_grading(rng, m):
+    # pieces numbered in order of first vertex, as the decompositions number them
+    shape = [rng.randrange(rng.randint(1, m)) for _ in range(m)]
+    first = {}
+    return [first.setdefault(p, len(first)) for p in shape]
+
+
+def _face_types(faces, grading):
+    out = set()
+    for f in faces:
+        s = [0] * (max(grading) + 1)
+        for j in f:
+            s[grading[j - 1]] += 1
+        out.add(tuple(s))
+    return out
+
+
+def random_complex_on(rng, m):
+    faces = [rng.sample(range(1, m + 1), rng.randint(1, m)) for _ in range(rng.randint(0, m + 1))]
+    return build(m, faces)
+
+
+def test_type_counts_match_the_regrouped_reference():
+    # the face alphabet of {1..m}, the same cut to a random complex's face
+    # types (against the letters of its faces, on its face supports only),
+    # and plain letters; one piece, mixed pieces and one piece per vertex;
+    # with and without a degree bound.  Each count is one support's, so the
+    # reference regrouped per (w, type, q) must hold one value per type.
+    rng = random.Random(8171)
+    seen = Counter()
+    for _ in range(270):
+        m = rng.randint(1, 6)
+        shape = rng.choice(("one piece", "mixed", "per vertex"))
+        grading = {"one piece": [0] * m, "per vertex": list(range(m))}.get(shape) or _random_grading(rng, m)
+        alphabet = rng.choice(("face", "cut", "plain"))
+        W = {1: 6, 2: 6, 3: 6, 4: 5, 5: 4, 6: 3}[m] if alphabet != "plain" else rng.randint(1, 8)
+        degs = bound = None
+        if rng.random() < 0.5:
+            per_piece = [rng.randint(1, 4) for _ in range(m)]
+            degs = [per_piece[p] for p in grading]
+            bound = rng.randint(1, 20)
+        args = dict(vertex_degrees=degs, degree_bound=bound)
+        if alphabet == "plain":
+            got = lyndon_class_counts(grading, W, alphabet="plain", **args)
+            want = per_type_counts(reference_class_counts(plain_letters(m), W, degs, bound), grading)
+        elif alphabet == "face":
+            got = lyndon_class_counts(grading, W, **args)
+            want = per_type_counts(reference_class_counts(all_face_letters(m), W, degs, bound), grading)
+        else:
+            faces = random_complex_on(rng, m).faces()
+            letters = [(tuple(int(j in J) for j in range(1, m + 1)), len(J) - 1) for J in faces if len(J) >= 2]
+            got = lyndon_class_counts(grading, W, types=_face_types(faces, grading), **args)
+            want = per_type_counts(reference_class_counts(letters, W, degs, bound), grading, set(faces))
+        assert got == want, (alphabet, grading, W, degs, bound)
+        assert list(got) == list(want)
+        seen[alphabet, shape, bound is not None] += bool(got)
+    assert len(seen) == 18 and min(seen.values()) >= 3, seen
+    # the boundary of the 3-simplex with one space at every vertex: its one
+    # missing face {1,2,3,4} carries 813,773,326,765,155 brackets at W = 13
+    got = lyndon_class_counts([0, 0, 0, 0], 13)
+    assert sum(n for (_, s, _), n in got.items() if s == (4,)) == 813773326765155
+
+
+# ---------------------------------------------------------------------------
+# the letter-list counter against the tuple reference: free vectors and
+# lane widths
+# ---------------------------------------------------------------------------
 
 
 def _random_letters(rng):
@@ -339,7 +453,7 @@ def _random_letters(rng):
 def _assert_matches_reference(letters, W, degs=None, bound=None, pieces=None):
     # the counter against the tuple DP's classes summed per group, in listing order
     m = len(letters[0][0])
-    got = lyndon_class_counts(letters, W, pieces=pieces, vertex_degrees=degs, degree_bound=bound)
+    got = letter_class_counts(letters, W, pieces=pieces, vertex_degrees=degs, degree_bound=bound)
     grading = list(range(m)) if pieces is None else pieces
     want = regrouped(reference_class_counts(letters, W, degs, bound), grading)
     assert got == want, (letters, W, pieces, degs, bound)
@@ -363,15 +477,8 @@ def test_packed_class_counts_match_the_tuple_reference():
     assert bounded >= 100 and wide >= 40
     # the boundary of the 3-simplex's face alphabet, as the contractible engine counts it
     for W, classes in ((10, None), (13, 67463)):
-        got = _assert_matches_reference(_all_face_letters(4), W)
+        got = _assert_matches_reference(all_face_letters(4), W)
         assert classes is None or len(got) == classes
-
-
-def _random_grading(rng, m):
-    # pieces numbered in order of first vertex, as the decompositions number them
-    shape = [rng.randrange(rng.randint(1, m)) for _ in range(m)]
-    first = {}
-    return [first.setdefault(p, len(first)) for p in shape]
 
 
 def test_grouped_counts_match_the_regrouped_reference():
@@ -396,7 +503,7 @@ def test_grouped_counts_match_the_regrouped_reference():
     assert coarse >= 100 and bounded >= 100
     # the boundary of the 3-simplex with one space at every vertex: 193
     # groups for the 67,463 classes of the face alphabet at W = 13
-    got = _assert_matches_reference(_all_face_letters(4), 13, pieces=[0, 0, 0, 0])
+    got = _assert_matches_reference(all_face_letters(4), 13, pieces=[0, 0, 0, 0])
     assert len(got) == 611
     assert sum(n for (_, support, _), n in got.items() if support == (1, 2, 3, 4)) == 813773326765155
 
@@ -404,25 +511,30 @@ def test_grouped_counts_match_the_regrouped_reference():
 def test_class_counts_numeric_arguments_are_integers():
     # a float or a bool bound or degree is an error naming the argument,
     # not a bare TypeError, a count at 1 or a pruning by float degrees
-    letters = plain_letters(2)
+    pieces = [0, 1]
     for bad in (2.5, True, 2.0, 0, -1):
         with pytest.raises(ValueError, match="weight_bound"):
-            lyndon_class_counts(letters, bad)
+            lyndon_class_counts(pieces, bad)
     for degs in ([1.5, 1], [True, 1], [0, 1]):
         with pytest.raises(ValueError, match="vertex_degrees"):
-            lyndon_class_counts(letters, 3, vertex_degrees=degs, degree_bound=4)
+            lyndon_class_counts(pieces, 3, vertex_degrees=degs, degree_bound=4)
     for bound in (4.5, True):
         with pytest.raises(ValueError, match="degree_bound"):
-            lyndon_class_counts(letters, 3, vertex_degrees=[1, 1], degree_bound=bound)
-    # a bound of 0 or below leaves nothing, whatever the lane width of the letters
+            lyndon_class_counts(pieces, 3, vertex_degrees=[1, 1], degree_bound=bound)
+    # a bound of 0 or below leaves nothing, on either alphabet, and on the
+    # letter list whatever the lane width of the letters
     for bound in (0, -2):
-        assert lyndon_class_counts([((300, 1), 1), ((0, 1), 1)], 3, vertex_degrees=[1, 1],
+        for alphabet in ("face", "plain"):
+            assert lyndon_class_counts([0, 1], 3, alphabet=alphabet, vertex_degrees=[1, 1],
+                                       degree_bound=bound) == {}
+        assert letter_class_counts([((300, 1), 1), ((0, 1), 1)], 3, vertex_degrees=[1, 1],
                                    degree_bound=bound) == {}
-    # the empty alphabet still checks its bound
+    # no vertices still checks the bound
     with pytest.raises(ValueError, match="weight_bound"):
         lyndon_class_counts([], 2.5)
-    for pieces in ([0], [0, -1], [0, True], [0, 1.0]):
+    # pieces are numbered 0, 1, ... with every number used
+    for bad in ([1], [0, -1], [0, True], [0, 1.0], [0, 2]):
         with pytest.raises(ValueError, match="pieces"):
-            lyndon_class_counts(letters, 3, pieces=pieces)
+            lyndon_class_counts(bad, 3)
     with pytest.raises(ValueError, match="equal within a piece"):
-        lyndon_class_counts(letters, 3, pieces=[0, 0], vertex_degrees=[1, 2], degree_bound=4)
+        lyndon_class_counts([0, 0], 3, vertex_degrees=[1, 2], degree_bound=4)
