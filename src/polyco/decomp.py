@@ -499,9 +499,9 @@ def _class_factors(
 def _type_supports(grading: Sequence[int]):
     """candidates(s) for the engine: every support with s[p] vertices in
     piece p (grading[j - 1] the piece of vertex j), its vertices sorted."""
-    members: list[tuple[int, ...]] = [() for _ in range(max(grading) + 1)]
+    members: list[list[int]] = [[] for _ in range(max(grading) + 1)]
     for j, p in enumerate(grading, start=1):
-        members[p] += (j,)
+        members[p].append(j)
     if len(members) == len(grading):
         # one vertex per piece: the type is the support's indicator
         firsts = [vertices[0] for vertices in members]
@@ -670,7 +670,7 @@ def _coproduct_decomposition(
     if all(isinstance(a, Point) for _, a in spaces):
         # point codomains keep faces only: their words use only letters
         # inside a face, so the states are cut to the types of K's faces
-        if K.has_face(range(1, K.m + 1)):
+        if len(K.facets) == 1 and len(K.facets[0]) == K.m:
             candidates = every  # the full simplex: every support is a face
         else:
             faces: dict[tuple[int, ...], list[Face]] = {}
