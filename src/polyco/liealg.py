@@ -27,9 +27,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb, factorial, gcd, prod
-from operator import gt, lshift
 from typing import Iterable, Iterator, Sequence
 
 
@@ -353,16 +352,22 @@ def lyndon_class_counts(
     low = (1 << sbits) - 1
     allowed = None
     if types is not None:
-        types = [tuple(t) for t in types]
-        columns = list(zip(*types))
-        if types and ({*map(len, types)} != {size} or {*map(type, chain.from_iterable(types))} - {int}
-                      or min(map(min, columns)) < 0 or any(map(gt, map(max, columns), n))):
-            raise ValueError(f"each type needs {size} integers, each from 0 to its piece's size")
-        packed = [sum(map(lshift, t, shift)) for t in types]
-        allowed = set(packed)
-        for b, column in zip(shift, columns):
-            if not allowed.issuperset([s - (1 << b) for s, x in zip(packed, column) if x]):
-                raise ValueError("types must be down-closed: each type below an allowed one is allowed")
+        allowed, below = set(), set()  # below: each type with one vertex taken out
+        for t in types:
+            if len(t) != size:
+                raise ValueError(f"type {t!r}: need {size} integers, each from 0 to its piece's size")
+            s, units = 0, []
+            for x, c, b in zip(t, n, shift):
+                if type(x) is not int or not 0 <= x <= c:
+                    raise ValueError(f"type {t!r}: need {size} integers, each from 0 to its piece's size")
+                if x:
+                    s += x << b
+                    units.append(1 << b)
+            allowed.add(s)
+            for u in units:
+                below.add(s - u)
+        if not below <= allowed:
+            raise ValueError("types must be down-closed: each type below an allowed one is allowed")
     face = alphabet == "face"
     if m < 1 + face:  # no letters
         return {}
