@@ -14,8 +14,13 @@ vertices.  Spaces files map vertex numbers to space descriptions:
 An entry may instead be a pair {"domain": ..., "codomain": ...,
 "domain_contractible": bool} for the commands that take maps.  For
 decompose-contractible a bare space is shorthand for "path fibration onto
-this space".  Exit codes: 0 success, 2 invalid input (message names the
-file), 1 internal failure.
+this space".  Exit codes: 0 success, 2 invalid input (the message names the
+file, also when it cannot be read or --output cannot be opened), 1 internal
+failure.
+
+Each decomposition, wedge subcommand and verify check is one row of
+DECOMPOSITIONS, WEDGES or CHECKS, which build_parser and _run read;
+_add_common declares the options the subcommands of a kind share.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
+from functools import partial
 
 from .decomp import (
     Decomposition,
@@ -63,24 +70,32 @@ class InputError(Exception):
     """Bad user input; reported with exit code 2."""
 
 
-def _load_json(path: str):
+def _read(path: str, parse):
+    """parse(the JSON in path); a file that cannot be read or parsed raises
+    InputError naming path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise InputError(f"{path}: file not found")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno}: {exc.msg}")
     except RecursionError:
         raise InputError(f"{path}: JSON nested too deeply to parse")
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}")
+    try:
+        return parse(data)
+    except KeyError as exc:
+        raise InputError(f"{path}: missing field {exc}")
+    except (ValueError, TypeError) as exc:
+        raise InputError(f"{path}: {exc}")
 
 
 def load_complex(path: str) -> SimplicialComplex:
-    data = _load_json(path)
-    try:
-        return complex_from_json(data)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise InputError(f"{path}: {exc}")
+    return _read(path, complex_from_json)
 
 
 def _entry_to_pair(entry, *, contractible_default: bool) -> tuple[SpaceExpr, SpaceExpr]:
@@ -89,13 +104,9 @@ def _entry_to_pair(entry, *, contractible_default: bool) -> tuple[SpaceExpr, Spa
         codomain = expr_from_json(entry["codomain"])
         if json_bool(entry.get("domain_contractible", False), '"domain_contractible"'):
             if isinstance(domain, Atom):
-                domain = Atom(
-                    domain.name, domain.connectivity, domain.loop, domain.series, True
-                )
+                domain = replace(domain, contractible=True)
             elif not isinstance(domain, Point):
-                raise ValueError(
-                    "domain_contractible is only honoured for atoms and points"
-                )
+                raise ValueError("domain_contractible is only honoured for atoms and points")
         return domain, codomain
     space = expr_from_json(entry)
     if contractible_default:
@@ -104,22 +115,12 @@ def _entry_to_pair(entry, *, contractible_default: bool) -> tuple[SpaceExpr, Spa
 
 
 def load_spaces(path: str, m: int | None = None) -> list[SpaceExpr]:
-    data = _load_json(path)
-    try:
-        return [expr_from_json(e) for e in _indexed_entries(data, m)]
-    except (ValueError, TypeError, KeyError) as exc:
-        raise InputError(f"{path}: {exc}")
+    return _read(path, lambda data: [expr_from_json(e) for e in _indexed_entries(data, m)])
 
 
 def load_pairs(path: str, m: int | None, *, contractible_default: bool) -> PairAssignment:
-    data = _load_json(path)
-    try:
-        entries = _indexed_entries(data, m)
-        return PairAssignment.of(
-            [_entry_to_pair(e, contractible_default=contractible_default) for e in entries]
-        )
-    except (ValueError, TypeError, KeyError) as exc:
-        raise InputError(f"{path}: {exc}")
+    to_pair = partial(_entry_to_pair, contractible_default=contractible_default)
+    return _read(path, lambda data: PairAssignment.of([to_pair(e) for e in _indexed_entries(data, m)]))
 
 
 def _indexed_entries(data, m: int | None) -> list:
@@ -142,28 +143,30 @@ def _indexed_entries(data, m: int | None) -> list:
     return [keyed[i] for i in range(1, count + 1)]
 
 
-def _emit(args, payload_json: dict | None, payload_text: str | None) -> None:
-    if args.format == "json":
-        text = json.dumps(payload_json, sort_keys=True, indent=2) + "\n"
-    else:
-        text = payload_text + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(args, payload, text) -> None:
+    """Write text(), or payload() as JSON with --format json, to --output or
+    stdout; only the form that is written is built (a long listing's JSON is
+    not cheap)."""
+    out = (json.dumps(payload(), sort_keys=True, indent=2) if args.format == "json" else text()) + "\n"
+    if not args.output:
+        sys.stdout.write(out)
+        return
+    try:
+        fh = open(args.output, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"{args.output}: {exc.strerror}")
+    with fh:
+        fh.write(out)
 
 
 def _emit_decomposition(args, dec: Decomposition, K: SimplicialComplex | None, N: int, W: int):
-    # build only the form that is written: a long listing's JSON is not cheap
-    if args.format == "text":
-        return _emit(args, None, dec.render())
-    payload = dec.to_json()
-    payload["max_degree"] = N
-    payload["max_weight"] = W
-    if K is not None:
-        payload["complex"] = complex_to_json(K)
-    _emit(args, payload, None)
+    def payload():
+        out = dec.to_json() | {"max_degree": N, "max_weight": W}
+        if K is not None:
+            out["complex"] = complex_to_json(K)
+        return out
+
+    _emit(args, payload, dec.render)
 
 
 def _default_degree() -> int:
@@ -179,12 +182,43 @@ def _default_degree() -> int:
     return DEFAULT_DEGREE
 
 
-def _add_common(p: argparse.ArgumentParser, *, weight: bool) -> None:
-    p.add_argument("--max-degree", type=int, default=None, metavar="N")
+def _add_common(p: argparse.ArgumentParser, *, degree: bool, weight: bool) -> None:
+    if degree:
+        p.add_argument("--max-degree", type=int, default=None, metavar="N")
     if weight:
         p.add_argument("--max-weight", type=int, default=None, metavar="W")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None, metavar="PATH")
+
+
+# decompositions of a complex: help, engine(K, spaces, W), spaces reader(path, m)
+DECOMPOSITIONS = {
+    "decompose": ("general decomposition from map pairs", loop_decompose,
+                  partial(load_pairs, contractible_default=False)),
+    "decompose-wedge": ("decomposition with all codomains a point", loop_decompose_wedge,
+                        load_spaces),
+    "decompose-contractible": ("decomposition with contractible domains",
+                               loop_decompose_contractible,
+                               partial(load_pairs, contractible_default=True)),
+}
+
+# loops on a wedge: help, engine, and whether it takes --max-weight (then engine(spaces, W))
+WEDGES = {
+    "porter": ("loops on a wedge of the given spaces", porter_loop_decomp, False),
+    "hilton-milnor": ("loops on a wedge of suspensions", hilton_milnor, True),
+}
+
+# verify checks: the file options each needs, and check(args, N) -> report
+CHECKS = {
+    "hilton-milnor": (("spaces",), lambda a, N: check_hilton_milnor(load_spaces(a.spaces), N)),
+    "porter": (("spaces",), lambda a, N: check_porter(load_spaces(a.spaces), N)),
+    "wedge": (("complex", "spaces"), lambda a, N: check_wedge_case(
+        K := load_complex(a.complex), load_spaces(a.spaces, K.m), N)),
+    "counterexample": ((), lambda a, N: check_counterexample(N)),
+    "disjoint-union": (("complex", "complex2", "spaces"), lambda a, N: check_disjoint_union(
+        K1 := load_complex(a.complex), K2 := load_complex(a.complex2),
+        load_spaces(a.spaces, K1.m + K2.m), N)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,59 +227,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="loop-space decompositions of polyhedral coproducts",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", help="general decomposition from map pairs")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--spaces", required=True)
-    _add_common(p, weight=True)
-
-    p = sub.add_parser("decompose-wedge", help="decomposition with all codomains a point")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--spaces", required=True)
-    _add_common(p, weight=True)
-
-    p = sub.add_parser(
-        "decompose-contractible", help="decomposition with contractible domains"
-    )
-    p.add_argument("--complex", required=True)
-    p.add_argument("--spaces", required=True)
-    _add_common(p, weight=True)
-
-    p = sub.add_parser("porter", help="loops on a wedge of the given spaces")
-    p.add_argument("--spaces", required=True)
-    _add_common(p, weight=False)
-
-    p = sub.add_parser("hilton-milnor", help="loops on a wedge of suspensions")
-    p.add_argument("--spaces", required=True)
-    _add_common(p, weight=True)
+    for name, (help_text, _, _) in DECOMPOSITIONS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--complex", required=True)
+        p.add_argument("--spaces", required=True)
+        _add_common(p, degree=True, weight=True)
+    for name, (help_text, _, weight) in WEDGES.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--spaces", required=True)
+        _add_common(p, degree=True, weight=weight)
 
     p = sub.add_parser("hall-basis", help="Lyndon brackets on a plain alphabet")
     p.add_argument("--alphabet", type=int, required=True, metavar="SIZE")
     p.add_argument("--max-weight", type=int, required=True, metavar="W")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output", default=None, metavar="PATH")
+    _add_common(p, degree=False, weight=False)
 
     p = sub.add_parser("homology", help="reduced rational homology of a complex")
     p.add_argument("--complex", required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output", default=None, metavar="PATH")
+    _add_common(p, degree=False, weight=False)
 
     p = sub.add_parser("bbcg", help="suspension splitting summand lists")
     p.add_argument("--complex", required=True)
     p.add_argument("--spaces", required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output", default=None, metavar="PATH")
+    _add_common(p, degree=False, weight=False)
 
     p = sub.add_parser("verify", help="series checks against independent oracles")
-    p.add_argument(
-        "--check",
-        required=True,
-        choices=("hilton-milnor", "porter", "wedge", "counterexample", "disjoint-union"),
-    )
-    p.add_argument("--complex", default=None)
-    p.add_argument("--complex2", default=None)
-    p.add_argument("--spaces", default=None)
-    _add_common(p, weight=False)
+    p.add_argument("--check", required=True, choices=tuple(CHECKS))
+    for option in ("complex", "complex2", "spaces"):
+        p.add_argument(f"--{option}", default=None)
+    _add_common(p, degree=True, weight=False)
     return parser
 
 
@@ -258,124 +268,71 @@ def _run(args) -> None:
         if W < 1:
             raise InputError("--max-weight must be >= 1")
 
-    if args.command == "decompose":
+    if args.command in DECOMPOSITIONS:
+        _, engine, read = DECOMPOSITIONS[args.command]
         K = load_complex(args.complex)
-        pairs = load_pairs(args.spaces, K.m, contractible_default=False)
-        dec = loop_decompose(K, pairs, W)
+        dec = engine(K, read(args.spaces, K.m), W)
         _emit_decomposition(args, dec, K, N, W)
-        return
 
-    if args.command == "decompose-wedge":
-        K = load_complex(args.complex)
-        spaces = load_spaces(args.spaces, K.m)
-        dec = loop_decompose_wedge(K, spaces, W)
-        _emit_decomposition(args, dec, K, N, W)
-        return
-
-    if args.command == "decompose-contractible":
-        K = load_complex(args.complex)
-        pairs = load_pairs(args.spaces, K.m, contractible_default=True)
-        dec = loop_decompose_contractible(K, pairs, W)
-        _emit_decomposition(args, dec, K, N, W)
-        return
-
-    if args.command == "porter":
+    elif args.command in WEDGES:
+        _, engine, weight = WEDGES[args.command]
         spaces = load_spaces(args.spaces)
-        dec = porter_loop_decomp(spaces)
-        _emit_decomposition(args, dec, None, N, W)
-        return
+        _emit_decomposition(args, engine(spaces, W) if weight else engine(spaces), None, N, W)
 
-    if args.command == "hilton-milnor":
-        spaces = load_spaces(args.spaces)
-        dec = hilton_milnor(spaces, W)
-        _emit_decomposition(args, dec, None, N, W)
-        return
-
-    if args.command == "hall-basis":
+    elif args.command == "hall-basis":
         if args.alphabet < 1:
             raise InputError("--alphabet must be >= 1")
         if args.max_weight < 1:
             raise InputError("--max-weight must be >= 1")
         brackets = hall_basis(plain_alphabet(args.alphabet), args.max_weight)
-        payload = {
+        _emit(args, lambda: {
             "alphabet": args.alphabet,
             "max_weight": args.max_weight,
             "count": len(brackets),
-            "brackets": [
-                {"bracket": b.serialize(), "weight": b.weight} for b in brackets
-            ],
-        }
-        text = "\n".join(f"{b.serialize()}  (weight {b.weight})" for b in brackets)
-        text += f"\ntotal: {len(brackets)}"
-        _emit(args, payload, text)
-        return
+            "brackets": [{"bracket": b.serialize(), "weight": b.weight} for b in brackets],
+        }, lambda: "\n".join(
+            [f"{b.serialize()}  (weight {b.weight})" for b in brackets] + [f"total: {len(brackets)}"]
+        ))
 
-    if args.command == "homology":
+    elif args.command == "homology":
         K = load_complex(args.complex)
         prof = homology(K)
-        payload = {
-            "complex": complex_to_json(K),
-            "ranks": list(prof.ranks),
-            "top_dim": prof.top_dim,
-        }
-        _emit(args, payload, f"{K}\n{prof}")
-        return
+        _emit(args, lambda: {
+            "complex": complex_to_json(K), "ranks": list(prof.ranks), "top_dim": prof.top_dim,
+        }, lambda: f"{K}\n{prof}")
 
-    if args.command == "bbcg":
+    elif args.command == "bbcg":
         K = load_complex(args.complex)
         spaces = load_spaces(args.spaces, K.m)
         wedge_part = bbcg_wedge_splitting(K, spaces)
         cone_part = bbcg_cone_splitting(K, spaces)
-        payload = {
+        _emit(args, lambda: {
             "complex": complex_to_json(K),
             "wedge_splitting": [
-                {"face": list(f), "summand": expr_to_json(e), "text": render(e)}
-                for f, e in wedge_part
+                {"face": list(f), "summand": expr_to_json(e), "text": render(e)} for f, e in wedge_part
             ],
             "cone_splitting": [
-                {"missing": list(f), "summand": expr_to_json(e), "text": render(e)}
-                for f, e in cone_part
+                {"missing": list(f), "summand": expr_to_json(e), "text": render(e)} for f, e in cone_part
             ],
-        }
-        lines = ["suspension splitting over faces:"]
-        lines += [f"  {{{','.join(map(str, f))}}}: {render(e)}" for f, e in wedge_part]
-        lines.append("suspension splitting over missing subsets:")
-        lines += [f"  {{{','.join(map(str, f))}}}: {render(e)}" for f, e in cone_part]
-        _emit(args, payload, "\n".join(lines))
-        return
+        }, lambda: "\n".join(
+            ["suspension splitting over faces:"]
+            + [f"  {{{','.join(map(str, f))}}}: {render(e)}" for f, e in wedge_part]
+            + ["suspension splitting over missing subsets:"]
+            + [f"  {{{','.join(map(str, f))}}}: {render(e)}" for f, e in cone_part]
+        ))
 
-    if args.command == "verify":
-        reports = []
-        if args.check == "hilton-milnor":
-            if not args.spaces:
-                raise InputError("verify --check hilton-milnor needs --spaces")
-            reports.append(check_hilton_milnor(load_spaces(args.spaces), N))
-        elif args.check == "porter":
-            if not args.spaces:
-                raise InputError("verify --check porter needs --spaces")
-            reports.append(check_porter(load_spaces(args.spaces), N))
-        elif args.check == "wedge":
-            if not (args.complex and args.spaces):
-                raise InputError("verify --check wedge needs --complex and --spaces")
-            K = load_complex(args.complex)
-            reports.append(check_wedge_case(K, load_spaces(args.spaces, K.m), N))
-        elif args.check == "counterexample":
-            reports.append(check_counterexample(N))
-        else:
-            if not (args.complex and args.complex2 and args.spaces):
-                raise InputError(
-                    "verify --check disjoint-union needs --complex, --complex2 and --spaces"
-                )
-            K1 = load_complex(args.complex)
-            K2 = load_complex(args.complex2)
-            spaces = load_spaces(args.spaces, K1.m + K2.m)
-            reports.append(check_disjoint_union(K1, K2, spaces, N))
-        reports = run_reports(reports)
-        payload = {"checks": [r.to_json() for r in reports]}
-        _emit(args, payload, "\n".join(r.render() for r in reports))
-        return
+    elif args.command == "verify":
+        options, check = CHECKS[args.check]
+        if not all(getattr(args, option) for option in options):
+            named = [f"--{option}" for option in options]
+            listed = ", ".join(named[:-1]) + " and " + named[-1] if len(named) > 1 else named[0]
+            raise InputError(f"verify --check {args.check} needs {listed}")
+        reports = run_reports([check(args, N)])
+        _emit(args, lambda: {"checks": [r.to_json() for r in reports]},
+              lambda: "\n".join(r.render() for r in reports))
 
-    raise InputError(f"unknown command {args.command!r}")
+    else:
+        raise InputError(f"unknown command {args.command!r}")
 
 
 def main(argv=None) -> int:
@@ -384,10 +341,7 @@ def main(argv=None) -> int:
     try:
         _run(args)
         return 0
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal invariant failures, MemoryError

@@ -434,31 +434,18 @@ def _vertex_degrees(spaces: Sequence[SpaceExpr], offset: int) -> tuple[int, ...]
     return tuple(out)
 
 
-def _class_factors(
-    grading: Sequence[int],
-    weight_bound: int,
-    rule,
-    candidates,
-    alphabet: str = "face",
-    types=None,
-    degrees: Sequence[int] | None = None,
-    bound: int | None = None,
-) -> list[Factor]:
+def _class_factors(counts, grading: Sequence[int], rule, candidates) -> list[Factor]:
     """The bracket engine: one factor per counted (weight, support, piece
-    content q) group, with grading[j - 1] the piece of vertex j.
-    lyndon_class_counts counts each support type once, over the given
-    alphabet and with its states cut to types when given; candidates(s)
-    lists the supports of type s that rule can keep, and rule(support) runs once
-    per listed support: None when every group over it vanishes, else
-    (shape, build), and build(q) runs once per distinct (shape, q).  The
-    order is by weight, then q descending, then the support as a vertex
-    indicator descending; the groups of one (weight, q) are merged by
-    support only when several types share them.  Factors that are points
-    are dropped.
+    content q) group, with grading[j - 1] the piece of vertex j.  counts
+    is what lyndon_class_counts gives for that grading, per (weight, support
+    type, q); candidates(s) lists the supports of type s that rule can
+    keep, and rule(support) runs once per listed support: None when every
+    group over it vanishes, else (shape, build), and build(q) runs once per
+    distinct (shape, q).  The order is by weight, then q descending, then
+    the support as a vertex indicator descending; the groups of one
+    (weight, q) are merged by support only when several types share them.
+    Factors that are points are dropped.
     """
-    counts = lyndon_class_counts(
-        grading, weight_bound, alphabet=alphabet, types=types, vertex_degrees=degrees, degree_bound=bound
-    )
     m = len(grading)
     several = len(set(grading)) < m  # a piece of several vertices: types can share a (w, q)
     listed: dict[tuple[int, ...], list] = {}  # type -> what the rule keeps, support descending
@@ -553,10 +540,10 @@ def hilton_milnor(
         return _loop(_susp(_smash_of(summands, q)), 1)
 
     degrees = None if degree_bound is None else _vertex_degrees(spaces, 1)
-    factors = _class_factors(
-        grading, weight_bound, lambda support: (None, build), _type_supports(grading), "plain", None,
-        degrees, degree_bound,
+    counts = lyndon_class_counts(
+        grading, weight_bound, alphabet="plain", vertex_degrees=degrees, degree_bound=degree_bound
     )
+    factors = _class_factors(counts, grading, lambda support: (None, build), _type_supports(grading))
     if all(conn(x) >= 1 for x in spaces):
         _assert_conn_at_least_weight(factors)
     return Decomposition(tuple(factors), "hilton-milnor", weight_bound if m >= 2 else None)
@@ -690,7 +677,10 @@ def _coproduct_decomposition(
     else:
         # mixed endpoint data: one vertex per piece, so one support per type
         candidates = every
-    brackets = _class_factors(grading, weight_bound, rule, candidates, "face", types, degrees, degree_bound)
+    counts = lyndon_class_counts(
+        grading, weight_bound, types=types, vertex_degrees=degrees, degree_bound=degree_bound
+    )
+    brackets = _class_factors(counts, grading, rule, candidates)
     factors = _base_factors(K, pairs) + brackets
     return Decomposition(tuple(factors), theorem, weight_bound if truncated else None)
 

@@ -84,6 +84,8 @@ class PoincareSeries:
 
     @staticmethod
     def monomial(degree: int, N: int, coeff: int = 1) -> "PoincareSeries":
+        if type(coeff) is not int:
+            raise ValueError(f"series coefficients must be integers, got {coeff!r}")
         cs = [0] * (N + 1)
         if 0 <= degree <= N:
             cs[degree] = coeff
@@ -111,7 +113,10 @@ class PoincareSeries:
         return PoincareSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "PoincareSeries") -> "PoincareSeries":
-        self._check(other)
+        try:  # no type test on the hot path: a non-series has no N
+            self._check(other)
+        except AttributeError:
+            return NotImplemented
         n = self.N
         out = [0] * (n + 1)
         terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
@@ -126,6 +131,8 @@ class PoincareSeries:
 
     def __rmul__(self, k: int) -> "PoincareSeries":
         """k * self for an integer k, coefficientwise."""
+        if type(k) is not int:
+            raise ValueError(f"series coefficients must be integers, got {k!r}")
         return PoincareSeries(tuple(k * c for c in self.coeffs))
 
     def __pow__(self, k: int) -> "PoincareSeries":

@@ -1,7 +1,9 @@
 """End-to-end runs of the command line."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from itertools import combinations
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from _helpers import all_face_letters, listing_order, reference_class_counts, regrouped
-from polyco.cli import main
+from polyco.cli import CHECKS, DECOMPOSITIONS, WEDGES, build_parser, main
 
 
 def write(tmp_path, name, payload):
@@ -150,6 +152,57 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert main(["homology", "--complex", str(path)]) == 2
     err = capsys.readouterr().err
     assert "bad.json" in err and "line" in err
+
+
+def test_directory_as_input_file_exits_2(tmp_path, capsys):
+    # a path that opens but cannot be read is invalid input, not an internal error
+    folder = tmp_path / "adir"
+    folder.mkdir()
+    cx = write(tmp_path, "edge.json", {"m": 2, "facets": [[1, 2]]})
+    for argv in (["homology", "--complex", str(folder)],
+                 ["decompose-wedge", "--complex", cx, "--spaces", str(folder)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {folder}: Is a directory\n"
+
+
+def test_non_utf8_input_file_is_named(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"1": {"kind": "sphere", "n": 2}, "2": "\xff"}')
+    assert main(["porter", "--spaces", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "can't decode byte 0xff" in err
+
+
+def test_output_that_cannot_be_opened_exits_2(tmp_path, capsys):
+    missing = tmp_path / "no" / "out.txt"
+    for dest, reason in [(tmp_path, "Is a directory"), (missing, "No such file or directory")]:
+        argv = ["hall-basis", "--alphabet", "2", "--max-weight", "2", "--output", str(dest)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {dest}: {reason}\n"
+
+
+def test_missing_json_field_is_named(tmp_path, capsys):
+    cx = write(tmp_path, "edge.json", {"m": 2, "facets": [[1, 2]]})
+    sphere = {"kind": "sphere", "n": 3}
+    spaces = write(tmp_path, "p.json", {"1": {"domain": sphere}, "2": sphere})
+    assert main(["decompose", "--complex", cx, "--spaces", spaces]) == 2
+    assert capsys.readouterr().err == f"error: {spaces}: missing field 'codomain'\n"
+    spaces = write(tmp_path, "s.json", {"1": {"kind": "sphere"}, "2": sphere})
+    assert main(["porter", "--spaces", spaces]) == 2
+    assert capsys.readouterr().err == f"error: {spaces}: missing field 'n'\n"
+
+
+def test_readme_command_line_names_every_subcommand_and_check():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [line.split() for line in block.strip().splitlines()]
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert [words[1] for words in lines] == list(sub.choices)
+    assert {*DECOMPOSITIONS, *WEDGES} <= set(sub.choices)
+    verify = " ".join(next(words for words in lines if words[1] == "verify"))
+    check = next(a for a in sub.choices["verify"]._actions if a.dest == "check")
+    documented = re.search(r"--check \{([^}]*)\}", verify).group(1).split(",")
+    assert documented == list(CHECKS) == list(check.choices)
 
 
 def test_validation_error_exits_2(tmp_path, capsys):

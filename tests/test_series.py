@@ -157,6 +157,21 @@ def test_from_ints_rejects_non_integers():
             PoincareSeries.from_ints(values)
 
 
+def test_scalars_and_monomials_reject_non_integers():
+    # k * p and monomial take ints only, as from_ints does; p * k is no product
+    p = PoincareSeries.from_ints([1, 2, 3])
+    for k, named in [(2.5, "2.5"), (True, "True"), (Fraction(1, 2), "Fraction(1, 2)")]:
+        with pytest.raises(ValueError, match="must be integers, got " + re.escape(named)):
+            k * p
+        with pytest.raises(ValueError, match="must be integers, got " + re.escape(named)):
+            PoincareSeries.monomial(1, 2, k)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            p * k
+    with pytest.raises(TypeError, match="unsupported operand"):
+        p * 3
+    assert (3 * p).coeffs == (3, 6, 9) and PoincareSeries.monomial(1, 2, -2).coeffs == (0, -2, 0)
+
+
 def test_from_rational_needs_unit_constant_term():
     # as for a declared Atom series, the denominator's constant term is 1
     with pytest.raises(ValueError, match="constant term 1"):
