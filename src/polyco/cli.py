@@ -31,6 +31,7 @@ import os
 import sys
 from dataclasses import replace
 from functools import partial
+from itertools import islice
 
 from .decomp import (
     Decomposition,
@@ -137,9 +138,12 @@ def _indexed_entries(data, m: int | None) -> list:
     stray = sorted(k for k in keyed if not 1 <= k <= count)
     if stray:
         raise ValueError(f"entries for vertices {stray} outside 1..{count}")
-    missing = [i for i in range(1, count + 1) if i not in keyed]
-    if missing:
-        raise ValueError(f"missing entries for vertices {missing}")
+    absent = count - len(keyed)  # every key lies in 1..count
+    if absent:
+        # a lone large key leaves most vertices absent: name only the first ten
+        missing = list(islice((i for i in range(1, count + 1) if i not in keyed), 10))
+        more = f" and {absent - 10} more ({absent} in all)" if absent > 10 else ""
+        raise ValueError(f"missing entries for vertices {missing}{more}")
     return [keyed[i] for i in range(1, count + 1)]
 
 

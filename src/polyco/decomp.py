@@ -39,13 +39,14 @@ hilton_milnor); when some support can be mixed (a non-point domain and a
 non-point codomain both occur) every vertex is its own piece.
 So brackets are never listed.  lyndon_class_counts counts them once per
 (weight, support type, piece content), where a support's type counts its
-vertices in each piece, and the engine lists, for each counted type, only
-the supports the bracket rule can keep: faces of K for point codomains
-(whose counts are then cut to the types of K's faces), missing faces for
-contractible domains, and every support otherwise (one per type, since
-every vertex is then its own piece).  Each listed (weight, support, piece
-content) group becomes one Factor with its bracket count as multiplicity
-and BracketGroup(weight, support, pieces, counts) as provenance, in JSON
+vertices in each piece, and the engine lists, for each counted type, the
+faces of K of that type for point codomains (whose counts are then cut to
+the types of K's faces) and every support of that type otherwise: for
+contractible domains the bracket rule drops the faces, and mixed data has
+one support per type, since every vertex is then its own piece.  Each
+listed (weight, support, piece content) group becomes one Factor with its
+bracket count as multiplicity and BracketGroup(weight, support, pieces,
+counts) as provenance, in JSON
 {"kind": "group", "weight": ..., "support": [...], "pieces": [...],
 "counts": [...]}.  The three polyhedral decompositions are one engine and
 one bracket rule over the face alphabet, resolved once per listed support,
@@ -438,10 +439,11 @@ def _class_factors(counts, grading: Sequence[int], rule, candidates) -> list[Fac
     """The bracket engine: one factor per counted (weight, support, piece
     content q) group, with grading[j - 1] the piece of vertex j.  counts
     is what lyndon_class_counts gives for that grading, per (weight, support
-    type, q); candidates(s) lists the supports of type s that rule can
-    keep, and rule(support) runs once per listed support: None when every
-    group over it vanishes, else (shape, build), and build(q) runs once per
-    distinct (shape, q).  The order is by weight, then q descending, then
+    type, q); candidates(s) lists the supports of type s for rule to
+    resolve (every one, or the faces of K when rule keeps no other), and
+    rule(support) runs once per listed support: None when every group over
+    it vanishes, else (shape, build), and build(q) runs once per distinct
+    (shape, q).  The order is by weight, then q descending, then
     the support as a vertex indicator descending; the groups of one
     (weight, q) are merged by support only when several types share them.
     Factors that are points are dropped.
@@ -556,13 +558,13 @@ def hilton_milnor(
 # ---------------------------------------------------------------------------
 
 
-def _base_factors(K: SimplicialComplex, pairs: PairAssignment) -> list[Factor]:
-    # the per-vertex loop factors; a vertex absent from K contracts the
-    # domain away and leaves loops of the codomain instead
+def _base_factors(K: SimplicialComplex, normal: Sequence[tuple[SpaceExpr, SpaceExpr]]) -> list[Factor]:
+    # the per-vertex loop factors from the normalized pairs; a vertex absent
+    # from K contracts the domain away and leaves loops of the codomain instead
+    covered = set(K.vertices())
     out = []
-    for i in range(1, K.m + 1):
-        y = pairs.domain(i) if K.has_face((i,)) else pairs.codomain(i)
-        f = normalize(Loop(y))
+    for i, (x, a) in enumerate(normal, start=1):
+        f = _loop(x if i in covered else a, 1)
         if not isinstance(f, Point):
             out.append(Factor(f, 1, i))
     return out
@@ -573,10 +575,9 @@ def _smash_of(normal: Sequence[SpaceExpr], counts: Sequence[int]) -> SpaceExpr:
     return _compound(Smash, ((x, k) for x, k in zip(normal, counts) if k))
 
 
-def _vertex_pieces(pairs: PairAssignment):
+def _vertex_pieces(normal: Sequence[tuple[SpaceExpr, SpaceExpr]]):
     # each vertex's piece and each piece's normalized (domain, codomain): one
     # per distinct pair, or one per vertex when a support can be mixed
-    normal = [(normalize(x), normalize(a)) for x, a in pairs.pairs]
     if not any(all(isinstance(xa[side], Point) for xa in normal) for side in (0, 1)):
         return list(range(len(normal))), normal
     ids: dict[tuple[SpaceExpr, SpaceExpr], int] = {}
@@ -641,15 +642,15 @@ def class_diagram(
 
 def _coproduct_decomposition(
     K: SimplicialComplex,
-    pairs: PairAssignment,
+    normal: Sequence[tuple[SpaceExpr, SpaceExpr]],
     weight_bound: int,
     theorem: str,
     truncated: bool,
     degree_bound: int | None = None,
 ) -> Decomposition:
-    # truncated: whether the full bracket set is infinite, so that the
-    # weight bound cuts it
-    grading, spaces = pieces = _vertex_pieces(pairs)
+    # normal: the normalized (domain, codomain) of each vertex; truncated:
+    # whether the full bracket set is infinite, so that the weight bound cuts it
+    grading, spaces = pieces = _vertex_pieces(normal)
     degrees = None if degree_bound is None else _vertex_degrees([spaces[p][0] for p in grading], 0)
     rule = partial(_bracket_rule, K, pieces)
     every = _type_supports(grading)
@@ -670,18 +671,15 @@ def _coproduct_decomposition(
 
             def candidates(s):
                 return faces.get(s, ())
-    elif all(isinstance(x, Point) for x, _ in spaces):
-        # contractible domains keep missing faces only
-        def candidates(s):
-            return [S for S in every(s) if not K.has_face(S)]
     else:
-        # mixed endpoint data: one vertex per piece, so one support per type
+        # contractible domains (the rule drops the faces) or mixed endpoint
+        # data (one vertex per piece, so one support per type)
         candidates = every
     counts = lyndon_class_counts(
         grading, weight_bound, types=types, vertex_degrees=degrees, degree_bound=degree_bound
     )
     brackets = _class_factors(counts, grading, rule, candidates)
-    factors = _base_factors(K, pairs) + brackets
+    factors = _base_factors(K, normal) + brackets
     return Decomposition(tuple(factors), theorem, weight_bound if truncated else None)
 
 
@@ -703,7 +701,7 @@ def loop_decompose_wedge(
     _require_simply_connected(spaces, "space")
     dec = _coproduct_decomposition(
         K,
-        PairAssignment.constant_maps(spaces),
+        [(normalize(x), POINT) for x in spaces],
         weight_bound,
         "wedge-coproduct",
         # infinite exactly when some maximal face has two or more letters
@@ -714,19 +712,19 @@ def loop_decompose_wedge(
     return dec
 
 
-def _validate_pairs(K: SimplicialComplex, pairs: PairAssignment) -> None:
+def _normal_pairs(K: SimplicialComplex, pairs: PairAssignment) -> list[tuple[SpaceExpr, SpaceExpr]]:
+    # each vertex's (domain, codomain) in normal form, the one normalization of a call
     _check_arity(K.m, pairs.m, "pairs")
-    for i in range(1, K.m + 1):
-        if not pairs.domain_contractible(i) and conn(pairs.domain(i)) < 1:
-            raise ValueError(
-                f"vertex {i}: domain {render(pairs.domain(i))} must be simply "
-                f"connected or contractible"
-            )
-        if not pairs.codomain_is_point(i) and conn(pairs.codomain(i)) < 1:
-            raise ValueError(
-                f"vertex {i}: codomain {render(pairs.codomain(i))} must be simply "
-                f"connected or a point"
-            )
+    return [(normalize(x), normalize(a)) for x, a in pairs.pairs]
+
+
+def _validate_pairs(pairs: PairAssignment, normal: Sequence[tuple[SpaceExpr, SpaceExpr]]) -> None:
+    # connectivity is tested on the given expressions, triviality on their normal forms
+    for i, ((x, a), (nx, na)) in enumerate(zip(pairs.pairs, normal), start=1):
+        if not isinstance(nx, Point) and conn(x) < 1:
+            raise ValueError(f"vertex {i}: domain {render(x)} must be simply connected or contractible")
+        if not isinstance(na, Point) and conn(a) < 1:
+            raise ValueError(f"vertex {i}: codomain {render(a)} must be simply connected or a point")
 
 
 def loop_decompose(
@@ -743,10 +741,11 @@ def loop_decompose(
     support is a face and vanishes otherwise; mixed factors stay symbolic
     atoms, whose diagrams class_diagram builds on demand.
     """
-    _validate_pairs(K, pairs)
+    normal = _normal_pairs(K, pairs)
+    _validate_pairs(pairs, normal)
     # the face alphabet of {1..m} has two or more letters exactly when m >= 3
     return _coproduct_decomposition(
-        K, pairs, weight_bound, "general-coproduct", K.m >= 3
+        K, normal, weight_bound, "general-coproduct", K.m >= 3
     )
 
 
@@ -763,15 +762,15 @@ def loop_decompose_contractible(
     Mapping spaces over certified subcomplexes reduce to iterated loops; the
     rest stay symbolic.
     """
-    _check_arity(K.m, pairs.m, "pairs")
-    for i in range(1, K.m + 1):
-        if not pairs.domain_contractible(i):
+    normal = _normal_pairs(K, pairs)
+    for i, (x, _) in enumerate(normal, start=1):
+        if not isinstance(x, Point):
             raise ValueError(
                 f"vertex {i}: domain {render(pairs.domain(i))} is not contractible"
             )
-    _validate_pairs(K, pairs)
+    _validate_pairs(pairs, normal)
     return _coproduct_decomposition(
-        K, pairs, weight_bound, "contractible-domains", K.m >= 3
+        K, normal, weight_bound, "contractible-domains", K.m >= 3
     )
 
 

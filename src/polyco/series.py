@@ -71,6 +71,8 @@ class PoincareSeries:
             raise ValueError(f"series coefficients must be integers, got {bad}")
         cs = list(values)
         if N is not None:
+            if N < 0:
+                raise ValueError("truncation degree must be >= 0")
             cs = (cs + [0] * (N + 1))[: N + 1]
         return PoincareSeries(tuple(cs))
 
@@ -105,11 +107,17 @@ class PoincareSeries:
             )
 
     def __add__(self, other: "PoincareSeries") -> "PoincareSeries":
-        self._check(other)
+        try:  # as in __mul__: a non-series has no N
+            self._check(other)
+        except AttributeError:
+            return NotImplemented
         return PoincareSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "PoincareSeries") -> "PoincareSeries":
-        self._check(other)
+        try:
+            self._check(other)
+        except AttributeError:
+            return NotImplemented
         return PoincareSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "PoincareSeries") -> "PoincareSeries":

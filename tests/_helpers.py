@@ -14,6 +14,7 @@ from polyco.decomp import (
     Decomposition,
     Factor,
     _base_factors,
+    _normal_pairs,
     _provenance_text,
 )
 from polyco.liealg import (
@@ -718,7 +719,7 @@ def enumerated_hilton_milnor(spaces, weight_bound, degree_bound=None) -> Decompo
 
 def enumerated_wedge(K, spaces, weight_bound, degree_bound=None) -> Decomposition:
     by_vertex = {i + 1: spaces[i] for i in range(K.m)}
-    factors = _base_factors(K, PairAssignment.constant_maps(spaces))
+    factors = _base_factors(K, _normal_pairs(K, PairAssignment.constant_maps(spaces)))
     seen = {}
     maximal = maximal_faces_ge2(K)
     for sigma in maximal:
@@ -753,7 +754,7 @@ def _enumerated_face_alphabet(K, pairs, weight_bound, theorem, rule) -> Decompos
             brackets.append(Factor(expr, 1, b))
     brackets.sort(key=_bracket_order)
     return Decomposition(
-        tuple(_base_factors(K, pairs) + brackets),
+        tuple(_base_factors(K, _normal_pairs(K, pairs)) + brackets),
         theorem,
         weight_bound if len(alphabet) >= 2 else None,
     )

@@ -276,6 +276,22 @@ def test_stray_vertex_entries_exit_2(tmp_path, capsys):
     assert "entries for vertices [-3, 0] outside 1..2" in capsys.readouterr().err
 
 
+def test_missing_vertex_entries_exit_2(tmp_path, capsys):
+    # with no complex the largest key is the vertex count: a lone large key
+    # names the first few absent vertices and their number, not all of them
+    sphere = {"kind": "sphere", "n": 2}
+    for keys, named in [
+        (["1", "4"], "missing entries for vertices [2, 3]\n"),
+        (["200000"], "missing entries for vertices [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] "
+                     "and 199989 more (199999 in all)\n"),
+    ]:
+        spaces = write(tmp_path, "s.json", {k: sphere for k in keys})
+        for argv in (["porter"], ["hilton-milnor"], ["verify", "--check", "porter"]):
+            assert main(argv + ["--spaces", spaces]) == 2
+            err = capsys.readouterr().err
+            assert err.endswith(named) and "s.json" in err and len(err) < 1000
+
+
 def test_json_flags_must_be_booleans_exit_2(tmp_path, capsys):
     # "no" is not read as true, so no vertex factor is dropped for it
     cx = write(tmp_path, "edge.json", {"m": 2, "facets": [[1, 2]]})
@@ -396,11 +412,11 @@ def _nested_spaces(tmp_path, depth):
 
 
 def test_deeply_nested_spaces_exit_2(tmp_path, capsys):
-    # too deep for the JSON parser
-    path = _nested_spaces(tmp_path, 5000)
+    # too deep for the JSON parser (CPython 3.13 parses 5,000 levels)
+    path = _nested_spaces(tmp_path, 100_000)
     assert main(["verify", "--check", "porter", "--spaces", path]) == 2
     err = capsys.readouterr().err
-    assert "nested5000.json" in err and "nested too deeply" in err
+    assert "nested100000.json" in err and "nested too deeply" in err
     # parsed, but deeper than expressions may nest
     path = _nested_spaces(tmp_path, 500)
     assert main(["verify", "--check", "porter", "--spaces", path]) == 2

@@ -55,6 +55,7 @@ from polyco.decomp import (
     pullback_square,
     smash_coproduct,
     _bracket_rule,
+    _normal_pairs,
     _vertex_pieces,
 )
 from polyco.liealg import Bracket, stats
@@ -289,8 +290,20 @@ def test_loop_decompose_mixed_pair_stays_symbolic():
 
 
 def test_loop_decompose_connectivity_validation():
-    with pytest.raises(ValueError, match="vertex 1"):
-        loop_decompose(two_points(), const([S(1), X2]), 1)
+    # each input error in full: the arity first, then vertex by vertex
+    two = two_points()
+    for call, message in [
+        (lambda: loop_decompose(two, const([S(1), X2]), 1),
+         "vertex 1: domain S^1 must be simply connected or contractible"),
+        (lambda: loop_decompose(two, const([S(3)]), 1), "complex has 2 vertices but 1 pairs given"),
+        (lambda: loop_decompose(two, PairAssignment.of([(POINT, S(1)), (S(1), POINT)]), 1),
+         "vertex 1: codomain S^1 must be simply connected or a point"),
+        (lambda: loop_decompose_wedge(two, [S(1)], 1), "complex has 2 vertices but 1 spaces given"),
+        (lambda: loop_decompose_wedge(two, [S(3), S(1)], 1),
+         "vertex 2: space S^1 must be simply connected (connectivity 0)"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_loop_decompose_ghost_vertex_uses_codomain():
@@ -398,9 +411,13 @@ def test_contractible_missing_face_filter():
 
 
 def test_contractible_rejects_solid_domain():
-    pairs = PairAssignment.of([(X1, A1), (POINT, A2)])
-    with pytest.raises(ValueError, match="vertex 1"):
-        loop_decompose_contractible(two_points(), pairs, 1)
+    # every domain is tested for contractibility before any codomain's connectivity
+    for pairs, message in [
+        ([(X1, A1), (POINT, A2)], "vertex 1"),
+        ([(POINT, S(1)), (S(3), S(2))], "^vertex 2: domain S\\^3 is not contractible$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            loop_decompose_contractible(two_points(), PairAssignment.of(pairs), 1)
 
 
 def test_contractible_uncertified_realization_stays_symbolic():
@@ -781,7 +798,7 @@ def test_contractible_rule_over_a_face_is_a_point():
                 continue
             l = tuple(rng.randint(1, 3) if j in face else 0 for j in range(1, K.m + 1))
             assert reference_bracket_factor(K, pairs, face, l) == POINT, (K, face)
-            assert _bracket_rule(K, _vertex_pieces(pairs), face) is None, (K, face)
+            assert _bracket_rule(K, _vertex_pieces(_normal_pairs(K, pairs)), face) is None, (K, face)
 
 
 def test_bracket_rule_matches_the_reference():
@@ -796,7 +813,7 @@ def test_bracket_rule_matches_the_reference():
         pairs = PairAssignment.of(
             [(rng.choice(DOMAIN_POOL), rng.choice(CODOMAIN_POOL)) for _ in range(K.m)]
         )
-        pieces = _vertex_pieces(pairs)
+        pieces = _vertex_pieces(_normal_pairs(K, pairs))
         grading = reference_grading(pairs)
         assert pieces[0] == grading
         keyed = {}
@@ -832,7 +849,7 @@ def test_point_codomains_drop_a_non_face_support_with_contractible_domains():
     square = build(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
     pairs = PairAssignment.of([(PX, POINT)] * 4)
     assert reference_bracket_factor(square, pairs, (1, 2, 3, 4), (1, 1, 1, 1)) == POINT
-    assert _bracket_rule(square, _vertex_pieces(pairs), (1, 2, 3, 4)) is None
+    assert _bracket_rule(square, _vertex_pieces(_normal_pairs(square, pairs)), (1, 2, 3, 4)) is None
     for dec in (
         loop_decompose(square, pairs, 5),
         loop_decompose_contractible(square, pairs, 5),
@@ -905,17 +922,17 @@ def per_group_references(K, pairs, spaces, hm_spaces, W, bound, only=None):
     n = len(hm_spaces)
     listings = {
         "general": lambda: per_group_listing(
-            all_letters, W, partial(reference_bracket_factor, K, pairs), _base_factors(K, pairs),
+            all_letters, W, partial(reference_bracket_factor, K, pairs), _base_factors(K, _normal_pairs(K, pairs)),
             "general-coproduct", K.m >= 3, reference_grading(pairs),
         ),
         "contractible": lambda: per_group_listing(
             all_letters, W, partial(reference_bracket_factor, K, contractible),
-            _base_factors(K, contractible), "contractible-domains", K.m >= 3,
+            _base_factors(K, _normal_pairs(K, contractible)), "contractible-domains", K.m >= 3,
             reference_grading(contractible),
         ),
         "wedge": lambda: per_group_listing(
             face_letters(frozenset(K.faces()), K.m), W,
-            partial(reference_bracket_factor, K, constant), _base_factors(K, constant),
+            partial(reference_bracket_factor, K, constant), _base_factors(K, _normal_pairs(K, constant)),
             "wedge-coproduct", K.dim() >= 2, reference_grading(constant),
             bottom_degrees(spaces, 0) if bound is not None else None, bound,
         ),
@@ -1095,7 +1112,7 @@ def test_contractible_realization_builds_no_factor(monkeypatch):
     pairs = path_pairs([S(2), S(3), CP_INFINITY])
     assert wedge_of_spheres_type(path) == ()
     assert reference_bracket_factor(path, pairs, (1, 2, 3), (1, 2, 1)) == POINT
-    assert _bracket_rule(path, _vertex_pieces(pairs), (1, 2, 3)) is None
+    assert _bracket_rule(path, _vertex_pieces(_normal_pairs(path, pairs)), (1, 2, 3)) is None
     builds = count_builds(monkeypatch)
     dec = loop_decompose_contractible(path, pairs, 6)
     assert {f.provenance.support for f in dec.bracket_factors()} == {(1, 3)}

@@ -172,6 +172,20 @@ def test_scalars_and_monomials_reject_non_integers():
     assert (3 * p).coeffs == (3, 6, 9) and PoincareSeries.monomial(1, 2, -2).coeffs == (0, -2, 0)
 
 
+def test_sums_take_series_only_and_truncations_are_nonnegative():
+    # p + 1 and p - 1 are no sums, as p * 1 is no product; N = -2 is no truncation
+    p = PoincareSeries.one(3)
+    for k in (1, 2.5, None):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            p + k
+        with pytest.raises(TypeError, match="unsupported operand"):
+            p - k
+    assert (p + p).coeffs == (2, 0, 0, 0) and (p - p).coeffs == (0, 0, 0, 0)
+    with pytest.raises(ValueError, match="truncation degree must be >= 0"):
+        PoincareSeries.from_ints([1, 2], -2)
+    assert PoincareSeries.from_ints([1, 2], 0).coeffs == (1,)
+
+
 def test_from_rational_needs_unit_constant_term():
     # as for a declared Atom series, the denominator's constant term is 1
     with pytest.raises(ValueError, match="constant term 1"):
