@@ -96,6 +96,7 @@ from .spacexpr import (
     _compound,
     _loop,
     _map_from_susp,
+    _smash_builder,
     _susp,
     conn,
     expr_to_json,
@@ -214,7 +215,7 @@ def smash_coproduct(
     for f in K.faces():
         sel = set(f)
         on = [lx if i in sel else la for i, (lx, la) in enumerate(loops, start=1)]
-        objects[f] = _susp(_smash_of(on, ks))
+        objects[f] = _susp(_smash_builder(on)(ks))
     arrows = {(sig, tau): coords for sig, tau, coords in _strict_face_pairs(K)}
     return DiagramDescription(K, "suspended-smash", objects, arrows, weights=ks)
 
@@ -310,13 +311,17 @@ class Decomposition:
     theorem: str
     truncation: int | None = None
 
-    def _totals(self) -> dict[SpaceExpr, list]:
-        # expr -> [first factor, multiplicity], summed by object id before any deep hash
+    def _per_object(self) -> list[list]:
+        # [first factor, multiplicity] per factor object, keyed by id: no deep hashing
         per_object: dict[int, list] = {}
         for f in self.factors:
             per_object.setdefault(id(f.expr), [f, 0])[1] += f.multiplicity
+        return list(per_object.values())
+
+    def _totals(self) -> dict[SpaceExpr, list]:
+        # expr -> [first factor, multiplicity], summed by object before any deep hash
         out: dict[SpaceExpr, list] = {}
-        for f, k in per_object.values():
+        for f, k in self._per_object():
             out.setdefault(f.expr, [f, 0])[1] += k
         return out
 
@@ -329,21 +334,27 @@ class Decomposition:
     def series_product(self, N: int):
         """The product of the factor series through degree N, or Unsupported.
 
-        Each distinct expression is evaluated once and raised to its total
-        multiplicity; an Unsupported reason names the first such factor.
-        Factors are in normal form, so each goes straight to the memoized
-        evaluator behind series_of, without a second normalize."""
+        Log-derivatives turn the product into a sum: each factor object's
+        memoized log-derivative is added as many times as its total
+        multiplicity, and the product is recovered once from the sum, so no
+        factor is multiplied or raised to a power, and equal expressions
+        need not be merged first.  An Unsupported reason names the first
+        unsupported factor.  Factors are in normal form, so each goes
+        straight to the memoized evaluators behind series_of, without a
+        second normalize."""
         if N < 0:
             raise ValueError("truncation degree must be >= 0")
-        out = series_mod.PoincareSeries.one(N)
-        for f, k in self._totals().values():
-            p = series_mod._series_memo(f.expr, N)
-            if isinstance(p, series_mod.Unsupported):
+        total = [0] * (N + 1)
+        for f, k in self._per_object():
+            l = series_mod._log_memo(f.expr, N)
+            if isinstance(l, series_mod.Unsupported):
                 return series_mod.Unsupported(
-                    f"factor {render(f.expr)} [{_provenance_text(f.provenance)}]: {p.reason}"
+                    f"factor {render(f.expr)} [{_provenance_text(f.provenance)}]: {l.reason}"
                 )
-            out = out * p**k
-        return out
+            for n, c in enumerate(l):
+                if c:
+                    total[n] += k * c
+        return series_mod.PoincareSeries.from_log_derivative(total, N)
 
     def _forms(self, form) -> dict[int, object]:
         # form(e) once per factor object, keyed by id: no deep hashing
@@ -536,10 +547,10 @@ def hilton_milnor(
             raise ValueError(f"vertex {i}: summand {render(x)} must be connected")
     ids: dict[SpaceExpr, int] = {}
     grading = [ids.setdefault(x, len(ids)) for x in spaces]
-    summands = [normalize(x) for x in ids]
+    smash = _smash_builder([normalize(x) for x in ids])
 
     def build(q):
-        return _loop(_susp(_smash_of(summands, q)), 1)
+        return _loop(_susp(smash(q)), 1)
 
     degrees = None if degree_bound is None else _vertex_degrees(spaces, 1)
     counts = lyndon_class_counts(
@@ -570,18 +581,23 @@ def _base_factors(K: SimplicialComplex, normal: Sequence[tuple[SpaceExpr, SpaceE
     return out
 
 
-def _smash_of(normal: Sequence[SpaceExpr], counts: Sequence[int]) -> SpaceExpr:
-    # the normal form of the smash of counts[i] copies of each normal[i], zero-fold ones omitted
-    return _compound(Smash, ((x, k) for x, k in zip(normal, counts) if k))
+class _Pieces(NamedTuple):
+    grading: list[int]  # each vertex's piece
+    spaces: list[tuple[SpaceExpr, SpaceExpr]]  # each piece's normalized (domain, codomain)
+    smashes: tuple  # per side (0 domain, 1 codomain): the smash builder over the pieces' loop spaces
 
 
-def _vertex_pieces(normal: Sequence[tuple[SpaceExpr, SpaceExpr]]):
-    # each vertex's piece and each piece's normalized (domain, codomain): one
-    # per distinct pair, or one per vertex when a support can be mixed
+def _vertex_pieces(normal: Sequence[tuple[SpaceExpr, SpaceExpr]]) -> _Pieces:
+    # one piece per distinct pair, or one per vertex when a support can be
+    # mixed; the loop of each piece's space on each side is taken once here
     if not any(all(isinstance(xa[side], Point) for xa in normal) for side in (0, 1)):
-        return list(range(len(normal))), normal
-    ids: dict[tuple[SpaceExpr, SpaceExpr], int] = {}
-    return [ids.setdefault(xa, len(ids)) for xa in normal], list(ids)
+        grading, spaces = list(range(len(normal))), list(normal)
+    else:
+        ids: dict[tuple[SpaceExpr, SpaceExpr], int] = {}
+        grading = [ids.setdefault(xa, len(ids)) for xa in normal]
+        spaces = list(ids)
+    smashes = tuple(_smash_builder([_loop(xa[side], 1) for xa in spaces]) for side in (0, 1))
+    return _Pieces(grading, spaces, smashes)
 
 
 def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
@@ -590,12 +606,11 @@ def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
     over the full subcomplex on the support, reduced where a lemma applies,
     for piece content q; shape and q are all that it depends on.
 
-    In the reduced branches the loop of each piece's space on the surviving
-    side is normalized once per support, and build(q) assembles the factor
-    in normal form from those: Loop Susp of the smash of q_p copies of each
-    piece's loop space, through a mapping space out of Susp|K_S| when the
-    domains are contractible."""
-    grading, spaces = pieces
+    In the reduced branches build(q) assembles the factor in normal form
+    from the pieces' smash builder on the surviving side: Loop Susp of the
+    smash of q_p copies of each piece's loop space, through a mapping space
+    out of Susp|K_S| when the domains are contractible."""
+    grading, spaces, smashes = pieces
     on = [spaces[grading[j - 1]] for j in support]
     if all(isinstance(a, Point) for _, a in on):
         # point codomains: only a face support survives
@@ -616,11 +631,11 @@ def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
         name = "ŝ-coprod[K_{" + ",".join(map(str, support)) + "}; weights "
         top = full_subcomplex(K, support).complex.dim() + 1
         return name, lambda q: Loop(Atom(f"{name}{[x for x in q if x]}]", max(0, sum(q) - top)))
-    loops = [_loop(xa[side], 1) for xa in spaces]
+    smash = smashes[side]
 
     def build(q):
-        smash = _susp(_smash_of(loops, q))
-        return _loop(smash if side == 0 else _map_from_susp(sub, smash), 1)
+        susp = _susp(smash(q))
+        return _loop(susp if side == 0 else _map_from_susp(sub, susp), 1)
 
     return shape, build
 
@@ -650,7 +665,7 @@ def _coproduct_decomposition(
 ) -> Decomposition:
     # normal: the normalized (domain, codomain) of each vertex; truncated:
     # whether the full bracket set is infinite, so that the weight bound cuts it
-    grading, spaces = pieces = _vertex_pieces(normal)
+    grading, spaces, _ = pieces = _vertex_pieces(normal)
     degrees = None if degree_bound is None else _vertex_degrees([spaces[p][0] for p in grading], 0)
     rule = partial(_bracket_rule, K, pieces)
     every = _type_supports(grading)

@@ -351,18 +351,21 @@ def lyndon_class_counts(
         sbits += width[p]
     low = (1 << sbits) - 1
     allowed = None
+    cap = n  # the most vertices of each piece that a support's type can hold
     if types is not None:
         allowed, below = set(), set()  # below: each type with one vertex taken out
+        cap = [0] * size
         for t in types:
             if len(t) != size:
                 raise ValueError(f"type {t!r}: need {size} integers, each from 0 to its piece's size")
             s, units = 0, []
-            for x, c, b in zip(t, n, shift):
+            for p, (x, c, b) in enumerate(zip(t, n, shift)):
                 if type(x) is not int or not 0 <= x <= c:
                     raise ValueError(f"type {t!r}: need {size} integers, each from 0 to its piece's size")
                 if x:
                     s += x << b
                     units.append(1 << b)
+                    cap[p] = max(cap[p], x)
             allowed.add(s)
             for u in units:
                 below.add(s - u)
@@ -401,10 +404,12 @@ def lyndon_class_counts(
         partial = ones
         for p in multi:
             have = s >> shift[p] & (1 << width[p]) - 1
+            # b new vertices: no more than the piece has left, than a type
+            # can hold, or than fit in a letter beside the a old ones
             options = [
                 (((a + b) << qshift[p]) + (b << shift[p]), comb(have, a) * comb(n[p] - have, b), a + b,
                  (a + b) * degs[p])
-                for a in range(have + 1) for b in range(n[p] - have + 1)
+                for a in range(min(have, top) + 1) for b in range(min(cap[p] - have, top - a) + 1)
             ]
             partial = [
                 (x + y, o, c * e, t + v, d + g)

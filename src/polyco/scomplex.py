@@ -30,7 +30,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cmp_to_key, lru_cache
 from itertools import combinations, pairwise, product as iproduct
 from math import gcd
@@ -49,6 +49,14 @@ class SimplicialComplex:
 
     m: int
     facets: tuple[Face, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # the complex keys the lru_caches below: hash its facet tuple once, not per lookup
+        object.__setattr__(self, "_hash", hash((self.m, self.facets)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def dim(self) -> int:
         """Dimension of the complex; -1 for the empty complex (faces = {})."""

@@ -7,6 +7,14 @@ rejects any other value, and a declared rational series needs a denominator
 with constant term 1, so every expansion stays integral.  All arithmetic and
 comparisons are exact and never silently extend the truncation.
 
+A product of many factors is taken through log-derivatives: for P(0) = 1
+the series L_P = tP'/P has integer coefficients, l_n = n c_n - sum_{j<n}
+c_j l_{n-j}, and L turns products into sums, so prod_i P_i^(k_i) is the
+series whose log-derivative is sum_i k_i L_{P_i}.  from_log_derivative
+recovers it in one pass, q_n = (sum_{j<=n} l_j q_{n-j}) / n, where the
+division is exact.  The log-derivative of each factor is memoized next to
+its series (_log_memo).
+
 series_of evaluates an expression by the classical rules (Bott-Samelson for
 loops of suspensions, the James-style formulas for loops of spheres, rational
 Eilenberg-MacLane factors for iterated loops of spheres, reciprocal
@@ -21,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Sequence, Union
 
 from .spacexpr import (
@@ -144,9 +153,10 @@ class PoincareSeries:
         return PoincareSeries(tuple(k * c for c in self.coeffs))
 
     def __pow__(self, k: int) -> "PoincareSeries":
-        """self^k for k >= 0, by repeated squaring (self^1 multiplies nothing)."""
-        if k < 0:
-            raise ValueError("series powers need a nonnegative exponent")
+        """self^k for an integer k >= 0, by repeated squaring (self^1
+        multiplies nothing)."""
+        if type(k) is not int or k < 0:  # no bool, no float
+            raise ValueError(f"series powers need a nonnegative integer exponent, got {k!r}")
         out, base = None, self
         while k:
             if k & 1:
@@ -170,6 +180,44 @@ class PoincareSeries:
                     break
                 s += c * out[d - j]
             out[d] = s
+        return PoincareSeries(tuple(out))
+
+    def log_derivative(self) -> tuple[int, ...]:
+        """The coefficients l_0..l_N of tP'/P for P = self (l_0 = 0), which
+        are integers because P(0) must be 1: l_n = n c_n - sum_{j=1}^{n-1}
+        c_j l_{n-j}, over the nonzero c_j only."""
+        if self.coeffs[0] != 1:
+            raise ValueError("log-derivative needs constant term 1")
+        terms = [(j, c) for j, c in enumerate(self.coeffs) if j and c]
+        out = [0] * (self.N + 1)
+        for n in range(1, self.N + 1):
+            s = 0
+            for j, c in terms:
+                if j >= n:
+                    break
+                s += c * out[n - j]
+            out[n] = n * self.coeffs[n] - s
+        return tuple(out)
+
+    @staticmethod
+    def from_log_derivative(l: Sequence[int], N: int) -> "PoincareSeries":
+        """The series Q through degree N with Q(0) = 1 and tQ'/Q = l, where
+        l_0 must be 0: n q_n = sum_{j=1}^n l_j q_{n-j}, divided exactly when
+        l is a sum of integer multiples of log-derivatives."""
+        if N < 0:
+            raise ValueError("truncation degree must be >= 0")
+        bad = [c for c in l if type(c) is not int]
+        if bad:
+            raise ValueError(f"log-derivative coefficients must be integers, got {bad}")
+        if l and l[0]:
+            raise ValueError(f"a log-derivative has constant term 0, got {l[0]}")
+        tail = l[1 : N + 1]  # l_1, l_2, ...: each n pairs l_j with q_{n-j}, missing ones 0
+        out = [1]
+        for n in range(1, N + 1):
+            q, r = divmod(sum(map(mul, tail, reversed(out))), n)
+            if r:
+                raise ValueError(f"not the log-derivative of an integer series: degree {n}")
+            out.append(q)
         return PoincareSeries(tuple(out))
 
     def reduced(self) -> "PoincareSeries":
@@ -266,6 +314,14 @@ def _series_memo(e: SpaceExpr, N: int) -> SeriesOrUnsupported:
     factors of a Decomposition) call it directly; anything else goes
     through series_of."""
     return _series(e, N)
+
+
+@lru_cache(maxsize=1024)
+def _log_memo(e: SpaceExpr, N: int) -> tuple[int, ...] | Unsupported:
+    """The log-derivative of _series_memo(e, N), memoized as it is, or its
+    Unsupported value."""
+    p = _series_memo(e, N)
+    return p if isinstance(p, Unsupported) else p.log_derivative()
 
 
 def _series(e: SpaceExpr, N: int) -> SeriesOrUnsupported:

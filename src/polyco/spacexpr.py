@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from itertools import groupby
 from operator import eq, itemgetter
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .scomplex import SimplicialComplex, build, complex_from_json, complex_to_json, json_int
 from .scomplex import wedge_of_spheres_type
@@ -277,6 +277,54 @@ def _compound(cls, normal_terms: Iterable[tuple[SpaceExpr, int]]) -> SpaceExpr:
     elif terms[0][1] == 1:
         return terms[0][0]
     return cls(tuple(c for c, _ in terms), tuple(p for _, p in terms))
+
+
+def _smash_builder(normal: Sequence[SpaceExpr]):
+    """build(q) = _compound(Smash, ((x, k) for x, k in zip(normal, q) if k)),
+    for pieces in normal form, with the pieces' work done once: each piece
+    is flattened into its point flag, its sphere degree and its other
+    children, equal children across the pieces are merged and the merged
+    ones sorted by sort_key.  build(q) then only sums powers: the sphere of
+    the summed degree sorts first, and a child of power 0 is left out."""
+    points: list[int] = []  # the pieces that hold a point
+    spheres: list[tuple[int, int]] = []  # (piece, sphere degree of one copy)
+    parts = []  # (sort key, child, piece, power in one copy)
+    for i, x in enumerate(normal):
+        degree = 0
+        for c, p in zip(x.children, x.powers) if isinstance(x, Smash) else ((x, 1),):
+            if isinstance(c, Point):
+                points.append(i)
+            elif isinstance(c, Sphere):
+                degree += c.n * p
+            else:
+                parts.append((sort_key(c), c, i, p))
+        if degree:
+            spheres.append((i, degree))
+    parts.sort(key=itemgetter(0))
+    children, uses = [], []  # each distinct child, with its (piece, power) list
+    for _, run in groupby(parts, itemgetter(0)):
+        run = list(run)
+        children.append(run[0][1])
+        uses.append([(i, p) for _, _, i, p in run])
+
+    def build(q: Sequence[int]) -> SpaceExpr:
+        if points and any(q[i] for i in points):
+            return POINT
+        kids, powers = [], []
+        if total := sum(q[i] * d for i, d in spheres):
+            kids.append(Sphere(total))
+            powers.append(1)
+        for c, use in zip(children, uses):
+            if k := sum(q[i] * p for i, p in use):
+                kids.append(c)
+                powers.append(k)
+        if not kids:
+            return Sphere(0)
+        if len(kids) == 1 and powers[0] == 1:
+            return kids[0]
+        return Smash(tuple(kids), tuple(powers))
+
+    return build
 
 
 def _loop(c: SpaceExpr, k: int) -> SpaceExpr:

@@ -43,6 +43,7 @@ from polyco.series import (
 )
 from polyco.spacexpr import (
     _RANK,
+    _compound,
     INFINITE,
     POINT,
     Atom,
@@ -207,6 +208,24 @@ def reference_series_product(dec: Decomposition, N: int):
         for _ in range(f.multiplicity):
             out = dense_mul(out, p)
     return out
+
+
+def repeated_product(dec: Decomposition, N: int) -> PoincareSeries:
+    """Each distinct factor's series multiplied in once per unit of its total
+    multiplicity, with the int kernel: what series_product's sum of
+    log-derivatives replaces."""
+    out = PoincareSeries.one(N)
+    for e, k in dec.factor_multiset().items():
+        p = _series(normalize(e), N)
+        for _ in range(k):
+            out = out * p
+    return out
+
+
+def reference_log_derivative(p: PoincareSeries) -> PoincareSeries:
+    """t P'(t) / P(t) by the dense Fraction kernels."""
+    t_dp = PoincareSeries(tuple(Fraction(n * c) for n, c in enumerate(p.coeffs)))
+    return dense_mul(t_dp, dense_invert(p))
 
 
 # ---------------------------------------------------------------------------
@@ -758,6 +777,29 @@ def _enumerated_face_alphabet(K, pairs, weight_bound, theorem, rule) -> Decompos
         theorem,
         weight_bound if len(alphabet) >= 2 else None,
     )
+
+
+def reference_smash(normal, q) -> SpaceExpr:
+    """The smash of q[i] copies of each normal piece, zero-fold ones omitted,
+    by the normalizer's compound rule on the whole term list: the reference
+    for spacexpr._smash_builder, which plans the pieces once."""
+    return _compound(Smash, ((x, k) for x, k in zip(normal, q) if k))
+
+
+def smash_alphabet(rng: random.Random) -> list[SpaceExpr]:
+    """Two to six pieces in normal form, some repeated: points, S^0,
+    spheres, atoms, smash- and product-valued pieces, loops and loop-replaced
+    atoms (CP^∞ loops to S^1, another atom to a smash)."""
+    smashy = Atom("W", 1, loop=Smash((Atom("X", 1), Sphere(1))))
+    pool = [
+        POINT, Sphere(0), Sphere(1), Sphere(2), Sphere(3), *ATOM_POOL[:3],
+        Smash((Sphere(2), Atom("X", 1))), Smash((Atom("X", 1), Atom("X", 1), Atom("Y", 2))),
+        Product((Atom("X", 1), Sphere(3))), Loop(Sphere(3)), Loop(Susp(Atom("Y", 2))),
+        Loop(ATOM_POOL[3]), Loop(smashy), Loop(Product((smashy, Sphere(4)))),
+    ]
+    normal = [normalize(rng.choice(pool) if rng.random() < 0.8 else random_expr(rng, 2))
+              for _ in range(rng.randint(2, 6))]
+    return normal + [rng.choice(normal) for _ in range(rng.randint(0, 2))]
 
 
 def _smash_powers(spaces, counts) -> Smash:

@@ -32,6 +32,7 @@ from _helpers import (
     reference_series_product,
     reference_summand_factor,
     regrouped,
+    repeated_product,
     summand_grading,
 )
 from polyco.decomp import (
@@ -1295,6 +1296,24 @@ def test_series_product_evaluates_each_normal_factor_as_series_of_does():
     assert supported > 50 and unsupported > 50, (supported, unsupported)
 
 
+def test_series_product_matches_repeated_multiplication_at_verify_sizes():
+    # summed log-derivatives against one multiplication per unit of
+    # multiplicity, on the Hilton-Milnor products verify builds at N = 36
+    # and on wedge and contractible listings with large multiplicities
+    N = 36
+    cases = [hilton_milnor(xs, N + 1, degree_bound=N) for xs in ([S(3), S(5)], [S(2), S(4)], [S(3), S(4)])]
+    cases.append(hilton_milnor([S(2), S(3), S(4)], 20, degree_bound=19))
+    boundary3 = build(4, [list(f) for f in combinations(range(1, 5), 3)])
+    cases += [
+        loop_decompose_wedge(boundary3, [S(2), S(3), S(2), CP_INFINITY], 4),
+        loop_decompose_contractible(boundary3, path_pairs([CP_INFINITY] * 4), 3),
+    ]
+    for dec in cases:
+        assert max(f.multiplicity for f in dec.factors) > 8, dec.theorem
+        for n in (N, 12):
+            assert dec.series_product(n) == repeated_product(dec, n), (dec.theorem, n)
+
+
 # ---------------------------------------------------------------------------
 # size guards: inputs that stalled while every support was counted
 # ---------------------------------------------------------------------------
@@ -1314,14 +1333,20 @@ DECOMPOSITION_SIZE_GUARD_CASES = {
         loop_decompose_contractible, lambda: build(10, [(i, i % 10 + 1) for i in range(1, 11)]),
         lambda: path_pairs([S(2)] * 10), 6, 60_199, 2.0,
     ),
+    # two pieces of 4,000 vertices, whose face types hold at most one vertex of each
+    "path_8000_alternating_spheres_wedge_w1": (
+        loop_decompose_wedge, lambda: build(8000, [(i, i + 1) for i in range(1, 8000)]),
+        lambda: [S(2 + i % 2) for i in range(8000)], 1, 15_999, 2.0,
+    ),
 }
 
 
 @pytest.mark.parametrize("name", list(DECOMPOSITION_SIZE_GUARD_CASES))
 def test_decompositions_that_counted_every_support_are_fast(name):
-    # counting per support took 10-19 s on each: the one missing face of
-    # the 8-simplex's boundary, the octahedron's face supports among 1.68
-    # million counted groups, and the 10-cycle's missing faces
+    # counting per support took 10-19 s on each of the first three: the one
+    # missing face of the 8-simplex's boundary, the octahedron's face
+    # supports among 1.68 million counted groups, and the 10-cycle's missing
+    # faces; the long path's class options took 4.4 s
     engine, make_complex, make_data, W, entries, seconds = DECOMPOSITION_SIZE_GUARD_CASES[name]
     K, data = make_complex(), make_data()
     start = time.process_time()

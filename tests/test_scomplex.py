@@ -855,6 +855,22 @@ def test_build_of_large_sparse_complexes_is_fast(faces):
     assert len(K.facets) == 19999 and K.dim() == 1
 
 
+def test_face_tests_on_a_large_complex_do_not_rehash_it():
+    # the complex keys the lru_caches of its face model: hashing its 19,999
+    # facets on every lookup made one face test take about half a millisecond
+    K = build(20000, [[i, i + 1] for i in range(1, 20000)])
+    assert K.has_face((5, 6)) and not K.has_face((5, 7))
+    start = time.process_time()
+    for _ in range(10_000):
+        K.has_face((5, 6))
+    assert time.process_time() - start < 1.0
+    # the cached hash takes no part in equality or in the repr
+    twin = build(20000, [[i + 1, i] for i in range(19999, 0, -1)])
+    assert twin == K and hash(twin) == hash(K) and twin is not K
+    assert repr(build(3, [[2, 1]])) == "SimplicialComplex(m=3, facets=((1, 2),))"
+    assert build(3, [[1, 2]]) != build(4, [[1, 2]])
+
+
 def certificate_families(rng, n):
     """n seeded complexes with m <= 9: ghost vertices, clique complexes with
     a facet of size >= 3 dropped, relabeled shifted closures, cones, and

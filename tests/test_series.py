@@ -12,11 +12,13 @@ from _helpers import (
     random_expr,
     random_series,
     reference_em_product_series,
+    reference_log_derivative,
 )
 from polyco.series import (
     PoincareSeries,
     Unsupported,
     _em_product_series,
+    _log_memo,
     _series_memo,
     free_product_series,
     series_of,
@@ -226,6 +228,56 @@ def test_power_matches_repeated_multiplication():
             expected = dense_mul(expected, p)
     with pytest.raises(ValueError):
         p ** -1
+
+
+def test_powers_take_nonnegative_integer_exponents():
+    # as from_ints, monomial and k * p take ints only: p ** True is no p and
+    # p ** 2.0 no square
+    p = PoincareSeries.from_ints([1, 2, 3])
+    for k in (True, False, 2.0, Fraction(2), -1, None):
+        with pytest.raises(ValueError, match="nonnegative integer exponent, got " + re.escape(repr(k))):
+            p ** k
+    assert p**2 == p * p and p**0 == one(2)
+
+
+def test_log_derivatives_round_trip_and_match_the_dense_reference():
+    # tP'/P has integer coefficients for P(0) = 1, and P is recovered from
+    # it exactly, negative coefficients and sparse series included
+    rng = random.Random(2121)
+    for trial in range(150):
+        N = rng.randint(0, 40)
+        p = random_series(rng, N, unit=True, integral=True, density=rng.choice([0.1, 0.4, 1.0]))
+        l = p.log_derivative()
+        assert len(l) == N + 1 and l[0] == 0 and all(type(c) is int for c in l)
+        assert PoincareSeries(l) == reference_log_derivative(p), p
+        assert PoincareSeries.from_log_derivative(l, N) == p, p
+        # log-derivatives add over products: summed multiples give the product of powers
+        q = random_series(rng, N, unit=True, integral=True, density=0.5)
+        k, j = rng.randint(0, 12), rng.randint(0, 3)
+        total = [k * a + j * b for a, b in zip(l, q.log_derivative())]
+        assert PoincareSeries.from_log_derivative(total, N) == p**k * q**j
+    # 1/(1 - t) has tP'/P = t/(1 - t); a short l is padded with zeros
+    assert PoincareSeries.from_log_derivative([0, 1, 1, 1, 1], 4) == PoincareSeries.from_ints([1] * 5)
+    assert PoincareSeries.from_log_derivative([], 2) == one(2)
+    # the memo next to the series memo is bounded too, and keeps Unsupported as it is
+    assert _log_memo.cache_info().maxsize == _series_memo.cache_info().maxsize == 1024
+    e = Loop(S(4), 2)  # in normal form, as the factors of a decomposition are
+    assert _log_memo(e, 12) == series_of(e, 12).log_derivative()
+    assert _log_memo(S(0), 5) == _series_memo(S(0), 5) and isinstance(_log_memo(S(0), 5), Unsupported)
+
+
+def test_log_derivatives_need_unit_series():
+    for coeffs in ([2, 1], [0, 1, 1], [-1, 3]):
+        with pytest.raises(ValueError, match="log-derivative needs constant term 1"):
+            PoincareSeries.from_ints(coeffs).log_derivative()
+    with pytest.raises(ValueError, match="constant term 0, got 1"):
+        PoincareSeries.from_log_derivative([1, 2], 3)
+    with pytest.raises(ValueError, match="not the log-derivative of an integer series: degree 2"):
+        PoincareSeries.from_log_derivative([0, 0, 1], 3)  # would give q_2 = 1/2
+    with pytest.raises(ValueError, match=r"must be integers, got \[2.0\]"):
+        PoincareSeries.from_log_derivative([0, 2.0], 3)
+    with pytest.raises(ValueError, match="truncation degree must be >= 0"):
+        PoincareSeries.from_log_derivative([0], -1)
 
 
 def test_em_product_series_matches_multiply_invert():

@@ -12,7 +12,9 @@ from _helpers import (
     reference_normalize,
     reference_render,
     reference_series,
+    reference_smash,
     reference_sort_key,
+    smash_alphabet,
     with_repeats,
 )
 from polyco.scomplex import build
@@ -29,6 +31,7 @@ from polyco.spacexpr import (
     Sphere,
     Susp,
     Wedge,
+    _smash_builder,
     conn,
     expr_equal,
     expr_from_json,
@@ -361,3 +364,23 @@ def test_json_contractible_flag_is_read():
     assert normalize(expr_from_json(data)) == Atom("X", 1)
     assert normalize(expr_from_json({**data, "contractible": False})) == Atom("X", 1)
     assert normalize(expr_from_json({**data, "contractible": True})) == POINT
+
+
+def test_smash_builder_matches_the_compound_rule():
+    # one plan per alphabet of normal pieces, then a build per content q,
+    # equal to the compound rule run on the whole term list, and normal
+    rng = random.Random(2020)
+    kinds = set()
+    for _ in range(300):
+        normal = smash_alphabet(rng)
+        build = _smash_builder(normal)
+        contents = [(0,) * len(normal)] + [
+            tuple(rng.choice((0, 0, 1, 1, 2, 5)) for _ in normal) for _ in range(8)
+        ]
+        for q in contents:
+            got = build(q)
+            assert got == reference_smash(normal, q), ([render(x) for x in normal], q)
+            assert normalize(got) == got and reference_normalize(got) == got
+            kinds.add(type(got).__name__)
+    assert build((0,) * len(normal)) == S(0)
+    assert kinds >= {"Point", "Sphere", "Atom", "Smash", "Product", "Loop"}, kinds
