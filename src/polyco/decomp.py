@@ -581,15 +581,11 @@ def _base_factors(K: SimplicialComplex, normal: Sequence[tuple[SpaceExpr, SpaceE
     return out
 
 
-class _Pieces(NamedTuple):
-    grading: list[int]  # each vertex's piece
-    spaces: list[tuple[SpaceExpr, SpaceExpr]]  # each piece's normalized (domain, codomain)
-    smashes: tuple  # per side (0 domain, 1 codomain): the smash builder over the pieces' loop spaces
-
-
-def _vertex_pieces(normal: Sequence[tuple[SpaceExpr, SpaceExpr]]) -> _Pieces:
-    # one piece per distinct pair, or one per vertex when a support can be
-    # mixed; the loop of each piece's space on each side is taken once here
+def _vertex_pieces(normal: Sequence[tuple[SpaceExpr, SpaceExpr]]):
+    # each vertex's piece, each piece's normalized (domain, codomain), and
+    # per side (0 domain, 1 codomain) the smash builder over the pieces'
+    # loop spaces; one piece per distinct pair, or one per vertex when a
+    # support can be mixed
     if not any(all(isinstance(xa[side], Point) for xa in normal) for side in (0, 1)):
         grading, spaces = list(range(len(normal))), list(normal)
     else:
@@ -597,7 +593,7 @@ def _vertex_pieces(normal: Sequence[tuple[SpaceExpr, SpaceExpr]]) -> _Pieces:
         grading = [ids.setdefault(xa, len(ids)) for xa in normal]
         spaces = list(ids)
     smashes = tuple(_smash_builder([_loop(xa[side], 1) for xa in spaces]) for side in (0, 1))
-    return _Pieces(grading, spaces, smashes)
+    return grading, spaces, smashes
 
 
 def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):

@@ -301,21 +301,26 @@ def _smash_builder(normal: Sequence[SpaceExpr]):
         if degree:
             spheres.append((i, degree))
     parts.sort(key=itemgetter(0))
-    children, uses = [], []  # each distinct child, with its (piece, power) list
+    plan = []  # each distinct child, with its (piece, power) list
     for _, run in groupby(parts, itemgetter(0)):
         run = list(run)
-        children.append(run[0][1])
-        uses.append([(i, p) for _, _, i, p in run])
+        plan.append((run[0][1], [(i, p) for _, _, i, p in run]))
 
     def build(q: Sequence[int]) -> SpaceExpr:
         if points and any(q[i] for i in points):
             return POINT
         kids, powers = [], []
-        if total := sum(q[i] * d for i, d in spheres):
+        total = 0  # plain loops: these lists are short, and a sum() generator costs more
+        for i, d in spheres:
+            total += q[i] * d
+        if total:
             kids.append(Sphere(total))
             powers.append(1)
-        for c, use in zip(children, uses):
-            if k := sum(q[i] * p for i, p in use):
+        for c, use in plan:
+            k = 0
+            for i, p in use:
+                k += q[i] * p
+            if k:
                 kids.append(c)
                 powers.append(k)
         if not kids:
