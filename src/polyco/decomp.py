@@ -311,22 +311,18 @@ class Decomposition:
     theorem: str
     truncation: int | None = None
 
-    def _per_object(self) -> list[list]:
+    def _per_object(self):
         # [first factor, multiplicity] per factor object, keyed by id: no deep hashing
         per_object: dict[int, list] = {}
         for f in self.factors:
             per_object.setdefault(id(f.expr), [f, 0])[1] += f.multiplicity
-        return list(per_object.values())
-
-    def _totals(self) -> dict[SpaceExpr, list]:
-        # expr -> [first factor, multiplicity], summed by object before any deep hash
-        out: dict[SpaceExpr, list] = {}
-        for f, k in self._per_object():
-            out.setdefault(f.expr, [f, 0])[1] += k
-        return out
+        return per_object.values()
 
     def factor_multiset(self) -> Counter:
-        return Counter({e: k for e, (_, k) in self._totals().items()})
+        out: Counter = Counter()
+        for f, k in self._per_object():  # summed by object before any deep hash
+            out[f.expr] += k
+        return out
 
     def bracket_factors(self) -> tuple[Factor, ...]:
         return tuple(f for f in self.factors if isinstance(f.provenance, BracketGroup))

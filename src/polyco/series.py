@@ -7,13 +7,14 @@ rejects any other value, and a declared rational series needs a denominator
 with constant term 1, so every expansion stays integral.  All arithmetic and
 comparisons are exact and never silently extend the truncation.
 
-A product of many factors is taken through log-derivatives: for P(0) = 1
-the series L_P = tP'/P has integer coefficients, l_n = n c_n - sum_{j<n}
-c_j l_{n-j}, and L turns products into sums, so prod_i P_i^(k_i) is the
-series whose log-derivative is sum_i k_i L_{P_i}.  from_log_derivative
-recovers it in one pass, q_n = (sum_{j<=n} l_j q_{n-j}) / n, where the
-division is exact.  The log-derivative of each factor is memoized next to
-its series (_log_memo).
+A product of many factor powers is taken through log-derivatives: for
+P(0) = 1 the series L_P = tP'/P has integer coefficients, l_n = n c_n -
+sum_{j=1}^{n-1} c_j l_{n-j}, and L turns products into sums, so
+prod_i P_i^(k_i) is the series whose log-derivative is sum_i k_i L_{P_i}.
+from_log_derivative recovers it in one pass, q_n = (sum_{j=1}^n l_j
+q_{n-j}) / n, where the division is exact.  Decomposition.series_product
+works this way, with each factor's log-derivative memoized next to its
+series (_log_memo).
 
 series_of evaluates an expression by the classical rules (Bott-Samelson for
 loops of suspensions, the James-style formulas for loops of spheres, rational

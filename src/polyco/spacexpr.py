@@ -32,7 +32,10 @@ normal form and returns the normal form: _compound (wedge, product, smash),
 _susp, _loop and _map_from_susp.  normalize is their fold over the tree,
 normalizing the children first.  A caller whose pieces are already normal,
 as the decompositions' factor builds are, calls the helpers directly and
-never walks a tree a second time.
+never walks a tree a second time.  _smash_builder does the smash rule's
+flattening, merging and sorting once for a fixed list of normal pieces, so
+that the many smashes of those pieces taken with different powers only sum
+powers.
 """
 
 from __future__ import annotations
