@@ -6,9 +6,7 @@ Run as: python demos/01_simplicial_complexes.py
 from polyco import (
     build,
     full_subcomplex,
-    has_chordal_1skeleton,
     homology,
-    is_flag,
     is_shifted,
     join,
     maximal_faces_ge2,
@@ -37,10 +35,7 @@ print("missing subsets of the boundary triangle:", missing_subsets(bd_triangle))
 # 1-skeleton is a chordless 4-cycle, so no certificate applies; the boundary
 # triangle is shifted after relabeling and realizes to a single circle.
 for name, K in [("square", square), ("boundary triangle", bd_triangle)]:
-    print(
-        f"\n{name}: shifted={is_shifted(K)} flag={is_flag(K)} "
-        f"chordal={has_chordal_1skeleton(K)} wedge_type={wedge_of_spheres_type(K)}"
-    )
+    print(f"\n{name}: shifted={is_shifted(K)} wedge_type={wedge_of_spheres_type(K)}")
 
 # Composite complexes.  The join of two pairs of points is a 4-cycle again.
 two_points = build(2, [[1], [2]])

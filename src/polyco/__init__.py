@@ -16,9 +16,7 @@ from .scomplex import (
     complex_to_json,
     disjoint_union,
     full_subcomplex,
-    has_chordal_1skeleton,
     homology,
-    is_flag,
     is_shifted,
     join,
     maximal_faces_ge2,

@@ -6,11 +6,10 @@ that the loop-space decompositions index over.
 Conventions
 -----------
 * One face model: the facets as int bitmasks (bit v for vertex v), with a
-  vertex -> facets star and the closed neighbourhoods, built once per
-  complex (:func:`_index`).  Every face test scans only the facets through
-  the face's vertex with the fewest (:func:`_is_face`).  Faces are listed
-  only where a caller needs them all, downward from facet bitmasks by
-  dimension (:func:`_face_masks`).
+  vertex -> facets star, built once per complex (:func:`_index`).  Every
+  face test scans only the facets through the face's vertex with the
+  fewest (:func:`_is_face`).  Faces are listed only where a caller needs
+  them all, downward from facet bitmasks by dimension (:func:`_face_masks`).
 * The empty face is always present and never stored.
 * Vertices of {1..m} not covered by any facet are allowed ("ghost vertices");
   the complex genuinely depends on m, not just on the covered vertices.
@@ -24,8 +23,12 @@ Conventions
   clearing: plain integer updates on +-1 pivots, fraction-free ones with
   gcd division otherwise.  Torsion is invisible by design: the downstream
   series oracles are rational.
-* Face tests, full subcomplexes and the wedge-of-spheres certificates
-  (shifted, flag, chordal 1-skeleton) list no faces.
+* Face tests, full subcomplexes and the wedge-of-spheres certificates list
+  no faces.  The certificates are shiftedness up to relabeling, and flag
+  with chordal 1-skeleton, tested by elimination: deleting vertices that
+  lie in one facet each empties K (:func:`_chordal_flag`).  The strong-
+  collapse core and that elimination share one vertex-deletion step
+  (:func:`_delete_vertex`).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import cmp_to_key, lru_cache
 from itertools import combinations, pairwise, product as iproduct
 from math import gcd
-from typing import Collection, Iterable, NamedTuple
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 Face = tuple[int, ...]
 
@@ -170,26 +173,23 @@ def _maximal(faces: set[Face]) -> tuple[Face, ...]:
 class _Index(NamedTuple):
     facets: tuple[int, ...]  # the facet bitmasks, in the order of K.facets
     star: dict[int, list[int]]  # vertex -> the facet masks through it
-    nbr: dict[int, int]  # vertex -> the mask of the vertex and its neighbours
 
 
 @lru_cache(maxsize=None)
 def _index(K: SimplicialComplex) -> _Index:
-    """K's one face model: its facets as bitmasks (bit v for vertex v), the
-    facets through each vertex and each vertex's closed neighbourhood.
-    The dicts are keyed by vertex number, not by one-bit mask: the hash of
-    1 << v depends only on v mod 61.  Ghost vertices are in neither dict."""
+    """K's one face model: its facets as bitmasks (bit v for vertex v) and
+    the facets through each vertex.  The star is keyed by vertex number,
+    not by one-bit mask: the hash of 1 << v depends only on v mod 61.
+    Ghost vertices are not in it."""
     facets = tuple(sum(1 << v for v in f) for f in K.facets)
     star: dict[int, list[int]] = {}
-    nbr: dict[int, int] = {}
     for f, F in zip(K.facets, facets):
         for v in f:
             star.setdefault(v, []).append(F)
-            nbr[v] = nbr.get(v, 0) | F
-    return _Index(facets, star, nbr)
+    return _Index(facets, star)
 
 
-def _is_face(g: int, star: dict[int, list[int]]) -> bool:
+def _is_face(g: int, star: Mapping[int, Collection[int]]) -> bool:
     """Whether the nonempty face bitmask g lies in a facet of the star: only
     the facets through the vertex of g with the fewest are scanned."""
     fewest = ()
@@ -349,20 +349,40 @@ def _reduce(columns: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     return pivots
 
 
+def _delete_vertex(star: dict[int, set[int]], v: int) -> set[int]:
+    """Delete vertex v from the complex whose vertex -> facet bitmasks star
+    is given, in place, leaving the full subcomplex on the other vertices.
+
+    Each facet F through v becomes F - v, dropped when it is empty or when
+    another facet contains it (:func:`_is_face`, once F has left the star).
+    Returns the vertices of those facets other than v: only their facet
+    counts, and so only their status, can change.
+    """
+    touched = set()
+    for F in star.pop(v):
+        G = F ^ 1 << v
+        vs = _vertices(G)
+        touched.update(vs)
+        for u in vs:
+            star[u].discard(F)
+        if G and not _is_face(G, star):
+            for u in vs:
+                star[u].add(G)
+    return touched
+
+
 def _core(K: SimplicialComplex) -> frozenset[int]:
     """Facet bitmasks (bit v for vertex v) of a strong-collapse core of K.
 
-    A vertex v is dominated when another vertex w lies in every facet
-    through v; deleting v keeps the homotopy type (Barmak-Minian, strong
-    collapses).  Each facet F through v becomes F - v, dropped when a facet
-    through w contains it.  Only the vertices of the facets through v can
-    change status, so only they go back on the worklist.  The result has no
-    dominated vertex and only maximal facets; it is empty iff K has no
-    vertex.  Ghost vertices are in no facet and play no part.
+    A vertex v is dominated when another vertex lies in every facet through
+    v; deleting v (:func:`_delete_vertex`) keeps the homotopy type
+    (Barmak-Minian, strong collapses).  Only the vertices the deletion
+    touches can change status, so only they go back on the worklist.  The
+    result, the facets left in the star, has no dominated vertex and only
+    maximal facets; it is empty iff K has no vertex.  Ghost vertices are in
+    no facet and play no part.
     """
-    index = _index(K)
-    facets = set(index.facets)
-    star = {v: set(s) for v, s in index.star.items()}  # vertex -> the facets through it
+    star = {v: set(s) for v, s in _index(K).star.items()}
     todo = set(star)
     while todo:
         v = todo.pop()
@@ -371,20 +391,9 @@ def _core(K: SimplicialComplex) -> frozenset[int]:
             rest &= F
             if not rest:
                 break
-        if not rest:
-            continue
-        w = star[(rest & -rest).bit_length() - 1]
-        for F in star.pop(v):
-            facets.discard(F)
-            G = F ^ 1 << v
-            for u in _vertices(G):
-                star[u].discard(F)
-                todo.add(u)
-            if not any(G & H == G for H in w):
-                facets.add(G)
-                for u in _vertices(G):
-                    star[u].add(G)
-    return frozenset(facets)
+        if rest:
+            todo |= _delete_vertex(star, v)
+    return frozenset().union(*star.values())
 
 
 @lru_cache(maxsize=None)
@@ -465,62 +474,28 @@ def minimal_non_faces(K: SimplicialComplex) -> tuple[Face, ...]:
     )
 
 
-def is_flag(K: SimplicialComplex) -> bool:
-    """Flag: every minimal non-face has exactly two vertices.
+def _chordal_flag(K: SimplicialComplex) -> bool:
+    """Whether K is a flag complex with chordal 1-skeleton, by elimination:
+    a vertex that lies in exactly one facet is deleted until K is empty.
 
-    A ghost vertex is a minimal non-face of size 1, so K is then not flag.
-    Otherwise K is flag iff for every facet F and every vertex b outside F
-    adjacent to at least two vertices of F, (F ∩ N(b)) + b is a face: a
-    minimal non-face S of size >= 3 lies in such a set, taking F a facet
-    through S - b.  Such a b is adjacent to some vertex of F other than its
-    one of highest degree, so only those neighbourhoods are scanned.  Facets
-    and neighbourhoods are bitmasks (bit v for vertex v); faces are never
-    listed.
+    In a flag complex with chordal 1-skeleton a simplicial vertex v exists
+    (Dirac), and its closed neighbourhood, a clique, is a face and so its
+    only facet.  Conversely, a vertex in one facet F has N[v] = F, so it is
+    simplicial and lies in no minimal non-face of size >= 3.  Both
+    properties pass to full subcomplexes, so the order of deletion does not
+    matter.  A ghost vertex is a minimal non-face of size 1: K is then not
+    flag.  Faces are never listed.
     """
-    facets, star, nbr = _index(K)
-    if len(nbr) < K.m:
+    index = _index(K).star
+    todo = [v for v, s in index.items() if len(s) == 1]
+    if len(index) < K.m or not todo:
         return False
-    for F in facets:
-        vs = _vertices(F)
-        vs.remove(max(vs, key=lambda a: nbr[a].bit_count()))
-        near = 0
-        for a in vs:
-            near |= nbr[a]
-        for b in _vertices(near & ~F):
-            t = nbr[b] & F
-            if t & (t - 1) and not _is_face(t | 1 << b, star):
-                return False
-    return True
-
-
-def has_chordal_1skeleton(K: SimplicialComplex) -> bool:
-    """Chordality of the 1-skeleton: simplicial vertices (neighbours pairwise
-    adjacent) can be deleted one at a time until none is left.  Edges are
-    read from the facets as neighbourhood bitmasks.  A vertex found not
-    simplicial keeps a witness, two live neighbours that are not adjacent;
-    it is looked at again only once one of them is deleted."""
-    nbr = _index(K).nbr
-    left = sum(1 << v for v in nbr)
-    todo = list(nbr)
-    witness: dict[int, int] = {}  # vertex -> the mask of its two witnesses
+    star = {v: set(s) for v, s in index.items()}
     while todo:
         v = todo.pop()
-        w = witness.get(v, 0)
-        if not left >> v & 1 or w and left & w == w:
-            continue
-        nb = nbr[v] & left ^ 1 << v
-        rest = nb
-        while rest:
-            a = rest & -rest
-            far = nb & ~nbr[a.bit_length() - 1]
-            if far:
-                witness[v] = a | far & -far
-                break
-            rest ^= a
-        else:
-            left ^= 1 << v
-            todo.extend(_vertices(nb))
-    return not left
+        if len(star.get(v, ())) == 1:
+            todo += _delete_vertex(star, v)
+    return not star
 
 
 @lru_cache(maxsize=None)
@@ -528,7 +503,8 @@ def wedge_of_spheres_type(K: SimplicialComplex) -> tuple[int, ...] | None:
     """Sphere dimensions of |K| when a certificate applies, else None.
 
     Certified classes: shifted complexes (up to relabeling), 0-dimensional
-    complexes, simplices, and flag complexes with chordal 1-skeleton.  For a
+    complexes, simplices, and flag complexes with chordal 1-skeleton, the
+    last tested by elimination (:func:`_chordal_flag`).  For a
     certified K, rank r in reduced degree d contributes r copies of S^d;
     a contractible certified K gives ().  The empty complex (no vertices)
     realizes to the empty space, reported as the formal sphere S^{-1} so that
@@ -540,7 +516,7 @@ def wedge_of_spheres_type(K: SimplicialComplex) -> tuple[int, ...] | None:
         K.dim() == 0
         or K.is_simplex()
         or is_shifted(K)
-        or (is_flag(K) and has_chordal_1skeleton(K))
+        or _chordal_flag(K)
     )
     if not certified:
         return None

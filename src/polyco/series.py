@@ -64,6 +64,13 @@ class Unsupported:
 SeriesOrUnsupported = Union["PoincareSeries", Unsupported]
 
 
+def _degree(N: int) -> int:
+    """N, when it is a valid truncation degree."""
+    if N < 0:
+        raise ValueError("truncation degree must be >= 0")
+    return N
+
+
 @dataclass(frozen=True, slots=True)
 class PoincareSeries:
     """Integer coefficients of t^0..t^N."""
@@ -81,24 +88,22 @@ class PoincareSeries:
             raise ValueError(f"series coefficients must be integers, got {bad}")
         cs = list(values)
         if N is not None:
-            if N < 0:
-                raise ValueError("truncation degree must be >= 0")
-            cs = (cs + [0] * (N + 1))[: N + 1]
+            cs = (cs + [0] * (_degree(N) + 1))[: N + 1]
         return PoincareSeries(tuple(cs))
 
     @staticmethod
     def one(N: int) -> "PoincareSeries":
-        return PoincareSeries((1,) + (0,) * N)
+        return PoincareSeries((1,) + (0,) * _degree(N))
 
     @staticmethod
     def zero(N: int) -> "PoincareSeries":
-        return PoincareSeries((0,) * (N + 1))
+        return PoincareSeries((0,) * (_degree(N) + 1))
 
     @staticmethod
     def monomial(degree: int, N: int, coeff: int = 1) -> "PoincareSeries":
         if type(coeff) is not int:
             raise ValueError(f"series coefficients must be integers, got {coeff!r}")
-        cs = [0] * (N + 1)
+        cs = [0] * (_degree(N) + 1)
         if 0 <= degree <= N:
             cs[degree] = coeff
         return PoincareSeries(tuple(cs))
@@ -205,8 +210,7 @@ class PoincareSeries:
         """The series Q through degree N with Q(0) = 1 and tQ'/Q = l, where
         l_0 must be 0: n q_n = sum_{j=1}^n l_j q_{n-j}, divided exactly when
         l is a sum of integer multiples of log-derivatives."""
-        if N < 0:
-            raise ValueError("truncation degree must be >= 0")
+        _degree(N)
         bad = [c for c in l if type(c) is not int]
         if bad:
             raise ValueError(f"log-derivative coefficients must be integers, got {bad}")
@@ -303,9 +307,7 @@ def _loop_sphere_series(n: int, k: int, N: int) -> SeriesOrUnsupported:
 def series_of(e: SpaceExpr, N: int) -> SeriesOrUnsupported:
     """Evaluate the homology series of an expression through degree N:
     normalize, then the memoized evaluator _series_memo."""
-    if N < 0:
-        raise ValueError("truncation degree must be >= 0")
-    return _series_memo(normalize(e), N)
+    return _series_memo(normalize(e), _degree(N))
 
 
 @lru_cache(maxsize=1024)

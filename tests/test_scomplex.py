@@ -22,6 +22,7 @@ from _helpers import (
 )
 from polyco.decomp import evaluate_special
 from polyco.scomplex import (
+    _chordal_flag,
     _core,
     _faces,
     _reduce,
@@ -30,9 +31,7 @@ from polyco.scomplex import (
     complex_to_json,
     disjoint_union,
     full_subcomplex,
-    has_chordal_1skeleton,
     homology,
-    is_flag,
     is_shifted,
     join,
     maximal_faces_ge2,
@@ -259,21 +258,21 @@ def test_predicates_on_simplices():
     for m in range(1, 5):
         K = simplex(m)
         assert is_shifted(K)
-        assert is_flag(K)
-        assert has_chordal_1skeleton(K)
+        assert _chordal_flag(K)
 
 
 def test_square_is_flag_not_chordal_not_shifted():
     K = square()
-    assert is_flag(K)
-    assert not has_chordal_1skeleton(K)  # 4-cycle with no chord
+    assert reference_is_flag(K)
+    assert not brute_chordal(K)  # 4-cycle with no chord
+    assert not _chordal_flag(K)
     assert not is_shifted(K)
 
 
 def test_boundary_triangle_not_flag_but_shifted():
     K = boundary_simplex(3)
     assert minimal_non_faces(K) == ((1, 2, 3),)
-    assert not is_flag(K)
+    assert not _chordal_flag(K)
     assert is_shifted(K)  # relabeling-independent check
 
 
@@ -364,38 +363,42 @@ def test_is_shifted_matches_permutation_search():
 
 def test_is_flag_matches_minimal_non_faces():
     rng = random.Random(1729)
-    seen = {"flag": 0, "not flag": 0, "ghost": 0, "minimal non-face >= 3": 0}
+    seen = {"flag": 0, "not flag": 0, "ghost": 0, "minimal non-face >= 3": 0, "chordal flag": 0}
     for _ in range(600):
         K = random_certificate_complex(rng, rng.randint(1, 9))
         sizes = {len(f) for f in minimal_non_faces(K)}
-        want = sizes <= {2}
-        assert is_flag(K) == want, K
-        seen["flag" if want else "not flag"] += 1
+        flag = sizes <= {2}
+        want = flag and brute_chordal(K)
+        assert _chordal_flag(K) == want, K
+        seen["flag" if flag else "not flag"] += 1
+        seen["chordal flag"] += want
         seen["ghost"] += 1 in sizes
         seen["minimal non-face >= 3"] += max(sizes, default=0) >= 3
     assert min(seen.values()) >= 50, seen
+    assert seen["flag"] - seen["chordal flag"] >= 10, seen  # flag, not chordal
 
 
 def test_ghost_vertex_makes_a_complex_non_flag():
     # {5} is a minimal non-face of size 1; the rest is flag and chordal
     K = build(5, [[1, 2, 4], [3]])
     assert minimal_non_faces(K)[0] == (5,)
-    assert not is_flag(K)
-    assert is_flag(build(4, [[1, 2, 4], [3]]))
-    assert not is_flag(build(3, []))
+    assert not _chordal_flag(K)
+    assert _chordal_flag(build(4, [[1, 2, 4], [3]]))
+    assert not _chordal_flag(build(3, []))
 
 
 def test_flag_test_looks_beside_every_vertex_of_a_facet():
     # three triangles x a b, y b c, z a c around the missing triangle a b c:
-    # each witness c of {x, a, b} is adjacent to a and b only, never to x
+    # each of x, y, z lies in one facet, and deleting them leaves a hollow
+    # triangle; filled in, the complex is flag with chordal 1-skeleton
     from itertools import permutations
 
     x, y, z, a, b, c = range(1, 7)
     for perm in permutations(range(1, 7)):
         p = dict(zip(range(1, 7), perm))
         facets = [[p[x], p[a], p[b]], [p[y], p[b], p[c]], [p[z], p[a], p[c]]]
-        assert not is_flag(build(6, facets)), perm
-        assert is_flag(build(6, facets + [[p[a], p[b], p[c]]])), perm
+        assert not _chordal_flag(build(6, facets)), perm
+        assert _chordal_flag(build(6, facets + [[p[a], p[b], p[c]]])), perm
 
 
 def test_wedge_type_matches_tuple_based_certificates():
@@ -407,7 +410,7 @@ def test_wedge_type_matches_tuple_based_certificates():
         want = reference_wedge_of_spheres_type(K)
         assert wedge_of_spheres_type(K) == want, K
         assert is_shifted(K) == reference_is_shifted(K), K
-        assert is_flag(K) == reference_is_flag(K), K
+        assert _chordal_flag(K) == (reference_is_flag(K) and brute_chordal(K)), K
         certified += want is not None
     assert 250 <= certified <= 350, certified
 
@@ -421,7 +424,12 @@ def test_chordality_matches_induced_cycle_search():
             for _ in range(rng.randint(0, 8))
         ]
         K = build(m, faces)
-        assert has_chordal_1skeleton(K) == brute_chordal(K), K
+        chordal = brute_chordal(K)
+        assert _chordal_flag(K) == (reference_is_flag(K) and chordal), K
+        # the clique complex of the same graph, every vertex covered, is flag
+        edges = {f for f in K.faces() if len(f) == 2}
+        cliques = [c for c in powerset(range(1, m + 1)) if c and all(e in edges for e in combinations(c, 2))]
+        assert _chordal_flag(build(m, cliques)) == chordal, K
 
 
 def test_wedge_of_spheres_type():
@@ -435,8 +443,20 @@ def test_wedge_of_spheres_type():
 def test_wedge_of_spheres_chordal_flag():
     # a path: flag with chordal 1-skeleton, contractible
     path = build(3, [[1, 2], [2, 3]])
-    assert is_flag(path) and has_chordal_1skeleton(path)
+    assert _chordal_flag(path)
     assert wedge_of_spheres_type(path) == ()
+
+
+def test_no_certificate_for_the_cone_on_a_square_or_rp2():
+    # the cone on the chordless square is flag and not shifted, and its core
+    # is one vertex: "the core is discrete" would certify it
+    cone = build(5, [[1, 2, 5], [2, 3, 5], [3, 4, 5], [1, 4, 5]])
+    assert reference_is_flag(cone) and not brute_chordal(cone) and not is_shifted(cone)
+    assert len(_core(cone)) == 1
+    assert not _chordal_flag(cone) and wedge_of_spheres_type(cone) is None
+    # RP^2 has the rational homology of a point, but its suspension is no
+    # wedge of spheres
+    assert not _chordal_flag(RP2) and wedge_of_spheres_type(RP2) is None
 
 
 def test_downward_closure_property():
@@ -751,6 +771,15 @@ def test_homology_of_large_sparse_complexes_is_fast(name):
     assert ranks == (graph_ranks(K) if K.dim() == 1 else (0,) * 10 + (1,))
 
 
+def has_triangle(K):
+    # three pairwise adjacent vertices in the 1-skeleton of a graph
+    adj = {v: set() for v in K.vertices()}
+    for a, b in K.facets:
+        adj[a].add(b)
+        adj[b].add(a)
+    return any(adj[a] & adj[b] for a, b in K.facets)
+
+
 def induced_2k2(K):
     # two edges with no edge between them: no labeling makes a graph with
     # one shifted, since the smallest of the four vertices could replace an
@@ -769,44 +798,50 @@ def test_certificates_of_large_sparse_complexes_are_fast(name):
     K = SIZE_GUARD_CASES[name]()
     answers = {}
     _faces.cache_clear()
-    for f in (is_shifted.__wrapped__, is_flag, wedge_of_spheres_type.__wrapped__):  # uncached
+    for f in (is_shifted.__wrapped__, _chordal_flag, wedge_of_spheres_type.__wrapped__):  # uncached
         start = time.process_time()
         answers[f.__name__] = f(K)
         assert time.process_time() - start < 1.0, f.__name__
     assert _faces.cache_info().misses == 0  # no face of K was listed
-    shifted, flag, dims = answers["is_shifted"], answers["is_flag"], answers["wedge_of_spheres_type"]
+    shifted, chordal_flag, dims = answers["is_shifted"], answers["_chordal_flag"], answers["wedge_of_spheres_type"]
     if name == "path":
         # a tree: flag (no triangle of edges) and chordal, so certified, and contractible
         assert induced_2k2(K) and not shifted
-        assert flag and has_chordal_1skeleton(K) and dims == ()
+        assert not has_triangle(K) and chordal_flag and dims == ()
     elif name == "star":
         # the centre can stand in for any leaf and the leaves for each other: a cone
-        assert shifted and flag and dims == ()
+        assert shifted and chordal_flag and dims == ()
     elif name == "cycle":
-        # flag but an induced cycle, not chordal, and not shifted: no certificate
+        # flag (no triangle of edges, no ghost) but an induced cycle, not
+        # chordal, and not shifted: no certificate
         assert induced_2k2(K) and not shifted
-        assert flag and not has_chordal_1skeleton(K) and dims is None
+        assert not has_triangle(K) and not uncovered(K)
+        assert not chordal_flag and dims is None
     elif name == "graph_60_600":
         # a triangle of edges bounds no 2-face (not flag), and an induced 2K2
         assert K.dim() == 1 and induced_2k2(K) and not shifted
-        adj = {frozenset(e) for e in K.facets}
-        assert any(frozenset((a, c)) in adj for (a, b), (b2, c) in combinations(sorted(K.facets), 2) if b == b2)
-        assert not flag and dims is None
+        assert has_triangle(K)
+        assert not chordal_flag and dims is None
     else:
         # the sphere S^10: any vertex can stand in for any other by symmetry
         assert name == "boundary_11_simplex"
-        assert shifted and not flag and dims == (10,)
+        assert shifted and not chordal_flag and dims == (10,)
 
 
 def test_chordality_of_a_dense_threshold_graph_is_fast():
-    # vertices 1..39 joined to every vertex, about 77,000 edges: a threshold
-    # graph, so chordal.  Rescanning each hub after every deleted neighbour
-    # took about 2 s here.
-    K = build(2000, [[h, v] for h in range(1, 40) for v in range(h + 1, 2001)])
+    # the clique complex of the threshold graph with vertices 1..39 joined to
+    # every vertex of 1..2000, beside two disjoint edges: flag with chordal
+    # 1-skeleton, and not shifted (an induced 2K2).  A flag test over closed
+    # neighbourhoods took tens of seconds on the hub part.
+    hub = list(range(1, 40))
+    K = build(2004, [hub + [v] for v in range(40, 2001)] + [[2001, 2002], [2003, 2004]])
+    assert induced_2k2(K)
+    _faces.cache_clear()
     start = time.process_time()
-    chordal = has_chordal_1skeleton(K)
+    chordal_flag = _chordal_flag(K)
     assert time.process_time() - start < 1.0
-    assert chordal
+    assert chordal_flag
+    assert _faces.cache_info().misses == 0  # no face of K was listed
 
 
 def test_has_face_contract():
@@ -901,16 +936,18 @@ def certificate_families(rng, n):
 def test_certificates_match_face_enumerating_references_on_seeded_families():
     rng = random.Random(1515)
     seen = {"shifted": 0, "not shifted": 0, "flag": 0, "not flag": 0,
-            "minimal non-face >= 3": 0, "vertices 1, 2 incomparable": 0}
+            "chordal flag": 0, "minimal non-face >= 3": 0, "vertices 1, 2 incomparable": 0}
     families = certificate_families(rng, 2000)
     for K in families:
         shifted = reference_is_shifted(K)
         flag = reference_is_flag(K)
+        chordal_flag = flag and brute_chordal(K)
         assert is_shifted.__wrapped__(K) == shifted, K
-        assert is_flag(K) == flag, K
+        assert _chordal_flag(K) == chordal_flag, K
         assert wedge_of_spheres_type.__wrapped__(K) == reference_wedge_of_spheres_type(K), K
         seen["shifted" if shifted else "not shifted"] += 1
         seen["flag" if flag else "not flag"] += 1
+        seen["chordal flag"] += chordal_flag
         seen["minimal non-face >= 3"] += any(len(f) >= 3 for f in minimal_non_faces(K))
         # the first pair an all-pairs scan looks at already rules out a labeling
         faces = frozenset(K.faces())

@@ -188,6 +188,17 @@ def test_sums_take_series_only_and_truncations_are_nonnegative():
     assert PoincareSeries.from_ints([1, 2], 0).coeffs == (1,)
 
 
+def test_constructors_reject_a_negative_truncation_degree():
+    # one(-5) used to give the degree-0 series 1, zero(-1) an empty series
+    for make in (lambda N: PoincareSeries.one(N), lambda N: PoincareSeries.zero(N),
+                 lambda N: PoincareSeries.monomial(1, N), lambda N: PoincareSeries.from_ints([1], N)):
+        for N in (-1, -3, -5):
+            with pytest.raises(ValueError, match="truncation degree must be >= 0"):
+                make(N)
+        assert make(0).N == 0
+    assert PoincareSeries.monomial(1, 0).coeffs == (0,) and PoincareSeries.zero(0).coeffs == (0,)
+
+
 def test_from_rational_needs_unit_constant_term():
     # as for a declared Atom series, the denominator's constant term is 1
     with pytest.raises(ValueError, match="constant term 1"):
