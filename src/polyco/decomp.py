@@ -93,10 +93,9 @@ from .spacexpr import (
     Sphere,
     Susp,
     Wedge,
-    _compound,
     _loop,
     _map_from_susp,
-    _smash_builder,
+    _plan,
     _susp,
     conn,
     expr_to_json,
@@ -210,12 +209,13 @@ def smash_coproduct(
         raise ValueError(f"weights must be nonnegative integers, got {list(ks)!r}")
     if not any(ks):
         raise ValueError("weights must not all be zero")
-    loops = [(normalize(Loop(x)), normalize(Loop(a))) for x, a in pairs.pairs]
+    # one plan over the m domain loops, then the m codomain loops
+    smash = _plan(Smash, [normalize(Loop(xa[side])) for side in (0, 1) for xa in pairs.pairs])
     objects: dict[Face, SpaceExpr] = {}
     for f in K.faces():
         sel = set(f)
-        on = [lx if i in sel else la for i, (lx, la) in enumerate(loops, start=1)]
-        objects[f] = _susp(_smash_builder(on)(ks))
+        on = [k if i in sel else 0 for i, k in enumerate(ks, start=1)]
+        objects[f] = _susp(smash(on + [k - j for k, j in zip(ks, on)]))
     arrows = {(sig, tau): coords for sig, tau, coords in _strict_face_pairs(K)}
     return DiagramDescription(K, "suspended-smash", objects, arrows, weights=ks)
 
@@ -338,9 +338,7 @@ class Decomposition:
         unsupported factor.  Factors are in normal form, so each goes
         straight to the memoized evaluators behind series_of, without a
         second normalize."""
-        if N < 0:
-            raise ValueError("truncation degree must be >= 0")
-        total = [0] * (N + 1)
+        total = [0] * (series_mod._degree(N) + 1)
         for f, k in self._per_object():
             l = series_mod._log_memo(f.expr, N)
             if isinstance(l, series_mod.Unsupported):
@@ -410,12 +408,14 @@ def porter_fiber(spaces: Sequence[SpaceExpr]) -> SpaceExpr:
     """
     _require_simply_connected(spaces, "wedge summand")
     m = len(spaces)
-    loops = [normalize(Loop(x)) for x in spaces]
-    terms = []
+    smash = _plan(Smash, [normalize(Loop(x)) for x in spaces])
+    terms, mults = [], []
     for k in range(2, m + 1):
         for I in combinations(range(m), k):
-            terms.append((_susp(_compound(Smash, ((loops[i], 1) for i in I))), k - 1))
-    return _compound(Wedge, terms)
+            q = [1 if i in I else 0 for i in range(m)]
+            terms.append(_susp(smash(q)))
+            mults.append(k - 1)
+    return _plan(Wedge, terms)(mults)
 
 
 def porter_loop_decomp(spaces: Sequence[SpaceExpr]) -> Decomposition:
@@ -543,7 +543,7 @@ def hilton_milnor(
             raise ValueError(f"vertex {i}: summand {render(x)} must be connected")
     ids: dict[SpaceExpr, int] = {}
     grading = [ids.setdefault(x, len(ids)) for x in spaces]
-    smash = _smash_builder([normalize(x) for x in ids])
+    smash = _plan(Smash, [normalize(x) for x in ids])
 
     def build(q):
         return _loop(_susp(smash(q)), 1)
@@ -579,7 +579,7 @@ def _base_factors(K: SimplicialComplex, normal: Sequence[tuple[SpaceExpr, SpaceE
 
 def _vertex_pieces(normal: Sequence[tuple[SpaceExpr, SpaceExpr]]):
     # each vertex's piece, each piece's normalized (domain, codomain), and
-    # per side (0 domain, 1 codomain) the smash builder over the pieces'
+    # per side (0 domain, 1 codomain) the smash plan over the pieces'
     # loop spaces; one piece per distinct pair, or one per vertex when a
     # support can be mixed
     if not any(all(isinstance(xa[side], Point) for xa in normal) for side in (0, 1)):
@@ -588,7 +588,7 @@ def _vertex_pieces(normal: Sequence[tuple[SpaceExpr, SpaceExpr]]):
         ids: dict[tuple[SpaceExpr, SpaceExpr], int] = {}
         grading = [ids.setdefault(xa, len(ids)) for xa in normal]
         spaces = list(ids)
-    smashes = tuple(_smash_builder([_loop(xa[side], 1) for xa in spaces]) for side in (0, 1))
+    smashes = tuple(_plan(Smash, [_loop(xa[side], 1) for xa in spaces]) for side in (0, 1))
     return grading, spaces, smashes
 
 
@@ -599,7 +599,7 @@ def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
     for piece content q; shape and q are all that it depends on.
 
     In the reduced branches build(q) assembles the factor in normal form
-    from the pieces' smash builder on the surviving side: Loop Susp of the
+    from the pieces' smash plan on the surviving side: Loop Susp of the
     smash of q_p copies of each piece's loop space, through a mapping space
     out of Susp|K_S| when the domains are contractible."""
     grading, spaces, smashes = pieces

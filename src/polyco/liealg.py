@@ -256,7 +256,9 @@ def witt_dimension(multidegree: Sequence[int]) -> int:
     Multigraded Witt formula: (1/n) sum over d | gcd of mu(d) * multinomial,
     where n is the total weight.
     """
-    counts = [int(c) for c in multidegree]
+    counts = list(multidegree)
+    if any(type(c) is not int for c in counts):  # no bool, no float
+        raise ValueError(f"multidegree entries must be integers, got {counts!r}")
     if any(c < 0 for c in counts):
         raise ValueError("multidegree entries must be nonnegative")
     n = sum(counts)

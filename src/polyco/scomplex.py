@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cmp_to_key, lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import combinations, pairwise, product as iproduct
 from math import gcd
 from typing import Collection, Iterable, Mapping, NamedTuple
@@ -377,22 +378,29 @@ def _core(K: SimplicialComplex) -> frozenset[int]:
     A vertex v is dominated when another vertex lies in every facet through
     v; deleting v (:func:`_delete_vertex`) keeps the homotopy type
     (Barmak-Minian, strong collapses).  Only the vertices the deletion
-    touches can change status, so only they go back on the worklist.  The
-    result, the facets left in the star, has no dominated vertex and only
-    maximal facets; it is empty iff K has no vertex.  Ghost vertices are in
-    no facet and play no part.
+    touches can change status, so only they go back on the worklist, a heap
+    keyed by star size: the vertices in fewest facets go first, so a hub,
+    whose deletion rewrites every facet through it, goes last if at all.
+    The result, the facets left in the star, has no dominated vertex and
+    only maximal facets; it is empty iff K has no vertex.  Ghost vertices
+    are in no facet and play no part.
     """
     star = {v: set(s) for v, s in _index(K).star.items()}
-    todo = set(star)
+    todo = [(len(s), v) for v, s in star.items()]
+    heapify(todo)
+    queued = set(star)
     while todo:
-        v = todo.pop()
+        v = heappop(todo)[1]
+        queued.discard(v)
         rest = ~(1 << v)
         for F in star[v]:
             rest &= F
             if not rest:
                 break
         if rest:
-            todo |= _delete_vertex(star, v)
+            for u in _delete_vertex(star, v) - queued:
+                queued.add(u)
+                heappush(todo, (len(star[u]), u))
     return frozenset().union(*star.values())
 
 

@@ -66,6 +66,8 @@ SeriesOrUnsupported = Union["PoincareSeries", Unsupported]
 
 def _degree(N: int) -> int:
     """N, when it is a valid truncation degree."""
+    if type(N) is not int:  # no bool, no float
+        raise ValueError(f"truncation degree must be an integer, got {N!r}")
     if N < 0:
         raise ValueError("truncation degree must be >= 0")
     return N

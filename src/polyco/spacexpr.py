@@ -28,14 +28,14 @@ Uncertified mapping spaces, Loop(S^1), and loops of bare atoms stay
 symbolic: the rewriter never invents a homotopy type.
 
 Each constructor's rules live in one helper that takes children already in
-normal form and returns the normal form: _compound (wedge, product, smash),
+normal form and returns the normal form: _plan (wedge, product, smash),
 _susp, _loop and _map_from_susp.  normalize is their fold over the tree,
 normalizing the children first.  A caller whose pieces are already normal,
 as the decompositions' factor builds are, calls the helpers directly and
-never walks a tree a second time.  _smash_builder does the smash rule's
-flattening, merging and sorting once for a fixed list of normal pieces, so
-that the many smashes of those pieces taken with different powers only sum
-powers.
+never walks a tree a second time.  _plan does a compound rule's
+flattening, merging and sorting once for a fixed list of normal pieces and
+returns a build over their powers, so that the many wedges, products or
+smashes of those pieces taken with different powers only sum powers.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ class Sphere:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        if type(self.n) is not int or self.n < 0:  # one test on the hot path
+            json_int(self.n, "sphere dimension")  # names a bool or a float
             raise ValueError("sphere dimension must be >= 0")
 
     def __str__(self) -> str:
@@ -91,6 +92,7 @@ class Atom:
     contractible: bool = False
 
     def __post_init__(self) -> None:
+        json_int(self.connectivity, f"atom {self.name}: connectivity")
         # tuples keep the atom hashable, so series_of can memoize on it
         if self.series is not None:
             num, den = (_int_coeffs(c) for c in self.series)
@@ -174,7 +176,8 @@ class Loop:
     count: int = 1
 
     def __post_init__(self) -> None:
-        if self.count < 1:
+        if type(self.count) is not int or self.count < 1:
+            json_int(self.count, "loop iteration count")
             raise ValueError("loop iteration count must be >= 1")
 
     def __str__(self) -> str:
@@ -240,7 +243,7 @@ def normalize(e: SpaceExpr) -> SpaceExpr:
         return POINT if e.contractible else e
 
     if isinstance(e, _Compound):
-        return _compound(type(e), ((normalize(c), p) for c, p in zip(e.children, e.powers)))
+        return _plan(type(e), [normalize(c) for c in e.children])(e.powers)
 
     if isinstance(e, Susp):
         return _susp(normalize(e.child))
@@ -254,60 +257,41 @@ def normalize(e: SpaceExpr) -> SpaceExpr:
     raise TypeError(f"not a space expression: {e!r}")
 
 
-def _compound(cls, normal_terms: Iterable[tuple[SpaceExpr, int]]) -> SpaceExpr:
-    """The normal form of cls over (child, power) terms whose children are normal."""
-    terms: list[tuple[SpaceExpr, int]] = []
-    for c, p in normal_terms:
-        if isinstance(c, cls):
-            terms.extend((cc, pp * p) for cc, pp in zip(c.children, c.powers))
-        else:
-            terms.append((c, p))
-    if cls is Smash:
-        if any(isinstance(c, Point) for c, _ in terms):
-            return POINT
-        total = sum(c.n * p for c, p in terms if isinstance(c, Sphere))
-        terms = [(c, p) for c, p in terms if not isinstance(c, Sphere)]
-        if total > 0:
-            terms.append((Sphere(total), 1))
-        if not terms:
-            return Sphere(0)
-    else:
-        terms = [(c, p) for c, p in terms if not isinstance(c, Point)]
-        if not terms:
-            return POINT
-    if len(terms) > 1:
-        terms.sort(key=lambda t: sort_key(t[0]))
-    elif terms[0][1] == 1:
-        return terms[0][0]
-    return cls(tuple(c for c, _ in terms), tuple(p for _, p in terms))
-
-
-def _smash_builder(normal: Sequence[SpaceExpr]):
-    """build(q) = _compound(Smash, ((x, k) for x, k in zip(normal, q) if k)),
-    for pieces in normal form, with the pieces' work done once: each piece
-    is flattened into its point flag, its sphere degree and its other
-    children, equal children across the pieces are merged and the merged
-    ones sorted by sort_key.  build(q) then only sums powers: the sphere of
-    the summed degree sorts first, and a child of power 0 is left out."""
-    points: list[int] = []  # the pieces that hold a point
+def _plan(cls, normal: Sequence[SpaceExpr]):
+    """build(q) is the normal form of cls over q[i] copies of each piece
+    normal[i], a piece of power 0 left out, for pieces in normal form.  The
+    pieces' work is done once: each is flattened into its point flag, its
+    sphere degree (only a smash merges its spheres) and its other children,
+    and equal children across the pieces are merged and sorted by sort_key,
+    which a lone child does not need.  build(q) then only sums powers: a
+    point absorbs a smash and drops out of a wedge or a product, a smash's
+    sphere of the summed degree sorts first, a child of power 0 is left
+    out, and an empty result is S^0 for a smash and a point otherwise."""
+    smash = cls is Smash
+    points: list[int] = []  # the pieces of a smash that hold a point
     spheres: list[tuple[int, int]] = []  # (piece, sphere degree of one copy)
-    parts = []  # (sort key, child, piece, power in one copy)
+    parts = []  # (child, piece, power in one copy)
     for i, x in enumerate(normal):
         degree = 0
-        for c, p in zip(x.children, x.powers) if isinstance(x, Smash) else ((x, 1),):
+        for c, p in zip(x.children, x.powers) if isinstance(x, cls) else ((x, 1),):
             if isinstance(c, Point):
-                points.append(i)
-            elif isinstance(c, Sphere):
+                if smash:
+                    points.append(i)
+            elif smash and isinstance(c, Sphere):
                 degree += c.n * p
             else:
-                parts.append((sort_key(c), c, i, p))
+                parts.append((c, i, p))
         if degree:
             spheres.append((i, degree))
-    parts.sort(key=itemgetter(0))
+    if len(parts) > 1:
+        parts.sort(key=lambda t: sort_key(t[0]))
     plan = []  # each distinct child, with its (piece, power) list
-    for _, run in groupby(parts, itemgetter(0)):
-        run = list(run)
-        plan.append((run[0][1], [(i, p) for _, _, i, p in run]))
+    for c, i, p in parts:
+        if plan and plan[-1][0] == c:
+            plan[-1][1].append((i, p))
+        else:
+            plan.append((c, [(i, p)]))
+    empty = Sphere(0) if smash else POINT
 
     def build(q: Sequence[int]) -> SpaceExpr:
         if points and any(q[i] for i in points):
@@ -327,10 +311,10 @@ def _smash_builder(normal: Sequence[SpaceExpr]):
                 kids.append(c)
                 powers.append(k)
         if not kids:
-            return Sphere(0)
+            return empty
         if len(kids) == 1 and powers[0] == 1:
             return kids[0]
-        return Smash(tuple(kids), tuple(powers))
+        return cls(tuple(kids), tuple(powers))
 
     return build
 
@@ -343,7 +327,7 @@ def _loop(c: SpaceExpr, k: int) -> SpaceExpr:
     if isinstance(c, Point):
         return POINT
     if isinstance(c, Product):
-        return _compound(Product, ((_loop(x, k), p) for x, p in zip(c.children, c.powers)))
+        return _plan(Product, [_loop(x, k) for x in c.children])(c.powers)
     if isinstance(c, Atom) and c.loop is not None:
         once = normalize(c.loop)
         return once if k == 1 else _loop(once, k - 1)
@@ -366,7 +350,7 @@ def _map_from_susp(K: SimplicialComplex, c: SpaceExpr) -> SpaceExpr:
     dims = wedge_of_spheres_type(K)
     if dims is None:
         return MapFromSusp(K, c)
-    return _compound(Product, ((c if d + 1 == 0 else _loop(c, d + 1), 1) for d in dims))
+    return _plan(Product, [c if d + 1 == 0 else _loop(c, d + 1) for d in dims])([1] * len(dims))
 
 
 def expr_equal(a: SpaceExpr, b: SpaceExpr) -> bool:

@@ -43,7 +43,6 @@ from polyco.series import (
 )
 from polyco.spacexpr import (
     _RANK,
-    _compound,
     INFINITE,
     POINT,
     Atom,
@@ -779,11 +778,12 @@ def _enumerated_face_alphabet(K, pairs, weight_bound, theorem, rule) -> Decompos
     )
 
 
-def reference_smash(normal, q) -> SpaceExpr:
-    """The smash of q[i] copies of each normal piece, zero-fold ones omitted,
-    by the normalizer's compound rule on the whole term list: the reference
-    for spacexpr._smash_builder, which plans the pieces once."""
-    return _compound(Smash, ((x, k) for x, k in zip(normal, q) if k))
+def reference_smash(normal, q, cls=Smash) -> SpaceExpr:
+    """The smash (or the wedge or product cls) of q[i] copies of each normal
+    piece, zero-fold ones omitted, normalized as one tree by
+    reference_normalize: the reference for spacexpr._plan, which plans the
+    pieces once."""
+    return reference_normalize(cls(tuple(x for x, k in zip(normal, q) if k), tuple(k for k in q if k)))
 
 
 def smash_alphabet(rng: random.Random) -> list[SpaceExpr]:

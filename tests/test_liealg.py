@@ -183,6 +183,14 @@ def test_witt_examples():
         witt_dimension([0, 0])
 
 
+@pytest.mark.parametrize("multidegree", [[1.5, 1], [True, 1], [1, 2.0], ["2"]])
+def test_witt_dimension_takes_integer_entries(multidegree):
+    # int() truncated 1.5 and read True as 1, so both gave 1
+    with pytest.raises(ValueError, match="multidegree entries must be integers"):
+        witt_dimension(multidegree)
+    assert witt_dimension((1, 1)) == 1
+
+
 def test_hall_counts_match_witt():
     # small instance of the counting oracle (the acceptance suite runs the
     # full sweep)

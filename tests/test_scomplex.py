@@ -844,6 +844,17 @@ def test_chordality_of_a_dense_threshold_graph_is_fast():
     assert _faces.cache_info().misses == 0  # no face of K was listed
 
 
+def test_homology_of_a_hub_complex_deletes_the_hubs_last():
+    # 39 hubs in all but two of the 1,963 facets: deleting the hubs first
+    # rewrote every facet through each of them and took seconds
+    hub = list(range(1, 40))
+    K = build(2004, [hub + [v] for v in range(40, 2001)] + [[2001, 2002], [2003, 2004]])
+    start = time.process_time()
+    ranks = homology.__wrapped__(K).ranks  # uncached
+    assert time.process_time() - start < 1.0
+    assert ranks == (2,) + (0,) * 39  # a cone beside two disjoint edges
+
+
 def test_has_face_contract():
     K = build(6, [[1, 2, 3], [3, 4], [5]])  # vertex 6 is a ghost
     faces = frozenset(K.faces())

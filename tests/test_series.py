@@ -14,6 +14,7 @@ from _helpers import (
     reference_em_product_series,
     reference_log_derivative,
 )
+from polyco.decomp import hilton_milnor
 from polyco.series import (
     PoincareSeries,
     Unsupported,
@@ -186,6 +187,17 @@ def test_sums_take_series_only_and_truncations_are_nonnegative():
     with pytest.raises(ValueError, match="truncation degree must be >= 0"):
         PoincareSeries.from_ints([1, 2], -2)
     assert PoincareSeries.from_ints([1, 2], 0).coeffs == (1,)
+
+
+@pytest.mark.parametrize("N", [True, False, 2.5, 2.0, None, "2"])
+def test_truncation_degree_must_be_an_integer(N):
+    # True was read as degree 1, 2.5 ended in a TypeError
+    dec = hilton_milnor([Sphere(2), Sphere(3)], 3)
+    for evaluate in (lambda: series_of(Sphere(2), N), lambda: dec.series_product(N),
+                     lambda: PoincareSeries.one(N)):
+        with pytest.raises(ValueError, match="truncation degree must be an integer, got "):
+            evaluate()
+    assert dec.series_product(4) == series_of(Loop(Wedge((Sphere(3), Sphere(4)))), 4)
 
 
 def test_constructors_reject_a_negative_truncation_degree():

@@ -31,7 +31,7 @@ from polyco.spacexpr import (
     Sphere,
     Susp,
     Wedge,
-    _smash_builder,
+    _plan,
     conn,
     expr_equal,
     expr_from_json,
@@ -46,6 +46,24 @@ from polyco.series import series_of
 S = Sphere
 X = Atom("X", 1)
 Y = Atom("Y", 2)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: S(True), "sphere dimension must be an integer, got True"),
+    (lambda: S(2.5), "sphere dimension must be an integer, got 2.5"),
+    (lambda: S(2.0), "sphere dimension must be an integer, got 2.0"),
+    (lambda: Loop(S(2), 2.5), "loop iteration count must be an integer, got 2.5"),
+    (lambda: Loop(S(2), True), "loop iteration count must be an integer, got True"),
+    (lambda: Atom("X", 1.5), "atom X: connectivity must be an integer, got 1.5"),
+    (lambda: Atom("X", False), "atom X: connectivity must be an integer, got False"),
+    (lambda: S(-1), "sphere dimension must be >= 0"),
+    (lambda: Loop(S(2), 0), "loop iteration count must be >= 1"),
+], ids=["sphere_true", "sphere_half", "sphere_float", "loop_half", "loop_true", "atom_half",
+        "atom_false", "sphere_negative", "loop_zero"])
+def test_constructors_take_integer_fields_only(make, message):
+    # S^True, S^2.5 and Ω^2.5S^2 used to render
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_sphere_arithmetic():
@@ -368,12 +386,12 @@ def test_json_contractible_flag_is_read():
 
 def test_smash_builder_matches_the_compound_rule():
     # one plan per alphabet of normal pieces, then a build per content q,
-    # equal to the compound rule run on the whole term list, and normal
+    # equal to the reference normalizer run on the whole smash, and normal
     rng = random.Random(2020)
     kinds = set()
     for _ in range(300):
         normal = smash_alphabet(rng)
-        build = _smash_builder(normal)
+        build = _plan(Smash, normal)
         contents = [(0,) * len(normal)] + [
             tuple(rng.choice((0, 0, 1, 1, 2, 5)) for _ in normal) for _ in range(8)
         ]
@@ -384,3 +402,31 @@ def test_smash_builder_matches_the_compound_rule():
             kinds.add(type(got).__name__)
     assert build((0,) * len(normal)) == S(0)
     assert kinds >= {"Point", "Sphere", "Atom", "Smash", "Product", "Loop"}, kinds
+
+
+@pytest.mark.parametrize("cls", [Wedge, Product])
+def test_wedge_and_product_plans_match_the_reference(cls):
+    # points drop out, nested pieces of the same kind flatten, spheres stay
+    # apart, and repeated children merge across the pieces
+    rng = random.Random(2022)
+    pool = [
+        POINT, S(0), S(2), S(3), X, Y, Atom("PX", 0, contractible=True),
+        Wedge((S(2), X)), Wedge((X, X, POINT)), Product((X, S(3))), Product((Y, X, X)),
+        Smash((S(2), X)), Loop(S(3)), Loop(Product((X, S(4)))), Susp(Wedge((X, Y))),
+    ]
+    kinds = set()
+    for _ in range(300):
+        normal = [normalize(rng.choice(pool) if rng.random() < 0.8 else random_expr(rng, 2))
+                  for _ in range(rng.randint(1, 6))]
+        normal += [rng.choice(normal) for _ in range(rng.randint(0, 2))]
+        build = _plan(cls, normal)
+        contents = [(0,) * len(normal), (1,) * len(normal)] + [
+            tuple(rng.choice((0, 0, 1, 1, 2, 5)) for _ in normal) for _ in range(8)
+        ]
+        for q in contents:
+            got = build(q)
+            assert got == reference_smash(normal, q, cls), ([render(x) for x in normal], q)
+            assert normalize(got) == got and reference_normalize(got) == got
+            kinds.add(type(got).__name__)
+        assert build((0,) * len(normal)) == POINT
+    assert kinds >= {"Point", "Sphere", "Atom", "Wedge", "Product", "Smash", "Loop"}, kinds
