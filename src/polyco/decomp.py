@@ -56,8 +56,8 @@ Every emitted factor expression is in normal form: it is built by the
 normal-form helpers of spacexpr from pieces normalized once, not as a raw
 tree normalized afterwards.  Factors that are a point are dropped, and
 factor order is deterministic: vertex factors first by vertex, then bracket
-groups by weight, piece content descending and support as a vertex
-indicator descending (so raising the weight bound only appends factors).
+groups by weight, piece content descending, support type descending, then
+support (so raising the weight bound only appends factors).
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, compress
-from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from . import series as series_mod
@@ -446,22 +445,17 @@ def _class_factors(counts, grading: Sequence[int], rule, candidates) -> list[Fac
     """The bracket engine: one factor per counted (weight, support, piece
     content q) group, with grading[j - 1] the piece of vertex j.  counts
     is what lyndon_class_counts gives for that grading, per (weight, support
-    type, q); candidates(s) lists the supports of type s for rule to
-    resolve (every one, or the faces of K when rule keeps no other), and
+    type, q); candidates(s) lists the supports of type s in order for rule
+    to resolve (every one, or the faces of K when rule keeps no other), and
     rule(support) runs once per listed support: None when every group over
     it vanishes, else (shape, build), and build(q) runs once per distinct
-    (shape, q).  The order is by weight, then q descending, then
-    the support as a vertex indicator descending; the groups of one
-    (weight, q) are merged by support only when several types share them.
-    Factors that are points are dropped.
+    (shape, q).  The order is the counter's, by weight, then q descending,
+    then support type descending, and within a type by support.  Factors
+    that are points are dropped.
     """
-    m = len(grading)
-    several = len(set(grading)) < m  # a piece of several vertices: types can share a (w, q)
-    listed: dict[tuple[int, ...], list] = {}  # type -> what the rule keeps, support descending
+    listed: dict[tuple[int, ...], list] = {}  # type -> what the rule keeps, by support
     made: dict[object, SpaceExpr] = {}
     out: list[Factor] = []
-    ranks: list[int] = []  # with several, (run of one (w, q), support descending) per factor, as one int
-    run, at, merge = 0, None, False
     for (w, s, q), n in counts.items():
         if (kept := listed.get(s)) is None:
             kept = listed[s] = []
@@ -471,30 +465,19 @@ def _class_factors(counts, grading: Sequence[int], rule, candidates) -> list[Fac
                     for j in support:
                         on.setdefault(grading[j - 1], []).append(j)
                     pieces = tuple(tuple(on[p]) for p in sorted(on))
-                    rank = sum(1 << m - j for j in support) if several else 0
-                    kept.append((rank, support, pieces, *resolved))
-            if several:
-                kept.sort(key=itemgetter(0), reverse=True)
-        if several and kept:
-            if (w, q) != at:
-                run, at = run + 1, (w, q)
-            else:
-                merge = True  # a second type in one (w, q): its supports interleave with the first's
-        for rank, support, pieces, shape, build in kept:
+                    kept.append((support, pieces, *resolved))
+        for support, pieces, shape, build in kept:
             if (key := (shape, q)) not in made:
                 made[key] = build(q)
             if not isinstance(expr := made[key], Point):  # the pieces on the support have q_p > 0
                 out.append(Factor(expr, n, BracketGroup(w, support, pieces, tuple(filter(None, q)))))
-                if several:
-                    ranks.append(run << m | (1 << m) - 1 - rank)
-    if merge:
-        out = [out[i] for i in sorted(range(len(out)), key=ranks.__getitem__)]
     return out
 
 
 def _type_supports(grading: Sequence[int]):
     """candidates(s) for the engine: every support with s[p] vertices in
-    piece p (grading[j - 1] the piece of vertex j), its vertices sorted."""
+    piece p (grading[j - 1] the piece of vertex j), its vertices sorted,
+    in lexicographic order."""
     members: list[list[int]] = [[] for _ in range(max(grading) + 1)]
     for j, p in enumerate(grading, start=1):
         members[p].append(j)
@@ -508,7 +491,7 @@ def _type_supports(grading: Sequence[int]):
         for vertices, k in zip(members, s):
             if k:
                 supports = [S + c for S in supports for c in combinations(vertices, k)]
-        return [tuple(sorted(S)) for S in supports]
+        return sorted(tuple(sorted(S)) for S in supports)
 
     return every
 

@@ -887,11 +887,21 @@ def regrouped(class_counts, grading):
     return dict(out)
 
 
-def listing_order(key, m):
+def indicator_order(key, m):
     """Weight, then piece content descending, then the support as a vertex
-    indicator descending."""
+    indicator descending: the letter-list counter's order."""
     w, support, q = key
     return (w, tuple(-x for x in q), tuple(-(j in support) for j in range(1, m + 1)))
+
+
+def listing_order(key, grading):
+    """The engine's listing order: weight, then piece content descending,
+    then support type (its vertices per piece) descending, then support."""
+    w, support, q = key
+    s = [0] * len(q)
+    for j in support:
+        s[grading[j - 1]] += 1
+    return (w, tuple(-x for x in q), tuple(-x for x in s), support)
 
 
 def per_group_listing(
@@ -914,10 +924,9 @@ def per_group_listing(
             groups[key][2] += 1
         else:
             groups[key] = [expr, n, 1]
-    m = len(grading)
     brackets = []
     classes = {}
-    for key in sorted(groups, key=lambda k: listing_order(k, m)):
+    for key in sorted(groups, key=lambda k: listing_order(k, grading)):
         expr, n, classes[key] = groups[key]
         if not isinstance(expr, Point):
             w, support, q = key

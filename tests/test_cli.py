@@ -354,7 +354,7 @@ def test_decompose_wedge_default_degree_on_simplex(tmp_path, capsys):
         f"wedge-coproduct: {3 + len(groups)} entries, {3 + sum(classes.values())} factors "
         "with multiplicity (bracket weight ≤ 13)\n"
     )
-    last = max(groups, key=lambda key: listing_order(key, 3))
+    last = max(groups, key=lambda key: listing_order(key, [0] * 3))
     assert last == (13, (1, 2, 3), (26,))
     assert out.endswith(f"ΩΣ(ΩS^2^∧26) ^{groups[last]}   [group w=13 {{1,2,3}}:26]\n")
 
@@ -457,3 +457,86 @@ def test_internal_error_names_empty_exceptions(monkeypatch, capsys):
     monkeypatch.setattr("polyco.cli._run", fail(RuntimeError("invariant broken")))
     assert main(["hall-basis", "--alphabet", "2", "--max-weight", "2"]) == 1
     assert capsys.readouterr().err == "internal error: invariant broken\n"
+
+
+POINTS = {"m": 2, "facets": [[1], [2]]}
+EDGE = {"m": 2, "facets": [[1, 2]]}
+S2, S3 = {"kind": "sphere", "n": 2}, {"kind": "sphere", "n": 3}
+X_ATOM = {"kind": "atom", "name": "X", "conn": 2}
+
+
+@pytest.mark.parametrize("files, argv, env, code, expected", [
+    pytest.param(
+        {"cx": POINTS, "sp": {
+            "1": {"domain": X_ATOM, "codomain": S2, "domain_contractible": True},
+            "2": {"domain": {"kind": "point"}, "codomain": S3, "domain_contractible": True},
+        }},
+        ["decompose", "--complex", "{cx}", "--spaces", "{sp}", "--max-weight", "1"],
+        None, 0, "Ω^2Σ(ΩS^2 ∧ ΩS^3)", id="domain-contractible-atom-and-point",
+    ),
+    pytest.param(
+        {"cx": POINTS, "sp": {
+            "1": {"domain": S3, "codomain": S2, "domain_contractible": True},
+            "2": {"domain": {"kind": "point"}, "codomain": S3},
+        }},
+        ["decompose", "--complex", "{cx}", "--spaces", "{sp}", "--max-weight", "1"],
+        None, 2, "domain_contractible is only honoured for atoms and points",
+        id="domain-contractible-sphere",
+    ),
+    pytest.param(
+        {"cx": EDGE, "sp": {"1": S3, "2": S3}},
+        ["decompose", "--complex", "{cx}", "--spaces", "{sp}", "--max-weight", "2"],
+        None, 0, "ΩΣ(ΩS^3^∧2)", id="bare-space-is-a-pair-with-a-point",
+    ),
+    pytest.param(
+        {"cx": EDGE, "sp": []},
+        ["decompose-wedge", "--complex", "{cx}", "--spaces", "{sp}"],
+        None, 2, "spaces file must be a nonempty object keyed by vertex", id="spaces-list",
+    ),
+    pytest.param(
+        {"cx": EDGE, "sp": {"a": S3, "2": S3}},
+        ["decompose-wedge", "--complex", "{cx}", "--spaces", "{sp}"],
+        None, 2, "spaces file keys must be vertex numbers", id="spaces-letter-key",
+    ),
+    pytest.param(
+        {}, ["verify", "--check", "counterexample"],
+        "0", 2, "POLYCO_MAX_DEGREE must be >= 1", id="env-degree-zero",
+    ),
+    pytest.param(
+        {"cx": EDGE, "sp": {"1": S3, "2": S3}},
+        ["decompose-wedge", "--complex", "{cx}", "--spaces", "{sp}", "--max-degree", "0"],
+        None, 2, "--max-degree must be >= 1", id="max-degree-zero",
+    ),
+    pytest.param(
+        {"cx": EDGE, "sp": {"1": S3, "2": S3}},
+        ["decompose-wedge", "--complex", "{cx}", "--spaces", "{sp}", "--max-weight", "0"],
+        None, 2, "--max-weight must be >= 1", id="max-weight-zero",
+    ),
+    pytest.param(
+        {}, ["hall-basis", "--alphabet", "0", "--max-weight", "2"],
+        None, 2, "--alphabet must be >= 1", id="hall-basis-alphabet-zero",
+    ),
+    pytest.param(
+        {}, ["hall-basis", "--alphabet", "2", "--max-weight", "0"],
+        None, 2, "--max-weight must be >= 1", id="hall-basis-weight-zero",
+    ),
+    pytest.param(
+        {}, ["verify", "--check", "wedge"],
+        None, 2, "verify --check wedge needs --complex and --spaces", id="verify-wedge-no-files",
+    ),
+    pytest.param(
+        {"cx": EDGE}, ["verify", "--check", "disjoint-union", "--complex", "{cx}"],
+        None, 2, "verify --check disjoint-union needs --complex, --complex2 and --spaces",
+        id="verify-disjoint-union-one-file",
+    ),
+])
+def test_input_paths(tmp_path, capsys, monkeypatch, files, argv, env, code, expected):
+    # each input branch of the command line, with its answer or its message
+    paths = {name: write(tmp_path, f"{name}.json", data) for name, data in files.items()}
+    if env is None:
+        monkeypatch.delenv("POLYCO_MAX_DEGREE", raising=False)
+    else:
+        monkeypatch.setenv("POLYCO_MAX_DEGREE", env)
+    assert main([arg.format(**paths) for arg in argv]) == code
+    out, err = capsys.readouterr()
+    assert expected in (out if code == 0 else err)

@@ -186,6 +186,13 @@ def test_porter_fiber_connectivity_error_names_vertex():
         porter_fiber([X1, S(1)])
 
 
+def test_hilton_milnor_needs_connected_summands():
+    with pytest.raises(ValueError, match="need at least one wedge summand"):
+        hilton_milnor([], 2)
+    with pytest.raises(ValueError, match="vertex 2: summand S\\^0 must be connected"):
+        hilton_milnor([S(2), S(0)], 2)
+
+
 def test_porter_loop_decomp():
     dec = porter_loop_decomp([S(3), S(3)])
     assert [render(f.expr) for f in dec.factors] == [
@@ -252,6 +259,8 @@ def test_smash_coproduct_weights():
     for bad in ((1.5, 1), (True, 1), (2, 1.0), (-1, 1)):
         with pytest.raises(ValueError, match="weights must be nonnegative integers"):
             smash_coproduct(K, pairs, bad)
+    with pytest.raises(ValueError, match="expected 2 weights, got 1"):
+        smash_coproduct(K, pairs, (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +715,7 @@ def assert_counted_matches(counted, enumerated, m, grading):
     assert counted.factor_multiset() == enumerated.factor_multiset()
     assert group_listing(counted, m, grading) == group_listing(enumerated, m, grading)
     assert (counted.theorem, counted.truncation) == (enumerated.theorem, enumerated.truncation)
-    keys = [listing_order(group_key(f.provenance, grading), m) for f in counted.bracket_factors()]
+    keys = [listing_order(group_key(f.provenance, grading), grading) for f in counted.bracket_factors()]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 

@@ -8,8 +8,8 @@ import pytest
 
 from _helpers import (
     all_face_letters,
+    indicator_order,
     letter_class_counts,
-    listing_order,
     per_type_counts,
     reference_class_counts,
     regrouped,
@@ -465,7 +465,7 @@ def _assert_matches_reference(letters, W, degs=None, bound=None, pieces=None):
     grading = list(range(m)) if pieces is None else pieces
     want = regrouped(reference_class_counts(letters, W, degs, bound), grading)
     assert got == want, (letters, W, pieces, degs, bound)
-    assert list(got) == sorted(want, key=lambda key: listing_order(key, m))
+    assert list(got) == sorted(want, key=lambda key: indicator_order(key, m))
     return got
 
 

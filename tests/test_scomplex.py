@@ -210,6 +210,16 @@ def test_union_along_rejects_non_subcomplex():
         union_along(build(3, [[1, 2, 3]]), build(2, [[1], [2]]), build(2, [[1, 2]]))
 
 
+def test_union_along_rejects_an_overlap_larger_than_an_input():
+    with pytest.raises(ValueError, match="overlap complex is larger than an input complex"):
+        union_along(build(2, [[1, 2]]), build(1, [[1]]), build(2, [[1, 2]]))
+
+
+def test_complex_json_needs_m_and_facets():
+    with pytest.raises(ValueError, match='complex JSON needs keys "m" and "facets"'):
+        complex_from_json({"facets": [[1]]})
+
+
 def test_homology_examples():
     assert homology(boundary_simplex(3)).ranks == (0, 1)  # a circle
     assert homology(square()).ranks == (0, 1)

@@ -389,6 +389,13 @@ def test_unsupported_reason_chains():
     assert "B" in out.reason and "product factor" in out.reason
 
 
+def test_loop_of_an_underflowing_connectivity_is_unsupported():
+    # ΩS^0 has connectivity -1, so its suspension is not simply connected
+    out = series_of(Loop(Susp(Loop(S(0)))), 4)
+    assert isinstance(out, Unsupported)
+    assert out.reason.endswith("ΩS^0 has connectivity -1")
+
+
 def test_normalize_preserves_series_randomized():
     # evaluate the raw tree through the rule engine, bypassing normalization,
     # and compare with the normalized evaluation wherever both are supported

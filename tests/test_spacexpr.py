@@ -136,6 +136,14 @@ def test_map_from_susp_uncertified_stays_symbolic():
     assert normalize(e) == e
 
 
+def test_uncertified_mapping_spaces_sort_by_child():
+    square = build(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
+    low, high = MapFromSusp(square, S(2)), MapFromSusp(square, S(3))
+    assert sort_key(low) < sort_key(high)
+    for children in ((low, high), (high, low)):
+        assert normalize(Product(children)).children == (low, high)
+
+
 def test_map_into_a_point_is_a_point():
     # pointed maps into a point are constant, whether or not K is certified
     square = build(4, [[1, 2], [2, 3], [3, 4], [1, 4]])

@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 
 from polyco.scomplex import build
-from polyco.series import PoincareSeries
+from polyco.series import PoincareSeries, Unsupported
 from polyco.spacexpr import CP_INFINITY, Atom, Sphere, Susp
 from polyco.verify import (
     Equal,
     FirstDifference,
     Skipped,
+    _verdict,
     check_counterexample,
     check_disjoint_union,
     check_hilton_milnor,
@@ -176,6 +177,13 @@ def test_skipped_reasons_name_their_side_and_w_follows_n():
                 side = r.lhs if r.verdict.reason.startswith("lhs: ") else r.rhs
                 assert r.verdict.reason.endswith(side.reason)
     assert kinds["Skipped"] > 50 and kinds["Equal"] > 50 and kinds["FirstDifference"] == late
+
+
+def test_unsupported_rhs_skips_and_a_non_suspension_summand_raises():
+    verdict = _verdict(PoincareSeries((1, 0, 1)), Unsupported("no rule"))
+    assert verdict == Skipped("rhs: no rule")
+    with pytest.raises(ValueError, match="summand S\\^0 is not a suspension or a positive sphere"):
+        check_hilton_milnor([S(2), S(0)], 4)
 
 
 def test_porter_checks_simple_connectivity_before_the_oracle():
