@@ -19,7 +19,11 @@ decompositions need.  A support's type counts its vertices in each piece
 of vertices; all supports of one type carry the same count, so it is
 counted once, summed over the type's supports and divided by their number.
 Each (content, type) grading is packed into one int, so the DP adds and ors
-ints and the groups come out in order.
+ints and the groups come out in order.  The counts depend only on the
+request's shape, not on the spaces at the vertices, so they are memoized
+(_class_counts, bounded) per validated (grading, weight bound, alphabet,
+type cut, degrees) and returned as a read-only mapping; the checks run on
+every call, before the memo is asked.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, gcd, prod
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,7 +285,7 @@ def lyndon_class_counts(
     types: Iterable[Sequence[int]] | None = None,
     vertex_degrees: Sequence[int] | None = None,
     degree_bound: int | None = None,
-) -> dict[tuple[int, tuple[int, ...], tuple[int, ...]], int]:
+) -> Mapping[tuple[int, tuple[int, ...], tuple[int, ...]], int]:
     """Number of Lyndon words of length w <= weight_bound whose support is one
     given vertex set S, per (w, support type s, piece content q).
 
@@ -317,7 +322,23 @@ def lyndon_class_counts(
     content (once in all when every piece is one vertex).  Int order is
     lexicographic order on (q, s), so the result is in order: by w, then q
     descending, then s descending.
+
+    The result is memoized per validated (grading, weight_bound, alphabet,
+    type cut, vertex_degrees under a bound, degree_bound) and is a
+    read-only mapping shared by every call with that key.  The checks run
+    on every call, before the lookup, so a bool or float twin of a cached
+    int argument still raises.
     """
+    return _class_counts(*_class_counts_key(pieces, weight_bound, alphabet, types, vertex_degrees, degree_bound))
+
+
+def _class_counts_key(pieces, weight_bound, alphabet, types, vertex_degrees, degree_bound) -> tuple:
+    """lyndon_class_counts' checks, run on every call: the memo key
+    (grading, weight_bound, alphabet, types as a frozenset of tuples or
+    None, vertex_degrees as a tuple or None, degree_bound), every number in
+    it an int.  A bool or a float equals and hashes like an int, so each
+    entry is checked before the key is looked up, and the degrees join the
+    key only under a bound, without which they change nothing."""
     if type(weight_bound) is not int or weight_bound < 1:  # no bool, no float
         raise ValueError(f"weight_bound must be an integer >= 1, got {weight_bound!r}")
     if degree_bound is not None and type(degree_bound) is not int:
@@ -334,9 +355,10 @@ def lyndon_class_counts(
         n[p] += 1
     if 0 in n:
         raise ValueError(f"pieces must number each vertex's piece 0, 1, ..., every number used; got {pieces!r}")
-    m, size = len(grading), len(n)
-    degs = [0] * size  # per piece; all 0 without a bound
+    size = len(n)
+    degrees = None
     if degree_bound is not None:
+        degs = [0] * size
         for p, d in zip(grading, vertex_degrees or ()):
             degs[p] = d
         if vertex_degrees is None or [degs[p] for p in grading] != list(vertex_degrees) or not all(
@@ -344,6 +366,39 @@ def lyndon_class_counts(
         ):
             raise ValueError(f"degree_bound needs vertex_degrees, one integer >= 1 per vertex, "
                              f"equal within a piece; got {vertex_degrees!r}")
+        degrees = tuple(vertex_degrees)
+    cut = None
+    if types is not None:
+        cut = set()
+        for t in types:  # each entry checked before a set can merge it with its int twin
+            if len(t) != size or not all(type(x) is int and 0 <= x <= c for x, c in zip(t, n)):
+                raise ValueError(f"type {t!r}: need {size} integers, each from 0 to its piece's size")
+            cut.add(tuple(t))
+        if any(x and t[:p] + (x - 1,) + t[p + 1:] not in cut for t in cut for p, x in enumerate(t)):
+            raise ValueError("types must be down-closed: each type below an allowed one is allowed")
+        cut = frozenset(cut)
+    return grading, weight_bound, "face" if alphabet == "face" else "plain", cut, degrees, degree_bound
+
+
+@lru_cache(maxsize=256)
+def _class_counts(
+    grading: tuple[int, ...],
+    weight_bound: int,
+    alphabet: str,
+    types: frozenset[tuple[int, ...]] | None,
+    vertex_degrees: tuple[int, ...] | None,
+    degree_bound: int | None,
+) -> Mapping[tuple[int, tuple[int, ...], tuple[int, ...]], int]:
+    """The DP of lyndon_class_counts on a key from _class_counts_key,
+    memoized: each shape is counted once, and its callers share one
+    read-only mapping."""
+    n = [0] * (max(grading, default=-1) + 1)  # the size of each piece
+    for p in grading:
+        n[p] += 1
+    m, size = len(grading), len(n)
+    degs = [0] * size  # per piece; all 0 without a bound
+    for p, d in zip(grading, vertex_degrees or ()):
+        degs[p] = d
 
     width = [c.bit_length() for c in n]  # one bit for a piece of one vertex
     shift = [0] * size
@@ -355,27 +410,11 @@ def lyndon_class_counts(
     allowed = None
     cap = n  # the most vertices of each piece that a support's type can hold
     if types is not None:
-        allowed, below = set(), set()  # below: each type with one vertex taken out
-        cap = [0] * size
-        for t in types:
-            if len(t) != size:
-                raise ValueError(f"type {t!r}: need {size} integers, each from 0 to its piece's size")
-            s, units = 0, []
-            for p, (x, c, b) in enumerate(zip(t, n, shift)):
-                if type(x) is not int or not 0 <= x <= c:
-                    raise ValueError(f"type {t!r}: need {size} integers, each from 0 to its piece's size")
-                if x:
-                    s += x << b
-                    units.append(1 << b)
-                    cap[p] = max(cap[p], x)
-            allowed.add(s)
-            for u in units:
-                below.add(s - u)
-        if not below <= allowed:
-            raise ValueError("types must be down-closed: each type below an allowed one is allowed")
+        allowed = {sum(x << b for x, b in zip(t, shift)) for t in types}
+        cap = [max((t[p] for t in types), default=0) for p in range(size)]
     face = alphabet == "face"
     if m < 1 + face:  # no letters
-        return {}
+        return MappingProxyType({})
 
     # a content lane holds word length times a letter's largest entry, in
     # whole bytes so that a q part decodes through to_bytes
@@ -466,4 +505,4 @@ def lyndon_class_counts(
                 t, supports = typing
                 assert total % (w * supports) == 0
                 out[(w, t, q)] = total // (w * supports)
-    return out
+    return MappingProxyType(out)

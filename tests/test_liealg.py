@@ -1,6 +1,7 @@
 """Lyndon-word Hall bases and their counting oracle."""
 
 import random
+import sys
 from collections import Counter
 from itertools import combinations, product as iproduct
 
@@ -16,9 +17,12 @@ from _helpers import (
     restricted_support,
     support,
 )
+from polyco.decomp import hilton_milnor
 from polyco.liealg import (
     Bracket,
     Generator,
+    _class_counts,
+    _class_counts_key,
     generators_for,
     hall_basis,
     lyndon_class_counts,
@@ -28,6 +32,7 @@ from polyco.liealg import (
     witt_dimension,
 )
 from polyco.scomplex import build
+from polyco.spacexpr import Sphere
 
 
 def brute_lyndon(k, maxlen):
@@ -546,3 +551,91 @@ def test_class_counts_numeric_arguments_are_integers():
             lyndon_class_counts(bad, 3)
     with pytest.raises(ValueError, match="equal within a piece"):
         lyndon_class_counts([0, 0], 3, vertex_degrees=[1, 2], degree_bound=4)
+
+
+# ---------------------------------------------------------------------------
+# the counter's memo: one entry per validated shape
+# ---------------------------------------------------------------------------
+
+
+def test_class_counts_memo_rejects_the_bool_and_float_twins_of_a_cached_key():
+    # True == 1 and 1.0 == 1 hash alike, so a memo asked before the checks
+    # would answer each twin from its cached int key
+    types = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    valid = (
+        (dict(pieces=[0, 1], weight_bound=3), "pieces", lambda x: dict(pieces=[0, x], weight_bound=3)),
+        (dict(pieces=[0, 1], weight_bound=1), "weight_bound", lambda x: dict(pieces=[0, 1], weight_bound=x)),
+        (dict(pieces=[0, 1], weight_bound=3, vertex_degrees=[1, 2], degree_bound=1), "degree_bound",
+         lambda x: dict(pieces=[0, 1], weight_bound=3, vertex_degrees=[1, 2], degree_bound=x)),
+        (dict(pieces=[0, 1], weight_bound=3, vertex_degrees=[1, 2], degree_bound=4), "vertex_degrees",
+         lambda x: dict(pieces=[0, 1], weight_bound=3, vertex_degrees=[x, 2], degree_bound=4)),
+        (dict(pieces=[0, 1], weight_bound=3, types=types), "type",
+         lambda x: dict(pieces=[0, 1], weight_bound=3, types=[(0, 0), (x, 0), (0, 1), (1, 1)])),
+    )
+    for args, name, twin in valid:
+        assert twin(1) == args
+        lyndon_class_counts(**args)
+        hits = _class_counts.cache_info().hits
+        lyndon_class_counts(**args)
+        assert _class_counts.cache_info().hits == hits + 1  # the int key is cached
+        for x in (True, 1.0):
+            with pytest.raises(ValueError, match=name):
+                lyndon_class_counts(**twin(x))
+
+
+def test_class_counts_memo_matches_the_uncached_dp():
+    # the gradings, type cuts and degree bounds of the counter tests above,
+    # on both alphabets, through one warm memo: each answer equals the DP
+    # run afresh on its key, in order, so no two shapes share an entry
+    assert _class_counts.cache_info().maxsize is not None
+    rng = random.Random(8171)
+    specs = []
+    for _ in range(60):
+        m = rng.randint(1, 5)
+        grading = rng.choice(([0] * m, list(range(m)), _random_grading(rng, m)))
+        W = rng.randint(1, {1: 6, 2: 6, 3: 5, 4: 4, 5: 3}[m])
+        per_piece = [rng.randint(1, 4) for _ in range(m)]
+        degs = [per_piece[p] for p in grading]
+        cut = _face_types(random_complex_on(rng, m).faces(), grading)
+        for alphabet in ("face", "plain"):
+            for types in (None, cut):
+                specs.append(dict(pieces=grading, weight_bound=W, alphabet=alphabet, types=types))
+                specs.append(dict(specs[-1], vertex_degrees=degs, degree_bound=rng.randint(1, 20)))
+                specs.append(dict(specs[-2], vertex_degrees=degs))  # no bound: the degrees change nothing
+    _class_counts.cache_clear()
+    for spec in specs + specs[::-1]:
+        got = lyndon_class_counts(**spec)
+        key = _class_counts_key(*(spec.get(name) for name in (
+            "pieces", "weight_bound", "alphabet", "types", "vertex_degrees", "degree_bound")))
+        want = _class_counts.__wrapped__(*key)
+        assert list(got.items()) == list(want.items()), spec
+    assert _class_counts.cache_info().hits >= len(specs)
+    # the degrees join the key only under a bound
+    assert _class_counts_key([0, 1], 3, "face", None, [1, 2], None)[4] is None
+    # a read-only mapping over the cached counts, the same on the next call
+    counts = lyndon_class_counts([0, 0, 1], 4)
+    with pytest.raises(TypeError):
+        counts[(1, (1, 0), (1, 0))] = 0
+    assert lyndon_class_counts([0, 0, 1], 4) == counts and lyndon_class_counts([0, 0, 1], 4) is counts
+
+
+def test_hilton_milnor_with_other_spaces_of_one_shape_counts_once():
+    hilton_milnor([Sphere(2), Sphere(3)], 5)
+    hits = _class_counts.cache_info().hits
+    hilton_milnor([Sphere(4), Sphere(5)], 5)
+    assert _class_counts.cache_info().hits == hits + 1
+
+
+def test_every_polyco_memo_clears_through_its_module():
+    # as the benchmark clears them between its warm-up and its run
+    hilton_milnor([Sphere(2), Sphere(3)], 5)
+    assert _class_counts.cache_info().currsize > 0
+    memos = []
+    for name, mod in list(sys.modules.items()):
+        if name == "polyco" or name.startswith("polyco."):
+            for value in vars(mod).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+                    memos.append(value)
+    assert any(memo is _class_counts for memo in memos)
+    assert all(memo.cache_info().currsize == 0 for memo in memos)
