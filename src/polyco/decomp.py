@@ -496,12 +496,6 @@ def _type_supports(grading: Sequence[int]):
     return every
 
 
-def _assert_conn_at_least_weight(factors: Sequence[Factor]) -> None:
-    # by weight, so each factor object's last entry has its largest weight
-    for f in {id(f.expr): f for f in factors}.values():
-        assert conn(f.expr) >= f.provenance.weight, (render(f.expr), f.provenance)
-
-
 def hilton_milnor(
     spaces: Sequence[SpaceExpr],
     weight_bound: int,
@@ -536,8 +530,6 @@ def hilton_milnor(
         grading, weight_bound, alphabet="plain", vertex_degrees=degrees, degree_bound=degree_bound
     )
     factors = _class_factors(counts, grading, lambda support: (None, build), _type_supports(grading))
-    if all(conn(x) >= 1 for x in spaces):
-        _assert_conn_at_least_weight(factors)
     return Decomposition(tuple(factors), "hilton-milnor", weight_bound if m >= 2 else None)
 
 
@@ -689,7 +681,7 @@ def loop_decompose_wedge(
     """
     _check_arity(K.m, len(spaces), "spaces")
     _require_simply_connected(spaces, "space")
-    dec = _coproduct_decomposition(
+    return _coproduct_decomposition(
         K,
         [(normalize(x), POINT) for x in spaces],
         weight_bound,
@@ -698,8 +690,6 @@ def loop_decompose_wedge(
         K.dim() >= 2,
         degree_bound,
     )
-    _assert_conn_at_least_weight(dec.bracket_factors())
-    return dec
 
 
 def _normal_pairs(K: SimplicialComplex, pairs: PairAssignment) -> list[tuple[SpaceExpr, SpaceExpr]]:

@@ -59,7 +59,7 @@ class ConnectivityUnderflowError(ValueError):
 @dataclass(frozen=True, slots=True)
 class Point:
     def __str__(self) -> str:
-        return "*"
+        return render(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,7 +72,7 @@ class Sphere:
             raise ValueError("sphere dimension must be >= 0")
 
     def __str__(self) -> str:
-        return f"S^{self.n}"
+        return render(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,7 +105,7 @@ class Atom:
             object.__setattr__(self, "series", (num, den))
 
     def __str__(self) -> str:
-        return self.name
+        return render(self)
 
 
 def _int_coeffs(values) -> tuple[int, ...]:

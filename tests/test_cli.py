@@ -39,6 +39,18 @@ def test_homology_command(tmp_path, capsys):
     assert "[0, 1]" in out
 
 
+def test_module_entry_point_matches_main(square_file, capsys):
+    # python -m polyco runs __main__, which exits with main's code
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyco", "homology", "--complex", square_file],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert main(["homology", "--complex", square_file]) == 0
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == capsys.readouterr().out != ""
+
+
 def test_hall_basis_command(capsys):
     assert main(["hall-basis", "--alphabet", "2", "--max-weight", "3"]) == 0
     out = capsys.readouterr().out

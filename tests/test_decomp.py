@@ -76,6 +76,7 @@ from polyco.spacexpr import (
     Wedge,
     conn,
     expr_equal,
+    expr_from_json,
     normalize,
     render,
     two_points,
@@ -123,6 +124,23 @@ def test_coproduct_diagram_path_fibrations_keeps_atoms():
     left = d.objects[(1,)]
     assert isinstance(left, Wedge)
     assert left.children[0].contractible and left.children[1] == X2
+
+
+def test_coproduct_diagram_json_round_trips_each_object():
+    d = coproduct_diagram(two_points(), PairAssignment.path_fibrations([S(2), S(3)]))
+    data = json.loads(json.dumps(d.to_json()))
+    assert data["complex"] == {"m": 2, "facets": [[1], [2]]} and data["weights"] is None
+    assert [(o["face"], expr_from_json(o["value"])) for o in data["objects"]] == [
+        (list(f), d.objects[f]) for f in ((), (1,), (2,))
+    ]
+    # the path space over S^2 stays a contractible atom
+    assert data["objects"][1]["value"]["children"][0] == {
+        "kind": "atom", "name": "P(S^2)", "conn": 0, "contractible": True
+    }
+    assert data["arrows"] == [
+        {"from": [1], "to": [], "f_coordinates": [1]},
+        {"from": [2], "to": [], "f_coordinates": [2]},
+    ]
 
 
 def test_coproduct_diagram_arity_check():
@@ -200,6 +218,7 @@ def test_porter_loop_decomp():
         "ΩS^3",
         "ΩΣ(ΩS^3^∧2)",
     ]
+    assert dec.to_json()["factors"][-1]["provenance"] == {"kind": "base"}
     assert porter_loop_decomp([X1]).factor_multiset() == Counter({Loop(X1): 1})
     # a point summand is absorbed
     dec = porter_loop_decomp([X1, POINT])
@@ -383,9 +402,27 @@ def test_wedge_decomp_monotone_in_weight():
 
 
 def test_wedge_decomp_truncation_soundness():
-    dec = loop_decompose_wedge(simplex(3), [S(2), S(3), S(2)], 3)
-    for f in dec.bracket_factors():
-        assert conn(f.expr) >= f.provenance.weight
+    # the weight cut is sound because a weight-w bracket factor of simply
+    # connected spaces is at least w-connected: checked on the built trees
+    # of the wedge and Hilton-Milnor presets, with and without a degree bound
+    decs = [loop_decompose_wedge(simplex(3), [S(2), S(3), S(2)], 3)]
+    pool = (S(2), S(3), S(4), S(5), CP_INFINITY, T_PRODUCT)
+    rng = random.Random(385)
+    for _ in range(30):
+        spaces = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        W = rng.randint(1, 5)
+        decs.append(hilton_milnor(spaces, W))
+        decs.append(hilton_milnor(spaces, W, degree_bound=rng.randint(1, 14)))
+        K = random_complex(rng, allow_empty=False)
+        spaces = [rng.choice(pool) for _ in range(K.m)]
+        decs.append(loop_decompose_wedge(K, spaces, rng.randint(1, 4), degree_bound=rng.randint(1, 14)))
+    decs.append(hilton_milnor([S(2), S(2), S(3), S(3)], 5, degree_bound=9))
+    checked = 0
+    for dec in decs:
+        for f in dec.bracket_factors():
+            assert conn(f.expr) >= f.provenance.weight, (dec.theorem, render(f.expr), f.provenance)
+            checked += 1
+    assert checked > 500
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +499,20 @@ def test_bbcg_cone_splitting_moment_angle_sphere():
     assert out == [((1, 2), S(3))]
 
 
+def test_bbcg_cone_splitting_ghost_vertex_is_the_empty_realization():
+    # K_{3} is empty, |K_{3}| = S^-1, and Σ(S^-1 ∧ S^4) is S^4 itself
+    out = bbcg_cone_splitting(build(3, [[1, 2]]), [S(2), S(3), S(4)])
+    assert out[0] == ((3,), S(4))
+
+
+def test_bbcg_cone_splitting_keeps_an_uncertified_realization_as_an_atom():
+    out = bbcg_cone_splitting(square(), [S(2)] * 4)
+    I, summand = out[-1]
+    assert I == (1, 2, 3, 4)
+    assert summand == Susp(Smash((S(8), Atom("|K_{1,2,3,4}|", -1))))
+    assert render(summand) == "Σ(S^8 ∧ |K_{1,2,3,4}|)"
+
+
 def test_bbcg_cone_splitting_boundary_triangle():
     out = bbcg_cone_splitting(build(3, [[1, 2], [1, 3], [2, 3]]), [S(1)] * 3)
     # |K| = S^1, so the only summand is Susp(S^1 smash S^3) = S^5
@@ -510,6 +561,8 @@ def test_join_vertex_reduce_validation():
     not_cone = build(2, [[1], [2]])
     with pytest.raises(ValueError, match="apex"):
         join_vertex_reduce(not_cone, PairAssignment.of([(X1, POINT), (POINT, POINT)]))
+    with pytest.raises(ValueError, match="need at least two vertices"):
+        join_vertex_reduce(build(1, [[1]]), PairAssignment.of([(POINT, X1)]))
 
 
 def test_pullback_square_corners():
@@ -534,6 +587,16 @@ def test_pullback_square_empty_overlap():
     # is the wedge of all codomains
     assert sq.corners["L"].facets == ()
     assert sq.diagrams["L"].objects[()] == Wedge((A1, A2))
+    text = sq.render().splitlines()
+    assert text[4] == "  corner L: Complex(m=2; facets none)"
+    assert sum(" → " in line and "induced by" in line for line in text) == 4
+    assert sum("diagram over" in line for line in text) == 4
+    assert text[-2:] == ["wedge diagram over Complex(m=2; facets none)", "  D(∅) = A1 ∨ A2"]
+    data = json.loads(json.dumps(sq.to_json()))
+    assert data["corners"]["L"] == {"m": 2, "facets": []}
+    assert [(d["from"], d["to"]) for d in data["maps"]] == [("K", "K1"), ("K", "K2"), ("K1", "L"), ("K2", "L")]
+    assert list(data["diagrams"]) == ["K", "K1", "K2", "L"]
+    assert data["diagrams"] == {name: d.to_json() for name, d in sq.diagrams.items()}
 
 
 def test_disjoint_union_decomp_is_component_union():

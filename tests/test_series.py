@@ -94,6 +94,7 @@ def test_series_examples():
     q = series_of(Loop(Wedge((S(2), S(2)))), 4)
     # tensor algebra on two degree-1 classes: coefficient 2^d
     assert q == PoincareSeries.from_ints([2**d for d in range(5)])
+    assert str(PoincareSeries.from_ints([1, 0, 3])) == "1 + 3t^2"
 
 
 def test_series_compare_example():
@@ -353,6 +354,8 @@ def test_free_product_single_component():
     N = 8
     p = series_of(Loop(S(3)), N)
     assert free_product_series([p]) == p
+    with pytest.raises(ValueError, match="free product needs at least one component"):
+        free_product_series([])
 
 
 def test_free_product_rule_on_wedge():

@@ -244,6 +244,8 @@ def test_pair_assignment_flags():
     assert not pairs.codomain_is_point(1)
     const = PairAssignment.constant_maps([S(2)])
     assert const.codomain_is_point(1)
+    with pytest.raises(ValueError, match="a pair assignment needs at least one vertex"):
+        PairAssignment(())
 
 
 def test_render_notation():
@@ -251,6 +253,20 @@ def test_render_notation():
     assert render(Loop(S(3), 2)) == "Ω^2S^3"
     assert render(normalize(Smash((X, X, Y)))) == "X^∧2 ∧ Y"
     assert render(POINT) == "*"
+    # str is render for every kind, leaves included
+    rng = random.Random(249)
+    for depth in (0, 0, 1, 2, 3) * 40:
+        e = random_expr(rng, depth)
+        assert str(e) == render(e)
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"n": 2}, 'space JSON needs a "kind" field'),
+    ({"kind": "torus"}, "unknown space kind 'torus'"),
+], ids=["no-kind", "unknown-kind"])
+def test_json_needs_a_known_kind(data, message):
+    with pytest.raises(ValueError, match=message):
+        expr_from_json(data)
 
 
 def test_json_round_trip():

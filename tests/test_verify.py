@@ -58,6 +58,11 @@ def test_hilton_milnor_skips_unsupported():
     r = check_hilton_milnor([Susp(Atom("B", 1))], 6)
     # the atom has no declared series anywhere in the three routes
     assert isinstance(r.verdict, Skipped)
+    # Y has a declared series, so only the free-product oracle gives up
+    r = check_hilton_milnor([Susp(Atom("Y", 0, series=((1, 1), (1,))))], 6)
+    assert r.verdict == Skipped(
+        "rhs: Bott-Samelson needs a simply connected argument, Y has connectivity 0"
+    )
 
 
 def test_porter_cases():
