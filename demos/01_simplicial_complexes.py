@@ -9,7 +9,6 @@ from polyco import (
     homology,
     is_shifted,
     join,
-    maximal_faces_ge2,
     missing_subsets,
     union_along,
     wedge_of_spheres_type,
@@ -21,13 +20,14 @@ print(square)
 print("faces including the empty one:", len(square.faces()))
 print("homology:", homology(square))
 
-# Full subcomplexes restrict to the faces inside a chosen vertex set.
-sub, vertex_map = full_subcomplex(square, [1, 3])
-print("\nK_{1,3} =", sub, "with vertex map", vertex_map)
+# Full subcomplexes restrict to the faces inside a chosen vertex set,
+# re-indexed: vertices 1 and 3 become 1 and 2.
+sub = full_subcomplex(square, [1, 3])
+print("\nK_{1,3} =", sub)
 print("two opposite corners have the homology of two points:", homology(sub))
 
 # The indexing sets the decompositions run over.
-print("\nmaximal faces on >= 2 vertices:", maximal_faces_ge2(square))
+print("\nfacets:", square.facets)
 bd_triangle = build(3, [[1, 2], [1, 3], [2, 3]])
 print("missing subsets of the boundary triangle:", missing_subsets(bd_triangle))
 

@@ -1,18 +1,18 @@
-"""Hall bases: Lyndon brackets, face alphabets, the Witt count oracle, and
-the per-group bracket counts the decompositions run on.
+"""Hall bases: Lyndon brackets, face alphabets, and the per-group bracket
+counts the decompositions run on.
 
 Run as: python demos/02_hall_bases.py
 """
 
 from collections import Counter
+from itertools import combinations
 
 from polyco import (
-    generators_for,
+    Generator,
     hall_basis,
     lyndon_class_counts,
     plain_alphabet,
     stats,
-    witt_dimension,
 )
 
 # Lyndon brackets over two plain symbols, up to weight 4.
@@ -21,8 +21,9 @@ for b in hall_basis(plain_alphabet(2), 4):
     print(f"  weight {b.weight}: {b.serialize()}")
 
 # The face alphabet over a vertex set I has one letter a_{J,i} per subset J
-# of at least two vertices and copy index i up to |J| - 1.
-gens = generators_for([1, 2, 3])
+# of at least two vertices and copy index i up to |J| - 1, ordered by (J, i).
+subsets = sorted(J for k in (2, 3) for J in combinations((1, 2, 3), k))
+gens = [Generator.face(J, i) for J in subsets for i in range(1, len(J))]
 print("\nface alphabet over {1,2,3}:", [g.name() for g in gens])
 
 # Bracket statistics: b(J) counts letters per subset, l_j totals the
@@ -34,16 +35,15 @@ st = stats(b, 3)
 print(f"\nbracket {b.serialize()}: b(J)={st.bJ} l={st.l}")
 print("support:", tuple(j for j, lj in enumerate(st.l, start=1) if lj))
 
-# The multigraded Witt formula counts brackets per multidegree and serves as
-# an independent oracle for the enumeration.
-counts = Counter()
+# Over plain letters, with one piece per letter, lyndon_class_counts counts
+# the brackets per multidegree: the enumeration agrees.
 alphabet = plain_alphabet(2)
-for b in hall_basis(alphabet, 6):
-    md = b.multidegree()
-    counts[tuple(md.get(g, 0) for g in alphabet)] += 1
-print("\nmultidegree counts vs the Witt formula (weight <= 6):")
-for md in sorted(counts):
-    print(f"  {md}: enumerated {counts[md]}, Witt {witt_dimension(md)}")
+listed = Counter(tuple(b.leaves().count(g) for g in alphabet) for b in hall_basis(alphabet, 6))
+counted = lyndon_class_counts([0, 1], 6, alphabet="plain")
+print("\nmultidegree counts, enumerated vs counted (weight <= 6):")
+for (w, _, md), n in counted.items():
+    print(f"  {md}: enumerated {listed[md]}, counted {n}")
+print("all agree:", {md: n for (_, _, md), n in counted.items()} == dict(listed))
 
 # The decompositions count brackets instead of listing them, per (weight,
 # support type, piece content).  A support's type counts its vertices in

@@ -12,7 +12,6 @@ from polyco import (
     check_porter,
     check_wedge_case,
 )
-from polyco.verify import run_reports
 
 S = Sphere
 
@@ -33,6 +32,6 @@ reports = [
     check_counterexample(8),
 ]
 
-for r in run_reports(reports):
+for r in reports:
     print(r.render())
     print()

@@ -1,14 +1,15 @@
-"""Driving the command line programmatically.
+"""Driving the command line.
 
 Run as: python demos/07_command_line.py
-Each call below is equivalent to invoking `polyco <args>` in a shell.
+Each call below runs `python -m polyco <args>`, the same as invoking
+`polyco <args>` in a shell.
 """
 
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
-
-from polyco.cli import main
 
 workdir = Path(tempfile.mkdtemp(prefix="polyco-demo-"))
 
@@ -31,6 +32,6 @@ commands = [
 ]
 
 for argv in commands:
-    print(f"$ polyco {' '.join(argv)}")
-    code = main(argv)
-    print(f"(exit {code})\n")
+    print(f"$ polyco {' '.join(argv)}", flush=True)
+    code = subprocess.run([sys.executable, "-m", "polyco", *argv]).returncode
+    print(f"(exit {code})\n", flush=True)

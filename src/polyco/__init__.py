@@ -10,7 +10,6 @@ with exact truncated Poincare series.
 from .scomplex import (
     HomologyProfile,
     SimplicialComplex,
-    Subcomplex,
     build,
     complex_from_json,
     complex_to_json,
@@ -19,8 +18,6 @@ from .scomplex import (
     homology,
     is_shifted,
     join,
-    maximal_faces_ge2,
-    minimal_non_faces,
     missing_subsets,
     union_along,
     wedge_of_spheres_type,
@@ -29,13 +26,11 @@ from .liealg import (
     Bracket,
     BracketStats,
     Generator,
-    generators_for,
     hall_basis,
     lyndon_class_counts,
     lyndon_words,
     plain_alphabet,
     stats,
-    witt_dimension,
 )
 from .spacexpr import (
     CP_INFINITY,
@@ -53,7 +48,6 @@ from .spacexpr import (
     Susp,
     Wedge,
     conn,
-    expr_equal,
     expr_from_json,
     expr_to_json,
     normalize,
@@ -62,7 +56,6 @@ from .spacexpr import (
 from .series import (
     PoincareSeries,
     Unsupported,
-    free_product_series,
     series_of,
     tensor_algebra_series,
 )

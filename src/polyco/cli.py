@@ -61,7 +61,6 @@ from .verify import (
     check_hilton_milnor,
     check_porter,
     check_wedge_case,
-    run_reports,
 )
 
 DEFAULT_DEGREE = 12
@@ -331,9 +330,8 @@ def _run(args) -> None:
             named = [f"--{option}" for option in options]
             listed = ", ".join(named[:-1]) + " and " + named[-1] if len(named) > 1 else named[0]
             raise InputError(f"verify --check {args.check} needs {listed}")
-        reports = run_reports([check(args, N)])
-        _emit(args, lambda: {"checks": [r.to_json() for r in reports]},
-              lambda: "\n".join(r.render() for r in reports))
+        report = check(args, N)
+        _emit(args, lambda: {"checks": [report.to_json()]}, report.render)
 
     else:
         raise InputError(f"unknown command {args.command!r}")

@@ -588,7 +588,7 @@ def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
         # over a face, or any certified contractible realization, this is a point
         if K.has_face(support):
             return None
-        sub = full_subcomplex(K, support).complex
+        sub = full_subcomplex(K, support)
         dims = wedge_of_spheres_type(sub)
         if dims == ():
             return None
@@ -596,7 +596,7 @@ def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
     else:
         # mixed endpoint data (one piece per vertex, q is l): stay symbolic
         name = "ŝ-coprod[K_{" + ",".join(map(str, support)) + "}; weights "
-        top = full_subcomplex(K, support).complex.dim() + 1
+        top = full_subcomplex(K, support).dim() + 1
         return name, lambda q: Loop(Atom(f"{name}{[x for x in q if x]}]", max(0, sum(q) - top)))
     smash = smashes[side]
 
@@ -617,7 +617,7 @@ def class_diagram(
     if any(len(piece) > 1 for piece in group.pieces):
         raise ValueError(f"group w={group.weight} {group.text()}: the content of a piece of "
                          "several vertices is summed, so no one weighted diagram stands for it")
-    sub = full_subcomplex(K, group.support).complex
+    sub = full_subcomplex(K, group.support)
     restricted = PairAssignment.of([pairs.pairs[j - 1] for j in group.support])
     return smash_coproduct(sub, restricted, group.counts)
 
@@ -794,7 +794,7 @@ def bbcg_cone_splitting(
     _check_arity(K.m, len(spaces), "spaces")
     out = []
     for I in missing_subsets(K):
-        sub = full_subcomplex(K, I).complex
+        sub = full_subcomplex(K, I)
         xs = [spaces[i - 1] for i in I]
         pieces = _realization_expr(sub, I)
         summands = []

@@ -1,23 +1,18 @@
 """
 Hall bases of free ungraded Lie algebras, fixed to the Lyndon-word basis.
 
-Generators come in two flavours: plain symbols x_1..x_m (for the classical
-wedge-of-suspensions decomposition) and face generators a_{J,i} indexed by a
-vertex subset J with |J| >= 2 and a copy index 1 <= i <= |J|-1 (the alphabet
-the polyhedral decompositions run over).  The generator order is fixed once,
-by (J, i), so the bases attached to nested vertex sets are simultaneously
-compatible: the basis over a sub-alphabet is literally a subset of the basis
-over the larger one.  That coherence is what makes deduplicating brackets
-across overlapping maximal faces well defined.
+Generators come in two flavours: plain symbols x_1..x_m (the alphabet of
+the hall-basis command) and face generators a_{J,i} indexed by a vertex
+subset J with |J| >= 2 and a copy index 1 <= i <= |J|-1, whose letters
+stats counts per subset and per vertex.
 
-witt_dimension is the classical multigraded Witt formula and serves as an
-independent counting oracle for the Lyndon enumeration.  lyndon_class_counts
-generalizes it to the face (or plain) letters of {1..m}, graded by vertex
-vectors with several copies each: it counts Lyndon words per (length,
-support type, piece content) group without listing them, which is all the
-decompositions need.  A support's type counts its vertices in each piece
-of vertices; all supports of one type carry the same count, so it is
-counted once, summed over the type's supports and divided by their number.
+The decompositions list no brackets: lyndon_class_counts counts the
+Lyndon words over the face (or plain) letters of {1..m}, graded by vertex
+vectors with several copies each, per (length, support type, piece content)
+group without listing them, which is all the decompositions need.  A
+support's type counts its vertices in each piece of vertices; all supports
+of one type carry the same count, so it is counted once, summed over the
+type's supports and divided by their number.
 Each (content, type) grading is packed into one int, so the DP adds and ors
 ints and the groups come out in order.  The counts depend only on the
 request's shape, not on the spaces at the vertices, so they are memoized
@@ -31,8 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from math import comb, factorial, gcd, prod
+from math import comb, prod
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -59,11 +53,6 @@ class Generator:
             raise ValueError(f"copy index {i} outside 1..{len(sub) - 1}")
         return Generator(sub, i)
 
-    def key(self) -> tuple:
-        if self.subset is None:
-            return ((self.index,), 0)
-        return (self.subset, self.index)
-
     def name(self) -> str:
         if self.subset is None:
             return f"x{self.index}"
@@ -71,22 +60,6 @@ class Generator:
 
     def __str__(self) -> str:
         return self.name()
-
-
-def generators_for(I: Iterable[int]) -> tuple[Generator, ...]:
-    """The alphabet S_I = {a_{J,i} : J subset of I, |J| >= 2, 1 <= i <= |J|-1}.
-
-    Ordered by (J lexicographic, i); restricting to a smaller I gives a
-    prefix-compatible subsequence of the same global order.
-    """
-    iv = tuple(sorted(set(I)))
-    gens = []
-    for k in range(2, len(iv) + 1):
-        for J in combinations(iv, k):
-            for i in range(1, k):
-                gens.append(Generator(J, i))
-    gens.sort(key=Generator.key)
-    return tuple(gens)
 
 
 def plain_alphabet(m: int) -> tuple[Generator, ...]:
@@ -114,9 +87,6 @@ class Bracket:
         if self.gen is not None:
             return (self.gen,)
         return self.left.leaves() + self.right.leaves()
-
-    def multidegree(self) -> dict[Generator, int]:
-        return dict(Counter(self.leaves()))
 
     def serialize(self) -> str:
         if self.gen is not None:
@@ -170,43 +140,14 @@ def _standard_bracketing(
     return b
 
 
-def hall_basis(
-    alphabet: Sequence[Generator],
-    weight_bound: int,
-    *,
-    letter_degrees: Sequence[int] | None = None,
-    degree_bound: int | None = None,
-) -> list[Bracket]:
+def hall_basis(alphabet: Sequence[Generator], weight_bound: int) -> list[Bracket]:
     """All Lyndon brackets of weight <= weight_bound over the given alphabet.
 
     Deterministic order: (weight, word lexicographic in alphabet order).
-    When letter_degrees and degree_bound are given, brackets whose total
-    letter degree exceeds degree_bound are omitted; since degrees are >= 1
-    this prunes exactly the brackets invisible below that degree, which keeps
-    truncated series products finite without changing them.
     """
     if type(weight_bound) is not int or weight_bound < 1:  # no bool, no float
         raise ValueError(f"weight_bound must be an integer >= 1, got {weight_bound!r}")
-    k = len(alphabet)
-    if k == 0:
-        return []
-    max_len = weight_bound
-    degs = None
-    if degree_bound is not None:
-        if type(degree_bound) is not int:
-            raise ValueError(f"degree_bound must be an integer, got {degree_bound!r}")
-        if letter_degrees is None or len(letter_degrees) != k:
-            raise ValueError("degree_bound needs letter_degrees for the alphabet")
-        degs = list(letter_degrees)
-        if not all(type(d) is int and d >= 1 for d in degs):
-            raise ValueError(f"letter_degrees must be integers >= 1, got {degs!r}")
-        max_len = min(max_len, degree_bound // min(degs))
-    words = []
-    for w in lyndon_words(k, max_len):
-        if degs is not None and sum(degs[c] for c in w) > degree_bound:
-            continue
-        words.append(w)
-    words.sort(key=lambda w: (len(w), w))
+    words = sorted(lyndon_words(len(alphabet), weight_bound), key=lambda w: (len(w), w))
     memo: dict[tuple[int, ...], Bracket] = {}
     return [_standard_bracketing(w, alphabet, memo) for w in words]
 
@@ -255,28 +196,6 @@ def _mobius_divisors(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((d, _mobius(d)) for d in range(2, n + 1) if n % d == 0 and _mobius(d))
 
 
-def witt_dimension(multidegree: Sequence[int]) -> int:
-    """Number of Hall-basis brackets with the given generator multidegree.
-
-    Multigraded Witt formula: (1/n) sum over d | gcd of mu(d) * multinomial,
-    where n is the total weight.
-    """
-    counts = list(multidegree)
-    if any(type(c) is not int for c in counts):  # no bool, no float
-        raise ValueError(f"multidegree entries must be integers, got {counts!r}")
-    if any(c < 0 for c in counts):
-        raise ValueError("multidegree entries must be nonnegative")
-    n = sum(counts)
-    if n < 1:
-        raise ValueError("total weight must be >= 1")
-    total = sum(
-        mu * factorial(n // d) // prod(factorial(c // d) for c in counts)
-        for d, mu in ((1, 1), *_mobius_divisors(gcd(*counts)))
-    )
-    assert total % n == 0
-    return total // n
-
-
 def lyndon_class_counts(
     pieces: Sequence[int],
     weight_bound: int,
@@ -311,8 +230,7 @@ def lyndon_class_counts(
     sum over d | gcd(w, q) of mu(d) * words[w/d][q/d, s]; one support's
     count is that total over w * prod_p C(n_p, s_p).  With vertex_degrees
     (equal within a piece) and degree_bound, gradings with sum_j l_j *
-    deg_j above the bound are omitted, exactly the brackets hall_basis
-    prunes.
+    deg_j above the bound are omitted.
 
     A grading is one int: q in fixed-width lanes (piece 0 the most
     significant) above the s part, where a piece of one vertex is one bit,

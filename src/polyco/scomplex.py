@@ -34,10 +34,11 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cmp_to_key, lru_cache
+from functools import cmp_to_key, lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import combinations, pairwise, product as iproduct
 from math import gcd
+from operator import and_
 from typing import Collection, Iterable, Mapping, NamedTuple
 
 Face = tuple[int, ...]
@@ -108,16 +109,6 @@ class SimplicialComplex:
     def __str__(self) -> str:
         fs = ", ".join("{" + ",".join(map(str, f)) + "}" for f in self.facets)
         return f"Complex(m={self.m}; facets {fs or 'none'})"
-
-
-class Subcomplex(NamedTuple):
-    """A full subcomplex re-indexed to {1..|I|} plus its index map.
-
-    ``vertices[j-1]`` is the original label of the new vertex j.
-    """
-
-    complex: SimplicialComplex
-    vertices: tuple[int, ...]
 
 
 def build(m: int, faces: Iterable[Iterable[int]]) -> SimplicialComplex:
@@ -225,8 +216,9 @@ def _faces(K: SimplicialComplex) -> tuple[Face, ...]:
     return tuple(out)
 
 
-def full_subcomplex(K: SimplicialComplex, I: Iterable[int]) -> Subcomplex:
-    """The full subcomplex K_I: all faces of K contained in I, re-indexed.
+def full_subcomplex(K: SimplicialComplex, I: Iterable[int]) -> SimplicialComplex:
+    """The full subcomplex K_I: all faces of K contained in I, re-indexed to
+    {1..|I|}, the j-th smallest vertex of I becoming vertex j.
 
     Every face of K inside I lies in some trace F ∩ I of a facet F, so the
     facets of K_I are the maximal traces; no face of K is listed.  Raises
@@ -242,12 +234,7 @@ def full_subcomplex(K: SimplicialComplex, I: Iterable[int]) -> Subcomplex:
     relabel = {v: j for j, v in enumerate(iv, start=1)}
     traces = {tuple(relabel[v] for v in f if v in relabel) for f in K.facets}
     traces.discard(())
-    return Subcomplex(SimplicialComplex(len(iv), _maximal(traces)), iv)
-
-
-def maximal_faces_ge2(K: SimplicialComplex) -> tuple[Face, ...]:
-    """Facets with at least two vertices (the indexing set for edge-and-up factors)."""
-    return tuple(f for f in K.facets if len(f) >= 2)
+    return SimplicialComplex(len(iv), _maximal(traces))
 
 
 def missing_subsets(K: SimplicialComplex) -> tuple[Face, ...]:
@@ -383,9 +370,14 @@ def _core(K: SimplicialComplex) -> frozenset[int]:
     whose deletion rewrites every facet through it, goes last if at all.
     The result, the facets left in the star, has no dominated vertex and
     only maximal facets; it is empty iff K has no vertex.  Ghost vertices
-    are in no facet and play no part.
+    are in no facet and play no part.  When one vertex lies in every facet,
+    K is a cone on it and collapses to it at once: deleting the other
+    vertices one by one would rewrite each big facet once per vertex.
     """
-    star = {v: set(s) for v, s in _index(K).star.items()}
+    index = _index(K)
+    if index.facets and (apex := reduce(and_, index.facets)):
+        return frozenset((apex & -apex,))
+    star = {v: set(s) for v, s in index.star.items()}
     todo = [(len(s), v) for v, s in star.items()]
     heapify(todo)
     queued = set(star)
@@ -473,13 +465,6 @@ def is_shifted(K: SimplicialComplex) -> bool:
     guess = sorted(range(1, K.m + 1), key=lambda v: -len(star.get(v, ())))
     order = sorted(guess, key=cmp_to_key(lambda u, v: 0 if replaceable(v, u) else -1))
     return all(replaceable(u, v) for u, v in pairwise(order))
-
-
-def minimal_non_faces(K: SimplicialComplex) -> tuple[Face, ...]:
-    """Inclusion-minimal non-faces (every proper subset is a face)."""
-    return tuple(
-        f for f in missing_subsets(K) if all(map(K.has_face, combinations(f, len(f) - 1)))
-    )
 
 
 def _chordal_flag(K: SimplicialComplex) -> bool:

@@ -265,21 +265,6 @@ def tensor_algebra_series(reduced_part: PoincareSeries) -> PoincareSeries:
     return (PoincareSeries.one(reduced_part.N) - reduced_part).invert()
 
 
-def free_product_series(components: Sequence[PoincareSeries]) -> PoincareSeries:
-    """Loops on a wedge: reciprocals add, minus (k-1).
-
-    1/P = sum 1/P_i - (k-1), for P_i the series of the looped summands.
-    """
-    if not components:
-        raise ValueError("free product needs at least one component")
-    n = components[0].N
-    acc = PoincareSeries.zero(n)
-    for p in components:
-        acc = acc + p.invert()
-    acc = acc - PoincareSeries.from_ints([len(components) - 1], n)
-    return acc.invert()
-
-
 def _em_product_series(degrees: Sequence[int], N: int) -> PoincareSeries:
     """Rational homology of a product of Eilenberg-MacLane factors K(Q, d), d >= 1:
     exterior generator (1 + t^d) for odd d, polynomial 1/(1 - t^d) for even d.

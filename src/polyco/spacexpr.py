@@ -46,7 +46,7 @@ from itertools import groupby
 from operator import eq, itemgetter
 from typing import Iterable, Sequence, Union
 
-from .scomplex import SimplicialComplex, build, complex_from_json, complex_to_json, json_int
+from .scomplex import SimplicialComplex, complex_from_json, complex_to_json, json_int
 from .scomplex import wedge_of_spheres_type
 
 INFINITE = math.inf
@@ -353,11 +353,6 @@ def _map_from_susp(K: SimplicialComplex, c: SpaceExpr) -> SpaceExpr:
     return _plan(Product, [c if d + 1 == 0 else _loop(c, d + 1) for d in dims])([1] * len(dims))
 
 
-def expr_equal(a: SpaceExpr, b: SpaceExpr) -> bool:
-    """Structural equality of canonical forms."""
-    return normalize(a) == normalize(b)
-
-
 def conn(e: SpaceExpr) -> float:
     """A connectivity lower bound; Point gives the infinite sentinel.
 
@@ -586,8 +581,3 @@ CP_INFINITY = Atom(
     loop=Sphere(1),
     series=((1,), (1, 0, -1)),
 )
-
-
-def two_points() -> SimplicialComplex:
-    """The boundary of the 1-simplex: two disjoint vertices."""
-    return build(2, [[1], [2]])

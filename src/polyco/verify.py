@@ -144,7 +144,7 @@ def _report(name: str, N: int, lhs, rhs, notes: Sequence[str] = ()) -> Verificat
 
 def _loops_on_wedge(spaces: Sequence[SpaceExpr], N: int):
     """The free-product oracle: series_of's rule for loops on a wedge.  No
-    spaces is an error, as in free_product_series, not the point's series."""
+    spaces is an error, not the point's series."""
     if not spaces:
         raise ValueError("free product needs at least one component")
     return series_of(Loop(Wedge(tuple(spaces))), N)
@@ -268,7 +268,3 @@ def check_disjoint_union(
     rhs = disjoint_union_decomp(K1, K2, spaces, N + 1, degree_bound=N).series_product(N)
     return _report("disjoint-union", N, lhs, rhs)
 
-
-def run_reports(reports: Sequence[VerificationReport]) -> list[VerificationReport]:
-    """Deterministic ordering for batched output."""
-    return sorted(reports, key=lambda r: r.name)

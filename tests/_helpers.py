@@ -4,7 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, compress, repeat
-from math import gcd
+from math import factorial, gcd, prod
 from operator import add, and_, mul
 from struct import Struct
 from typing import Sequence
@@ -18,19 +18,18 @@ from polyco.decomp import (
     _provenance_text,
 )
 from polyco.liealg import (
+    Generator,
     _mobius_divisors,
-    generators_for,
     hall_basis,
     plain_alphabet,
     stats,
 )
 from polyco.scomplex import (
     SimplicialComplex,
-    Subcomplex,
     build,
     full_subcomplex,
     homology,
-    maximal_faces_ge2,
+    missing_subsets,
     wedge_of_spheres_type,
 )
 from polyco.series import (
@@ -38,7 +37,6 @@ from polyco.series import (
     Unsupported,
     _loop_sphere_series,
     _series,
-    free_product_series,
     tensor_algebra_series,
 )
 from polyco.spacexpr import (
@@ -466,6 +464,94 @@ def reference_series(e: SpaceExpr, N: int):
     return Unsupported(f"no loop rule for {render(c)}")
 
 
+def free_product_series(components: Sequence[PoincareSeries]) -> PoincareSeries:
+    """Loops on a wedge: reciprocals add, minus (k-1).
+
+    1/P = sum 1/P_i - (k-1), for P_i the series of the looped summands.
+    """
+    if not components:
+        raise ValueError("free product needs at least one component")
+    n = components[0].N
+    acc = PoincareSeries.zero(n)
+    for p in components:
+        acc = acc + p.invert()
+    acc = acc - PoincareSeries.from_ints([len(components) - 1], n)
+    return acc.invert()
+
+
+# ---------------------------------------------------------------------------
+# Hall-basis references: the face alphabet listed letter by letter, letter
+# counts, the multigraded Witt formula, and bases pruned by letter degree
+# ---------------------------------------------------------------------------
+
+
+def generators_for(I) -> tuple[Generator, ...]:
+    """The alphabet S_I = {a_{J,i} : J subset of I, |J| >= 2, 1 <= i <= |J|-1}.
+
+    Ordered by (J lexicographic, i); restricting to a smaller I gives a
+    prefix-compatible subsequence of the same global order.
+    """
+    iv = sorted(set(I))
+    gens = [Generator(J, i) for k in range(2, len(iv) + 1) for J in combinations(iv, k) for i in range(1, k)]
+    return tuple(sorted(gens, key=lambda g: (g.subset, g.index)))
+
+
+def multidegree(b, alphabet) -> tuple[int, ...]:
+    """How often each letter of the alphabet occurs in the bracket b."""
+    counts = Counter(b.leaves())
+    return tuple(counts[g] for g in alphabet)
+
+
+def _witt_mobius(n: int) -> int:
+    # by trial division, apart from the class counter's Moebius table
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+def witt_dimension(multidegree: Sequence[int]) -> int:
+    """Number of Hall-basis brackets with the given generator multidegree.
+
+    Multigraded Witt formula: (1/n) sum over d | gcd of mu(d) * multinomial,
+    where n is the total weight.
+    """
+    counts = list(multidegree)
+    if any(type(c) is not int for c in counts):  # no bool, no float
+        raise ValueError(f"multidegree entries must be integers, got {counts!r}")
+    if any(c < 0 for c in counts):
+        raise ValueError("multidegree entries must be nonnegative")
+    n = sum(counts)
+    if n < 1:
+        raise ValueError("total weight must be >= 1")
+    g = gcd(*counts)
+    total = sum(
+        _witt_mobius(d) * factorial(n // d) // prod(factorial(c // d) for c in counts)
+        for d in range(1, g + 1)
+        if g % d == 0
+    )
+    assert total % n == 0
+    return total // n
+
+
+def pruned_hall_basis(alphabet, weight_bound, letter_degrees=None, degree_bound=None):
+    """hall_basis without the brackets whose letter degrees sum above
+    degree_bound: since every degree is >= 1, enumerating to weight
+    min(weight_bound, degree_bound // min degree) loses none of the others."""
+    if degree_bound is None:
+        return hall_basis(alphabet, weight_bound)
+    degree = dict(zip(alphabet, letter_degrees))
+    top = min(weight_bound, degree_bound // min(letter_degrees, default=1))
+    if top < 1:
+        return []
+    return [b for b in hall_basis(alphabet, top) if sum(map(degree.get, b.leaves())) <= degree_bound]
+
+
 # ---------------------------------------------------------------------------
 # bracket supports, which no decomposition reads since brackets are counted
 # per group rather than listed
@@ -725,9 +811,8 @@ def enumerated_hilton_milnor(spaces, weight_bound, degree_bound=None) -> Decompo
     if degree_bound is not None:
         degrees = [_letter_degree(by_vertex, g) for g in alphabet]
     factors = []
-    for b in hall_basis(alphabet, weight_bound, letter_degrees=degrees, degree_bound=degree_bound):
-        md = b.multidegree()
-        l = [md.get(g, 0) for g in alphabet]
+    for b in pruned_hall_basis(alphabet, weight_bound, degrees, degree_bound):
+        l = multidegree(b, alphabet)
         expr = normalize(Loop(Susp(_loop_smash_of_loops(by_vertex, l, looped=False))))
         if not isinstance(expr, Point):
             factors.append(Factor(expr, 1, b))
@@ -739,13 +824,13 @@ def enumerated_wedge(K, spaces, weight_bound, degree_bound=None) -> Decompositio
     by_vertex = {i + 1: spaces[i] for i in range(K.m)}
     factors = _base_factors(K, _normal_pairs(K, PairAssignment.constant_maps(spaces)))
     seen = {}
-    maximal = maximal_faces_ge2(K)
+    maximal = [f for f in K.facets if len(f) >= 2]
     for sigma in maximal:
         alphabet = generators_for(sigma)
         degrees = None
         if degree_bound is not None:
             degrees = [_letter_degree(by_vertex, g) for g in alphabet]
-        for b in hall_basis(alphabet, weight_bound, letter_degrees=degrees, degree_bound=degree_bound):
+        for b in pruned_hall_basis(alphabet, weight_bound, degrees, degree_bound):
             seen.setdefault(b, None)
     brackets = []
     for b in seen:
@@ -812,7 +897,7 @@ def reference_bracket_factor(K, pairs, support, l):
     and the full subcomplex redone on every call: the reference for the
     rule that resolves each support once."""
     if all(pairs.domain_contractible(j) for j in support):
-        sub = full_subcomplex(K, support).complex
+        sub = full_subcomplex(K, support)
         inner = Susp(_smash_powers([Loop(a) for _, a in pairs.pairs], l))
         return normalize(Loop(MapFromSusp(sub, inner)))
     if all(pairs.codomain_is_point(j) for j in support):
@@ -822,7 +907,7 @@ def reference_bracket_factor(K, pairs, support, l):
     # mixed endpoint data over the support: no lemma applies, stay symbolic
     vert_text = ",".join(map(str, support))
     weights = [lj for lj in l if lj]
-    dim = full_subcomplex(K, support).complex.dim()
+    dim = full_subcomplex(K, support).dim()
     return Loop(Atom(f"ŝ-coprod[K_{{{vert_text}}}; weights {weights}]", max(0, sum(l) - dim - 1)))
 
 
@@ -956,7 +1041,7 @@ def enumerated_contractible(K, pairs, weight_bound) -> Decomposition:
     def rule(support, l):
         if support in faces:
             return None
-        sub = full_subcomplex(K, support).complex
+        sub = full_subcomplex(K, support)
         return normalize(Loop(MapFromSusp(sub, Susp(_loop_smash_of_loops(codomains, l)))))
 
     return _enumerated_face_alphabet(K, pairs, weight_bound, "contractible-domains", rule)
@@ -990,7 +1075,7 @@ def reference_build(m, faces) -> SimplicialComplex:
     return SimplicialComplex(m, tuple(sorted(maximal)))
 
 
-def reference_full_subcomplex(K: SimplicialComplex, I) -> Subcomplex:
+def reference_full_subcomplex(K: SimplicialComplex, I) -> SimplicialComplex:
     """Every face of K inside I, relabeled, fed to reference_build."""
     I = list(I)
     for v in I:
@@ -1004,7 +1089,19 @@ def reference_full_subcomplex(K: SimplicialComplex, I) -> Subcomplex:
         raise ValueError("full subcomplex needs a nonempty vertex set")
     relabel = {v: j + 1 for j, v in enumerate(iv)}
     faces = [tuple(relabel[v] for v in f) for f in frozenset(K.faces()) if f and set(f) <= set(iv)]
-    return Subcomplex(reference_build(len(iv), faces), iv)
+    return reference_build(len(iv), faces)
+
+
+def two_points() -> SimplicialComplex:
+    """The boundary of the 1-simplex: two disjoint vertices."""
+    return build(2, [[1], [2]])
+
+
+def minimal_non_faces(K: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
+    """Inclusion-minimal non-faces (every proper subset is a face)."""
+    return tuple(
+        f for f in missing_subsets(K) if all(map(K.has_face, combinations(f, len(f) - 1)))
+    )
 
 
 def dense_rank(rows) -> int:

@@ -5,14 +5,32 @@ digests are loaded as they are, so a change in any factor listing fails
 here and not only in a timed benchmark run.
 """
 
+import ast
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import polyco
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = PERFBENCH.parent / "src"
+
+# run in a fresh interpreter: every (module, attribute) target that is not
+# found there, a "Class.method" looked up in the class's own namespace
+RESOLVE_TARGETS = """
+import importlib, json, sys
+missing = []
+for key, modname, attr in json.loads(sys.argv[1]):
+    module = importlib.import_module(modname)
+    owner, _, name = attr.rpartition(".")
+    scope = getattr(module, owner, None) if owner else module
+    if scope is None or name not in vars(scope):
+        missing.append([modname, attr])
+print(json.dumps(missing))
+"""
 
 
 def load_workloads(monkeypatch):
@@ -59,3 +77,22 @@ def test_first_variant_of_every_verify_slot_gives_its_expected_verdict(monkeypat
     specs = [slot.variants[0] for slot in workloads.catalogue()["verify"].slots]
     assert len(specs) == 35
     assert_recorded(workloads, specs)
+
+
+def test_every_tracer_target_resolves_on_a_fresh_import():
+    # Tracer.install raises on a missing target, which would stop every
+    # traced benchmark run; the tracer is read, not imported
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text(encoding="utf-8"))
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
+    )
+    assert targets and any("." in attr for _, _, attr in targets)
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", RESOLVE_TARGETS, json.dumps(targets)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

@@ -9,6 +9,7 @@ import pytest
 from _helpers import (
     dense_invert,
     dense_mul,
+    free_product_series,
     random_expr,
     random_series,
     reference_em_product_series,
@@ -21,7 +22,6 @@ from polyco.series import (
     _em_product_series,
     _log_memo,
     _series_memo,
-    free_product_series,
     series_of,
     tensor_algebra_series,
 )

@@ -19,7 +19,6 @@ from polyco.verify import (
     check_hilton_milnor,
     check_porter,
     check_wedge_case,
-    run_reports,
 )
 
 S = Sphere
@@ -138,11 +137,6 @@ def test_equal_verdicts_reproduce_at_higher_degree():
             assert isinstance(high.verdict, Equal)
             # the deeper run restricts to the shallower one
             assert high.lhs.coeffs[:9] == low.lhs.coeffs[:9]
-
-
-def test_reports_sorted_by_name():
-    rs = run_reports([check_counterexample(4), check_porter([S(2)], 4)])
-    assert [r.name for r in rs] == ["join-counterexample", "porter"]
 
 
 def test_report_json_shape():
