@@ -33,24 +33,26 @@ decompositions of the looped coproduct:
     unions.
 
 A bracket factor depends only on its support and its vertex content l (l_j
-counts the letters whose vertex set contains j) summed over each piece, a set
-of vertices with one normalized (domain, codomain) pair (one summand for
-hilton_milnor); when some support can be mixed (a non-point domain and a
-non-point codomain both occur) every vertex is its own piece.
-So brackets are never listed.  lyndon_class_counts counts them once per
-(weight, support type, piece content), where a support's type counts its
-vertices in each piece, and the engine lists, for each counted type, the
-faces of K of that type for point codomains (whose counts are then cut to
-the types of K's faces) and every support of that type otherwise: for
+counts the letters whose vertex set contains j) summed over each piece.  All
+four bracket decompositions build one piece table per call (_grading): a
+piece is the set of vertices with one normalized summand (hilton_milnor) or
+(domain, codomain) pair, or a single vertex when some support can be mixed
+(a non-point domain and a non-point codomain both occur), and one smash
+plan over each piece's surviving space (its summand, or the loops of its
+domain, or of its codomain when the domain is contractible) builds every
+factor.  So brackets are never listed: lyndon_class_counts counts them
+once per (weight, support type, piece content), where a support's type
+counts its vertices in each piece.  For each counted type the engine lists
+the faces of K of that type for point codomains (whose counts are then cut
+to the types of K's faces) and every support of that type otherwise: for
 contractible domains the bracket rule drops the faces, and mixed data has
-one support per type, since every vertex is then its own piece.  Each
-listed (weight, support, piece content) group becomes one Factor with its
-bracket count as multiplicity and BracketGroup(weight, support, pieces,
-counts) as provenance, in JSON
+one support per type.  Each listed (weight, support, piece content) group
+becomes one Factor with its bracket count as multiplicity and
+BracketGroup(weight, support, pieces, counts) as provenance, in JSON
 {"kind": "group", "weight": ..., "support": [...], "pieces": [...],
-"counts": [...]}.  The three polyhedral decompositions are one engine and
-one bracket rule over the face alphabet, resolved once per listed support,
-and each distinct factor is built once.
+"counts": [...]}.  The polyhedral decompositions share one engine and one
+bracket rule, resolved once per listed support, and each distinct factor is
+built once.
 
 Every emitted factor expression is in normal form: it is built by the
 normal-form helpers of spacexpr from pieces normalized once, not as a raw
@@ -65,7 +67,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, compress
+from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from . import series as series_mod
@@ -474,6 +476,16 @@ def _class_factors(counts, grading: Sequence[int], rule, candidates) -> list[Fac
     return out
 
 
+def _grading(normal: Sequence, surviving=lambda x: x, per_vertex: bool = False):
+    # the piece table of a call: each vertex's piece, each piece's normal
+    # form (one piece per distinct form, in order of first vertex, or one
+    # per vertex), and the one smash plan over surviving(form) per piece
+    ids: dict = {}
+    grading = [ids.setdefault(j if per_vertex else x, len(ids)) for j, x in enumerate(normal)]
+    spaces = list(normal) if per_vertex else list(ids)
+    return grading, spaces, _plan(Smash, [surviving(x) for x in spaces])
+
+
 def _type_supports(grading: Sequence[int]):
     """candidates(s) for the engine: every support with s[p] vertices in
     piece p (grading[j - 1] the piece of vertex j), its vertices sorted,
@@ -481,10 +493,6 @@ def _type_supports(grading: Sequence[int]):
     members: list[list[int]] = [[] for _ in range(max(grading) + 1)]
     for j, p in enumerate(grading, start=1):
         members[p].append(j)
-    if len(members) == len(grading):
-        # one vertex per piece: the type is the support's indicator
-        firsts = [vertices[0] for vertices in members]
-        return lambda s: [tuple(sorted(compress(firsts, s)))]
 
     def every(s):
         supports = [()]
@@ -506,11 +514,11 @@ def hilton_milnor(
 
     Each bracket contributes Loop Susp of the smash of l_i copies of each
     X_i, zero-fold powers omitted, where l_i counts the letter x_i; the
-    brackets are counted per group, by letter count per distinct summand.
-    Each distinct summand is normalized once, and each factor is built in
-    normal form from those summands.  degree_bound
-    optionally drops the brackets whose factors carry no homology at or
-    below that degree, which leaves truncated series products unchanged.
+    brackets are counted per group, by letter count per piece, the
+    summands with one normal form, and each factor is built in normal form
+    from those forms.  degree_bound optionally drops the brackets whose
+    factors carry no homology at or below that degree (read from the normal
+    forms), which leaves truncated series products unchanged.
     """
     m = len(spaces)
     if m == 0:
@@ -518,14 +526,12 @@ def hilton_milnor(
     for i, x in enumerate(spaces, start=1):
         if conn(x) < 0:
             raise ValueError(f"vertex {i}: summand {render(x)} must be connected")
-    ids: dict[SpaceExpr, int] = {}
-    grading = [ids.setdefault(x, len(ids)) for x in spaces]
-    smash = _plan(Smash, [normalize(x) for x in ids])
+    grading, summands, smash = _grading([normalize(x) for x in spaces])
 
     def build(q):
         return _loop(_susp(smash(q)), 1)
 
-    degrees = None if degree_bound is None else _vertex_degrees(spaces, 1)
+    degrees = None if degree_bound is None else _vertex_degrees([summands[p] for p in grading], 1)
     counts = lyndon_class_counts(
         grading, weight_bound, alphabet="plain", vertex_degrees=degrees, degree_bound=degree_bound
     )
@@ -554,17 +560,12 @@ def _base_factors(K: SimplicialComplex, normal: Sequence[tuple[SpaceExpr, SpaceE
 
 def _vertex_pieces(normal: Sequence[tuple[SpaceExpr, SpaceExpr]]):
     # each vertex's piece, each piece's normalized (domain, codomain), and
-    # per side (0 domain, 1 codomain) the smash plan over the pieces'
-    # loop spaces; one piece per distinct pair, or one per vertex when a
-    # support can be mixed
-    if not any(all(isinstance(xa[side], Point) for xa in normal) for side in (0, 1)):
-        grading, spaces = list(range(len(normal))), list(normal)
-    else:
-        ids: dict[tuple[SpaceExpr, SpaceExpr], int] = {}
-        grading = [ids.setdefault(xa, len(ids)) for xa in normal]
-        spaces = list(ids)
-    smashes = tuple(_plan(Smash, [_loop(xa[side], 1) for xa in spaces]) for side in (0, 1))
-    return grading, spaces, smashes
+    # the one smash plan over each piece's surviving loop space: the loop
+    # of its domain, or of its codomain when the domain is contractible.
+    # One piece per distinct pair, or one per vertex when a support can be
+    # mixed (a non-point domain and a non-point codomain both occur)
+    mixed = not any(all(isinstance(xa[side], Point) for xa in normal) for side in (0, 1))
+    return _grading(normal, lambda xa: _loop(xa[1] if isinstance(xa[0], Point) else xa[0], 1), mixed)
 
 
 def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
@@ -574,16 +575,17 @@ def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
     for piece content q; shape and q are all that it depends on.
 
     In the reduced branches build(q) assembles the factor in normal form
-    from the pieces' smash plan on the surviving side: Loop Susp of the
-    smash of q_p copies of each piece's loop space, through a mapping space
-    out of Susp|K_S| when the domains are contractible."""
-    grading, spaces, smashes = pieces
+    from the pieces' one smash plan: Loop Susp of the smash of q_p copies
+    of each piece's surviving loop space, through a mapping space out of
+    Susp|K_S| when the domains are contractible."""
+    grading, spaces, smash = pieces
     on = [spaces[grading[j - 1]] for j in support]
+    sub = None
     if all(isinstance(a, Point) for _, a in on):
         # point codomains: only a face support survives
         if not K.has_face(support):
             return None
-        side, shape = 0, "point"
+        shape = "point"
     elif all(isinstance(x, Point) for x, _ in on):
         # over a face, or any certified contractible realization, this is a point
         if K.has_face(support):
@@ -592,17 +594,16 @@ def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
         dims = wedge_of_spheres_type(sub)
         if dims == ():
             return None
-        side, shape = 1, sub if dims is None else dims
+        shape = sub if dims is None else dims
     else:
         # mixed endpoint data (one piece per vertex, q is l): stay symbolic
         name = "ŝ-coprod[K_{" + ",".join(map(str, support)) + "}; weights "
         top = full_subcomplex(K, support).dim() + 1
         return name, lambda q: Loop(Atom(f"{name}{[x for x in q if x]}]", max(0, sum(q) - top)))
-    smash = smashes[side]
 
     def build(q):
         susp = _susp(smash(q))
-        return _loop(susp if side == 0 else _map_from_susp(sub, susp), 1)
+        return _loop(susp if sub is None else _map_from_susp(sub, susp), 1)
 
     return shape, build
 
@@ -634,33 +635,24 @@ def _coproduct_decomposition(
     # whether the full bracket set is infinite, so that the weight bound cuts it
     grading, spaces, _ = pieces = _vertex_pieces(normal)
     degrees = None if degree_bound is None else _vertex_degrees([spaces[p][0] for p in grading], 0)
-    rule = partial(_bracket_rule, K, pieces)
-    every = _type_supports(grading)
-    types = None
-    if all(isinstance(a, Point) for _, a in spaces):
-        # point codomains keep faces only: their words use only letters
-        # inside a face, so the states are cut to the types of K's faces
-        if len(K.facets) == 1 and len(K.facets[0]) == K.m:
-            candidates = every  # the full simplex: every support is a face
-        else:
-            faces: dict[tuple[int, ...], list[Face]] = {}
-            for f in K.faces():
-                s = [0] * len(spaces)
-                for j in f:
-                    s[grading[j - 1]] += 1
-                faces.setdefault(tuple(s), []).append(f)
-            types = faces.keys()
-
-            def candidates(s):
-                return faces.get(s, ())
-    else:
-        # contractible domains (the rule drops the faces) or mixed endpoint
-        # data (one vertex per piece, so one support per type)
-        candidates = every
+    # every support of a type is a candidate for contractible domains (the
+    # rule drops the faces), for mixed endpoint data (one vertex per piece,
+    # so one support per type) and over the full simplex.  Other point
+    # codomains keep faces only: their words use only letters inside a
+    # face, so the states are cut to the types of K's faces
+    candidates, types = _type_supports(grading), None
+    if all(isinstance(a, Point) for _, a in spaces) and K.facets != (tuple(range(1, K.m + 1)),):
+        faces: dict[tuple[int, ...], list[Face]] = {}
+        for f in K.faces():
+            s = [0] * len(spaces)
+            for j in f:
+                s[grading[j - 1]] += 1
+            faces.setdefault(tuple(s), []).append(f)
+        types, candidates = faces.keys(), lambda s: faces.get(s, ())
     counts = lyndon_class_counts(
         grading, weight_bound, types=types, vertex_degrees=degrees, degree_bound=degree_bound
     )
-    brackets = _class_factors(counts, grading, rule, candidates)
+    brackets = _class_factors(counts, grading, partial(_bracket_rule, K, pieces), candidates)
     factors = _base_factors(K, normal) + brackets
     return Decomposition(tuple(factors), theorem, weight_bound if truncated else None)
 

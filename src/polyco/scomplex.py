@@ -342,13 +342,20 @@ def _delete_vertex(star: dict[int, set[int]], v: int) -> set[int]:
     is given, in place, leaving the full subcomplex on the other vertices.
 
     Each facet F through v becomes F - v, dropped when it is empty or when
-    another facet contains it (:func:`_is_face`, once F has left the star).
-    Returns the vertices of those facets other than v: only their facet
-    counts, and so only their status, can change.
+    another facet contains it (:func:`_is_face`, once F has left the star);
+    if F is v's only facet, F's other vertices in no other facet go too,
+    except F's lowest other vertex.  Returns the vertices left in those
+    facets: only their facet counts, and so only their status, can change.
     """
+    facets, gone = star[v], 1 << v
+    if len(facets) == 1:
+        (F,) = facets
+        gone |= sum(1 << u for u in _vertices(F ^ gone)[1:] if len(star[u]) == 1)
+    for u in _vertices(gone):
+        del star[u]
     touched = set()
-    for F in star.pop(v):
-        G = F ^ 1 << v
+    for F in facets:
+        G = F & ~gone
         vs = _vertices(G)
         touched.update(vs)
         for u in vs:
@@ -370,9 +377,9 @@ def _core(K: SimplicialComplex) -> frozenset[int]:
     whose deletion rewrites every facet through it, goes last if at all.
     The result, the facets left in the star, has no dominated vertex and
     only maximal facets; it is empty iff K has no vertex.  Ghost vertices
-    are in no facet and play no part.  When one vertex lies in every facet,
-    K is a cone on it and collapses to it at once: deleting the other
-    vertices one by one would rewrite each big facet once per vertex.
+    are in no facet and play no part.  No big facet is rewritten once per
+    vertex: a cone collapses to its apex at once, and a vertex in one facet
+    takes the facet's other vertices in no other facet with it.
     """
     index = _index(K)
     if index.facets and (apex := reduce(and_, index.facets)):
@@ -383,6 +390,8 @@ def _core(K: SimplicialComplex) -> frozenset[int]:
     queued = set(star)
     while todo:
         v = heappop(todo)[1]
+        if v not in star:  # deleted with another vertex of its facet
+            continue
         queued.discard(v)
         rest = ~(1 << v)
         for F in star[v]:
@@ -433,7 +442,6 @@ def homology(K: SimplicialComplex) -> HomologyProfile:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def is_shifted(K: SimplicialComplex) -> bool:
     """Whether some relabeling of {1..m} makes K shifted.
 

@@ -377,14 +377,12 @@ def conn(e: SpaceExpr) -> float:
         return conn(e.child) + 1
     if isinstance(e, Loop):
         c = conn(e.child)
-        for _ in range(e.count):
-            if c < 0:
-                raise ConnectivityUnderflowError(
-                    f"connectivity underflow: looping {render(e.child)} "
-                    f"(estimate {c}) is not supported"
-                )
-            c -= 1
-        return c
+        if c < 0 or c + 1 < e.count:  # each loop needs an estimate >= 0 and lowers it by 1
+            raise ConnectivityUnderflowError(
+                f"connectivity underflow: looping {render(e.child)} "
+                f"(estimate {min(c, -1)}) is not supported"
+            )
+        return c - e.count
     if isinstance(e, MapFromSusp):
         c = conn(e.child)
         if c is INFINITE:

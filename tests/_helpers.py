@@ -943,9 +943,9 @@ def reference_grading(pairs) -> list[int]:
 
 
 def summand_grading(spaces) -> list[int]:
-    """Each summand's piece for hilton_milnor: one per distinct summand."""
+    """Each summand's piece for hilton_milnor: one per distinct normal form."""
     first = {}
-    return [first.setdefault(x, len(first)) for x in spaces]
+    return [first.setdefault(normalize(x), len(first)) for x in spaces]
 
 
 def group_of(w, l, grading):

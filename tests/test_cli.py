@@ -120,6 +120,21 @@ def test_porter_and_hilton_milnor_commands(tmp_path, capsys):
     assert "hilton-milnor" in capsys.readouterr().out
 
 
+def test_hilton_milnor_command_groups_a_suspension_with_its_sphere(tmp_path, capsys):
+    # a "susp" entry equal to S^3 after normalization lists as S^3 does
+    sphere = {"kind": "sphere", "n": 3}
+    susp = {"kind": "susp", "child": {"kind": "sphere", "n": 2}}
+    outs = {}
+    for name, second in (("susp", susp), ("sphere", sphere)):
+        spaces = write(tmp_path, f"{name}.json", {"1": sphere, "2": second})
+        for fmt in ("text", "json"):
+            assert main(["hilton-milnor", "--spaces", spaces, "--max-weight", "3", "--format", fmt]) == 0
+            outs[name, fmt] = capsys.readouterr().out
+    assert outs["susp", "text"] == outs["sphere", "text"]
+    assert outs["susp", "json"] == outs["sphere", "json"]
+    assert "4 entries" in outs["susp", "text"]
+
+
 def test_bbcg_command(tmp_path, capsys):
     cx = write(tmp_path, "pts.json", {"m": 2, "facets": [[1], [2]]})
     spaces = write(

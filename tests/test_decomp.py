@@ -243,6 +243,19 @@ def test_hilton_milnor_examples():
     assert dec3.truncation == 3
 
 
+def test_hilton_milnor_groups_summands_by_normal_form():
+    # ΣS^2 normalizes to S^3, so the two summands share a piece and the
+    # listing is that of two equal spheres: 4 entries, not 5
+    for bound in (None, 7, 12):
+        given = hilton_milnor([S(3), Susp(S(2))], 3, degree_bound=bound)
+        equal = hilton_milnor([S(3), S(3)], 3, degree_bound=bound)
+        assert given.render() == equal.render()
+        assert given.to_json() == equal.to_json()
+    listing = hilton_milnor([S(3), Susp(S(2))], 3)
+    assert len(listing.factors) == 4
+    assert listing.render().splitlines()[-1] == "  ΩS^10 ^2   [group w=3 {1,2}:3]"
+
+
 def test_hilton_milnor_rejects_bad_weight():
     with pytest.raises(ValueError):
         hilton_milnor([X1], 0)
@@ -830,7 +843,8 @@ def test_counted_contractible_matches_enumerated():
 
 def test_counted_hilton_milnor_matches_enumerated():
     rng = random.Random(5081)
-    pool = (S(2), S(3), S(4), X1, CP_INFINITY)
+    # ΣS^2 and S^3 are one summand after normalization
+    pool = (S(2), S(3), S(4), X1, CP_INFINITY, Susp(S(2)))
     for _ in range(30):
         m = rng.randint(1, 4)
         spaces = [rng.choice(pool) for _ in range(m)]
@@ -1280,8 +1294,8 @@ def test_contractible_listing_json_stays_small():
 # ---------------------------------------------------------------------------
 
 # atoms whose loop replacement is a product or a smash (the smash flattens
-# into the smash of a bracket factor); Susp(S^2) normalizes to S^3, so it is
-# a summand of its own that builds the same factors as S^3
+# into the smash of a bracket factor); Susp(S^2) normalizes to S^3, so it
+# shares S^3's piece and builds the same factors
 T_PRODUCT = Atom("T", 2, loop=Product((Loop(S(3)), Loop(S(5)))))
 U_SMASH = Atom("U", 1, loop=Smash((S(1), Atom("V", 1))))
 PARITY_DOMAINS = (S(3), CP_INFINITY, T_PRODUCT, U_SMASH, POINT, PX)

@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import re
+import time
 
 import pytest
 
@@ -234,6 +236,28 @@ def test_conn_underflow():
         conn(Loop(S(1), 2))
     with pytest.raises(ConnectivityUnderflowError):
         conn(Loop(Wedge((S(1), S(1))), 2))
+
+
+def test_conn_of_a_loop_is_one_step_whatever_its_count():
+    # looping once per count stalled the input checks for about a minute at 10^9
+    start = time.process_time()
+    assert conn(Loop(S(10**9 + 5), 10**9)) == 4
+    assert conn(Loop(Atom("A", connectivity=10**9 + 3), 10**9)) == 3
+    with pytest.raises(ConnectivityUnderflowError):
+        conn(Loop(S(10**9), 10**9 + 1))
+    assert time.process_time() - start < 0.1
+    assert conn(Loop(POINT, 10**9)) == math.inf
+    # the first estimate below 0 is named: the child's own, or -1
+    for e, estimate in (
+        (Loop(S(1), 2), "-1"),
+        (Loop(S(3), 5), "-1"),
+        (Loop(S(0)), "-1"),
+        (Loop(Atom("A", connectivity=-3)), "-3"),
+        (Loop(Wedge((S(1), S(1))), 2), "-1"),
+    ):
+        text = f"connectivity underflow: looping {render(e.child)} (estimate {estimate}) is not supported"
+        with pytest.raises(ConnectivityUnderflowError, match=re.escape(text)):
+            conn(e)
 
 
 def test_pair_assignment_flags():
