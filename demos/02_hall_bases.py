@@ -35,11 +35,12 @@ st = stats(b, 3)
 print(f"\nbracket {b.serialize()}: b(J)={st.bJ} l={st.l}")
 print("support:", tuple(j for j, lj in enumerate(st.l, start=1) if lj))
 
-# Over plain letters, with one piece per letter, lyndon_class_counts counts
-# the brackets per multidegree: the enumeration agrees.
+# lyndon_class_counts takes the number of vertices in each piece.  Over
+# plain letters, with one piece per letter (sizes [1, 1]), it counts the
+# brackets per multidegree: the enumeration agrees.
 alphabet = plain_alphabet(2)
 listed = Counter(tuple(b.leaves().count(g) for g in alphabet) for b in hall_basis(alphabet, 6))
-counted = lyndon_class_counts([0, 1], 6, alphabet="plain")
+counted = lyndon_class_counts([1, 1], 6, alphabet="plain")
 print("\nmultidegree counts, enumerated vs counted (weight <= 6):")
 for (w, _, md), n in counted.items():
     print(f"  {md}: enumerated {listed[md]}, counted {n}")
@@ -50,16 +51,17 @@ print("all agree:", {md: n for (_, _, md), n in counted.items()} == dict(listed)
 # each piece; permuting the vertices of a piece permutes the face letters,
 # so every support of one type carries the same count.  With one piece per
 # vertex the type is the support itself and the content is l.
-classes = lyndon_class_counts([0, 1, 2], 3)
+classes = lyndon_class_counts([1, 1, 1], 3)
 listed = Counter((b.weight, stats(b, 3).l) for b in hall_basis(gens, 3))
 counted = {(w, l): n for (w, _, l), n in classes.items()}
 print(f"\nface alphabet over {{1,2,3}}, weight <= 3: {sum(classes.values())} brackets "
       f"in {len(classes)} classes; counted == enumerated: {counted == dict(listed)}")
 
-# When all three vertices carry one space they form one piece, and a factor
-# depends only on the weight, the support and the total letter count: each
-# count is that of one support with the given number of vertices.
-groups = lyndon_class_counts([0, 0, 0], 3)
+# When all three vertices carry one space they form one piece of three
+# vertices, and a factor depends only on the weight, the support and the
+# total letter count: each count is that of one support with the given
+# number of vertices.
+groups = lyndon_class_counts([3], 3)
 (w, s, q), n = next(iter(groups.items()))
 print(f"one piece: {len(groups)} groups, for example weight {w} on each {s[0]}-vertex "
       f"support with {q[0]} letter-vertices: {n} brackets")

@@ -433,9 +433,10 @@ def porter_loop_decomp(spaces: Sequence[SpaceExpr]) -> Decomposition:
 
 
 def _vertex_degrees(spaces: Sequence[SpaceExpr], offset: int) -> tuple[int, ...]:
-    # lower bound for the bottom reduced degree each vertex adds to a letter:
-    # conn + 1 for the suspended X_i of a plain letter (offset 1), conn for
-    # the loop space Loop X_j a face letter contributes (offset 0)
+    # per piece, a lower bound for the bottom reduced degree each of its
+    # vertices adds to a letter: conn + 1 for the suspended X_i of a plain
+    # letter (offset 1), conn for the loop space Loop X_j a face letter
+    # contributes (offset 0)
     out = []
     for x in spaces:
         c = conn(x)
@@ -446,14 +447,14 @@ def _vertex_degrees(spaces: Sequence[SpaceExpr], offset: int) -> tuple[int, ...]
 def _class_factors(counts, grading: Sequence[int], rule, candidates) -> list[Factor]:
     """The bracket engine: one factor per counted (weight, support, piece
     content q) group, with grading[j - 1] the piece of vertex j.  counts
-    is what lyndon_class_counts gives for that grading, per (weight, support
-    type, q); candidates(s) lists the supports of type s in order for rule
-    to resolve (every one, or the faces of K when rule keeps no other), and
-    rule(support) runs once per listed support: None when every group over
-    it vanishes, else (shape, build), and build(q) runs once per distinct
-    (shape, q).  The order is the counter's, by weight, then q descending,
-    then support type descending, and within a type by support.  Factors
-    that are points are dropped.
+    is what lyndon_class_counts gives for the grading's piece sizes, per
+    (weight, support type, q); candidates(s) lists the supports of type s
+    in order for rule to resolve (every one, or the faces of K when rule
+    keeps no other), and rule(support) runs once per listed support: None
+    when every group over it vanishes, else (shape, build), and build(q)
+    runs once per distinct (shape, q).  The order is the counter's, by
+    weight, then q descending, then support type descending, and within a
+    type by support.  Factors that are points are dropped.
     """
     listed: dict[tuple[int, ...], list] = {}  # type -> what the rule keeps, by support
     made: dict[object, SpaceExpr] = {}
@@ -479,11 +480,13 @@ def _class_factors(counts, grading: Sequence[int], rule, candidates) -> list[Fac
 def _grading(normal: Sequence, surviving=lambda x: x, per_vertex: bool = False):
     # the piece table of a call: each vertex's piece, each piece's normal
     # form (one piece per distinct form, in order of first vertex, or one
-    # per vertex), and the one smash plan over surviving(form) per piece
+    # per vertex) and number of vertices, and the one smash plan over
+    # surviving(form) per piece
     ids: dict = {}
     grading = [ids.setdefault(j if per_vertex else x, len(ids)) for j, x in enumerate(normal)]
     spaces = list(normal) if per_vertex else list(ids)
-    return grading, spaces, _plan(Smash, [surviving(x) for x in spaces])
+    sizes = tuple(Counter(grading).values())  # in piece order, as pieces are numbered by first vertex
+    return grading, spaces, sizes, _plan(Smash, [surviving(x) for x in spaces])
 
 
 def _type_supports(grading: Sequence[int]):
@@ -526,14 +529,14 @@ def hilton_milnor(
     for i, x in enumerate(spaces, start=1):
         if conn(x) < 0:
             raise ValueError(f"vertex {i}: summand {render(x)} must be connected")
-    grading, summands, smash = _grading([normalize(x) for x in spaces])
+    grading, summands, sizes, smash = _grading([normalize(x) for x in spaces])
 
     def build(q):
         return _loop(_susp(smash(q)), 1)
 
-    degrees = None if degree_bound is None else _vertex_degrees([summands[p] for p in grading], 1)
+    degrees = None if degree_bound is None else _vertex_degrees(summands, 1)
     counts = lyndon_class_counts(
-        grading, weight_bound, alphabet="plain", vertex_degrees=degrees, degree_bound=degree_bound
+        sizes, weight_bound, alphabet="plain", degrees=degrees, degree_bound=degree_bound
     )
     factors = _class_factors(counts, grading, lambda support: (None, build), _type_supports(grading))
     return Decomposition(tuple(factors), "hilton-milnor", weight_bound if m >= 2 else None)
@@ -578,7 +581,7 @@ def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
     from the pieces' one smash plan: Loop Susp of the smash of q_p copies
     of each piece's surviving loop space, through a mapping space out of
     Susp|K_S| when the domains are contractible."""
-    grading, spaces, smash = pieces
+    grading, spaces, _, smash = pieces
     on = [spaces[grading[j - 1]] for j in support]
     sub = None
     if all(isinstance(a, Point) for _, a in on):
@@ -633,8 +636,8 @@ def _coproduct_decomposition(
 ) -> Decomposition:
     # normal: the normalized (domain, codomain) of each vertex; truncated:
     # whether the full bracket set is infinite, so that the weight bound cuts it
-    grading, spaces, _ = pieces = _vertex_pieces(normal)
-    degrees = None if degree_bound is None else _vertex_degrees([spaces[p][0] for p in grading], 0)
+    grading, spaces, sizes, _ = pieces = _vertex_pieces(normal)
+    degrees = None if degree_bound is None else _vertex_degrees([x for x, _ in spaces], 0)
     # every support of a type is a candidate for contractible domains (the
     # rule drops the faces), for mixed endpoint data (one vertex per piece,
     # so one support per type) and over the full simplex.  Other point
@@ -649,9 +652,7 @@ def _coproduct_decomposition(
                 s[grading[j - 1]] += 1
             faces.setdefault(tuple(s), []).append(f)
         types, candidates = faces.keys(), lambda s: faces.get(s, ())
-    counts = lyndon_class_counts(
-        grading, weight_bound, types=types, vertex_degrees=degrees, degree_bound=degree_bound
-    )
+    counts = lyndon_class_counts(sizes, weight_bound, types=types, degrees=degrees, degree_bound=degree_bound)
     brackets = _class_factors(counts, grading, partial(_bracket_rule, K, pieces), candidates)
     factors = _base_factors(K, normal) + brackets
     return Decomposition(tuple(factors), theorem, weight_bound if truncated else None)

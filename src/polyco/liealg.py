@@ -15,10 +15,11 @@ of one type carry the same count, so it is counted once, summed over the
 type's supports and divided by their number.
 Each (content, type) grading is packed into one int, so the DP adds and ors
 ints and the groups come out in order.  The counts depend only on the
-request's shape, not on the spaces at the vertices, so they are memoized
-(_class_counts, bounded) per validated (grading, weight bound, alphabet,
-type cut, degrees) and returned as a read-only mapping; the checks run on
-every call, before the memo is asked.
+request's shape (the size of each piece), not on the spaces at the vertices
+or on which vertices form a piece, so they are memoized (_class_counts,
+bounded) per validated (piece sizes, weight bound, alphabet, type cut,
+degrees) and returned as a read-only mapping; the checks run on every call,
+before the memo is asked.
 """
 
 from __future__ import annotations
@@ -197,40 +198,41 @@ def _mobius_divisors(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def lyndon_class_counts(
-    pieces: Sequence[int],
+    sizes: Sequence[int],
     weight_bound: int,
     *,
     alphabet: str = "face",
     types: Iterable[Sequence[int]] | None = None,
-    vertex_degrees: Sequence[int] | None = None,
+    degrees: Sequence[int] | None = None,
     degree_bound: int | None = None,
 ) -> Mapping[tuple[int, tuple[int, ...], tuple[int, ...]], int]:
     """Number of Lyndon words of length w <= weight_bound whose support is one
     given vertex set S, per (w, support type s, piece content q).
 
-    pieces numbers the piece of each vertex (vertex j has pieces[j - 1]),
-    0, 1, ... with every number used.  The letters are the face letters of
-    {1..m} (alphabet "face": a_{J,i} for |J| >= 2, 1 <= i <= |J| - 1) or
-    the plain ones (alphabet "plain": one x_j per vertex).  A word's support
-    S is the set of vertices its letters touch, its type s_p = |S ∩ piece p|,
-    and q_p sums its letters' vertex contents over piece p.  Permuting the
-    vertices inside a piece maps letters to letters, so the count depends on
-    S only through its type.  types, when given, is a down-closed set of
-    types (such as those of a complex's faces): the DP keeps only states of
-    those types, which loses no word whose support has one of them, since
-    its prefixes' supports have smaller types.
+    The vertices {1..m} fall into pieces, and sizes[p] >= 1 counts the
+    vertices of piece p (m = sum(sizes)); which vertices they are does not
+    matter.  The letters are the face letters of {1..m} (alphabet "face":
+    a_{J,i} for |J| >= 2, 1 <= i <= |J| - 1) or the plain ones (alphabet
+    "plain": one x_j per vertex).  A word's support S is the set of
+    vertices its letters touch, its type s_p = |S ∩ piece p|, and q_p sums
+    its letters' vertex contents over piece p.  Permuting the vertices maps
+    letters to letters, so the count depends on S only through its type.
+    types, when given, is a down-closed set of types (such as those of a
+    complex's faces): the DP keeps only states of those types, which loses
+    no word whose support has one of them, since its prefixes' supports
+    have smaller types.
 
     The words of all supports of one type are counted at once by a DP on
     (q, s): from a state of type s, the letters with a_p old and b_p new
     vertices in piece p form one class of (|a| + |b| - 1) * prod_p C(s_p,
     a_p) * C(n_p - s_p, b_p) face letters (prod_p ... plain ones with
-    |a| + |b| = 1), where n_p is the size of piece p.  The Lyndon words
-    follow by the multigraded Witt formula for graded letters (Kang & Kim,
-    J. Algebra 183, 1996): u^d has grading (d * q, s), so w * L(w, q, s) =
-    sum over d | gcd(w, q) of mu(d) * words[w/d][q/d, s]; one support's
-    count is that total over w * prod_p C(n_p, s_p).  With vertex_degrees
-    (equal within a piece) and degree_bound, gradings with sum_j l_j *
-    deg_j above the bound are omitted.
+    |a| + |b| = 1), where n_p = sizes[p].  The Lyndon words follow by the
+    multigraded Witt formula for graded letters (Kang & Kim, J. Algebra
+    183, 1996): u^d has grading (d * q, s), so w * L(w, q, s) = sum over
+    d | gcd(w, q) of mu(d) * words[w/d][q/d, s]; one support's count is
+    that total over w * prod_p C(n_p, s_p).  With degrees (one per piece,
+    each vertex of piece p weighing degrees[p]) and degree_bound, gradings
+    with sum_p q_p * degrees[p] above the bound are omitted.
 
     A grading is one int: q in fixed-width lanes (piece 0 the most
     significant) above the s part, where a piece of one vertex is one bit,
@@ -241,50 +243,38 @@ def lyndon_class_counts(
     lexicographic order on (q, s), so the result is in order: by w, then q
     descending, then s descending.
 
-    The result is memoized per validated (grading, weight_bound, alphabet,
-    type cut, vertex_degrees under a bound, degree_bound) and is a
-    read-only mapping shared by every call with that key.  The checks run
-    on every call, before the lookup, so a bool or float twin of a cached
-    int argument still raises.
+    The result is memoized per validated (sizes, weight_bound, alphabet,
+    type cut, degrees under a bound, degree_bound), so every relabeling of
+    one shape shares one entry, a read-only mapping.  The checks run on
+    every call, before the lookup, so a bool or float twin of a cached int
+    argument still raises.
     """
-    return _class_counts(*_class_counts_key(pieces, weight_bound, alphabet, types, vertex_degrees, degree_bound))
+    return _class_counts(*_class_counts_key(sizes, weight_bound, alphabet, types, degrees, degree_bound))
 
 
-def _class_counts_key(pieces, weight_bound, alphabet, types, vertex_degrees, degree_bound) -> tuple:
-    """lyndon_class_counts' checks, run on every call: the memo key
-    (grading, weight_bound, alphabet, types as a frozenset of tuples or
-    None, vertex_degrees as a tuple or None, degree_bound), every number in
-    it an int.  A bool or a float equals and hashes like an int, so each
-    entry is checked before the key is looked up, and the degrees join the
-    key only under a bound, without which they change nothing."""
+def _class_counts_key(sizes, weight_bound, alphabet, types, degrees, degree_bound) -> tuple:
+    """lyndon_class_counts' checks, run on every call: the memo key (sizes,
+    weight_bound, alphabet, types as a frozenset of tuples or None, degrees
+    as a tuple or None, degree_bound), every number in it an int.  A bool
+    or a float equals and hashes like an int, so each entry is checked
+    before the key is looked up, and the degrees join the key only under a
+    bound, without which they change nothing."""
     if type(weight_bound) is not int or weight_bound < 1:  # no bool, no float
         raise ValueError(f"weight_bound must be an integer >= 1, got {weight_bound!r}")
     if degree_bound is not None and type(degree_bound) is not int:
         raise ValueError(f"degree_bound must be an integer, got {degree_bound!r}")
     if alphabet not in ("face", "plain"):
         raise ValueError(f"alphabet must be 'face' or 'plain', got {alphabet!r}")
-    grading = tuple(pieces)
-    n: list[int] = []  # the size of each piece
-    for p in grading:
-        if type(p) is not int or p < 0:
-            raise ValueError(f"pieces must number each vertex's piece 0, 1, ..., every number used; got {pieces!r}")
-        if p >= len(n):
-            n += [0] * (p + 1 - len(n))
-        n[p] += 1
-    if 0 in n:
-        raise ValueError(f"pieces must number each vertex's piece 0, 1, ..., every number used; got {pieces!r}")
+    n = tuple(sizes)
+    if not all(type(c) is int and c >= 1 for c in n):
+        raise ValueError(f"sizes must count each piece's vertices, each an integer >= 1; got {sizes!r}")
     size = len(n)
-    degrees = None
-    if degree_bound is not None:
-        degs = [0] * size
-        for p, d in zip(grading, vertex_degrees or ()):
-            degs[p] = d
-        if vertex_degrees is None or [degs[p] for p in grading] != list(vertex_degrees) or not all(
-            type(d) is int and d >= 1 for d in vertex_degrees
-        ):
-            raise ValueError(f"degree_bound needs vertex_degrees, one integer >= 1 per vertex, "
-                             f"equal within a piece; got {vertex_degrees!r}")
-        degrees = tuple(vertex_degrees)
+    if degree_bound is None:
+        degrees = None
+    elif degrees is None or len(degrees := tuple(degrees)) != size or not all(
+        type(d) is int and d >= 1 for d in degrees
+    ):
+        raise ValueError(f"degree_bound needs degrees, one integer >= 1 per piece; got {degrees!r}")
     cut = None
     if types is not None:
         cut = set()
@@ -295,28 +285,23 @@ def _class_counts_key(pieces, weight_bound, alphabet, types, vertex_degrees, deg
         if any(x and t[:p] + (x - 1,) + t[p + 1:] not in cut for t in cut for p, x in enumerate(t)):
             raise ValueError("types must be down-closed: each type below an allowed one is allowed")
         cut = frozenset(cut)
-    return grading, weight_bound, "face" if alphabet == "face" else "plain", cut, degrees, degree_bound
+    return n, weight_bound, "face" if alphabet == "face" else "plain", cut, degrees, degree_bound
 
 
 @lru_cache(maxsize=256)
 def _class_counts(
-    grading: tuple[int, ...],
+    n: tuple[int, ...],
     weight_bound: int,
     alphabet: str,
     types: frozenset[tuple[int, ...]] | None,
-    vertex_degrees: tuple[int, ...] | None,
+    degrees: tuple[int, ...] | None,
     degree_bound: int | None,
 ) -> Mapping[tuple[int, tuple[int, ...], tuple[int, ...]], int]:
-    """The DP of lyndon_class_counts on a key from _class_counts_key,
-    memoized: each shape is counted once, and its callers share one
-    read-only mapping."""
-    n = [0] * (max(grading, default=-1) + 1)  # the size of each piece
-    for p in grading:
-        n[p] += 1
-    m, size = len(grading), len(n)
-    degs = [0] * size  # per piece; all 0 without a bound
-    for p, d in zip(grading, vertex_degrees or ()):
-        degs[p] = d
+    """The DP of lyndon_class_counts on a key from _class_counts_key (n the
+    size of each piece), memoized: each shape is counted once, and its
+    callers share one read-only mapping."""
+    m, size = sum(n), len(n)
+    degs = degrees or (0,) * size  # all 0 without a bound
 
     width = [c.bit_length() for c in n]  # one bit for a piece of one vertex
     shift = [0] * size

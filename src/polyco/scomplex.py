@@ -34,11 +34,10 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cmp_to_key, lru_cache, reduce
+from functools import cmp_to_key, lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations, pairwise, product as iproduct
 from math import gcd
-from operator import and_
 from typing import Collection, Iterable, Mapping, NamedTuple
 
 Face = tuple[int, ...]
@@ -378,12 +377,10 @@ def _core(K: SimplicialComplex) -> frozenset[int]:
     The result, the facets left in the star, has no dominated vertex and
     only maximal facets; it is empty iff K has no vertex.  Ghost vertices
     are in no facet and play no part.  No big facet is rewritten once per
-    vertex: a cone collapses to its apex at once, and a vertex in one facet
-    takes the facet's other vertices in no other facet with it.
+    vertex: a vertex in one facet takes the facet's other vertices in no
+    other facet with it.
     """
     index = _index(K)
-    if index.facets and (apex := reduce(and_, index.facets)):
-        return frozenset((apex & -apex,))
     star = {v: set(s) for v, s in index.star.items()}
     todo = [(len(s), v) for v, s in star.items()]
     heapify(todo)

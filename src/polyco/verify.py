@@ -150,13 +150,20 @@ def _loops_on_wedge(spaces: Sequence[SpaceExpr], N: int):
     return series_of(Loop(Wedge(tuple(spaces))), N)
 
 
-def _desuspend(e: SpaceExpr) -> SpaceExpr:
+def _desuspend(e: SpaceExpr) -> list[SpaceExpr]:
+    # the X_i with e = Susp X_1 v ... v Susp X_k: one for a positive sphere
+    # or a suspension, and for a wedge each child's, once per power, since
+    # Susp(A v B) = Susp A v Susp B
     e = normalize(e)
-    if isinstance(e, Sphere) and e.n >= 1:
-        return Sphere(e.n - 1)
-    if isinstance(e, Susp):
-        return e.child
-    raise ValueError(f"summand {render(e)} is not a suspension or a positive sphere")
+    out = []
+    for c, k in zip(e.children, e.powers) if isinstance(e, Wedge) else ((e, 1),):
+        if isinstance(c, Sphere) and c.n >= 1:
+            out += [Sphere(c.n - 1)] * k
+        elif isinstance(c, Susp):
+            out += [c.child] * k
+        else:
+            raise ValueError(f"summand {render(e)} is not a suspension or a positive sphere")
+    return out
 
 
 def check_hilton_milnor(summands: Sequence[SpaceExpr], N: int) -> VerificationReport:
@@ -164,10 +171,11 @@ def check_hilton_milnor(summands: Sequence[SpaceExpr], N: int) -> VerificationRe
 
     (a) the tensor-algebra series of Loop Susp of the wedge of the
     desuspended summands, (b) the free-product rule over the looped
-    summands, (c) the product of the Hall-bracket factor series.  The
+    summands, (c) the product of the Hall-bracket factor series.  A
+    summand that is a wedge of suspensions desuspends child by child.  The
     verdict is Equal only when all three agree.
     """
-    desusp = [_desuspend(x) for x in summands]
+    desusp = [x for summand in summands for x in _desuspend(summand)]
     parts = [series_of(x, N) for x in desusp]
     bad = [p for p in parts if isinstance(p, Unsupported)]
     if bad:
@@ -202,9 +210,7 @@ def check_porter(spaces: Sequence[SpaceExpr], N: int) -> VerificationReport:
 
     fiber = porter_fiber(spaces)
     if not isinstance(fiber, Point):
-        fib = fiber if isinstance(fiber, Wedge) else Wedge((fiber,))
-        desusp = [_desuspend(c) for c, k in zip(fib.children, fib.powers) for _ in range(k)]
-        fiber_series = hilton_milnor(desusp, N + 1, degree_bound=N).series_product(N)
+        fiber_series = hilton_milnor(_desuspend(fiber), N + 1, degree_bound=N).series_product(N)
         if isinstance(fiber_series, Unsupported):
             return _report("porter", N, fiber_series, fiber_series)
         lhs = lhs * fiber_series

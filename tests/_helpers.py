@@ -21,6 +21,7 @@ from polyco.liealg import (
     Generator,
     _mobius_divisors,
     hall_basis,
+    lyndon_class_counts,
     plain_alphabet,
     stats,
 )
@@ -746,6 +747,23 @@ def letter_class_counts(
                 q = lanes.unpack((k >> m).to_bytes(lanes.size, "big"))
                 out[(w, supports[mask], q)] = total // w
     return out
+
+
+def graded_class_counts(grading, weight_bound, *, vertex_degrees=None, **options):
+    """lyndon_class_counts on a per-vertex grading (grading[j - 1] the piece
+    of vertex j, pieces numbered 0, 1, ... with every number used): the
+    counter gets each piece's size, and each piece's degree from
+    vertex_degrees, which must be equal within a piece."""
+    sizes = [0] * (max(grading, default=-1) + 1)
+    for p in grading:
+        sizes[p] += 1
+    assert all(sizes), grading
+    degrees = None
+    if vertex_degrees is not None:
+        per_piece = dict(zip(grading, vertex_degrees))
+        assert [per_piece[p] for p in grading] == list(vertex_degrees), (grading, vertex_degrees)
+        degrees = [per_piece[p] for p in range(len(sizes))]
+    return lyndon_class_counts(sizes, weight_bound, degrees=degrees, **options)
 
 
 def per_type_counts(class_counts, grading, supports=None):

@@ -167,6 +167,18 @@ def test_verify_wedge(tmp_path, capsys):
     assert "Equal" in capsys.readouterr().out
 
 
+def test_verify_hilton_milnor_with_a_wedge_summand(tmp_path, capsys):
+    # (S^2 v S^2 v S^4) v S^3 is a wedge of suspensions, checked as given
+    spheres = [{"kind": "sphere", "n": 2}, {"kind": "sphere", "n": 4}]
+    wedge = {"kind": "wedge", "children": spheres, "powers": [2, 1]}
+    spaces = write(tmp_path, "hm.json", {"1": wedge, "2": {"kind": "sphere", "n": 3}})
+    argv = ["verify", "--check", "hilton-milnor", "--spaces", spaces, "--max-degree", "8"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("hilton-milnor: Equal (N=8, W=9)\n")
+    assert main(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"][0]["verdict"] == {"kind": "equal"}
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["homology", "--complex", "/nonexistent/k.json"]) == 2
     err = capsys.readouterr().err

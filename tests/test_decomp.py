@@ -655,7 +655,7 @@ def test_delta_vs_porter_series_consistency():
 
     fiber = porter_fiber(spaces)
     summands = [c for c, k in zip(fiber.children, fiber.powers) for _ in range(k)]
-    hm = hilton_milnor([_desuspend(c) for c in summands], N + 1, degree_bound=N)
+    hm = hilton_milnor([x for c in summands for x in _desuspend(c)], N + 1, degree_bound=N)
     rhs = PoincareSeries.one(N)
     for x in spaces:
         rhs = rhs * series_of(Loop(x), N)

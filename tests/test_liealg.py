@@ -10,6 +10,7 @@ import pytest
 from _helpers import (
     all_face_letters,
     generators_for,
+    graded_class_counts,
     indicator_order,
     letter_class_counts,
     multidegree,
@@ -21,7 +22,8 @@ from _helpers import (
     support,
     witt_dimension,
 )
-from polyco.decomp import hilton_milnor
+from polyco import decomp
+from polyco.decomp import hilton_milnor, loop_decompose_contractible, loop_decompose_wedge
 from polyco.liealg import (
     Bracket,
     Generator,
@@ -34,7 +36,7 @@ from polyco.liealg import (
     stats,
 )
 from polyco.scomplex import build
-from polyco.spacexpr import Sphere
+from polyco.spacexpr import PairAssignment, Sphere
 
 
 def brute_lyndon(k, maxlen):
@@ -252,7 +254,7 @@ def enumerated_classes(alphabet, m, W, letter_degrees=None, degree_bound=None):
 
 def test_class_counts_match_witt_on_plain_alphabets():
     for k, W in ((1, 8), (2, 8), (3, 6), (4, 5)):
-        counts = as_type_classes(lyndon_class_counts(list(range(k)), W, alphabet="plain"))
+        counts = as_type_classes(graded_class_counts(list(range(k)), W, alphabet="plain"))
         assert counts == as_classes(letter_class_counts(plain_letters(k), W))
         for total in range(1, W + 1):
             for md in iproduct(range(total + 1), repeat=k):
@@ -271,7 +273,7 @@ def test_class_counts_match_enumerated_face_alphabets():
         alphabet = generators_for(I)
         want = enumerated_classes(alphabet, m, W)
         cut = subset_types(I, m)
-        assert as_type_classes(lyndon_class_counts(list(range(m)), W, types=cut)) == want
+        assert as_type_classes(graded_class_counts(list(range(m)), W, types=cut)) == want
         assert as_classes(letter_class_counts(face_letters(I, m), W)) == want
         grouped = list(Counter(v for v, _ in face_letters(I, m)).items())
         assert as_classes(letter_class_counts(grouped, W)) == want
@@ -280,7 +282,7 @@ def test_class_counts_match_enumerated_face_alphabets():
             bound = rng.randint(2, 14)
             ldeg = [sum(vdeg[j - 1] for j in g.subset) for g in alphabet]
             want = enumerated_classes(alphabet, m, W, ldeg, bound)
-            got = as_type_classes(lyndon_class_counts(
+            got = as_type_classes(graded_class_counts(
                 list(range(m)), W, types=cut, vertex_degrees=vdeg, degree_bound=bound
             ))
             assert got == want, (I, vdeg, bound)
@@ -294,7 +296,7 @@ def test_class_counts_degree_bound_on_plain_alphabets():
     for degs, bound in (([2, 2, 3], 8), ([1, 4], 9), ([3], 3)):
         k = len(degs)
         alphabet = plain_alphabet(k)
-        got = as_type_classes(lyndon_class_counts(
+        got = as_type_classes(graded_class_counts(
             list(range(k)), 7, alphabet="plain", vertex_degrees=degs, degree_bound=bound
         ))
         want = Counter((b.weight, multidegree(b, alphabet)) for b in pruned_hall_basis(alphabet, 7, degs, bound))
@@ -307,19 +309,19 @@ def test_class_counts_degree_bound_on_plain_alphabets():
 def test_class_counts_validation():
     assert lyndon_class_counts([], 3) == {}
     with pytest.raises(ValueError):
-        lyndon_class_counts([0, 1], 0)
+        lyndon_class_counts([1, 1], 0)
     with pytest.raises(ValueError):
-        lyndon_class_counts([0, 1], 3, degree_bound=4)
+        lyndon_class_counts([1, 1], 3, degree_bound=4)
     with pytest.raises(ValueError):
-        lyndon_class_counts([0, 1], 3, vertex_degrees=[1, 0], degree_bound=4)
+        lyndon_class_counts([1, 1], 3, degrees=[1, 0], degree_bound=4)
     with pytest.raises(ValueError, match="alphabet"):
-        lyndon_class_counts([0, 1], 3, alphabet="letters")
+        lyndon_class_counts([1, 1], 3, alphabet="letters")
     # a type names each piece once, within the piece's size, and the types
     # are down-closed, as the types of a complex's faces are
     for types in ([(0,)], [(0, 0), (1, 2)], [(0, 0), (1, 0), (1, True)], [(0, 0), (1, 1)]):
         with pytest.raises(ValueError, match="type"):
-            lyndon_class_counts([0, 1, 1], 3, types=types)
-    assert lyndon_class_counts([0, 1, 1], 3, types=[(0, 0)]) == {}
+            lyndon_class_counts([1, 2], 3, types=types)
+    assert lyndon_class_counts([1, 2], 3, types=[(0, 0)]) == {}
     # the letter list: nonzero vectors of one length, copies >= 1
     assert letter_class_counts([], 3) == {}
     with pytest.raises(ValueError):
@@ -382,15 +384,15 @@ def test_type_counts_match_the_regrouped_reference():
             bound = rng.randint(1, 20)
         args = dict(vertex_degrees=degs, degree_bound=bound)
         if alphabet == "plain":
-            got = lyndon_class_counts(grading, W, alphabet="plain", **args)
+            got = graded_class_counts(grading, W, alphabet="plain", **args)
             want = per_type_counts(reference_class_counts(plain_letters(m), W, degs, bound), grading)
         elif alphabet == "face":
-            got = lyndon_class_counts(grading, W, **args)
+            got = graded_class_counts(grading, W, **args)
             want = per_type_counts(reference_class_counts(all_face_letters(m), W, degs, bound), grading)
         else:
             faces = random_complex_on(rng, m).faces()
             letters = [(tuple(int(j in J) for j in range(1, m + 1)), len(J) - 1) for J in faces if len(J) >= 2]
-            got = lyndon_class_counts(grading, W, types=_face_types(faces, grading), **args)
+            got = graded_class_counts(grading, W, types=_face_types(faces, grading), **args)
             want = per_type_counts(reference_class_counts(letters, W, degs, bound), grading, set(faces))
         assert got == want, (alphabet, grading, W, degs, bound)
         assert list(got) == list(want)
@@ -398,7 +400,7 @@ def test_type_counts_match_the_regrouped_reference():
     assert len(seen) == 18 and min(seen.values()) >= 3, seen
     # the boundary of the 3-simplex with one space at every vertex: its one
     # missing face {1,2,3,4} carries 813,773,326,765,155 brackets at W = 13
-    got = lyndon_class_counts([0, 0, 0, 0], 13)
+    got = lyndon_class_counts([4], 13)
     assert sum(n for (_, s, _), n in got.items() if s == (4,)) == 813773326765155
 
 
@@ -492,33 +494,41 @@ def test_grouped_counts_match_the_regrouped_reference():
 def test_class_counts_numeric_arguments_are_integers():
     # a float or a bool bound or degree is an error naming the argument,
     # not a bare TypeError, a count at 1 or a pruning by float degrees
-    pieces = [0, 1]
+    sizes = [1, 1]
     for bad in (2.5, True, 2.0, 0, -1):
         with pytest.raises(ValueError, match="weight_bound"):
-            lyndon_class_counts(pieces, bad)
-    for degs in ([1.5, 1], [True, 1], [0, 1]):
-        with pytest.raises(ValueError, match="vertex_degrees"):
-            lyndon_class_counts(pieces, 3, vertex_degrees=degs, degree_bound=4)
+            lyndon_class_counts(sizes, bad)
+    # one degree per piece, each an integer >= 1
+    for degs in ([1.5, 1], [True, 1], [0, 1], [1], [1, 1, 1]):
+        with pytest.raises(ValueError, match="degrees"):
+            lyndon_class_counts(sizes, 3, degrees=degs, degree_bound=4)
     for bound in (4.5, True):
         with pytest.raises(ValueError, match="degree_bound"):
-            lyndon_class_counts(pieces, 3, vertex_degrees=[1, 1], degree_bound=bound)
+            lyndon_class_counts(sizes, 3, degrees=[1, 1], degree_bound=bound)
     # a bound of 0 or below leaves nothing, on either alphabet, and on the
     # letter list whatever the lane width of the letters
     for bound in (0, -2):
         for alphabet in ("face", "plain"):
-            assert lyndon_class_counts([0, 1], 3, alphabet=alphabet, vertex_degrees=[1, 1],
-                                       degree_bound=bound) == {}
+            assert lyndon_class_counts(sizes, 3, alphabet=alphabet, degrees=[1, 1], degree_bound=bound) == {}
         assert letter_class_counts([((300, 1), 1), ((0, 1), 1)], 3, vertex_degrees=[1, 1],
                                    degree_bound=bound) == {}
     # no vertices still checks the bound
     with pytest.raises(ValueError, match="weight_bound"):
         lyndon_class_counts([], 2.5)
-    # pieces are numbered 0, 1, ... with every number used
-    for bad in ([1], [0, -1], [0, True], [0, 1.0], [0, 2]):
-        with pytest.raises(ValueError, match="pieces"):
+    # each piece holds at least one vertex, counted by a plain int
+    for bad in ([0], [1, -1], [1, True], [1, 1.0], [2, 0]):
+        with pytest.raises(ValueError, match="sizes"):
             lyndon_class_counts(bad, 3)
-    with pytest.raises(ValueError, match="equal within a piece"):
-        lyndon_class_counts([0, 0], 3, vertex_degrees=[1, 2], degree_bound=4)
+
+
+def test_class_counts_take_piece_sizes_not_a_grading():
+    # every per-vertex grading numbers some vertex's piece 0, which is no
+    # piece's size, and the per-vertex degrees are gone with it
+    for grading in ([0, 1], [0, 0, 1], [0, 1, 0, 2]):
+        with pytest.raises(ValueError, match="sizes"):
+            lyndon_class_counts(grading, 3)
+    with pytest.raises(TypeError, match="vertex_degrees"):
+        lyndon_class_counts([1, 1], 3, vertex_degrees=[1, 2], degree_bound=4)
 
 
 # ---------------------------------------------------------------------------
@@ -531,14 +541,14 @@ def test_class_counts_memo_rejects_the_bool_and_float_twins_of_a_cached_key():
     # would answer each twin from its cached int key
     types = [(0, 0), (1, 0), (0, 1), (1, 1)]
     valid = (
-        (dict(pieces=[0, 1], weight_bound=3), "pieces", lambda x: dict(pieces=[0, x], weight_bound=3)),
-        (dict(pieces=[0, 1], weight_bound=1), "weight_bound", lambda x: dict(pieces=[0, 1], weight_bound=x)),
-        (dict(pieces=[0, 1], weight_bound=3, vertex_degrees=[1, 2], degree_bound=1), "degree_bound",
-         lambda x: dict(pieces=[0, 1], weight_bound=3, vertex_degrees=[1, 2], degree_bound=x)),
-        (dict(pieces=[0, 1], weight_bound=3, vertex_degrees=[1, 2], degree_bound=4), "vertex_degrees",
-         lambda x: dict(pieces=[0, 1], weight_bound=3, vertex_degrees=[x, 2], degree_bound=4)),
-        (dict(pieces=[0, 1], weight_bound=3, types=types), "type",
-         lambda x: dict(pieces=[0, 1], weight_bound=3, types=[(0, 0), (x, 0), (0, 1), (1, 1)])),
+        (dict(sizes=[2, 1], weight_bound=3), "sizes", lambda x: dict(sizes=[2, x], weight_bound=3)),
+        (dict(sizes=[1, 1], weight_bound=1), "weight_bound", lambda x: dict(sizes=[1, 1], weight_bound=x)),
+        (dict(sizes=[1, 1], weight_bound=3, degrees=[1, 2], degree_bound=1), "degree_bound",
+         lambda x: dict(sizes=[1, 1], weight_bound=3, degrees=[1, 2], degree_bound=x)),
+        (dict(sizes=[1, 1], weight_bound=3, degrees=[1, 2], degree_bound=4), "degrees",
+         lambda x: dict(sizes=[1, 1], weight_bound=3, degrees=[x, 2], degree_bound=4)),
+        (dict(sizes=[1, 1], weight_bound=3, types=types), "type",
+         lambda x: dict(sizes=[1, 1], weight_bound=3, types=[(0, 0), (x, 0), (0, 1), (1, 1)])),
     )
     for args, name, twin in valid:
         assert twin(1) == args
@@ -552,39 +562,39 @@ def test_class_counts_memo_rejects_the_bool_and_float_twins_of_a_cached_key():
 
 
 def test_class_counts_memo_matches_the_uncached_dp():
-    # the gradings, type cuts and degree bounds of the counter tests above,
-    # on both alphabets, through one warm memo: each answer equals the DP
-    # run afresh on its key, in order, so no two shapes share an entry
+    # the piece sizes, type cuts and degree bounds of the counter tests
+    # above, on both alphabets, through one warm memo: each answer equals
+    # the DP run afresh on its key, in order, so no two shapes share an entry
     assert _class_counts.cache_info().maxsize is not None
     rng = random.Random(8171)
     specs = []
     for _ in range(60):
         m = rng.randint(1, 5)
         grading = rng.choice(([0] * m, list(range(m)), _random_grading(rng, m)))
+        sizes = list(Counter(grading).values())  # pieces are numbered by first vertex
         W = rng.randint(1, {1: 6, 2: 6, 3: 5, 4: 4, 5: 3}[m])
-        per_piece = [rng.randint(1, 4) for _ in range(m)]
-        degs = [per_piece[p] for p in grading]
+        degs = [rng.randint(1, 4) for _ in sizes]
         cut = _face_types(random_complex_on(rng, m).faces(), grading)
         for alphabet in ("face", "plain"):
             for types in (None, cut):
-                specs.append(dict(pieces=grading, weight_bound=W, alphabet=alphabet, types=types))
-                specs.append(dict(specs[-1], vertex_degrees=degs, degree_bound=rng.randint(1, 20)))
-                specs.append(dict(specs[-2], vertex_degrees=degs))  # no bound: the degrees change nothing
+                specs.append(dict(sizes=sizes, weight_bound=W, alphabet=alphabet, types=types))
+                specs.append(dict(specs[-1], degrees=degs, degree_bound=rng.randint(1, 20)))
+                specs.append(dict(specs[-2], degrees=degs))  # no bound: the degrees change nothing
     _class_counts.cache_clear()
     for spec in specs + specs[::-1]:
         got = lyndon_class_counts(**spec)
         key = _class_counts_key(*(spec.get(name) for name in (
-            "pieces", "weight_bound", "alphabet", "types", "vertex_degrees", "degree_bound")))
+            "sizes", "weight_bound", "alphabet", "types", "degrees", "degree_bound")))
         want = _class_counts.__wrapped__(*key)
         assert list(got.items()) == list(want.items()), spec
     assert _class_counts.cache_info().hits >= len(specs)
     # the degrees join the key only under a bound
-    assert _class_counts_key([0, 1], 3, "face", None, [1, 2], None)[4] is None
+    assert _class_counts_key([1, 1], 3, "face", None, [1, 2], None)[4] is None
     # a read-only mapping over the cached counts, the same on the next call
-    counts = lyndon_class_counts([0, 0, 1], 4)
+    counts = lyndon_class_counts([2, 1], 4)
     with pytest.raises(TypeError):
         counts[(1, (1, 0), (1, 0))] = 0
-    assert lyndon_class_counts([0, 0, 1], 4) == counts and lyndon_class_counts([0, 0, 1], 4) is counts
+    assert lyndon_class_counts([2, 1], 4) == counts and lyndon_class_counts([2, 1], 4) is counts
 
 
 def test_hilton_milnor_with_other_spaces_of_one_shape_counts_once():
@@ -592,6 +602,35 @@ def test_hilton_milnor_with_other_spaces_of_one_shape_counts_once():
     hits = _class_counts.cache_info().hits
     hilton_milnor([Sphere(4), Sphere(5)], 5)
     assert _class_counts.cache_info().hits == hits + 1
+
+
+def test_relabelings_of_one_decomposition_run_one_dp(monkeypatch):
+    # contractible domains over the boundary of the 3-simplex with codomains
+    # S^2, S^3, S^2, S^3 and then S^2, S^2, S^3, S^3: two pieces of two
+    # vertices each time, so one shape and one DP
+    K = build(4, combinations(range(1, 5), 3))
+    asked = []
+
+    def counter(sizes, *args, **options):
+        asked.append(tuple(sizes))
+        return lyndon_class_counts(sizes, *args, **options)
+
+    monkeypatch.setattr(decomp, "lyndon_class_counts", counter)
+    _class_counts.cache_clear()
+    decs = [
+        loop_decompose_contractible(K, PairAssignment.path_fibrations(Sphere(n) for n in codomains), 6)
+        for codomains in ((2, 3, 2, 3), (2, 2, 3, 3))
+    ]
+    assert _class_counts.cache_info().misses == 1 and _class_counts.cache_info().hits == 1
+    assert asked == [(2, 2), (2, 2)]
+    assert decs[0].factor_multiset() == decs[1].factor_multiset()
+    # relabelings of the wedge preset with a degree bound share one entry
+    # too; other degrees under the bound do not
+    _class_counts.cache_clear()
+    for spaces in ((2, 3, 3, 2), (2, 3, 2, 3), (4, 3, 3, 4)):
+        loop_decompose_wedge(K, [Sphere(n) for n in spaces], 6, degree_bound=9)
+    assert _class_counts.cache_info().misses == 2 and _class_counts.cache_info().hits == 1
+    assert asked[2:] == [(2, 2)] * 3
 
 
 def test_every_polyco_memo_clears_through_its_module():

@@ -792,7 +792,8 @@ CONE_CASES = {
 @pytest.mark.parametrize("name", list(CONE_CASES))
 def test_homology_of_large_cones_is_fast(name):
     # deleting dominated vertices one by one rewrote each big facet once per
-    # vertex and took seconds here; a cone collapses to its apex at once
+    # vertex and took seconds here; a vertex in one facet now takes that
+    # facet's vertices in no other facet with it
     K = CONE_CASES[name]()
     start = time.process_time()
     ranks = homology.__wrapped__(K).ranks  # uncached

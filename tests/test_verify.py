@@ -8,7 +8,7 @@ import pytest
 
 from polyco.scomplex import build
 from polyco.series import PoincareSeries, Unsupported
-from polyco.spacexpr import CP_INFINITY, Atom, Sphere, Susp
+from polyco.spacexpr import CP_INFINITY, Atom, Product, Sphere, Susp, Wedge
 from polyco.verify import (
     Equal,
     FirstDifference,
@@ -51,6 +51,25 @@ def test_hilton_milnor_suspension_inputs():
     w = Atom("W", 1, series=((1, 0, 1), (1,)))
     r = check_hilton_milnor([Susp(w), S(3)], 8)
     assert isinstance(r.verdict, Equal)
+
+
+def test_hilton_milnor_desuspends_a_wedge_of_suspensions_child_by_child():
+    # S^2 v S^4 is Susp(S^1 v S^3); S^2 v S^2 v S^4 takes S^1 twice
+    w = Atom("W", 1, series=((1, 0, 1), (1,)))
+    for summands in ([Wedge((S(2), S(4))), S(3)], [Wedge((S(2), S(2), S(4))), S(3)],
+                     [Wedge((S(3), Susp(w))), S(2)]):
+        r = check_hilton_milnor(summands, 10)
+        assert isinstance(r.verdict, Equal), r.render()
+        assert r.notes[0].startswith(f"{len(summands)} summands;")
+    # each wedge child counts once per power, as if listed as a summand
+    r = check_hilton_milnor([Wedge((S(2), S(2), S(4))), S(3)], 10)
+    assert r.rhs == check_hilton_milnor([S(2), S(2), S(4), S(3)], 10).rhs
+    # S^0, a product, a bare atom and a wedge with such a child are no
+    # wedge of suspensions
+    for bad, name in ((S(0), r"S\^0"), (Product((S(2), S(3))), r"S\^2 × S\^3"), (Atom("A", 1), "A"),
+                      (Wedge((S(0), S(3))), r"S\^0 ∨ S\^3")):
+        with pytest.raises(ValueError, match=f"^summand {name} is not a suspension or a positive sphere$"):
+            check_hilton_milnor([bad, S(3)], 6)
 
 
 def test_hilton_milnor_skips_unsupported():
