@@ -14,9 +14,9 @@ vertices.  Spaces files map vertex numbers to space descriptions:
 An entry may instead be a pair {"domain": ..., "codomain": ...,
 "domain_contractible": bool} for the commands that take maps.  For
 decompose-contractible a bare space is shorthand for "path fibration onto
-this space".  Exit codes: 0 success, 2 invalid input (the message names the
-file, also when it cannot be read or --output cannot be opened), 1 internal
-failure.
+this space".  A field that a kind or a pair does not name is rejected.
+Exit codes: 0 success, 2 invalid input (the message names the file, also
+when it cannot be read or --output cannot be opened), 1 internal failure.
 
 Each decomposition, wedge subcommand and verify check is one row of
 DECOMPOSITIONS, WEDGES or CHECKS, which build_parser and _run read;
@@ -53,6 +53,7 @@ from .spacexpr import (
     expr_from_json,
     expr_to_json,
     json_bool,
+    json_fields,
     render,
 )
 from .verify import (
@@ -100,6 +101,7 @@ def load_complex(path: str) -> SimplicialComplex:
 
 def _entry_to_pair(entry, *, contractible_default: bool) -> tuple[SpaceExpr, SpaceExpr]:
     if isinstance(entry, dict) and "domain" in entry:
+        json_fields(entry, ("domain", "codomain", "domain_contractible"), "pair entry")
         domain = expr_from_json(entry["domain"])
         codomain = expr_from_json(entry["codomain"])
         if json_bool(entry.get("domain_contractible", False), '"domain_contractible"'):
@@ -162,9 +164,10 @@ def _emit(args, payload, text) -> None:
         fh.write(out)
 
 
-def _emit_decomposition(args, dec: Decomposition, K: SimplicialComplex | None, N: int, W: int):
+def _emit_decomposition(args, dec: Decomposition, K: SimplicialComplex | None = None, **bounds):
+    # bounds: the --max-degree and --max-weight of a truncated listing, for its JSON
     def payload():
-        out = dec.to_json() | {"max_degree": N, "max_weight": W}
+        out = dec.to_json() | bounds
         if K is not None:
             out["complex"] = complex_to_json(K)
         return out
@@ -205,7 +208,8 @@ DECOMPOSITIONS = {
                                partial(load_pairs, contractible_default=True)),
 }
 
-# loops on a wedge: help, engine, and whether it takes --max-weight (then engine(spaces, W))
+# loops on a wedge: help, engine, and whether it takes --max-degree and
+# --max-weight (then engine(spaces, W))
 WEDGES = {
     "porter": ("loops on a wedge of the given spaces", porter_loop_decomp, False),
     "hilton-milnor": ("loops on a wedge of suspensions", hilton_milnor, True),
@@ -235,10 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--complex", required=True)
         p.add_argument("--spaces", required=True)
         _add_common(p, degree=True, weight=True)
-    for name, (help_text, _, weight) in WEDGES.items():
+    for name, (help_text, _, truncated) in WEDGES.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--spaces", required=True)
-        _add_common(p, degree=True, weight=weight)
+        _add_common(p, degree=truncated, weight=truncated)
 
     p = sub.add_parser("hall-basis", help="Lyndon brackets on a plain alphabet")
     p.add_argument("--alphabet", type=int, required=True, metavar="SIZE")
@@ -263,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> None:
-    if hasattr(args, "max_degree"):  # hall-basis, homology and bbcg take no degree
+    if hasattr(args, "max_degree"):  # porter, hall-basis, homology and bbcg take no degree
         N = _default_degree() if args.max_degree is None else args.max_degree
         if N < 1:
             raise InputError("--max-degree must be >= 1")
@@ -275,12 +279,15 @@ def _run(args) -> None:
         _, engine, read = DECOMPOSITIONS[args.command]
         K = load_complex(args.complex)
         dec = engine(K, read(args.spaces, K.m), W)
-        _emit_decomposition(args, dec, K, N, W)
+        _emit_decomposition(args, dec, K, max_degree=N, max_weight=W)
 
     elif args.command in WEDGES:
-        _, engine, weight = WEDGES[args.command]
+        _, engine, truncated = WEDGES[args.command]
         spaces = load_spaces(args.spaces)
-        _emit_decomposition(args, engine(spaces, W) if weight else engine(spaces), None, N, W)
+        if truncated:
+            _emit_decomposition(args, engine(spaces, W), max_degree=N, max_weight=W)
+        else:
+            _emit_decomposition(args, engine(spaces))
 
     elif args.command == "hall-basis":
         if args.alphabet < 1:

@@ -83,6 +83,7 @@ from .scomplex import (
     wedge_of_spheres_type,
 )
 from .spacexpr import (
+    INFINITE,
     POINT,
     Atom,
     Loop,
@@ -305,12 +306,14 @@ class Decomposition:
     """A finite product of space-expression factors with provenance.
 
     truncation records the bracket weight bound whenever the full indexing
-    set is infinite; None means the factor list is complete.
+    set is infinite, and degree_bound the degree through which a degree cut
+    kept every factor with homology; the list is complete when both are None.
     """
 
     factors: tuple[Factor, ...]
     theorem: str
     truncation: int | None = None
+    degree_bound: int | None = None
 
     def _per_object(self):
         # [first factor, multiplicity] per factor object, keyed by id: no deep hashing
@@ -358,8 +361,10 @@ class Decomposition:
     def render(self) -> str:
         total = sum(f.multiplicity for f in self.factors)
         head = f"{self.theorem}: {len(self.factors)} entries, {total} factors with multiplicity"
-        if self.truncation is not None:
-            head += f" (bracket weight ≤ {self.truncation})"
+        cuts = [f"{name} ≤ {n}" for name, n in (("bracket weight", self.truncation),
+                                                 ("degree", self.degree_bound)) if n is not None]
+        if cuts:
+            head += f" ({', '.join(cuts)})"
         texts = self._forms(render)
         lines = [head]
         for f in self.factors:
@@ -375,6 +380,7 @@ class Decomposition:
         return {
             "theorem": self.theorem,
             "truncation": self.truncation,
+            "degree_bound": self.degree_bound,
             "factors": [
                 {
                     "expr": forms[id(f.expr)][0],
@@ -432,18 +438,6 @@ def porter_loop_decomp(spaces: Sequence[SpaceExpr]) -> Decomposition:
     return Decomposition(tuple(factors), "porter", None)
 
 
-def _vertex_degrees(spaces: Sequence[SpaceExpr], offset: int) -> tuple[int, ...]:
-    # per piece, a lower bound for the bottom reduced degree each of its
-    # vertices adds to a letter: conn + 1 for the suspended X_i of a plain
-    # letter (offset 1), conn for the loop space Loop X_j a face letter
-    # contributes (offset 0)
-    out = []
-    for x in spaces:
-        c = conn(x)
-        out.append(1 if c == float("inf") else max(1, int(c) + offset))
-    return tuple(out)
-
-
 def _class_factors(counts, grading: Sequence[int], rule, candidates) -> list[Factor]:
     """The bracket engine: one factor per counted (weight, support, piece
     content q) group, with grading[j - 1] the piece of vertex j.  counts
@@ -480,13 +474,18 @@ def _class_factors(counts, grading: Sequence[int], rule, candidates) -> list[Fac
 def _grading(normal: Sequence, surviving=lambda x: x, per_vertex: bool = False):
     # the piece table of a call: each vertex's piece, each piece's normal
     # form (one piece per distinct form, in order of first vertex, or one
-    # per vertex) and number of vertices, and the one smash plan over
-    # surviving(form) per piece
+    # per vertex), number of vertices and degree, and the one smash plan
+    # over the surviving spaces surviving(form).  A degree is conn + 1 of
+    # the surviving space, the least degree each vertex adds to a factor;
+    # 1 for a point (no factor) or a space below connected, such as ΩS^0,
+    # whose factors have no series
     ids: dict = {}
     grading = [ids.setdefault(j if per_vertex else x, len(ids)) for j, x in enumerate(normal)]
     spaces = list(normal) if per_vertex else list(ids)
     sizes = tuple(Counter(grading).values())  # in piece order, as pieces are numbered by first vertex
-    return grading, spaces, sizes, _plan(Smash, [surviving(x) for x in spaces])
+    survivors = [surviving(x) for x in spaces]
+    degrees = tuple(1 if (c := series_mod._safe_conn(x)) == INFINITE else max(1, c + 1) for x in survivors)
+    return grading, spaces, sizes, degrees, _plan(Smash, survivors)
 
 
 def _type_supports(grading: Sequence[int]):
@@ -520,8 +519,8 @@ def hilton_milnor(
     brackets are counted per group, by letter count per piece, the
     summands with one normal form, and each factor is built in normal form
     from those forms.  degree_bound optionally drops the brackets whose
-    factors carry no homology at or below that degree (read from the normal
-    forms), which leaves truncated series products unchanged.
+    factors carry no homology at or below that degree (read from the piece
+    table's degrees), which leaves truncated series products unchanged.
     """
     m = len(spaces)
     if m == 0:
@@ -529,17 +528,16 @@ def hilton_milnor(
     for i, x in enumerate(spaces, start=1):
         if conn(x) < 0:
             raise ValueError(f"vertex {i}: summand {render(x)} must be connected")
-    grading, summands, sizes, smash = _grading([normalize(x) for x in spaces])
+    grading, _, sizes, degrees, smash = _grading([normalize(x) for x in spaces])
 
     def build(q):
         return _loop(_susp(smash(q)), 1)
 
-    degrees = None if degree_bound is None else _vertex_degrees(summands, 1)
     counts = lyndon_class_counts(
         sizes, weight_bound, alphabet="plain", degrees=degrees, degree_bound=degree_bound
     )
     factors = _class_factors(counts, grading, lambda support: (None, build), _type_supports(grading))
-    return Decomposition(tuple(factors), "hilton-milnor", weight_bound if m >= 2 else None)
+    return Decomposition(tuple(factors), "hilton-milnor", weight_bound if m >= 2 else None, degree_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -562,11 +560,11 @@ def _base_factors(K: SimplicialComplex, normal: Sequence[tuple[SpaceExpr, SpaceE
 
 
 def _vertex_pieces(normal: Sequence[tuple[SpaceExpr, SpaceExpr]]):
-    # each vertex's piece, each piece's normalized (domain, codomain), and
-    # the one smash plan over each piece's surviving loop space: the loop
-    # of its domain, or of its codomain when the domain is contractible.
-    # One piece per distinct pair, or one per vertex when a support can be
-    # mixed (a non-point domain and a non-point codomain both occur)
+    # the piece table over the normalized (domain, codomain) pairs, where a
+    # piece's surviving space is the loop of its domain, or of its codomain
+    # when the domain is contractible.  One piece per distinct pair, or one
+    # per vertex when a support can be mixed (a non-point domain and a
+    # non-point codomain both occur)
     mixed = not any(all(isinstance(xa[side], Point) for xa in normal) for side in (0, 1))
     return _grading(normal, lambda xa: _loop(xa[1] if isinstance(xa[0], Point) else xa[0], 1), mixed)
 
@@ -581,7 +579,7 @@ def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
     from the pieces' one smash plan: Loop Susp of the smash of q_p copies
     of each piece's surviving loop space, through a mapping space out of
     Susp|K_S| when the domains are contractible."""
-    grading, spaces, _, smash = pieces
+    grading, spaces, _, _, smash = pieces
     on = [spaces[grading[j - 1]] for j in support]
     sub = None
     if all(isinstance(a, Point) for _, a in on):
@@ -636,8 +634,7 @@ def _coproduct_decomposition(
 ) -> Decomposition:
     # normal: the normalized (domain, codomain) of each vertex; truncated:
     # whether the full bracket set is infinite, so that the weight bound cuts it
-    grading, spaces, sizes, _ = pieces = _vertex_pieces(normal)
-    degrees = None if degree_bound is None else _vertex_degrees([x for x, _ in spaces], 0)
+    grading, spaces, sizes, degrees, _ = pieces = _vertex_pieces(normal)
     # every support of a type is a candidate for contractible domains (the
     # rule drops the faces), for mixed endpoint data (one vertex per piece,
     # so one support per type) and over the full simplex.  Other point
@@ -655,7 +652,7 @@ def _coproduct_decomposition(
     counts = lyndon_class_counts(sizes, weight_bound, types=types, degrees=degrees, degree_bound=degree_bound)
     brackets = _class_factors(counts, grading, partial(_bracket_rule, K, pieces), candidates)
     factors = _base_factors(K, normal) + brackets
-    return Decomposition(tuple(factors), theorem, weight_bound if truncated else None)
+    return Decomposition(tuple(factors), theorem, weight_bound if truncated else None, degree_bound)
 
 
 def loop_decompose_wedge(
@@ -922,4 +919,4 @@ def disjoint_union_decomp(
     truncation = (
         weight_bound if (d1.truncation is not None or d2.truncation is not None) else None
     )
-    return Decomposition(tuple(factors), "disjoint-union", truncation)
+    return Decomposition(tuple(factors), "disjoint-union", truncation, degree_bound)

@@ -17,13 +17,13 @@ works this way, with each factor's log-derivative memoized next to its
 series (_log_memo).
 
 series_of evaluates an expression by the classical rules (Bott-Samelson for
-loops of suspensions, the James-style formulas for loops of spheres, rational
-Eilenberg-MacLane factors for iterated loops of spheres, reciprocal
-additivity for loops of wedges of simply connected spaces), memoized on the
-normalized expression and N.  The loop-of-wedge rule doubles as the
-free-product oracle of `verify`, which calls series_of on Loop(Wedge(...)).
-Anything outside those rules yields an Unsupported value carrying a
-human-readable chain of reasons; Unsupported is data, not an error.
+loops of suspensions of connected spaces, the James-style formulas for loops
+of spheres, rational Eilenberg-MacLane factors for iterated loops of spheres,
+reciprocal additivity for loops of wedges of simply connected spaces),
+memoized on the normalized expression and N.  verify's tensor-algebra and
+free-product oracles are series_of calls on Loop(Susp(Wedge(...))) and
+Loop(Wedge(...)).  Anything outside those rules yields an Unsupported value
+carrying a human-readable chain of reasons; Unsupported is data, not an error.
 """
 
 from __future__ import annotations
@@ -387,9 +387,9 @@ def _loop_series(e: Loop, N: int) -> SeriesOrUnsupported:
 
     if isinstance(c, Susp):
         base = c.child
-        if _safe_conn(base) < 1:
+        if _safe_conn(base) < 0:
             return Unsupported(
-                f"Bott-Samelson needs a simply connected argument, "
+                f"Bott-Samelson needs a connected argument, "
                 f"{render(base)} has connectivity {_safe_conn(base)}"
             )
         p = _series(base, N)

@@ -473,6 +473,19 @@ def json_bool(value, field: str) -> bool:
     return value
 
 
+def json_fields(data: dict, allowed: Sequence[str], what: str) -> None:
+    """Reject a key outside allowed, so a misspelled optional field is not read as absent."""
+    extra = [k for k in data if k not in allowed]
+    if extra:
+        raise ValueError(f"unknown field {extra[0]!r} in {what} (allowed: {', '.join(allowed)})")
+
+
+# the fields of each space kind besides "kind"
+_FIELDS = {"point": (), "sphere": ("n",), "atom": ("name", "conn", "loop", "series", "contractible"),
+           **dict.fromkeys(("wedge", "product", "smash"), ("children", "powers")),
+           "susp": ("child",), "loop": ("count", "child"), "map_from_susp": ("complex", "child")}
+
+
 def expr_from_json(data: dict) -> SpaceExpr:
     """Parse a space description; nesting deeper than MAX_JSON_DEPTH raises
     ValueError, so no later recursive pass can overflow the stack."""
@@ -485,6 +498,8 @@ def _expr_from_json(data: dict, depth: int) -> SpaceExpr:
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError(f'space JSON needs a "kind" field: {data!r}')
     kind = data["kind"]
+    if isinstance(kind, str) and kind in _FIELDS:
+        json_fields(data, ("kind", *_FIELDS[kind]), f"{kind} space")
     if kind == "point":
         return POINT
     if kind == "sphere":
@@ -493,6 +508,8 @@ def _expr_from_json(data: dict, depth: int) -> SpaceExpr:
         loop_expr = _expr_from_json(data["loop"], depth + 1) if "loop" in data else None
         series = None
         if "series" in data:
+            if isinstance(data["series"], dict):
+                json_fields(data["series"], ("num", "den"), "atom series")
             series = (data["series"]["num"], data["series"]["den"])
         return Atom(
             name=str(data["name"]),

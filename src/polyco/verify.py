@@ -9,8 +9,9 @@ N.  Internally the bracket counting also prunes by factor bottom degree
 instead of counting every class of weight up to N + 1; the two cuts agree
 through degree N and the pruned one stays small.
 
-The free-product oracle for loops on a wedge is a `series_of` call on
-Loop(Wedge(...)), whose loop-of-wedge rule adds reciprocals.
+The tensor-algebra and free-product oracles are `series_of` calls on
+Loop(Susp(Wedge(...))) (Bott-Samelson, over any connected base) and on
+Loop(Wedge(...)) (reciprocals add).
 
 Every check returns through `_report`, whose verdict is Equal
 (coefficientwise equality through degree N), FirstDifference (the first
@@ -31,12 +32,7 @@ from .decomp import (
     porter_fiber,
 )
 from .scomplex import SimplicialComplex, build, disjoint_union, join
-from .series import (
-    PoincareSeries,
-    Unsupported,
-    series_of,
-    tensor_algebra_series,
-)
+from .series import PoincareSeries, Unsupported, series_of
 from .spacexpr import (
     CP_INFINITY,
     Loop,
@@ -170,20 +166,15 @@ def check_hilton_milnor(summands: Sequence[SpaceExpr], N: int) -> VerificationRe
     """Three routes to the series of loops on a wedge of suspensions.
 
     (a) the tensor-algebra series of Loop Susp of the wedge of the
-    desuspended summands, (b) the free-product rule over the looped
+    desuspended summands, one series_of call, (b) the free-product rule over the looped
     summands, (c) the product of the Hall-bracket factor series.  A
     summand that is a wedge of suspensions desuspends child by child.  The
     verdict is Equal only when all three agree.
     """
     desusp = [x for summand in summands for x in _desuspend(summand)]
-    parts = [series_of(x, N) for x in desusp]
-    bad = [p for p in parts if isinstance(p, Unsupported)]
-    if bad:
-        return _report("hilton-milnor", N, bad[0], bad[0])
-    red = PoincareSeries.zero(N)
-    for p in parts:
-        red = red + p.reduced()
-    oracle_bs = tensor_algebra_series(red)
+    oracle_bs = series_of(Loop(Susp(Wedge(tuple(desusp)))), N)
+    if isinstance(oracle_bs, Unsupported):
+        return _report("hilton-milnor", N, oracle_bs, oracle_bs)
 
     oracle_fp = _loops_on_wedge(summands, N)
     if isinstance(oracle_fp, Unsupported):

@@ -440,9 +440,9 @@ def reference_series(e: SpaceExpr, N: int):
         return Unsupported(f"iterated loops are only evaluated on spheres, not {render(c)}")
     if isinstance(c, Susp):
         base = c.child
-        if _reference_safe_conn(base) < 1:
+        if _reference_safe_conn(base) < 0:
             return Unsupported(
-                f"Bott-Samelson needs a simply connected argument, "
+                f"Bott-Samelson needs a connected argument, "
                 f"{render(base)} has connectivity {_reference_safe_conn(base)}"
             )
         p = reference_series(base, N)
@@ -1041,7 +1041,7 @@ def per_group_listing(
             brackets.append(Factor(expr, n, BracketGroup(w, support, pieces, counts)))
         else:
             del classes[key]
-    dec = Decomposition(tuple(base + brackets), theorem, weight_bound if truncated else None)
+    dec = Decomposition(tuple(base + brackets), theorem, weight_bound if truncated else None, degree_bound)
     return dec, classes
 
 

@@ -272,8 +272,9 @@ def test_degree_env_ignored_without_a_degree(tmp_path, capsys, monkeypatch):
     assert main(["homology", "--complex", cx]) == 0
     assert main(["hall-basis", "--alphabet", "2", "--max-weight", "2"]) == 0
     assert main(["bbcg", "--complex", cx, "--spaces", spaces]) == 0
+    assert main(["porter", "--spaces", spaces]) == 0
     capsys.readouterr()
-    assert main(["porter", "--spaces", spaces]) == 2
+    assert main(["hilton-milnor", "--spaces", spaces]) == 2
     assert "POLYCO_MAX_DEGREE='abc' is not an integer" in capsys.readouterr().err
 
 
@@ -345,6 +346,43 @@ def test_json_flags_must_be_booleans_exit_2(tmp_path, capsys):
     assert main(["decompose-wedge", "--complex", cx, "--spaces", spaces]) == 2
     err = capsys.readouterr().err
     assert "atoms.json" in err and "atom \"contractible\" must be true or false, got 'false'" in err
+
+
+def test_unknown_fields_exit_2(tmp_path, capsys):
+    # a misspelled optional field is rejected, not read as absent
+    cx = write(tmp_path, "edge.json", {"m": 2, "facets": [[1, 2]]})
+    sphere = {"kind": "sphere", "n": 3}
+    atom = {"kind": "atom", "name": "X", "conn": 1}
+    pair = {"domain": atom, "codomain": sphere}
+    for command, entry, key in (
+        ("decompose", {**pair, "domain_contractable": True}, "domain_contractable"),
+        ("decompose-wedge", {**atom, "contractable": True}, "contractable"),
+        ("decompose-wedge", {**atom, "series": {"num": [1], "den": [1], "dem": [1]}}, "dem"),
+        ("decompose-wedge", {"kind": "loop", "child": {**sphere, "m": 2}}, "m"),
+        ("decompose-wedge", {"kind": "wedge", "children": [sphere], "power": [2]}, "power"),
+    ):
+        spaces = write(tmp_path, "typo.json", {"1": entry, "2": sphere})
+        assert main([command, "--complex", cx, "--spaces", spaces]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "typo.json" in err and f"unknown field {key!r}" in err
+    # every field the JSON output writes loads back
+    spaces = write(tmp_path, "full.json", {"1": {**atom, "loop": sphere, "series": {"num": [1], "den": [1, 0, -1]},
+                                                 "contractible": False}, "2": {**pair, "domain_contractible": False}})
+    assert main(["decompose", "--complex", cx, "--spaces", spaces]) == 0
+
+
+def test_porter_takes_no_degree(tmp_path, capsys):
+    # porter has no truncation: no --max-degree, and no bounds in its JSON
+    spaces = write(tmp_path, "s.json", {"1": {"kind": "sphere", "n": 3}, "2": {"kind": "sphere", "n": 3}})
+    with pytest.raises(SystemExit) as exc:
+        main(["porter", "--spaces", spaces, "--max-degree", "6"])
+    assert exc.value.code == 2 and "--max-degree" in capsys.readouterr().err
+    assert main(["porter", "--spaces", spaces, "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert "max_degree" not in out and "max_weight" not in out and out["truncation"] is None
+    assert main(["hilton-milnor", "--spaces", spaces, "--format", "json", "--max-degree", "6"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["max_degree"], out["max_weight"], out["degree_bound"]) == (6, 7, None)
 
 
 def test_non_canonical_vertex_keys_exit_2(tmp_path, capsys):

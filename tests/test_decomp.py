@@ -81,6 +81,7 @@ from polyco.spacexpr import (
     normalize,
     render,
 )
+from polyco.verify import Equal, check_wedge_case
 
 S = Sphere
 X1, X2, X3 = Atom("X1", 1), Atom("X2", 1), Atom("X3", 1)
@@ -436,6 +437,76 @@ def test_wedge_decomp_truncation_soundness():
             assert conn(f.expr) >= f.provenance.weight, (dec.theorem, render(f.expr), f.provenance)
             checked += 1
     assert checked > 500
+
+
+# atoms whose loop replacement agrees with the declared connectivity (CP^∞
+# loops to S^1) and ones whose does not: X_DEEP is 3-connected but loops to
+# a circle, U_WIDE is simply connected but loops to the 1-connected S^1 ∧ V
+V_CIRCLE = Atom("V", 0, series=((1, 1), (1,)))
+X_DEEP = Atom("X", 3, loop=S(1), series=((1, 0, 0, 0, 1), (1,)))
+U_WIDE = Atom("U", 1, loop=Smash((S(1), V_CIRCLE)), series=((1, 0, 0, 1), (1,)))
+CUT_POOL = (S(2), S(3), CP_INFINITY, X_DEEP, U_WIDE)
+
+
+def test_degree_cut_reads_the_surviving_space():
+    # a degree-bounded listing has the series of the uncut one through its
+    # bound: each piece's degree is read off the space its factors smash
+    # (Loop X for the wedge preset), not off the declared connectivity of X
+    K = build(3, [[1, 2, 3]])
+    cut = loop_decompose_wedge(K, [X_DEEP] * 3, 7, degree_bound=6)
+    assert cut.series_product(6).coeffs == (1, 3, 6, 12, 24, 48, 96)
+    assert check_wedge_case(K, [X_DEEP] * 3, 6).verdict == Equal()
+    # a loop replacement whose own loop underflows (ΩS^0) still lists, with
+    # or without a cut, and its series stays out of reach
+    for bound in (None, 4):
+        dec = loop_decompose_wedge(K, [Loop(Atom("Y", 5, loop=S(0)))] * 3, 3, degree_bound=bound)
+        assert len(dec.factors) == (14 if bound is None else 8) and isinstance(dec.series_product(4), Unsupported)
+    rng = random.Random(2901)
+    seen = Counter()
+    for _ in range(40):
+        N = rng.randint(2, 5)
+        K = random_complex(rng, 4, allow_empty=False)
+        spaces = [rng.choice(CUT_POOL) for _ in range(K.m)]
+        listings = [
+            (loop_decompose_wedge(K, spaces, N + 1, degree_bound=N), loop_decompose_wedge(K, spaces, N + 1)),
+        ]
+        summands = [rng.choice(CUT_POOL) for _ in range(rng.randint(1, 3))]
+        listings.append((hilton_milnor(summands, N + 1, degree_bound=N), hilton_milnor(summands, N + 1)))
+        K1, K2 = random_complex(rng, 3, allow_empty=False), random_complex(rng, 2, allow_empty=False)
+        union = [rng.choice(CUT_POOL) for _ in range(K1.m + K2.m)]
+        listings.append((
+            disjoint_union_decomp(K1, K2, union, N + 1, degree_bound=N),
+            disjoint_union_decomp(K1, K2, union, N + 1),
+        ))
+        for cut, full in listings:
+            assert cut.series_product(N) == full.series_product(N), (cut.theorem, N)
+            assert not isinstance(full.series_product(N), Unsupported)
+            seen[cut.theorem] += len(cut.factors) < len(full.factors)
+        seen["deep on a face"] += any(
+            len(f) >= 2 and any(spaces[j - 1] == X_DEEP for j in f) for f in K.faces()
+        )
+    assert min(seen.values()) >= 5, seen
+
+
+def test_a_degree_cut_listing_says_it_is_cut():
+    # a degree cut shows in the header and in the JSON, and so does its
+    # absence, as a header without it and a null "degree_bound"
+    dec = hilton_milnor([S(3)], 4, degree_bound=1)
+    assert dec.render() == "hilton-milnor: 0 entries, 0 factors with multiplicity (degree ≤ 1)"
+    assert (dec.truncation, dec.to_json()["degree_bound"]) == (None, 1)
+    square = build(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
+    dec = loop_decompose_wedge(square, [S(2)] * 4, 5, degree_bound=1)
+    assert dec.render().splitlines()[0] == "wedge-coproduct: 4 entries, 4 factors with multiplicity (degree ≤ 1)"
+    assert not dec.bracket_factors() and loop_decompose_wedge(square, [S(2)] * 4, 5).bracket_factors()
+    dec = hilton_milnor([S(3), S(3)], 4, degree_bound=5)
+    assert dec.render().splitlines()[0].endswith("(bracket weight ≤ 4, degree ≤ 5)")
+    dec = disjoint_union_decomp(simplex(3), two_points(), [S(2)] * 5, 4, degree_bound=3)
+    assert dec.render().splitlines()[0].endswith("(bracket weight ≤ 4, degree ≤ 3)")
+    assert dec.to_json()["degree_bound"] == 3
+    for dec in (hilton_milnor([S(3), S(3)], 4), loop_decompose_wedge(square, [S(2)] * 4, 5),
+                loop_decompose(square, PairAssignment.constant_maps([S(2)] * 4), 5)):
+        assert dec.degree_bound is None and dec.to_json()["degree_bound"] is None
+        assert "degree ≤" not in dec.render()
 
 
 # ---------------------------------------------------------------------------

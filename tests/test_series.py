@@ -345,9 +345,21 @@ def test_bott_samelson_consistency():
         assert direct == tensor_algebra_series(base.reduced())
 
 
-def test_bott_samelson_needs_simple_connectivity():
-    out = series_of(Loop(Susp(Wedge((S(1), S(1))))), 4)
-    assert isinstance(out, Unsupported)
+def test_bott_samelson_needs_a_connected_base():
+    # ΩΣX is the tensor algebra on the reduced homology of X for any
+    # connected X, simply connected or not
+    assert series_of(Loop(Susp(Wedge((S(1), S(1))))), 4).coeffs == (1, 2, 4, 8, 16)  # 1/(1 - 2t)
+    torus = Product((S(1), S(1)))
+    out = series_of(Loop(Susp(torus)), 6)
+    assert out == tensor_algebra_series(series_of(torus, 6).reduced())
+    assert out.coeffs == (1, 2, 5, 12, 29, 70, 169)  # 1/(1 - 2t - t^2)
+    # the factor ΩΣ(S^1 ∨ S^3) of a one-summand listing, which is Ω(S^2 ∨ S^4)
+    hm = hilton_milnor([Wedge((S(1), S(3)))], 3).series_product(6)
+    assert hm.coeffs == (1, 1, 1, 2, 3, 4, 6)
+    assert hm == series_of(Loop(Wedge((S(2), S(4)))), 6)
+    # a base that is not connected stays outside the rule
+    out = series_of(Loop(Susp(Wedge((S(0), S(2))))), 6)
+    assert out == Unsupported("Bott-Samelson needs a connected argument, S^0 ∨ S^2 has connectivity -1")
 
 
 def test_free_product_single_component():

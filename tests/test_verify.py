@@ -75,11 +75,15 @@ def test_hilton_milnor_desuspends_a_wedge_of_suspensions_child_by_child():
 def test_hilton_milnor_skips_unsupported():
     r = check_hilton_milnor([Susp(Atom("B", 1))], 6)
     # the atom has no declared series anywhere in the three routes
-    assert isinstance(r.verdict, Skipped)
-    # Y has a declared series, so only the free-product oracle gives up
+    assert r.verdict == Skipped("lhs: loop of suspension of B: atom B has no declared homology series")
+    # Y has a declared series and is connected, so every route reaches
+    # 1/(1 - t), though Y is not simply connected
     r = check_hilton_milnor([Susp(Atom("Y", 0, series=((1, 1), (1,))))], 6)
+    assert isinstance(r.verdict, Equal) and r.rhs.coeffs == (1,) * 7
+    # S^1 desuspends to S^0, which is not connected
+    r = check_hilton_milnor([S(1), S(3)], 6)
     assert r.verdict == Skipped(
-        "rhs: Bott-Samelson needs a simply connected argument, Y has connectivity 0"
+        "lhs: Bott-Samelson needs a connected argument, S^0 ∨ S^2 has connectivity -1"
     )
 
 
