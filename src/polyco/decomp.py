@@ -54,6 +54,11 @@ BracketGroup(weight, support, pieces, counts) as provenance, in JSON
 bracket rule, resolved once per listed support, and each distinct factor is
 built once.
 
+Each input is normalized once, where it enters (_checked), and its
+connectivity is read on that normal form, the form every factor is built
+from: a loop of an atom is read through the atom's loop replacement, and a
+point always passes.  An error names the input as given.
+
 Every emitted factor expression is in normal form: it is built by the
 normal-form helpers of spacexpr from pieces normalized once, not as a raw
 tree normalized afterwards.  Factors that are a point are dropped, and
@@ -170,28 +175,23 @@ def _display_wedge(children: Sequence[SpaceExpr]) -> SpaceExpr:
     return Wedge(tuple(kids))
 
 
-def _strict_face_pairs(K: SimplicialComplex):
-    faces = K.faces()
-    for sig in faces:
-        if not sig:
-            continue
-        s = set(sig)
-        for k in range(len(sig)):
-            for tau in combinations(sig, k):
-                yield sig, tau, tuple(sorted(s - set(tau)))
+def _face_diagram(K: SimplicialComplex, kind: str, value, weights=None) -> DiagramDescription:
+    # value(f) at each face f, and an arrow from each face sigma to each
+    # proper subface tau, applying f_i on the vertices of sigma off tau
+    objects = {f: value(set(f)) for f in K.faces()}
+    arrows = {
+        (sig, tau): tuple(v for v in sig if v not in tau)
+        for sig in objects for k in range(len(sig)) for tau in combinations(sig, k)
+    }
+    return DiagramDescription(K, kind, objects, arrows, weights)
 
 
 def coproduct_diagram(K: SimplicialComplex, pairs: PairAssignment) -> DiagramDescription:
     """The defining diagram: wedges of the Y_i over the opposite face poset."""
     _check_arity(K.m, pairs.m, "pairs")
-    objects: dict[Face, SpaceExpr] = {}
-    for f in K.faces():
-        sel = set(f)
-        objects[f] = _display_wedge(
-            [pairs.domain(i) if i in sel else pairs.codomain(i) for i in range(1, K.m + 1)]
-        )
-    arrows = {(sig, tau): coords for sig, tau, coords in _strict_face_pairs(K)}
-    return DiagramDescription(K, "wedge", objects, arrows)
+    return _face_diagram(K, "wedge", lambda sel: _display_wedge(
+        [pairs.domain(i) if i in sel else pairs.codomain(i) for i in range(1, K.m + 1)]
+    ))
 
 
 def smash_coproduct(
@@ -213,13 +213,12 @@ def smash_coproduct(
         raise ValueError("weights must not all be zero")
     # one plan over the m domain loops, then the m codomain loops
     smash = _plan(Smash, [normalize(Loop(xa[side])) for side in (0, 1) for xa in pairs.pairs])
-    objects: dict[Face, SpaceExpr] = {}
-    for f in K.faces():
-        sel = set(f)
+
+    def value(sel):
         on = [k if i in sel else 0 for i, k in enumerate(ks, start=1)]
-        objects[f] = _susp(smash(on + [k - j for k, j in zip(ks, on)]))
-    arrows = {(sig, tau): coords for sig, tau, coords in _strict_face_pairs(K)}
-    return DiagramDescription(K, "suspended-smash", objects, arrows, weights=ks)
+        return _susp(smash(on + [k - j for k, j in zip(ks, on)]))
+
+    return _face_diagram(K, "suspended-smash", value, ks)
 
 
 def evaluate_special(K: SimplicialComplex, pairs: PairAssignment) -> SpaceExpr | None:
@@ -398,24 +397,26 @@ class Decomposition:
 # ---------------------------------------------------------------------------
 
 
-def _require_simply_connected(spaces: Sequence[SpaceExpr], what: str) -> None:
-    for i, x in enumerate(spaces, start=1):
-        if conn(x) < 1:
-            raise ValueError(
-                f"vertex {i}: {what} {render(x)} must be simply connected "
-                f"(connectivity {conn(x)})"
-            )
+def _checked(i: int, x: SpaceExpr, least: int, need: str) -> SpaceExpr:
+    # the one normal form of vertex i's input x; its connectivity, read on
+    # that form and never on x as given, must reach least, and a point
+    # always passes.  Else the error is need, formatted with x as given and
+    # that connectivity
+    normal = normalize(x)
+    if not isinstance(normal, Point) and (c := conn(normal)) < least:
+        raise ValueError(f"vertex {i}: " + need.format(render(x), c))
+    return normal
 
 
-def porter_fiber(spaces: Sequence[SpaceExpr]) -> SpaceExpr:
-    """The fiber of the inclusion of a wedge into a product, as a wedge.
+def _summand_loops(spaces: Sequence[SpaceExpr]) -> list[SpaceExpr]:
+    # Loop X_i in normal form for each checked wedge summand X_i
+    need = "wedge summand {} must be simply connected (connectivity {})"
+    return [_loop(_checked(i, x, 1, need), 1) for i, x in enumerate(spaces, start=1)]
 
-    Sums Susp(smash of Loop X_i over i in I) with multiplicity |I| - 1 over
-    the subsets I of size at least two.
-    """
-    _require_simply_connected(spaces, "wedge summand")
-    m = len(spaces)
-    smash = _plan(Smash, [normalize(Loop(x)) for x in spaces])
+
+def _fiber_wedge(loops: Sequence[SpaceExpr]) -> SpaceExpr:
+    m = len(loops)
+    smash = _plan(Smash, loops)
     terms, mults = [], []
     for k in range(2, m + 1):
         for I in combinations(range(m), k):
@@ -425,14 +426,20 @@ def porter_fiber(spaces: Sequence[SpaceExpr]) -> SpaceExpr:
     return _plan(Wedge, terms)(mults)
 
 
+def porter_fiber(spaces: Sequence[SpaceExpr]) -> SpaceExpr:
+    """The fiber of the inclusion of a wedge into a product, as a wedge.
+
+    Sums Susp(smash of Loop X_i over i in I) with multiplicity |I| - 1 over
+    the subsets I of size at least two.
+    """
+    return _fiber_wedge(_summand_loops(spaces))
+
+
 def porter_loop_decomp(spaces: Sequence[SpaceExpr]) -> Decomposition:
     """Loops on a wedge: the product of Loop X_i and loops of the fiber wedge."""
-    factors = []
-    for i, x in enumerate(spaces, start=1):
-        f = normalize(Loop(x))
-        if not isinstance(f, Point):
-            factors.append(Factor(f, 1, i))
-    lf = _loop(porter_fiber(spaces), 1)
+    loops = _summand_loops(spaces)
+    factors = [Factor(f, 1, i) for i, f in enumerate(loops, start=1) if not isinstance(f, Point)]
+    lf = _loop(_fiber_wedge(loops), 1)
     if not isinstance(lf, Point):
         factors.append(Factor(lf, 1, "base"))
     return Decomposition(tuple(factors), "porter", None)
@@ -525,10 +532,8 @@ def hilton_milnor(
     m = len(spaces)
     if m == 0:
         raise ValueError("need at least one wedge summand")
-    for i, x in enumerate(spaces, start=1):
-        if conn(x) < 0:
-            raise ValueError(f"vertex {i}: summand {render(x)} must be connected")
-    grading, _, sizes, degrees, smash = _grading([normalize(x) for x in spaces])
+    normal = [_checked(i, x, 0, "summand {} must be connected") for i, x in enumerate(spaces, start=1)]
+    grading, _, sizes, degrees, smash = _grading(normal)
 
     def build(q):
         return _loop(_susp(smash(q)), 1)
@@ -542,8 +547,7 @@ def hilton_milnor(
 
 # ---------------------------------------------------------------------------
 # the polyhedral decompositions: one engine over the face alphabet and one
-# bracket rule, with presets that differ only in their truncation and input
-# checks
+# bracket rule, with presets that differ only in their input checks
 # ---------------------------------------------------------------------------
 
 
@@ -629,19 +633,21 @@ def _coproduct_decomposition(
     normal: Sequence[tuple[SpaceExpr, SpaceExpr]],
     weight_bound: int,
     theorem: str,
-    truncated: bool,
     degree_bound: int | None = None,
 ) -> Decomposition:
-    # normal: the normalized (domain, codomain) of each vertex; truncated:
-    # whether the full bracket set is infinite, so that the weight bound cuts it
+    # normal: the normalized (domain, codomain) of each vertex
     grading, spaces, sizes, degrees, _ = pieces = _vertex_pieces(normal)
     # every support of a type is a candidate for contractible domains (the
     # rule drops the faces), for mixed endpoint data (one vertex per piece,
     # so one support per type) and over the full simplex.  Other point
     # codomains keep faces only: their words use only letters inside a
-    # face, so the states are cut to the types of K's faces
+    # face, so the states are cut to the types of K's faces.  The weight
+    # bound truncates exactly when the bracket set is infinite: when some
+    # listed face has three vertices, or with every support listed, when
+    # the face alphabet of {1..m} has two or more letters
     candidates, types = _type_supports(grading), None
-    if all(isinstance(a, Point) for _, a in spaces) and K.facets != (tuple(range(1, K.m + 1)),):
+    face_cut = all(isinstance(a, Point) for _, a in spaces) and K.facets != (tuple(range(1, K.m + 1)),)
+    if face_cut:
         faces: dict[tuple[int, ...], list[Face]] = {}
         for f in K.faces():
             s = [0] * len(spaces)
@@ -652,6 +658,7 @@ def _coproduct_decomposition(
     counts = lyndon_class_counts(sizes, weight_bound, types=types, degrees=degrees, degree_bound=degree_bound)
     brackets = _class_factors(counts, grading, partial(_bracket_rule, K, pieces), candidates)
     factors = _base_factors(K, normal) + brackets
+    truncated = K.dim() >= 2 if face_cut else K.m >= 3
     return Decomposition(tuple(factors), theorem, weight_bound if truncated else None, degree_bound)
 
 
@@ -670,31 +677,23 @@ def loop_decompose_wedge(
     A bracket over overlapping maximal faces is counted once.
     """
     _check_arity(K.m, len(spaces), "spaces")
-    _require_simply_connected(spaces, "space")
-    return _coproduct_decomposition(
-        K,
-        [(normalize(x), POINT) for x in spaces],
-        weight_bound,
-        "wedge-coproduct",
-        # infinite exactly when some maximal face has two or more letters
-        K.dim() >= 2,
-        degree_bound,
-    )
+    need = "space {} must be simply connected (connectivity {})"
+    normal = [(_checked(i, x, 1, need), POINT) for i, x in enumerate(spaces, start=1)]
+    return _coproduct_decomposition(K, normal, weight_bound, "wedge-coproduct", degree_bound)
+
+
+_CODOMAIN = "codomain {} must be simply connected or a point"
 
 
 def _normal_pairs(K: SimplicialComplex, pairs: PairAssignment) -> list[tuple[SpaceExpr, SpaceExpr]]:
-    # each vertex's (domain, codomain) in normal form, the one normalization of a call
+    # each vertex's checked (domain, codomain) in normal form, the one
+    # normalization of a call, the domain checked before the codomain
     _check_arity(K.m, pairs.m, "pairs")
-    return [(normalize(x), normalize(a)) for x, a in pairs.pairs]
-
-
-def _validate_pairs(pairs: PairAssignment, normal: Sequence[tuple[SpaceExpr, SpaceExpr]]) -> None:
-    # connectivity is tested on the given expressions, triviality on their normal forms
-    for i, ((x, a), (nx, na)) in enumerate(zip(pairs.pairs, normal), start=1):
-        if not isinstance(nx, Point) and conn(x) < 1:
-            raise ValueError(f"vertex {i}: domain {render(x)} must be simply connected or contractible")
-        if not isinstance(na, Point) and conn(a) < 1:
-            raise ValueError(f"vertex {i}: codomain {render(a)} must be simply connected or a point")
+    domain = "domain {} must be simply connected or contractible"
+    return [
+        (_checked(i, x, 1, domain), _checked(i, a, 1, _CODOMAIN))
+        for i, (x, a) in enumerate(pairs.pairs, start=1)
+    ]
 
 
 def loop_decompose(
@@ -711,12 +710,7 @@ def loop_decompose(
     support is a face and vanishes otherwise; mixed factors stay symbolic
     atoms, whose diagrams class_diagram builds on demand.
     """
-    normal = _normal_pairs(K, pairs)
-    _validate_pairs(pairs, normal)
-    # the face alphabet of {1..m} has two or more letters exactly when m >= 3
-    return _coproduct_decomposition(
-        K, normal, weight_bound, "general-coproduct", K.m >= 3
-    )
+    return _coproduct_decomposition(K, _normal_pairs(K, pairs), weight_bound, "general-coproduct")
 
 
 def loop_decompose_contractible(
@@ -732,16 +726,13 @@ def loop_decompose_contractible(
     Mapping spaces over certified subcomplexes reduce to iterated loops; the
     rest stay symbolic.
     """
-    normal = _normal_pairs(K, pairs)
-    for i, (x, _) in enumerate(normal, start=1):
-        if not isinstance(x, Point):
-            raise ValueError(
-                f"vertex {i}: domain {render(pairs.domain(i))} is not contractible"
-            )
-    _validate_pairs(pairs, normal)
-    return _coproduct_decomposition(
-        K, normal, weight_bound, "contractible-domains", K.m >= 3
-    )
+    # every domain is tested for contractibility, once, before any codomain
+    _check_arity(K.m, pairs.m, "pairs")
+    for i in range(1, K.m + 1):
+        if not pairs.domain_contractible(i):
+            raise ValueError(f"vertex {i}: domain {render(pairs.domain(i))} is not contractible")
+    normal = [(POINT, _checked(i, a, 1, _CODOMAIN)) for i, (_, a) in enumerate(pairs.pairs, start=1)]
+    return _coproduct_decomposition(K, normal, weight_bound, "contractible-domains")
 
 
 # ---------------------------------------------------------------------------

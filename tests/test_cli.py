@@ -244,6 +244,16 @@ def test_readme_command_line_names_every_subcommand_and_check():
     assert documented == list(CHECKS) == list(check.choices)
 
 
+def test_a_loop_of_an_atom_is_checked_through_its_loop_replacement(tmp_path, capsys):
+    # ΩΩY normalizes to ΩS^1, which is not simply connected
+    cx = write(tmp_path, "edge.json", {"m": 2, "facets": [[1, 2]]})
+    atom = {"kind": "atom", "name": "Y", "conn": 5, "loop": {"kind": "sphere", "n": 1}}
+    twice = {"kind": "loop", "count": 2, "child": atom}
+    spaces = write(tmp_path, "s.json", {"1": twice, "2": {"kind": "sphere", "n": 3}})
+    assert main(["decompose-wedge", "--complex", cx, "--spaces", spaces]) == 2
+    assert capsys.readouterr().err == "error: vertex 1: space Ω^2Y must be simply connected (connectivity -1)\n"
+
+
 def test_validation_error_exits_2(tmp_path, capsys):
     path = write(tmp_path, "bad.json", {"m": 2, "facets": [[5]]})
     assert main(["homology", "--complex", str(path)]) == 2

@@ -25,6 +25,7 @@ from _helpers import (
     multidegree,
     per_group_listing,
     random_complex,
+    random_expr,
     reference_bracket_factor,
     reference_class_counts,
     reference_grading,
@@ -332,9 +333,17 @@ def test_loop_decompose_mixed_pair_stays_symbolic():
     assert d.objects[(2,)] == Susp(Smash((Loop(A1), Loop(Atom("Y", 1)))))
 
 
+# atoms whose loop replacement contradicts their declared connectivity
+LOOPS_TO_S1 = Atom("Y", 5, loop=S(1))
+LOOPS_TO_S1_LOW = Atom("X", 3, loop=S(1))
+LOOPS_TO_S0 = Atom("Z", 5, loop=S(0))
+
+
 def test_loop_decompose_connectivity_validation():
-    # each input error in full: the arity first, then vertex by vertex
-    two = two_points()
+    # each input error in full: the arity first, then vertex by vertex, each
+    # input checked on the form the engine builds from and named as given
+    # (ΩΩY is ΩS^1, ΩX is S^1, ΩZ is S^0)
+    two, edge, twice = two_points(), build(2, [[1, 2]]), Loop(Loop(LOOPS_TO_S1))
     for call, message in [
         (lambda: loop_decompose(two, const([S(1), X2]), 1),
          "vertex 1: domain S^1 must be simply connected or contractible"),
@@ -344,9 +353,53 @@ def test_loop_decompose_connectivity_validation():
         (lambda: loop_decompose_wedge(two, [S(1)], 1), "complex has 2 vertices but 1 spaces given"),
         (lambda: loop_decompose_wedge(two, [S(3), S(1)], 1),
          "vertex 2: space S^1 must be simply connected (connectivity 0)"),
+        (lambda: loop_decompose_wedge(edge, [twice, S(3)], 2),
+         "vertex 1: space ΩΩY must be simply connected (connectivity -1)"),
+        (lambda: loop_decompose(edge, const([twice, S(3)]), 2),
+         "vertex 1: domain ΩΩY must be simply connected or contractible"),
+        (lambda: loop_decompose_contractible(two, path_pairs([twice, S(3)]), 2),
+         "vertex 1: codomain ΩΩY must be simply connected or a point"),
+        (lambda: porter_loop_decomp([Loop(LOOPS_TO_S1_LOW), S(3)]),
+         "vertex 1: wedge summand ΩX must be simply connected (connectivity 0)"),
+        (lambda: hilton_milnor([Loop(LOOPS_TO_S0), S(3)], 2), "vertex 1: summand ΩZ must be connected"),
+        (lambda: check_wedge_case(edge, [twice, S(3)], 4),
+         "vertex 1: space ΩΩY must be simply connected (connectivity -1)"),
     ]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
+    # an atom given directly keeps its declared connectivity
+    assert loop_decompose_wedge(edge, [LOOPS_TO_S1, S(3)], 2).factors[0].expr == S(1)
+
+
+def test_each_engine_treats_an_input_as_its_normal_form():
+    # seeded inputs, and loops of atoms with loop replacements: each engine
+    # rejects both e and normalize(e), or lists the same factors for both
+    rng = random.Random(3001)
+    atoms = (LOOPS_TO_S1, LOOPS_TO_S1_LOW, LOOPS_TO_S0, CP_INFINITY)
+    edge, K1, K2 = build(2, [[1, 2]]), build(1, [[1]]), build(1, [[1]])
+    engines = {
+        "porter": lambda e: porter_loop_decomp([e, S(3)]),
+        "hilton-milnor": lambda e: hilton_milnor([e, S(2)], 3),
+        "wedge": lambda e: loop_decompose_wedge(edge, [e, S(3)], 2),
+        "disjoint union": lambda e: disjoint_union_decomp(K1, K2, [S(2), e], 2),
+        "general domain": lambda e: loop_decompose(edge, PairAssignment.of([(e, A1), (S(3), POINT)]), 2),
+        "general codomain": lambda e: loop_decompose(edge, PairAssignment.of([(X1, e), (POINT, S(2))]), 2),
+        "contractible": lambda e: loop_decompose_contractible(two_points(), path_pairs([e, S(3)]), 2),
+    }
+    seen = Counter()
+    inputs = [random_expr(rng, 2) for _ in range(150)]
+    inputs += [Loop(a, k) for a in atoms for k in (1, 2, 3)] + [Loop(Loop(a)) for a in atoms]
+    for e in inputs:
+        for name, engine in engines.items():
+            outcomes = []
+            for given in (e, normalize(e)):
+                try:
+                    outcomes.append(engine(given).render())
+                except ValueError:
+                    outcomes.append(None)
+            assert outcomes[0] == outcomes[1], (name, render(e))
+            seen[name, outcomes[0] is None] += 1
+    assert len(seen) == 2 * len(engines) and min(seen.values()) >= 5, seen
 
 
 def test_loop_decompose_ghost_vertex_uses_codomain():
@@ -371,6 +424,9 @@ def test_wedge_decomp_square_with_cp_infinity():
     dec5 = loop_decompose_wedge(square(), [CP_INFINITY] * 4, 5)
     assert dec5.factor_multiset() == dec.factor_multiset()
     assert dec.truncation is None
+    # the general preset on the same constant maps lists the same faces, uncut
+    general = loop_decompose(square(), const([CP_INFINITY] * 4), 1)
+    assert general.render() == dec.render().replace("wedge-coproduct", "general-coproduct")
 
 
 def test_wedge_decomp_discrete():
@@ -456,11 +512,15 @@ def test_degree_cut_reads_the_surviving_space():
     cut = loop_decompose_wedge(K, [X_DEEP] * 3, 7, degree_bound=6)
     assert cut.series_product(6).coeffs == (1, 3, 6, 12, 24, 48, 96)
     assert check_wedge_case(K, [X_DEEP] * 3, 6).verdict == Equal()
-    # a loop replacement whose own loop underflows (ΩS^0) still lists, with
-    # or without a cut, and its series stays out of reach
+    # a surviving space below connected (ΩY = S^0) still lists, with or
+    # without a cut, and its series stays out of reach; the loop of that
+    # atom normalizes to S^0 itself, which is not simply connected
+    below = Atom("Y", 5, loop=S(0))
     for bound in (None, 4):
-        dec = loop_decompose_wedge(K, [Loop(Atom("Y", 5, loop=S(0)))] * 3, 3, degree_bound=bound)
+        dec = loop_decompose_wedge(K, [below] * 3, 3, degree_bound=bound)
         assert len(dec.factors) == (14 if bound is None else 8) and isinstance(dec.series_product(4), Unsupported)
+    with pytest.raises(ValueError, match=r"^vertex 1: space ΩY must be simply connected \(connectivity -1\)$"):
+        loop_decompose_wedge(K, [Loop(below)] * 3, 3)
     rng = random.Random(2901)
     seen = Counter()
     for _ in range(40):
@@ -1077,14 +1137,20 @@ def per_group_references(K, pairs, spaces, hm_spaces, W, bound, only=None):
         return normalize(Loop(Susp(_loop_smash_of_loops(by_vertex, l, looped=False))))
 
     n = len(hm_spaces)
+
+    def truncated(pairs):
+        # the engine lists faces only for point codomains off the full simplex
+        faces_only = all(map(pairs.codomain_is_point, range(1, K.m + 1))) and not K.has_face(range(1, K.m + 1))
+        return K.dim() >= 2 if faces_only else K.m >= 3
+
     listings = {
         "general": lambda: per_group_listing(
             all_letters, W, partial(reference_bracket_factor, K, pairs), _base_factors(K, _normal_pairs(K, pairs)),
-            "general-coproduct", K.m >= 3, reference_grading(pairs),
+            "general-coproduct", truncated(pairs), reference_grading(pairs),
         ),
         "contractible": lambda: per_group_listing(
             all_letters, W, partial(reference_bracket_factor, K, contractible),
-            _base_factors(K, _normal_pairs(K, contractible)), "contractible-domains", K.m >= 3,
+            _base_factors(K, _normal_pairs(K, contractible)), "contractible-domains", truncated(contractible),
             reference_grading(contractible),
         ),
         "wedge": lambda: per_group_listing(
