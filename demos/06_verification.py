@@ -8,6 +8,7 @@ from polyco import (
     build,
     check_counterexample,
     check_disjoint_union,
+    check_gluing,
     check_hilton_milnor,
     check_porter,
     check_wedge_case,
@@ -27,6 +28,10 @@ reports = [
     # Disjoint unions multiply.
     check_disjoint_union(build(2, [[1, 2]]), build(1, [[1]]),
                          [S(2), S(3), S(2)], 8),
+    # A gluing K = K1 u_L K2 is a pullback square of coproducts: two edges
+    # glued at a vertex give P(K) P(L) = P(K1) P(K2).
+    check_gluing(build(2, [[1, 2]]), build(2, [[1, 2]]), build(1, [[1]]),
+                 [S(2), S(3), S(2)], 8),
     # Coproducts do not split over joins: the reported difference at degree 3
     # is the point of this check, not a failure.
     check_counterexample(8),

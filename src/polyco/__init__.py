@@ -69,7 +69,6 @@ from .decomp import (
     bbcg_wedge_splitting,
     class_diagram,
     coproduct_diagram,
-    disjoint_union_decomp,
     evaluate_special,
     hilton_milnor,
     join_vertex_reduce,
@@ -88,6 +87,7 @@ from .verify import (
     VerificationReport,
     check_counterexample,
     check_disjoint_union,
+    check_gluing,
     check_hilton_milnor,
     check_porter,
     check_wedge_case,

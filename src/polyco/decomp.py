@@ -29,8 +29,8 @@ decompositions of the looped coproduct:
   * loop_decompose_contractible: the all-domains-contractible case, where
     only the brackets whose support is a missing face survive;
   * the suspension-splitting summand lists (bbcg_*) for the dual comparison,
-    and the structural operations for joined vertices, gluings, and disjoint
-    unions.
+    and the structural operations for joined vertices and the pullback
+    square of a gluing (a disjoint union is the gluing along no overlap).
 
 A bracket factor depends only on its support and its vertex content l (l_j
 counts the letters whose vertex set contains j) summed over each piece.  All
@@ -104,7 +104,6 @@ from .spacexpr import (
     _map_from_susp,
     _plan,
     _susp,
-    conn,
     expr_to_json,
     normalize,
     render,
@@ -401,9 +400,9 @@ def _checked(i: int, x: SpaceExpr, least: int, need: str) -> SpaceExpr:
     # the one normal form of vertex i's input x; its connectivity, read on
     # that form and never on x as given, must reach least, and a point
     # always passes.  Else the error is need, formatted with x as given and
-    # that connectivity
+    # that connectivity (-1 where the estimate underflows)
     normal = normalize(x)
-    if not isinstance(normal, Point) and (c := conn(normal)) < least:
+    if not isinstance(normal, Point) and (c := series_mod._safe_conn(normal)) < least:
         raise ValueError(f"vertex {i}: " + need.format(render(x), c))
     return normal
 
@@ -644,9 +643,11 @@ def _coproduct_decomposition(
     # face, so the states are cut to the types of K's faces.  The weight
     # bound truncates exactly when the bracket set is infinite: when some
     # listed face has three vertices, or with every support listed, when
-    # the face alphabet of {1..m} has two or more letters
+    # the face alphabet of {1..m} has two or more letters and a support can
+    # keep a factor: not so with every domain a point over the full simplex
     candidates, types = _type_supports(grading), None
-    face_cut = all(isinstance(a, Point) for _, a in spaces) and K.facets != (tuple(range(1, K.m + 1)),)
+    simplex = K.facets == (tuple(range(1, K.m + 1)),)
+    face_cut = all(isinstance(a, Point) for _, a in spaces) and not simplex
     if face_cut:
         faces: dict[tuple[int, ...], list[Face]] = {}
         for f in K.faces():
@@ -658,7 +659,8 @@ def _coproduct_decomposition(
     counts = lyndon_class_counts(sizes, weight_bound, types=types, degrees=degrees, degree_bound=degree_bound)
     brackets = _class_factors(counts, grading, partial(_bracket_rule, K, pieces), candidates)
     factors = _base_factors(K, normal) + brackets
-    truncated = K.dim() >= 2 if face_cut else K.m >= 3
+    contractible = all(isinstance(x, Point) for x, _ in spaces)
+    truncated = K.dim() >= 2 if face_cut else K.m >= 3 and not (simplex and contractible)
     return Decomposition(tuple(factors), theorem, weight_bound if truncated else None, degree_bound)
 
 
@@ -876,38 +878,3 @@ def pullback_square(
         ("K2", "L", "induced by the simplicial inclusion of L into K2"),
     )
     return PullbackSquare(corners, diagrams, maps)
-
-
-def disjoint_union_decomp(
-    K1: SimplicialComplex,
-    K2: SimplicialComplex,
-    spaces: Sequence[SpaceExpr],
-    weight_bound: int,
-    *,
-    degree_bound: int | None = None,
-) -> Decomposition:
-    """Decomposition of the coproduct over K1 disjoint-union K2 with A = point:
-    the multiset union of the component decompositions."""
-    m1, m2 = K1.m, K2.m
-    _check_arity(m1 + m2, len(spaces), "spaces", "disjoint union")
-    d1 = loop_decompose_wedge(K1, spaces[:m1], weight_bound, degree_bound=degree_bound)
-    d2 = loop_decompose_wedge(K2, spaces[m1:], weight_bound, degree_bound=degree_bound)
-
-    def shifted(f: Factor) -> Factor:
-        p = f.provenance
-        if isinstance(p, int):
-            return Factor(f.expr, f.multiplicity, p + m1)
-        pieces = tuple(tuple(j + m1 for j in piece) for piece in p.pieces)
-        support = tuple(j + m1 for j in p.support)
-        return Factor(f.expr, f.multiplicity, p._replace(support=support, pieces=pieces))
-
-    # vertices first, then groups by weight; stable, so K1's groups come first in a weight
-    def order(f: Factor) -> tuple:
-        p = f.provenance
-        return (1, p.weight) if isinstance(p, BracketGroup) else (0, p)
-
-    factors = sorted([*d1.factors, *map(shifted, d2.factors)], key=order)
-    truncation = (
-        weight_bound if (d1.truncation is not None or d2.truncation is not None) else None
-    )
-    return Decomposition(tuple(factors), "disjoint-union", truncation, degree_bound)

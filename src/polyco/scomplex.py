@@ -271,7 +271,8 @@ def union_along(
 
     Vertex ranges follow the overlap convention: K1 sits on {1..n}, L on the
     top |L| vertices {l..n} of K1, and K2 on {l..m} so that its first |L|
-    vertices are the overlap.  L = None means no overlap (disjoint union).
+    vertices are the overlap, where L must be the inputs' whole intersection.
+    L = None means no overlap (disjoint union).
     """
     if L is None:
         return disjoint_union(K1, K2)
@@ -284,6 +285,12 @@ def union_along(
             raise ValueError("L is not a subcomplex of the first input")
         if not K2.has_face(f):
             raise ValueError("L is not a subcomplex of the second input")
+    # each shared face lies in the meet of two facet traces on the overlap, in L's bits
+    low, star, inside = (1 << (o + 1)) - 2, _index(K2).star, _index(L).star
+    for a in {F >> offset & low for F in _index(K1).facets}:
+        for g in {a & G for v in _vertices(a) for G in star.get(v, ())}:
+            if not _is_face(g, inside):
+                raise ValueError(f"L misses the overlap face {_vertices(g)} that both inputs share")
     m = K1.m + K2.m - o
     faces = list(K1.facets) + [tuple(v + offset for v in f) for f in K2.facets]
     return build(m, faces)

@@ -874,10 +874,14 @@ def _enumerated_face_alphabet(K, pairs, weight_bound, theorem, rule) -> Decompos
         if expr is not None and not isinstance(expr, Point):
             brackets.append(Factor(expr, 1, b))
     brackets.sort(key=_bracket_order)
+    # over the full simplex every support is a face, and with every domain
+    # contractible no face keeps a factor: the listing is complete
+    vertices = range(1, K.m + 1)
+    complete = K.has_face(vertices) and all(map(pairs.domain_contractible, vertices))
     return Decomposition(
         tuple(_base_factors(K, _normal_pairs(K, pairs)) + brackets),
         theorem,
-        weight_bound if len(alphabet) >= 2 else None,
+        weight_bound if len(alphabet) >= 2 and not complete else None,
     )
 
 

@@ -12,7 +12,6 @@ from itertools import combinations, product as iproduct
 
 from _helpers import multidegree, random_expr, random_series, witt_dimension
 from polyco.decomp import (
-    disjoint_union_decomp,
     evaluate_special,
     loop_decompose_contractible,
     loop_decompose_wedge,
@@ -34,6 +33,7 @@ from polyco.verify import (
     Equal,
     FirstDifference,
     check_counterexample,
+    check_disjoint_union,
     check_hilton_milnor,
     check_porter,
     check_wedge_case,
@@ -200,15 +200,16 @@ def test_criterion_10_disjoint_union():
                         for _ in range(rng.randint(1, 4))])
         spaces = [S(rng.randint(2, 4)) for _ in range(m1 + m2)]
 
-        union = disjoint_union_decomp(K1, K2, spaces, W, degree_bound=N)
         direct = loop_decompose_wedge(disjoint_union(K1, K2), spaces, W, degree_bound=N)
-        assert union.factor_multiset() == direct.factor_multiset(), (K1, K2)
-
         d1 = loop_decompose_wedge(K1, spaces[:m1], W, degree_bound=N)
         d2 = loop_decompose_wedge(K2, spaces[m1:], W, degree_bound=N)
+        assert direct.factor_multiset() == d1.factor_multiset() + d2.factor_multiset(), (K1, K2)
+
         lhs = direct.series_product(N)
         rhs = d1.series_product(N) * d2.series_product(N)
         assert lhs.compare(rhs) is None, (K1, K2)
+        report = check_disjoint_union(K1, K2, spaces, N)
+        assert report.verdict == Equal() and (report.lhs, report.rhs) == (lhs, rhs), (K1, K2)
     print("PASS criterion 10: disjoint unions decompose as the union of the "
           "component factor multisets with multiplicative series "
           "(3 randomized pairs, N=8)")

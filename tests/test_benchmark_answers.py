@@ -1,4 +1,4 @@
-"""The benchmark's recorded answers, checked on one request per decomposition slot.
+"""The benchmark's recorded answers, checked on every request of every slot.
 
 perfbench/ is read, never written: its workload catalogue and its answer
 digests are loaded as they are, so a change in any factor listing fails
@@ -51,31 +51,32 @@ def assert_recorded(workloads, specs):
         assert workloads.check(polyco, spec, out, answers) is None, spec
 
 
-def test_first_variant_of_every_decomposition_slot_matches_its_recorded_answer(monkeypatch):
+def test_every_variant_of_every_decomposition_slot_matches_its_recorded_answer(monkeypatch):
     workloads = load_workloads(monkeypatch)
     catalogue = workloads.catalogue()
-    specs = [slot.variants[0] for slot in catalogue["decompose-deep"].slots]
-    wide = [s.variants[0] for s in catalogue["complexes-wide"].slots]
+    specs = [spec for slot in catalogue["decompose-deep"].slots for spec in slot.variants]
+    wide = [spec for slot in catalogue["complexes-wide"].slots for spec in slot.variants]
     specs += [spec for spec in wide if "decompose" in spec]
-    assert len(specs) == len(catalogue["decompose-deep"].slots) + 4
+    assert len(specs) == 168 + 4 * 24
     assert_recorded(workloads, specs)
 
 
-def test_first_variant_of_every_homology_slot_matches_its_recorded_answer(monkeypatch):
+def test_every_variant_of_every_homology_slot_matches_its_recorded_answer(monkeypatch):
     # the digest of a homology-only request covers its reduced Betti numbers
     # and its wedge-of-spheres type, certificate included
     workloads = load_workloads(monkeypatch)
-    wide = [s.variants[0] for s in workloads.catalogue()["complexes-wide"].slots]
+    wide = [spec for slot in workloads.catalogue()["complexes-wide"].slots for spec in slot.variants]
     specs = [spec for spec in wide if "decompose" not in spec]
-    assert len(specs) == 21
+    assert len(specs) == 21 * 24
     assert_recorded(workloads, specs)
 
 
-def test_first_variant_of_every_verify_slot_gives_its_expected_verdict(monkeypatch):
-    # Equal, or the recorded first difference for the counterexample slots
+def test_every_variant_of_every_verify_slot_gives_its_expected_verdict(monkeypatch):
+    # Equal, or the recorded first difference for the counterexample slots;
+    # three slots run the disjoint-union check
     workloads = load_workloads(monkeypatch)
-    specs = [slot.variants[0] for slot in workloads.catalogue()["verify"].slots]
-    assert len(specs) == 35
+    specs = [spec for slot in workloads.catalogue()["verify"].slots for spec in slot.variants]
+    assert len(specs) == 35 * 6
     assert_recorded(workloads, specs)
 
 

@@ -47,7 +47,6 @@ from polyco.decomp import (
     bbcg_wedge_splitting,
     class_diagram,
     coproduct_diagram,
-    disjoint_union_decomp,
     evaluate_special,
     hilton_milnor,
     join_vertex_reduce,
@@ -371,6 +370,27 @@ def test_loop_decompose_connectivity_validation():
     assert loop_decompose_wedge(edge, [LOOPS_TO_S1, S(3)], 2).factors[0].expr == S(1)
 
 
+def test_an_underflowing_input_gets_the_presets_message():
+    # Ω²S^1 underflows where its connectivity is read: each entry point
+    # names the vertex and the input as given, at connectivity -1
+    edge, twice = build(2, [[1, 2]]), Loop(S(1), 2)
+    for call, message in [
+        (lambda: loop_decompose_wedge(edge, [twice, S(3)], 2),
+         "vertex 1: space Ω^2S^1 must be simply connected (connectivity -1)"),
+        (lambda: hilton_milnor([twice, S(3)], 2), "vertex 1: summand Ω^2S^1 must be connected"),
+        (lambda: porter_fiber([twice, S(3)]),
+         "vertex 1: wedge summand Ω^2S^1 must be simply connected (connectivity -1)"),
+        (lambda: porter_loop_decomp([twice, S(3)]),
+         "vertex 1: wedge summand Ω^2S^1 must be simply connected (connectivity -1)"),
+        (lambda: loop_decompose(edge, const([twice, S(3)]), 2),
+         "vertex 1: domain Ω^2S^1 must be simply connected or contractible"),
+        (lambda: loop_decompose_contractible(edge, path_pairs([twice, S(3)]), 2),
+         "vertex 1: codomain Ω^2S^1 must be simply connected or a point"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
 def test_each_engine_treats_an_input_as_its_normal_form():
     # seeded inputs, and loops of atoms with loop replacements: each engine
     # rejects both e and normalize(e), or lists the same factors for both
@@ -381,7 +401,7 @@ def test_each_engine_treats_an_input_as_its_normal_form():
         "porter": lambda e: porter_loop_decomp([e, S(3)]),
         "hilton-milnor": lambda e: hilton_milnor([e, S(2)], 3),
         "wedge": lambda e: loop_decompose_wedge(edge, [e, S(3)], 2),
-        "disjoint union": lambda e: disjoint_union_decomp(K1, K2, [S(2), e], 2),
+        "disjoint union": lambda e: loop_decompose_wedge(disjoint_union(K1, K2), [S(2), e], 2),
         "general domain": lambda e: loop_decompose(edge, PairAssignment.of([(e, A1), (S(3), POINT)]), 2),
         "general codomain": lambda e: loop_decompose(edge, PairAssignment.of([(X1, e), (POINT, S(2))]), 2),
         "contractible": lambda e: loop_decompose_contractible(two_points(), path_pairs([e, S(3)]), 2),
@@ -527,21 +547,18 @@ def test_degree_cut_reads_the_surviving_space():
         N = rng.randint(2, 5)
         K = random_complex(rng, 4, allow_empty=False)
         spaces = [rng.choice(CUT_POOL) for _ in range(K.m)]
-        listings = [
-            (loop_decompose_wedge(K, spaces, N + 1, degree_bound=N), loop_decompose_wedge(K, spaces, N + 1)),
-        ]
         summands = [rng.choice(CUT_POOL) for _ in range(rng.randint(1, 3))]
-        listings.append((hilton_milnor(summands, N + 1, degree_bound=N), hilton_milnor(summands, N + 1)))
         K1, K2 = random_complex(rng, 3, allow_empty=False), random_complex(rng, 2, allow_empty=False)
-        union = [rng.choice(CUT_POOL) for _ in range(K1.m + K2.m)]
-        listings.append((
-            disjoint_union_decomp(K1, K2, union, N + 1, degree_bound=N),
-            disjoint_union_decomp(K1, K2, union, N + 1),
-        ))
-        for cut, full in listings:
-            assert cut.series_product(N) == full.series_product(N), (cut.theorem, N)
+        union, U = [rng.choice(CUT_POOL) for _ in range(K1.m + K2.m)], disjoint_union(K1, K2)
+        listings = [
+            ("wedge", *(loop_decompose_wedge(K, spaces, N + 1, degree_bound=b) for b in (N, None))),
+            ("hilton-milnor", *(hilton_milnor(summands, N + 1, degree_bound=b) for b in (N, None))),
+            ("disjoint union", *(loop_decompose_wedge(U, union, N + 1, degree_bound=b) for b in (N, None))),
+        ]
+        for name, cut, full in listings:
+            assert cut.series_product(N) == full.series_product(N), (name, N)
             assert not isinstance(full.series_product(N), Unsupported)
-            seen[cut.theorem] += len(cut.factors) < len(full.factors)
+            seen[name] += len(cut.factors) < len(full.factors)
         seen["deep on a face"] += any(
             len(f) >= 2 and any(spaces[j - 1] == X_DEEP for j in f) for f in K.faces()
         )
@@ -560,7 +577,7 @@ def test_a_degree_cut_listing_says_it_is_cut():
     assert not dec.bracket_factors() and loop_decompose_wedge(square, [S(2)] * 4, 5).bracket_factors()
     dec = hilton_milnor([S(3), S(3)], 4, degree_bound=5)
     assert dec.render().splitlines()[0].endswith("(bracket weight ≤ 4, degree ≤ 5)")
-    dec = disjoint_union_decomp(simplex(3), two_points(), [S(2)] * 5, 4, degree_bound=3)
+    dec = loop_decompose_wedge(disjoint_union(simplex(3), two_points()), [S(2)] * 5, 4, degree_bound=3)
     assert dec.render().splitlines()[0].endswith("(bracket weight ≤ 4, degree ≤ 3)")
     assert dec.to_json()["degree_bound"] == 3
     for dec in (hilton_milnor([S(3), S(3)], 4), loop_decompose_wedge(square, [S(2)] * 4, 5),
@@ -581,6 +598,19 @@ def path_pairs(codomains):
 def test_contractible_simplex_has_no_factors():
     dec = loop_decompose_contractible(simplex(3), path_pairs([A1, A2, Atom("A3", 1)]), 3)
     assert dec.factors == ()
+
+
+def test_an_empty_contractible_listing_records_no_weight_bound():
+    # over the full simplex every support is a face, so with contractible
+    # domains nothing is listed at any weight; off it, m >= 3 keeps the bound
+    dec = loop_decompose_contractible(simplex(3), path_pairs([S(2)] * 3), 3)
+    assert (dec.factors, dec.truncation, dec.to_json()["truncation"]) == ((), None, None)
+    assert dec.render() == "contractible-domains: 0 entries, 0 factors with multiplicity"
+    assert loop_decompose(simplex(3), path_pairs([S(2)] * 3), 3).truncation is None
+    path = build(3, [[1, 2], [2, 3]])
+    dec = loop_decompose_contractible(path, path_pairs([S(2)] * 3), 3)
+    assert dec.factors and dec.truncation == 3
+    assert dec.render().splitlines()[0].endswith("(bracket weight ≤ 3)")
 
 
 def test_contractible_two_points_cojoin():
@@ -743,29 +773,33 @@ def test_pullback_square_empty_overlap():
     assert data["diagrams"] == {name: d.to_json() for name, d in sq.diagrams.items()}
 
 
-def test_disjoint_union_decomp_is_component_union():
+def test_disjoint_union_lists_the_component_union():
+    # the wedge preset on K1 ⊔ K2 lists each component's entries, the
+    # second's shifted past K1's vertices, and no group across the two
     spaces = [X1, X2, X3, Atom("X4", 1), Atom("X5", 1)]
-    # the second pair gives both components bracket classes, so the
-    # second component's classes are padded on the left
+
+    def entries(dec, shift=0):
+        def moved(p):
+            if isinstance(p, int):
+                return p + shift
+            return p._replace(support=tuple(j + shift for j in p.support),
+                              pieces=tuple(tuple(j + shift for j in piece) for piece in p.pieces))
+        return Counter((f.expr, f.multiplicity, moved(f.provenance)) for f in dec.factors)
+
     for K1, K2 in (
         (build(2, [[1, 2]]), build(2, [[1], [2]])),
         (build(2, [[1, 2]]), build(3, [[1, 2, 3]])),
     ):
         sp = spaces[: K1.m + K2.m]
-        du = disjoint_union_decomp(K1, K2, sp, 3)
+        du = loop_decompose_wedge(disjoint_union(K1, K2), sp, 3)
         d1 = loop_decompose_wedge(K1, sp[: K1.m], 3)
         d2 = loop_decompose_wedge(K2, sp[K1.m :], 3)
         assert du.factor_multiset() == d1.factor_multiset() + d2.factor_multiset()
-        # and it agrees with decomposing the union complex directly
-        full = loop_decompose_wedge(disjoint_union(K1, K2), sp, 3)
-        assert du.factor_multiset() == full.factor_multiset()
-        assert [str(f.provenance) for f in du.factors] == [
-            str(f.provenance) for f in full.factors
-        ]
+        assert entries(du) == entries(d1) + entries(d2, K1.m)
 
 
 def test_disjoint_union_two_vertices():
-    du = disjoint_union_decomp(build(1, [[1]]), build(1, [[1]]), [X1, X2], 2)
+    du = loop_decompose_wedge(disjoint_union(build(1, [[1]]), build(1, [[1]])), [X1, X2], 2)
     assert du.factor_multiset() == Counter({Loop(X1): 1, Loop(X2): 1})
 
 
@@ -840,8 +874,8 @@ def test_general_vs_contractible_theorem_agreement():
 def test_series_product_matches_factor_by_factor_reference():
     N = 12
     wedge = loop_decompose_wedge(simplex(3), [S(2)] * 3, N + 1, degree_bound=N)
-    union = disjoint_union_decomp(
-        build(2, [[1, 2]]), build(2, [[1], [2]]), [S(2), S(3), S(2), S(2)], N + 1, degree_bound=N
+    union = loop_decompose_wedge(
+        disjoint_union(build(2, [[1, 2]]), build(2, [[1], [2]])), [S(2), S(3), S(2), S(2)], N + 1, degree_bound=N
     )
     for dec in (wedge, union):
         assert len(dec.factor_multiset()) < sum(f.multiplicity for f in dec.factors)
@@ -1139,9 +1173,13 @@ def per_group_references(K, pairs, spaces, hm_spaces, W, bound, only=None):
     n = len(hm_spaces)
 
     def truncated(pairs):
-        # the engine lists faces only for point codomains off the full simplex
-        faces_only = all(map(pairs.codomain_is_point, range(1, K.m + 1))) and not K.has_face(range(1, K.m + 1))
-        return K.dim() >= 2 if faces_only else K.m >= 3
+        # the engine lists faces only for point codomains off the full
+        # simplex, and nothing over it when every domain is a point
+        vertices = range(1, K.m + 1)
+        simplex, contractible = K.has_face(vertices), all(map(pairs.domain_contractible, vertices))
+        if all(map(pairs.codomain_is_point, vertices)) and not simplex:
+            return K.dim() >= 2
+        return K.m >= 3 and not (simplex and contractible)
 
     listings = {
         "general": lambda: per_group_listing(

@@ -210,6 +210,18 @@ def test_union_along_rejects_non_subcomplex():
         union_along(build(3, [[1, 2, 3]]), build(2, [[1], [2]]), build(2, [[1, 2]]))
 
 
+def test_union_along_rejects_an_overlap_smaller_than_the_intersection():
+    # L must hold every face the inputs share on the overlap
+    edge = build(2, [[1, 2]])
+    with pytest.raises(ValueError, match=r"^L misses the overlap face \[1, 2\] that both inputs share$"):
+        union_along(edge, edge, build(2, [[1], [2]]))
+    with pytest.raises(ValueError, match=r"^L misses the overlap face \[1\] that both inputs share$"):
+        union_along(edge, edge, build(1, []))
+    # an overlap vertex that only one input covers need not be in L
+    assert union_along(edge, build(1, []), build(1, [])) == build(2, [[1, 2]])
+    assert union_along(edge, edge, edge) == edge
+
+
 def test_union_along_rejects_an_overlap_larger_than_an_input():
     with pytest.raises(ValueError, match="overlap complex is larger than an input complex"):
         union_along(build(2, [[1, 2]]), build(1, [[1]]), build(2, [[1, 2]]))

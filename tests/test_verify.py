@@ -2,10 +2,14 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import polyco.verify
+from _helpers import random_complex
+from polyco.decomp import loop_decompose_wedge
 from polyco.scomplex import build
 from polyco.series import PoincareSeries, Unsupported
 from polyco.spacexpr import CP_INFINITY, Atom, Product, Sphere, Susp, Wedge
@@ -16,6 +20,7 @@ from polyco.verify import (
     _verdict,
     check_counterexample,
     check_disjoint_union,
+    check_gluing,
     check_hilton_milnor,
     check_porter,
     check_wedge_case,
@@ -141,6 +146,62 @@ def test_disjoint_union_randomized():
         spaces = [S(rng.randint(2, 4)) for _ in range(m1 + m2)]
         r = check_disjoint_union(K1, K2, spaces, 8)
         assert isinstance(r.verdict, Equal), r.render()
+
+
+def seeded_gluings(seed, count):
+    # K1 and K2 on at most 4 vertices each, glued on o of them along L, the
+    # intersection of their facet traces on the overlap (None for o = 0),
+    # with spheres and CP^∞ at the vertices
+    rng = random.Random(seed)
+    for _ in range(count):
+        K1, K2 = random_complex(rng, 4), random_complex(rng, 4)
+        o = rng.randint(0, min(K1.m, K2.m))
+        L = None
+        if o:
+            offset = K1.m - o
+            traces1 = [{v - offset for v in f if v > offset} for f in K1.facets]
+            traces2 = [{v for v in f if v <= o} for f in K2.facets]
+            L = build(o, [a & b for a in traces1 for b in traces2 if a & b])
+        yield K1, K2, L, [rng.choice((S(2), S(3), S(4), CP_INFINITY)) for _ in range(K1.m + K2.m - o)]
+
+
+def test_gluing_check_is_equal_on_seeded_gluings():
+    # P(ΩC_K)·P(ΩC_L) = P(ΩC_K1)·P(ΩC_K2) for point codomains
+    overlaps = Counter()
+    for K1, K2, L, spaces in seeded_gluings(3101, 300):
+        r = check_gluing(K1, K2, L, spaces, 8)
+        assert r.verdict == Equal(), (K1, K2, L, r.render())
+        assert r.name == ("disjoint-union" if L is None else "gluing")
+        overlaps[L is None, L is not None and L.dim() >= 1] += 1
+    assert min(overlaps.values()) >= 30 and len(overlaps) == 3, overlaps
+
+
+def test_gluing_check_rejects_an_overlap_smaller_than_the_intersection():
+    # glued along two points, the edge's series would read
+    # FirstDifference(degree 4: 11 vs 12), a false verdict
+    edge = build(2, [[1, 2]])
+    with pytest.raises(ValueError, match="L misses the overlap face"):
+        check_gluing(edge, edge, build(2, [[1], [2]]), [S(3), S(3)], 8)
+    assert check_gluing(edge, edge, edge, [S(3), S(3)], 8).verdict == Equal()
+
+
+def keeps_every_support(K, spaces, W, *, degree_bound=None):
+    # a mutant wedge preset whose bracket rule keeps non-faces: the groups of
+    # the full simplex, with K's own vertex factors
+    full = loop_decompose_wedge(build(K.m, [range(1, K.m + 1)]), spaces, W, degree_bound=degree_bound)
+    covered = set(K.vertices())
+    kept = [f for f in full.factors if not isinstance(f.provenance, int) or f.provenance in covered]
+    return replace(full, factors=tuple(kept))
+
+
+def test_gluing_check_catches_a_rule_that_keeps_non_faces(monkeypatch):
+    # each corner on its own vertex set: on the full vertex set the mutant's
+    # brackets on a corner's absent vertices cancel between the two sides
+    monkeypatch.setattr(polyco.verify, "loop_decompose_wedge", keeps_every_support)
+    caught = Counter()
+    for K1, K2, L, spaces in seeded_gluings(3101, 300):
+        caught[L is None, check_gluing(K1, K2, L, spaces, 8).verdict != Equal()] += 1
+    assert caught[False, True] >= 20 and caught[True, False] == 0, caught
 
 
 def test_equal_verdicts_reproduce_at_higher_degree():
