@@ -50,11 +50,10 @@ from .spacexpr import (
     PairAssignment,
     Point,
     SpaceExpr,
+    expr_forms,
     expr_from_json,
-    expr_to_json,
     json_bool,
     json_fields,
-    render,
 )
 from .verify import (
     check_counterexample,
@@ -314,21 +313,18 @@ def _run(args) -> None:
     elif args.command == "bbcg":
         K = load_complex(args.complex)
         spaces = load_spaces(args.spaces, K.m)
-        wedge_part = bbcg_wedge_splitting(K, spaces)
-        cone_part = bbcg_cone_splitting(K, spaces)
+        parts = bbcg_wedge_splitting(K, spaces), bbcg_cone_splitting(K, spaces)
+        memo: dict = {}  # each summand's JSON and text from one walk, while parts keeps them alive
+        wedge_part, cone_part = ([(f, *expr_forms(e, memo)) for f, e in part] for part in parts)
         _emit(args, lambda: {
             "complex": complex_to_json(K),
-            "wedge_splitting": [
-                {"face": list(f), "summand": expr_to_json(e), "text": render(e)} for f, e in wedge_part
-            ],
-            "cone_splitting": [
-                {"missing": list(f), "summand": expr_to_json(e), "text": render(e)} for f, e in cone_part
-            ],
+            "wedge_splitting": [{"face": list(f), "summand": j, "text": t} for f, j, t in wedge_part],
+            "cone_splitting": [{"missing": list(f), "summand": j, "text": t} for f, j, t in cone_part],
         }, lambda: "\n".join(
             ["suspension splitting over faces:"]
-            + [f"  {{{','.join(map(str, f))}}}: {render(e)}" for f, e in wedge_part]
+            + [f"  {{{','.join(map(str, f))}}}: {t}" for f, _, t in wedge_part]
             + ["suspension splitting over missing subsets:"]
-            + [f"  {{{','.join(map(str, f))}}}: {render(e)}" for f, e in cone_part]
+            + [f"  {{{','.join(map(str, f))}}}: {t}" for f, _, t in cone_part]
         ))
 
     elif args.command == "verify":

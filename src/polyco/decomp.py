@@ -83,6 +83,7 @@ from .scomplex import (
     build,
     complex_to_json,
     full_subcomplex,
+    max_trace,
     missing_subsets,
     union_along,
     wedge_of_spheres_type,
@@ -104,7 +105,7 @@ from .spacexpr import (
     _map_from_susp,
     _plan,
     _susp,
-    expr_to_json,
+    expr_forms,
     normalize,
     render,
 )
@@ -134,9 +135,10 @@ class DiagramDescription:
         lines = [f"{self.kind} diagram over {self.complex}"]
         if self.weights is not None:
             lines[0] += f", weights {list(self.weights)}"
+        memo: dict = {}  # the objects share their pieces
         for f in sorted(self.objects, key=lambda f: (len(f), f)):
             label = "{" + ",".join(map(str, f)) + "}" if f else "∅"
-            lines.append(f"  D({label}) = {render(self.objects[f])}")
+            lines.append(f"  D({label}) = {expr_forms(self.objects[f], memo)[1]}")
         for (sig, tau), coords in sorted(self.arrows.items()):
             s = "{" + ",".join(map(str, sig)) + "}"
             t = "{" + ",".join(map(str, tau)) + "}" if tau else "∅"
@@ -144,12 +146,13 @@ class DiagramDescription:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
+        memo: dict = {}
         return {
             "kind": self.kind,
             "complex": complex_to_json(self.complex),
             "weights": list(self.weights) if self.weights is not None else None,
             "objects": [
-                {"face": list(f), "value": expr_to_json(self.objects[f])}
+                {"face": list(f), "value": expr_forms(self.objects[f], memo)[0]}
                 for f in sorted(self.objects, key=lambda f: (len(f), f))
             ],
             "arrows": [
@@ -336,10 +339,11 @@ class Decomposition:
         memoized log-derivative is added as many times as its total
         multiplicity, and the product is recovered once from the sum, so no
         factor is multiplied or raised to a power, and equal expressions
-        need not be merged first.  An Unsupported reason names the first
-        unsupported factor.  Factors are in normal form, so each goes
-        straight to the memoized evaluators behind series_of, without a
-        second normalize."""
+        need not be merged first.  A factor of connectivity at least N reads
+        1 through N, even one series_of has no rule for; an Unsupported
+        reason names the first other unsupported factor.  Factors are in
+        normal form, so each goes straight to the memoized evaluators behind
+        series_of, without a second normalize."""
         total = [0] * (series_mod._degree(N) + 1)
         for f, k in self._per_object():
             l = series_mod._log_memo(f.expr, N)
@@ -352,10 +356,6 @@ class Decomposition:
                     total[n] += k * c
         return series_mod.PoincareSeries.from_log_derivative(total, N)
 
-    def _forms(self, form) -> dict[int, object]:
-        # form(e) once per factor object, keyed by id: no deep hashing
-        return {k: form(e) for k, e in {id(f.expr): f.expr for f in self.factors}.items()}
-
     def render(self) -> str:
         total = sum(f.multiplicity for f in self.factors)
         head = f"{self.theorem}: {len(self.factors)} entries, {total} factors with multiplicity"
@@ -363,32 +363,27 @@ class Decomposition:
                                                  ("degree", self.degree_bound)) if n is not None]
         if cuts:
             head += f" ({', '.join(cuts)})"
-        texts = self._forms(render)
+        memo: dict = {}  # one walk over all factors, which share their pieces
         lines = [head]
         for f in self.factors:
             mult = f" ^{f.multiplicity}" if f.multiplicity > 1 else ""
-            lines.append(f"  {texts[id(f.expr)]}{mult}   [{_provenance_text(f.provenance)}]")
+            lines.append(f"  {expr_forms(f.expr, memo)[1]}{mult}   [{_provenance_text(f.provenance)}]")
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        """The listing as JSON data; entries share one factor object's "expr" and one
-        support's lists."""
-        forms = self._forms(lambda e: (expr_to_json(e), render(e)))
+        """The listing as JSON data, from one walk over all factors (expr_forms).
+        The result shares its parts, so it is read-only: entries share one
+        factor object's "expr" and one support's lists, and factors share
+        the dicts of their common subtrees."""
+        memo: dict = {}
         shared: dict = {}
-        return {
-            "theorem": self.theorem,
-            "truncation": self.truncation,
-            "degree_bound": self.degree_bound,
-            "factors": [
-                {
-                    "expr": forms[id(f.expr)][0],
-                    "text": forms[id(f.expr)][1],
-                    "multiplicity": f.multiplicity,
-                    "provenance": _provenance_json(f.provenance, shared),
-                }
-                for f in self.factors
-            ],
-        }
+        factors = []
+        for f in self.factors:
+            expr, text = expr_forms(f.expr, memo)
+            factors.append({"expr": expr, "text": text, "multiplicity": f.multiplicity,
+                            "provenance": _provenance_json(f.provenance, shared)})
+        return {"theorem": self.theorem, "truncation": self.truncation,
+                "degree_bound": self.degree_bound, "factors": factors}
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +446,9 @@ def _class_factors(counts, grading: Sequence[int], rule, candidates) -> list[Fac
     (weight, support type, q); candidates(s) lists the supports of type s
     in order for rule to resolve (every one, or the faces of K when rule
     keeps no other), and rule(support) runs once per listed support: None
-    when every group over it vanishes, else (shape, build), and build(q)
-    runs once per distinct (shape, q).  The order is the counter's, by
+    when every group over it vanishes, else (shape, build), and build(q, l)
+    runs once per distinct (shape, q), with l the nonzero entries of q,
+    found once per (weight, type, q).  The order is the counter's, by
     weight, then q descending, then support type descending, and within a
     type by support.  Factors that are points are dropped.
     """
@@ -469,11 +465,12 @@ def _class_factors(counts, grading: Sequence[int], rule, candidates) -> list[Fac
                         on.setdefault(grading[j - 1], []).append(j)
                     pieces = tuple(tuple(on[p]) for p in sorted(on))
                     kept.append((support, pieces, *resolved))
+        l = tuple(filter(None, q))  # the pieces on each support have q_p > 0
         for support, pieces, shape, build in kept:
             if (key := (shape, q)) not in made:
-                made[key] = build(q)
-            if not isinstance(expr := made[key], Point):  # the pieces on the support have q_p > 0
-                out.append(Factor(expr, n, BracketGroup(w, support, pieces, tuple(filter(None, q)))))
+                made[key] = build(q, l)
+            if not isinstance(expr := made[key], Point):
+                out.append(Factor(expr, n, BracketGroup(w, support, pieces, l)))
     return out
 
 
@@ -534,7 +531,7 @@ def hilton_milnor(
     normal = [_checked(i, x, 0, "summand {} must be connected") for i, x in enumerate(spaces, start=1)]
     grading, _, sizes, degrees, smash = _grading(normal)
 
-    def build(q):
+    def build(q, l):
         return _loop(_susp(smash(q)), 1)
 
     counts = lyndon_class_counts(
@@ -574,11 +571,14 @@ def _vertex_pieces(normal: Sequence[tuple[SpaceExpr, SpaceExpr]]):
 
 def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
     """The factor of the groups over one support: None when they all vanish,
-    else (shape, build).  build(q) makes the looped weighted smash coproduct
-    over the full subcomplex on the support, reduced where a lemma applies,
-    for piece content q; shape and q are all that it depends on.
+    else (shape, build).  build(q, l) makes the looped weighted smash
+    coproduct over the full subcomplex on the support, reduced where a lemma
+    applies, for piece content q with nonzero entries l; shape and q are all
+    that it depends on.  A mixed support lists no faces: its atom's
+    connectivity needs only dim K_S + 1, the most support vertices in one
+    facet (max_trace).
 
-    In the reduced branches build(q) assembles the factor in normal form
+    In the reduced branches build(q, l) assembles the factor in normal form
     from the pieces' one smash plan: Loop Susp of the smash of q_p copies
     of each piece's surviving loop space, through a mapping space out of
     Susp|K_S| when the domains are contractible."""
@@ -600,12 +600,12 @@ def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
             return None
         shape = sub if dims is None else dims
     else:
-        # mixed endpoint data (one piece per vertex, q is l): stay symbolic
+        # mixed endpoint data (one piece per vertex, so l is the vertex content): stay symbolic
         name = "ŝ-coprod[K_{" + ",".join(map(str, support)) + "}; weights "
-        top = full_subcomplex(K, support).dim() + 1
-        return name, lambda q: Loop(Atom(f"{name}{[x for x in q if x]}]", max(0, sum(q) - top)))
+        top = max_trace(K, support)
+        return name, lambda q, l: Loop(Atom(f"{name}{list(l)}]", max(0, sum(l) - top)))
 
-    def build(q):
+    def build(q, l):
         susp = _susp(smash(q))
         return _loop(susp if sub is None else _map_from_susp(sub, susp), 1)
 

@@ -236,6 +236,13 @@ def full_subcomplex(K: SimplicialComplex, I: Iterable[int]) -> SimplicialComplex
     return SimplicialComplex(len(iv), _maximal(traces))
 
 
+def max_trace(K: SimplicialComplex, I: Iterable[int]) -> int:
+    """dim K_I + 1: the most vertices of I in one facet of K, 0 when none
+    is.  Read off the facet bitmasks; no face and no K_I is built."""
+    g = sum(1 << v for v in set(I))
+    return max(((F & g).bit_count() for F in _index(K).facets), default=0)
+
+
 def missing_subsets(K: SimplicialComplex) -> tuple[Face, ...]:
     """All nonempty subsets of {1..m} that are not faces, sorted by (size, lex)."""
     subsets = (c for k in range(1, K.m + 1) for c in combinations(range(1, K.m + 1), k))

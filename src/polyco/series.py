@@ -14,7 +14,7 @@ prod_i P_i^(k_i) is the series whose log-derivative is sum_i k_i L_{P_i}.
 from_log_derivative recovers it in one pass, q_n = (sum_{j=1}^n l_j
 q_{n-j}) / n, where the division is exact.  Decomposition.series_product
 works this way, with each factor's log-derivative memoized next to its
-series (_log_memo).
+series (_log_memo), and a factor of connectivity at least N read as 1.
 
 series_of evaluates an expression by the classical rules (Bott-Samelson for
 loops of suspensions of connected spaces, the James-style formulas for loops
@@ -309,7 +309,11 @@ def _series_memo(e: SpaceExpr, N: int) -> SeriesOrUnsupported:
 @lru_cache(maxsize=1024)
 def _log_memo(e: SpaceExpr, N: int) -> tuple[int, ...] | Unsupported:
     """The log-derivative of _series_memo(e, N), memoized as it is, or its
-    Unsupported value."""
+    Unsupported value.  A miss on e with conn(e) >= N gives 0, the series 1
+    through N, exact as conn is a lower bound (Hurewicz): so such a factor
+    reads 1 even where series_of has no rule for it."""
+    if _safe_conn(e) >= N:
+        return (0,) * (N + 1)
     p = _series_memo(e, N)
     return p if isinstance(p, Unsupported) else p.log_derivative()
 

@@ -36,6 +36,11 @@ never walks a tree a second time.  _plan does a compound rule's
 flattening, merging and sorting once for a fixed list of normal pieces and
 returns a build over their powers, so that the many wedges, products or
 smashes of those pieces taken with different powers only sum powers.
+
+render and expr_to_json are the two halves of one walk, expr_forms, which
+builds a node's (JSON, text) pair from its children's pairs and, within one
+call, walks a subtree shared by object identity once: a listing passes one
+memo across all its factors, which share their pieces.
 """
 
 from __future__ import annotations
@@ -392,75 +397,78 @@ def conn(e: SpaceExpr) -> float:
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# the JSON tree form (shared with the spaces-file format of the command line)
+# and the text form, from one walk
 # ---------------------------------------------------------------------------
 
 
-def _wrap(e: SpaceExpr) -> str:
-    if isinstance(e, _Compound):
-        return f"({render(e)})"
-    return render(e)
+def expr_forms(e: SpaceExpr, memo: dict) -> tuple[dict, str]:
+    """(expr_to_json(e), render(e)), built from the children's pairs.  memo
+    maps id(node) to the pair of each node walked, so a subtree shared by
+    several parents, or by several expressions walked with one memo, is
+    walked once and its JSON dict is shared.  The caller keeps what it walks
+    alive while it holds the memo, and holds it for one call only.  Each
+    rule (_FORMS) looks a child up in the memo before it calls this, as most
+    children are shared leaves, and puts a compound child's text in
+    parentheses."""
+    pair = memo.get(id(e))
+    if pair is None:
+        if (form := _FORMS.get(type(e))) is None:
+            raise TypeError(f"not a space expression: {e!r}")
+        pair = memo[id(e)] = form(e, memo)
+    return pair
+
+
+def _compound_forms(e: _Compound, memo: dict) -> tuple[dict, str]:
+    kids, texts = [], []
+    for c, p in zip(e.children, e.powers):
+        j, t = memo.get(id(c)) or expr_forms(c, memo)
+        kids.append(j)
+        t = f"({t})" if isinstance(c, _Compound) else t
+        texts.append(f"{t}^{e.symbol}{p}" if p > 1 else t)
+    return {"kind": e.kind, "children": kids, "powers": list(e.powers)}, f" {e.symbol} ".join(texts)
+
+
+def _atom_forms(e: Atom, memo: dict) -> tuple[dict, str]:
+    out: dict = {"kind": "atom", "name": e.name, "conn": e.connectivity}
+    if e.loop is not None:
+        out["loop"] = expr_forms(e.loop, memo)[0]
+    if e.series is not None:
+        out["series"] = {"num": list(e.series[0]), "den": list(e.series[1])}
+    if e.contractible:
+        out["contractible"] = True
+    return out, e.name
+
+
+def _prefix_forms(e: Susp | Loop, memo: dict) -> tuple[dict, str]:
+    j, t = memo.get(id(e.child)) or expr_forms(e.child, memo)
+    t = f"({t})" if isinstance(e.child, _Compound) else t
+    if isinstance(e, Susp):
+        return {"kind": "susp", "child": j}, "Σ" + t
+    return {"kind": "loop", "count": e.count, "child": j}, ("Ω" if e.count == 1 else f"Ω^{e.count}") + t
+
+
+def _map_forms(e: MapFromSusp, memo: dict) -> tuple[dict, str]:
+    j, t = expr_forms(e.child, memo)
+    facets = ",".join("{" + ",".join(map(str, f)) + "}" for f in e.complex.facets)
+    return ({"kind": "map_from_susp", "complex": complex_to_json(e.complex), "child": j},
+            f"Map_*(Σ|K[{facets or '∅'}; m={e.complex.m}]|, {t})")
+
+
+_FORMS = {Point: lambda e, memo: ({"kind": "point"}, "*"),
+          Sphere: lambda e, memo: ({"kind": "sphere", "n": e.n}, f"S^{e.n}"),
+          Atom: _atom_forms, **dict.fromkeys((Wedge, Product, Smash), _compound_forms),
+          Susp: _prefix_forms, Loop: _prefix_forms, MapFromSusp: _map_forms}
 
 
 def render(e: SpaceExpr) -> str:
     """Text form using the usual symbols: Omega, Sigma, smash, wedge, product."""
-    if isinstance(e, Point):
-        return "*"
-    if isinstance(e, Sphere):
-        return f"S^{e.n}"
-    if isinstance(e, Atom):
-        return e.name
-    if isinstance(e, _Compound):
-        return f" {e.symbol} ".join(
-            _wrap(c) + (f"^{e.symbol}{p}" if p > 1 else "") for c, p in zip(e.children, e.powers)
-        )
-    if isinstance(e, Susp):
-        return "Σ" + _wrap(e.child)
-    if isinstance(e, Loop):
-        prefix = "Ω" if e.count == 1 else f"Ω^{e.count}"
-        return prefix + _wrap(e.child)
-    if isinstance(e, MapFromSusp):
-        facets = ",".join("{" + ",".join(map(str, f)) + "}" for f in e.complex.facets)
-        return f"Map_*(Σ|K[{facets or '∅'}; m={e.complex.m}]|, {render(e.child)})"
-    raise TypeError(f"not a space expression: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# JSON tree form, shared with the spaces-file format of the command line
-# ---------------------------------------------------------------------------
+    return expr_forms(e, {})[1]
 
 
 def expr_to_json(e: SpaceExpr) -> dict:
-    if isinstance(e, Point):
-        return {"kind": "point"}
-    if isinstance(e, Sphere):
-        return {"kind": "sphere", "n": e.n}
-    if isinstance(e, Atom):
-        out: dict = {"kind": "atom", "name": e.name, "conn": e.connectivity}
-        if e.loop is not None:
-            out["loop"] = expr_to_json(e.loop)
-        if e.series is not None:
-            out["series"] = {"num": list(e.series[0]), "den": list(e.series[1])}
-        if e.contractible:
-            out["contractible"] = True
-        return out
-    if isinstance(e, _Compound):
-        return {
-            "kind": e.kind,
-            "children": [expr_to_json(c) for c in e.children],
-            "powers": list(e.powers),
-        }
-    if isinstance(e, Susp):
-        return {"kind": "susp", "child": expr_to_json(e.child)}
-    if isinstance(e, Loop):
-        return {"kind": "loop", "count": e.count, "child": expr_to_json(e.child)}
-    if isinstance(e, MapFromSusp):
-        return {
-            "kind": "map_from_susp",
-            "complex": complex_to_json(e.complex),
-            "child": expr_to_json(e.child),
-        }
-    raise TypeError(f"not a space expression: {e!r}")
+    """The JSON tree form; a subtree shared within e is one shared dict."""
+    return expr_forms(e, {})[0]
 
 
 MAX_JSON_DEPTH = 100

@@ -15,6 +15,7 @@ from polyco.decomp import (
     Factor,
     _base_factors,
     _normal_pairs,
+    _provenance_json,
     _provenance_text,
 )
 from polyco.liealg import (
@@ -28,6 +29,7 @@ from polyco.liealg import (
 from polyco.scomplex import (
     SimplicialComplex,
     build,
+    complex_to_json,
     full_subcomplex,
     homology,
     missing_subsets,
@@ -42,6 +44,7 @@ from polyco.series import (
 )
 from polyco.spacexpr import (
     _RANK,
+    _Compound,
     INFINITE,
     POINT,
     Atom,
@@ -364,6 +367,137 @@ def reference_render(e: SpaceExpr) -> str:
         facets = ",".join("{" + ",".join(map(str, f)) + "}" for f in e.complex.facets)
         return f"Map_*(Σ|K[{facets or '∅'}; m={e.complex.m}]|, {reference_render(e.child)})"
     return render(e)
+
+
+# the text and JSON forms as two separate recursive walks with no memo, as
+# render and expr_to_json were before they became projections of one walk
+
+
+def _recursive_wrap(e: SpaceExpr) -> str:
+    if isinstance(e, _Compound):
+        return f"({recursive_render(e)})"
+    return recursive_render(e)
+
+
+def recursive_render(e: SpaceExpr) -> str:
+    if isinstance(e, Point):
+        return "*"
+    if isinstance(e, Sphere):
+        return f"S^{e.n}"
+    if isinstance(e, Atom):
+        return e.name
+    if isinstance(e, _Compound):
+        return f" {e.symbol} ".join(
+            _recursive_wrap(c) + (f"^{e.symbol}{p}" if p > 1 else "") for c, p in zip(e.children, e.powers)
+        )
+    if isinstance(e, Susp):
+        return "Σ" + _recursive_wrap(e.child)
+    if isinstance(e, Loop):
+        prefix = "Ω" if e.count == 1 else f"Ω^{e.count}"
+        return prefix + _recursive_wrap(e.child)
+    if isinstance(e, MapFromSusp):
+        facets = ",".join("{" + ",".join(map(str, f)) + "}" for f in e.complex.facets)
+        return f"Map_*(Σ|K[{facets or '∅'}; m={e.complex.m}]|, {recursive_render(e.child)})"
+    raise TypeError(f"not a space expression: {e!r}")
+
+
+def recursive_expr_to_json(e: SpaceExpr) -> dict:
+    if isinstance(e, Point):
+        return {"kind": "point"}
+    if isinstance(e, Sphere):
+        return {"kind": "sphere", "n": e.n}
+    if isinstance(e, Atom):
+        out: dict = {"kind": "atom", "name": e.name, "conn": e.connectivity}
+        if e.loop is not None:
+            out["loop"] = recursive_expr_to_json(e.loop)
+        if e.series is not None:
+            out["series"] = {"num": list(e.series[0]), "den": list(e.series[1])}
+        if e.contractible:
+            out["contractible"] = True
+        return out
+    if isinstance(e, _Compound):
+        return {
+            "kind": e.kind,
+            "children": [recursive_expr_to_json(c) for c in e.children],
+            "powers": list(e.powers),
+        }
+    if isinstance(e, Susp):
+        return {"kind": "susp", "child": recursive_expr_to_json(e.child)}
+    if isinstance(e, Loop):
+        return {"kind": "loop", "count": e.count, "child": recursive_expr_to_json(e.child)}
+    if isinstance(e, MapFromSusp):
+        return {
+            "kind": "map_from_susp",
+            "complex": complex_to_json(e.complex),
+            "child": recursive_expr_to_json(e.child),
+        }
+    raise TypeError(f"not a space expression: {e!r}")
+
+
+def recursive_listing_text(dec: Decomposition) -> str:
+    """Decomposition.render through recursive_render, factor by factor."""
+    total = sum(f.multiplicity for f in dec.factors)
+    head = f"{dec.theorem}: {len(dec.factors)} entries, {total} factors with multiplicity"
+    cuts = [f"{name} ≤ {n}" for name, n in (("bracket weight", dec.truncation),
+                                             ("degree", dec.degree_bound)) if n is not None]
+    if cuts:
+        head += f" ({', '.join(cuts)})"
+    lines = [head]
+    for f in dec.factors:
+        mult = f" ^{f.multiplicity}" if f.multiplicity > 1 else ""
+        lines.append(f"  {recursive_render(f.expr)}{mult}   [{_provenance_text(f.provenance)}]")
+    return "\n".join(lines)
+
+
+def recursive_listing_json(dec: Decomposition) -> dict:
+    """Decomposition.to_json through recursive_expr_to_json, factor by factor."""
+    shared: dict = {}
+    return {
+        "theorem": dec.theorem,
+        "truncation": dec.truncation,
+        "degree_bound": dec.degree_bound,
+        "factors": [
+            {
+                "expr": recursive_expr_to_json(f.expr),
+                "text": recursive_render(f.expr),
+                "multiplicity": f.multiplicity,
+                "provenance": _provenance_json(f.provenance, shared),
+            }
+            for f in dec.factors
+        ],
+    }
+
+
+def recursive_diagram_text(d) -> str:
+    """DiagramDescription.render through recursive_render."""
+    lines = [f"{d.kind} diagram over {d.complex}"]
+    if d.weights is not None:
+        lines[0] += f", weights {list(d.weights)}"
+    for f in sorted(d.objects, key=lambda f: (len(f), f)):
+        label = "{" + ",".join(map(str, f)) + "}" if f else "∅"
+        lines.append(f"  D({label}) = {recursive_render(d.objects[f])}")
+    for (sig, tau), coords in sorted(d.arrows.items()):
+        s = "{" + ",".join(map(str, sig)) + "}"
+        t = "{" + ",".join(map(str, tau)) + "}" if tau else "∅"
+        lines.append(f"  D({s}) → D({t}): f on {list(coords)}")
+    return "\n".join(lines)
+
+
+def recursive_diagram_json(d) -> dict:
+    """DiagramDescription.to_json through recursive_expr_to_json."""
+    return {
+        "kind": d.kind,
+        "complex": complex_to_json(d.complex),
+        "weights": list(d.weights) if d.weights is not None else None,
+        "objects": [
+            {"face": list(f), "value": recursive_expr_to_json(d.objects[f])}
+            for f in sorted(d.objects, key=lambda f: (len(f), f))
+        ],
+        "arrows": [
+            {"from": list(sig), "to": list(tau), "f_coordinates": list(coords)}
+            for (sig, tau), coords in sorted(d.arrows.items())
+        ],
+    }
 
 
 def reference_conn(e: SpaceExpr) -> float:

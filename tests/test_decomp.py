@@ -11,9 +11,12 @@ from itertools import combinations
 
 import pytest
 
+import polyco.cli
 import polyco.decomp
+import polyco.spacexpr
 from _helpers import (
     _loop_smash_of_loops,
+    _reference_safe_conn,
     all_face_letters,
     enumerated_contractible,
     enumerated_general,
@@ -26,6 +29,12 @@ from _helpers import (
     per_group_listing,
     random_complex,
     random_expr,
+    recursive_diagram_json,
+    recursive_diagram_text,
+    recursive_expr_to_json,
+    recursive_listing_json,
+    recursive_listing_text,
+    recursive_render,
     reference_bracket_factor,
     reference_class_counts,
     reference_grading,
@@ -37,6 +46,7 @@ from _helpers import (
     repeated_product,
     summand_grading,
     two_points,
+    with_repeats,
 )
 from polyco.decomp import (
     BracketGroup,
@@ -76,8 +86,10 @@ from polyco.spacexpr import (
     Sphere,
     Susp,
     Wedge,
+    _Compound,
     conn,
     expr_from_json,
+    expr_to_json,
     normalize,
     render,
 )
@@ -1074,7 +1086,7 @@ def test_bracket_rule_matches_the_reference():
                 for _ in range(3):
                     l = tuple(rng.randint(1, 4) if j in support else 0 for j in range(1, K.m + 1))
                     q = group_of(0, l, grading)[2]
-                    got = POINT if resolved is None else resolved[1](q)
+                    got = POINT if resolved is None else resolved[1](q, tuple(filter(None, q)))
                     want = reference_bracket_factor(K, pairs, support, l)
                     compared += 1
                     assert got == want, (K, pairs, l)
@@ -1110,9 +1122,30 @@ def test_point_codomains_drop_a_non_face_support_with_contractible_domains():
         assert dec.series_product(6) == PoincareSeries.one(6)
 
 
+def test_mixed_atom_connectivity_reads_dim_off_the_facets():
+    # each mixed atom's connectivity is max(0, Σq − (dim K_S + 1)) with K_S
+    # built as the full subcomplex, on seeded complexes with ghost vertices
+    rng = random.Random(6131)
+    atoms = ghosts = 0
+    for _ in range(60):
+        K = random_complex(rng, 5)
+        pairs = PairAssignment.of([(S(3), S(2))] + [
+            (rng.choice(PARITY_DOMAINS), rng.choice(PARITY_CODOMAINS)) for _ in range(K.m - 1)])
+        for f in loop_decompose(K, pairs, rng.randint(1, 3)).bracket_factors():
+            atom = f.expr.child if isinstance(f.expr, Loop) else None
+            if isinstance(atom, Atom) and atom.name.startswith("ŝ-coprod"):
+                support, l = f.provenance.support, f.provenance.counts
+                assert atom.connectivity == max(0, sum(l) - (full_subcomplex(K, support).dim() + 1))
+                atoms += 1
+                ghosts += len(set(support) - set(K.vertices())) > 0
+    assert atoms > 5000 and ghosts > 1000, (atoms, ghosts)
+
+
 def test_full_subcomplex_built_once_per_support(monkeypatch):
     # the lemma tests and the full subcomplex are per support, not per l:
-    # on ∂Δ³ the one missing face {1,2,3,4} is the only surviving support
+    # on ∂Δ³ the one missing face {1,2,3,4} is the only surviving support.
+    # A contractible support builds K_S at most once, and a mixed support
+    # builds none: its atom reads dim K_S off the facets
     built = Counter()
 
     def counting(K, support):
@@ -1127,7 +1160,9 @@ def test_full_subcomplex_built_once_per_support(monkeypatch):
     built.clear()
     pairs = PairAssignment.of([(S(3), S(2)), (PX, A1), (X2, POINT), (PX, CP_INFINITY)])
     dec = loop_decompose(boundary, pairs, 5)
-    assert dec.bracket_factors() and max(built.values()) == 1
+    mixed = {f.provenance.support for f in dec.bracket_factors() if render(f.expr).startswith("Ωŝ-coprod")}
+    assert mixed and max(built.values(), default=1) == 1
+    assert not mixed & set(built)
 
 
 # ---------------------------------------------------------------------------
@@ -1327,9 +1362,9 @@ def count_builds(monkeypatch):
             return None
         shape, make = resolved
 
-        def counted(q):
+        def counted(q, l):
             builds[(shape, q)] += 1
-            expr = make(q)
+            expr = make(q, l)
             builds["point"] += isinstance(expr, Point)
             return expr
 
@@ -1534,19 +1569,31 @@ def test_normal_form_builds_match_the_normalized_reference():
 
 def test_series_product_evaluates_each_normal_factor_as_series_of_does():
     # the product of series_of over the factor multiset, or the reason for
-    # the first unsupported factor, exactly as series_of words it
-    supported = unsupported = 0
-    for i, (dec, _) in enumerate(parity_decompositions()):
+    # the first unsupported factor, exactly as series_of words it.  A factor
+    # of connectivity at least N reads 1 through N: where series_of has a
+    # rule for it, that rule agrees, and where it has none, it is not the
+    # first unsupported factor
+    supported = unsupported = high = high_unsupported = 0
+    rng = random.Random(6141)
+    porter = [porter_loop_decomp(rng.sample(PARITY_SUMMANDS, rng.randint(1, 4))) for _ in range(30)]
+    for i, dec in enumerate([dec for dec, _ in parity_decompositions()] + porter):
         N = 4 + i % 7
         want = PoincareSeries.one(N)
         for e, k in dec.factor_multiset().items():
             p = series_of(e, N)
+            if _reference_safe_conn(e) >= N:
+                assert isinstance(p, Unsupported) or p == PoincareSeries.one(N), render(e)
+                high += 1
+                high_unsupported += isinstance(p, Unsupported)
+                continue
+            if isinstance(want, Unsupported):
+                continue
             if isinstance(p, Unsupported):
                 first = next(f for f in dec.factors if f.expr == e)
                 where = polyco.decomp._provenance_text(first.provenance)
                 want = Unsupported(f"factor {render(e)} [{where}]: {p.reason}")
-                break
-            want = want * p**k
+            else:
+                want = want * p**k
         got = dec.series_product(N)
         assert got == want, (dec.theorem, N)
         supported += isinstance(got, PoincareSeries)
@@ -1554,6 +1601,7 @@ def test_series_product_evaluates_each_normal_factor_as_series_of_does():
         with pytest.raises(ValueError, match="truncation degree"):
             dec.series_product(-1)
     assert supported > 50 and unsupported > 50, (supported, unsupported)
+    assert high > 500 and high_unsupported > 500, (high, high_unsupported)
 
 
 def test_series_product_matches_repeated_multiplication_at_verify_sizes():
@@ -1613,3 +1661,92 @@ def test_decompositions_that_counted_every_support_are_fast(name):
     dec = engine(K, data, W)
     assert time.process_time() - start < seconds
     assert len(dec.factors) == entries
+
+
+# ---------------------------------------------------------------------------
+# one walk per listing: the forms against two recursive walks with no memo
+# ---------------------------------------------------------------------------
+
+
+def form_mismatches(tmp_path, decs):
+    """(compared, mismatches) of the text and sorted JSON of the listings
+    decs, Porter listings, both face diagrams and the command line's bbcg
+    listing, each against its recursive reference, on seeded inputs."""
+    rng = random.Random(6121)
+    checks = []  # (what, got, want)
+    for dec in decs:
+        checks.append((dec.theorem, dec.render(), recursive_listing_text(dec)))
+        checks.append((dec.theorem, json.dumps(dec.to_json(), sort_keys=True),
+                       json.dumps(recursive_listing_json(dec), sort_keys=True)))
+    for i in range(30):
+        K = random_complex(rng, 4, allow_empty=False)
+        pairs = PairAssignment.of([(rng.choice(PARITY_DOMAINS), rng.choice(PARITY_CODOMAINS))
+                                   for _ in range(K.m)])
+        porter = porter_loop_decomp([rng.choice(PARITY_SUMMANDS) for _ in range(rng.randint(1, 4))])
+        weights = [rng.randint(1, 3) for _ in range(K.m)]
+        for what, x in (("porter", porter), ("wedge diagram", coproduct_diagram(K, pairs)),
+                        ("smash diagram", smash_coproduct(K, pairs, weights))):
+            ref_text, ref_json = (recursive_listing_text, recursive_listing_json) if what == "porter" \
+                else (recursive_diagram_text, recursive_diagram_json)
+            checks.append((what, x.render(), ref_text(x)))
+            checks.append((what, json.dumps(x.to_json(), sort_keys=True),
+                           json.dumps(ref_json(x), sort_keys=True)))
+        if i % 3 == 0:
+            spaces = [rng.choice(PARITY_SPACES) for _ in range(K.m)]
+            files = {"complex": {"m": K.m, "facets": [list(f) for f in K.facets]},
+                     "spaces": {str(j): expr_to_json(x) for j, x in enumerate(spaces, start=1)}}
+            for name, data in files.items():
+                (tmp_path / f"{name}.json").write_text(json.dumps(data))
+            argv = ["bbcg", "--complex", str(tmp_path / "complex.json"), "--spaces",
+                    str(tmp_path / "spaces.json"), "--output", str(tmp_path / "out.txt")]
+            wedge, cone = bbcg_wedge_splitting(K, spaces), bbcg_cone_splitting(K, spaces)
+            want_json = {
+                "complex": {"m": K.m, "facets": [list(f) for f in K.facets]},
+                "wedge_splitting": [{"face": list(f), "summand": recursive_expr_to_json(e),
+                                     "text": recursive_render(e)} for f, e in wedge],
+                "cone_splitting": [{"missing": list(f), "summand": recursive_expr_to_json(e),
+                                    "text": recursive_render(e)} for f, e in cone],
+            }
+            want_text = "\n".join(
+                ["suspension splitting over faces:"]
+                + [f"  {{{','.join(map(str, f))}}}: {recursive_render(e)}" for f, e in wedge]
+                + ["suspension splitting over missing subsets:"]
+                + [f"  {{{','.join(map(str, f))}}}: {recursive_render(e)}" for f, e in cone]
+            )
+            for fmt, want in (("json", json.dumps(want_json, sort_keys=True, indent=2)), ("text", want_text)):
+                assert polyco.cli.main(argv + ["--format", fmt]) == 0
+                checks.append(("bbcg", (tmp_path / "out.txt").read_text(), want + "\n"))
+    return len(checks), [what for what, got, want in checks if got != want]
+
+
+def test_listing_forms_match_two_recursive_walks(tmp_path):
+    # one memoized walk per listing or diagram gives the text and JSON that
+    # rendering and serializing each factor from its root gave
+    decs = [dec for dec, _ in parity_decompositions()]
+    compared, mismatches = form_mismatches(tmp_path, decs)
+    assert (compared, mismatches) == (600, [])
+    rng = random.Random(6122)
+    for _ in range(300):
+        e = with_repeats(rng, random_expr(rng))
+        assert (expr_to_json(e), render(e)) == (recursive_expr_to_json(e), recursive_render(e))
+
+
+def test_a_walk_memo_that_ignores_powers_is_caught(tmp_path, monkeypatch):
+    # keyed by a compound's kind and children alone, the memo gives S^2 ∧ S^2
+    # the pair of a lone-power smash over the same children: the same
+    # comparison must then find differences
+    walk = polyco.spacexpr.expr_forms
+
+    def powers_blind(e, memo):
+        if isinstance(e, _Compound):
+            key = (type(e), tuple(map(id, e.children)))
+            if key not in memo:
+                memo[key] = polyco.spacexpr._FORMS[type(e)](e, memo)
+            return memo[key]
+        return walk(e, memo)
+
+    for module in (polyco.spacexpr, polyco.decomp, polyco.cli):
+        monkeypatch.setattr(module, "expr_forms", powers_blind)
+    _, mismatches = form_mismatches(tmp_path, [dec for dec, _ in parity_decompositions()])
+    presets = {"general-coproduct", "contractible-domains", "wedge-coproduct", "hilton-milnor"}
+    assert set(mismatches) == presets | {"porter", "wedge diagram", "smash diagram", "bbcg"}

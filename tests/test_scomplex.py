@@ -35,6 +35,7 @@ from polyco.scomplex import (
     homology,
     is_shifted,
     join,
+    max_trace,
     missing_subsets,
     union_along,
     wedge_of_spheres_type,
@@ -650,6 +651,23 @@ def test_full_subcomplex_matches_face_enumerating_reference():
             # ghost vertices of K inside I stay ghosts of K_I
             sub, verts = full_subcomplex(K, I), sorted(set(I))
             assert {verts[j - 1] for j in uncovered(sub)} == uncovered(K) & set(verts)
+
+
+def test_max_trace_is_the_dimension_of_the_full_subcomplex_plus_one():
+    # read off the facet masks, against K_I built by enumerating faces, with
+    # ghost vertices inside I and the empty complex
+    rng = random.Random(5773)
+    cases = [build(4, []), build(6, [[1, 2], [2, 3]]), RP2]
+    for _ in range(150):
+        m = rng.randint(1, 9)
+        cases.append(build(m, random_generating_faces(rng, m, rng.randint(0, 6), m)))
+    ghosts = 0
+    for K in cases:
+        for k in range(1, K.m + 1):
+            for I in rng.sample(list(combinations(range(1, K.m + 1), k)), 1):
+                assert max_trace(K, I) == reference_full_subcomplex(K, I).dim() + 1, (K, I)
+                ghosts += bool(uncovered(K) & set(I))
+    assert ghosts > 200
 
 
 def test_full_subcomplex_errors_match_reference():
