@@ -264,14 +264,10 @@ class BracketGroup(NamedTuple):
     pieces: tuple[tuple[int, ...], ...]
     counts: tuple[int, ...]
 
-    def text(self) -> str:
-        pairs = zip(self.pieces, self.counts)
-        return " ".join(f"{{{','.join(map(str, p))}}}:{n}" for p, n in pairs)
 
-
-@dataclass(frozen=True)
-class Factor:
-    """One product factor: a normalized expression with multiplicity and origin.
+class Factor(NamedTuple):
+    """One product factor, a named tuple: a normalized expression with
+    multiplicity and origin.
 
     provenance is a BracketGroup (the multiplicity is its bracket count), a
     vertex number, or "base"; class_diagram(K, pairs, provenance) gives the
@@ -283,9 +279,12 @@ class Factor:
     provenance: object = "base"
 
 
-def _provenance_text(p: object) -> str:
+def _provenance_text(p: object, labels: dict) -> str:
+    # labels: the piece labels "{1,2}:" of each support, for all its entries
     if isinstance(p, BracketGroup):
-        return f"group w={p.weight} {p.text()}"
+        if (heads := labels.get(p.support)) is None:
+            heads = labels[p.support] = ["{" + ",".join(map(str, piece)) + "}:" for piece in p.pieces]
+        return f"group w={p.weight} " + " ".join(h + str(n) for h, n in zip(heads, p.counts))
     if isinstance(p, int):
         return f"vertex {p}"
     return str(p)
@@ -349,7 +348,7 @@ class Decomposition:
             l = series_mod._log_memo(f.expr, N)
             if isinstance(l, series_mod.Unsupported):
                 return series_mod.Unsupported(
-                    f"factor {render(f.expr)} [{_provenance_text(f.provenance)}]: {l.reason}"
+                    f"factor {render(f.expr)} [{_provenance_text(f.provenance, {})}]: {l.reason}"
                 )
             for n, c in enumerate(l):
                 if c:
@@ -364,10 +363,12 @@ class Decomposition:
         if cuts:
             head += f" ({', '.join(cuts)})"
         memo: dict = {}  # one walk over all factors, which share their pieces
+        labels: dict = {}
         lines = [head]
         for f in self.factors:
             mult = f" ^{f.multiplicity}" if f.multiplicity > 1 else ""
-            lines.append(f"  {expr_forms(f.expr, memo)[1]}{mult}   [{_provenance_text(f.provenance)}]")
+            where = _provenance_text(f.provenance, labels)
+            lines.append(f"  {expr_forms(f.expr, memo)[1]}{mult}   [{where}]")
         return "\n".join(lines)
 
     def to_json(self) -> dict:
@@ -467,9 +468,9 @@ def _class_factors(counts, grading: Sequence[int], rule, candidates) -> list[Fac
                     kept.append((support, pieces, *resolved))
         l = tuple(filter(None, q))  # the pieces on each support have q_p > 0
         for support, pieces, shape, build in kept:
-            if (key := (shape, q)) not in made:
-                made[key] = build(q, l)
-            if not isinstance(expr := made[key], Point):
+            if (expr := made.get(key := (shape, q))) is None:
+                expr = made[key] = build(q, l)
+            if not isinstance(expr, Point):
                 out.append(Factor(expr, n, BracketGroup(w, support, pieces, l)))
     return out
 
@@ -603,7 +604,7 @@ def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
         # mixed endpoint data (one piece per vertex, so l is the vertex content): stay symbolic
         name = "ŝ-coprod[K_{" + ",".join(map(str, support)) + "}; weights "
         top = max_trace(K, support)
-        return name, lambda q, l: Loop(Atom(f"{name}{list(l)}]", max(0, sum(l) - top)))
+        return name, lambda q, l: _loop(Atom(f"{name}{list(l)}]", max(0, sum(l) - top)), 1)
 
     def build(q, l):
         susp = _susp(smash(q))
@@ -620,7 +621,7 @@ def class_diagram(
     which needs one vertex per piece (as in every mixed group)."""
     _check_arity(K.m, pairs.m, "pairs")
     if any(len(piece) > 1 for piece in group.pieces):
-        raise ValueError(f"group w={group.weight} {group.text()}: the content of a piece of "
+        raise ValueError(f"{_provenance_text(group, {})}: the content of a piece of "
                          "several vertices is summed, so no one weighted diagram stands for it")
     sub = full_subcomplex(K, group.support)
     restricted = PairAssignment.of([pairs.pairs[j - 1] for j in group.support])

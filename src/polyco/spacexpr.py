@@ -36,6 +36,10 @@ never walks a tree a second time.  _plan does a compound rule's
 flattening, merging and sorting once for a fixed list of normal pieces and
 returns a build over their powers, so that the many wedges, products or
 smashes of those pieces taken with different powers only sum powers.
+The helpers make their wedges, products, smashes and loops directly, past
+the checks and the merge scan of the public constructors, since what they
+build from is normal; the public constructors check and merge raw trees,
+and they are how raw input, expr_from_json's included, comes in.
 
 render and expr_to_json are the two halves of one walk, expr_forms, which
 builds a node's (JSON, text) pair from its children's pairs and, within one
@@ -97,7 +101,8 @@ class Atom:
     contractible: bool = False
 
     def __post_init__(self) -> None:
-        json_int(self.connectivity, f"atom {self.name}: connectivity")
+        if type(self.connectivity) is not int:  # one test on the hot path
+            json_int(self.connectivity, f"atom {self.name}: connectivity")
         # tuples keep the atom hashable, so series_of can memoize on it
         if self.series is not None:
             num, den = (_int_coeffs(c) for c in self.series)
@@ -106,6 +111,14 @@ class Atom:
                     raise ValueError(
                         f"atom {self.name}: declared series {part} needs constant term 1, "
                         f"got {list(cs)}"
+                    )
+            # P - 1 = (num - den)/den with den[0] = 1: its first nonzero
+            # coefficient is at the first degree where num and den differ
+            for d in range(1, min(self.connectivity + 1, max(len(num), len(den)))):
+                if (num[d] if d < len(num) else 0) != (den[d] if d < len(den) else 0):
+                    raise ValueError(
+                        f"atom {self.name}: declared series has homology in degree {d}, "
+                        f"at or below its connectivity {self.connectivity}"
                     )
             object.__setattr__(self, "series", (num, den))
 
@@ -147,6 +160,15 @@ class _Compound:
             children, powers = tuple(c for c, _ in runs), tuple(p for _, p in runs)
         object.__setattr__(self, "children", children)
         object.__setattr__(self, "powers", powers)
+
+    @classmethod
+    def _normal(cls, children: tuple, powers: tuple) -> "_Compound":
+        # a node made past __post_init__, for _plan's builds: their children
+        # are distinct, sorted and merged, and their powers ints >= 1
+        e = object.__new__(cls)
+        object.__setattr__(e, "children", children)
+        object.__setattr__(e, "powers", powers)
+        return e
 
     def __str__(self) -> str:
         return render(self)
@@ -319,7 +341,7 @@ def _plan(cls, normal: Sequence[SpaceExpr]):
             return empty
         if len(kids) == 1 and powers[0] == 1:
             return kids[0]
-        return cls(tuple(kids), tuple(powers))
+        return cls._normal(tuple(kids), tuple(powers))
 
     return build
 
@@ -336,7 +358,10 @@ def _loop(c: SpaceExpr, k: int) -> SpaceExpr:
     if isinstance(c, Atom) and c.loop is not None:
         once = normalize(c.loop)
         return once if k == 1 else _loop(once, k - 1)
-    return Loop(c, k)
+    e = object.__new__(Loop)  # past __post_init__: k >= 1 by construction
+    object.__setattr__(e, "child", c)
+    object.__setattr__(e, "count", k)
+    return e
 
 
 def _susp(c: SpaceExpr) -> SpaceExpr:

@@ -204,7 +204,7 @@ def reference_series_product(dec: Decomposition, N: int):
         p = _series(normalize(f.expr), N)
         if isinstance(p, Unsupported):
             return Unsupported(
-                f"factor {render(f.expr)} [{_provenance_text(f.provenance)}]: {p.reason}"
+                f"factor {render(f.expr)} [{_provenance_text(f.provenance, {})}]: {p.reason}"
             )
         for _ in range(f.multiplicity):
             out = dense_mul(out, p)
@@ -445,7 +445,7 @@ def recursive_listing_text(dec: Decomposition) -> str:
     lines = [head]
     for f in dec.factors:
         mult = f" ^{f.multiplicity}" if f.multiplicity > 1 else ""
-        lines.append(f"  {recursive_render(f.expr)}{mult}   [{_provenance_text(f.provenance)}]")
+        lines.append(f"  {recursive_render(f.expr)}{mult}   [{_provenance_text(f.provenance, {})}]")
     return "\n".join(lines)
 
 

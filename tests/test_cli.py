@@ -532,6 +532,15 @@ def test_declared_series_validated_on_load(tmp_path, capsys):
         assert "atom.json" in err and message in err
 
 
+def test_a_declared_series_below_the_connectivity_exits_2(tmp_path, capsys):
+    atom = {"kind": "atom", "name": "Y", "conn": 2, "series": {"num": [1], "den": [1, 0, -1]}}
+    path = write(tmp_path, "atom.json", {"1": atom, "2": {"kind": "sphere", "n": 2}})
+    assert main(["hilton-milnor", "--spaces", path]) == 2
+    err = capsys.readouterr().err
+    assert "atom.json" in err
+    assert "atom Y: declared series has homology in degree 2, at or below its connectivity 2" in err
+
+
 def test_internal_error_names_empty_exceptions(monkeypatch, capsys):
     def fail(exc):
         def run(args):

@@ -79,6 +79,7 @@ from polyco.spacexpr import (
     POINT,
     Atom,
     Loop,
+    MapFromSusp,
     PairAssignment,
     Point,
     Product,
@@ -1567,6 +1568,76 @@ def test_normal_form_builds_match_the_normalized_reference():
     assert compared > 2000 and symbolic > 20 and spheres > 20, (compared, symbolic, spheres)
 
 
+def _nodes(e, seen: dict) -> None:
+    # every node reachable from e, each object once, keyed by id
+    if id(e) in seen:
+        return
+    seen[id(e)] = e
+    if isinstance(e, _Compound):
+        kids = e.children
+    elif isinstance(e, Atom):
+        kids = () if e.loop is None else (e.loop,)
+    else:
+        kids = (e.child,) if isinstance(e, (Susp, Loop, MapFromSusp)) else ()
+    for c in kids:
+        _nodes(c, seen)
+
+
+def test_helper_built_nodes_are_what_the_public_constructors_make():
+    # _plan's builds and _loop make their nodes past the public constructors;
+    # rebuilt through those, every node reachable from a listing, a fiber, a
+    # face diagram or a normal form comes back with the same children and
+    # powers (or child and count): no merge or check would have fired
+    rng = random.Random(3317)
+    roots = [f.expr for dec, _ in parity_decompositions() for f in dec.factors]
+    for _ in range(60):
+        summands = rng.sample(PARITY_SUMMANDS, rng.randint(1, 4))
+        roots += [f.expr for f in porter_loop_decomp(summands).factors] + [porter_fiber(summands)]
+        roots += [normalize(with_repeats(rng, random_expr(rng, 3))) for _ in range(5)]
+        K = random_complex(rng, 4)
+        pairs = PairAssignment.of(
+            [(rng.choice(PARITY_DOMAINS), rng.choice(PARITY_CODOMAINS)) for _ in range(K.m)]
+        )
+        weights = [rng.randint(0, 2) for _ in range(K.m - 1)] + [1]
+        for diagram in (coproduct_diagram(K, pairs), smash_coproduct(K, pairs, weights)):
+            roots += diagram.objects.values()
+    seen: dict = {}
+    for e in roots:
+        _nodes(e, seen)
+    compounds = loops = repeated = 0
+    for e in seen.values():
+        if isinstance(e, _Compound):
+            again = type(e)(e.children, e.powers)
+            assert (again.children, again.powers) == (e.children, e.powers), render(e)
+            compounds += 1
+            repeated += any(p > 1 for p in e.powers)
+        elif isinstance(e, Loop):
+            again = Loop(e.child, e.count)
+            assert (again.child, again.count) == (e.child, e.count), render(e)
+            loops += 1
+    assert compounds > 1000 and repeated > 500 and loops > 1000, (compounds, repeated, loops)
+
+
+def test_a_listing_makes_no_node_through_the_checked_constructor(monkeypatch):
+    # the engine builds from normal pieces, so its nodes never need the
+    # public constructors' checks and merge scan
+    K = build(5, [[1, 2, 3], [3, 4], [4, 5], [2, 5]])
+    spaces = [S(2), T_PRODUCT, U_SMASH, S(2), Wedge((S(3), S(3), S(5)))]
+    pairs = PairAssignment.of([(x, a) for x, a in zip(spaces, PARITY_CODOMAINS)])
+    contractible = PairAssignment.path_fibrations(spaces)
+    calls = []
+    checked = _Compound.__post_init__
+    monkeypatch.setattr(_Compound, "__post_init__", lambda e: (calls.append(e), checked(e))[1])
+    listings = [loop_decompose_wedge(K, spaces, 4), loop_decompose(K, pairs, 3),
+                loop_decompose_contractible(K, contractible, 4), hilton_milnor(spaces, 4)]
+    for dec in listings:
+        dec.to_json(), dec.render()
+    assert all(len(dec.factors) > 20 for dec in listings), [len(dec.factors) for dec in listings]
+    assert calls == []
+    Wedge((S(2), S(2)))  # the patch is live: the public constructor still checks
+    assert len(calls) == 1
+
+
 def test_series_product_evaluates_each_normal_factor_as_series_of_does():
     # the product of series_of over the factor multiset, or the reason for
     # the first unsupported factor, exactly as series_of words it.  A factor
@@ -1590,7 +1661,7 @@ def test_series_product_evaluates_each_normal_factor_as_series_of_does():
                 continue
             if isinstance(p, Unsupported):
                 first = next(f for f in dec.factors if f.expr == e)
-                where = polyco.decomp._provenance_text(first.provenance)
+                where = polyco.decomp._provenance_text(first.provenance, {})
                 want = Unsupported(f"factor {render(e)} [{where}]: {p.reason}")
             else:
                 want = want * p**k

@@ -141,8 +141,37 @@ def test_atom_series_needs_unit_constant_terms():
             Atom("A", 1, series=series)
 
 
+def test_atom_series_must_vanish_through_its_connectivity():
+    # the declared series of a c-connected atom is 1 through degree c
+    with pytest.raises(ValueError, match=re.escape(
+        "atom Y: declared series has homology in degree 2, at or below its connectivity 2"
+    )):
+        Atom("Y", 2, series=((1,), (1, 0, -1)))
+    # against the expansion of num/den: the atom is accepted exactly when the
+    # first nonzero coefficient of P - 1 lies above its connectivity
+    rng = random.Random(3341)
+    rejected = accepted = 0
+    for _ in range(300):
+        num = (1, *(rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(rng.randint(0, 5))))
+        den = (1, *(rng.choice((0, 0, 0, 1, -1)) for _ in range(rng.randint(0, 5))))
+        p = [0] * 12
+        for d in range(12):  # p = num/den by long division, as den[0] = 1
+            carried = sum(den[j] * p[d - j] for j in range(1, min(d, len(den) - 1) + 1))
+            p[d] = (num[d] if d < len(num) else 0) - carried
+        first = next((d for d in range(1, 12) if p[d]), 12)
+        for c in range(-1, 11):
+            if first <= c:
+                with pytest.raises(ValueError, match=f"homology in degree {first}, "):
+                    Atom("R", c, series=(num, den))
+                rejected += 1
+            else:
+                assert Atom("R", c, series=(num, den)).series == (num, den)
+                accepted += 1
+    assert rejected > 500 and accepted > 500, (rejected, accepted)
+
+
 def test_atom_series_with_negative_coefficient_is_unsupported():
-    bad = Atom("A", 1, series=((1, -3), (1,)))
+    bad = Atom("A", 0, series=((1, -3), (1,)))
     out = series_of(bad, 4)
     assert isinstance(out, Unsupported)
     assert out.reason == "atom A: declared series has coefficient -3 in degree 1, not a Betti number"
