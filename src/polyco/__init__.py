@@ -36,7 +36,6 @@ from .spacexpr import (
     CP_INFINITY,
     POINT,
     Atom,
-    ConnectivityUnderflowError,
     Loop,
     MapFromSusp,
     PairAssignment,

@@ -105,6 +105,7 @@ from .spacexpr import (
     _map_from_susp,
     _plan,
     _susp,
+    conn,
     expr_forms,
     normalize,
     render,
@@ -305,9 +306,11 @@ def _provenance_json(p: object, shared: dict) -> dict:
 class Decomposition:
     """A finite product of space-expression factors with provenance.
 
-    truncation records the bracket weight bound whenever the full indexing
-    set is infinite, and degree_bound the degree through which a degree cut
-    kept every factor with homology; the list is complete when both are None.
+    truncation records the bracket weight bound when a listed group's
+    support carries brackets of every weight, which without a degree cut is
+    exactly when raising the bound would list more; degree_bound records the
+    degree through which a degree cut kept every factor with homology.  The
+    list is complete when both are None.
     """
 
     factors: tuple[Factor, ...]
@@ -394,11 +397,11 @@ class Decomposition:
 
 def _checked(i: int, x: SpaceExpr, least: int, need: str) -> SpaceExpr:
     # the one normal form of vertex i's input x; its connectivity, read on
-    # that form and never on x as given, must reach least, and a point
-    # always passes.  Else the error is need, formatted with x as given and
-    # that connectivity (-1 where the estimate underflows)
+    # that form and never on x as given, must reach least (a point's is
+    # infinite).  Else the error is need, formatted with x as given and
+    # that connectivity, -1 where conn has no bound
     normal = normalize(x)
-    if not isinstance(normal, Point) and (c := series_mod._safe_conn(normal)) < least:
+    if (c := conn(normal)) < least:
         raise ValueError(f"vertex {i}: " + need.format(render(x), c))
     return normal
 
@@ -488,7 +491,7 @@ def _grading(normal: Sequence, surviving=lambda x: x, per_vertex: bool = False):
     spaces = list(normal) if per_vertex else list(ids)
     sizes = tuple(Counter(grading).values())  # in piece order, as pieces are numbered by first vertex
     survivors = [surviving(x) for x in spaces]
-    degrees = tuple(1 if (c := series_mod._safe_conn(x)) == INFINITE else max(1, c + 1) for x in survivors)
+    degrees = tuple(1 if (c := conn(x)) == INFINITE else max(1, c + 1) for x in survivors)
     return grading, spaces, sizes, degrees, _plan(Smash, survivors)
 
 
@@ -539,7 +542,10 @@ def hilton_milnor(
         sizes, weight_bound, alphabet="plain", degrees=degrees, degree_bound=degree_bound
     )
     factors = _class_factors(counts, grading, lambda support: (None, build), _type_supports(grading))
-    return Decomposition(tuple(factors), "hilton-milnor", weight_bound if m >= 2 else None, degree_bound)
+    # two plain letters carry brackets of every weight; the listing is by
+    # weight, so two letters are listed when its first two groups have weight 1
+    truncated = len(factors) >= 2 and factors[1].provenance.weight == 1
+    return Decomposition(tuple(factors), "hilton-milnor", weight_bound if truncated else None, degree_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -641,11 +647,7 @@ def _coproduct_decomposition(
     # rule drops the faces), for mixed endpoint data (one vertex per piece,
     # so one support per type) and over the full simplex.  Other point
     # codomains keep faces only: their words use only letters inside a
-    # face, so the states are cut to the types of K's faces.  The weight
-    # bound truncates exactly when the bracket set is infinite: when some
-    # listed face has three vertices, or with every support listed, when
-    # the face alphabet of {1..m} has two or more letters and a support can
-    # keep a factor: not so with every domain a point over the full simplex
+    # face, so the states are cut to the types of K's faces
     candidates, types = _type_supports(grading), None
     simplex = K.facets == (tuple(range(1, K.m + 1)),)
     face_cut = all(isinstance(a, Point) for _, a in spaces) and not simplex
@@ -660,8 +662,11 @@ def _coproduct_decomposition(
     counts = lyndon_class_counts(sizes, weight_bound, types=types, degrees=degrees, degree_bound=degree_bound)
     brackets = _class_factors(counts, grading, partial(_bracket_rule, K, pieces), candidates)
     factors = _base_factors(K, normal) + brackets
-    contractible = all(isinstance(x, Point) for x, _ in spaces)
-    truncated = K.dim() >= 2 if face_cut else K.m >= 3 and not (simplex and contractible)
+    # the weight bound cuts the listing when a listed group's support has
+    # three or more vertices: it holds two or more face letters, so it
+    # carries brackets of every weight, whose factors are points only when
+    # its weight-1 factor is.  A support of two vertices holds one letter
+    truncated = any(len(f.provenance.support) >= 3 for f in brackets)
     return Decomposition(tuple(factors), theorem, weight_bound if truncated else None, degree_bound)
 
 

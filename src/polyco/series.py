@@ -35,7 +35,6 @@ from typing import Sequence, Union
 
 from .spacexpr import (
     Atom,
-    ConnectivityUnderflowError,
     Loop,
     MapFromSusp,
     Point,
@@ -312,7 +311,7 @@ def _log_memo(e: SpaceExpr, N: int) -> tuple[int, ...] | Unsupported:
     Unsupported value.  A miss on e with conn(e) >= N gives 0, the series 1
     through N, exact as conn is a lower bound (Hurewicz): so such a factor
     reads 1 even where series_of has no rule for it."""
-    if _safe_conn(e) >= N:
+    if conn(e) >= N:
         return (0,) * (N + 1)
     p = _series_memo(e, N)
     return p if isinstance(p, Unsupported) else p.log_derivative()
@@ -371,13 +370,6 @@ def _series(e: SpaceExpr, N: int) -> SeriesOrUnsupported:
     raise TypeError(f"not a space expression: {e!r}")
 
 
-def _safe_conn(e: SpaceExpr) -> float:
-    try:
-        return conn(e)
-    except ConnectivityUnderflowError:
-        return -1
-
-
 def _loop_series(e: Loop, N: int) -> SeriesOrUnsupported:
     c, k = e.child, e.count
 
@@ -391,10 +383,10 @@ def _loop_series(e: Loop, N: int) -> SeriesOrUnsupported:
 
     if isinstance(c, Susp):
         base = c.child
-        if _safe_conn(base) < 0:
+        if (b := conn(base)) < 0:
             return Unsupported(
                 f"Bott-Samelson needs a connected argument, "
-                f"{render(base)} has connectivity {_safe_conn(base)}"
+                f"{render(base)} has connectivity {b}"
             )
         p = _series(base, N)
         if isinstance(p, Unsupported):
@@ -406,10 +398,10 @@ def _loop_series(e: Loop, N: int) -> SeriesOrUnsupported:
         one = PoincareSeries.one(N)
         inverse = one
         for child, k in zip(c.children, c.powers):
-            if _safe_conn(child) < 1:
+            if (b := conn(child)) < 1:
                 return Unsupported(
                     f"free-product rule needs simply connected summands, "
-                    f"{render(child)} has connectivity {_safe_conn(child)}"
+                    f"{render(child)} has connectivity {b}"
                 )
             p = series_of(Loop(child), N)
             if isinstance(p, Unsupported):

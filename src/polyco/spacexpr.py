@@ -61,10 +61,6 @@ from .scomplex import wedge_of_spheres_type
 INFINITE = math.inf
 
 
-class ConnectivityUnderflowError(ValueError):
-    """Looping something whose connectivity estimate is already negative."""
-
-
 @dataclass(frozen=True, slots=True)
 class Point:
     def __str__(self) -> str:
@@ -387,9 +383,11 @@ def conn(e: SpaceExpr) -> float:
     """A connectivity lower bound; Point gives the infinite sentinel.
 
     conn(X) = c means pi_i(X) vanishes for i <= c: 0 is connected, 1 is
-    simply connected.  Raises ConnectivityUnderflowError when a loop is
-    applied to an estimate that is already negative, which signals a violated
-    simple-connectivity precondition upstream.
+    simply connected, and -1 means no bound.  conn never raises: a loop
+    lowers its child's estimate by its count, down to -1, and the rules
+    above a loop stay sound from there, as a suspension of any nonempty
+    space is connected, a smash adds c + 1 per factor, and a wedge or a
+    product takes the least of its children.
     """
     if isinstance(e, Point):
         return INFINITE
@@ -398,26 +396,15 @@ def conn(e: SpaceExpr) -> float:
     if isinstance(e, Atom):
         return INFINITE if e.contractible else e.connectivity
     if isinstance(e, (Wedge, Product)):
-        if not e.children:
-            return INFINITE
-        return min(conn(c) for c in e.children)
+        return min((conn(c) for c in e.children), default=INFINITE)
     if isinstance(e, Smash):  # the empty smash is S^0, of connectivity -1
         return sum((conn(c) + 1) * p for c, p in zip(e.children, e.powers)) - 1
     if isinstance(e, Susp):
         return conn(e.child) + 1
     if isinstance(e, Loop):
-        c = conn(e.child)
-        if c < 0 or c + 1 < e.count:  # each loop needs an estimate >= 0 and lowers it by 1
-            raise ConnectivityUnderflowError(
-                f"connectivity underflow: looping {render(e.child)} "
-                f"(estimate {min(c, -1)}) is not supported"
-            )
-        return c - e.count
+        return max(-1, conn(e.child) - e.count)
     if isinstance(e, MapFromSusp):
-        c = conn(e.child)
-        if c is INFINITE:
-            return INFINITE
-        return max(-1, c - (e.complex.dim() + 1))
+        return max(-1, conn(e.child) - (e.complex.dim() + 1))
     raise TypeError(f"not a space expression: {e!r}")
 
 

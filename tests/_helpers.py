@@ -48,7 +48,6 @@ from polyco.spacexpr import (
     INFINITE,
     POINT,
     Atom,
-    ConnectivityUnderflowError,
     Loop,
     MapFromSusp,
     PairAssignment,
@@ -500,7 +499,14 @@ def recursive_diagram_json(d) -> dict:
     }
 
 
+class _ReferenceUnderflow(ValueError):
+    """reference_conn looped an estimate that is already negative."""
+
+
 def reference_conn(e: SpaceExpr) -> float:
+    """The connectivity estimate of the whole expression, one loop and one
+    copy at a time, raising _ReferenceUnderflow where a loop would take it
+    below -1 anywhere in the tree."""
     if isinstance(e, (Wedge, Product)):
         kids = expanded(e)
         return min((reference_conn(c) for c in kids), default=INFINITE)
@@ -515,7 +521,7 @@ def reference_conn(e: SpaceExpr) -> float:
         c = reference_conn(e.child)
         for _ in range(e.count):
             if c < 0:
-                raise ConnectivityUnderflowError("connectivity underflow")
+                raise _ReferenceUnderflow("connectivity underflow")
             c -= 1
         return c
     if isinstance(e, MapFromSusp):
@@ -529,7 +535,7 @@ def reference_conn(e: SpaceExpr) -> float:
 def _reference_safe_conn(e: SpaceExpr) -> float:
     try:
         return reference_conn(e)
-    except ConnectivityUnderflowError:
+    except _ReferenceUnderflow:
         return -1
 
 
@@ -990,10 +996,17 @@ def enumerated_wedge(K, spaces, weight_bound, degree_bound=None) -> Decompositio
         if not isinstance(expr, Point):
             brackets.append(Factor(expr, 1, b))
     brackets.sort(key=_bracket_order)
-    truncated = any(len(sigma) >= 3 for sigma in maximal)
     return Decomposition(
-        tuple(factors + brackets), "wedge-coproduct", weight_bound if truncated else None
+        tuple(factors + brackets), "wedge-coproduct", weight_bound if cut_by_supports(brackets) else None
     )
+
+
+def cut_by_supports(brackets) -> bool:
+    """Whether a polyhedral listing is cut by its weight bound: whether some
+    listed bracket, or group, has a support of three or more vertices, which
+    carries brackets of every weight."""
+    return any(len(p.support if isinstance(p := f.provenance, BracketGroup) else support(p)) >= 3
+               for f in brackets)
 
 
 def _enumerated_face_alphabet(K, pairs, weight_bound, theorem, rule) -> Decomposition:
@@ -1008,14 +1021,10 @@ def _enumerated_face_alphabet(K, pairs, weight_bound, theorem, rule) -> Decompos
         if expr is not None and not isinstance(expr, Point):
             brackets.append(Factor(expr, 1, b))
     brackets.sort(key=_bracket_order)
-    # over the full simplex every support is a face, and with every domain
-    # contractible no face keeps a factor: the listing is complete
-    vertices = range(1, K.m + 1)
-    complete = K.has_face(vertices) and all(map(pairs.domain_contractible, vertices))
     return Decomposition(
         tuple(_base_factors(K, _normal_pairs(K, pairs)) + brackets),
         theorem,
-        weight_bound if len(alphabet) >= 2 and not complete else None,
+        weight_bound if cut_by_supports(brackets) else None,
     )
 
 
@@ -1152,8 +1161,9 @@ def per_group_listing(
     """The group listing from the per-class tuple counts, with
     factor_of(support, l) run afresh for every class and every class of a
     group giving the same factor: the reference for the engine that counts
-    groups and builds a factor once per key.  Returns the listing and, per
-    listed group, its number of classes."""
+    groups and builds a factor once per key.  truncated(brackets) says
+    whether the weight bound cuts the listed bracket factors.  Returns the
+    listing and, per listed group, its number of classes."""
     counts = reference_class_counts(letters, weight_bound, vertex_degrees, degree_bound)
     groups = {}
     for (w, l), n in counts.items():
@@ -1179,7 +1189,7 @@ def per_group_listing(
             brackets.append(Factor(expr, n, BracketGroup(w, support, pieces, counts)))
         else:
             del classes[key]
-    dec = Decomposition(tuple(base + brackets), theorem, weight_bound if truncated else None, degree_bound)
+    dec = Decomposition(tuple(base + brackets), theorem, weight_bound if truncated(brackets) else None, degree_bound)
     return dec, classes
 
 

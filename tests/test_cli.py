@@ -636,3 +636,69 @@ def test_input_paths(tmp_path, capsys, monkeypatch, files, argv, env, code, expe
     assert main([arg.format(**paths) for arg in argv]) == code
     out, err = capsys.readouterr()
     assert expected in (out if code == 0 else err)
+
+
+# one argv per subcommand and per verify check, over the files of
+# cli_row_files, with the verdict a check must give: the cases are read
+# off the parser and CHECKS, so a new row without an entry here fails
+CLI_ROW_ARGS = {
+    "decompose": lambda f: (["--complex", f["triangle"], "--spaces", f["pairs"], "--max-degree", "3"], None),
+    "decompose-wedge": lambda f: (["--complex", f["square"], "--spaces", f["cp4"], "--max-degree", "4"], None),
+    "decompose-contractible": lambda f: (
+        ["--complex", f["boundary"], "--spaces", f["s234"], "--max-degree", "3"], None),
+    "porter": lambda f: (["--spaces", f["s234"]], None),
+    "hilton-milnor": lambda f: (["--spaces", f["s23"], "--max-degree", "5"], None),
+    "hall-basis": lambda f: (["--alphabet", "3", "--max-weight", "3"], None),
+    "homology": lambda f: (["--complex", f["boundary"]], None),
+    "bbcg": lambda f: (["--complex", f["boundary"], "--spaces", f["s234"]], None),
+    "verify hilton-milnor": lambda f: (["--spaces", f["s23"], "--max-degree", "8"], "Equal"),
+    "verify porter": lambda f: (["--spaces", f["s234"], "--max-degree", "7"], "Equal"),
+    "verify wedge": lambda f: (["--complex", f["triangle"], "--spaces", f["s234"], "--max-degree", "7"], "Equal"),
+    "verify counterexample": lambda f: (["--max-degree", "6"], "FirstDifference"),
+    "verify disjoint-union": lambda f: (
+        ["--complex", f["edge"], "--complex2", f["point2"], "--spaces", f["s3x4"], "--max-degree", "7"], "Equal"),
+}
+VERDICT_KINDS = {"Equal": "equal", "FirstDifference": "first_difference"}
+
+
+def cli_rows():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [c for c in sub.choices if c != "verify"] + [f"verify {c}" for c in CHECKS]
+
+
+def cli_row_files(tmp_path):
+    sphere = lambda n: {"kind": "sphere", "n": n}
+    cp = {"kind": "atom", "name": "CP^inf", "conn": 1, "loop": sphere(1)}
+    return {name: write(tmp_path, f"{name}.json", payload) for name, payload in {
+        "square": {"m": 4, "facets": [[1, 2], [2, 3], [3, 4], [1, 4]]},
+        "triangle": {"m": 3, "facets": [[1, 2, 3]]},
+        "boundary": {"m": 3, "facets": [[1, 2], [1, 3], [2, 3]]},
+        "edge": {"m": 2, "facets": [[1, 2]]},
+        "point2": {"m": 2, "facets": [[1]]},
+        "cp4": {str(i): cp for i in range(1, 5)},
+        "s23": {"1": sphere(2), "2": sphere(3)},
+        "s234": {"1": sphere(2), "2": sphere(3), "3": sphere(4)},
+        "s3x4": {str(i): sphere(3) for i in range(1, 5)},
+        "pairs": {"1": {"domain": sphere(3), "codomain": sphere(2)},
+                  "2": {"domain": {"kind": "atom", "name": "P", "conn": 0}, "codomain": sphere(2),
+                        "domain_contractible": True},
+                  "3": {"domain": sphere(2), "codomain": {"kind": "point"}}},
+    }.items()}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("row", cli_rows())
+def test_every_cli_row_runs_in_both_formats(tmp_path, capsys, row, fmt):
+    assert row in CLI_ROW_ARGS, f"no arguments for the command-line row {row!r}"
+    args, verdict = CLI_ROW_ARGS[row](cli_row_files(tmp_path))
+    command = row.split()[0]
+    check = ["--check", row.split()[1]] if command == "verify" else []
+    code = main([command, *check, *args, "--format", fmt])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        data = json.loads(out)
+        if verdict:
+            assert data["checks"][0]["verdict"]["kind"] == VERDICT_KINDS[verdict]
+    elif verdict:
+        assert out.split(": ", 1)[1].split("(")[0].strip() == verdict, out

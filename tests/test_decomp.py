@@ -18,6 +18,7 @@ from _helpers import (
     _loop_smash_of_loops,
     _reference_safe_conn,
     all_face_letters,
+    cut_by_supports,
     enumerated_contractible,
     enumerated_general,
     enumerated_hilton_milnor,
@@ -615,15 +616,63 @@ def test_contractible_simplex_has_no_factors():
 
 def test_an_empty_contractible_listing_records_no_weight_bound():
     # over the full simplex every support is a face, so with contractible
-    # domains nothing is listed at any weight; off it, m >= 3 keeps the bound
+    # domains nothing is listed at any weight.  Off it, the bound is kept
+    # when a listed support has three vertices: not so on the path, whose
+    # one listed support {1,3} holds one letter, but so on the triangle's
+    # boundary, whose support {1,2,3} is a circle
     dec = loop_decompose_contractible(simplex(3), path_pairs([S(2)] * 3), 3)
     assert (dec.factors, dec.truncation, dec.to_json()["truncation"]) == ((), None, None)
     assert dec.render() == "contractible-domains: 0 entries, 0 factors with multiplicity"
     assert loop_decompose(simplex(3), path_pairs([S(2)] * 3), 3).truncation is None
     path = build(3, [[1, 2], [2, 3]])
     dec = loop_decompose_contractible(path, path_pairs([S(2)] * 3), 3)
+    assert dec.factors and dec.truncation is None
+    boundary = build(3, [[1, 2], [1, 3], [2, 3]])
+    dec = loop_decompose_contractible(boundary, path_pairs([S(2)] * 3), 3)
     assert dec.factors and dec.truncation == 3
     assert dec.render().splitlines()[0].endswith("(bracket weight ≤ 3)")
+
+
+def test_a_listing_is_cut_exactly_when_a_higher_weight_lists_more():
+    # 1,200 seeded listings of the four bracket engines, with points among
+    # the spaces and no degree bound: a listing records its weight bound W
+    # exactly when the same call at W + 3 lists more entries
+    path, triangle = build(3, [[1, 2], [2, 3]]), build(3, [[1, 2, 3]])
+    pinned = [
+        (lambda W: hilton_milnor([POINT, S(2)], W), 5, None),
+        (lambda W: loop_decompose_contractible(path, path_pairs([S(2)] * 3), W), 3, None),
+        (lambda W: loop_decompose_contractible(path, path_pairs([S(2)] * 3), W), 50, None),
+        (lambda W: loop_decompose_wedge(triangle, [S(2), S(3), POINT], W), 4, None),
+        (lambda W: hilton_milnor([S(2), S(9)], W, degree_bound=5), 6, None),
+        (lambda W: hilton_milnor([S(2), S(3)], W), 2, 2),
+        (lambda W: loop_decompose_wedge(triangle, [S(2), S(3), S(2)], W), 2, 2),
+    ]
+    for make, W, record in pinned:
+        dec = make(W)
+        assert dec.truncation == record and dec.to_json()["truncation"] == record
+        assert dec.render().splitlines()[0].endswith(f"(bracket weight ≤ {W})") == (record is not None)
+    rng = random.Random(3411)
+    seen = Counter()
+    for _ in range(1200):
+        K = random_complex(rng, 5)
+        W = rng.randint(1, 3 if K.m <= 4 else 2)
+        name = rng.choice(("wedge", "general", "contractible", "hilton-milnor"))
+        if name == "wedge":
+            make = partial(loop_decompose_wedge, K, [rng.choice(WEDGE_POOL + (POINT,)) for _ in range(K.m)])
+        elif name == "general":
+            K = random_complex(rng, 4)
+            pairs = PairAssignment.of([(rng.choice(DOMAIN_POOL), rng.choice(CODOMAIN_POOL)) for _ in range(K.m)])
+            make = partial(loop_decompose, K, pairs)
+        elif name == "contractible":
+            make = partial(loop_decompose_contractible, K, path_pairs([rng.choice(CODOMAIN_POOL) for _ in range(K.m)]))
+        else:
+            summands = (S(1), S(2), S(3), X1, CP_INFINITY, POINT)
+            make = partial(hilton_milnor, [rng.choice(summands) for _ in range(rng.randint(1, 4))])
+        dec = make(W)
+        more = len(make(W + 3).factors) > len(dec.factors)
+        assert dec.truncation == (W if more else None), (name, K, W)
+        seen[name, more] += 1
+    assert len(seen) == 8 and min(seen.values()) >= 20, seen
 
 
 def test_contractible_two_points_cojoin():
@@ -1208,35 +1257,26 @@ def per_group_references(K, pairs, spaces, hm_spaces, W, bound, only=None):
 
     n = len(hm_spaces)
 
-    def truncated(pairs):
-        # the engine lists faces only for point codomains off the full
-        # simplex, and nothing over it when every domain is a point
-        vertices = range(1, K.m + 1)
-        simplex, contractible = K.has_face(vertices), all(map(pairs.domain_contractible, vertices))
-        if all(map(pairs.codomain_is_point, vertices)) and not simplex:
-            return K.dim() >= 2
-        return K.m >= 3 and not (simplex and contractible)
-
     listings = {
         "general": lambda: per_group_listing(
             all_letters, W, partial(reference_bracket_factor, K, pairs), _base_factors(K, _normal_pairs(K, pairs)),
-            "general-coproduct", truncated(pairs), reference_grading(pairs),
+            "general-coproduct", cut_by_supports, reference_grading(pairs),
         ),
         "contractible": lambda: per_group_listing(
             all_letters, W, partial(reference_bracket_factor, K, contractible),
-            _base_factors(K, _normal_pairs(K, contractible)), "contractible-domains", truncated(contractible),
+            _base_factors(K, _normal_pairs(K, contractible)), "contractible-domains", cut_by_supports,
             reference_grading(contractible),
         ),
         "wedge": lambda: per_group_listing(
             face_letters(frozenset(K.faces()), K.m), W,
             partial(reference_bracket_factor, K, constant), _base_factors(K, _normal_pairs(K, constant)),
-            "wedge-coproduct", K.dim() >= 2, reference_grading(constant),
+            "wedge-coproduct", cut_by_supports, reference_grading(constant),
             bottom_degrees(spaces, 0) if bound is not None else None, bound,
         ),
         "hilton-milnor": lambda: per_group_listing(
             [(tuple(int(j == i) for j in range(n)), 1) for i in range(n)], W,
             hm_factor,
-            [], "hilton-milnor", n >= 2,
+            [], "hilton-milnor", lambda brackets: n >= 2,
             summand_grading(hm_spaces),
             bottom_degrees(hm_spaces, 1) if bound is not None else None, bound,
         ),
