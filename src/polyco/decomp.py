@@ -52,7 +52,10 @@ BracketGroup(weight, support, pieces, counts) as provenance, in JSON
 {"kind": "group", "weight": ..., "support": [...], "pieces": [...],
 "counts": [...]}.  The polyhedral decompositions share one engine and one
 bracket rule, resolved once per listed support, and each distinct factor is
-built once.
+built once.  For contractible domains the rule reads each support's full
+subcomplex K_S off the facet bitmasks; equal K_S are one object with one
+certificate per call, and a certified factor is assembled from the sphere
+dimensions the rule has already read.
 
 Each input is normalized once, where it enters (_checked), and its
 connectivity is read on that normal form, the form every factor is built
@@ -80,6 +83,8 @@ from .liealg import lyndon_class_counts
 from .scomplex import (
     Face,
     SimplicialComplex,
+    _full_sub,
+    _index,
     build,
     complex_to_json,
     full_subcomplex,
@@ -102,7 +107,7 @@ from .spacexpr import (
     Susp,
     Wedge,
     _loop,
-    _map_from_susp,
+    _map_from_dims,
     _plan,
     _susp,
     conn,
@@ -571,9 +576,12 @@ def _vertex_pieces(normal: Sequence[tuple[SpaceExpr, SpaceExpr]]):
     # piece's surviving space is the loop of its domain, or of its codomain
     # when the domain is contractible.  One piece per distinct pair, or one
     # per vertex when a support can be mixed (a non-point domain and a
-    # non-point codomain both occur)
+    # non-point codomain both occur).  Then the call's two memos for the
+    # bracket rule: K_S -> (K_S, its sphere dimensions), so that each
+    # distinct full subcomplex is one object with one certificate read, and
+    # q -> Susp smash(q), which the factors of every support share
     mixed = not any(all(isinstance(xa[side], Point) for xa in normal) for side in (0, 1))
-    return _grading(normal, lambda xa: _loop(xa[1] if isinstance(xa[0], Point) else xa[0], 1), mixed)
+    return *_grading(normal, lambda xa: _loop(xa[1] if isinstance(xa[0], Point) else xa[0], 1), mixed), {}, {}
 
 
 def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
@@ -585,13 +593,20 @@ def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
     connectivity needs only dim K_S + 1, the most support vertices in one
     facet (max_trace).
 
+    For contractible domains K_S is read off K's facet bitmasks (_full_sub),
+    which finds a face support without building it, and looked up in the
+    piece table's memo: each distinct K_S of a call is one object whose
+    sphere dimensions are read once, and supports with equal K_S share a
+    shape, so their factors are built once.
+
     In the reduced branches build(q, l) assembles the factor in normal form
     from the pieces' one smash plan: Loop Susp of the smash of q_p copies
-    of each piece's surviving loop space, through a mapping space out of
-    Susp|K_S| when the domains are contractible."""
-    grading, spaces, _, _, smash = pieces
+    of each piece's surviving loop space, made once per q and call, through
+    a mapping space out of Susp|K_S| when the domains are contractible,
+    assembled from the sphere dimensions already read (_map_from_dims)."""
+    grading, spaces, _, _, smash, subs, suspended = pieces
     on = [spaces[grading[j - 1]] for j in support]
-    sub = None
+    sub = dims = None
     if all(isinstance(a, Point) for _, a in on):
         # point codomains: only a face support survives
         if not K.has_face(support):
@@ -599,10 +614,12 @@ def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
         shape = "point"
     elif all(isinstance(x, Point) for x, _ in on):
         # over a face, or any certified contractible realization, this is a point
-        if K.has_face(support):
+        sub = _full_sub(_index(K), sum(1 << j for j in support))
+        if sub is None:
             return None
-        sub = full_subcomplex(K, support)
-        dims = wedge_of_spheres_type(sub)
+        if (known := subs.get(sub)) is None:
+            known = subs[sub] = sub, wedge_of_spheres_type(sub)
+        sub, dims = known
         if dims == ():
             return None
         shape = sub if dims is None else dims
@@ -613,8 +630,9 @@ def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
         return name, lambda q, l: _loop(Atom(f"{name}{list(l)}]", max(0, sum(l) - top)), 1)
 
     def build(q, l):
-        susp = _susp(smash(q))
-        return _loop(susp if sub is None else _map_from_susp(sub, susp), 1)
+        if (susp := suspended.get(q)) is None:
+            susp = suspended[q] = _susp(smash(q))
+        return _loop(susp if sub is None else _map_from_dims(sub, dims, susp), 1)
 
     return shape, build
 
@@ -642,7 +660,7 @@ def _coproduct_decomposition(
     degree_bound: int | None = None,
 ) -> Decomposition:
     # normal: the normalized (domain, codomain) of each vertex
-    grading, spaces, sizes, degrees, _ = pieces = _vertex_pieces(normal)
+    grading, spaces, sizes, degrees, *_ = pieces = _vertex_pieces(normal)
     # every support of a type is a candidate for contractible domains (the
     # rule drops the faces), for mixed endpoint data (one vertex per piece,
     # so one support per type) and over the full simplex.  Other point

@@ -219,10 +219,10 @@ def full_subcomplex(K: SimplicialComplex, I: Iterable[int]) -> SimplicialComplex
     """The full subcomplex K_I: all faces of K contained in I, re-indexed to
     {1..|I|}, the j-th smallest vertex of I becoming vertex j.
 
-    Every face of K inside I lies in some trace F ∩ I of a facet F, so the
-    facets of K_I are the maximal traces; no face of K is listed.  Raises
-    ValueError when a vertex of I is not an int or is out of range,
-    or I is empty.
+    The validated front of the one K_I builder, :func:`_full_sub`, which
+    reads K_I off the facet bitmasks; when I is a face, K_I is the simplex
+    on I.  Raises ValueError when a vertex of I is not an int or is out of
+    range, or I is empty.
     """
     iv = tuple(sorted({json_int(v, "vertex") for v in I}))
     for v in iv:
@@ -230,10 +230,21 @@ def full_subcomplex(K: SimplicialComplex, I: Iterable[int]) -> SimplicialComplex
             raise ValueError(f"vertex {v} out of range 1..{K.m}")
     if not iv:
         raise ValueError("full subcomplex needs a nonempty vertex set")
-    relabel = {v: j for j, v in enumerate(iv, start=1)}
-    traces = {tuple(relabel[v] for v in f if v in relabel) for f in K.facets}
+    sub = _full_sub(_index(K), sum(1 << v for v in iv))
+    return SimplicialComplex(len(iv), (tuple(range(1, len(iv) + 1)),)) if sub is None else sub
+
+
+def _full_sub(index: _Index, g: int) -> SimplicialComplex | None:
+    """K_S for the nonempty vertex bitmask g of S, from K's face model:
+    None when S is a face of K (:func:`_is_face`), else the maximal traces
+    F & g of the facets, the j-th smallest vertex of S becoming vertex j.
+    Every face of K inside S lies in some trace, so no face is listed."""
+    if _is_face(g, index.star):
+        return None
+    traces = {tuple(_vertices(F & g)) for F in index.facets}
     traces.discard(())
-    return SimplicialComplex(len(iv), _maximal(traces))
+    label = {v: j for j, v in enumerate(_vertices(g), start=1)}
+    return SimplicialComplex(len(label), tuple(tuple([label[v] for v in f]) for f in _maximal(traces)))
 
 
 def max_trace(K: SimplicialComplex, I: Iterable[int]) -> int:

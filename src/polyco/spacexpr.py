@@ -29,8 +29,10 @@ symbolic: the rewriter never invents a homotopy type.
 
 Each constructor's rules live in one helper that takes children already in
 normal form and returns the normal form: _plan (wedge, product, smash),
-_susp, _loop and _map_from_susp.  normalize is their fold over the tree,
-normalizing the children first.  A caller whose pieces are already normal,
+_susp, _loop and _map_from_susp, which reads K's sphere dimensions and
+assembles from them (_map_from_dims, which a caller already holding them
+calls directly).  normalize is their fold over the tree, normalizing the
+children first.  A caller whose pieces are already normal,
 as the decompositions' factor builds are, calls the helpers directly and
 never walks a tree a second time.  _plan does a compound rule's
 flattening, merging and sorting once for a fixed list of normal pieces and
@@ -43,8 +45,9 @@ and they are how raw input, expr_from_json's included, comes in.
 
 render and expr_to_json are the two halves of one walk, expr_forms, which
 builds a node's (JSON, text) pair from its children's pairs and, within one
-call, walks a subtree shared by object identity once: a listing passes one
-memo across all its factors, which share their pieces.
+call, walks a subtree shared by object identity once, and serializes each
+complex object of its mapping spaces once: a listing passes one memo across
+all its factors, which share their pieces and complexes.
 """
 
 from __future__ import annotations
@@ -84,7 +87,8 @@ class Sphere:
 class Atom:
     """A named space with declared connectivity.
 
-    loop: optional expression that Loop(this atom) rewrites to.
+    loop: optional expression that Loop(this atom) rewrites to; conn then
+        reads the declared connectivity capped at conn(loop) + 1.
     series: optional declared homology series as (numerator, denominator)
         integer coefficient tuples of a rational function in t.
     contractible: marks cones and path spaces; normalizes to Point.
@@ -371,19 +375,28 @@ def _susp(c: SpaceExpr) -> SpaceExpr:
 
 def _map_from_susp(K: SimplicialComplex, c: SpaceExpr) -> SpaceExpr:
     """The normal form of MapFromSusp(K, c) for c in normal form."""
+    return _map_from_dims(K, wedge_of_spheres_type(K), c)
+
+
+def _map_from_dims(K: SimplicialComplex, dims: tuple[int, ...] | None, c: SpaceExpr) -> SpaceExpr:
+    """The normal form of MapFromSusp(K, c) for c in normal form, assembled
+    from dims = wedge_of_spheres_type(K), which the caller has read: the
+    product of the Loop^{d+1} c, a lone sphere's loop without a plan."""
     if isinstance(c, Point):  # every pointed map into a point is constant
         return POINT
-    dims = wedge_of_spheres_type(K)
     if dims is None:
         return MapFromSusp(K, c)
-    return _plan(Product, [c if d + 1 == 0 else _loop(c, d + 1) for d in dims])([1] * len(dims))
+    loops = [c if d + 1 == 0 else _loop(c, d + 1) for d in dims]
+    return loops[0] if len(loops) == 1 else _plan(Product, loops)([1] * len(loops))
 
 
 def conn(e: SpaceExpr) -> float:
     """A connectivity lower bound; Point gives the infinite sentinel.
 
     conn(X) = c means pi_i(X) vanishes for i <= c: 0 is connected, 1 is
-    simply connected, and -1 means no bound.  conn never raises: a loop
+    simply connected, and -1 means no bound.  An atom reads its declared
+    connectivity, capped at conn(L) + 1 when its loop replacement is L, the
+    space every loop of it is built from.  conn never raises: a loop
     lowers its child's estimate by its count, down to -1, and the rules
     above a loop stay sound from there, as a suspension of any nonempty
     space is connected, a smash adds c + 1 per factor, and a wedge or a
@@ -393,8 +406,10 @@ def conn(e: SpaceExpr) -> float:
         return INFINITE
     if isinstance(e, Sphere):
         return e.n - 1
-    if isinstance(e, Atom):
-        return INFINITE if e.contractible else e.connectivity
+    if isinstance(e, Atom):  # Loop X = L makes X at most (conn(L) + 1)-connected
+        if e.contractible:
+            return INFINITE
+        return e.connectivity if e.loop is None else min(e.connectivity, conn(e.loop) + 1)
     if isinstance(e, (Wedge, Product)):
         return min((conn(c) for c in e.children), default=INFINITE)
     if isinstance(e, Smash):  # the empty smash is S^0, of connectivity -1
@@ -418,7 +433,8 @@ def expr_forms(e: SpaceExpr, memo: dict) -> tuple[dict, str]:
     """(expr_to_json(e), render(e)), built from the children's pairs.  memo
     maps id(node) to the pair of each node walked, so a subtree shared by
     several parents, or by several expressions walked with one memo, is
-    walked once and its JSON dict is shared.  The caller keeps what it walks
+    walked once and its JSON dict is shared; it also maps the id of each
+    mapping space's complex to that complex's JSON and text head.  The caller keeps what it walks
     alive while it holds the memo, and holds it for one call only.  Each
     rule (_FORMS) looks a child up in the memo before it calls this, as most
     children are shared leaves, and puts a compound child's text in
@@ -461,10 +477,13 @@ def _prefix_forms(e: Susp | Loop, memo: dict) -> tuple[dict, str]:
 
 
 def _map_forms(e: MapFromSusp, memo: dict) -> tuple[dict, str]:
+    # the complex's JSON and text head, once per complex object of a walk
     j, t = expr_forms(e.child, memo)
-    facets = ",".join("{" + ",".join(map(str, f)) + "}" for f in e.complex.facets)
-    return ({"kind": "map_from_susp", "complex": complex_to_json(e.complex), "child": j},
-            f"Map_*(Σ|K[{facets or '∅'}; m={e.complex.m}]|, {t})")
+    if (head := memo.get(id(e.complex))) is None:
+        facets = ",".join("{" + ",".join(map(str, f)) + "}" for f in e.complex.facets)
+        head = memo[id(e.complex)] = (complex_to_json(e.complex),
+                                      f"Map_*(Σ|K[{facets or '∅'}; m={e.complex.m}]|, ")
+    return {"kind": "map_from_susp", "complex": head[0], "child": j}, f"{head[1]}{t})"
 
 
 _FORMS = {Point: lambda e, memo: ({"kind": "point"}, "*"),

@@ -42,7 +42,9 @@ from _helpers import (
     reference_group_factor,
     reference_normalize,
     reference_series_product,
+    reference_full_subcomplex,
     reference_summand_factor,
+    reference_wedge_of_spheres_type,
     regrouped,
     repeated_product,
     summand_grading,
@@ -73,7 +75,7 @@ from polyco.decomp import (
     _vertex_pieces,
 )
 from polyco.liealg import Bracket, plain_alphabet, stats
-from polyco.scomplex import build, disjoint_union, full_subcomplex, join, wedge_of_spheres_type
+from polyco.scomplex import _full_sub, _index, build, disjoint_union, full_subcomplex, join, wedge_of_spheres_type
 from polyco.series import PoincareSeries, Unsupported, series_of
 from polyco.spacexpr import (
     CP_INFINITY,
@@ -89,6 +91,10 @@ from polyco.spacexpr import (
     Susp,
     Wedge,
     _Compound,
+    _loop,
+    _map_from_susp,
+    _plan,
+    _susp,
     conn,
     expr_from_json,
     expr_to_json,
@@ -529,6 +535,19 @@ def test_wedge_decomp_truncation_soundness():
     assert checked > 500
 
 
+def test_an_atoms_connectivity_is_capped_by_its_loop_replacement():
+    # L declares 5 but loops to S^3, so it is at most 3-connected: ΩΣL is
+    # 3-connected, not 5-connected, and its series through degree 4 is out
+    # of reach, where reading it as 1 gave the false 1 + t^2 + t^4
+    L = Atom("L", 5, loop=S(3))
+    assert conn(L) == 3 and conn(Susp(L)) == 4 and expr_to_json(L)["conn"] == 5
+    assert conn(Atom("Z", 2, loop=S(3))) == 2 and conn(Atom("P", 1, loop=S(2), contractible=True)) == math.inf
+    dec = loop_decompose_wedge(build(3, [[1, 2, 3]]), [S(3), Susp(L), Atom("H", 9)], 3)
+    got = dec.series_product(4)
+    assert isinstance(got, Unsupported), got
+    assert got.reason.startswith("factor ΩΣL [vertex 2]: ") and got.reason.endswith("no declared homology series")
+
+
 # atoms whose loop replacement agrees with the declared connectivity (CP^∞
 # loops to S^1) and ones whose does not: X_DEEP is 3-connected but loops to
 # a circle, U_WIDE is simply connected but loops to the 1-connected S^1 ∧ V
@@ -546,13 +565,13 @@ def test_degree_cut_reads_the_surviving_space():
     cut = loop_decompose_wedge(K, [X_DEEP] * 3, 7, degree_bound=6)
     assert cut.series_product(6).coeffs == (1, 3, 6, 12, 24, 48, 96)
     assert check_wedge_case(K, [X_DEEP] * 3, 6).verdict == Equal()
-    # a surviving space below connected (ΩY = S^0) still lists, with or
-    # without a cut, and its series stays out of reach; the loop of that
-    # atom normalizes to S^0 itself, which is not simply connected
+    # no surviving space is below connected: an atom whose loop replacement
+    # is S^0 reads connectivity at most 0, whatever it declares, so the
+    # preset rejects it with or without a cut; its loop normalizes to S^0
     below = Atom("Y", 5, loop=S(0))
     for bound in (None, 4):
-        dec = loop_decompose_wedge(K, [below] * 3, 3, degree_bound=bound)
-        assert len(dec.factors) == (14 if bound is None else 8) and isinstance(dec.series_product(4), Unsupported)
+        with pytest.raises(ValueError, match=r"^vertex 1: space Y must be simply connected \(connectivity 0\)$"):
+            loop_decompose_wedge(K, [below] * 3, 3, degree_bound=bound)
     with pytest.raises(ValueError, match=r"^vertex 1: space ΩY must be simply connected \(connectivity -1\)$"):
         loop_decompose_wedge(K, [Loop(below)] * 3, 3)
     rng = random.Random(2901)
@@ -1193,26 +1212,135 @@ def test_mixed_atom_connectivity_reads_dim_off_the_facets():
 
 def test_full_subcomplex_built_once_per_support(monkeypatch):
     # the lemma tests and the full subcomplex are per support, not per l:
-    # on ∂Δ³ the one missing face {1,2,3,4} is the only surviving support.
-    # A contractible support builds K_S at most once, and a mixed support
-    # builds none: its atom reads dim K_S off the facets
-    built = Counter()
+    # each contractible support is read off the facet bitmasks once
+    # (_full_sub), a face building no K_S, and each distinct K_S of a call
+    # is one object with one certificate read, shared by the factors of
+    # every support with that K_S.  A mixed support builds none: its atom
+    # reads dim K_S off the facets
+    built, certified = Counter(), Counter()
+    builder, certificate = polyco.decomp._full_sub, polyco.decomp.wedge_of_spheres_type
 
-    def counting(K, support):
-        built[tuple(support)] += 1
-        return full_subcomplex(K, support)
+    def building(index, g):
+        built[g] += 1
+        return builder(index, g)
 
-    monkeypatch.setattr(polyco.decomp, "full_subcomplex", counting)
+    def certifying(sub):
+        certified[sub] += 1
+        return certificate(sub)
+
+    monkeypatch.setattr(polyco.decomp, "_full_sub", building)
+    monkeypatch.setattr(polyco.decomp, "wedge_of_spheres_type", certifying)
     boundary = build(4, [list(f) for f in combinations(range(1, 5), 3)])
     dec = loop_decompose_contractible(boundary, path_pairs([S(2)] * 4), 8)
     assert {f.provenance.support for f in dec.bracket_factors()} == {(1, 2, 3, 4)}
-    assert built == {(1, 2, 3, 4): 1}
+    assert set(built.values()) == {1} and len(built) == 2 ** 4 - 1 - 4  # every support of 2+ vertices
+    assert certified == {full_subcomplex(boundary, (1, 2, 3, 4)): 1}
+    # the pentagon: its five diagonals have one K_S (two points), and its
+    # 26 missing faces far fewer K_S than supports, the pentagon itself
+    # uncertified
+    built.clear()
+    certified.clear()
+    pentagon = build(5, [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
+    dec = loop_decompose_contractible(pentagon, path_pairs([S(2)] * 5), 3)
+    assert set(built.values()) == {1} and len(built) == 2 ** 5 - 1 - 5
+    distinct = {reference_full_subcomplex(pentagon, S) for k in (2, 3, 4, 5) for S in combinations(range(1, 6), k)
+                if not pentagon.has_face(S)}
+    assert set(certified.values()) == {1} and set(certified) == distinct and len(distinct) < len(built) - 10
+    by_total = {}
+    for f in dec.bracket_factors():
+        by_total.setdefault((len(f.provenance.support), sum(f.provenance.counts)), set()).add(id(f.expr))
+    assert len(by_total[2, 2]) == 1  # the five diagonals' weight-2 groups, one factor
+    subs = {id(e.child.complex) for f in dec.bracket_factors() if isinstance(e := f.expr, Loop)
+            and isinstance(e.child, MapFromSusp)}
+    assert len(subs) == 1  # the uncertified pentagon, one object for every content
     built.clear()
     pairs = PairAssignment.of([(S(3), S(2)), (PX, A1), (X2, POINT), (PX, CP_INFINITY)])
     dec = loop_decompose(boundary, pairs, 5)
     mixed = {f.provenance.support for f in dec.bracket_factors() if render(f.expr).startswith("Ωŝ-coprod")}
-    assert mixed and max(built.values(), default=1) == 1
-    assert not mixed & set(built)
+    assert mixed and set(built.values()) == {1}
+    assert not {sum(1 << j for j in support) for support in mixed} & set(built)
+
+
+def test_the_rule_reads_each_full_subcomplex_like_the_face_enumerating_reference():
+    # the bitmask builder behind the rule and full_subcomplex gives the face
+    # verdict of has_face and the K_S of the face-enumerating reference on
+    # every support, and the rule's memo holds each K_S once, under its
+    # value, with the dims of the face-enumerating certificate reference
+    rng = random.Random(3531)
+    ghosts = entries = 0
+    for _ in range(300):
+        K = random_complex(rng, 7)
+        index, faces = _index(K), set(K.faces())
+        pieces = _vertex_pieces(_normal_pairs(K, path_pairs([S(2)] * K.m)))
+        *_, memo, _ = pieces
+        for k in range(1, K.m + 1):
+            for support in combinations(range(1, K.m + 1), k):
+                sub = _full_sub(index, sum(1 << j for j in support))
+                want = reference_full_subcomplex(K, support)
+                assert (sub is None) == K.has_face(support) == (support in faces), (K, support)
+                assert full_subcomplex(K, support) == want, (K, support)
+                if sub is None:
+                    assert want.facets == (tuple(range(1, k + 1)),), (K, support)
+                    continue
+                assert sub == want, (K, support)
+                _bracket_rule(K, pieces, support)
+                assert memo[want][0] == want, (K, support)
+        for sub, (same, dims) in memo.items():
+            assert same is sub and dims == reference_wedge_of_spheres_type(sub), sub
+        ghosts += len(K.vertices()) < K.m
+        entries += len(memo)
+    assert ghosts > 80 and entries > 1000, (ghosts, entries)
+
+
+def _dims_shape(dims) -> str:
+    if dims is None or len(dims) < 2:
+        return {None: "uncertified", (): "contractible", (-1,): "empty"}.get(dims, "one sphere")
+    return "equal spheres" if len(set(dims)) == 1 else "mixed spheres"
+
+
+def test_factors_assembled_from_dims_match_the_certificate_path():
+    # the rule builds a certified factor from the dims it read: it equals
+    # the factor through _map_from_susp on the reference K_S, which reads
+    # the certificate again, and (certified) the product plan that a lone
+    # sphere skips, on contractible and general pairs, for dims of every
+    # shape; a dropped support (a face, or dims ()) has a point there
+    rng = random.Random(3533)
+    shapes = Counter()
+    hollow_and_points = build(6, [[1, 2], [2, 3], [1, 3], [4], [5]])  # S^0 v S^0 v S^1 on {1..5}
+    for trial in range(160):
+        # sparse complexes of edges, triangles and points, often with ghosts
+        m = rng.randint(2, 6)
+        K = hollow_and_points if trial < 2 else build(
+            m, [rng.sample(range(1, m + 1), min(m, rng.choice((1, 2, 2, 3)))) for _ in range(rng.randint(0, m + 1))])
+        if trial % 2:
+            pairs = path_pairs([rng.choice((S(2), A1, CP_INFINITY)) for _ in range(K.m)])
+        else:
+            pairs = PairAssignment.of([(rng.choice((PX, PX, S(3))), rng.choice(CODOMAIN_POOL)) for _ in range(K.m)])
+        pieces = _vertex_pieces(_normal_pairs(K, pairs))
+        grading, spaces, _, _, smash, *_ = pieces
+        for k in range(1, K.m + 1):
+            for support in combinations(range(1, K.m + 1), k):
+                on = [spaces[grading[j - 1]] for j in support]
+                if not all(isinstance(x, Point) for x, _ in on) or all(isinstance(a, Point) for _, a in on):
+                    continue
+                sub = reference_full_subcomplex(K, support)
+                dims = reference_wedge_of_spheres_type(sub)
+                shapes[_dims_shape(dims)] += 1
+                resolved = _bracket_rule(K, pieces, support)
+                used = sorted({grading[j - 1] for j in support})
+                for _ in range(2):
+                    q = tuple(rng.randint(1, 2) if p in used else 0 for p in range(len(spaces)))
+                    c = _susp(smash(q))
+                    want = _loop(_map_from_susp(sub, c), 1)
+                    if resolved is None:
+                        assert want == POINT and dims == (), (K, support)
+                        continue
+                    got = resolved[1](q, tuple(filter(None, q)))
+                    assert got == want, (K, support, q)
+                    if dims is not None:
+                        loops = [c if d < 0 else _loop(c, d + 1) for d in dims]
+                        assert got == _loop(_plan(Product, loops)([1] * len(loops)), 1), (K, support, q)
+    assert len(shapes) == 6 and min(shapes.values()) >= 5, shapes
 
 
 # ---------------------------------------------------------------------------
