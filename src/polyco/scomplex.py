@@ -26,9 +26,12 @@ Conventions
 * Face tests, full subcomplexes and the wedge-of-spheres certificates list
   no faces.  The certificates are shiftedness up to relabeling, and flag
   with chordal 1-skeleton, tested by elimination: deleting vertices that
-  lie in one facet each empties K (:func:`_chordal_flag`).  The strong-
-  collapse core and that elimination share one vertex-deletion step
-  (:func:`_delete_vertex`).
+  lie in one facet each empties K (:func:`_chordal_flag`).  The shifted
+  test sorts the vertices by "can stand in for" and stops at the first
+  pair where neither can; a shifted K's spheres are read off its facets,
+  one per facet that avoids the first vertex, so only the chordal flag
+  certificate reads homology.  The strong-collapse core and that
+  elimination share one vertex-deletion step (:func:`_delete_vertex`).
 """
 
 from __future__ import annotations
@@ -477,9 +480,26 @@ def is_shifted(K: SimplicialComplex) -> bool:
     as the comparison, and the labeling is verified on consecutive pairs
     only, which by transitivity covers every pair.  If K is shifted for
     some labeling the relation is a total preorder, so the sort is sound
-    and the check passes; else some consecutive pair fails.  Facets are
-    bitmasks (bit v for vertex v), and faces are never listed.
+    and the check passes; else some consecutive pair fails.  A total
+    preorder compares every pair: in a shifted labeling the earlier of two
+    vertices stands in for the later.  So the sort stops, with "not
+    shifted", at the first pair it meets where neither vertex can stand in
+    for the other.  Facets are bitmasks (bit v for vertex v), and faces are
+    never listed.  The bool front of :func:`_shifted_first`.
     """
+    return _shifted_first(K) is not None
+
+
+class _Incomparable(Exception):
+    """Two vertices neither of which can stand in for the other: K is not
+    shifted under any labeling, and the sort in :func:`_shifted_first`
+    stops."""
+
+
+def _shifted_first(K: SimplicialComplex) -> int | None:
+    """The first vertex of a shifted labeling of K, one that can stand in
+    for every vertex, or None when no relabeling makes K shifted (see
+    :func:`is_shifted`)."""
     star = _index(K).star
     known: dict[tuple[int, int], bool] = {}
 
@@ -491,10 +511,20 @@ def is_shifted(K: SimplicialComplex) -> bool:
             r = known[u, v] = all(_is_face(g, star) for g in swaps)
         return r
 
+    def before(u: int, v: int) -> int:  # -1: u strictly before v
+        if replaceable(v, u):
+            return 0
+        if not replaceable(u, v):
+            raise _Incomparable
+        return -1
+
     # a first guess, so that the sort meets long runs: more facets first
     guess = sorted(range(1, K.m + 1), key=lambda v: -len(star.get(v, ())))
-    order = sorted(guess, key=cmp_to_key(lambda u, v: 0 if replaceable(v, u) else -1))
-    return all(replaceable(u, v) for u, v in pairwise(order))
+    try:
+        order = sorted(guess, key=cmp_to_key(before))
+    except _Incomparable:
+        return None
+    return order[0] if all(replaceable(u, v) for u, v in pairwise(order)) else None
 
 
 def _chordal_flag(K: SimplicialComplex) -> bool:
@@ -523,27 +553,45 @@ def _chordal_flag(K: SimplicialComplex) -> bool:
 
 @lru_cache(maxsize=None)
 def wedge_of_spheres_type(K: SimplicialComplex) -> tuple[int, ...] | None:
-    """Sphere dimensions of |K| when a certificate applies, else None.
+    """Sphere dimensions of |K|, sorted, when a certificate applies, else
+    None; a contractible certified K gives ().  The certificates, in the
+    order they are tried:
 
-    Certified classes: shifted complexes (up to relabeling), 0-dimensional
-    complexes, simplices, and flag complexes with chordal 1-skeleton, the
-    last tested by elimination (:func:`_chordal_flag`).  For a
-    certified K, rank r in reduced degree d contributes r copies of S^d;
-    a contractible certified K gives ().  The empty complex (no vertices)
-    realizes to the empty space, reported as the formal sphere S^{-1} so that
-    mapping out of its suspension S^0 stays an identity.
+    * The empty complex (no vertices) realizes to the empty space, reported
+      as the formal sphere S^{-1} so that mapping out of its suspension S^0
+      stays an identity: (-1,).
+    * n points (dimension 0) are a wedge of n - 1 copies of S^0.
+    * A simplex is contractible: ().
+    * Shifted up to relabeling, with first vertex t (:func:`_shifted_first`):
+      one S^{dim F} per facet F that avoids t (Björner-Kalai, "An extended
+      Euler-Poincaré theorem", Acta Math. 161, 1988).  Proof: t can stand
+      in for every vertex, so for a facet F that avoids t each F - x + t is
+      a face, and the boundary of F lies in the star of t.  Every face G
+      that avoids t and is not a facet lies in the link of t: G lies in a
+      face G + w, and G + t is that face or its swap of w for t.  So K is
+      the star of t, a cone, with each such F attached along its boundary:
+      K ~ V S^{dim F}.
+    * Flag with chordal 1-skeleton, tested by elimination
+      (:func:`_chordal_flag`): rank r of :func:`homology` in reduced degree
+      d gives r copies of S^d.  Its strong-collapse core is one vertex per
+      component, so nothing is reduced.
+
+    Only the chordal flag certificate reads :func:`homology`; the others
+    read their spheres off the facets.
     """
-    if K.dim() < 0:
+    top = K.dim()
+    if top < 0:
         return (-1,)
-    certified = (
-        K.dim() == 0
-        or K.is_simplex()
-        or is_shifted(K)
-        or _chordal_flag(K)
-    )
-    if not certified:
-        return None
-    return tuple(d for d, r in enumerate(homology(K).ranks) for _ in range(r))
+    if top == 0:
+        return (0,) * (len(K.facets) - 1)
+    if K.is_simplex():
+        return ()
+    t = _shifted_first(K)
+    if t is not None:
+        return tuple(sorted(len(F) - 1 for F in K.facets if t not in F))
+    if _chordal_flag(K):
+        return tuple(d for d, r in enumerate(homology(K).ranks) for _ in range(r))
+    return None
 
 
 # ---------------------------------------------------------------------------

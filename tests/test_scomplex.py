@@ -27,6 +27,7 @@ from polyco.scomplex import (
     _core,
     _faces,
     _reduce,
+    _shifted_first,
     build,
     complex_from_json,
     complex_to_json,
@@ -349,11 +350,11 @@ def random_certificate_complex(rng, m):
     return K
 
 
-def random_shifted_complex(rng, m):
+def random_shifted_complex(rng, m, generators=3):
     # the shifted closure of a few faces, relabeled at random
     faces = {
         tuple(sorted(rng.sample(range(1, m + 1), rng.randint(1, min(m, 4)))))
-        for _ in range(rng.randint(1, 3))
+        for _ in range(rng.randint(1, generators))
     }
     todo = list(faces)
     while todo:
@@ -366,6 +367,40 @@ def random_shifted_complex(rng, m):
                     todo.append(g)
     perm = rng.sample(range(1, m + 1), m)
     return build(m, [[perm[v - 1] for v in f] for f in faces])
+
+
+def test_wedge_type_reads_the_facets_like_the_homology_it_replaces():
+    # the shifted, dim-0 and simplex certificates read their spheres off the
+    # facets: the same dimensions as homology's ranks, and no homology call
+    rng = random.Random(3636)
+    seen = {"shifted": 0, "dim 0": 0, "simplex": 0, "ghost": 0}
+    seen.update({f"avoids t, dim {d}": 0 for d in range(4)})
+    for i in range(1200):
+        m = rng.randint(1, 9)
+        covered = rng.sample(range(1, m + 1), rng.randint(1, m))
+        if i % 6 == 0:
+            K = build(m, [[v] for v in covered])
+        elif i % 6 == 1:
+            K = build(m, [covered])
+        else:
+            K = random_shifted_complex(rng, m, generators=5)
+        before = homology.cache_info()
+        got = wedge_of_spheres_type.__wrapped__(K)  # uncached
+        assert homology.cache_info() == before, K
+        assert got == tuple(d for d, r in enumerate(homology(K).ranks) for _ in range(r)), K
+        if K.dim() == 0:
+            seen["dim 0"] += 1
+        elif K.is_simplex():
+            seen["simplex"] += 1
+        else:
+            t = _shifted_first(K)
+            assert t is not None, K
+            seen["shifted"] += 1
+            for F in K.facets:
+                if t not in F and len(F) <= 4:
+                    seen[f"avoids t, dim {len(F) - 1}"] += 1
+        seen["ghost"] += bool(uncovered(K))
+    assert seen["shifted"] >= 300 and min(seen.values()) >= 40, seen
 
 
 def test_is_shifted_matches_permutation_search():
