@@ -24,14 +24,15 @@ Conventions
   gcd division otherwise.  Torsion is invisible by design: the downstream
   series oracles are rational.
 * Face tests, full subcomplexes and the wedge-of-spheres certificates list
-  no faces.  The certificates are shiftedness up to relabeling, and flag
-  with chordal 1-skeleton, tested by elimination: deleting vertices that
-  lie in one facet each empties K (:func:`_chordal_flag`).  The shifted
-  test sorts the vertices by "can stand in for" and stops at the first
-  pair where neither can; a shifted K's spheres are read off its facets,
-  one per facet that avoids the first vertex, so only the chordal flag
-  certificate reads homology.  The strong-collapse core and that
-  elimination share one vertex-deletion step (:func:`_delete_vertex`).
+  no faces, and no certificate reads homology: each reads its spheres off
+  K.  They are tried in order: dimension <= 0; flag with chordal
+  1-skeleton, tested by elimination, deleting vertices that lie in one
+  facet each until K is empty, one S^0 per component past the first
+  (:func:`_chordal_flag`); shiftedness up to relabeling, one sphere per
+  facet that avoids the first vertex.  The shifted test sorts the vertices
+  by "can stand in for" and stops at the first pair where neither can.
+  The strong-collapse core and the elimination share one vertex-deletion
+  step (:func:`_delete_vertex`).
 """
 
 from __future__ import annotations
@@ -527,9 +528,10 @@ def _shifted_first(K: SimplicialComplex) -> int | None:
     return order[0] if all(replaceable(u, v) for u, v in pairwise(order)) else None
 
 
-def _chordal_flag(K: SimplicialComplex) -> bool:
-    """Whether K is a flag complex with chordal 1-skeleton, by elimination:
-    a vertex that lies in exactly one facet is deleted until K is empty.
+def _chordal_flag(K: SimplicialComplex) -> int:
+    """The number of components of K when K is a flag complex with chordal
+    1-skeleton, else 0, by elimination: a vertex that lies in exactly one
+    facet is deleted until K is empty.
 
     In a flag complex with chordal 1-skeleton a simplicial vertex v exists
     (Dirac), and its closed neighbourhood, a clique, is a face and so its
@@ -537,31 +539,48 @@ def _chordal_flag(K: SimplicialComplex) -> bool:
     simplicial and lies in no minimal non-face of size >= 3.  Both
     properties pass to full subcomplexes, so the order of deletion does not
     matter.  A ghost vertex is a minimal non-face of size 1: K is then not
-    flag.  Faces are never listed.
+    flag.  Nor is K chordal flag when no vertex lies in one facet or the
+    elimination gets stuck.  Deleting a vertex in one facet keeps that
+    facet's lowest other vertex (:func:`_delete_vertex`), so a component
+    ends at exactly one deletion, that of a vertex whose one facet is the
+    vertex itself.  Faces are never listed.
     """
     index = _index(K).star
     todo = [v for v, s in index.items() if len(s) == 1]
     if len(index) < K.m or not todo:
-        return False
+        return 0
     star = {v: set(s) for v, s in index.items()}
+    components = 0
     while todo:
         v = todo.pop()
-        if len(star.get(v, ())) == 1:
+        s = star.get(v, ())
+        if len(s) == 1:
+            components += s == {1 << v}
             todo += _delete_vertex(star, v)
-    return not star
+    return 0 if star else components
 
 
 @lru_cache(maxsize=None)
 def wedge_of_spheres_type(K: SimplicialComplex) -> tuple[int, ...] | None:
     """Sphere dimensions of |K|, sorted, when a certificate applies, else
-    None; a contractible certified K gives ().  The certificates, in the
-    order they are tried:
+    None; a contractible certified K gives ().  Each certificate reads its
+    spheres off K itself, and none calls :func:`homology`.  In the order
+    they are tried:
 
     * The empty complex (no vertices) realizes to the empty space, reported
       as the formal sphere S^{-1} so that mapping out of its suspension S^0
       stays an identity: (-1,).
-    * n points (dimension 0) are a wedge of n - 1 copies of S^0.
-    * A simplex is contractible: ().
+    * n points (dimension 0) are a wedge of n - 1 copies of S^0.  The
+      chordal flag test below covers them too, but each of its deletions
+      rewrites m-bit facet masks, so on n points it takes time quadratic in
+      n, where this count is linear.
+    * Flag with chordal 1-skeleton with c components (:func:`_chordal_flag`):
+      c - 1 copies of S^0.  Each component is contractible.  A component
+      that is not a point has a simplicial vertex v (Dirac), which lies in
+      one facet F with F - v nonempty.  The component is then its full
+      subcomplex without v with the simplex F attached along its face
+      F - v, so deleting v keeps the homotopy type, and what is left is
+      again flag with chordal 1-skeleton, down to one point.
     * Shifted up to relabeling, with first vertex t (:func:`_shifted_first`):
       one S^{dim F} per facet F that avoids t (Björner-Kalai, "An extended
       Euler-Poincaré theorem", Acta Math. 161, 1988).  Proof: t can stand
@@ -571,26 +590,23 @@ def wedge_of_spheres_type(K: SimplicialComplex) -> tuple[int, ...] | None:
       face G + w, and G + t is that face or its swap of w for t.  So K is
       the star of t, a cone, with each such F attached along its boundary:
       K ~ V S^{dim F}.
-    * Flag with chordal 1-skeleton, tested by elimination
-      (:func:`_chordal_flag`): rank r of :func:`homology` in reduced degree
-      d gives r copies of S^d.  Its strong-collapse core is one vertex per
-      component, so nothing is reduced.
 
-    Only the chordal flag certificate reads :func:`homology`; the others
-    read their spheres off the facets.
+    A simplex needs no branch of its own: with every vertex covered it is
+    chordal flag with one component, and with ghost vertices it is shifted
+    with no facet avoiding t; both read ().  Where two certificates apply
+    they agree, as the spheres of a wedge of spheres are fixed by its
+    reduced homology.
     """
     top = K.dim()
     if top < 0:
         return (-1,)
     if top == 0:
         return (0,) * (len(K.facets) - 1)
-    if K.is_simplex():
-        return ()
+    if components := _chordal_flag(K):
+        return (0,) * (components - 1)
     t = _shifted_first(K)
     if t is not None:
         return tuple(sorted(len(F) - 1 for F in K.facets if t not in F))
-    if _chordal_flag(K):
-        return tuple(d for d, r in enumerate(homology(K).ranks) for _ in range(r))
     return None
 
 

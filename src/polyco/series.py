@@ -44,6 +44,7 @@ from .spacexpr import (
     Sphere,
     Susp,
     Wedge,
+    _loop,
     conn,
     normalize,
     render,
@@ -292,32 +293,28 @@ def _loop_sphere_series(n: int, k: int, N: int) -> SeriesOrUnsupported:
 
 def series_of(e: SpaceExpr, N: int) -> SeriesOrUnsupported:
     """Evaluate the homology series of an expression through degree N:
-    normalize, then the memoized evaluator _series_memo."""
-    return _series_memo(normalize(e), _degree(N))
-
-
-@lru_cache(maxsize=1024)
-def _series_memo(e: SpaceExpr, N: int) -> SeriesOrUnsupported:
-    """_series on an expression in normal form, memoized: both result types
-    are frozen.  Callers whose expressions are normal by construction (the
-    factors of a Decomposition) call it directly; anything else goes
-    through series_of."""
-    return _series(e, N)
+    normalize, then the one memoized evaluator _series."""
+    return _series(normalize(e), _degree(N))
 
 
 @lru_cache(maxsize=1024)
 def _log_memo(e: SpaceExpr, N: int) -> tuple[int, ...] | Unsupported:
-    """The log-derivative of _series_memo(e, N), memoized as it is, or its
+    """The log-derivative of _series(e, N), memoized as it is, or its
     Unsupported value.  A miss on e with conn(e) >= N gives 0, the series 1
     through N, exact as conn is a lower bound (Hurewicz): so such a factor
     reads 1 even where series_of has no rule for it."""
     if conn(e) >= N:
         return (0,) * (N + 1)
-    p = _series_memo(e, N)
+    p = _series(e, N)
     return p if isinstance(p, Unsupported) else p.log_derivative()
 
 
+@lru_cache(maxsize=1024)
 def _series(e: SpaceExpr, N: int) -> SeriesOrUnsupported:
+    """The series of an expression in normal form through degree N, memoized:
+    both result types are frozen.  A compound's children and a looped wedge
+    summand are normal too, so they come through the same memo; anything
+    not normal by construction goes through series_of."""
     if isinstance(e, Point):
         return PoincareSeries.one(N)
 
@@ -403,7 +400,7 @@ def _loop_series(e: Loop, N: int) -> SeriesOrUnsupported:
                     f"free-product rule needs simply connected summands, "
                     f"{render(child)} has connectivity {b}"
                 )
-            p = series_of(Loop(child), N)
+            p = _series(_loop(child, 1), N)
             if isinstance(p, Unsupported):
                 return Unsupported(f"loop of wedge summand {render(child)}: {p.reason}")
             inverse = inverse + k * (p.invert() - one)

@@ -1,0 +1,134 @@
+"""Committed mutants of ``src``: each row is a small edit that the test suite
+must notice, with the tests that must fail under it.
+
+    python tests/mutants.py [NAME ...]
+
+For each named row (every row when none is named), ``src`` is copied to a
+temporary directory and the row's old text, which must occur there exactly
+once, is replaced by its new text.  The row's tests then run on that copy in
+a pytest subprocess.  A mutant survives when any of its tests passes; the
+survivors are listed, and the exit status is 1 when there is one.  Standard
+library only.  A change that moves a row's old text updates or retires the
+row (``tests/test_mutants.py`` checks that each old text occurs once).
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, each of which must fail
+
+
+SCOMPLEX, SERIES = "polyco/scomplex.py", "polyco/series.py"
+
+SC, SE, DE, VE = "tests/test_scomplex.py::", "tests/test_series.py::", "tests/test_decomp.py::", "tests/test_verify.py::"
+
+MUTANTS = (
+    Mutant(
+        "first-vertex-is-last", SCOMPLEX,
+        "return order[0] if all(", "return order[-1] if all(",
+        (SC + "test_wedge_type_reads_the_facets_like_the_homology_it_replaces",
+         SC + "test_wedge_type_matches_tuple_based_certificates",
+         DE + "test_factors_assembled_from_dims_match_the_certificate_path"),
+    ),
+    Mutant(
+        "facets-through-t", SCOMPLEX,
+        "if t not in F)", "if t in F)",
+        (SC + "test_wedge_of_spheres_type",
+         SC + "test_certificates_of_large_sparse_complexes_are_fast[boundary_11_simplex]",
+         DE + "test_bbcg_cone_splitting_boundary_triangle"),
+    ),
+    Mutant(
+        "one-way-failure-not-shifted", SCOMPLEX,
+        "        if not replaceable(u, v):\n            raise _Incomparable",
+        "        if not replaceable(v, u):\n            raise _Incomparable",
+        (SC + "test_is_shifted_matches_permutation_search",
+         SC + "test_wedge_type_matches_tuple_based_certificates"),
+    ),
+    Mutant(
+        "one-sphere-per-component", SCOMPLEX,
+        "(0,) * (components - 1)", "(0,) * components",
+        (SC + "test_wedge_of_spheres_type",
+         SC + "test_certificate_chain_matches_the_homology_reference_without_homology",
+         DE + "test_contractible_rule_over_a_face_is_a_point"),
+    ),
+    Mutant(
+        "every-deletion-ends-a-component", SCOMPLEX,
+        "components += s == {1 << v}", "components += 1",
+        (SC + "test_wedge_of_spheres_chordal_flag",
+         SC + "test_certificate_chain_matches_the_homology_reference_without_homology",
+         SC + "test_certificates_of_large_sparse_complexes_are_fast[path]"),
+    ),
+    Mutant(
+        "free-product-child-looped-twice", SERIES,
+        "_series(_loop(child, 1), N)", "_series(_loop(child, 2), N)",
+        (SE + "test_free_product_rule_on_wedge",
+         SE + "test_loops_on_a_wedge_match_the_free_product_of_the_summands",
+         VE + "test_porter_cases"),
+    ),
+)
+
+
+def failures(mutant: Mutant) -> set[str]:
+    """The node ids that fail among the mutant's tests on a copy of src with
+    the mutant applied; raises when the run fails for any other reason."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / mutant.file
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            raise ValueError(f"{mutant.name}: old text occurs {text.count(mutant.old)} times in {mutant.file}")
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+             "-o", f"pythonpath={src}", *mutant.tests],
+            cwd=ROOT, env={**env, "PYTHONDONTWRITEBYTECODE": "1"}, capture_output=True, text=True,
+        )
+    if run.returncode not in (0, 1):  # not "all passed" or "some failed"
+        raise RuntimeError(f"{mutant.name}: pytest exited {run.returncode}\n{run.stdout}{run.stderr}")
+    return set(re.findall(r"^FAILED (\S+)", run.stdout, re.MULTILINE))
+
+
+def survivors(mutants: tuple[Mutant, ...]) -> dict[str, list[str]]:
+    """Each surviving mutant's name, with its tests that still pass."""
+    out = {}
+    for mutant in mutants:
+        failed = failures(mutant)
+        passed = [t for t in mutant.tests if t not in failed]
+        print(f"{'SURVIVED' if passed else 'killed'}  {mutant.name}", flush=True)
+        if passed:
+            out[mutant.name] = passed
+    return out
+
+
+def main(names: list[str]) -> int:
+    rows = {m.name: m for m in MUTANTS}
+    unknown = [n for n in names if n not in rows]
+    if unknown:
+        print(f"unknown mutant: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    left = survivors(tuple(rows[n] for n in names) if names else MUTANTS)
+    for name, passed in left.items():
+        print(f"survivor {name}: {', '.join(passed)} passed")
+    return 1 if left else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -427,7 +427,7 @@ def test_is_flag_matches_minimal_non_faces():
         sizes = {len(f) for f in minimal_non_faces(K)}
         flag = sizes <= {2}
         want = flag and brute_chordal(K)
-        assert _chordal_flag(K) == want, K
+        assert bool(_chordal_flag(K)) == want, K
         seen["flag" if flag else "not flag"] += 1
         seen["chordal flag"] += want
         seen["ghost"] += 1 in sizes
@@ -468,7 +468,7 @@ def test_wedge_type_matches_tuple_based_certificates():
         want = reference_wedge_of_spheres_type(K)
         assert wedge_of_spheres_type(K) == want, K
         assert is_shifted(K) == reference_is_shifted(K), K
-        assert _chordal_flag(K) == (reference_is_flag(K) and brute_chordal(K)), K
+        assert bool(_chordal_flag(K)) == (reference_is_flag(K) and brute_chordal(K)), K
         certified += want is not None
     assert 250 <= certified <= 350, certified
 
@@ -483,11 +483,11 @@ def test_chordality_matches_induced_cycle_search():
         ]
         K = build(m, faces)
         chordal = brute_chordal(K)
-        assert _chordal_flag(K) == (reference_is_flag(K) and chordal), K
+        assert bool(_chordal_flag(K)) == (reference_is_flag(K) and chordal), K
         # the clique complex of the same graph, every vertex covered, is flag
         edges = {f for f in K.faces() if len(f) == 2}
         cliques = [c for c in powerset(range(1, m + 1)) if c and all(e in edges for e in combinations(c, 2))]
-        assert _chordal_flag(build(m, cliques)) == chordal, K
+        assert bool(_chordal_flag(build(m, cliques))) == chordal, K
 
 
 def test_wedge_of_spheres_type():
@@ -1069,7 +1069,7 @@ def test_certificates_match_face_enumerating_references_on_seeded_families():
         flag = reference_is_flag(K)
         chordal_flag = flag and brute_chordal(K)
         assert is_shifted(K) == shifted, K
-        assert _chordal_flag(K) == chordal_flag, K
+        assert bool(_chordal_flag(K)) == chordal_flag, K
         assert wedge_of_spheres_type.__wrapped__(K) == reference_wedge_of_spheres_type(K), K
         seen["shifted" if shifted else "not shifted"] += 1
         seen["flag" if flag else "not flag"] += 1
@@ -1086,3 +1086,69 @@ def test_certificates_match_face_enumerating_references_on_seeded_families():
         for I in powerset(range(1, K.m + 1)):
             if I:
                 assert full_subcomplex(K, I) == reference_full_subcomplex(K, I), (K, I)
+
+
+def chain_families(rng, n):
+    """n seeded complexes for the certificate chain, on m <= 9, each family
+    with and without ghost vertices: trees, forests and paths; clique
+    complexes of chordal graphs; points; simplices; shifted closures; and
+    random complexes, beside RP^2 and the cone on the square."""
+    out = [RP2, relabeled(rng, RP2, 8), build(5, [[1, 2, 5], [2, 3, 5], [3, 4, 5], [1, 4, 5]]), square()]
+    while len(out) < n:
+        kind, ghosts = len(out) % 8, len(out) // 8 % 2
+        k = rng.randint(1, 9 - 2 * ghosts)
+        m = k + ghosts * rng.randint(1, 2)
+        if kind == 0:  # a tree, or a forest when a vertex starts a new part
+            forest = rng.random() < 0.5
+            faces = [[v] if forest and rng.random() < 0.3 else [rng.randint(1, v - 1), v] for v in range(2, k + 1)]
+            K = build(k, [[1]] + faces)
+        elif kind == 1:  # a path
+            K = build(k, [[1]] + [[v, v + 1] for v in range(1, k)])
+        elif kind == 2:  # a chordal graph's clique complex: each vertex joins part of a clique
+            cliques = [(1,)]
+            for v in range(2, k + 1):
+                c = rng.choice(cliques)
+                cliques.append(tuple(rng.sample(c, rng.randint(0, len(c)))) + (v,))
+            K = build(k, cliques)
+        elif kind == 3:  # points
+            K = build(k, [[v] for v in range(1, k + 1)])
+        elif kind == 4:
+            K = simplex(k)
+        elif kind == 5:
+            K = random_shifted_complex(rng, k)
+        else:
+            K = random_certificate_complex(rng, k)
+        out.append(relabeled(rng, K, m))
+    return out
+
+
+def test_certificate_chain_matches_the_homology_reference_without_homology():
+    rng = random.Random(3737)
+    seen = {"chordal flag": 0, "several components": 0, "shifted only": 0, "ghost": 0,
+            "dim 0": 0, "simplex": 0, "uncertified": 0}
+    for K in chain_families(rng, 2000):
+        want = reference_wedge_of_spheres_type(K)
+        chordal_flag = reference_is_flag(K) and brute_chordal(K)
+        parts = {v: v for v in K.vertices()}
+
+        def find(v):
+            while parts[v] != v:
+                v = parts[v]
+            return v
+
+        for f in K.facets:
+            for v in f[1:]:
+                parts[find(v)] = find(f[0])
+        components = len({find(v) for v in parts})
+        before = homology.cache_info()
+        assert wedge_of_spheres_type.__wrapped__(K) == want, K
+        assert _chordal_flag(K) == (components if chordal_flag else 0), K
+        assert homology.cache_info() == before, K
+        seen["chordal flag"] += chordal_flag
+        seen["several components"] += chordal_flag and components > 1
+        seen["shifted only"] += not chordal_flag and K.dim() > 0 and reference_is_shifted(K)
+        seen["ghost"] += len(parts) < K.m
+        seen["dim 0"] += K.dim() == 0
+        seen["simplex"] += K.dim() > 0 and len(K.facets) == 1
+        seen["uncertified"] += want is None
+    assert min(seen.values()) >= 100, seen

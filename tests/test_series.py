@@ -21,7 +21,7 @@ from polyco.series import (
     Unsupported,
     _em_product_series,
     _log_memo,
-    _series_memo,
+    _series,
     series_of,
     tensor_algebra_series,
 )
@@ -313,10 +313,10 @@ def test_log_derivatives_round_trip_and_match_the_dense_reference():
     assert PoincareSeries.from_log_derivative([0, 1, 1, 1, 1], 4) == PoincareSeries.from_ints([1] * 5)
     assert PoincareSeries.from_log_derivative([], 2) == one(2)
     # the memo next to the series memo is bounded too, and keeps Unsupported as it is
-    assert _log_memo.cache_info().maxsize == _series_memo.cache_info().maxsize == 1024
+    assert _log_memo.cache_info().maxsize == _series.cache_info().maxsize == 1024
     e = Loop(S(4), 2)  # in normal form, as the factors of a decomposition are
     assert _log_memo(e, 12) == series_of(e, 12).log_derivative()
-    assert _log_memo(S(0), 5) == _series_memo(S(0), 5) and isinstance(_log_memo(S(0), 5), Unsupported)
+    assert _log_memo(S(0), 5) == _series(S(0), 5) and isinstance(_log_memo(S(0), 5), Unsupported)
 
 
 def test_log_derivatives_need_unit_series():
@@ -348,7 +348,7 @@ def test_em_product_series_matches_multiply_invert():
 
 
 def test_series_memo_is_bounded_and_agrees_with_fresh_evaluation():
-    assert _series_memo.cache_info().maxsize is not None
+    assert _series.cache_info().maxsize is not None
     rng = random.Random(4343)
     exprs = [random_expr(rng) for _ in range(200)]
     warm = []
@@ -357,7 +357,7 @@ def test_series_memo_is_bounded_and_agrees_with_fresh_evaluation():
             warm.append(series_of(e, 6))
         except ValueError:
             warm.append(None)
-    _series_memo.cache_clear()
+    _series.cache_clear()
     for e, before in zip(exprs, warm):
         if before is not None:
             assert series_of(e, 6) == before
