@@ -106,7 +106,9 @@ from .spacexpr import (
     Sphere,
     Susp,
     Wedge,
+    _atom,
     _loop,
+    _loop_node,
     _map_from_dims,
     _plan,
     _susp,
@@ -287,21 +289,23 @@ class Factor(NamedTuple):
 
 def _provenance_text(p: object, labels: dict) -> str:
     # labels: the piece labels "{1,2}:" of each support, for all its entries
-    if isinstance(p, BracketGroup):
-        if (heads := labels.get(p.support)) is None:
-            heads = labels[p.support] = ["{" + ",".join(map(str, piece)) + "}:" for piece in p.pieces]
-        return f"group w={p.weight} " + " ".join(h + str(n) for h, n in zip(heads, p.counts))
+    if type(p) is BracketGroup:
+        w, support, pieces, counts = p
+        if (heads := labels.get(support)) is None:
+            heads = labels[support] = ["{" + ",".join(map(str, piece)) + "}:" for piece in pieces]
+        return f"group w={w} " + " ".join([h + str(n) for h, n in zip(heads, counts)])
     if isinstance(p, int):
         return f"vertex {p}"
     return str(p)
 
 
 def _provenance_json(p: object, shared: dict) -> dict:
-    # shared: the support and piece lists of each support, for all its entries
-    if isinstance(p, BracketGroup):
-        if p.support not in shared:
-            shared[p.support] = {"support": list(p.support), "pieces": [*map(list, p.pieces)]}
-        return {"kind": "group", "weight": p.weight, **shared[p.support], "counts": list(p.counts)}
+    # shared: the (support list, pieces list) of each support, for all its entries
+    if type(p) is BracketGroup:
+        w, support, pieces, counts = p
+        if (lists := shared.get(support)) is None:
+            lists = shared[support] = list(support), [*map(list, pieces)]
+        return {"kind": "group", "weight": w, "support": lists[0], "pieces": lists[1], "counts": list(counts)}
     if isinstance(p, int):
         return {"kind": "vertex", "vertex": p}
     return {"kind": "base"}
@@ -373,24 +377,25 @@ class Decomposition:
         memo: dict = {}  # one walk over all factors, which share their pieces
         labels: dict = {}
         lines = [head]
-        for f in self.factors:
-            mult = f" ^{f.multiplicity}" if f.multiplicity > 1 else ""
-            where = _provenance_text(f.provenance, labels)
-            lines.append(f"  {expr_forms(f.expr, memo)[1]}{mult}   [{where}]")
+        for e, n, p in self.factors:
+            text = (memo.get(id(e)) or expr_forms(e, memo))[1]
+            mult = f" ^{n}" if n > 1 else ""
+            lines.append(f"  {text}{mult}   [{_provenance_text(p, labels)}]")
         return "\n".join(lines)
 
     def to_json(self) -> dict:
         """The listing as JSON data, from one walk over all factors (expr_forms).
         The result shares its parts, so it is read-only: entries share one
         factor object's "expr" and one support's lists, and factors share
-        the dicts of their common subtrees."""
+        the dicts of their common subtrees.  An entry is unpacked once and
+        looks the walk memo up first."""
         memo: dict = {}
         shared: dict = {}
         factors = []
-        for f in self.factors:
-            expr, text = expr_forms(f.expr, memo)
-            factors.append({"expr": expr, "text": text, "multiplicity": f.multiplicity,
-                            "provenance": _provenance_json(f.provenance, shared)})
+        for e, n, p in self.factors:
+            expr, text = memo.get(id(e)) or expr_forms(e, memo)
+            factors.append({"expr": expr, "text": text, "multiplicity": n,
+                            "provenance": _provenance_json(p, shared)})
         return {"theorem": self.theorem, "truncation": self.truncation,
                 "degree_bound": self.degree_bound, "factors": factors}
 
@@ -459,11 +464,13 @@ def _class_factors(counts, grading: Sequence[int], rule, candidates) -> list[Fac
     runs once per distinct (shape, q), with l the nonzero entries of q,
     found once per (weight, type, q).  The order is the counter's, by
     weight, then q descending, then support type descending, and within a
-    type by support.  Factors that are points are dropped.
+    type by support.  Factors that are points are dropped.  An entry's
+    Factor and BracketGroup are made by tuple.__new__, fields in order.
     """
     listed: dict[tuple[int, ...], list] = {}  # type -> what the rule keeps, by support
     made: dict[object, SpaceExpr] = {}
     out: list[Factor] = []
+    new = tuple.__new__
     for (w, s, q), n in counts.items():
         if (kept := listed.get(s)) is None:
             kept = listed[s] = []
@@ -479,7 +486,7 @@ def _class_factors(counts, grading: Sequence[int], rule, candidates) -> list[Fac
             if (expr := made.get(key := (shape, q))) is None:
                 expr = made[key] = build(q, l)
             if not isinstance(expr, Point):
-                out.append(Factor(expr, n, BracketGroup(w, support, pieces, l)))
+                out.append(new(Factor, (expr, n, new(BracketGroup, (w, support, pieces, l)))))
     return out
 
 
@@ -591,7 +598,7 @@ def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
     applies, for piece content q with nonzero entries l; shape and q are all
     that it depends on.  A mixed support lists no faces: its atom's
     connectivity needs only dim K_S + 1, the most support vertices in one
-    facet (max_trace).
+    facet (max_trace); its atom and loop are made past their checks.
 
     For contractible domains K_S is read off K's facet bitmasks (_full_sub),
     which finds a face support without building it, and looked up in the
@@ -625,9 +632,10 @@ def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
         shape = sub if dims is None else dims
     else:
         # mixed endpoint data (one piece per vertex, so l is the vertex content): stay symbolic
-        name = "ŝ-coprod[K_{" + ",".join(map(str, support)) + "}; weights "
+        name = "ŝ-coprod[K_{" + ",".join(map(str, support)) + "}; weights ["
         top = max_trace(K, support)
-        return name, lambda q, l: _loop(Atom(f"{name}{list(l)}]", max(0, sum(l) - top)), 1)
+        return name, lambda q, l: _loop_node(
+            _atom(name + ", ".join(map(str, l)) + "]]", max(0, sum(l) - top)), 1)
 
     def build(q, l):
         if (susp := suspended.get(q)) is None:

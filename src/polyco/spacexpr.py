@@ -38,10 +38,12 @@ never walks a tree a second time.  _plan does a compound rule's
 flattening, merging and sorting once for a fixed list of normal pieces and
 returns a build over their powers, so that the many wedges, products or
 smashes of those pieces taken with different powers only sum powers.
-The helpers make their wedges, products, smashes and loops directly, past
-the checks and the merge scan of the public constructors, since what they
-build from is normal; the public constructors check and merge raw trees,
-and they are how raw input, expr_from_json's included, comes in.
+The helpers make their nodes through one maker per class (_sphere,
+_susp_node, _loop_node, _Compound._normal; _atom for the mixed rule's
+atoms), past the checks and the merge scan of the public constructors,
+since what they build from is normal; the public constructors check and
+merge raw trees, and they are how raw input, expr_from_json's included,
+comes in.
 
 render and expr_to_json are the two halves of one walk, expr_forms, which
 builds a node's (JSON, text) pair from its children's pairs and, within one
@@ -165,9 +167,9 @@ class _Compound:
     def _normal(cls, children: tuple, powers: tuple) -> "_Compound":
         # a node made past __post_init__, for _plan's builds: their children
         # are distinct, sorted and merged, and their powers ints >= 1
-        e = object.__new__(cls)
-        object.__setattr__(e, "children", children)
-        object.__setattr__(e, "powers", powers)
+        e = _new(cls)
+        _set_children(e, children)
+        _set_powers(e, powers)
         return e
 
     def __str__(self) -> str:
@@ -225,6 +227,48 @@ class MapFromSusp:
 SpaceExpr = Union[Point, Sphere, Atom, Wedge, Product, Smash, Susp, Loop, MapFromSusp]
 
 POINT = Point()
+
+# the helpers' makers: a node past its class's checks, which its arguments pass
+_new = object.__new__
+_set_children, _set_powers = _Compound.children.__set__, _Compound.powers.__set__
+_set_n, _set_susp_child = Sphere.n.__set__, Susp.child.__set__
+_set_loop_child, _set_count = Loop.child.__set__, Loop.count.__set__
+_set_name, _set_conn = Atom.name.__set__, Atom.connectivity.__set__
+_set_atom_loop, _set_series, _set_contractible = (
+    Atom.loop.__set__, Atom.series.__set__, Atom.contractible.__set__)
+
+
+def _sphere(n: int) -> Sphere:
+    """Sphere(n) for an int n >= 0: 0, a sum of degrees, or a degree plus one."""
+    e = _new(Sphere)
+    _set_n(e, n)
+    return e
+
+
+def _susp_node(c: SpaceExpr) -> Susp:
+    """Susp(c), which checks nothing, for c normal and not a point or a sphere."""
+    e = _new(Susp)
+    _set_susp_child(e, c)
+    return e
+
+
+def _loop_node(c: SpaceExpr, k: int) -> Loop:
+    """Loop(c, k) for an int k >= 1 and a normal c that no loop rule rewrites."""
+    e = _new(Loop)
+    _set_loop_child(e, c)
+    _set_count(e, k)
+    return e
+
+
+def _atom(name: str, connectivity: int) -> Atom:
+    """Atom(name, connectivity) for an int connectivity, with no series to check."""
+    e = _new(Atom)
+    _set_name(e, name)
+    _set_conn(e, connectivity)
+    _set_atom_loop(e, None)
+    _set_series(e, None)
+    _set_contractible(e, False)
+    return e
 
 
 _RANK = {
@@ -318,7 +362,7 @@ def _plan(cls, normal: Sequence[SpaceExpr]):
             plan[-1][1].append((i, p))
         else:
             plan.append((c, [(i, p)]))
-    empty = Sphere(0) if smash else POINT
+    empty = _sphere(0) if smash else POINT
 
     def build(q: Sequence[int]) -> SpaceExpr:
         if points and any(q[i] for i in points):
@@ -328,7 +372,7 @@ def _plan(cls, normal: Sequence[SpaceExpr]):
         for i, d in spheres:
             total += q[i] * d
         if total:
-            kids.append(Sphere(total))
+            kids.append(_sphere(total))
             powers.append(1)
         for c, use in plan:
             k = 0
@@ -358,10 +402,7 @@ def _loop(c: SpaceExpr, k: int) -> SpaceExpr:
     if isinstance(c, Atom) and c.loop is not None:
         once = normalize(c.loop)
         return once if k == 1 else _loop(once, k - 1)
-    e = object.__new__(Loop)  # past __post_init__: k >= 1 by construction
-    object.__setattr__(e, "child", c)
-    object.__setattr__(e, "count", k)
-    return e
+    return _loop_node(c, k)  # k >= 1 by construction
 
 
 def _susp(c: SpaceExpr) -> SpaceExpr:
@@ -369,8 +410,8 @@ def _susp(c: SpaceExpr) -> SpaceExpr:
     if isinstance(c, Point):
         return POINT
     if isinstance(c, Sphere):
-        return Sphere(c.n + 1)
-    return Susp(c)
+        return _sphere(c.n + 1)
+    return _susp_node(c)
 
 
 def _map_from_susp(K: SimplicialComplex, c: SpaceExpr) -> SpaceExpr:

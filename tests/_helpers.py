@@ -15,7 +15,6 @@ from polyco.decomp import (
     Factor,
     _base_factors,
     _normal_pairs,
-    _provenance_json,
     _provenance_text,
 )
 from polyco.liealg import (
@@ -433,6 +432,22 @@ def recursive_expr_to_json(e: SpaceExpr) -> dict:
     raise TypeError(f"not a space expression: {e!r}")
 
 
+def reference_provenance_text(p: object) -> str:
+    """An entry's provenance label, read off its fields from scratch."""
+    if isinstance(p, BracketGroup):
+        labels = [f"{{{','.join(str(j) for j in piece)}}}:{n}" for piece, n in zip(p.pieces, p.counts)]
+        return f"group w={p.weight} {' '.join(labels)}"
+    return f"vertex {p}" if isinstance(p, int) else str(p)
+
+
+def reference_provenance_json(p: object) -> dict:
+    """An entry's provenance JSON, read off its fields from scratch."""
+    if isinstance(p, BracketGroup):
+        return {"kind": "group", "weight": p.weight, "support": list(p.support),
+                "pieces": [list(piece) for piece in p.pieces], "counts": list(p.counts)}
+    return {"kind": "vertex", "vertex": p} if isinstance(p, int) else {"kind": "base"}
+
+
 def recursive_listing_text(dec: Decomposition) -> str:
     """Decomposition.render through recursive_render, factor by factor."""
     total = sum(f.multiplicity for f in dec.factors)
@@ -444,13 +459,12 @@ def recursive_listing_text(dec: Decomposition) -> str:
     lines = [head]
     for f in dec.factors:
         mult = f" ^{f.multiplicity}" if f.multiplicity > 1 else ""
-        lines.append(f"  {recursive_render(f.expr)}{mult}   [{_provenance_text(f.provenance, {})}]")
+        lines.append(f"  {recursive_render(f.expr)}{mult}   [{reference_provenance_text(f.provenance)}]")
     return "\n".join(lines)
 
 
 def recursive_listing_json(dec: Decomposition) -> dict:
     """Decomposition.to_json through recursive_expr_to_json, factor by factor."""
-    shared: dict = {}
     return {
         "theorem": dec.theorem,
         "truncation": dec.truncation,
@@ -460,7 +474,7 @@ def recursive_listing_json(dec: Decomposition) -> dict:
                 "expr": recursive_expr_to_json(f.expr),
                 "text": recursive_render(f.expr),
                 "multiplicity": f.multiplicity,
-                "provenance": _provenance_json(f.provenance, shared),
+                "provenance": reference_provenance_json(f.provenance),
             }
             for f in dec.factors
         ],

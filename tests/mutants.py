@@ -35,8 +35,10 @@ class Mutant(NamedTuple):
 
 
 SCOMPLEX, SERIES = "polyco/scomplex.py", "polyco/series.py"
+DECOMP, SPACEXPR = "polyco/decomp.py", "polyco/spacexpr.py"
 
 SC, SE, DE, VE = "tests/test_scomplex.py::", "tests/test_series.py::", "tests/test_decomp.py::", "tests/test_verify.py::"
+GOLDEN = "tests/golden/test_golden.py::test_corpus_matches_its_recorded_digests"
 
 MUTANTS = (
     Mutant(
@@ -80,6 +82,33 @@ MUTANTS = (
         (SE + "test_free_product_rule_on_wedge",
          SE + "test_loops_on_a_wedge_match_the_free_product_of_the_summands",
          VE + "test_porter_cases"),
+    ),
+    Mutant(
+        "mixed-atom-one-more-connected", DECOMP,
+        "max(0, sum(l) - top)", "max(0, sum(l) - top + 1)",
+        (DE + "test_mixed_atom_connectivity_reads_dim_off_the_facets",
+         DE + "test_bracket_rule_matches_the_reference",
+         GOLDEN),
+    ),
+    Mutant(
+        "group-pieces-are-its-support", DECOMP,
+        '"pieces": lists[1]', '"pieces": lists[0]',
+        (DE + "test_listing_forms_match_two_recursive_walks",
+         GOLDEN),
+    ),
+    Mutant(
+        "susp-maker-drops-the-suspension", SPACEXPR,
+        "    _set_susp_child(e, c)\n    return e", "    _set_susp_child(e, c)\n    return c",
+        (DE + "test_each_maker_makes_what_its_checked_constructor_makes",
+         DE + "test_porter_fiber_m2",
+         DE + "test_hilton_milnor_examples",
+         GOLDEN),
+    ),
+    Mutant(
+        "atom-maker-contractible-none", SPACEXPR,
+        "_set_contractible(e, False)", "_set_contractible(e, None)",
+        (DE + "test_each_maker_makes_what_its_checked_constructor_makes",
+         DE + "test_bracket_rule_matches_the_reference"),
     ),
 )
 

@@ -91,15 +91,21 @@ from polyco.spacexpr import (
     Susp,
     Wedge,
     _Compound,
+    _atom,
     _loop,
+    _loop_node,
     _map_from_susp,
+    _new,
     _plan,
+    _sphere,
     _susp,
+    _susp_node,
     conn,
     expr_from_json,
     expr_to_json,
     normalize,
     render,
+    sort_key,
 )
 from polyco.verify import Equal, check_wedge_case
 
@@ -1787,23 +1793,112 @@ def test_helper_built_nodes_are_what_the_public_constructors_make():
 
 
 def test_a_listing_makes_no_node_through_the_checked_constructor(monkeypatch):
-    # the engine builds from normal pieces, so its nodes never need the
-    # public constructors' checks and merge scan
+    # the engine builds from normal pieces, so its spheres, atoms,
+    # suspensions, loops and compounds never need the public constructors'
+    # checks and merge scan
     K = build(5, [[1, 2, 3], [3, 4], [4, 5], [2, 5]])
     spaces = [S(2), T_PRODUCT, U_SMASH, S(2), Wedge((S(3), S(3), S(5)))]
     pairs = PairAssignment.of([(x, a) for x, a in zip(spaces, PARITY_CODOMAINS)])
     contractible = PairAssignment.path_fibrations(spaces)
     calls = []
-    checked = _Compound.__post_init__
-    monkeypatch.setattr(_Compound, "__post_init__", lambda e: (calls.append(e), checked(e))[1])
+    for cls in (Sphere, Atom, Susp, Loop, _Compound):
+        def counted(e, *args, _init=cls.__init__, **kwargs):
+            calls.append(type(e))
+            _init(e, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
     listings = [loop_decompose_wedge(K, spaces, 4), loop_decompose(K, pairs, 3),
                 loop_decompose_contractible(K, contractible, 4), hilton_milnor(spaces, 4)]
     for dec in listings:
         dec.to_json(), dec.render()
     assert all(len(dec.factors) > 20 for dec in listings), [len(dec.factors) for dec in listings]
+    assert any(isinstance(getattr(f.expr, "child", None), Atom) for f in listings[1].factors)  # mixed
     assert calls == []
-    Wedge((S(2), S(2)))  # the patch is live: the public constructor still checks
-    assert len(calls) == 1
+    # the patches are live: the public constructors still check
+    Wedge((S(2), S(2))), Loop(Susp(Atom("A", 1)), 2)
+    assert calls == [Sphere, Sphere, Wedge, Atom, Susp, Loop]
+
+
+def maker_mismatches(sphere, susp, loop, atom) -> tuple[Counter, list[str]]:
+    """(compared per kind, mismatches) of the makers against the public constructors
+    on seeded degrees, names, connectivities and normal children: each made
+    node must be equal, with the same hash, repr, sort_key and conn, and be
+    its own normal form."""
+    rng = random.Random(3829)
+    pairs = []  # (made, constructed)
+    for _ in range(300):
+        n = rng.randint(0, 40)
+        pairs.append((lambda n=n: sphere(n), Sphere(n)))
+        name = "".join(rng.choice("ŝXY[]{},; 0123") for _ in range(rng.randint(1, 12)))
+        c = rng.randint(0, 30)
+        pairs.append((lambda name=name, c=c: atom(name, c), Atom(name, c)))
+        child = normalize(with_repeats(rng, random_expr(rng, 3)))
+        if not isinstance(child, (Point, Sphere)):
+            pairs.append((lambda child=child: susp(child), Susp(child)))
+        looped = isinstance(child, Atom) and child.loop is not None
+        if not (looped or isinstance(child, (Point, Loop, Product))):
+            k = rng.randint(1, 4)
+            pairs.append((lambda child=child, k=k: loop(child, k), Loop(child, k)))
+    compared = Counter(type(want).__name__ for _, want in pairs)
+    bad = []
+    for make, want in pairs:
+        try:
+            got = make()
+            same = (got == want and hash(got) == hash(want) and repr(got) == repr(want)
+                    and sort_key(got) == sort_key(want) and conn(got) == conn(want)
+                    and normalize(got) == got)
+        except AttributeError:  # a slot left unset
+            same = False
+        if not same:
+            bad.append(repr(want))
+    return compared, bad
+
+
+def test_each_maker_makes_what_its_checked_constructor_makes():
+    compared, bad = maker_mismatches(_sphere, _susp_node, _loop_node, _atom)
+    assert min(compared.values()) >= 60 and len(compared) == 4 and bad == [], (compared, bad[:3])
+    # the engine's direct tuples are the named tuples, and every factor
+    # comes back through the public constructors from its JSON
+    groups = 0
+    for dec, _ in parity_decompositions():
+        for f in dec.factors:
+            e, n, p = f
+            assert type(f) is Factor and f == Factor(e, n, p) and f.expr is e
+            if isinstance(p, BracketGroup):
+                assert type(p) is BracketGroup and p == BracketGroup(*p), p
+                assert (p.weight, p.support, p.pieces, p.counts) == tuple(p)
+                groups += 1
+            assert expr_from_json(expr_to_json(e)) == e, render(e)
+    assert groups > 2000
+
+
+def test_a_maker_that_skips_a_slot_is_caught():
+    def sphere_unset(n):
+        return _new(Sphere)
+
+    def susp_unset(c):
+        return _new(Susp)
+
+    def loop_without_count(c, k):
+        e = _new(Loop)
+        Loop.child.__set__(e, c)
+        return e
+
+    def atom_without_series(name, c):
+        e = _new(Atom)
+        for field, value in (("name", name), ("connectivity", c), ("loop", None), ("contractible", False)):
+            getattr(Atom, field).__set__(e, value)
+        return e
+
+    def atom_contractible_none(name, c):
+        e = _atom(name, c)
+        Atom.contractible.__set__(e, None)
+        return e
+
+    makers = {"sphere": _sphere, "susp": _susp_node, "loop": _loop_node, "atom": _atom}
+    for kind, broken in (("sphere", sphere_unset), ("susp", susp_unset), ("loop", loop_without_count),
+                         ("atom", atom_without_series), ("atom", atom_contractible_none)):
+        compared, bad = maker_mismatches(**{**makers, kind: broken})
+        assert len(bad) == compared[kind.capitalize()], (broken.__name__, len(bad))
 
 
 def test_series_product_evaluates_each_normal_factor_as_series_of_does():
@@ -1886,6 +1981,19 @@ DECOMPOSITION_SIZE_GUARD_CASES = {
         lambda: [S(2 + i % 2) for i in range(8000)], 1, 15_999, 2.0,
     ),
 }
+
+
+def test_serializing_a_large_listing_is_fast():
+    # the per-entry path of to_json and render over the 10-cycle's 60,199
+    # entries: each took about 0.2 s; a per-entry cost that grows with the
+    # listing, such as a provenance cache keyed per entry, shows here
+    engine, make_complex, make_data, W, entries, seconds = DECOMPOSITION_SIZE_GUARD_CASES["cycle_10_contractible_w6"]
+    dec = engine(make_complex(), make_data(), W)
+    assert len(dec.factors) == entries
+    for serialize in (dec.to_json, dec.render):
+        start = time.process_time()
+        serialize()
+        assert time.process_time() - start < seconds, serialize.__name__
 
 
 @pytest.mark.parametrize("name", list(DECOMPOSITION_SIZE_GUARD_CASES))
