@@ -315,7 +315,8 @@ def _run(args) -> None:
         spaces = load_spaces(args.spaces, K.m)
         parts = bbcg_wedge_splitting(K, spaces), bbcg_cone_splitting(K, spaces)
         memo: dict = {}  # each summand's JSON and text from one walk, while parts keeps them alive
-        wedge_part, cone_part = ([(f, *expr_forms(e, memo)) for f, e in part] for part in parts)
+        wedge_part, cone_part = ([(f, *(memo.get(id(e)) or expr_forms(e, memo))) for f, e in part]
+                                 for part in parts)
         _emit(args, lambda: {
             "complex": complex_to_json(K),
             "wedge_splitting": [{"face": list(f), "summand": j, "text": t} for f, j, t in wedge_part],
@@ -335,9 +336,6 @@ def _run(args) -> None:
             raise InputError(f"verify --check {args.check} needs {listed}")
         report = check(args, N)
         _emit(args, lambda: {"checks": [report.to_json()]}, report.render)
-
-    else:
-        raise InputError(f"unknown command {args.command!r}")
 
 
 def main(argv=None) -> int:

@@ -144,9 +144,9 @@ class DiagramDescription:
         if self.weights is not None:
             lines[0] += f", weights {list(self.weights)}"
         memo: dict = {}  # the objects share their pieces
-        for f in sorted(self.objects, key=lambda f: (len(f), f)):
+        for f, e in sorted(self.objects.items(), key=lambda fe: (len(fe[0]), fe[0])):
             label = "{" + ",".join(map(str, f)) + "}" if f else "∅"
-            lines.append(f"  D({label}) = {expr_forms(self.objects[f], memo)[1]}")
+            lines.append(f"  D({label}) = {(memo.get(id(e)) or expr_forms(e, memo))[1]}")
         for (sig, tau), coords in sorted(self.arrows.items()):
             s = "{" + ",".join(map(str, sig)) + "}"
             t = "{" + ",".join(map(str, tau)) + "}" if tau else "∅"
@@ -160,8 +160,8 @@ class DiagramDescription:
             "complex": complex_to_json(self.complex),
             "weights": list(self.weights) if self.weights is not None else None,
             "objects": [
-                {"face": list(f), "value": expr_forms(self.objects[f], memo)[0]}
-                for f in sorted(self.objects, key=lambda f: (len(f), f))
+                {"face": list(f), "value": (memo.get(id(e)) or expr_forms(e, memo))[0]}
+                for f, e in sorted(self.objects.items(), key=lambda fe: (len(fe[0]), fe[0]))
             ],
             "arrows": [
                 {"from": list(sig), "to": list(tau), "f_coordinates": list(coords)}
@@ -315,11 +315,12 @@ def _provenance_json(p: object, shared: dict) -> dict:
 class Decomposition:
     """A finite product of space-expression factors with provenance.
 
-    truncation records the bracket weight bound when a listed group's
-    support carries brackets of every weight, which without a degree cut is
-    exactly when raising the bound would list more; degree_bound records the
-    degree through which a degree cut kept every factor with homology.  The
-    list is complete when both are None.
+    truncation records the bracket weight bound W when a listed group's
+    support carries brackets of every weight and, under a degree cut, weight
+    W + 1 can lie within it; without a degree cut that is exactly when
+    raising the bound would list more.  degree_bound records the degree
+    through which a degree cut kept every factor with homology.  The list
+    is complete when both are None.
     """
 
     factors: tuple[Factor, ...]
@@ -555,8 +556,11 @@ def hilton_milnor(
     )
     factors = _class_factors(counts, grading, lambda support: (None, build), _type_supports(grading))
     # two plain letters carry brackets of every weight; the listing is by
-    # weight, so two letters are listed when its first two groups have weight 1
-    truncated = len(factors) >= 2 and factors[1].provenance.weight == 1
+    # weight, so two letters are listed when its first two groups have weight 1.
+    # A weight-(W+1) group has degree at least (W+1) * min(degrees), so when
+    # that is above the degree bound, raising W lists nothing more
+    truncated = len(factors) >= 2 and factors[1].provenance.weight == 1 and (
+        degree_bound is None or (weight_bound + 1) * min(degrees) <= degree_bound)
     return Decomposition(tuple(factors), "hilton-milnor", weight_bound if truncated else None, degree_bound)
 
 
@@ -691,8 +695,11 @@ def _coproduct_decomposition(
     # the weight bound cuts the listing when a listed group's support has
     # three or more vertices: it holds two or more face letters, so it
     # carries brackets of every weight, whose factors are points only when
-    # its weight-1 factor is.  A support of two vertices holds one letter
-    truncated = any(len(f.provenance.support) >= 3 for f in brackets)
+    # its weight-1 factor is.  A support of two vertices holds one letter.  A
+    # face letter holds two or more vertices, so a weight-(W+1) group has
+    # degree at least 2 * (W+1) * min(degrees); above the degree bound, raising W lists nothing
+    truncated = any(len(f.provenance.support) >= 3 for f in brackets) and (
+        degree_bound is None or 2 * (weight_bound + 1) * min(degrees) <= degree_bound)
     return Decomposition(tuple(factors), theorem, weight_bound if truncated else None, degree_bound)
 
 

@@ -46,10 +46,11 @@ merge raw trees, and they are how raw input, expr_from_json's included,
 comes in.
 
 render and expr_to_json are the two halves of one walk, expr_forms, which
-builds a node's (JSON, text) pair from its children's pairs and, within one
-call, walks a subtree shared by object identity once, and serializes each
-complex object of its mapping spaces once: a listing passes one memo across
-all its factors, which share their pieces and complexes.
+builds a node's (JSON, text) pair from its children's pairs.  Whoever meets
+a node looks it up, memo.get(id(x)) or expr_forms(x, memo), so each node
+walked costs one lookup.  One memo walks a subtree shared by object identity
+once, and serializes each complex object of its mapping spaces once: a
+listing passes one memo across all its factors, which share their pieces.
 """
 
 from __future__ import annotations
@@ -68,8 +69,7 @@ INFINITE = math.inf
 
 @dataclass(frozen=True, slots=True)
 class Point:
-    def __str__(self) -> str:
-        return render(self)
+    """The one-point space."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,9 +80,6 @@ class Sphere:
         if type(self.n) is not int or self.n < 0:  # one test on the hot path
             json_int(self.n, "sphere dimension")  # names a bool or a float
             raise ValueError("sphere dimension must be >= 0")
-
-    def __str__(self) -> str:
-        return render(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,9 +120,6 @@ class Atom:
                         f"at or below its connectivity {self.connectivity}"
                     )
             object.__setattr__(self, "series", (num, den))
-
-    def __str__(self) -> str:
-        return render(self)
 
 
 def _int_coeffs(values) -> tuple[int, ...]:
@@ -172,9 +166,6 @@ class _Compound:
         _set_powers(e, powers)
         return e
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 class Wedge(_Compound):
     __slots__ = ()
@@ -195,9 +186,6 @@ class Smash(_Compound):
 class Susp:
     child: "SpaceExpr"
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 @dataclass(frozen=True, slots=True)
 class Loop:
@@ -209,9 +197,6 @@ class Loop:
             json_int(self.count, "loop iteration count")
             raise ValueError("loop iteration count must be >= 1")
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 @dataclass(frozen=True, slots=True)
 class MapFromSusp:
@@ -219,9 +204,6 @@ class MapFromSusp:
 
     complex: SimplicialComplex
     child: "SpaceExpr"
-
-    def __str__(self) -> str:
-        return render(self)
 
 
 SpaceExpr = Union[Point, Sphere, Atom, Wedge, Product, Smash, Susp, Loop, MapFromSusp]
@@ -471,20 +453,18 @@ def conn(e: SpaceExpr) -> float:
 
 
 def expr_forms(e: SpaceExpr, memo: dict) -> tuple[dict, str]:
-    """(expr_to_json(e), render(e)), built from the children's pairs.  memo
-    maps id(node) to the pair of each node walked, so a subtree shared by
-    several parents, or by several expressions walked with one memo, is
+    """(expr_to_json(e), render(e)), built from the children's pairs: the
+    walk of a node its caller looked up and missed, stored under id(e).
+    memo maps id(node) to the pair of each node walked, so a subtree shared
+    by several parents, or by several expressions walked with one memo, is
     walked once and its JSON dict is shared; it also maps the id of each
-    mapping space's complex to that complex's JSON and text head.  The caller keeps what it walks
-    alive while it holds the memo, and holds it for one call only.  Each
-    rule (_FORMS) looks a child up in the memo before it calls this, as most
-    children are shared leaves, and puts a compound child's text in
-    parentheses."""
-    pair = memo.get(id(e))
-    if pair is None:
-        if (form := _FORMS.get(type(e))) is None:
-            raise TypeError(f"not a space expression: {e!r}")
-        pair = memo[id(e)] = form(e, memo)
+    mapping space's complex to that complex's JSON and text head.  The
+    caller keeps what it walks alive while it holds the memo, and holds it
+    for one call only.  Each rule (_FORMS) looks a child up the same way and
+    puts a compound child's text in parentheses."""
+    if (form := _FORMS.get(type(e))) is None:
+        raise TypeError(f"not a space expression: {e!r}")
+    pair = memo[id(e)] = form(e, memo)
     return pair
 
 
@@ -501,7 +481,7 @@ def _compound_forms(e: _Compound, memo: dict) -> tuple[dict, str]:
 def _atom_forms(e: Atom, memo: dict) -> tuple[dict, str]:
     out: dict = {"kind": "atom", "name": e.name, "conn": e.connectivity}
     if e.loop is not None:
-        out["loop"] = expr_forms(e.loop, memo)[0]
+        out["loop"] = (memo.get(id(e.loop)) or expr_forms(e.loop, memo))[0]
     if e.series is not None:
         out["series"] = {"num": list(e.series[0]), "den": list(e.series[1])}
     if e.contractible:
@@ -519,7 +499,7 @@ def _prefix_forms(e: Susp | Loop, memo: dict) -> tuple[dict, str]:
 
 def _map_forms(e: MapFromSusp, memo: dict) -> tuple[dict, str]:
     # the complex's JSON and text head, once per complex object of a walk
-    j, t = expr_forms(e.child, memo)
+    j, t = memo.get(id(e.child)) or expr_forms(e.child, memo)
     if (head := memo.get(id(e.complex))) is None:
         facets = ",".join("{" + ",".join(map(str, f)) + "}" for f in e.complex.facets)
         head = memo[id(e.complex)] = (complex_to_json(e.complex),
@@ -536,6 +516,10 @@ _FORMS = {Point: lambda e, memo: ({"kind": "point"}, "*"),
 def render(e: SpaceExpr) -> str:
     """Text form using the usual symbols: Omega, Sigma, smash, wedge, product."""
     return expr_forms(e, {})[1]
+
+
+for cls in (Point, Sphere, Atom, _Compound, Susp, Loop, MapFromSusp):
+    cls.__str__ = render
 
 
 def expr_to_json(e: SpaceExpr) -> dict:

@@ -979,9 +979,7 @@ def enumerated_hilton_milnor(spaces, weight_bound, degree_bound=None) -> Decompo
     m = len(spaces)
     alphabet = plain_alphabet(m)
     by_vertex = {i + 1: spaces[i] for i in range(m)}
-    degrees = None
-    if degree_bound is not None:
-        degrees = [_letter_degree(by_vertex, g) for g in alphabet]
+    degrees = [_letter_degree(by_vertex, g) for g in alphabet]
     factors = []
     for b in pruned_hall_basis(alphabet, weight_bound, degrees, degree_bound):
         l = multidegree(b, alphabet)
@@ -989,7 +987,8 @@ def enumerated_hilton_milnor(spaces, weight_bound, degree_bound=None) -> Decompo
         if not isinstance(expr, Point):
             factors.append(Factor(expr, 1, b))
     factors.sort(key=_bracket_order)
-    return Decomposition(tuple(factors), "hilton-milnor", weight_bound if m >= 2 else None)
+    cut = m >= 2 and weight_cut_under(degree_bound, weight_bound, min(degrees))
+    return Decomposition(tuple(factors), "hilton-milnor", weight_bound if cut else None)
 
 
 def enumerated_wedge(K, spaces, weight_bound, degree_bound=None) -> Decomposition:
@@ -1010,9 +1009,9 @@ def enumerated_wedge(K, spaces, weight_bound, degree_bound=None) -> Decompositio
         if not isinstance(expr, Point):
             brackets.append(Factor(expr, 1, b))
     brackets.sort(key=_bracket_order)
-    return Decomposition(
-        tuple(factors + brackets), "wedge-coproduct", weight_bound if cut_by_supports(brackets) else None
-    )
+    least = 2 * min(1 if (c := conn(x)) == float("inf") else max(1, int(c)) for x in spaces)
+    cut = cut_by_supports(brackets) and weight_cut_under(degree_bound, weight_bound, least)
+    return Decomposition(tuple(factors + brackets), "wedge-coproduct", weight_bound if cut else None)
 
 
 def cut_by_supports(brackets) -> bool:
@@ -1021,6 +1020,15 @@ def cut_by_supports(brackets) -> bool:
     carries brackets of every weight."""
     return any(len(p.support if isinstance(p := f.provenance, BracketGroup) else support(p)) >= 3
                for f in brackets)
+
+
+def weight_cut_under(degree_bound, weight_bound, delta) -> bool:
+    """Whether a degree cut leaves the weight bound W a cut: a bracket of
+    weight W + 1 whose letters each have degree at least delta has degree
+    at least (W + 1) * delta, so it is listed only when that is at most
+    degree_bound.  A face letter holds two or more vertices, so delta is
+    twice the least vertex degree there."""
+    return degree_bound is None or (weight_bound + 1) * delta <= degree_bound
 
 
 def _enumerated_face_alphabet(K, pairs, weight_bound, theorem, rule) -> Decomposition:

@@ -38,6 +38,7 @@ SCOMPLEX, SERIES = "polyco/scomplex.py", "polyco/series.py"
 DECOMP, SPACEXPR = "polyco/decomp.py", "polyco/spacexpr.py"
 
 SC, SE, DE, VE = "tests/test_scomplex.py::", "tests/test_series.py::", "tests/test_decomp.py::", "tests/test_verify.py::"
+SP = "tests/test_spacexpr.py::"
 GOLDEN = "tests/golden/test_golden.py::test_corpus_matches_its_recorded_digests"
 
 MUTANTS = (
@@ -109,6 +110,23 @@ MUTANTS = (
         "_set_contractible(e, False)", "_set_contractible(e, None)",
         (DE + "test_each_maker_makes_what_its_checked_constructor_makes",
          DE + "test_bracket_rule_matches_the_reference"),
+    ),
+    Mutant(
+        "map-child-walked-without-lookup", SPACEXPR,
+        "j, t = memo.get(id(e.child)) or expr_forms(e.child, memo)\n    if (head",
+        "j, t = expr_forms(e.child, memo)\n    if (head",
+        (DE + "test_the_walk_runs_once_per_node_on_a_memo_miss",),
+    ),
+    Mutant(
+        "weight-cut-at-the-degree-bound-dropped", DECOMP,
+        "None or (weight_bound + 1) * min(degrees) <= degree_bound",
+        "None or (weight_bound + 1) * min(degrees) < degree_bound",
+        (DE + "test_a_degree_cut_listing_says_it_is_cut",),
+    ),
+    Mutant(
+        "str-skips-map-from-susp", SPACEXPR,
+        "Susp, Loop, MapFromSusp):\n    cls.__str__", "Susp, Loop):\n    cls.__str__",
+        (SP + "test_render_notation",),
     ),
 )
 

@@ -49,6 +49,7 @@ from _helpers import (
     repeated_product,
     summand_grading,
     two_points,
+    weight_cut_under,
     with_repeats,
 )
 from polyco.decomp import (
@@ -614,11 +615,21 @@ def test_a_degree_cut_listing_says_it_is_cut():
     dec = loop_decompose_wedge(square, [S(2)] * 4, 5, degree_bound=1)
     assert dec.render().splitlines()[0] == "wedge-coproduct: 4 entries, 4 factors with multiplicity (degree ≤ 1)"
     assert not dec.bracket_factors() and loop_decompose_wedge(square, [S(2)] * 4, 5).bracket_factors()
+    # both cuts: [x1,x2] has degree 4 and lists at W=2, as does a weight-2
+    # group of face letters on the simplex
+    dec = hilton_milnor([S(2), S(2)], 1, degree_bound=4)
+    assert dec.render().splitlines()[0].endswith("(bracket weight ≤ 1, degree ≤ 4)")
+    dec = loop_decompose_wedge(simplex(3), [S(2)] * 3, 1, degree_bound=4)
+    assert dec.render().splitlines()[0].endswith("(bracket weight ≤ 1, degree ≤ 4)")
+    assert (dec.truncation, dec.to_json()["degree_bound"]) == (1, 4)
+    # a degree cut under which weight W + 1 cannot list records no weight cut:
+    # five letters of degree 3 have degree 15 > 5, and five face letters of
+    # degree 2 or more have degree at least 10 > 3
     dec = hilton_milnor([S(3), S(3)], 4, degree_bound=5)
-    assert dec.render().splitlines()[0].endswith("(bracket weight ≤ 4, degree ≤ 5)")
+    assert dec.render().splitlines()[0].endswith("factors with multiplicity (degree ≤ 5)")
     dec = loop_decompose_wedge(disjoint_union(simplex(3), two_points()), [S(2)] * 5, 4, degree_bound=3)
-    assert dec.render().splitlines()[0].endswith("(bracket weight ≤ 4, degree ≤ 3)")
-    assert dec.to_json()["degree_bound"] == 3
+    assert dec.render().splitlines()[0].endswith("factors with multiplicity (degree ≤ 3)")
+    assert (dec.truncation, dec.to_json()["degree_bound"]) == (None, 3)
     for dec in (hilton_milnor([S(3), S(3)], 4), loop_decompose_wedge(square, [S(2)] * 4, 5),
                 loop_decompose(square, PairAssignment.constant_maps([S(2)] * 4), 5)):
         assert dec.degree_bound is None and dec.to_json()["degree_bound"] is None
@@ -669,6 +680,9 @@ def test_a_listing_is_cut_exactly_when_a_higher_weight_lists_more():
         (lambda W: loop_decompose_contractible(path, path_pairs([S(2)] * 3), W), 50, None),
         (lambda W: loop_decompose_wedge(triangle, [S(2), S(3), POINT], W), 4, None),
         (lambda W: hilton_milnor([S(2), S(9)], W, degree_bound=5), 6, None),
+        (lambda W: hilton_milnor([S(2), S(3)], W, degree_bound=5), 30, None),
+        *((lambda W: loop_decompose_wedge(triangle, [S(2)] * 3, W, degree_bound=3), W, None)
+          for W in (1, 5, 30)),
         (lambda W: hilton_milnor([S(2), S(3)], W), 2, 2),
         (lambda W: loop_decompose_wedge(triangle, [S(2), S(3), S(2)], W), 2, 2),
     ]
@@ -698,6 +712,32 @@ def test_a_listing_is_cut_exactly_when_a_higher_weight_lists_more():
         assert dec.truncation == (W if more else None), (name, K, W)
         seen[name, more] += 1
     assert len(seen) == 8 and min(seen.values()) >= 20, seen
+    # degree-cut listings of the two presets that take a degree bound, each
+    # way one-sided: one that lists more at W + 3 records W, and one whose
+    # weight W + 1 lies above the bound D, as (W + 1) * δ > D with δ the
+    # least letter degree (twice the least vertex degree for face letters),
+    # records no weight cut
+    seen = Counter()
+    for _ in range(400):
+        K = random_complex(rng, 5)
+        W, D = rng.randint(1, 3 if K.m <= 4 else 2), rng.randint(2, 9)
+        if rng.random() < 0.5:
+            name, spaces = "wedge", [rng.choice(WEDGE_POOL + (POINT,)) for _ in range(K.m)]
+            make, least = partial(loop_decompose_wedge, K, spaces), 2 * min(bottom_degrees(spaces, 0))
+        else:
+            name, spaces = "hilton-milnor", [rng.choice((S(1), S(2), S(3), X1, CP_INFINITY, POINT))
+                                             for _ in range(rng.randint(1, 4))]
+            make, least = partial(hilton_milnor, spaces), min(bottom_degrees(spaces, 1))
+        dec = make(W, degree_bound=D)
+        more = len(make(W + 3, degree_bound=D).factors) > len(dec.factors)
+        above = (W + 1) * least > D
+        if more:
+            assert dec.truncation == W, (name, K, spaces, W, D)
+        if above:
+            assert dec.truncation is None, (name, K, spaces, W, D)
+        seen[name, more, above] += 1
+    assert all(seen[name, True, False] >= 20 and seen[name, False, True] >= 20
+               for name in ("wedge", "hilton-milnor")), seen
 
 
 def test_contractible_two_points_cojoin():
@@ -1404,13 +1444,17 @@ def per_group_references(K, pairs, spaces, hm_spaces, W, bound, only=None):
         "wedge": lambda: per_group_listing(
             face_letters(frozenset(K.faces()), K.m), W,
             partial(reference_bracket_factor, K, constant), _base_factors(K, _normal_pairs(K, constant)),
-            "wedge-coproduct", cut_by_supports, reference_grading(constant),
+            "wedge-coproduct",
+            lambda brackets: cut_by_supports(brackets)
+            and weight_cut_under(bound, W, 2 * min(bottom_degrees(spaces, 0))),
+            reference_grading(constant),
             bottom_degrees(spaces, 0) if bound is not None else None, bound,
         ),
         "hilton-milnor": lambda: per_group_listing(
             [(tuple(int(j == i) for j in range(n)), 1) for i in range(n)], W,
             hm_factor,
-            [], "hilton-milnor", lambda brackets: n >= 2,
+            [], "hilton-milnor",
+            lambda brackets: n >= 2 and weight_cut_under(bound, W, min(bottom_degrees(hm_spaces, 1))),
             summand_grading(hm_spaces),
             bottom_degrees(hm_spaces, 1) if bound is not None else None, bound,
         ),
@@ -2076,6 +2120,29 @@ def test_listing_forms_match_two_recursive_walks(tmp_path):
     for _ in range(300):
         e = with_repeats(rng, random_expr(rng))
         assert (expr_to_json(e), render(e)) == (recursive_expr_to_json(e), recursive_render(e))
+
+
+def test_the_walk_runs_once_per_node_on_a_memo_miss(tmp_path, monkeypatch):
+    # over the same listings, diagrams and bbcg summands, whoever meets a
+    # node looks it up: expr_forms is entered only for a node absent from
+    # the memo, and once per node of each memo (each kept alive here, so
+    # that no id is reused)
+    walk = polyco.spacexpr.expr_forms
+    memos: dict = {}  # id(memo) -> (memo, ids entered)
+    hits = []
+
+    def counted(e, memo):
+        if id(e) in memo:
+            hits.append(render(e))
+        memos.setdefault(id(memo), (memo, []))[1].append(id(e))
+        return walk(e, memo)
+
+    for module in (polyco.spacexpr, polyco.decomp, polyco.cli):
+        monkeypatch.setattr(module, "expr_forms", counted)
+    assert form_mismatches(tmp_path, [dec for dec, _ in parity_decompositions()]) == (600, [])
+    assert hits == []
+    entered = [ids for _, ids in memos.values()]
+    assert sum(map(len, entered)) > 10_000 and all(len(set(ids)) == len(ids) for ids in entered)
 
 
 def test_a_walk_memo_that_ignores_powers_is_caught(tmp_path, monkeypatch):

@@ -33,6 +33,7 @@ from polyco.spacexpr import (
     Sphere,
     Susp,
     Wedge,
+    _RANK,
     _plan,
     conn,
     expr_from_json,
@@ -317,7 +318,13 @@ def test_render_notation():
     assert render(Loop(S(3), 2)) == "Ω^2S^3"
     assert render(normalize(Smash((X, X, Y)))) == "X^∧2 ∧ Y"
     assert render(POINT) == "*"
-    # str is render for every kind, leaves included
+    # str is render for one node of each class, and for every kind in
+    # random trees, leaves included
+    one_each = [POINT, S(2), X, Wedge((X, Y)), Product((X, Y)), Smash((X, Y)), Susp(X), Loop(X, 2),
+                MapFromSusp(build(2, [[1], [2]]), X)]
+    assert {type(e) for e in one_each} == set(_RANK)
+    for e in one_each:
+        assert str(e) == render(e) != repr(e)
     rng = random.Random(249)
     for depth in (0, 0, 1, 2, 3) * 40:
         e = random_expr(rng, depth)

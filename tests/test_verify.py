@@ -275,3 +275,15 @@ def test_porter_checks_simple_connectivity_before_the_oracle():
     T = Atom("T", 0, loop=S(3))
     with pytest.raises(ValueError, match="vertex 1: wedge summand T must be simply connected"):
         check_porter([T, S(2)], 5)
+
+
+def test_porter_needs_a_component_and_hilton_milnor_reports_disagreeing_oracles(monkeypatch):
+    # the free-product oracle takes no empty wedge; and a Hall product that
+    # matches the tensor-algebra oracle while the free-product oracle does
+    # not is reported as the two oracles' difference
+    with pytest.raises(ValueError, match="free product needs at least one component"):
+        check_porter([], 6)
+    monkeypatch.setattr(polyco.verify, "_loops_on_wedge", lambda spaces, N: PoincareSeries.one(N))
+    r = check_hilton_milnor([S(3), S(5)], 8)
+    assert r.notes[-1] == "tensor-algebra and free-product oracles disagree"
+    assert r.verdict == FirstDifference(2, 1, 0) and r.rhs == PoincareSeries.one(8)
