@@ -315,12 +315,11 @@ def _provenance_json(p: object, shared: dict) -> dict:
 class Decomposition:
     """A finite product of space-expression factors with provenance.
 
-    truncation records the bracket weight bound W when a listed group's
-    support carries brackets of every weight and, under a degree cut, weight
-    W + 1 can lie within it; without a degree cut that is exactly when
-    raising the bound would list more.  degree_bound records the degree
-    through which a degree cut kept every factor with homology.  The list
-    is complete when both are None.
+    truncation records the bracket weight bound W exactly when raising it
+    would list more: when a listed group's support carries brackets of
+    every weight, the least of weight W + 1 within any degree cut.
+    degree_bound records the degree through which a degree cut kept every
+    factor with homology.  The list is complete when both are None.
     """
 
     factors: tuple[Factor, ...]
@@ -555,12 +554,10 @@ def hilton_milnor(
         sizes, weight_bound, alphabet="plain", degrees=degrees, degree_bound=degree_bound
     )
     factors = _class_factors(counts, grading, lambda support: (None, build), _type_supports(grading))
-    # two plain letters carry brackets of every weight; the listing is by
-    # weight, so two letters are listed when its first two groups have weight 1.
-    # A weight-(W+1) group has degree at least (W+1) * min(degrees), so when
-    # that is above the degree bound, raising W lists nothing more
-    truncated = len(factors) >= 2 and factors[1].provenance.weight == 1 and (
-        degree_bound is None or (weight_bound + 1) * min(degrees) <= degree_bound)
+    # two letters that are not points carry brackets of every weight, and the
+    # least degree of weight W+1 is that of x_a^W x_b, a and b the two least
+    ds = sorted(degrees[p] for p, x in zip(grading, normal) if not isinstance(x, Point))
+    truncated = len(ds) >= 2 and (degree_bound is None or weight_bound * ds[0] + ds[1] <= degree_bound)
     return Decomposition(tuple(factors), "hilton-milnor", weight_bound if truncated else None, degree_bound)
 
 
@@ -664,6 +661,18 @@ def class_diagram(
     return smash_coproduct(sub, restricted, group.counts)
 
 
+def _least_face_degree(degrees: Sequence[int], w: int) -> int:
+    """The least degree of a weight-w word of face letters over a support
+    of three or more vertices with these degrees: each vertex once, plus the
+    2w - |S| more vertex slots that w letters of two vertices need, at most
+    w - 1 more on one vertex, filled from the cheapest vertex up."""
+    total, extra = sum(degrees), max(0, 2 * w - len(degrees))
+    for e in sorted(degrees):
+        total += (k := min(extra, w - 1)) * e
+        extra -= k
+    return total
+
+
 def _coproduct_decomposition(
     K: SimplicialComplex,
     normal: Sequence[tuple[SpaceExpr, SpaceExpr]],
@@ -695,11 +704,10 @@ def _coproduct_decomposition(
     # the weight bound cuts the listing when a listed group's support has
     # three or more vertices: it holds two or more face letters, so it
     # carries brackets of every weight, whose factors are points only when
-    # its weight-1 factor is.  A support of two vertices holds one letter.  A
-    # face letter holds two or more vertices, so a weight-(W+1) group has
-    # degree at least 2 * (W+1) * min(degrees); above the degree bound, raising W lists nothing
-    truncated = any(len(f.provenance.support) >= 3 for f in brackets) and (
-        degree_bound is None or 2 * (weight_bound + 1) * min(degrees) <= degree_bound)
+    # its weight-1 factor is, under a degree cut when its least degree of
+    # weight W+1 is within the bound.  A support of two vertices holds one letter
+    truncated = any(len(S := f.provenance.support) >= 3 and (degree_bound is None or _least_face_degree(
+        [degrees[grading[j - 1]] for j in S], weight_bound + 1) <= degree_bound) for f in brackets)
     return Decomposition(tuple(factors), theorem, weight_bound if truncated else None, degree_bound)
 
 

@@ -13,13 +13,13 @@ group without listing them, which is all the decompositions need.  A
 support's type counts its vertices in each piece of vertices; all supports
 of one type carry the same count, so it is counted once, summed over the
 type's supports and divided by their number.
-Each (content, type) grading is packed into one int, so the DP adds and ors
-ints and the groups come out in order.  The counts depend only on the
-request's shape (the size of each piece), not on the spaces at the vertices
-or on which vertices form a piece, so they are memoized (_class_counts,
-bounded) per validated (piece sizes, weight bound, alphabet, type cut,
-degrees) and returned as a read-only mapping; the checks run on every call,
-before the memo is asked.
+Each (content, type) grading and its degree are packed into one int, so the
+DP adds and ors ints and the groups come out in order.  The counts depend
+only on the request's shape (the size of each piece), not on the spaces at
+the vertices or on which vertices form a piece, so they are memoized
+(_class_counts, bounded) per validated (piece sizes, weight bound, alphabet,
+type cut, degrees) and returned as a read-only mapping; the checks run on
+every call, before the memo is asked.
 """
 
 from __future__ import annotations
@@ -59,8 +59,7 @@ class Generator:
             return f"x{self.index}"
         return "a{" + ",".join(map(str, self.subset)) + "}#" + str(self.index)
 
-    def __str__(self) -> str:
-        return self.name()
+    __str__ = name
 
 
 def plain_alphabet(m: int) -> tuple[Generator, ...]:
@@ -94,8 +93,7 @@ class Bracket:
             return self.gen.name()
         return f"[{self.left.serialize()},{self.right.serialize()}]"
 
-    def __str__(self) -> str:
-        return self.serialize()
+    __str__ = serialize
 
 
 def lyndon_words(alphabet_size: int, max_len: int) -> Iterator[tuple[int, ...]]:
@@ -237,7 +235,8 @@ def lyndon_class_counts(
     A grading is one int: q in fixed-width lanes (piece 0 the most
     significant) above the s part, where a piece of one vertex is one bit,
     or-ed in as in a support mask, and a larger piece a count lane that
-    new vertices add to.  A DP step is (k + a) | b, and a state's letter
+    new vertices add to; in the DP a lane above q holds the degree.  A DP
+    step is (k + a) | b, a degree cut one compare, and a state's letter
     classes depend only on its count lanes, so they are listed once per
     content (once in all when every piece is one vertex).  Int order is
     lexicographic order on (q, s), so the result is in order: by w, then q
@@ -301,7 +300,7 @@ def _class_counts(
     size of each piece), memoized: each shape is counted once, and its
     callers share one read-only mapping."""
     m, size = sum(n), len(n)
-    degs = degrees or (0,) * size  # all 0 without a bound
+    degs = degrees or (0,) * size
 
     width = [c.bit_length() for c in n]  # one bit for a piece of one vertex
     shift = [0] * size
@@ -323,27 +322,28 @@ def _class_counts(
     # whole bytes so that a q part decodes through to_bytes
     width_q = ((weight_bound * (max(n) if face else 1)).bit_length() + 7) // 8
     qshift = [sbits + 8 * width_q * (size - 1 - p) for p in range(size)]
+    dshift = sbits + 8 * width_q * size  # the degree lane, all 0 without a bound
+    limit = (1 if degree_bound is None else degree_bound + 1) << dshift
     counted = sum(((1 << width[p]) - 1) << shift[p] for p in range(size) if n[p] > 1)
 
     top, least = (m, 2) if face else (1, 1)
     # a class's part over the one-vertex pieces is a set of them, so these
     # parts are listed once, cut where their own type is not allowed (a
     # type above a disallowed one is disallowed too); each entry is (add,
-    # or, multiplicity, letter size, degree)
-    ones = [(0, 0, 1, 0, 0)]
+    # or, multiplicity, letter size)
+    ones = [(0, 0, 1, 0)]
     for p in range(size):
         if n[p] == 1:
-            y, u, g = 1 << qshift[p], 1 << shift[p], degs[p]
+            y, u = (1 << qshift[p]) + (degs[p] << dshift), 1 << shift[p]
             ones += [
-                (x + y, o | u, 1, t + 1, d + g)
-                for x, o, _, t, d in ones
-                if t < top and (degree_bound is None or d + g <= degree_bound)
-                and (allowed is None or (o | u) in allowed)
+                (x + y, o | u, 1, t + 1)
+                for x, o, _, t in ones
+                if t < top and x + y < limit and (allowed is None or (o | u) in allowed)
             ]
     multi = [p for p in range(size) if n[p] > 1]
 
-    def classes(s: int) -> list[tuple[int, int, int, int]]:
-        # (add, or, letters, degree) per letter class from a state of type s;
+    def classes(s: int) -> list[tuple[int, int, int]]:
+        # (add, or, letters) per letter class from a state of type s;
         # with a type cut s is the whole s part, else only its count lanes
         partial = ones
         for p in multi:
@@ -351,39 +351,35 @@ def _class_counts(
             # b new vertices: no more than the piece has left, than a type
             # can hold, or than fit in a letter beside the a old ones
             options = [
-                (((a + b) << qshift[p]) + (b << shift[p]), comb(have, a) * comb(n[p] - have, b), a + b,
-                 (a + b) * degs[p])
+                (((a + b) << qshift[p]) + (b << shift[p]) + ((a + b) * degs[p] << dshift),
+                 comb(have, a) * comb(n[p] - have, b), a + b)
                 for a in range(min(have, top) + 1) for b in range(min(cap[p] - have, top - a) + 1)
             ]
             partial = [
-                (x + y, o, c * e, t + v, d + g)
-                for x, o, c, t, d in partial
-                for y, e, v, g in options
-                if t + v <= top and (degree_bound is None or d + g <= degree_bound)
-                and (allowed is None or ((s + x + y) & low | o) in allowed)
+                (x + y, o, c * e, t + v)
+                for x, o, c, t in partial
+                for y, e, v in options
+                if t + v <= top and x + y < limit and (allowed is None or ((s + x + y) & low | o) in allowed)
             ]
         return [
-            (x, o, (t - 1) * c if face else c, d)
-            for x, o, c, t, d in partial
+            (x, o, (t - 1) * c if face else c)
+            for x, o, c, t in partial
             if t >= least and (allowed is None or ((s + x) | o) & low in allowed)
         ]
 
-    # each state carries its degree, so pruning costs one add
     cache = low if allowed is not None else counted
-    steps: dict[int, list[tuple[int, int, int, int]]] = {0: classes(0)}
+    steps: dict[int, list[tuple[int, int, int]]] = {0: classes(0)}
     step = steps[0]  # the one list when every piece is one vertex and no type is cut
-    layer = {0: (1, 0)}
-    words: list[dict[int, tuple[int, int]]] = [layer]
+    layer = {0: 1}
+    words: list[dict[int, int]] = [layer]
     for _ in range(weight_bound):
-        nxt: dict[int, tuple[int, int]] = {}
-        for k, (count, deg) in layer.items():
+        nxt: dict[int, int] = {}
+        for k, count in layer.items():
             if cache and (step := steps.get(c := k & cache)) is None:
                 step = steps[c] = classes(c)
-            for a, b, copies, dv in step:
-                if degree_bound is not None and deg + dv > degree_bound:
-                    continue
-                hit = nxt.get(key := (k + a) | b)
-                nxt[key] = (count * copies + (hit[0] if hit else 0), deg + dv)
+            for a, b, copies in step:
+                if (key := (k + a) | b) < limit:
+                    nxt[key] = nxt.get(key, 0) + count * copies
         if not nxt:
             break
         words.append(nxt)
@@ -391,11 +387,12 @@ def _class_counts(
 
     typed: dict[int, tuple[tuple[int, ...], int]] = {}  # s part -> (type, supports of the type)
     out: dict[tuple[int, tuple[int, ...], tuple[int, ...]], int] = {}
+    below = (1 << dshift) - 1  # a grading's degree follows from its q, so keys drop the lane
     for w in range(1, len(words)):
-        totals = {k: count for k, (count, _) in words[w].items()}
+        totals = {k & below: count for k, count in words[w].items()}
         for d, mu in _mobius_divisors(w):
-            for root, (count, _) in words[w // d].items():
-                if (key := (root >> sbits) * d << sbits | (root & low)) in totals:
+            for root, count in words[w // d].items():
+                if (key := ((root & below) >> sbits) * d << sbits | (root & low)) in totals:
                     totals[key] += mu * count
         for k in sorted(totals, reverse=True):
             if total := totals[k]:

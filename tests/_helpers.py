@@ -981,14 +981,12 @@ def enumerated_hilton_milnor(spaces, weight_bound, degree_bound=None) -> Decompo
     by_vertex = {i + 1: spaces[i] for i in range(m)}
     degrees = [_letter_degree(by_vertex, g) for g in alphabet]
     factors = []
-    for b in pruned_hall_basis(alphabet, weight_bound, degrees, degree_bound):
+    for b in pruned_hall_basis(alphabet, weight_bound + 1, degrees, degree_bound):
         l = multidegree(b, alphabet)
         expr = normalize(Loop(Susp(_loop_smash_of_loops(by_vertex, l, looped=False))))
         if not isinstance(expr, Point):
             factors.append(Factor(expr, 1, b))
-    factors.sort(key=_bracket_order)
-    cut = m >= 2 and weight_cut_under(degree_bound, weight_bound, min(degrees))
-    return Decomposition(tuple(factors), "hilton-milnor", weight_bound if cut else None)
+    return Decomposition(*weight_cut(factors, weight_bound, "hilton-milnor"))
 
 
 def enumerated_wedge(K, spaces, weight_bound, degree_bound=None) -> Decomposition:
@@ -1001,53 +999,37 @@ def enumerated_wedge(K, spaces, weight_bound, degree_bound=None) -> Decompositio
         degrees = None
         if degree_bound is not None:
             degrees = [_letter_degree(by_vertex, g) for g in alphabet]
-        for b in pruned_hall_basis(alphabet, weight_bound, degrees, degree_bound):
+        for b in pruned_hall_basis(alphabet, weight_bound + 1, degrees, degree_bound):
             seen.setdefault(b, None)
     brackets = []
     for b in seen:
         expr = normalize(Loop(Susp(_loop_smash_of_loops(by_vertex, stats(b, K.m).l))))
         if not isinstance(expr, Point):
             brackets.append(Factor(expr, 1, b))
-    brackets.sort(key=_bracket_order)
-    least = 2 * min(1 if (c := conn(x)) == float("inf") else max(1, int(c)) for x in spaces)
-    cut = cut_by_supports(brackets) and weight_cut_under(degree_bound, weight_bound, least)
-    return Decomposition(tuple(factors + brackets), "wedge-coproduct", weight_bound if cut else None)
+    return Decomposition(*weight_cut(brackets, weight_bound, "wedge-coproduct", factors))
 
 
-def cut_by_supports(brackets) -> bool:
-    """Whether a polyhedral listing is cut by its weight bound: whether some
-    listed bracket, or group, has a support of three or more vertices, which
-    carries brackets of every weight."""
-    return any(len(p.support if isinstance(p := f.provenance, BracketGroup) else support(p)) >= 3
-               for f in brackets)
-
-
-def weight_cut_under(degree_bound, weight_bound, delta) -> bool:
-    """Whether a degree cut leaves the weight bound W a cut: a bracket of
-    weight W + 1 whose letters each have degree at least delta has degree
-    at least (W + 1) * delta, so it is listed only when that is at most
-    degree_bound.  A face letter holds two or more vertices, so delta is
-    twice the least vertex degree there."""
-    return degree_bound is None or (weight_bound + 1) * delta <= degree_bound
+def weight_cut(heavier, weight_bound, theorem, base=()):
+    """An enumerating reference's (factors, theorem, truncation) from its
+    bracket factors through weight_bound + 1, heavier: base, then those of
+    weight at most weight_bound in order, with the weight cut read off the
+    reference itself: weight_bound when heavier lists more."""
+    listed = sorted((f for f in heavier if f.provenance.weight <= weight_bound), key=_bracket_order)
+    return tuple(base) + tuple(listed), theorem, weight_bound if len(heavier) > len(listed) else None
 
 
 def _enumerated_face_alphabet(K, pairs, weight_bound, theorem, rule) -> Decomposition:
     alphabet = generators_for(range(1, K.m + 1))
     brackets = []
     memo = {}
-    for b in hall_basis(alphabet, weight_bound):
+    for b in hall_basis(alphabet, weight_bound + 1):
         l = stats(b, K.m).l
         if l not in memo:
             memo[l] = rule(tuple(j for j, lj in enumerate(l, start=1) if lj), l)
         expr = memo[l]
         if expr is not None and not isinstance(expr, Point):
             brackets.append(Factor(expr, 1, b))
-    brackets.sort(key=_bracket_order)
-    return Decomposition(
-        tuple(_base_factors(K, _normal_pairs(K, pairs)) + brackets),
-        theorem,
-        weight_bound if cut_by_supports(brackets) else None,
-    )
+    return Decomposition(*weight_cut(brackets, weight_bound, theorem, _base_factors(K, _normal_pairs(K, pairs))))
 
 
 def reference_smash(normal, q, cls=Smash) -> SpaceExpr:
@@ -1177,18 +1159,20 @@ def listing_order(key, grading):
 
 
 def per_group_listing(
-    letters, weight_bound, factor_of, base, theorem, truncated, grading,
-    vertex_degrees=None, degree_bound=None,
+    letters, weight_bound, factor_of, base, theorem, grading, vertex_degrees=None, degree_bound=None,
 ):
     """The group listing from the per-class tuple counts, with
     factor_of(support, l) run afresh for every class and every class of a
     group giving the same factor: the reference for the engine that counts
-    groups and builds a factor once per key.  truncated(brackets) says
-    whether the weight bound cuts the listed bracket factors.  Returns the
-    listing and, per listed group, its number of classes."""
-    counts = reference_class_counts(letters, weight_bound, vertex_degrees, degree_bound)
+    groups and builds a factor once per key.  The weight cut is read off
+    the reference itself: it lists more at weight_bound + 1 when a class of
+    that weight has a factor that is not a point.  Returns the listing and,
+    per listed group, its number of classes."""
+    classes_of = reference_class_counts(letters, weight_bound + 1, vertex_degrees, degree_bound)
     groups = {}
-    for (w, l), n in counts.items():
+    for (w, l), n in classes_of.items():
+        if w > weight_bound:
+            continue
         key = group_of(w, l, grading)
         expr = factor_of(key[1], l)
         if key in groups:
@@ -1211,8 +1195,9 @@ def per_group_listing(
             brackets.append(Factor(expr, n, BracketGroup(w, support, pieces, counts)))
         else:
             del classes[key]
-    dec = Decomposition(tuple(base + brackets), theorem, weight_bound if truncated(brackets) else None, degree_bound)
-    return dec, classes
+    more = any(not isinstance(factor_of(group_of(w, l, grading)[1], l), Point)
+               for w, l in classes_of if w > weight_bound)
+    return Decomposition(tuple(base + brackets), theorem, weight_bound if more else None, degree_bound), classes
 
 
 def enumerated_general(K, pairs, weight_bound) -> Decomposition:

@@ -35,10 +35,15 @@ class Mutant(NamedTuple):
 
 
 SCOMPLEX, SERIES = "polyco/scomplex.py", "polyco/series.py"
-DECOMP, SPACEXPR = "polyco/decomp.py", "polyco/spacexpr.py"
+DECOMP, SPACEXPR, LIEALG = "polyco/decomp.py", "polyco/spacexpr.py", "polyco/liealg.py"
 
 SC, SE, DE, VE = "tests/test_scomplex.py::", "tests/test_series.py::", "tests/test_decomp.py::", "tests/test_verify.py::"
-SP = "tests/test_spacexpr.py::"
+SP, LI = "tests/test_spacexpr.py::", "tests/test_liealg.py::"
+# the degree lane of the class counter: each lane mutant fails these
+LANE = tuple(LI + name for name in ("test_type_counts_match_the_regrouped_reference",
+                                    "test_class_counts_degree_bound_on_plain_alphabets",
+                                    "test_class_counts_match_enumerated_face_alphabets"))
+CUT_EXACTLY = DE + "test_a_listing_is_cut_exactly_when_a_higher_weight_lists_more"
 GOLDEN = "tests/golden/test_golden.py::test_corpus_matches_its_recorded_digests"
 
 MUTANTS = (
@@ -119,9 +124,33 @@ MUTANTS = (
     ),
     Mutant(
         "weight-cut-at-the-degree-bound-dropped", DECOMP,
-        "None or (weight_bound + 1) * min(degrees) <= degree_bound",
-        "None or (weight_bound + 1) * min(degrees) < degree_bound",
-        (DE + "test_a_degree_cut_listing_says_it_is_cut",),
+        "weight_bound * ds[0] + ds[1] <= degree_bound", "weight_bound * ds[0] + ds[1] < degree_bound",
+        (DE + "test_a_degree_cut_listing_says_it_is_cut", CUT_EXACTLY),
+    ),
+    Mutant(
+        "weight-cut-by-the-least-letter-alone", DECOMP,
+        "weight_bound * ds[0] + ds[1] <= degree_bound", "(weight_bound + 1) * ds[0] <= degree_bound",
+        (CUT_EXACTLY,),
+    ),
+    Mutant(
+        "face-degree-one-slot-too-many", DECOMP,
+        "min(extra, w - 1)", "min(extra, w)",
+        (CUT_EXACTLY,),
+    ),
+    Mutant(
+        "degree-lane-limit-one-short", LIEALG,
+        "degree_bound + 1) << dshift", "degree_bound) << dshift",
+        LANE,
+    ),
+    Mutant(
+        "mobius-root-keeps-its-degree", LIEALG,
+        "((root & below) >> sbits) * d", "(root >> sbits) * d",
+        LANE,
+    ),
+    Mutant(
+        "totals-keyed-with-the-degree", LIEALG,
+        "totals = {k & below: count", "totals = {k: count",
+        LANE,
     ),
     Mutant(
         "str-skips-map-from-susp", SPACEXPR,

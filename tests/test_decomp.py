@@ -18,7 +18,6 @@ from _helpers import (
     _loop_smash_of_loops,
     _reference_safe_conn,
     all_face_letters,
-    cut_by_supports,
     enumerated_contractible,
     enumerated_general,
     enumerated_hilton_milnor,
@@ -49,7 +48,6 @@ from _helpers import (
     repeated_product,
     summand_grading,
     two_points,
-    weight_cut_under,
     with_repeats,
 )
 from polyco.decomp import (
@@ -681,6 +679,11 @@ def test_a_listing_is_cut_exactly_when_a_higher_weight_lists_more():
         (lambda W: loop_decompose_wedge(triangle, [S(2), S(3), POINT], W), 4, None),
         (lambda W: hilton_milnor([S(2), S(9)], W, degree_bound=5), 6, None),
         (lambda W: hilton_milnor([S(2), S(3)], W, degree_bound=5), 30, None),
+        (lambda W: hilton_milnor([S(2), S(3)], W, degree_bound=4), 1, None),
+        # the least weight-3 word over vertex degrees 1, 3, 3 puts vertex 1
+        # in every letter: content (3, 2, 1), degree 12
+        (lambda W: loop_decompose_wedge(triangle, [S(2), S(4), S(4)], W, degree_bound=11), 2, None),
+        (lambda W: loop_decompose_wedge(triangle, [S(2), S(4), S(4)], W, degree_bound=12), 2, 2),
         *((lambda W: loop_decompose_wedge(triangle, [S(2)] * 3, W, degree_bound=3), W, None)
           for W in (1, 5, 30)),
         (lambda W: hilton_milnor([S(2), S(3)], W), 2, 2),
@@ -689,7 +692,7 @@ def test_a_listing_is_cut_exactly_when_a_higher_weight_lists_more():
     for make, W, record in pinned:
         dec = make(W)
         assert dec.truncation == record and dec.to_json()["truncation"] == record
-        assert dec.render().splitlines()[0].endswith(f"(bracket weight ≤ {W})") == (record is not None)
+        assert (f"(bracket weight ≤ {W}" in dec.render().splitlines()[0]) == (record is not None)
     rng = random.Random(3411)
     seen = Counter()
     for _ in range(1200):
@@ -712,32 +715,24 @@ def test_a_listing_is_cut_exactly_when_a_higher_weight_lists_more():
         assert dec.truncation == (W if more else None), (name, K, W)
         seen[name, more] += 1
     assert len(seen) == 8 and min(seen.values()) >= 20, seen
-    # degree-cut listings of the two presets that take a degree bound, each
-    # way one-sided: one that lists more at W + 3 records W, and one whose
-    # weight W + 1 lies above the bound D, as (W + 1) * δ > D with δ the
-    # least letter degree (twice the least vertex degree for face letters),
-    # records no weight cut
+    # 400 degree-cut listings of each preset that takes a degree bound: a
+    # listing records W exactly when the same call at W + 1 lists more
     seen = Counter()
-    for _ in range(400):
+    for i in range(800):
         K = random_complex(rng, 5)
         W, D = rng.randint(1, 3 if K.m <= 4 else 2), rng.randint(2, 9)
-        if rng.random() < 0.5:
+        if i % 2:
             name, spaces = "wedge", [rng.choice(WEDGE_POOL + (POINT,)) for _ in range(K.m)]
-            make, least = partial(loop_decompose_wedge, K, spaces), 2 * min(bottom_degrees(spaces, 0))
+            make = partial(loop_decompose_wedge, K, spaces)
         else:
             name, spaces = "hilton-milnor", [rng.choice((S(1), S(2), S(3), X1, CP_INFINITY, POINT))
                                              for _ in range(rng.randint(1, 4))]
-            make, least = partial(hilton_milnor, spaces), min(bottom_degrees(spaces, 1))
+            make = partial(hilton_milnor, spaces)
         dec = make(W, degree_bound=D)
-        more = len(make(W + 3, degree_bound=D).factors) > len(dec.factors)
-        above = (W + 1) * least > D
-        if more:
-            assert dec.truncation == W, (name, K, spaces, W, D)
-        if above:
-            assert dec.truncation is None, (name, K, spaces, W, D)
-        seen[name, more, above] += 1
-    assert all(seen[name, True, False] >= 20 and seen[name, False, True] >= 20
-               for name in ("wedge", "hilton-milnor")), seen
+        more = len(make(W + 1, degree_bound=D).factors) > len(dec.factors)
+        assert dec.truncation == (W if more else None), (name, K, spaces, W, D)
+        seen[name, more] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 20, seen
 
 
 def test_contractible_two_points_cojoin():
@@ -1434,28 +1429,23 @@ def per_group_references(K, pairs, spaces, hm_spaces, W, bound, only=None):
     listings = {
         "general": lambda: per_group_listing(
             all_letters, W, partial(reference_bracket_factor, K, pairs), _base_factors(K, _normal_pairs(K, pairs)),
-            "general-coproduct", cut_by_supports, reference_grading(pairs),
+            "general-coproduct", reference_grading(pairs),
         ),
         "contractible": lambda: per_group_listing(
             all_letters, W, partial(reference_bracket_factor, K, contractible),
-            _base_factors(K, _normal_pairs(K, contractible)), "contractible-domains", cut_by_supports,
+            _base_factors(K, _normal_pairs(K, contractible)), "contractible-domains",
             reference_grading(contractible),
         ),
         "wedge": lambda: per_group_listing(
             face_letters(frozenset(K.faces()), K.m), W,
             partial(reference_bracket_factor, K, constant), _base_factors(K, _normal_pairs(K, constant)),
-            "wedge-coproduct",
-            lambda brackets: cut_by_supports(brackets)
-            and weight_cut_under(bound, W, 2 * min(bottom_degrees(spaces, 0))),
-            reference_grading(constant),
+            "wedge-coproduct", reference_grading(constant),
             bottom_degrees(spaces, 0) if bound is not None else None, bound,
         ),
         "hilton-milnor": lambda: per_group_listing(
             [(tuple(int(j == i) for j in range(n)), 1) for i in range(n)], W,
             hm_factor,
-            [], "hilton-milnor",
-            lambda brackets: n >= 2 and weight_cut_under(bound, W, min(bottom_degrees(hm_spaces, 1))),
-            summand_grading(hm_spaces),
+            [], "hilton-milnor", summand_grading(hm_spaces),
             bottom_degrees(hm_spaces, 1) if bound is not None else None, bound,
         ),
     }

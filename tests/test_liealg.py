@@ -168,6 +168,17 @@ def test_stats_rejects_plain_generators():
         stats(Bracket.leaf(Generator.plain(1)), 3)
 
 
+def test_stats_rejects_a_letter_beyond_the_ground_set():
+    with pytest.raises(ValueError, match=r"exceeds ground set 1\.\.2"):
+        stats(Bracket.leaf(Generator.face((1, 3), 1)), 2)
+
+
+def test_letters_and_brackets_print_as_their_names():
+    a, x = Generator.face((2, 1, 3), 2), Generator.plain(4)
+    b = Bracket.pair(Bracket.leaf(a), Bracket.leaf(x))
+    assert (str(a), str(x), str(b)) == ("a{1,2,3}#2", "x4", "[a{1,2,3}#2,x4]")
+
+
 def test_witt_examples():
     assert witt_dimension([1, 1]) == 1
     assert witt_dimension([2, 1]) == 1

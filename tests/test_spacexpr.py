@@ -42,7 +42,7 @@ from polyco.spacexpr import (
     render,
     sort_key,
 )
-from polyco.series import series_of
+from polyco.series import _series, series_of
 
 S = Sphere
 X = Atom("X", 1)
@@ -311,6 +311,13 @@ def test_pair_assignment_flags():
     assert const.codomain_is_point(1)
     with pytest.raises(ValueError, match="a pair assignment needs at least one vertex"):
         PairAssignment(())
+
+
+@pytest.mark.parametrize("bad", [42, "S^2", None, (S(2),)])
+def test_walks_reject_what_is_not_a_space_expression(bad):
+    for walk in (normalize, conn, render, lambda e: series_of(e, 4), lambda e: _series(e, 4)):
+        with pytest.raises(TypeError, match="not a space expression"):
+            walk(bad)
 
 
 def test_render_notation():
