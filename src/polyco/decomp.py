@@ -42,13 +42,14 @@ plan over each piece's surviving space (its summand, or the loops of its
 domain, or of its codomain when the domain is contractible) builds every
 factor.  So brackets are never listed: lyndon_class_counts counts them
 once per (weight, support type, piece content), where a support's type
-counts its vertices in each piece.  For each counted type the engine lists
-the faces of K of that type for point codomains (whose counts are then cut
-to the types of K's faces) and every support of that type otherwise: for
-contractible domains the bracket rule drops the faces, and mixed data has
-one support per type.  Each listed (weight, support, piece content) group
-becomes one Factor with its bracket count as multiplicity and
-BracketGroup(weight, support, pieces, counts) as provenance, in JSON
+counts its vertices in each piece; a piece whose surviving space is a
+point gets no letters, except in mixed data.  For each counted type the
+engine lists the faces of K of that type for point codomains (whose
+counts are then cut to the types of K's faces), only the missing faces
+for contractible domains, found as bitmasks, and every support otherwise
+(mixed data has one per type).  Each listed (weight, support, piece
+content) group becomes one Factor with its bracket count as multiplicity
+and BracketGroup(weight, support, pieces, counts) as provenance, in JSON
 {"kind": "group", "weight": ..., "support": [...], "pieces": [...],
 "counts": [...]}.  The polyhedral decompositions share one engine and one
 bracket rule, resolved once per listed support, and each distinct factor is
@@ -85,6 +86,8 @@ from .scomplex import (
     SimplicialComplex,
     _full_sub,
     _index,
+    _is_face,
+    _vertices,
     build,
     complex_to_json,
     full_subcomplex,
@@ -453,19 +456,21 @@ def porter_loop_decomp(spaces: Sequence[SpaceExpr]) -> Decomposition:
     return Decomposition(tuple(factors), "porter", None)
 
 
-def _class_factors(counts, grading: Sequence[int], rule, candidates) -> list[Factor]:
+def _class_factors(counts, grading: Sequence[int], rule, candidates, types=None) -> list[Factor]:
     """The bracket engine: one factor per counted (weight, support, piece
     content q) group, with grading[j - 1] the piece of vertex j.  counts
-    is what lyndon_class_counts gives for the grading's piece sizes, per
-    (weight, support type, q); candidates(s) lists the supports of type s
-    in order for rule to resolve (every one, or the faces of K when rule
-    keeps no other), and rule(support) runs once per listed support: None
+    maps (weight, support type, q) to a count, as lyndon_class_counts
+    does; candidates(s) lists the supports of type s in order for rule to
+    resolve (those it can keep: the faces of K, the missing faces, or
+    every one), and rule(support) runs once per listed support: None
     when every group over it vanishes, else (shape, build), and build(q, l)
     runs once per distinct (shape, q), with l the nonzero entries of q,
     found once per (weight, type, q).  The order is the counter's, by
     weight, then q descending, then support type descending, and within a
-    type by support.  Factors that are points are dropped.  An entry's
-    Factor and BracketGroup are made by tuple.__new__, fields in order.
+    type by support; rule keeps no support whose factors are points.  An
+    entry's Factor and BracketGroup are made by tuple.__new__, fields in order.
+    Each support type where rule keeps a support becomes a key of types,
+    if given.
     """
     listed: dict[tuple[int, ...], list] = {}  # type -> what the rule keeps, by support
     made: dict[object, SpaceExpr] = {}
@@ -481,46 +486,76 @@ def _class_factors(counts, grading: Sequence[int], rule, candidates) -> list[Fac
                         on.setdefault(grading[j - 1], []).append(j)
                     pieces = tuple(tuple(on[p]) for p in sorted(on))
                     kept.append((support, pieces, *resolved))
+            if kept and types is not None:
+                types[s] = None
         l = tuple(filter(None, q))  # the pieces on each support have q_p > 0
         for support, pieces, shape, build in kept:
             if (expr := made.get(key := (shape, q))) is None:
                 expr = made[key] = build(q, l)
-            if not isinstance(expr, Point):
-                out.append(new(Factor, (expr, n, new(BracketGroup, (w, support, pieces, l)))))
+            out.append(new(Factor, (expr, n, new(BracketGroup, (w, support, pieces, l)))))
     return out
 
 
 def _grading(normal: Sequence, surviving=lambda x: x, per_vertex: bool = False):
     # the piece table of a call: each vertex's piece, each piece's normal
     # form (one piece per distinct form, in order of first vertex, or one
-    # per vertex), number of vertices and degree, and the one smash plan
-    # over the surviving spaces surviving(form).  A degree is conn + 1 of
-    # the surviving space, the least degree each vertex adds to a factor;
-    # 1 for a point (no factor) or a space below connected, such as ΩS^0,
-    # whose factors have no series
+    # per vertex), the class counter over its pieces, each piece's degree,
+    # the one smash plan over the surviving spaces surviving(form), and the
+    # point pieces, whose surviving space is a point, as is every factor of
+    # the plan through one.  A degree is conn + 1 of the surviving space,
+    # the least degree each vertex adds to a factor; 1 for a point (no
+    # factor) or a space below connected, such as ΩS^0, whose factors have
+    # no series
     ids: dict = {}
     grading = [ids.setdefault(j if per_vertex else x, len(ids)) for j, x in enumerate(normal)]
     spaces = list(normal) if per_vertex else list(ids)
     sizes = tuple(Counter(grading).values())  # in piece order, as pieces are numbered by first vertex
     survivors = [surviving(x) for x in spaces]
     degrees = tuple(1 if (c := conn(x)) == INFINITE else max(1, c + 1) for x in survivors)
-    return grading, spaces, sizes, degrees, _plan(Smash, survivors)
+    points = {p for p, x in enumerate(survivors) if isinstance(x, Point)}
+    # so a point piece gets no letters, except per vertex (mixed data),
+    # where the rule's symbolic atoms through one are not points
+    if points and not per_vertex:
+        count = partial(_live_counts, [p for p in range(len(sizes)) if p not in points], sizes, degrees)
+    else:
+        count = partial(lyndon_class_counts, sizes, degrees=degrees)
+    return grading, spaces, count, degrees, _plan(Smash, survivors), points
 
 
-def _type_supports(grading: Sequence[int]):
-    """candidates(s) for the engine: every support with s[p] vertices in
-    piece p (grading[j - 1] the piece of vertex j), its vertices sorted,
-    in lexicographic order."""
-    members: list[list[int]] = [[] for _ in range(max(grading) + 1)]
+def _live_counts(live, sizes, degrees, weight_bound, types=None, **options):
+    # lyndon_class_counts over the pieces in live only, with the zero lanes
+    # of the others put back into each s and q
+    if types is not None:
+        types = {tuple(t[p] for p in live) for t in types if sum(t) == sum(t[p] for p in live)}
+    counts = lyndon_class_counts([sizes[p] for p in live], weight_bound, types=types,
+                                 degrees=[degrees[p] for p in live], **options)
+    lanes = [0] * len(sizes)
+
+    def widen(t):
+        for p, x in zip(live, t):
+            lanes[p] = x
+        return tuple(lanes)
+
+    return {(w, widen(s), widen(q)): n for (w, s, q), n in counts.items()}
+
+
+def _type_supports(grading: Sequence[int], keep=None):
+    """candidates(s) for the engine: the supports with s[p] vertices in
+    piece p (grading[j - 1] the piece of vertex j) that keep admits (every
+    one when keep is None), in lexicographic order.  A support is a vertex
+    bitmask, the or of one combination of each piece's vertex bits, until
+    keep admits it; only then are its vertices listed."""
+    bits: list[list[int]] = [[] for _ in range(max(grading) + 1)]
     for j, p in enumerate(grading, start=1):
-        members[p].append(j)
+        bits[p].append(1 << j)
 
     def every(s):
-        supports = [()]
-        for vertices, k in zip(members, s):
-            if k:
-                supports = [S + c for S in supports for c in combinations(vertices, k)]
-        return sorted(tuple(sorted(S)) for S in supports)
+        masks = [0]
+        for piece, k in zip(bits, s):
+            if k:  # a piece's one-vertex combinations are its bits
+                masks = [g | h for g in masks for h in (piece if k == 1 else map(sum, combinations(piece, k)))]
+        # filter(None, ...) keeps every mask, as none is 0
+        return sorted(map(tuple, map(_vertices, filter(keep, masks))))
 
     return every
 
@@ -545,14 +580,12 @@ def hilton_milnor(
     if m == 0:
         raise ValueError("need at least one wedge summand")
     normal = [_checked(i, x, 0, "summand {} must be connected") for i, x in enumerate(spaces, start=1)]
-    grading, _, sizes, degrees, smash = _grading(normal)
+    grading, _, count, degrees, smash, _ = _grading(normal)
 
     def build(q, l):
         return _loop(_susp(smash(q)), 1)
 
-    counts = lyndon_class_counts(
-        sizes, weight_bound, alphabet="plain", degrees=degrees, degree_bound=degree_bound
-    )
+    counts = count(weight_bound, alphabet="plain", degree_bound=degree_bound)
     factors = _class_factors(counts, grading, lambda support: (None, build), _type_supports(grading))
     # two letters that are not points carry brackets of every weight, and the
     # least degree of weight W+1 is that of x_a^W x_b, a and b the two least
@@ -601,18 +634,19 @@ def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
     connectivity needs only dim K_S + 1, the most support vertices in one
     facet (max_trace); its atom and loop are made past their checks.
 
-    For contractible domains K_S is read off K's facet bitmasks (_full_sub),
-    which finds a face support without building it, and looked up in the
-    piece table's memo: each distinct K_S of a call is one object whose
-    sphere dimensions are read once, and supports with equal K_S share a
-    shape, so their factors are built once.
+    For contractible domains the engine hands the rule only missing faces
+    (a face, given directly, still gives None), and K_S is read off K's
+    facet bitmasks (_full_sub) and looked up in the piece table's memo:
+    each distinct K_S of a call is one object whose sphere dimensions are
+    read once, and supports with equal K_S share a shape, so their factors
+    are built once.
 
     In the reduced branches build(q, l) assembles the factor in normal form
     from the pieces' one smash plan: Loop Susp of the smash of q_p copies
     of each piece's surviving loop space, made once per q and call, through
     a mapping space out of Susp|K_S| when the domains are contractible,
     assembled from the sphere dimensions already read (_map_from_dims)."""
-    grading, spaces, _, _, smash, subs, suspended = pieces
+    grading, spaces, _, _, smash, points, subs, suspended = pieces
     on = [spaces[grading[j - 1]] for j in support]
     sub = dims = None
     if all(isinstance(a, Point) for _, a in on):
@@ -637,6 +671,8 @@ def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
         top = max_trace(K, support)
         return name, lambda q, l: _loop_node(
             _atom(name + ", ".join(map(str, l)) + "]]", max(0, sum(l) - top)), 1)
+    if points and any(grading[j - 1] in points for j in support):
+        return None  # the plan's factor through a point piece is a point
 
     def build(q, l):
         if (susp := suspended.get(q)) is None:
@@ -681,16 +717,16 @@ def _coproduct_decomposition(
     degree_bound: int | None = None,
 ) -> Decomposition:
     # normal: the normalized (domain, codomain) of each vertex
-    grading, spaces, sizes, degrees, *_ = pieces = _vertex_pieces(normal)
-    # every support of a type is a candidate for contractible domains (the
-    # rule drops the faces), for mixed endpoint data (one vertex per piece,
-    # so one support per type) and over the full simplex.  Other point
-    # codomains keep faces only: their words use only letters inside a
-    # face, so the states are cut to the types of K's faces
-    candidates, types = _type_supports(grading), None
+    grading, spaces, count, degrees, *_ = pieces = _vertex_pieces(normal)
+    # point codomains keep faces only (off the full simplex, where every
+    # support is one): their words use only letters inside a face, so the
+    # states are cut to the types of K's faces.  For contractible domains
+    # only the missing faces are listed, so no face reaches the rule.  Mixed
+    # endpoint data (one vertex per piece, so one support per type) lists
+    # every support
+    types = None
     simplex = K.facets == (tuple(range(1, K.m + 1)),)
-    face_cut = all(isinstance(a, Point) for _, a in spaces) and not simplex
-    if face_cut:
+    if all(isinstance(a, Point) for _, a in spaces) and not simplex:
         faces: dict[tuple[int, ...], list[Face]] = {}
         for f in K.faces():
             s = [0] * len(spaces)
@@ -698,16 +734,23 @@ def _coproduct_decomposition(
                 s[grading[j - 1]] += 1
             faces.setdefault(tuple(s), []).append(f)
         types, candidates = faces.keys(), lambda s: faces.get(s, ())
-    counts = lyndon_class_counts(sizes, weight_bound, types=types, degrees=degrees, degree_bound=degree_bound)
-    brackets = _class_factors(counts, grading, partial(_bracket_rule, K, pieces), candidates)
+    elif all(isinstance(x, Point) for x, _ in spaces):
+        star = _index(K).star
+        candidates = _type_supports(grading, lambda g: not _is_face(g, star))
+    else:
+        candidates = _type_supports(grading)
+    counts = count(weight_bound, types=types, degree_bound=degree_bound)
+    listed: dict[tuple[int, ...], None] = {}
+    brackets = _class_factors(counts, grading, partial(_bracket_rule, K, pieces), candidates, listed)
     factors = _base_factors(K, normal) + brackets
     # the weight bound cuts the listing when a listed group's support has
     # three or more vertices: it holds two or more face letters, so it
     # carries brackets of every weight, whose factors are points only when
     # its weight-1 factor is, under a degree cut when its least degree of
-    # weight W+1 is within the bound.  A support of two vertices holds one letter
-    truncated = any(len(S := f.provenance.support) >= 3 and (degree_bound is None or _least_face_degree(
-        [degrees[grading[j - 1]] for j in S], weight_bound + 1) <= degree_bound) for f in brackets)
+    # weight W+1 is within the bound, read once per listed support type.
+    # A support of two vertices holds one letter
+    truncated = any(sum(s) >= 3 and (degree_bound is None or _least_face_degree(
+        [d for d, k in zip(degrees, s) for _ in range(k)], weight_bound + 1) <= degree_bound) for s in listed)
     return Decomposition(tuple(factors), theorem, weight_bound if truncated else None, degree_bound)
 
 

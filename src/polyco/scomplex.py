@@ -240,15 +240,22 @@ def full_subcomplex(K: SimplicialComplex, I: Iterable[int]) -> SimplicialComplex
 
 def _full_sub(index: _Index, g: int) -> SimplicialComplex | None:
     """K_S for the nonempty vertex bitmask g of S, from K's face model:
-    None when S is a face of K (:func:`_is_face`), else the maximal traces
-    F & g of the facets, the j-th smallest vertex of S becoming vertex j.
-    Every face of K inside S lies in some trace, so no face is listed."""
-    if _is_face(g, index.star):
+    None when S is a face of K, that is a trace F & g of a facet, else the
+    maximal traces, the j-th smallest vertex of S becoming vertex j.  Every
+    face of K inside S lies in some trace, so no face is listed.  The traces
+    stay masks through :func:`_maximal`'s largest-first star test, and only
+    the kept ones are relabeled."""
+    if g in (traces := {F & g for F in index.facets}):
         return None
-    traces = {tuple(_vertices(F & g)) for F in index.facets}
-    traces.discard(())
+    star: dict[int, list[int]] = {}
+    kept = []
+    for t in sorted(traces, key=int.bit_count, reverse=True):
+        if t and not _is_face(t, star):  # in no larger kept trace
+            kept.append(f := _vertices(t))
+            for v in f:
+                star.setdefault(v, []).append(t)
     label = {v: j for j, v in enumerate(_vertices(g), start=1)}
-    return SimplicialComplex(len(label), tuple(tuple([label[v] for v in f]) for f in _maximal(traces)))
+    return SimplicialComplex(len(label), tuple(sorted(tuple([label[v] for v in f]) for f in kept)))
 
 
 def max_trace(K: SimplicialComplex, I: Iterable[int]) -> int:

@@ -1200,6 +1200,26 @@ def per_group_listing(
     return Decomposition(tuple(base + brackets), theorem, weight_bound if more else None, degree_bound), classes
 
 
+def reference_type_supports(grading, keep=None):
+    """candidates(s) as the engine listed them when supports were tuples:
+    every support with s[p] vertices in piece p (grading[j - 1] the piece
+    of vertex j), its vertices sorted, in lexicographic order.  keep is
+    ignored, so every face reaches the bracket rule, which drops it: the
+    reference for the census that lists only what keep admits."""
+    members = [[] for _ in range(max(grading) + 1)]
+    for j, p in enumerate(grading, start=1):
+        members[p].append(j)
+
+    def every(s):
+        supports = [()]
+        for vertices, k in zip(members, s):
+            if k:
+                supports = [S + c for S in supports for c in combinations(vertices, k)]
+        return sorted(tuple(sorted(S)) for S in supports)
+
+    return every
+
+
 def enumerated_general(K, pairs, weight_bound) -> Decomposition:
     return _enumerated_face_alphabet(
         K, pairs, weight_bound, "general-coproduct",

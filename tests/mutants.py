@@ -153,6 +153,43 @@ MUTANTS = (
         LANE,
     ),
     Mutant(
+        "full-sub-keeps-a-contained-trace", SCOMPLEX,
+        "if t and not _is_face(t, star):", "if t:",
+        (SC + "test_full_subcomplex_matches_face_enumerating_reference",
+         DE + "test_the_rule_reads_each_full_subcomplex_like_the_face_enumerating_reference"),
+    ),
+    Mutant(
+        "census-skips-each-piece-first-vertex", DECOMP,
+        "(piece if k == 1 else map(sum, combinations(piece, k)))",
+        "(piece[1:] if k == 1 else map(sum, combinations(piece[1:], k)))",
+        (DE + "test_the_census_lists_what_every_support_lists",
+         DE + "test_counted_contractible_matches_enumerated",
+         DE + "test_counted_general_matches_enumerated"),
+    ),
+    Mutant(
+        # a face reaches the rule, which drops it: only the builder count sees it
+        "census-lets-faces-through", DECOMP,
+        "_type_supports(grading, lambda g: not _is_face(g, star))", "_type_supports(grading)",
+        (DE + "test_full_subcomplex_built_once_per_support",),
+    ),
+    Mutant(
+        "weight-cut-read-by-support-size", DECOMP,
+        "<= degree_bound) for s in listed)", "<= degree_bound) for s in {sum(s): s for s in listed}.values())",
+        (DE + "test_the_weight_cut_is_read_once_per_support_type",),
+    ),
+    Mutant(
+        "point-pieces-dropped-from-mixed-data", DECOMP,
+        "if points and not per_vertex:", "if points:",
+        (DE + "test_point_pieces_get_no_letters",
+         DE + "test_counted_general_matches_enumerated"),
+    ),
+    Mutant(
+        # a mixed call lists the factors through a point piece, which are points
+        "rule-keeps-supports-through-point-pieces", DECOMP,
+        "if points and any(grading[j - 1] in points", "if not points and any(grading[j - 1] in points",
+        (DE + "test_counted_general_matches_enumerated", GOLDEN),
+    ),
+    Mutant(
         "str-skips-map-from-susp", SPACEXPR,
         "Susp, Loop, MapFromSusp):\n    cls.__str__", "Susp, Loop):\n    cls.__str__",
         (SP + "test_render_notation",),

@@ -43,6 +43,7 @@ from _helpers import (
     reference_series_product,
     reference_full_subcomplex,
     reference_summand_factor,
+    reference_type_supports,
     reference_wedge_of_spheres_type,
     regrouped,
     repeated_product,
@@ -1253,11 +1254,11 @@ def test_mixed_atom_connectivity_reads_dim_off_the_facets():
 
 def test_full_subcomplex_built_once_per_support(monkeypatch):
     # the lemma tests and the full subcomplex are per support, not per l:
-    # each contractible support is read off the facet bitmasks once
-    # (_full_sub), a face building no K_S, and each distinct K_S of a call
-    # is one object with one certificate read, shared by the factors of
-    # every support with that K_S.  A mixed support builds none: its atom
-    # reads dim K_S off the facets
+    # only the missing faces are listed for contractible domains, so each
+    # is read off the facet bitmasks once (_full_sub) and no face reaches
+    # the builder, and each distinct K_S of a call is one object with one
+    # certificate read, shared by the factors of every support with that
+    # K_S.  A mixed support builds none: its atom reads dim K_S off the facets
     built, certified = Counter(), Counter()
     builder, certificate = polyco.decomp._full_sub, polyco.decomp.wedge_of_spheres_type
 
@@ -1274,19 +1275,20 @@ def test_full_subcomplex_built_once_per_support(monkeypatch):
     boundary = build(4, [list(f) for f in combinations(range(1, 5), 3)])
     dec = loop_decompose_contractible(boundary, path_pairs([S(2)] * 4), 8)
     assert {f.provenance.support for f in dec.bracket_factors()} == {(1, 2, 3, 4)}
-    assert set(built.values()) == {1} and len(built) == 2 ** 4 - 1 - 4  # every support of 2+ vertices
+    assert built == {0b11110: 1}  # the one missing face, where every support of 2+ vertices made 11
     assert certified == {full_subcomplex(boundary, (1, 2, 3, 4)): 1}
     # the pentagon: its five diagonals have one K_S (two points), and its
-    # 26 missing faces far fewer K_S than supports, the pentagon itself
-    # uncertified
+    # 21 missing faces 12 K_S, the pentagon itself uncertified
     built.clear()
     certified.clear()
     pentagon = build(5, [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
     dec = loop_decompose_contractible(pentagon, path_pairs([S(2)] * 5), 3)
-    assert set(built.values()) == {1} and len(built) == 2 ** 5 - 1 - 5
+    missing = {sum(1 << j for j in S) for k in (2, 3, 4, 5) for S in combinations(range(1, 6), k)
+               if not pentagon.has_face(S)}
+    assert set(built.values()) == {1} and set(built) == missing and len(built) == 21
     distinct = {reference_full_subcomplex(pentagon, S) for k in (2, 3, 4, 5) for S in combinations(range(1, 6), k)
                 if not pentagon.has_face(S)}
-    assert set(certified.values()) == {1} and set(certified) == distinct and len(distinct) < len(built) - 10
+    assert set(certified.values()) == {1} and set(certified) == distinct and len(distinct) == 12
     by_total = {}
     for f in dec.bracket_factors():
         by_total.setdefault((len(f.provenance.support), sum(f.provenance.counts)), set()).add(id(f.expr))
@@ -1344,7 +1346,8 @@ def test_factors_assembled_from_dims_match_the_certificate_path():
     # the factor through _map_from_susp on the reference K_S, which reads
     # the certificate again, and (certified) the product plan that a lone
     # sphere skips, on contractible and general pairs, for dims of every
-    # shape; a dropped support (a face, or dims ()) has a point there
+    # shape; a dropped support (a face, dims (), or a point piece on it,
+    # which makes the suspension a point) has a point there
     rng = random.Random(3533)
     shapes = Counter()
     hollow_and_points = build(6, [[1, 2], [2, 3], [1, 3], [4], [5]])  # S^0 v S^0 v S^1 on {1..5}
@@ -1374,7 +1377,7 @@ def test_factors_assembled_from_dims_match_the_certificate_path():
                     c = _susp(smash(q))
                     want = _loop(_map_from_susp(sub, c), 1)
                     if resolved is None:
-                        assert want == POINT and dims == (), (K, support)
+                        assert want == POINT and (dims == () or isinstance(c, Point)), (K, support)
                         continue
                     got = resolved[1](q, tuple(filter(None, q)))
                     assert got == want, (K, support, q)
@@ -1608,6 +1611,115 @@ def test_contractible_factor_built_once_per_key(monkeypatch):
     assert builds.pop("point", 0) == 0
     assert set(builds.values()) == {1} and sum(builds.values()) <= 30
     assert len({id(f.expr) for f in brackets}) == len({f.expr for f in brackets})
+
+
+def test_the_census_lists_what_every_support_lists(monkeypatch):
+    # supports stay bitmasks until the census lists them, and for
+    # contractible domains it lists only the missing faces: on seeded
+    # inputs every listing equals the one where every support of a type
+    # reaches the bracket rule, which drops the faces
+    # (reference_type_supports), in text and sorted JSON, order included.
+    # The inputs cover the contractible and general presets, ghost
+    # vertices (every support through one is a missing face) and full
+    # simplices, under every preset
+    rng = random.Random(4127)
+    cases = []
+    for i in range(330):
+        K = simplex(rng.randint(1, 5)) if i % 6 == 0 else random_complex(rng, 6 if i % 3 else 4)
+        codomains = [rng.choice(CODOMAIN_POOL) for _ in range(K.m)]
+        if i % 3 == 0:
+            pairs = PairAssignment.of([(rng.choice(DOMAIN_POOL), a) for a in codomains])
+            cases.append((loop_decompose, K, pairs, rng.randint(1, 2)))
+        elif i % 3 == 1:
+            cases.append((loop_decompose_contractible, K, path_pairs(codomains), rng.randint(1, 3)))
+        else:
+            cases.append((loop_decompose_wedge, K, [rng.choice(WEDGE_POOL + (POINT,)) for _ in range(K.m)], 2))
+
+    def listings():
+        return [(dec.render(), json.dumps(dec.to_json(), sort_keys=True))
+                for dec in (engine(K, data, W) for engine, K, data, W in cases)]
+
+    census = listings()
+    monkeypatch.setattr(polyco.decomp, "_type_supports", reference_type_supports)
+    assert census == listings()
+    ghosts = [K for engine, K, _, _ in cases if engine is loop_decompose_contractible and len(K.vertices()) < K.m]
+    simplices = [K for _, K, _, _ in cases if K.facets == (tuple(range(1, K.m + 1)),) and K.m > 1]
+    assert len(ghosts) > 25 and len(simplices) > 40, (len(ghosts), len(simplices))
+    assert sum(len(dec.splitlines()) for dec, _ in census) > 5000
+
+
+def test_point_pieces_get_no_letters(monkeypatch):
+    # every bracket through a piece whose surviving space is a point is a
+    # point, so the counter sees only the other pieces: hilton_milnor over
+    # POINT, S², S³ counts the 30 groups of S², S³, not the 143 of three
+    # letters, and the wedge preset does the same with point spaces.  The
+    # listings and their weight cuts match the enumerated references
+    counted = []
+    real = polyco.decomp.lyndon_class_counts
+
+    def counting(*args, **options):
+        counted.append(len(out := real(*args, **options)))
+        return out
+
+    monkeypatch.setattr(polyco.decomp, "lyndon_class_counts", counting)
+    spaces = [POINT, S(2), S(3)]
+    dec = hilton_milnor(spaces, 8)
+    assert counted == [30] and len(real([1, 1, 1], 8, alphabet="plain")) == 143
+    assert_counted_matches(dec, enumerated_hilton_milnor(spaces, 8), 3, summand_grading(spaces))
+    assert dec.truncation == 8 and len(dec.factors) == 30
+    counted.clear()
+    K = build(4, [[1, 2, 3], [2, 3, 4]])
+    spaces = [S(2), POINT, S(3), POINT]
+    dec = loop_decompose_wedge(K, spaces, 3, degree_bound=9)
+    faces = {tuple(int(j in f) for j in (1, 3)) for f in K.faces()}
+    assert counted == [len(real([1, 1], 3, types=faces, degrees=[1, 2], degree_bound=9))]
+    assert counted[0] < len(real([1, 2, 1], 3, types={(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 2, 0),
+                                                      (1, 2, 0), (0, 1, 1), (0, 2, 1), (0, 0, 0)}))
+    assert_counted_matches(dec, enumerated_wedge(K, spaces, 3, degree_bound=9), 4,
+                           reference_grading(PairAssignment.constant_maps(spaces)))
+    # mixed data keeps every piece: its symbolic atoms are not points
+    counted.clear()
+    pairs = PairAssignment.of([(S(3), POINT), (POINT, S(2)), (POINT, POINT)])
+    dec = loop_decompose(build(3, [[1, 2], [2, 3]]), pairs, 2)
+    assert counted == [len(real([1, 1, 1], 2))]
+    assert any(3 in f.provenance.support for f in dec.bracket_factors())
+
+
+def test_the_weight_cut_is_read_once_per_support_type(monkeypatch):
+    # two triangles of vertex degrees 1, 2, 2 and 2, 2, 8 under the degree
+    # cut 13: each lists its weight-1 groups, and only the first has a
+    # weight-2 word within the cut (degree 6 against 14), so the listing is
+    # cut at W = 1.  The least degree is read once per listed support type,
+    # until one is within the cut
+    reads = Counter()
+    real = polyco.decomp._least_face_degree
+
+    def reading(degrees, w):
+        reads[tuple(sorted(degrees)), w] += 1
+        return real(degrees, w)
+
+    monkeypatch.setattr(polyco.decomp, "_least_face_degree", reading)
+    K = build(4, [[1, 2, 3], [2, 3, 4]])
+    make = partial(loop_decompose_wedge, K, [S(2), S(3), S(3), S(9)], degree_bound=13)
+    dec = make(1)
+    assert {f.provenance.support for f in dec.bracket_factors()} >= {(1, 2, 3), (2, 3, 4)}
+    assert reads == {((1, 2, 2), 2): 1}
+    assert dec.truncation == 1 and len(make(4).factors) > len(dec.factors)
+    # degrees 2, 2, 2 and 2, 2, 3 under the cut 7: both list weight 1 (6, 7)
+    # and neither weight 2 (8, 9), so each type is read once, and no cut
+    reads.clear()
+    make = partial(loop_decompose_wedge, K, [S(3), S(3), S(3), S(4)], degree_bound=7)
+    dec = make(1)
+    assert {f.provenance.support for f in dec.bracket_factors()} >= {(1, 2, 3), (2, 3, 4)}
+    assert reads == {((2, 2, 2), 2): 1, ((2, 2, 3), 2): 1}
+    assert dec.truncation is None and len(make(4).factors) == len(dec.factors)
+    # the pentagon lists five supports of type {i, i+1, i+3} and itself:
+    # with no degree cut, a listed type of three vertices cuts unread
+    reads.clear()
+    pentagon = build(5, [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
+    dec = loop_decompose_contractible(pentagon, path_pairs([S(2)] * 5), 3)
+    assert Counter(len(S) for S in {f.provenance.support for f in dec.bracket_factors()}) == {2: 5, 3: 5, 5: 1}
+    assert not reads and dec.truncation == 3
 
 
 def test_contractible_realization_builds_no_factor(monkeypatch):
@@ -2008,6 +2120,13 @@ DECOMPOSITION_SIZE_GUARD_CASES = {
     "cycle_10_contractible_w6": (
         loop_decompose_contractible, lambda: build(10, [(i, i % 10 + 1) for i in range(1, 11)]),
         lambda: path_pairs([S(2)] * 10), 6, 60_199, 2.0,
+    ),
+    # 65,519 supports of two or more vertices and one missing face: the
+    # census drops the faces as masks in 0.13 s (0.37-0.66 s when each
+    # reached the rule)
+    "boundary_15_simplex_contractible_w2": (
+        loop_decompose_contractible, lambda: build(16, list(combinations(range(1, 17), 15))),
+        lambda: path_pairs([S(2)] * 16), 2, 18, 0.3,
     ),
     # two pieces of 4,000 vertices, whose face types hold at most one vertex of each
     "path_8000_alternating_spheres_wedge_w1": (
