@@ -277,14 +277,16 @@ def _run(args) -> None:
     if args.command in DECOMPOSITIONS:
         _, engine, read = DECOMPOSITIONS[args.command]
         K = load_complex(args.complex)
-        dec = engine(K, read(args.spaces, K.m), W)
+        # the wedge preset alone takes the degree cut; W stays an extra cut
+        cut = {"degree_bound": N} if engine is loop_decompose_wedge else {}
+        dec = engine(K, read(args.spaces, K.m), W, **cut)
         _emit_decomposition(args, dec, K, max_degree=N, max_weight=W)
 
     elif args.command in WEDGES:
         _, engine, truncated = WEDGES[args.command]
         spaces = load_spaces(args.spaces)
         if truncated:
-            _emit_decomposition(args, engine(spaces, W), max_degree=N, max_weight=W)
+            _emit_decomposition(args, engine(spaces, W, degree_bound=N), max_degree=N, max_weight=W)
         else:
             _emit_decomposition(args, engine(spaces))
 

@@ -45,9 +45,11 @@ once per (weight, support type, piece content), where a support's type
 counts its vertices in each piece; a piece whose surviving space is a
 point gets no letters, except in mixed data.  For each counted type the
 engine lists the faces of K of that type for point codomains (whose
-counts are then cut to the types of K's faces), only the missing faces
+counts are then cut to the types of K's faces, walked up from the empty
+face as bitmasks only as far as the degree cut), only the missing faces
 for contractible domains, found as bitmasks, and every support otherwise
-(mixed data has one per type).  Each listed (weight, support, piece
+(mixed data has one per type); a counted type that lists nothing is
+skipped.  Each listed (weight, support, piece
 content) group becomes one Factor with its bracket count as multiplicity
 and BracketGroup(weight, support, pieces, counts) as provenance, in JSON
 {"kind": "group", "weight": ..., "support": [...], "pieces": [...],
@@ -467,7 +469,8 @@ def _class_factors(counts, grading: Sequence[int], rule, candidates, types=None)
     runs once per distinct (shape, q), with l the nonzero entries of q,
     found once per (weight, type, q).  The order is the counter's, by
     weight, then q descending, then support type descending, and within a
-    type by support; rule keeps no support whose factors are points.  An
+    type by support; rule keeps no support whose factors are points, and a
+    class whose type keeps none is skipped before its l is found.  An
     entry's Factor and BracketGroup are made by tuple.__new__, fields in order.
     Each support type where rule keeps a support becomes a key of types,
     if given.
@@ -488,6 +491,8 @@ def _class_factors(counts, grading: Sequence[int], rule, candidates, types=None)
                     kept.append((support, pieces, *resolved))
             if kept and types is not None:
                 types[s] = None
+        if not kept:
+            continue
         l = tuple(filter(None, q))  # the pieces on each support have q_p > 0
         for support, pieces, shape, build in kept:
             if (expr := made.get(key := (shape, q))) is None:
@@ -555,7 +560,7 @@ def _type_supports(grading: Sequence[int], keep=None):
             if k:  # a piece's one-vertex combinations are its bits
                 masks = [g | h for g in masks for h in (piece if k == 1 else map(sum, combinations(piece, k)))]
         # filter(None, ...) keeps every mask, as none is 0
-        return sorted(map(tuple, map(_vertices, filter(keep, masks))))
+        return sorted(map(_vertices, filter(keep, masks)))
 
     return every
 
@@ -709,6 +714,48 @@ def _least_face_degree(degrees: Sequence[int], w: int) -> int:
     return total
 
 
+def _face_census(K: SimplicialComplex, grading: Sequence[int], degrees: Sequence[int], points,
+                 degree_bound: int | None) -> dict[tuple[int, ...], list[Face]]:
+    """The faces of K by type (s_p vertices in piece p, grading[j - 1] the
+    piece of vertex j), each type's faces in lexicographic order, () under
+    the zero type.  Walked up from the empty face: a face is extended only
+    by a vertex above its largest that is adjacent to each of its vertices
+    (an and of closed neighbourhoods) and shares a facet with it (an and of
+    facet-index bitsets), in increasing order, and each face tuple extends
+    its parent's.  The walk skips the point pieces, whose types the counter
+    drops, and stops past degree_bound: a face of type s supports a counted
+    class only when sum_p s_p * degrees[p] <= degree_bound, as q_p >= s_p."""
+    facets = _index(K).facets
+    through: dict[int, int] = {}  # vertex -> the indices of its facets, as a bitset
+    closed: dict[int, int] = {}  # vertex -> its closed neighbourhood, as a mask
+    live = 0
+    for i, F in enumerate(facets):
+        live |= F
+        for v in _vertices(F):
+            through[v] = through.get(v, 0) | 1 << i
+            closed[v] = closed.get(v, 0) | F
+    masks = [0] * len(degrees)
+    for j, p in enumerate(grading, start=1):
+        masks[p] |= 1 << j
+    for p in points:
+        live &= ~masks[p]
+    cost = [0] + [degrees[p] for p in grading]
+    bound = INFINITE if degree_bound is None else degree_bound
+    census: dict[tuple[int, ...], list[Face]] = {}
+
+    def walk(face, g, common, near, degree):
+        census.setdefault(tuple([(g & P).bit_count() for P in masks]), []).append(face)
+        while near:  # the candidates above face's largest vertex, least first
+            low = near & -near
+            near ^= low
+            v = low.bit_length() - 1
+            if (shared := common & through[v]) and (d := degree + cost[v]) <= bound:
+                walk(face + (v,), g | low, shared, near & closed[v], d)
+
+    walk((), 0, (1 << len(facets)) - 1, live, 0)
+    return census
+
+
 def _coproduct_decomposition(
     K: SimplicialComplex,
     normal: Sequence[tuple[SpaceExpr, SpaceExpr]],
@@ -717,22 +764,18 @@ def _coproduct_decomposition(
     degree_bound: int | None = None,
 ) -> Decomposition:
     # normal: the normalized (domain, codomain) of each vertex
-    grading, spaces, count, degrees, *_ = pieces = _vertex_pieces(normal)
+    grading, spaces, count, degrees, _, points, *_ = pieces = _vertex_pieces(normal)
     # point codomains keep faces only (off the full simplex, where every
     # support is one): their words use only letters inside a face, so the
-    # states are cut to the types of K's faces.  For contractible domains
+    # states are cut to the types of K's faces, walked up from the empty
+    # face as far as the degree cut (_face_census).  For contractible domains
     # only the missing faces are listed, so no face reaches the rule.  Mixed
     # endpoint data (one vertex per piece, so one support per type) lists
     # every support
     types = None
     simplex = K.facets == (tuple(range(1, K.m + 1)),)
     if all(isinstance(a, Point) for _, a in spaces) and not simplex:
-        faces: dict[tuple[int, ...], list[Face]] = {}
-        for f in K.faces():
-            s = [0] * len(spaces)
-            for j in f:
-                s[grading[j - 1]] += 1
-            faces.setdefault(tuple(s), []).append(f)
+        faces = _face_census(K, grading, degrees, points, degree_bound)
         types, candidates = faces.keys(), lambda s: faces.get(s, ())
     elif all(isinstance(x, Point) for x, _ in spaces):
         star = _index(K).star

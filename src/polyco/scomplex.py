@@ -8,8 +8,10 @@ Conventions
 * One face model: the facets as int bitmasks (bit v for vertex v), with a
   vertex -> facets star, built once per complex (:func:`_index`).  Every
   face test scans only the facets through the face's vertex with the
-  fewest (:func:`_is_face`).  Faces are listed only where a caller needs
-  them all, downward from facet bitmasks by dimension (:func:`_face_masks`).
+  fewest (:func:`_is_face`).  Faces are listed downward from the facet
+  bitmasks by dimension (:func:`_face_masks`) only for homology, f_vector
+  and faces(), which caches nothing; the face cut of the decompositions
+  walks upward from the empty face instead, as far as its degree cut.
 * The empty face is always present and never stored.
 * Vertices of {1..m} not covered by any facet are allowed ("ghost vertices");
   the complex genuinely depends on m, not just on the covered vertices.
@@ -79,7 +81,7 @@ class SimplicialComplex:
 
     def faces(self) -> tuple[Face, ...]:
         """All faces including the empty face, sorted by (size, lex): listed
-        downward from the facet bitmasks (:func:`_face_masks`) and cached.
+        downward from the facet bitmasks (:func:`_face_masks`) on each call.
         Face tests go through :meth:`has_face`, which lists none."""
         return _faces(self)
 
@@ -136,14 +138,16 @@ def build(m: int, faces: Iterable[Iterable[int]]) -> SimplicialComplex:
     return SimplicialComplex(m, _maximal(cleaned))
 
 
-def _vertices(mask: int) -> list[int]:
-    """The vertices of a face bitmask (bit v for vertex v), smallest first."""
+@lru_cache(maxsize=4096)
+def _vertices(mask: int) -> tuple[int, ...]:
+    """The vertices of a face bitmask (bit v for vertex v), smallest first.
+    Bounded memo: its hits come from the few masks of small complexes."""
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-    return out
+    return tuple(out)
 
 
 def _maximal(faces: set[Face]) -> tuple[Face, ...]:
@@ -207,15 +211,20 @@ def _face_masks(facets: Collection[int]) -> list[list[int]]:
     for F in facets:
         by_dim[F.bit_count() - 1].add(F)
     for d in range(len(by_dim) - 1, 0, -1):
-        by_dim[d - 1].update(f ^ 1 << v for f in by_dim[d] for v in _vertices(f))
+        below = by_dim[d - 1]
+        for f in by_dim[d]:
+            rest = f
+            while rest:
+                low = rest & -rest
+                below.add(f ^ low)
+                rest ^= low
     return [sorted(s) for s in by_dim]
 
 
-@lru_cache(maxsize=None)
 def _faces(K: SimplicialComplex) -> tuple[Face, ...]:
     out: list[Face] = [()]
     for layer in _face_masks(_index(K).facets):
-        out += sorted(tuple(_vertices(F)) for F in layer)
+        out += sorted(map(_vertices, layer))
     return tuple(out)
 
 
@@ -319,7 +328,7 @@ def union_along(
     for a in {F >> offset & low for F in _index(K1).facets}:
         for g in {a & G for v in _vertices(a) for G in star.get(v, ())}:
             if not _is_face(g, inside):
-                raise ValueError(f"L misses the overlap face {_vertices(g)} that both inputs share")
+                raise ValueError(f"L misses the overlap face {list(_vertices(g))} that both inputs share")
     m = K1.m + K2.m - o
     faces = list(K1.facets) + [tuple(v + offset for v in f) for f in K2.facets]
     return build(m, faces)
@@ -438,6 +447,18 @@ def _core(K: SimplicialComplex) -> frozenset[int]:
     return frozenset().union(*star.values())
 
 
+def _boundary(f: int, row: Mapping[int, int]) -> dict[int, int]:
+    """The boundary column of the face bitmask f, its facets' rows read
+    from row: signs alternate from +1 at f's smallest vertex."""
+    col, sign, rest = {}, 1, f
+    while rest:
+        low = rest & -rest
+        col[row[f ^ low]] = sign
+        sign = -sign
+        rest ^= low
+    return col
+
+
 @lru_cache(maxsize=None)
 def homology(K: SimplicialComplex) -> HomologyProfile:
     """Reduced rational homology via the boundary matrices of the core of K.
@@ -459,12 +480,7 @@ def homology(K: SimplicialComplex) -> HomologyProfile:
     cleared: dict[int, dict[int, int]] = {}  # pivots of the reduction one dimension up
     for d in range(len(faces) - 1, 0, -1):
         row = {f: i for i, f in enumerate(faces[d - 1])}
-        columns = (
-            {row[f ^ 1 << v]: -1 if pos % 2 else 1 for pos, v in enumerate(_vertices(f))}
-            for i, f in enumerate(faces[d])
-            if i not in cleared
-        )
-        cleared = _reduce(columns)
+        cleared = _reduce(_boundary(f, row) for i, f in enumerate(faces[d]) if i not in cleared)
         ranks_d[d] = len(cleared)
     betti = [len(fs) - ranks_d[d] - ranks_d[d + 1] for d, fs in enumerate(faces)]
     return HomologyProfile(tuple(betti) + (0,) * (top + 1 - len(betti)), top)

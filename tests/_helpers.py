@@ -1220,6 +1220,21 @@ def reference_type_supports(grading, keep=None):
     return every
 
 
+def reference_face_census(K, grading, degrees, points, degree_bound):
+    """The face cut's census as the engine took it when every face was
+    listed: K.faces(), by size and then lexicographically, each face under
+    its type (s[p] of its vertices in piece p, grading[j - 1] the piece of
+    vertex j).  points and degree_bound are ignored: the counter drops the
+    types through a point piece and the classes past the degree cut."""
+    faces = {}
+    for f in K.faces():
+        s = [0] * len(degrees)
+        for j in f:
+            s[grading[j - 1]] += 1
+        faces.setdefault(tuple(s), []).append(f)
+    return faces
+
+
 def enumerated_general(K, pairs, weight_bound) -> Decomposition:
     return _enumerated_face_alphabet(
         K, pairs, weight_bound, "general-coproduct",

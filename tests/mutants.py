@@ -190,6 +190,39 @@ MUTANTS = (
         (DE + "test_counted_general_matches_enumerated", GOLDEN),
     ),
     Mutant(
+        # every piece mask one vertex up: each face counted under its neighbour's type
+        "census-piece-masks-off-by-one-vertex", DECOMP,
+        "for j, p in enumerate(grading, start=1):\n        masks[p]",
+        "for j, p in enumerate(grading, start=2):\n        masks[p]",
+        (DE + "test_the_face_census_lists_what_every_face_lists",
+         DE + "test_the_face_census_is_the_faces_within_the_cut"),
+    ),
+    Mutant(
+        "census-without-the-empty-face", DECOMP,
+        "        census.setdefault(", "        face and census.setdefault(",
+        (DE + "test_the_face_census_lists_what_every_face_lists",
+         DE + "test_the_face_census_is_the_faces_within_the_cut"),
+    ),
+    Mutant(
+        "census-degree-cap-strict", DECOMP,
+        "(d := degree + cost[v]) <= bound", "(d := degree + cost[v]) < bound",
+        (DE + "test_the_face_census_lists_what_every_face_lists",
+         DE + "test_the_face_census_is_the_faces_within_the_cut"),
+    ),
+    Mutant(
+        # pairwise adjacent vertices with no common facet (a hollow triangle) are listed
+        "census-without-the-common-facet-test", DECOMP,
+        "if (shared := common & through[v]) and", "if ((shared := common & through[v]) or ~0) and",
+        (DE + "test_the_face_census_is_the_faces_within_the_cut",),
+    ),
+    Mutant(
+        "boundary-signs-all-plus", SCOMPLEX,
+        "        sign = -sign\n", "        sign = sign\n",
+        (SC + "test_homology_examples",
+         SC + "test_homology_matches_dense_on_random_complexes",
+         SC + "test_homology_matches_dense_reference_on_seeded_families"),
+    ),
+    Mutant(
         "str-skips-map-from-susp", SPACEXPR,
         "Susp, Loop, MapFromSusp):\n    cls.__str__", "Susp, Loop):\n    cls.__str__",
         (SP + "test_render_notation",),

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -390,9 +391,10 @@ def test_porter_takes_no_degree(tmp_path, capsys):
     assert main(["porter", "--spaces", spaces, "--format", "json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert "max_degree" not in out and "max_weight" not in out and out["truncation"] is None
+    # hilton-milnor is cut at the degree it is given, with W = N + 1 as an extra cut
     assert main(["hilton-milnor", "--spaces", spaces, "--format", "json", "--max-degree", "6"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert (out["max_degree"], out["max_weight"], out["degree_bound"]) == (6, 7, None)
+    assert (out["max_degree"], out["max_weight"], out["degree_bound"]) == (6, 7, 6)
 
 
 def test_non_canonical_vertex_keys_exit_2(tmp_path, capsys):
@@ -426,24 +428,26 @@ def test_deterministic_output(square_file, cp_file, capsys):
 
 
 def test_decompose_wedge_default_degree_on_simplex(tmp_path, capsys):
-    # the default N = 12 gives W = 13: 119,939,427 brackets over the face
-    # alphabet of the 2-simplex in 2,343 classes, listed as their groups by
-    # (weight, support, letter count), since every vertex carries S^2 (a
-    # MemoryError while every bracket was its own factor)
+    # the default N = 12 cuts at degree 12, with W = 13 as an extra cut that
+    # never binds: ΩS^2 has degree 1, so the 128 classes of degree at most
+    # 12 over the face alphabet of the 2-simplex are listed as their 20
+    # groups by (weight, support, letter count).  Uncut, W = 13 alone listed
+    # 119,939,427 brackets in 2,343 classes
     cx = write(tmp_path, "d2.json", {"m": 3, "facets": [[1, 2, 3]]})
     spaces = write(tmp_path, "s2.json", {str(i): {"kind": "sphere", "n": 2} for i in (1, 2, 3)})
     assert main(["decompose-wedge", "--complex", cx, "--spaces", spaces]) == 0
     out = capsys.readouterr().out
-    classes = reference_class_counts(all_face_letters(3), 13)
+    classes = reference_class_counts(all_face_letters(3), 13, vertex_degrees=[1] * 3, degree_bound=12)
     groups = regrouped(classes, [0] * 3)
-    assert (len(classes), sum(classes.values()), len(groups)) == (2343, 119939427, 106)
+    assert (len(classes), sum(classes.values()), len(groups)) == (128, 747, 20)
     assert out.startswith(
         f"wedge-coproduct: {3 + len(groups)} entries, {3 + sum(classes.values())} factors "
-        "with multiplicity (bracket weight ≤ 13)\n"
+        "with multiplicity (degree ≤ 12)\n"
     )
+    assert out.startswith("wedge-coproduct: 23 entries, 750 factors with multiplicity (degree ≤ 12)\n")
     last = max(groups, key=lambda key: listing_order(key, [0] * 3))
-    assert last == (13, (1, 2, 3), (26,))
-    assert out.endswith(f"ΩΣ(ΩS^2^∧26) ^{groups[last]}   [group w=13 {{1,2,3}}:26]\n")
+    assert last == (6, (1, 2, 3), (12,))
+    assert out.endswith(f"ΩΣ(ΩS^2^∧12) ^{groups[last]}   [group w=6 {{1,2,3}}:12]\n")
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -488,6 +492,21 @@ def test_contractible_boundary_spheres_at_the_default_weight_fit_in_memory(tmp_p
     assert main(_boundary_with_spheres(tmp_path, 4) + ["--format", "json", "--output", str(out)]) == 0
     assert len(json.loads(out.read_text())["factors"]) == 193
     assert out.stat().st_size < 1_000_000
+
+
+def test_decompose_wedge_on_a_large_boundary_at_the_default_degree_is_fast(tmp_path, monkeypatch):
+    # ∂Δ⁶ with S^2 ... S^8: cut at degree 12 it lists 100 entries in about
+    # 0.12 s of wall time for the whole process; with W = 13 as the only
+    # cut it ran past 40 s
+    facets = [list(f) for f in combinations(range(1, 8), 6)]
+    cx = write(tmp_path, "bd7.json", {"m": 7, "facets": facets})
+    spaces = write(tmp_path, "s2-8.json", {str(i): {"kind": "sphere", "n": i + 1} for i in range(1, 8)})
+    monkeypatch.delenv("POLYCO_MAX_DEGREE", raising=False)
+    start = time.perf_counter()
+    proc = _run_capped(["decompose-wedge", "--complex", cx, "--spaces", spaces])
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("wedge-coproduct: 100 entries, 162 factors with multiplicity (degree ≤ 12)\n")
 
 
 def _nested_spaces(tmp_path, depth):

@@ -37,6 +37,7 @@ from _helpers import (
     recursive_render,
     reference_bracket_factor,
     reference_class_counts,
+    reference_face_census,
     reference_grading,
     reference_group_factor,
     reference_normalize,
@@ -1648,6 +1649,85 @@ def test_the_census_lists_what_every_support_lists(monkeypatch):
     assert sum(len(dec.splitlines()) for dec, _ in census) > 5000
 
 
+def face_census_cases(seed, count):
+    """(engine, K, data, W, degree bound) for the face cut on seeded inputs:
+    the wedge preset with and without a degree cut, and the general one
+    with every codomain a point, over random complexes (ghost vertices
+    among them), empty ones and full simplices, with point spaces and
+    repeated spaces (pieces of several vertices)."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        m = rng.randint(2, 8)
+        facets = [rng.sample(range(1, m + 1), rng.randint(1, min(m - 1, 5))) for _ in range(rng.randint(1, m + 2))]
+        K = build(m, []) if i % 10 == 0 else simplex(m) if i % 20 == 1 else build(m, facets)
+        if i % 4 == 3:
+            pairs = PairAssignment.of([(rng.choice(DOMAIN_POOL), POINT) for _ in range(K.m)])
+            cases.append((loop_decompose, K, pairs, rng.randint(1, 2), None))
+            continue
+        pool = rng.sample(WEDGE_POOL + (POINT,), rng.randint(1, 3))
+        spaces = [rng.choice(pool) for _ in range(K.m)]
+        cut = None if i % 4 == 0 else rng.randint(1, 9)
+        cases.append((loop_decompose_wedge, K, spaces, 2 if cut is None else rng.randint(1, 5), cut))
+    return cases
+
+
+def test_the_face_census_lists_what_every_face_lists(monkeypatch):
+    # the face cut walks up from the empty face only as far as the degree
+    # cut: on seeded inputs every listing equals the one from every face of
+    # K (reference_face_census), in text and sorted JSON, order included
+    cases = face_census_cases(4219, 330)
+
+    def listings():
+        out = []
+        for engine, K, data, W, cut in cases:
+            dec = engine(K, data, W) if cut is None else engine(K, data, W, degree_bound=cut)
+            out.append((dec.render(), json.dumps(dec.to_json(), sort_keys=True)))
+        return out
+
+    walked = []
+    real = polyco.decomp._face_census
+
+    def recording(*args):
+        census = real(*args)
+        walked.append((sum(map(len, census.values())), sum(map(len, reference_face_census(*args).values()))))
+        return census
+
+    monkeypatch.setattr(polyco.decomp, "_face_census", recording)
+    census = listings()
+    monkeypatch.setattr(polyco.decomp, "_face_census", reference_face_census)
+    assert census == listings()
+    ghosts = [K for _, K, _, _, _ in cases if K.facets and len(K.vertices()) < K.m]
+    assert len(ghosts) > 100 and sum(not K.facets for _, K, _, _, _ in cases) >= 30, len(ghosts)
+    # the walk skipped faces past the cut or through a point piece, and listed every face elsewhere
+    assert sum(a < b for a, b in walked) > 100 and sum(a == b > 8 for a, b in walked) > 25
+    assert sum(len(text.splitlines()) for text, _ in census) > 5000
+
+
+def test_the_face_census_is_the_faces_within_the_cut():
+    # _face_census alone against every face of K: a face is listed under
+    # its type exactly when it avoids the point pieces and its degree is
+    # within the cut, and the empty face always, under the zero type
+    rng = random.Random(4253)
+    checked = 0
+    for _ in range(300):
+        K = random_complex(rng, 8)
+        grading = [rng.randint(0, 2) for _ in range(K.m)]
+        pieces = max(grading) + 1
+        degrees = [rng.randint(1, 3) for _ in range(pieces)]
+        points = {p for p in range(pieces) if rng.random() < 0.2}
+        cut = rng.choice([None, rng.randint(0, 8)])
+        want = {}
+        for s, faces in reference_face_census(K, grading, degrees, points, cut).items():
+            degree = sum(k * d for k, d in zip(s, degrees))
+            if (cut is None or degree <= cut) and not any(s[p] for p in points):
+                want[s] = faces
+        got = polyco.decomp._face_census(K, grading, degrees, points, cut)
+        assert got == want and list(got[(0,) * pieces]) == [()], (K, grading, degrees, points, cut)
+        checked += len(want) > 3
+    assert checked > 100
+
+
 def test_point_pieces_get_no_letters(monkeypatch):
     # every bracket through a piece whose surviving space is a point is a
     # point, so the counter sees only the other pieces: hilton_milnor over
@@ -2127,6 +2207,13 @@ DECOMPOSITION_SIZE_GUARD_CASES = {
     "boundary_15_simplex_contractible_w2": (
         loop_decompose_contractible, lambda: build(16, list(combinations(range(1, 17), 15))),
         lambda: path_pairs([S(2)] * 16), 2, 18, 0.3,
+    ),
+    # the degree cut needs only the faces of at most six of the 18 vertices:
+    # listing all 2^18 faces as tuples took 1.63-1.78 s of process time, and
+    # the walk up to the cut 0.42-0.45 s (Python 3.11, 2-vCPU VM)
+    "boundary_17_simplex_spheres_wedge_degree_12": (
+        partial(loop_decompose_wedge, degree_bound=12), lambda: build(18, list(combinations(range(1, 19), 17))),
+        lambda: [S(3)] * 18, 13, 109_515, 1.2,
     ),
     # two pieces of 4,000 vertices, whose face types hold at most one vertex of each
     "path_8000_alternating_spheres_wedge_w1": (
