@@ -42,23 +42,22 @@ plan over each piece's surviving space (its summand, or the loops of its
 domain, or of its codomain when the domain is contractible) builds every
 factor.  So brackets are never listed: lyndon_class_counts counts them
 once per (weight, support type, piece content), where a support's type
-counts its vertices in each piece; a piece whose surviving space is a
-point gets no letters, except in mixed data.  For each counted type the
-engine lists the faces of K of that type for point codomains (whose
-counts are then cut to the types of K's faces, walked up from the empty
-face as bitmasks only as far as the degree cut), only the missing faces
-for contractible domains, found as bitmasks, and every support otherwise
-(mixed data has one per type); a counted type that lists nothing is
-skipped.  Each listed (weight, support, piece
-content) group becomes one Factor with its bracket count as multiplicity
-and BracketGroup(weight, support, pieces, counts) as provenance, in JSON
-{"kind": "group", "weight": ..., "support": [...], "pieces": [...],
-"counts": [...]}.  The polyhedral decompositions share one engine and one
-bracket rule, resolved once per listed support, and each distinct factor is
-built once.  For contractible domains the rule reads each support's full
-subcomplex K_S off the facet bitmasks; equal K_S are one object with one
-certificate per call, and a certified factor is assembled from the sphere
-dimensions the rule has already read.
+counts its vertices in each piece; a vertex whose surviving space is a
+point has no piece, except in mixed data.  One census (_census) lists the
+supports of each type, walked up from the empty one as masks as far as the
+degree cut, with one and per step as face test: the faces of K for point
+codomains (off the full simplex the counter is cut to their types), the
+missing faces for contractible domains, and in mixed data each support by
+its own endpoints; a counted type that lists nothing is skipped.  Each
+listed (weight, support, piece content) group becomes one Factor with its
+bracket count as multiplicity and BracketGroup(weight, support, pieces,
+counts) as provenance, in JSON {"kind": "group", "weight": ..., "support":
+[...], "pieces": [...], "counts": [...]}.  The polyhedral decompositions
+share one engine and one bracket rule, resolved once per listed support,
+and each distinct factor is built once.  For contractible domains the rule
+reads each support's full subcomplex K_S off the facet bitmasks; equal K_S
+are one object with one certificate per call, and a certified factor is
+assembled from the sphere dimensions the rule has already read.
 
 Each input is normalized once, where it enters (_checked), and its
 connectivity is read on that normal form, the form every factor is built
@@ -88,7 +87,6 @@ from .scomplex import (
     SimplicialComplex,
     _full_sub,
     _index,
-    _is_face,
     _vertices,
     build,
     complex_to_json,
@@ -245,7 +243,7 @@ def evaluate_special(K: SimplicialComplex, pairs: PairAssignment) -> SpaceExpr |
     contractible: the cojoin Loop Susp (Loop A_1 smash Loop A_2).
     """
     _check_arity(K.m, pairs.m, "pairs")
-    if K.has_face(range(1, K.m + 1)):
+    if K.facets == (tuple(range(1, K.m + 1)),):
         return normalize(Wedge(tuple(pairs.domain(i) for i in range(1, K.m + 1))))
     if K.dim() <= 0 and all(pairs.codomain_is_point(i) for i in range(1, K.m + 1)):
         return normalize(Product(tuple(pairs.domain(v) for v in K.vertices())))
@@ -458,22 +456,20 @@ def porter_loop_decomp(spaces: Sequence[SpaceExpr]) -> Decomposition:
     return Decomposition(tuple(factors), "porter", None)
 
 
-def _class_factors(counts, grading: Sequence[int], rule, candidates, types=None) -> list[Factor]:
+def _class_factors(counts, grading: Sequence[int], rule, census, types=None) -> list[Factor]:
     """The bracket engine: one factor per counted (weight, support, piece
     content q) group, with grading[j - 1] the piece of vertex j.  counts
     maps (weight, support type, q) to a count, as lyndon_class_counts
-    does; candidates(s) lists the supports of type s in order for rule to
-    resolve (those it can keep: the faces of K, the missing faces, or
-    every one), and rule(support) runs once per listed support: None
+    does; census maps a support type to its listed supports in order, as
+    _census does, and rule(support) runs once per listed support: None
     when every group over it vanishes, else (shape, build), and build(q, l)
     runs once per distinct (shape, q), with l the nonzero entries of q,
     found once per (weight, type, q).  The order is the counter's, by
     weight, then q descending, then support type descending, and within a
-    type by support; rule keeps no support whose factors are points, and a
-    class whose type keeps none is skipped before its l is found.  An
-    entry's Factor and BracketGroup are made by tuple.__new__, fields in order.
-    Each support type where rule keeps a support becomes a key of types,
-    if given.
+    type by support; a class whose type keeps no support is skipped before
+    its l is found.  An entry's Factor and BracketGroup are made by
+    tuple.__new__, fields in order.  Each support type where rule keeps a
+    support becomes a key of types, if given.
     """
     listed: dict[tuple[int, ...], list] = {}  # type -> what the rule keeps, by support
     made: dict[object, SpaceExpr] = {}
@@ -482,7 +478,7 @@ def _class_factors(counts, grading: Sequence[int], rule, candidates, types=None)
     for (w, s, q), n in counts.items():
         if (kept := listed.get(s)) is None:
             kept = listed[s] = []
-            for support in candidates(s):
+            for support in census.get(s, ()):
                 if (resolved := rule(support)) is not None:
                     on: dict[int, list[int]] = {}
                     for j in support:
@@ -506,63 +502,26 @@ def _grading(normal: Sequence, surviving=lambda x: x, per_vertex: bool = False):
     # form (one piece per distinct form, in order of first vertex, or one
     # per vertex), the class counter over its pieces, each piece's degree,
     # the one smash plan over the surviving spaces surviving(form), and the
-    # point pieces, whose surviving space is a point, as is every factor of
-    # the plan through one.  A degree is conn + 1 of the surviving space,
-    # the least degree each vertex adds to a factor; 1 for a point (no
-    # factor) or a space below connected, such as ΩS^0, whose factors have
-    # no series
+    # mask of the vertices whose surviving space is a point.  Such a vertex
+    # has no piece (None), as every factor through it is a point, except
+    # per vertex (mixed data), where the rule's symbolic atoms through one
+    # are not points.  A degree is conn + 1 of the surviving space, the
+    # least degree each vertex adds to a factor; 1 for a point or a space
+    # below connected, such as ΩS^0, whose factors have no series
     ids: dict = {}
     grading = [ids.setdefault(j if per_vertex else x, len(ids)) for j, x in enumerate(normal)]
     spaces = list(normal) if per_vertex else list(ids)
-    sizes = tuple(Counter(grading).values())  # in piece order, as pieces are numbered by first vertex
     survivors = [surviving(x) for x in spaces]
+    dead = sum(2 << j for j, p in enumerate(grading) if isinstance(survivors[p], Point))
+    if dead and not per_vertex:  # drop the point pieces, and number the others in order
+        live = [p for p, y in enumerate(survivors) if not isinstance(y, Point)]
+        number = dict(zip(live, range(len(live))))
+        grading = [number.get(p) for p in grading]
+        spaces, survivors = [spaces[p] for p in live], [survivors[p] for p in live]
+    sizes = tuple(Counter(p for p in grading if p is not None).values())  # pieces are numbered by first vertex
     degrees = tuple(1 if (c := conn(x)) == INFINITE else max(1, c + 1) for x in survivors)
-    points = {p for p, x in enumerate(survivors) if isinstance(x, Point)}
-    # so a point piece gets no letters, except per vertex (mixed data),
-    # where the rule's symbolic atoms through one are not points
-    if points and not per_vertex:
-        count = partial(_live_counts, [p for p in range(len(sizes)) if p not in points], sizes, degrees)
-    else:
-        count = partial(lyndon_class_counts, sizes, degrees=degrees)
-    return grading, spaces, count, degrees, _plan(Smash, survivors), points
-
-
-def _live_counts(live, sizes, degrees, weight_bound, types=None, **options):
-    # lyndon_class_counts over the pieces in live only, with the zero lanes
-    # of the others put back into each s and q
-    if types is not None:
-        types = {tuple(t[p] for p in live) for t in types if sum(t) == sum(t[p] for p in live)}
-    counts = lyndon_class_counts([sizes[p] for p in live], weight_bound, types=types,
-                                 degrees=[degrees[p] for p in live], **options)
-    lanes = [0] * len(sizes)
-
-    def widen(t):
-        for p, x in zip(live, t):
-            lanes[p] = x
-        return tuple(lanes)
-
-    return {(w, widen(s), widen(q)): n for (w, s, q), n in counts.items()}
-
-
-def _type_supports(grading: Sequence[int], keep=None):
-    """candidates(s) for the engine: the supports with s[p] vertices in
-    piece p (grading[j - 1] the piece of vertex j) that keep admits (every
-    one when keep is None), in lexicographic order.  A support is a vertex
-    bitmask, the or of one combination of each piece's vertex bits, until
-    keep admits it; only then are its vertices listed."""
-    bits: list[list[int]] = [[] for _ in range(max(grading) + 1)]
-    for j, p in enumerate(grading, start=1):
-        bits[p].append(1 << j)
-
-    def every(s):
-        masks = [0]
-        for piece, k in zip(bits, s):
-            if k:  # a piece's one-vertex combinations are its bits
-                masks = [g | h for g in masks for h in (piece if k == 1 else map(sum, combinations(piece, k)))]
-        # filter(None, ...) keeps every mask, as none is 0
-        return sorted(map(_vertices, filter(keep, masks)))
-
-    return every
+    count = partial(lyndon_class_counts, sizes, degrees=degrees)
+    return grading, spaces, count, degrees, _plan(Smash, survivors), dead
 
 
 def hilton_milnor(
@@ -591,10 +550,12 @@ def hilton_milnor(
         return _loop(_susp(smash(q)), 1)
 
     counts = count(weight_bound, alphabet="plain", degree_bound=degree_bound)
-    factors = _class_factors(counts, grading, lambda support: (None, build), _type_supports(grading))
+    # every support is a face of the one facet, and a word of weight W has at most W letters
+    census = _census(((2 << m) - 2,), grading, degrees, degree_bound, most=weight_bound)
+    factors = _class_factors(counts, grading, lambda support: (None, build), census)
     # two letters that are not points carry brackets of every weight, and the
     # least degree of weight W+1 is that of x_a^W x_b, a and b the two least
-    ds = sorted(degrees[p] for p, x in zip(grading, normal) if not isinstance(x, Point))
+    ds = sorted(degrees[p] for p in grading if p is not None)
     truncated = len(ds) >= 2 and (degree_bound is None or weight_bound * ds[0] + ds[1] <= degree_bound)
     return Decomposition(tuple(factors), "hilton-milnor", weight_bound if truncated else None, degree_bound)
 
@@ -631,40 +592,34 @@ def _vertex_pieces(normal: Sequence[tuple[SpaceExpr, SpaceExpr]]):
 
 
 def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
-    """The factor of the groups over one support: None when they all vanish,
-    else (shape, build).  build(q, l) makes the looped weighted smash
-    coproduct over the full subcomplex on the support, reduced where a lemma
-    applies, for piece content q with nonzero entries l; shape and q are all
-    that it depends on.  A mixed support lists no faces: its atom's
-    connectivity needs only dim K_S + 1, the most support vertices in one
-    facet (max_trace); its atom and loop are made past their checks.
+    """The factor of the groups over a support the census lists: None
+    when they all vanish, else (shape, build).  build(q, l) makes the
+    looped weighted smash coproduct over the full subcomplex on the
+    support, reduced where a lemma applies, for piece content q with
+    nonzero entries l; shape and q are all that it depends on.  A mixed
+    support lists no faces: its atom's connectivity needs only dim K_S + 1,
+    the most support vertices in one facet (max_trace); its atom and loop
+    are made past their checks.
 
-    For contractible domains the engine hands the rule only missing faces
-    (a face, given directly, still gives None), and K_S is read off K's
-    facet bitmasks (_full_sub) and looked up in the piece table's memo:
-    each distinct K_S of a call is one object whose sphere dimensions are
-    read once, and supports with equal K_S share a shape, so their factors
-    are built once.
+    Over point codomains the support is a face.  Over contractible domains
+    it is a missing face, whose K_S is read off K's facet bitmasks
+    (_full_sub) and looked up in the piece table's memo: each distinct K_S
+    of a call is one object whose sphere dimensions are read once, and
+    supports with equal K_S share a shape, so their factors are built once.
 
     In the reduced branches build(q, l) assembles the factor in normal form
     from the pieces' one smash plan: Loop Susp of the smash of q_p copies
     of each piece's surviving loop space, made once per q and call, through
     a mapping space out of Susp|K_S| when the domains are contractible,
     assembled from the sphere dimensions already read (_map_from_dims)."""
-    grading, spaces, _, _, smash, points, subs, suspended = pieces
+    grading, spaces, _, _, smash, _, subs, suspended = pieces
     on = [spaces[grading[j - 1]] for j in support]
     sub = dims = None
     if all(isinstance(a, Point) for _, a in on):
-        # point codomains: only a face support survives
-        if not K.has_face(support):
-            return None
         shape = "point"
     elif all(isinstance(x, Point) for x, _ in on):
-        # over a face, or any certified contractible realization, this is a point
-        sub = _full_sub(_index(K), sum(1 << j for j in support))
-        if sub is None:
-            return None
-        if (known := subs.get(sub)) is None:
+        # over a certified contractible realization this is a point
+        if (known := subs.get(sub := _full_sub(_index(K), sum(1 << j for j in support)))) is None:
             known = subs[sub] = sub, wedge_of_spheres_type(sub)
         sub, dims = known
         if dims == ():
@@ -676,8 +631,6 @@ def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
         top = max_trace(K, support)
         return name, lambda q, l: _loop_node(
             _atom(name + ", ".join(map(str, l)) + "]]", max(0, sum(l) - top)), 1)
-    if points and any(grading[j - 1] in points for j in support):
-        return None  # the plan's factor through a point piece is a point
 
     def build(q, l):
         if (susp := suspended.get(q)) is None:
@@ -714,45 +667,44 @@ def _least_face_degree(degrees: Sequence[int], w: int) -> int:
     return total
 
 
-def _face_census(K: SimplicialComplex, grading: Sequence[int], degrees: Sequence[int], points,
-                 degree_bound: int | None) -> dict[tuple[int, ...], list[Face]]:
-    """The faces of K by type (s_p vertices in piece p, grading[j - 1] the
-    piece of vertex j), each type's faces in lexicographic order, () under
-    the zero type.  Walked up from the empty face: a face is extended only
-    by a vertex above its largest that is adjacent to each of its vertices
-    (an and of closed neighbourhoods) and shares a facet with it (an and of
-    facet-index bitsets), in increasing order, and each face tuple extends
-    its parent's.  The walk skips the point pieces, whose types the counter
-    drops, and stops past degree_bound: a face of type s supports a counted
-    class only when sum_p s_p * degrees[p] <= degree_bound, as q_p >= s_p."""
-    facets = _index(K).facets
-    through: dict[int, int] = {}  # vertex -> the indices of its facets, as a bitset
-    closed: dict[int, int] = {}  # vertex -> its closed neighbourhood, as a mask
-    live = 0
+def _census(facets: Sequence[int], grading: Sequence[int | None], degrees: Sequence[int],
+            degree_bound: int | None, keep=None, most=INFINITE) -> dict[tuple[int, ...], list[Face]]:
+    """The supports by type (s_p vertices in piece p, grading[j - 1] the piece
+    of vertex j or None), each type's in lexicographic order: with keep
+    None the faces of the facet bitmasks, () under the zero type, else
+    those that keep(mask, is a face) admits.  Walked up from the empty
+    support by a vertex with a piece above its largest, least first, each
+    tuple extending its parent's, with the and of its vertices' facet-index
+    bitsets, so a support is a face when that and is not 0.  A face is
+    extended only inside the and of its closed neighbourhoods when keep is
+    None.  The walk stops past most vertices and past degree_bound: a
+    support of type s carries a counted class only when sum_p s_p *
+    degrees[p] <= degree_bound, as q_p >= s_p."""
+    through = [0] * (len(grading) + 1)  # vertex -> the indices of its facets, as a bitset
+    closed = [0 if keep is None else -1] * (len(grading) + 1)  # vertex -> its closed neighbourhood
     for i, F in enumerate(facets):
-        live |= F
         for v in _vertices(F):
-            through[v] = through.get(v, 0) | 1 << i
-            closed[v] = closed.get(v, 0) | F
+            through[v] |= 1 << i
+            closed[v] |= F
     masks = [0] * len(degrees)
     for j, p in enumerate(grading, start=1):
-        masks[p] |= 1 << j
-    for p in points:
-        live &= ~masks[p]
-    cost = [0] + [degrees[p] for p in grading]
+        if p is not None:
+            masks[p] |= 1 << j
+    cost = [0] + [0 if p is None else degrees[p] for p in grading]
     bound = INFINITE if degree_bound is None else degree_bound
     census: dict[tuple[int, ...], list[Face]] = {}
-
-    def walk(face, g, common, near, degree):
-        census.setdefault(tuple([(g & P).bit_count() for P in masks]), []).append(face)
-        while near:  # the candidates above face's largest vertex, least first
-            low = near & -near
-            near ^= low
-            v = low.bit_length() - 1
-            if (shared := common & through[v]) and (d := degree + cost[v]) <= bound:
-                walk(face + (v,), g | low, shared, near & closed[v], d)
-
-    walk((), 0, (1 << len(facets)) - 1, live, 0)
+    stack = [((), 0, -1, sum(masks), 0)]  # (support, its mask, and of facet bitsets, candidates, degree)
+    while stack:
+        face, g, common, near, degree = stack.pop()
+        if keep is None or keep(g, common != 0):
+            census.setdefault(tuple([(g & P).bit_count() for P in masks]), []).append(face)
+        above = 0  # the candidates above v
+        while near and len(face) < most:  # those above face's largest vertex, pushed greatest first
+            v = near.bit_length() - 1
+            near ^= (low := 1 << v)
+            if ((shared := common & through[v]) or keep) and (d := degree + cost[v]) <= bound:
+                stack.append((face + (v,), g | low, shared, above & closed[v], d))
+            above |= low
     return census
 
 
@@ -764,27 +716,32 @@ def _coproduct_decomposition(
     degree_bound: int | None = None,
 ) -> Decomposition:
     # normal: the normalized (domain, codomain) of each vertex
-    grading, spaces, count, degrees, _, points, *_ = pieces = _vertex_pieces(normal)
-    # point codomains keep faces only (off the full simplex, where every
-    # support is one): their words use only letters inside a face, so the
-    # states are cut to the types of K's faces, walked up from the empty
-    # face as far as the degree cut (_face_census).  For contractible domains
-    # only the missing faces are listed, so no face reaches the rule.  Mixed
-    # endpoint data (one vertex per piece, so one support per type) lists
-    # every support
-    types = None
-    simplex = K.facets == (tuple(range(1, K.m + 1)),)
-    if all(isinstance(a, Point) for _, a in spaces) and not simplex:
-        faces = _face_census(K, grading, degrees, points, degree_bound)
-        types, candidates = faces.keys(), lambda s: faces.get(s, ())
-    elif all(isinstance(x, Point) for x, _ in spaces):
-        star = _index(K).star
-        candidates = _type_supports(grading, lambda g: not _is_face(g, star))
-    else:
-        candidates = _type_supports(grading)
+    grading, spaces, count, degrees, _, dead, *_ = pieces = _vertex_pieces(normal)
+    # the census lists what the rule makes a factor of.  Point codomains
+    # keep the faces (keep None): their words use only letters inside a
+    # face, so off the full simplex, where every support is one, the states
+    # are cut to the faces' types.  Contractible domains keep the missing
+    # faces, and mixed data (one piece per vertex) keeps each support by its
+    # own endpoints, never a face or missing face through a vertex whose
+    # surviving space is a point
+    keep = types = None
+    if not all(isinstance(a, Point) for _, a in spaces):
+        to_point, from_point = (sum(2 << j for j, xa in enumerate(normal) if isinstance(xa[side], Point))
+                                for side in (1, 0))
+
+        def keep(g, face):
+            if not g & ~to_point:
+                return face and not g & dead
+            if not g & ~from_point:
+                return not face and not g & dead
+            return True
+
+    census = _census(_index(K).facets, grading, degrees, degree_bound, keep)
+    if keep is None and K.facets != (tuple(range(1, K.m + 1)),):
+        types = census.keys()
     counts = count(weight_bound, types=types, degree_bound=degree_bound)
     listed: dict[tuple[int, ...], None] = {}
-    brackets = _class_factors(counts, grading, partial(_bracket_rule, K, pieces), candidates, listed)
+    brackets = _class_factors(counts, grading, partial(_bracket_rule, K, pieces), census, listed)
     factors = _base_factors(K, normal) + brackets
     # the weight bound cuts the listing when a listed group's support has
     # three or more vertices: it holds two or more face letters, so it
@@ -941,7 +898,7 @@ def join_vertex_reduce(
     _check_arity(m, pairs.m, "pairs")
     if m < 2:
         raise ValueError("need at least two vertices to strip one")
-    if not K.has_face((m,)) or not all(m in f for f in K.facets):
+    if not K.facets or not all(m in f for f in K.facets):
         raise ValueError(f"vertex {m} is not an apex of every facet")
     if not pairs.domain_contractible(m):
         raise ValueError(

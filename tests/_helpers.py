@@ -1200,39 +1200,58 @@ def per_group_listing(
     return Decomposition(tuple(base + brackets), theorem, weight_bound if more else None, degree_bound), classes
 
 
-def reference_type_supports(grading, keep=None):
-    """candidates(s) as the engine listed them when supports were tuples:
-    every support with s[p] vertices in piece p (grading[j - 1] the piece
-    of vertex j), its vertices sorted, in lexicographic order.  keep is
-    ignored, so every face reaches the bracket rule, which drops it: the
-    reference for the census that lists only what keep admits."""
-    members = [[] for _ in range(max(grading) + 1)]
-    for j, p in enumerate(grading, start=1):
-        members[p].append(j)
-
-    def every(s):
-        supports = [()]
-        for vertices, k in zip(members, s):
-            if k:
-                supports = [S + c for S in supports for c in combinations(vertices, k)]
-        return sorted(tuple(sorted(S)) for S in supports)
-
-    return every
+def surviving_point(x, a) -> bool:
+    """Whether the surviving space of the normalized pair (x, a), the loops
+    of x, or of a when x is a point, is a point."""
+    return isinstance(normalize(Loop(a if isinstance(x, Point) else x)), Point)
 
 
-def reference_face_census(K, grading, degrees, points, degree_bound):
-    """The face cut's census as the engine took it when every face was
-    listed: K.faces(), by size and then lexicographically, each face under
-    its type (s[p] of its vertices in piece p, grading[j - 1] the piece of
-    vertex j).  points and degree_bound are ignored: the counter drops the
-    types through a point piece and the classes past the degree cut."""
-    faces = {}
-    for f in K.faces():
-        s = [0] * len(degrees)
-        for j in f:
-            s[grading[j - 1]] += 1
-        faces.setdefault(tuple(s), []).append(f)
-    return faces
+def reference_live_grading(pairs) -> list:
+    """reference_grading, but a vertex whose surviving space is a point has
+    no piece (None) outside mixed data, and the pieces left are renumbered
+    in order."""
+    normal = [(normalize(x), normalize(a)) for x, a in pairs.pairs]
+    mixed = not all(isinstance(x, Point) for x, _ in normal) and not all(isinstance(a, Point) for _, a in normal)
+    live = {}
+    return [None if surviving_point(*xa) and not mixed else live.setdefault(p, len(live))
+            for p, xa in zip(reference_grading(pairs), normal)]
+
+
+def reference_census(K, pairs, degrees, degree_bound=None, most=None):
+    """The engine's census from every subset of the vertices, by type,
+    through K.has_face, over the pieces of reference_live_grading.  A
+    subset S of the vertices with a piece is kept when its codomains are
+    all points and S is a face, when its domains are all points and S is
+    not a face, either one through no vertex whose surviving space is a
+    point, and otherwise always (a mixed support); within the degree cut
+    (the sum over S of degrees[piece], at most degree_bound) and of at most
+    most vertices.  hilton_milnor's census is that of its summands as
+    constant maps on the simplex with most = W.  Returns {type: kept
+    subsets, lexicographic}."""
+    normal = [(normalize(x), normalize(a)) for x, a in pairs.pairs]
+    dead = [surviving_point(*xa) for xa in normal]
+    grading = reference_live_grading(pairs)
+    pieces = len({p for p in grading if p is not None})
+    vertices = [j for j in range(1, K.m + 1) if grading[j - 1] is not None]
+    census = {}
+    top = len(vertices) if most is None else min(most, len(vertices))
+    for k in range(top + 1):
+        for S in combinations(vertices, k):
+            if degree_bound is not None and sum(degrees[grading[j - 1]] for j in S) > degree_bound:
+                continue
+            on, through_dead = [normal[j - 1] for j in S], any(dead[j - 1] for j in S)
+            if all(isinstance(a, Point) for _, a in on):
+                kept = K.has_face(S) and not through_dead
+            elif all(isinstance(x, Point) for x, _ in on):
+                kept = not K.has_face(S) and not through_dead
+            else:
+                kept = True
+            if kept:
+                s = [0] * pieces
+                for j in S:
+                    s[grading[j - 1]] += 1
+                census.setdefault(tuple(s), []).append(S)
+    return {s: sorted(supports) for s, supports in census.items()}
 
 
 def enumerated_general(K, pairs, weight_bound) -> Decomposition:

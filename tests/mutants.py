@@ -45,6 +45,7 @@ LANE = tuple(LI + name for name in ("test_type_counts_match_the_regrouped_refere
                                     "test_class_counts_match_enumerated_face_alphabets"))
 CUT_EXACTLY = DE + "test_a_listing_is_cut_exactly_when_a_higher_weight_lists_more"
 GOLDEN = "tests/golden/test_golden.py::test_corpus_matches_its_recorded_digests"
+CENSUS = (DE + "test_the_census_is_what_the_reference_keeps_in_every_mode",)
 
 MUTANTS = (
     Mutant(
@@ -160,17 +161,27 @@ MUTANTS = (
     ),
     Mutant(
         "census-skips-each-piece-first-vertex", DECOMP,
-        "(piece if k == 1 else map(sum, combinations(piece, k)))",
-        "(piece[1:] if k == 1 else map(sum, combinations(piece[1:], k)))",
+        "stack = [((), 0, -1, sum(masks), 0)]", "stack = [((), 0, -1, sum(P & P - 1 for P in masks), 0)]",
         (DE + "test_the_census_lists_what_every_support_lists",
          DE + "test_counted_contractible_matches_enumerated",
-         DE + "test_counted_general_matches_enumerated"),
+         DE + "test_counted_general_matches_enumerated", *CENSUS),
     ),
     Mutant(
-        # a face reaches the rule, which drops it: only the builder count sees it
+        # every support is taken for a missing face: a face reaches the rule's builder
         "census-lets-faces-through", DECOMP,
-        "_type_supports(grading, lambda g: not _is_face(g, star))", "_type_supports(grading)",
-        (DE + "test_full_subcomplex_built_once_per_support",),
+        "keep(g, common != 0)", "keep(g, not g)",
+        (DE + "test_full_subcomplex_built_once_per_support", *CENSUS),
+    ),
+    Mutant(
+        "contractible-branch-keeps-faces", DECOMP,
+        "return not face and not g & dead", "return not g & dead",
+        (DE + "test_contractible_rule_over_a_face_is_a_point",
+         DE + "test_counted_contractible_matches_enumerated", *CENSUS),
+    ),
+    Mutant(
+        "mixed-point-codomains-keep-non-faces", DECOMP,
+        "return face and not g & dead", "return not g & dead",
+        (DE + "test_bracket_rule_matches_the_reference", *CENSUS),
     ),
     Mutant(
         "weight-cut-read-by-support-size", DECOMP,
@@ -179,27 +190,27 @@ MUTANTS = (
     ),
     Mutant(
         "point-pieces-dropped-from-mixed-data", DECOMP,
-        "if points and not per_vertex:", "if points:",
+        "if dead and not per_vertex:", "if dead:",
         (DE + "test_point_pieces_get_no_letters",
          DE + "test_counted_general_matches_enumerated"),
     ),
     Mutant(
-        # a mixed call lists the factors through a point piece, which are points
-        "rule-keeps-supports-through-point-pieces", DECOMP,
-        "if points and any(grading[j - 1] in points", "if not points and any(grading[j - 1] in points",
-        (DE + "test_counted_general_matches_enumerated", GOLDEN),
+        # a mixed call lists the factors through a point vertex, which are points
+        "census-keeps-supports-through-point-pieces", DECOMP,
+        "return face and not g & dead", "return face",
+        (DE + "test_counted_general_matches_enumerated", GOLDEN, *CENSUS),
     ),
     Mutant(
         # every piece mask one vertex up: each face counted under its neighbour's type
         "census-piece-masks-off-by-one-vertex", DECOMP,
-        "for j, p in enumerate(grading, start=1):\n        masks[p]",
-        "for j, p in enumerate(grading, start=2):\n        masks[p]",
+        "for j, p in enumerate(grading, start=1):\n        if p is not None:\n            masks[p]",
+        "for j, p in enumerate(grading, start=2):\n        if p is not None:\n            masks[p]",
         (DE + "test_the_face_census_lists_what_every_face_lists",
          DE + "test_the_face_census_is_the_faces_within_the_cut"),
     ),
     Mutant(
         "census-without-the-empty-face", DECOMP,
-        "        census.setdefault(", "        face and census.setdefault(",
+        "            census.setdefault(", "            face and census.setdefault(",
         (DE + "test_the_face_census_lists_what_every_face_lists",
          DE + "test_the_face_census_is_the_faces_within_the_cut"),
     ),
@@ -212,8 +223,13 @@ MUTANTS = (
     Mutant(
         # pairwise adjacent vertices with no common facet (a hollow triangle) are listed
         "census-without-the-common-facet-test", DECOMP,
-        "if (shared := common & through[v]) and", "if ((shared := common & through[v]) or ~0) and",
+        "if ((shared := common & through[v]) or keep) and", "if ((shared := common & through[v]) or ~0) and",
         (DE + "test_the_face_census_is_the_faces_within_the_cut",),
+    ),
+    Mutant(
+        "hilton-milnor-cap-one-vertex-too-many", DECOMP,
+        "most=weight_bound)", "most=weight_bound + 1)",
+        (DE + "test_hilton_milnor_walks_only_the_supports_within_the_weight", *CENSUS),
     ),
     Mutant(
         "boundary-signs-all-plus", SCOMPLEX,

@@ -36,19 +36,20 @@ from _helpers import (
     recursive_listing_text,
     recursive_render,
     reference_bracket_factor,
+    reference_census,
     reference_class_counts,
-    reference_face_census,
     reference_grading,
+    reference_live_grading,
     reference_group_factor,
     reference_normalize,
     reference_series_product,
     reference_full_subcomplex,
     reference_summand_factor,
-    reference_type_supports,
     reference_wedge_of_spheres_type,
     regrouped,
     repeated_product,
     summand_grading,
+    surviving_point,
     two_points,
     with_repeats,
 )
@@ -1161,50 +1162,87 @@ def test_presets_reject_float_and_bool_bounds():
             hilton_milnor([S(2), S(3)], 3, degree_bound=bad)
 
 
-def test_contractible_rule_over_a_face_is_a_point():
+def recorded_census(monkeypatch):
+    """Records each census the engine takes, as (grading, degrees, degree
+    bound, most, census), in call order."""
+    calls = []
+    real = polyco.decomp._census
+
+    def recording(facets, grading, degrees, degree_bound, keep=None, most=math.inf):
+        census = real(facets, grading, degrees, degree_bound, keep, most)
+        calls.append((grading, degrees, degree_bound, most, census))
+        return census
+
+    monkeypatch.setattr(polyco.decomp, "_census", recording)
+    return calls
+
+
+def listed_supports(census):
+    return {support for supports in census.values() for support in supports}
+
+
+def test_contractible_rule_over_a_face_is_a_point(monkeypatch):
     # over a face the mapping space is out of a suspended simplex: the
-    # per-l reference sends it to a point, and the rule drops the support
+    # per-l reference sends it to a point, and the census lists no face
+    # for contractible domains, so none reaches the rule
+    calls = recorded_census(monkeypatch)
     rng = random.Random(5087)
+    faces = 0
     for _ in range(20):
         K = random_complex(rng, 5, allow_empty=False)
         pairs = path_pairs([rng.choice((S(2), A1, CP_INFINITY)) for _ in range(K.m)])
+        loop_decompose_contractible(K, pairs, 1)
+        listed = listed_supports(calls.pop()[-1])
         for face in K.faces():
             if len(face) < 2:
                 continue
             l = tuple(rng.randint(1, 3) if j in face else 0 for j in range(1, K.m + 1))
             assert reference_bracket_factor(K, pairs, face, l) == POINT, (K, face)
-            assert _bracket_rule(K, _vertex_pieces(_normal_pairs(K, pairs)), face) is None, (K, face)
+            assert face not in listed, (K, face)
+            faces += 1
+    assert faces > 50, faces
 
 
-def test_bracket_rule_matches_the_reference():
-    # resolving a support once gives the factor the per-l rule gives, built
-    # from the piece content of l, for every support and several contents on
-    # it, and one (shape, piece content) never stands for two factors, across
-    # all supports of a complex
+def test_bracket_rule_matches_the_reference(monkeypatch):
+    # the census and the rule together, on every support: a support the
+    # census omits has the per-l reference factor POINT, and resolving a
+    # listed support once gives the factor the per-l rule gives, built from
+    # the piece content of l, for several contents on it; one (shape, piece
+    # content) never stands for two factors, across all supports of a complex
+    calls = recorded_census(monkeypatch)
     rng = random.Random(5089)
-    compared = 0
+    compared = omitted = 0
     for _ in range(40):
         K = random_complex(rng, 5)
         pairs = PairAssignment.of(
             [(rng.choice(DOMAIN_POOL), rng.choice(CODOMAIN_POOL)) for _ in range(K.m)]
         )
+        loop_decompose(K, pairs, 1)
+        listed = listed_supports(calls.pop()[-1])
         pieces = _vertex_pieces(_normal_pairs(K, pairs))
-        grading = reference_grading(pairs)
-        assert pieces[0] == grading
+        grading = pieces[0]
+        assert grading == reference_live_grading(pairs)
         keyed = {}
         for k in range(2, K.m + 1):
             for support in combinations(range(1, K.m + 1), k):
-                resolved = _bracket_rule(K, pieces, support)
+                resolved = _bracket_rule(K, pieces, support) if support in listed else None
                 for _ in range(3):
                     l = tuple(rng.randint(1, 4) if j in support else 0 for j in range(1, K.m + 1))
-                    q = group_of(0, l, grading)[2]
-                    got = POINT if resolved is None else resolved[1](q, tuple(filter(None, q)))
                     want = reference_bracket_factor(K, pairs, support, l)
                     compared += 1
+                    if support not in listed:
+                        omitted += 1
+                        assert want == POINT, (K, pairs, l)
+                        continue
+                    q = [0] * len(pieces[1])  # a listed support's vertices all have a piece
+                    for j in support:
+                        q[grading[j - 1]] += l[j - 1]
+                    q = tuple(q)
+                    got = POINT if resolved is None else resolved[1](q, tuple(filter(None, q)))
                     assert got == want, (K, pairs, l)
                     if resolved is not None:
                         assert keyed.setdefault((resolved[0], q), want) == want, (K, pairs, l)
-    assert compared > 1000
+    assert compared > 1000 and 100 < omitted < compared - 100, (compared, omitted)
 
 
 def test_mixed_point_codomains_list_no_mapping_space_into_a_point():
@@ -1218,13 +1256,13 @@ def test_mixed_point_codomains_list_no_mapping_space_into_a_point():
     ]
 
 
-def test_point_codomains_drop_a_non_face_support_with_contractible_domains():
+def test_point_codomains_drop_a_non_face_support_with_contractible_domains(monkeypatch):
     # on the 4-cycle with contractible domains and point codomains every
     # bracket factor is a mapping space into a point: no preset lists one
     square = build(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
     pairs = PairAssignment.of([(PX, POINT)] * 4)
     assert reference_bracket_factor(square, pairs, (1, 2, 3, 4), (1, 1, 1, 1)) == POINT
-    assert _bracket_rule(square, _vertex_pieces(_normal_pairs(square, pairs)), (1, 2, 3, 4)) is None
+    calls = recorded_census(monkeypatch)
     for dec in (
         loop_decompose(square, pairs, 5),
         loop_decompose_contractible(square, pairs, 5),
@@ -1232,6 +1270,8 @@ def test_point_codomains_drop_a_non_face_support_with_contractible_domains():
     ):
         assert dec.factors == ()
         assert dec.series_product(6) == PoincareSeries.one(6)
+    # every vertex's surviving space is a point: the census lists only the empty support
+    assert [census for *_, census in calls] == [{(): [()]}] * 3
 
 
 def test_mixed_atom_connectivity_reads_dim_off_the_facets():
@@ -1259,7 +1299,9 @@ def test_full_subcomplex_built_once_per_support(monkeypatch):
     # is read off the facet bitmasks once (_full_sub) and no face reaches
     # the builder, and each distinct K_S of a call is one object with one
     # certificate read, shared by the factors of every support with that
-    # K_S.  A mixed support builds none: its atom reads dim K_S off the facets
+    # K_S.  In mixed data only a missing face whose domains are all
+    # contractible is built: a mixed atom reads dim K_S off the facets, and
+    # no face is built
     built, certified = Counter(), Counter()
     builder, certificate = polyco.decomp._full_sub, polyco.decomp.wedge_of_spheres_type
 
@@ -1301,7 +1343,12 @@ def test_full_subcomplex_built_once_per_support(monkeypatch):
     pairs = PairAssignment.of([(S(3), S(2)), (PX, A1), (X2, POINT), (PX, CP_INFINITY)])
     dec = loop_decompose(boundary, pairs, 5)
     mixed = {f.provenance.support for f in dec.bracket_factors() if render(f.expr).startswith("Ωŝ-coprod")}
-    assert mixed and set(built.values()) == {1}
+    assert mixed and not built  # {2, 4}, the one support with contractible domains, is a face
+    square = build(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
+    pairs = PairAssignment.of([(PX, A1), (S(3), S(2)), (PX, CP_INFINITY), (X2, POINT)])
+    dec = loop_decompose(square, pairs, 5)
+    mixed = {f.provenance.support for f in dec.bracket_factors() if render(f.expr).startswith("Ωŝ-coprod")}
+    assert mixed and built == {0b1010: 1}  # the diagonal {1, 3}
     assert not {sum(1 << j for j in support) for support in mixed} & set(built)
 
 
@@ -1342,15 +1389,18 @@ def _dims_shape(dims) -> str:
     return "equal spheres" if len(set(dims)) == 1 else "mixed spheres"
 
 
-def test_factors_assembled_from_dims_match_the_certificate_path():
-    # the rule builds a certified factor from the dims it read: it equals
+def test_factors_assembled_from_dims_match_the_certificate_path(monkeypatch):
+    # the rule builds a certified factor from the dims it read: on every
+    # support with contractible domains that the census lists, it equals
     # the factor through _map_from_susp on the reference K_S, which reads
     # the certificate again, and (certified) the product plan that a lone
     # sphere skips, on contractible and general pairs, for dims of every
-    # shape; a dropped support (a face, dims (), or a point piece on it,
-    # which makes the suspension a point) has a point there
+    # shape; a listed support that the rule drops has dims (), and one that
+    # the census omits (a face, or one through a vertex whose surviving
+    # space is a point) has the per-l reference factor POINT
+    calls = recorded_census(monkeypatch)
     rng = random.Random(3533)
-    shapes = Counter()
+    shapes, seen = Counter(), Counter()
     hollow_and_points = build(6, [[1, 2], [2, 3], [1, 3], [4], [5]])  # S^0 v S^0 v S^1 on {1..5}
     for trial in range(160):
         # sparse complexes of edges, triangles and points, often with ghosts
@@ -1361,16 +1411,24 @@ def test_factors_assembled_from_dims_match_the_certificate_path():
             pairs = path_pairs([rng.choice((S(2), A1, CP_INFINITY)) for _ in range(K.m)])
         else:
             pairs = PairAssignment.of([(rng.choice((PX, PX, S(3))), rng.choice(CODOMAIN_POOL)) for _ in range(K.m)])
-        pieces = _vertex_pieces(_normal_pairs(K, pairs))
+        loop_decompose(K, pairs, 1)
+        listed = listed_supports(calls.pop()[-1])
+        normal = _normal_pairs(K, pairs)
+        pieces = _vertex_pieces(normal)
         grading, spaces, _, _, smash, *_ = pieces
         for k in range(1, K.m + 1):
             for support in combinations(range(1, K.m + 1), k):
-                on = [spaces[grading[j - 1]] for j in support]
+                on = [normal[j - 1] for j in support]
                 if not all(isinstance(x, Point) for x, _ in on) or all(isinstance(a, Point) for _, a in on):
                     continue
                 sub = reference_full_subcomplex(K, support)
                 dims = reference_wedge_of_spheres_type(sub)
                 shapes[_dims_shape(dims)] += 1
+                if support not in listed:
+                    seen["face" if K.has_face(support) else "point vertex"] += 1
+                    l = tuple(rng.randint(1, 2) if j in support else 0 for j in range(1, K.m + 1))
+                    assert reference_bracket_factor(K, pairs, support, l) == POINT, (K, support)
+                    continue
                 resolved = _bracket_rule(K, pieces, support)
                 used = sorted({grading[j - 1] for j in support})
                 for _ in range(2):
@@ -1378,7 +1436,8 @@ def test_factors_assembled_from_dims_match_the_certificate_path():
                     c = _susp(smash(q))
                     want = _loop(_map_from_susp(sub, c), 1)
                     if resolved is None:
-                        assert want == POINT and (dims == () or isinstance(c, Point)), (K, support)
+                        seen["contractible"] += 1
+                        assert want == POINT and dims == (), (K, support)
                         continue
                     got = resolved[1](q, tuple(filter(None, q)))
                     assert got == want, (K, support, q)
@@ -1386,6 +1445,7 @@ def test_factors_assembled_from_dims_match_the_certificate_path():
                         loops = [c if d < 0 else _loop(c, d + 1) for d in dims]
                         assert got == _loop(_plan(Product, loops)([1] * len(loops)), 1), (K, support, q)
     assert len(shapes) == 6 and min(shapes.values()) >= 5, shapes
+    assert len(seen) == 3 and min(seen.values()) >= 5, seen
 
 
 # ---------------------------------------------------------------------------
@@ -1614,37 +1674,61 @@ def test_contractible_factor_built_once_per_key(monkeypatch):
     assert len({id(f.expr) for f in brackets}) == len({f.expr for f in brackets})
 
 
+def as_pairs(engine, K, data):
+    """The (complex, pairs) whose reference census the engine takes: the
+    wedge preset's spaces as constant maps, hilton_milnor's summands as
+    constant maps on the simplex."""
+    if engine is hilton_milnor:
+        return simplex(len(data)), const(data)
+    return K, const(data) if engine is loop_decompose_wedge else data
+
+
+def census_listings(monkeypatch, cases):
+    """The text and sorted JSON of each (engine, K, data, W, degree bound)
+    listing, then of the same listing with the census taken from
+    reference_census."""
+    def listings():
+        out = []
+        for engine, K, data, W, cut in cases:
+            current[:] = as_pairs(engine, K, data)
+            args = (data, W) if engine is hilton_milnor else (K, data, W)
+            dec = engine(*args) if cut is None else engine(*args, degree_bound=cut)
+            out.append((dec.render(), json.dumps(dec.to_json(), sort_keys=True)))
+        return out
+
+    current = []
+    census = listings()
+    monkeypatch.setattr(polyco.decomp, "_census", lambda facets, grading, degrees, degree_bound, keep=None,
+                        most=None: reference_census(*current, degrees, degree_bound, most))
+    return census, listings()
+
+
 def test_the_census_lists_what_every_support_lists(monkeypatch):
-    # supports stay bitmasks until the census lists them, and for
-    # contractible domains it lists only the missing faces: on seeded
-    # inputs every listing equals the one where every support of a type
-    # reaches the bracket rule, which drops the faces
-    # (reference_type_supports), in text and sorted JSON, order included.
-    # The inputs cover the contractible and general presets, ghost
-    # vertices (every support through one is a missing face) and full
-    # simplices, under every preset
+    # supports stay bitmasks until the census lists them: on seeded inputs
+    # every listing equals the one whose census is every subset that the
+    # keep rules admit through has_face (reference_census), in text and
+    # sorted JSON, order included.  The inputs cover the contractible and
+    # general presets and hilton_milnor, ghost vertices (every support
+    # through one is a missing face) and full simplices, under every preset
     rng = random.Random(4127)
     cases = []
     for i in range(330):
         K = simplex(rng.randint(1, 5)) if i % 6 == 0 else random_complex(rng, 6 if i % 3 else 4)
         codomains = [rng.choice(CODOMAIN_POOL) for _ in range(K.m)]
-        if i % 3 == 0:
+        if i % 4 == 0:
             pairs = PairAssignment.of([(rng.choice(DOMAIN_POOL), a) for a in codomains])
-            cases.append((loop_decompose, K, pairs, rng.randint(1, 2)))
-        elif i % 3 == 1:
-            cases.append((loop_decompose_contractible, K, path_pairs(codomains), rng.randint(1, 3)))
+            cases.append((loop_decompose, K, pairs, rng.randint(1, 2), None))
+        elif i % 4 == 1:
+            cases.append((loop_decompose_contractible, K, path_pairs(codomains), rng.randint(1, 3), None))
+        elif i % 4 == 2:
+            cases.append((loop_decompose_wedge, K, [rng.choice(WEDGE_POOL + (POINT,)) for _ in range(K.m)], 2, None))
         else:
-            cases.append((loop_decompose_wedge, K, [rng.choice(WEDGE_POOL + (POINT,)) for _ in range(K.m)], 2))
-
-    def listings():
-        return [(dec.render(), json.dumps(dec.to_json(), sort_keys=True))
-                for dec in (engine(K, data, W) for engine, K, data, W in cases)]
-
-    census = listings()
-    monkeypatch.setattr(polyco.decomp, "_type_supports", reference_type_supports)
-    assert census == listings()
-    ghosts = [K for engine, K, _, _ in cases if engine is loop_decompose_contractible and len(K.vertices()) < K.m]
-    simplices = [K for _, K, _, _ in cases if K.facets == (tuple(range(1, K.m + 1)),) and K.m > 1]
+            spaces = [rng.choice(WEDGE_POOL + (POINT,)) for _ in range(rng.randint(1, 5))]
+            cases.append((hilton_milnor, K, spaces, rng.randint(1, 4), rng.choice((None, 6))))
+    census, reference = census_listings(monkeypatch, cases)
+    assert census == reference
+    ghosts = [K for engine, K, *_ in cases if engine is loop_decompose_contractible and len(K.vertices()) < K.m]
+    simplices = [K for _, K, *_ in cases if K.facets == (tuple(range(1, K.m + 1)),) and K.m > 1]
     assert len(ghosts) > 25 and len(simplices) > 40, (len(ghosts), len(simplices))
     assert sum(len(dec.splitlines()) for dec, _ in census) > 5000
 
@@ -1675,57 +1759,114 @@ def face_census_cases(seed, count):
 def test_the_face_census_lists_what_every_face_lists(monkeypatch):
     # the face cut walks up from the empty face only as far as the degree
     # cut: on seeded inputs every listing equals the one from every face of
-    # K (reference_face_census), in text and sorted JSON, order included
+    # K within the cut (reference_census), in text and sorted JSON, order
+    # included; the walk skipped the faces past the cut, and those through
+    # a vertex of no piece (a point space)
     cases = face_census_cases(4219, 330)
-
-    def listings():
-        out = []
-        for engine, K, data, W, cut in cases:
-            dec = engine(K, data, W) if cut is None else engine(K, data, W, degree_bound=cut)
-            out.append((dec.render(), json.dumps(dec.to_json(), sort_keys=True)))
-        return out
-
     walked = []
-    real = polyco.decomp._face_census
+    real = polyco.decomp._census
 
-    def recording(*args):
-        census = real(*args)
-        walked.append((sum(map(len, census.values())), sum(map(len, reference_face_census(*args).values()))))
+    def recording(facets, grading, degrees, degree_bound, keep=None, most=math.inf):
+        census = real(facets, grading, degrees, degree_bound, keep, most)
+        uncut = real(facets, grading, degrees, None, keep, most)
+        every = real(facets, [0] * len(grading), [1], None)
+        walked.append(tuple(sum(map(len, c.values())) for c in (census, uncut, every)))
         return census
 
-    monkeypatch.setattr(polyco.decomp, "_face_census", recording)
-    census = listings()
-    monkeypatch.setattr(polyco.decomp, "_face_census", reference_face_census)
-    assert census == listings()
-    ghosts = [K for _, K, _, _, _ in cases if K.facets and len(K.vertices()) < K.m]
-    assert len(ghosts) > 100 and sum(not K.facets for _, K, _, _, _ in cases) >= 30, len(ghosts)
-    # the walk skipped faces past the cut or through a point piece, and listed every face elsewhere
-    assert sum(a < b for a, b in walked) > 100 and sum(a == b > 8 for a, b in walked) > 25
+    monkeypatch.setattr(polyco.decomp, "_census", recording)
+    census, reference = census_listings(monkeypatch, cases)
+    assert census == reference
+    ghosts = [K for _, K, *_ in cases if K.facets and len(K.vertices()) < K.m]
+    assert len(ghosts) > 100 and sum(not K.facets for _, K, *_ in cases) >= 30, len(ghosts)
+    assert sum(a < b for a, b, _ in walked) > 25 and sum(b < c for _, b, c in walked) > 100
+    assert sum(a == c > 8 for a, _, c in walked) > 25
     assert sum(len(text.splitlines()) for text, _ in census) > 5000
 
 
 def test_the_face_census_is_the_faces_within_the_cut():
-    # _face_census alone against every face of K: a face is listed under
-    # its type exactly when it avoids the point pieces and its degree is
+    # _census alone, listing faces (keep None), against every face of K: a
+    # face is listed under its type exactly when each vertex has a piece
+    # (a vertex of no piece stands for a point space) and its degree is
     # within the cut, and the empty face always, under the zero type
     rng = random.Random(4253)
     checked = 0
     for _ in range(300):
         K = random_complex(rng, 8)
-        grading = [rng.randint(0, 2) for _ in range(K.m)]
-        pieces = max(grading) + 1
-        degrees = [rng.randint(1, 3) for _ in range(pieces)]
-        points = {p for p in range(pieces) if rng.random() < 0.2}
+        labels = [rng.choice((None, 0, 1, 2)) for _ in range(K.m)]
+        first = {}
+        grading = [None if x is None else first.setdefault(x, len(first)) for x in labels]
+        degrees = [rng.randint(1, 3) for _ in first]
         cut = rng.choice([None, rng.randint(0, 8)])
-        want = {}
-        for s, faces in reference_face_census(K, grading, degrees, points, cut).items():
-            degree = sum(k * d for k, d in zip(s, degrees))
-            if (cut is None or degree <= cut) and not any(s[p] for p in points):
-                want[s] = faces
-        got = polyco.decomp._face_census(K, grading, degrees, points, cut)
-        assert got == want and list(got[(0,) * pieces]) == [()], (K, grading, degrees, points, cut)
+        spaces = [POINT if x is None else S(2 + x) for x in labels]
+        want = reference_census(K, const(spaces), degrees, cut)
+        got = polyco.decomp._census(_index(K).facets, grading, degrees, cut)
+        assert got == want and got[(0,) * len(first)] == [()], (K, grading, degrees, cut)
         checked += len(want) > 3
     assert checked > 100
+
+
+def census_mode_cases(seed, count):
+    """(mode, engine, K, data, W, degree bound), count of each mode: point
+    codomains (the wedge preset, with and without a degree cut, and the
+    general one), contractible domains (either preset), mixed data and
+    hilton_milnor, over random complexes with ghost vertices, empty ones
+    and full simplices, with point spaces among the vertex data."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        m = rng.randint(1, 7)
+        facets = [rng.sample(range(1, m + 1), rng.randint(1, m)) for _ in range(rng.randint(1, m + 1))]
+        K = build(m, []) if i % 10 == 0 else simplex(m) if i % 10 == 1 else build(m, facets)
+        codomains = [rng.choice(CODOMAIN_POOL) for _ in range(m)]
+        spaces = [rng.choice(WEDGE_POOL + (POINT,)) for _ in range(m)]
+        cut = rng.choice((None, rng.randint(2, 9)))
+        cases += [
+            ("faces", loop_decompose_wedge, K, spaces, 1, cut) if i % 2 else
+            ("faces", loop_decompose, K, const(spaces), 1, None),
+            ("contractible", loop_decompose_contractible if i % 2 else loop_decompose, K, path_pairs(codomains), 1,
+             None),
+            ("mixed", loop_decompose, K, PairAssignment.of(
+                [(S(3), rng.choice(codomains))] + [(rng.choice(DOMAIN_POOL), a) for a in codomains[1:]]), 1, None),
+            ("hilton-milnor", hilton_milnor, K, spaces, rng.randint(1, 3), cut),
+        ]
+    return cases
+
+
+def test_the_census_is_what_the_reference_keeps_in_every_mode(monkeypatch):
+    # each census the engine takes, against reference_census on the same
+    # vertex data: the faces for point codomains, the missing faces for
+    # contractible domains, each support by its own endpoints in mixed data
+    # (never a face or missing face through a vertex whose surviving space
+    # is a point), and every support of at most W summands for hilton_milnor
+    calls = recorded_census(monkeypatch)
+    seen = Counter()
+    for mode, engine, K, data, W, cut in census_mode_cases(4261, 320):
+        args = (data, W) if engine is hilton_milnor else (K, data, W)
+        engine(*args) if cut is None else engine(*args, degree_bound=cut)
+        grading, degrees, degree_bound, _, census = calls.pop()
+        want = reference_census(*as_pairs(engine, K, data), degrees, cut, W if engine is hilton_milnor else None)
+        assert census == want and degree_bound == cut, (mode, K, data, W, cut)
+        seen[mode] += 1
+        seen[mode, "ghosts"] += bool(K.facets) and len(K.vertices()) < K.m
+        seen[mode, "points"] += None in grading or mode == "mixed" and any(
+            surviving_point(*xa) for xa in _normal_pairs(K, data))
+        seen[mode, "empty"] += not K.facets
+        seen[mode, "simplex"] += K.facets == (tuple(range(1, K.m + 1)),)
+        seen[mode, "cut"] += degree_bound is not None
+    for mode in ("faces", "contractible", "mixed", "hilton-milnor"):
+        assert seen[mode] >= 300, seen
+        assert min(seen[mode, what] for what in ("ghosts", "points", "empty", "simplex")) >= 20, seen
+    assert seen["faces", "cut"] >= 50 and seen["hilton-milnor", "cut"] >= 50, seen
+
+
+def test_hilton_milnor_walks_only_the_supports_within_the_weight(monkeypatch):
+    # a word of weight W has at most W letters: over 30 summands at W=2 the
+    # census walks the 466 supports of at most two summands, not all 2^30
+    calls = recorded_census(monkeypatch)
+    dec = hilton_milnor([S(2 + i % 3) for i in range(30)], 2)
+    (*_, census), = calls
+    assert Counter(map(len, listed_supports(census))) == {0: 1, 1: 30, 2: 435}
+    assert len(dec.factors) == 30 + 435 and dec.truncation == 2
 
 
 def test_point_pieces_get_no_letters(monkeypatch):
@@ -2207,6 +2348,13 @@ DECOMPOSITION_SIZE_GUARD_CASES = {
     "boundary_15_simplex_contractible_w2": (
         loop_decompose_contractible, lambda: build(16, list(combinations(range(1, 17), 15))),
         lambda: path_pairs([S(2)] * 16), 2, 18, 0.3,
+    ),
+    # 262,143 supports and one missing face: one and of facet bitsets per
+    # step of the walk takes 0.16-0.18 s, where a star scan per support
+    # took 0.58-0.84 s (process time, Python 3.11, 2-vCPU VM)
+    "boundary_17_simplex_contractible_w2": (
+        loop_decompose_contractible, lambda: build(18, list(combinations(range(1, 19), 17))),
+        lambda: path_pairs([S(2)] * 18), 2, 20, 0.5,
     ),
     # the degree cut needs only the faces of at most six of the 18 vertices:
     # listing all 2^18 faces as tuples took 1.63-1.78 s of process time, and
