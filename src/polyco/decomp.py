@@ -60,14 +60,13 @@ are one object with one certificate per call, and a certified factor is
 assembled from the sphere dimensions the rule has already read.
 
 Each input is normalized once, where it enters (_checked), and its
-connectivity is read on that normal form, the form every factor is built
-from: a loop of an atom is read through the atom's loop replacement, and a
-point always passes.  An error names the input as given.
-
-Every emitted factor expression is in normal form: it is built by the
-normal-form helpers of spacexpr from pieces normalized once, not as a raw
-tree normalized afterwards.  Factors that are a point are dropped, and
-factor order is deterministic: vertex factors first by vertex, then bracket
+connectivity is read on that normal form: a loop of an atom through its
+loop replacement, and a point always passes.  An error names the input as
+given.  Every expression made (factor, closed form, diagram object,
+splitting summand) comes from those forms by spacexpr's normal-form
+helpers, never a raw tree normalized later, save _display_wedge's Wedge,
+which shows named contractible atoms.  Point factors are dropped, and
+factor order is deterministic: vertex factors by vertex, then bracket
 groups by weight, piece content descending, support type descending, then
 support (so raising the weight bound only appends factors).
 """
@@ -99,21 +98,18 @@ from .scomplex import (
 from .spacexpr import (
     INFINITE,
     POINT,
-    Atom,
-    Loop,
     PairAssignment,
     Point,
     Product,
     Smash,
     SpaceExpr,
-    Sphere,
-    Susp,
     Wedge,
     _atom,
     _loop,
     _loop_node,
     _map_from_dims,
     _plan,
+    _sphere,
     _susp,
     conn,
     expr_forms,
@@ -225,7 +221,7 @@ def smash_coproduct(
     if not any(ks):
         raise ValueError("weights must not all be zero")
     # one plan over the m domain loops, then the m codomain loops
-    smash = _plan(Smash, [normalize(Loop(xa[side])) for side in (0, 1) for xa in pairs.pairs])
+    smash = _plan(Smash, [_loop(normalize(xa[side]), 1) for side in (0, 1) for xa in pairs.pairs])
 
     def value(sel):
         on = [k if i in sel else 0 for i, k in enumerate(ks, start=1)]
@@ -244,18 +240,17 @@ def evaluate_special(K: SimplicialComplex, pairs: PairAssignment) -> SpaceExpr |
     """
     _check_arity(K.m, pairs.m, "pairs")
     if K.facets == (tuple(range(1, K.m + 1)),):
-        return normalize(Wedge(tuple(pairs.domain(i) for i in range(1, K.m + 1))))
+        return _plan(Wedge, [normalize(x) for x, _ in pairs.pairs])([1] * K.m)
     if K.dim() <= 0 and all(pairs.codomain_is_point(i) for i in range(1, K.m + 1)):
-        return normalize(Product(tuple(pairs.domain(v) for v in K.vertices())))
+        covered = K.vertices()
+        return _plan(Product, [normalize(pairs.domain(v)) for v in covered])([1] * len(covered))
     if (
         K.m == 2
         and K.facets == ((1,), (2,))
         and pairs.domain_contractible(1)
         and pairs.domain_contractible(2)
     ):
-        return normalize(
-            Loop(Susp(Smash((Loop(pairs.codomain(1)), Loop(pairs.codomain(2))))))
-        )
+        return _loop(_susp(_plan(Smash, [_loop(normalize(a), 1) for _, a in pairs.pairs])((1, 1))), 1)
     return None
 
 
@@ -837,22 +832,8 @@ def bbcg_wedge_splitting(
 ) -> list[tuple[Face, SpaceExpr]]:
     """Summands Susp(X^smash sigma) of the suspended polyhedral product, per face."""
     _check_arity(K.m, len(spaces), "spaces")
-    out = []
-    for f in K.faces():
-        if not f:
-            continue
-        expr = normalize(Susp(Smash(tuple(spaces[i - 1] for i in f))))
-        out.append((f, expr))
-    return out
-
-
-def _realization_expr(sub: SimplicialComplex, label: tuple[int, ...]) -> list[SpaceExpr]:
-    """|K_I| as sphere summands when certified; a single symbolic atom otherwise."""
-    dims = wedge_of_spheres_type(sub)
-    if dims is None:
-        name = "|K_{" + ",".join(map(str, label)) + "}|"
-        return [Atom(name=name, connectivity=-1)]
-    return [Sphere(d) if d >= 0 else None for d in dims]  # None marks S^{-1}
+    smash = _plan(Smash, [normalize(x) for x in spaces])
+    return [(f, _susp(smash([int(i in f) for i in range(1, K.m + 1)]))) for f in K.faces() if f]
 
 
 def bbcg_cone_splitting(
@@ -860,23 +841,21 @@ def bbcg_cone_splitting(
 ) -> list[tuple[Face, SpaceExpr]]:
     """Summands Susp(|K_I| smash X^smash I) over the missing subsets I.
 
-    Certified realizations are expanded into their sphere summands (so the
-    wedge distributes through the smash); a contractible certified |K_I|
-    contributes a point.
+    A certified |K_I| expands into spheres (the wedge distributes through
+    the smash), an empty K_I's S^{-1} leaving X^smash I bare; uncertified,
+    it stays an atom.
     """
     _check_arity(K.m, len(spaces), "spaces")
+    smash = _plan(Smash, [normalize(x) for x in spaces])
     out = []
     for I in missing_subsets(K):
-        sub = full_subcomplex(K, I)
-        xs = [spaces[i - 1] for i in I]
-        pieces = _realization_expr(sub, I)
-        summands = []
-        for piece in pieces:
-            if piece is None:
-                summands.append(normalize(Smash(tuple(xs))))
-            else:
-                summands.append(normalize(Susp(Smash(tuple([piece] + xs)))))
-        out.append((I, normalize(Wedge(tuple(summands)))))
+        xs = smash([int(i in I) for i in range(1, K.m + 1)])
+        with_xs = lambda piece: _susp(_plan(Smash, [piece, xs])((1, 1)))
+        if (dims := wedge_of_spheres_type(full_subcomplex(K, I))) is None:
+            summands = [with_xs(_atom("|K_{" + ",".join(map(str, I)) + "}|", -1))]
+        else:
+            summands = [xs if d < 0 else with_xs(_sphere(d)) for d in dims]
+        out.append((I, _plan(Wedge, summands)([1] * len(summands))))
     return out
 
 
@@ -888,11 +867,11 @@ def bbcg_cone_splitting(
 def join_vertex_reduce(
     K: SimplicialComplex, pairs: PairAssignment
 ) -> tuple[SimplicialComplex, PairAssignment]:
-    """Strip a joined apex vertex whose domain is a point.
+    """Strip a joined apex vertex whose domain is contractible.
 
-    The last vertex m must lie in every facet (so K = K' join {m}) and its
-    domain must be contractible; the coproduct over K agrees with the one
-    over the stripped complex, so decompositions may be computed there.
+    The last vertex m must lie in every facet (so K = K' join {m}); the
+    coproduct over K agrees with the one over the stripped complex, so
+    decompositions may be computed there.
     """
     m = K.m
     _check_arity(m, pairs.m, "pairs")
@@ -902,11 +881,9 @@ def join_vertex_reduce(
         raise ValueError(f"vertex {m} is not an apex of every facet")
     if not pairs.domain_contractible(m):
         raise ValueError(
-            f"vertex {m}: domain {render(pairs.domain(m))} must be a point"
+            f"vertex {m}: domain {render(pairs.domain(m))} must be contractible"
         )
-    reduced_faces = [tuple(v for v in f if v != m) for f in K.facets]
-    reduced_faces = [f for f in reduced_faces if f]
-    return build(m - 1, reduced_faces), PairAssignment.of(pairs.pairs[:-1])
+    return full_subcomplex(K, range(1, m)), PairAssignment.of(pairs.pairs[:-1])
 
 
 @dataclass

@@ -174,7 +174,7 @@ class _Index(NamedTuple):
     star: dict[int, list[int]]  # vertex -> the facet masks through it
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _index(K: SimplicialComplex) -> _Index:
     """K's one face model: its facets as bitmasks (bit v for vertex v) and
     the facets through each vertex.  The star is keyed by vertex number,
@@ -459,7 +459,7 @@ def _boundary(f: int, row: Mapping[int, int]) -> dict[int, int]:
     return col
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def homology(K: SimplicialComplex) -> HomologyProfile:
     """Reduced rational homology via the boundary matrices of the core of K.
 
@@ -583,7 +583,7 @@ def _chordal_flag(K: SimplicialComplex) -> int:
     return 0 if star else components
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def wedge_of_spheres_type(K: SimplicialComplex) -> tuple[int, ...] | None:
     """Sphere dimensions of |K|, sorted, when a certificate applies, else
     None; a contractible certified K gives ().  Each certificate reads its

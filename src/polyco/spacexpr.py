@@ -39,7 +39,7 @@ flattening, merging and sorting once for a fixed list of normal pieces and
 returns a build over their powers, so that the many wedges, products or
 smashes of those pieces taken with different powers only sum powers.
 The helpers make their nodes through one maker per class (_sphere,
-_susp_node, _loop_node, _Compound._normal; _atom for the mixed rule's
+_susp_node, _loop_node, _Compound._normal; _atom for plain named
 atoms), past the checks and the merge scan of the public constructors,
 since what they build from is normal; the public constructors check and
 merge raw trees, and they are how raw input, expr_from_json's included,

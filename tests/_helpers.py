@@ -1275,6 +1275,56 @@ def enumerated_contractible(K, pairs, weight_bound) -> Decomposition:
 
 
 # ---------------------------------------------------------------------------
+# reference closed forms and splittings: raw trees normalized afterwards, as
+# decomp built them before they came from the normal-form helpers
+# ---------------------------------------------------------------------------
+
+
+def reference_evaluate_special(K: SimplicialComplex, pairs: PairAssignment):
+    if K.m != pairs.m:
+        raise ValueError(f"complex has {K.m} vertices but {pairs.m} pairs given")
+    if K.facets == (tuple(range(1, K.m + 1)),):
+        return normalize(Wedge(tuple(pairs.domain(i) for i in range(1, K.m + 1))))
+    if K.dim() <= 0 and all(pairs.codomain_is_point(i) for i in range(1, K.m + 1)):
+        return normalize(Product(tuple(pairs.domain(v) for v in K.vertices())))
+    if (
+        K.m == 2
+        and K.facets == ((1,), (2,))
+        and pairs.domain_contractible(1)
+        and pairs.domain_contractible(2)
+    ):
+        return normalize(Loop(Susp(Smash((Loop(pairs.codomain(1)), Loop(pairs.codomain(2)))))))
+    return None
+
+
+def reference_bbcg_wedge_splitting(K: SimplicialComplex, spaces):
+    if K.m != len(spaces):
+        raise ValueError(f"complex has {K.m} vertices but {len(spaces)} spaces given")
+    return [(f, normalize(Susp(Smash(tuple(spaces[i - 1] for i in f))))) for f in K.faces() if f]
+
+
+def _reference_realization(sub: SimplicialComplex, label) -> list:
+    # |K_I| as sphere summands when certified, one symbolic atom otherwise;
+    # None marks the formal S^-1 of the empty complex
+    dims = wedge_of_spheres_type(sub)
+    if dims is None:
+        return [Atom(name="|K_{" + ",".join(map(str, label)) + "}|", connectivity=-1)]
+    return [Sphere(d) if d >= 0 else None for d in dims]
+
+
+def reference_bbcg_cone_splitting(K: SimplicialComplex, spaces):
+    if K.m != len(spaces):
+        raise ValueError(f"complex has {K.m} vertices but {len(spaces)} spaces given")
+    out = []
+    for I in missing_subsets(K):
+        xs = [spaces[i - 1] for i in I]
+        summands = [normalize(Smash(tuple(xs))) if piece is None else normalize(Susp(Smash((piece, *xs))))
+                    for piece in _reference_realization(full_subcomplex(K, I), I)]
+        out.append((I, normalize(Wedge(tuple(summands)))))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # reference complexes and homology: the face-enumerating build/full_subcomplex
 # and the dense Fraction elimination that the facet-based and sparse ones
 # replace

@@ -46,6 +46,7 @@ LANE = tuple(LI + name for name in ("test_type_counts_match_the_regrouped_refere
 CUT_EXACTLY = DE + "test_a_listing_is_cut_exactly_when_a_higher_weight_lists_more"
 GOLDEN = "tests/golden/test_golden.py::test_corpus_matches_its_recorded_digests"
 CENSUS = (DE + "test_the_census_is_what_the_reference_keeps_in_every_mode",)
+CLOSED_FORMS = DE + "test_splittings_and_closed_forms_match_their_raw_tree_references"
 
 MUTANTS = (
     Mutant(
@@ -242,6 +243,22 @@ MUTANTS = (
         "str-skips-map-from-susp", SPACEXPR,
         "Susp, Loop, MapFromSusp):\n    cls.__str__", "Susp, Loop):\n    cls.__str__",
         (SP + "test_render_notation",),
+    ),
+    Mutant(
+        "cone-suspends-the-empty-realization", DECOMP,
+        "[xs if d < 0 else", "[_susp(xs) if d < 0 else",
+        (DE + "test_bbcg_cone_splitting_ghost_vertex_is_the_empty_realization", CLOSED_FORMS),
+    ),
+    Mutant(
+        "cone-sphere-one-dimension-up", DECOMP,
+        "with_xs(_sphere(d))", "with_xs(_sphere(d + 1))",
+        (DE + "test_bbcg_cone_splitting_boundary_triangle", CLOSED_FORMS),
+    ),
+    Mutant(
+        "cojoin-without-its-outer-loop", DECOMP,
+        "return _loop(_susp(_plan(Smash, [_loop(normalize(a), 1) for _, a in pairs.pairs])((1, 1))), 1)",
+        "return _susp(_plan(Smash, [_loop(normalize(a), 1) for _, a in pairs.pairs])((1, 1)))",
+        (DE + "test_evaluate_special_cojoin", CLOSED_FORMS),
     ),
 )
 

@@ -818,6 +818,49 @@ def test_bbcg_cone_splitting_boundary_triangle():
     assert out == [((1, 2, 3), S(5))]
 
 
+CLOSED_FORM_SPACES = (POINT, Atom("PX", 0, contractible=True), S(0), CP_INFINITY, Atom("L", 1, loop=S(1)),
+                      S(2), X1, A2, Wedge((S(2), X1)), Smash((S(1), A1, S(2))), Product((S(2), S(3))))
+
+
+def _closed_form_complex(rng, i):
+    # ghost vertices, the empty complex, full simplices, boundaries of
+    # simplices, the uncertified 4-cycle, the three classical shapes
+    m = rng.randint(1, 5)
+    kind = i % 7
+    if kind == 0:
+        return build(m, [])
+    if kind == 1:
+        return simplex(m)
+    if kind == 2:
+        return build(m + 1, combinations(range(1, m + 2), m))
+    if kind == 3:
+        return rng.choice((square(), two_points(), build(m, [[j] for j in range(1, m + 1)])))
+    K = random_complex(rng, 5)
+    return build(K.m + 1, K.facets) if kind == 4 else K
+
+
+def test_splittings_and_closed_forms_match_their_raw_tree_references():
+    from _helpers import reference_bbcg_cone_splitting, reference_bbcg_wedge_splitting, reference_evaluate_special
+
+    rng = random.Random(44)
+    seen = Counter()
+    for i in range(320):
+        K = _closed_form_complex(rng, i)
+        spaces = [rng.choice(CLOSED_FORM_SPACES) for _ in range(K.m)]
+        assert bbcg_wedge_splitting(K, spaces) == reference_bbcg_wedge_splitting(K, spaces), (K, spaces)
+        cone = bbcg_cone_splitting(K, spaces)
+        assert cone == reference_bbcg_cone_splitting(K, spaces), (K, spaces)
+        subs = [full_subcomplex(K, I) for I, _ in cone]
+        seen["uncertified"] += any(wedge_of_spheres_type(sub) is None for sub in subs)
+        seen["ghost"] += any(not sub.facets for sub in subs)
+        others = [rng.choice(CLOSED_FORM_SPACES) for _ in range(K.m)]
+        for pairs in (const(spaces), path_pairs(spaces), PairAssignment.of(zip(spaces, others))):
+            got = evaluate_special(K, pairs)
+            assert got == reference_evaluate_special(K, pairs), (K, pairs)
+            seen["closed form"] += got is not None
+    assert seen["uncertified"] >= 10 and seen["ghost"] >= 50 and seen["closed form"] >= 200, seen
+
+
 # ---------------------------------------------------------------------------
 # structural operations
 # ---------------------------------------------------------------------------
@@ -862,6 +905,17 @@ def test_join_vertex_reduce_validation():
         join_vertex_reduce(not_cone, PairAssignment.of([(X1, POINT), (POINT, POINT)]))
     with pytest.raises(ValueError, match="need at least two vertices"):
         join_vertex_reduce(build(1, [[1]]), PairAssignment.of([(POINT, X1)]))
+
+
+def test_join_vertex_reduce_strips_a_contractible_apex():
+    # a path-fibration apex P(A) is a contractible atom, not a point
+    K = join(square(), build(1, [[1]]))
+    pairs = path_pairs([S(2), S(3), S(2), S(3), S(4)])
+    assert pairs.domain(5) != POINT
+    K2, pairs2 = join_vertex_reduce(K, pairs)
+    assert K2 == square() and pairs2.pairs == pairs.pairs[:4]
+    with pytest.raises(ValueError, match=r"vertex 5: domain S\^2 must be contractible"):
+        join_vertex_reduce(K, PairAssignment.of([*pairs.pairs[:4], (S(2), S(4))]))
 
 
 def test_pullback_square_corners():
