@@ -39,11 +39,11 @@ piece is the set of vertices with one normalized summand (hilton_milnor) or
 (domain, codomain) pair, or a single vertex when some support can be mixed
 (a non-point domain and a non-point codomain both occur), and one smash
 plan over each piece's surviving space (its summand, or the loops of its
-domain, or of its codomain when the domain is contractible) builds every
+domain, or of its codomain when those are a point) builds every
 factor.  So brackets are never listed: lyndon_class_counts counts them
 once per (weight, support type, piece content), where a support's type
 counts its vertices in each piece; a vertex whose surviving space is a
-point has no piece, except in mixed data.  One census (_census) lists the
+point has no piece, in every mode.  One census (_census) lists the
 supports of each type, walked up from the empty one as masks as far as the
 degree cut, with one and per step as face test: the faces of K for point
 codomains (off the full simplex the counter is cut to their types), the
@@ -54,10 +54,10 @@ bracket count as multiplicity and BracketGroup(weight, support, pieces,
 counts) as provenance, in JSON {"kind": "group", "weight": ..., "support":
 [...], "pieces": [...], "counts": [...]}.  The polyhedral decompositions
 share one engine and one bracket rule, resolved once per listed support,
-and each distinct factor is built once.  For contractible domains the rule
-reads each support's full subcomplex K_S off the facet bitmasks; equal K_S
-are one object with one certificate per call, and a certified factor is
-assembled from the sphere dimensions the rule has already read.
+and each distinct factor is built once.  The rule reads a support's kind
+off two endpoint masks; for contractible domains it reads K_S off the facet
+bitmasks, each distinct K_S's certificate once (wedge_of_spheres_type's
+memo), and assembles a certified factor from the sphere dimensions read.
 
 Each input is normalized once, where it enters (_checked), and its
 connectivity is read on that normal form: a loop of an atom through its
@@ -496,27 +496,25 @@ def _grading(normal: Sequence, surviving=lambda x: x, per_vertex: bool = False):
     # the piece table of a call: each vertex's piece, each piece's normal
     # form (one piece per distinct form, in order of first vertex, or one
     # per vertex), the class counter over its pieces, each piece's degree,
-    # the one smash plan over the surviving spaces surviving(form), and the
-    # mask of the vertices whose surviving space is a point.  Such a vertex
-    # has no piece (None), as every factor through it is a point, except
-    # per vertex (mixed data), where the rule's symbolic atoms through one
-    # are not points.  A degree is conn + 1 of the surviving space, the
-    # least degree each vertex adds to a factor; 1 for a point or a space
-    # below connected, such as ΩS^0, whose factors have no series
+    # and the one smash plan over the surviving spaces surviving(form).  A
+    # vertex whose surviving space is a point has no piece (None), in every
+    # mode: a point summand smashes to a point, and a pair whose loop spaces
+    # are both points puts (Ω*)^{l_j} = * (l_j >= 1) into every object
+    # Σ ∧_S (ΩY_j(σ))^{l_j} of a group's diagram, whose homotopy limit is
+    # then a point.  A degree is conn + 1 of the surviving space, the least
+    # degree each vertex adds to a factor; 1 for a space with no finite
+    # bound or below connected, such as ΩS^0, whose factors have no series
     ids: dict = {}
     grading = [ids.setdefault(j if per_vertex else x, len(ids)) for j, x in enumerate(normal)]
     spaces = list(normal) if per_vertex else list(ids)
     survivors = [surviving(x) for x in spaces]
-    dead = sum(2 << j for j, p in enumerate(grading) if isinstance(survivors[p], Point))
-    if dead and not per_vertex:  # drop the point pieces, and number the others in order
-        live = [p for p, y in enumerate(survivors) if not isinstance(y, Point)]
-        number = dict(zip(live, range(len(live))))
-        grading = [number.get(p) for p in grading]
-        spaces, survivors = [spaces[p] for p in live], [survivors[p] for p in live]
+    live = {p: n for n, p in enumerate(p for p, y in enumerate(survivors) if not isinstance(y, Point))}
+    grading = [live.get(p) for p in grading]  # the point pieces dropped, the others numbered in order
+    spaces, survivors = [spaces[p] for p in live], [survivors[p] for p in live]
     sizes = tuple(Counter(p for p in grading if p is not None).values())  # pieces are numbered by first vertex
     degrees = tuple(1 if (c := conn(x)) == INFINITE else max(1, c + 1) for x in survivors)
     count = partial(lyndon_class_counts, sizes, degrees=degrees)
-    return grading, spaces, count, degrees, _plan(Smash, survivors), dead
+    return grading, spaces, count, degrees, _plan(Smash, survivors)
 
 
 def hilton_milnor(
@@ -539,7 +537,7 @@ def hilton_milnor(
     if m == 0:
         raise ValueError("need at least one wedge summand")
     normal = [_checked(i, x, 0, "summand {} must be connected") for i, x in enumerate(spaces, start=1)]
-    grading, _, count, degrees, smash, _ = _grading(normal)
+    grading, _, count, degrees, smash = _grading(normal)
 
     def build(q, l):
         return _loop(_susp(smash(q)), 1)
@@ -576,14 +574,15 @@ def _base_factors(K: SimplicialComplex, normal: Sequence[tuple[SpaceExpr, SpaceE
 def _vertex_pieces(normal: Sequence[tuple[SpaceExpr, SpaceExpr]]):
     # the piece table over the normalized (domain, codomain) pairs, where a
     # piece's surviving space is the loop of its domain, or of its codomain
-    # when the domain is contractible.  One piece per distinct pair, or one
-    # per vertex when a support can be mixed (a non-point domain and a
-    # non-point codomain both occur).  Then the call's two memos for the
-    # bracket rule: K_S -> (K_S, its sphere dimensions), so that each
-    # distinct full subcomplex is one object with one certificate read, and
-    # q -> Susp smash(q), which the factors of every support share
-    mixed = not any(all(isinstance(xa[side], Point) for xa in normal) for side in (0, 1))
-    return *_grading(normal, lambda xa: _loop(xa[1] if isinstance(xa[0], Point) else xa[0], 1), mixed), {}, {}
+    # when that loop is a point: one piece per distinct pair, or one per
+    # vertex when a support can be mixed (a non-point domain and a non-point
+    # codomain both occur).  Then the masks of the vertices with a point
+    # codomain and with a contractible domain, and the memo q -> Susp smash(q)
+    to_point, from_point = (sum(2 << j for j, xa in enumerate(normal) if isinstance(xa[side], Point))
+                            for side in (1, 0))
+    surviving = lambda xa: _loop(xa[1], 1) if isinstance(y := _loop(xa[0], 1), Point) else y
+    mixed = (2 << len(normal)) - 2 not in (to_point, from_point)
+    return *_grading(normal, surviving, mixed), to_point, from_point, {}
 
 
 def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
@@ -591,33 +590,31 @@ def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
     when they all vanish, else (shape, build).  build(q, l) makes the
     looped weighted smash coproduct over the full subcomplex on the
     support, reduced where a lemma applies, for piece content q with
-    nonzero entries l; shape and q are all that it depends on.  A mixed
-    support lists no faces: its atom's connectivity needs only dim K_S + 1,
-    the most support vertices in one facet (max_trace); its atom and loop
-    are made past their checks.
+    nonzero entries l; shape and q are all that it depends on.  The
+    support's kind is read off its vertex mask g: point codomains when
+    g & ~to_point is 0, else contractible domains when g & ~from_point is
+    0, else mixed.  A mixed support lists no faces: its atom's connectivity
+    needs only dim K_S + 1, the most support vertices in one facet
+    (max_trace); its atom and loop are made past their checks.
 
     Over point codomains the support is a face.  Over contractible domains
     it is a missing face, whose K_S is read off K's facet bitmasks
-    (_full_sub) and looked up in the piece table's memo: each distinct K_S
-    of a call is one object whose sphere dimensions are read once, and
-    supports with equal K_S share a shape, so their factors are built once.
+    (_full_sub); supports with equal K_S share a shape (and the one read of
+    wedge_of_spheres_type's memo), so their factors are built once.
 
     In the reduced branches build(q, l) assembles the factor in normal form
     from the pieces' one smash plan: Loop Susp of the smash of q_p copies
     of each piece's surviving loop space, made once per q and call, through
     a mapping space out of Susp|K_S| when the domains are contractible,
     assembled from the sphere dimensions already read (_map_from_dims)."""
-    grading, spaces, _, _, smash, _, subs, suspended = pieces
-    on = [spaces[grading[j - 1]] for j in support]
+    *_, smash, to_point, from_point, suspended = pieces
+    g = sum(1 << j for j in support)
     sub = dims = None
-    if all(isinstance(a, Point) for _, a in on):
+    if not g & ~to_point:
         shape = "point"
-    elif all(isinstance(x, Point) for x, _ in on):
+    elif not g & ~from_point:
         # over a certified contractible realization this is a point
-        if (known := subs.get(sub := _full_sub(_index(K), sum(1 << j for j in support)))) is None:
-            known = subs[sub] = sub, wedge_of_spheres_type(sub)
-        sub, dims = known
-        if dims == ():
+        if (dims := wedge_of_spheres_type(sub := _full_sub(_index(K), g))) == ():
             return None
         shape = sub if dims is None else dims
     else:
@@ -711,26 +708,16 @@ def _coproduct_decomposition(
     degree_bound: int | None = None,
 ) -> Decomposition:
     # normal: the normalized (domain, codomain) of each vertex
-    grading, spaces, count, degrees, _, dead, *_ = pieces = _vertex_pieces(normal)
+    grading, spaces, count, degrees, _, to_point, from_point, _ = pieces = _vertex_pieces(normal)
     # the census lists what the rule makes a factor of.  Point codomains
     # keep the faces (keep None): their words use only letters inside a
     # face, so off the full simplex, where every support is one, the states
     # are cut to the faces' types.  Contractible domains keep the missing
     # faces, and mixed data (one piece per vertex) keeps each support by its
-    # own endpoints, never a face or missing face through a vertex whose
-    # surviving space is a point
+    # own endpoint masks; no support runs through a vertex that has no piece
     keep = types = None
     if not all(isinstance(a, Point) for _, a in spaces):
-        to_point, from_point = (sum(2 << j for j, xa in enumerate(normal) if isinstance(xa[side], Point))
-                                for side in (1, 0))
-
-        def keep(g, face):
-            if not g & ~to_point:
-                return face and not g & dead
-            if not g & ~from_point:
-                return not face and not g & dead
-            return True
-
+        keep = lambda g, face: face if not g & ~to_point else not face if not g & ~from_point else True
     census = _census(_index(K).facets, grading, degrees, degree_bound, keep)
     if keep is None and K.facets != (tuple(range(1, K.m + 1)),):
         types = census.keys()
@@ -794,8 +781,10 @@ def loop_decompose(
     domain over the support is contractible the factor reduces to a looped
     mapping space out of Susp of the realization; when every codomain over
     the support is a point it reduces to a loop-suspension factor if the
-    support is a face and vanishes otherwise; mixed factors stay symbolic
-    atoms, whose diagrams class_diagram builds on demand.
+    support is a face and vanishes otherwise; a vertex whose domain and
+    codomain are both points makes every factor through it a point, mixed
+    data included; other mixed factors stay symbolic atoms, whose diagrams
+    class_diagram builds on demand.
     """
     return _coproduct_decomposition(K, _normal_pairs(K, pairs), weight_bound, "general-coproduct")
 

@@ -642,17 +642,26 @@ def complex_to_json(K: SimplicialComplex) -> dict:
     return {"m": K.m, "facets": [list(f) for f in K.facets]}
 
 
-def json_int(value, field: str) -> int:
-    """value, if it is an int: a float is not truncated, a bool not read as 0/1."""
-    if type(value) is not int:
-        raise ValueError(f"{field} must be an integer, got {value!r}")
+_JSON_KINDS = {int: "an integer", list: "a list", dict: "an object", str: "a string"}
+
+
+def _json_of(value, kind: type, field: str):
+    """value, if its type is kind: int, list, dict or str.  So a float is
+    not truncated, a bool not read as 0/1, and null not read as a name."""
+    if type(value) is not kind:
+        raise ValueError(f"{field} must be {_JSON_KINDS[kind]}, got {value!r}")
     return value
+
+
+def json_int(value, field: str) -> int:
+    return _json_of(value, int, field)
 
 
 def complex_from_json(data: dict) -> SimplicialComplex:
     if not isinstance(data, dict) or "m" not in data or "facets" not in data:
         raise ValueError('complex JSON needs keys "m" and "facets"')
     m = json_int(data["m"], '"m"')
-    facets = [[json_int(v, '"facets" vertex') for v in f] for f in data["facets"]]
+    facets = [[json_int(v, '"facets" vertex') for v in _json_of(f, list, '"facets" entry')]
+              for f in _json_of(data["facets"], list, '"facets"')]
     return build(m, facets)
 

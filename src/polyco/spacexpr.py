@@ -61,7 +61,7 @@ from itertools import groupby
 from operator import eq, itemgetter
 from typing import Iterable, Sequence, Union
 
-from .scomplex import SimplicialComplex, complex_from_json, complex_to_json, json_int
+from .scomplex import SimplicialComplex, _json_of, complex_from_json, complex_to_json, json_int
 from .scomplex import wedge_of_spheres_type
 
 INFINITE = math.inf
@@ -572,11 +572,11 @@ def _expr_from_json(data: dict, depth: int) -> SpaceExpr:
         loop_expr = _expr_from_json(data["loop"], depth + 1) if "loop" in data else None
         series = None
         if "series" in data:
-            if isinstance(data["series"], dict):
-                json_fields(data["series"], ("num", "den"), "atom series")
-            series = (data["series"]["num"], data["series"]["den"])
+            declared = _json_of(data["series"], dict, 'atom "series"')
+            json_fields(declared, ("num", "den"), "atom series")
+            series = tuple(_json_of(declared[k], list, f'atom series "{k}"') for k in ("num", "den"))
         return Atom(
-            name=str(data["name"]),
+            name=_json_of(data["name"], str, 'atom "name"'),
             connectivity=json_int(data.get("conn", 0), 'atom "conn"'),
             loop=loop_expr,
             series=series,
@@ -584,7 +584,8 @@ def _expr_from_json(data: dict, depth: int) -> SpaceExpr:
         )
     if kind in ("wedge", "product", "smash"):
         cls = {c.kind: c for c in (Wedge, Product, Smash)}[kind]
-        children = tuple(_expr_from_json(c, depth + 1) for c in data["children"])
+        children = _json_of(data["children"], list, f'{kind} "children"')
+        children = tuple(_expr_from_json(c, depth + 1) for c in children)
         return cls(children, data.get("powers"))  # optional: repeated children still load
     if kind == "susp":
         return Susp(_expr_from_json(data["child"], depth + 1))

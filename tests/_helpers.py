@@ -1064,7 +1064,11 @@ def _smash_powers(spaces, counts) -> Smash:
 def reference_bracket_factor(K, pairs, support, l):
     """The bracket rule run once per vertex content l, with the lemma tests
     and the full subcomplex redone on every call: the reference for the
-    rule that resolves each support once."""
+    rule that resolves each support once.  A vertex of the support whose
+    loop spaces are both points (surviving_point) makes every object of
+    the defining diagram a point, and so the factor, in every mode."""
+    if any(surviving_point(*pairs.pairs[j - 1]) for j in support):
+        return POINT
     if all(pairs.domain_contractible(j) for j in support):
         sub = full_subcomplex(K, support)
         inner = Susp(_smash_powers([Loop(a) for _, a in pairs.pairs], l))
@@ -1201,20 +1205,20 @@ def per_group_listing(
 
 
 def surviving_point(x, a) -> bool:
-    """Whether the surviving space of the normalized pair (x, a), the loops
-    of x, or of a when x is a point, is a point."""
-    return isinstance(normalize(Loop(a if isinstance(x, Point) else x)), Point)
+    """Whether the pair (x, a) has both loop spaces points, so that its
+    vertex puts a point into every object of a bracket factor's diagram:
+    the surviving space of a normalized pair (the loops of x, or of a when
+    those are a point) is then a point."""
+    return isinstance(normalize(Loop(x)), Point) and isinstance(normalize(Loop(a)), Point)
 
 
 def reference_live_grading(pairs) -> list:
-    """reference_grading, but a vertex whose surviving space is a point has
-    no piece (None) outside mixed data, and the pieces left are renumbered
-    in order."""
-    normal = [(normalize(x), normalize(a)) for x, a in pairs.pairs]
-    mixed = not all(isinstance(x, Point) for x, _ in normal) and not all(isinstance(a, Point) for _, a in normal)
+    """reference_grading, but a vertex whose pair has both loop spaces
+    points (surviving_point) has no piece (None), in every mode, and the
+    pieces left are renumbered in order."""
     live = {}
-    return [None if surviving_point(*xa) and not mixed else live.setdefault(p, len(live))
-            for p, xa in zip(reference_grading(pairs), normal)]
+    return [None if surviving_point(*xa) else live.setdefault(p, len(live))
+            for p, xa in zip(reference_grading(pairs), pairs.pairs)]
 
 
 def reference_census(K, pairs, degrees, degree_bound=None, most=None):
@@ -1222,14 +1226,12 @@ def reference_census(K, pairs, degrees, degree_bound=None, most=None):
     through K.has_face, over the pieces of reference_live_grading.  A
     subset S of the vertices with a piece is kept when its codomains are
     all points and S is a face, when its domains are all points and S is
-    not a face, either one through no vertex whose surviving space is a
-    point, and otherwise always (a mixed support); within the degree cut
-    (the sum over S of degrees[piece], at most degree_bound) and of at most
-    most vertices.  hilton_milnor's census is that of its summands as
+    not a face, and otherwise always (a mixed support); within the degree
+    cut (the sum over S of degrees[piece], at most degree_bound) and of at
+    most most vertices.  hilton_milnor's census is that of its summands as
     constant maps on the simplex with most = W.  Returns {type: kept
     subsets, lexicographic}."""
     normal = [(normalize(x), normalize(a)) for x, a in pairs.pairs]
-    dead = [surviving_point(*xa) for xa in normal]
     grading = reference_live_grading(pairs)
     pieces = len({p for p in grading if p is not None})
     vertices = [j for j in range(1, K.m + 1) if grading[j - 1] is not None]
@@ -1239,11 +1241,11 @@ def reference_census(K, pairs, degrees, degree_bound=None, most=None):
         for S in combinations(vertices, k):
             if degree_bound is not None and sum(degrees[grading[j - 1]] for j in S) > degree_bound:
                 continue
-            on, through_dead = [normal[j - 1] for j in S], any(dead[j - 1] for j in S)
+            on = [normal[j - 1] for j in S]
             if all(isinstance(a, Point) for _, a in on):
-                kept = K.has_face(S) and not through_dead
+                kept = K.has_face(S)
             elif all(isinstance(x, Point) for x, _ in on):
-                kept = not K.has_face(S) and not through_dead
+                kept = not K.has_face(S)
             else:
                 kept = True
             if kept:

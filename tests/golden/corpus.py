@@ -153,7 +153,9 @@ def presets():
 
 def fixed_listings():
     """Inputs named for what they pin: complete listings, whose headers
-    claim no cut, and a loop whose estimate underflows under a suspension."""
+    claim no cut, a loop whose estimate underflows under a suspension, and
+    mixed data with a vertex whose domain and codomain are points, which
+    lists no group through that vertex."""
     path = build(3, [[1, 2], [2, 3]])
     cases = {
         "hm-point-and-sphere": lambda: hilton_milnor([POINT, S(2)], 5),
@@ -172,6 +174,8 @@ def fixed_listings():
             build(3, [[1, 2], [1, 3], [2, 3]]), PairAssignment.path_fibrations([S(2)] * 3), 3),
         "general-mixed-edge": lambda: loop_decompose(
             build(2, [[1, 2]]), PairAssignment.of([(S(3), S(2)), (PX, X)]), 3),
+        "general-triangle-with-point-vertex": lambda: loop_decompose(
+            build(3, [[1, 2, 3]]), PairAssignment.of([(S(2), POINT), (PX, S(3)), (POINT, POINT)]), 3),
     }
     for name, make in cases.items():
         yield from listing(f"fixed/{name}", make)

@@ -47,6 +47,7 @@ CUT_EXACTLY = DE + "test_a_listing_is_cut_exactly_when_a_higher_weight_lists_mor
 GOLDEN = "tests/golden/test_golden.py::test_corpus_matches_its_recorded_digests"
 CENSUS = (DE + "test_the_census_is_what_the_reference_keeps_in_every_mode",)
 CLOSED_FORMS = DE + "test_splittings_and_closed_forms_match_their_raw_tree_references"
+RESTRICTION = DE + "test_a_point_vertex_lists_like_the_full_subcomplex_without_it"
 
 MUTANTS = (
     Mutant(
@@ -175,13 +176,13 @@ MUTANTS = (
     ),
     Mutant(
         "contractible-branch-keeps-faces", DECOMP,
-        "return not face and not g & dead", "return not g & dead",
+        "else not face if not g & ~from_point", "else True if not g & ~from_point",
         (DE + "test_contractible_rule_over_a_face_is_a_point",
          DE + "test_counted_contractible_matches_enumerated", *CENSUS),
     ),
     Mutant(
         "mixed-point-codomains-keep-non-faces", DECOMP,
-        "return face and not g & dead", "return not g & dead",
+        "lambda g, face: face if", "lambda g, face: True if",
         (DE + "test_bracket_rule_matches_the_reference", *CENSUS),
     ),
     Mutant(
@@ -190,16 +191,24 @@ MUTANTS = (
         (DE + "test_the_weight_cut_is_read_once_per_support_type",),
     ),
     Mutant(
-        "point-pieces-dropped-from-mixed-data", DECOMP,
-        "if dead and not per_vertex:", "if dead:",
+        # a vertex whose loop spaces are points gets a piece again in mixed data,
+        # and the census lists the supports through it
+        "point-pieces-kept-in-mixed-data", DECOMP,
+        "enumerate(survivors) if not isinstance(y, Point))}",
+        "enumerate(survivors) if per_vertex or not isinstance(y, Point))}",
         (DE + "test_point_pieces_get_no_letters",
-         DE + "test_counted_general_matches_enumerated"),
+         DE + "test_counted_general_matches_enumerated",
+         DE + "test_bracket_rule_matches_the_reference",
+         RESTRICTION, GOLDEN, *CENSUS),
     ),
     Mutant(
-        # a mixed call lists the factors through a point vertex, which are points
-        "census-keeps-supports-through-point-pieces", DECOMP,
-        "return face and not g & dead", "return face",
-        (DE + "test_counted_general_matches_enumerated", GOLDEN, *CENSUS),
+        # point codomains are read as contractible domains and back
+        "bracket-rule-swaps-endpoint-masks", DECOMP,
+        "*_, smash, to_point, from_point, suspended = pieces", "*_, smash, from_point, to_point, suspended = pieces",
+        (DE + "test_bracket_rule_matches_the_reference",
+         DE + "test_counted_general_matches_enumerated",
+         DE + "test_factors_assembled_from_dims_match_the_certificate_path",
+         RESTRICTION, GOLDEN),
     ),
     Mutant(
         # every piece mask one vertex up: each face counted under its neighbour's type

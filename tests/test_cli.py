@@ -614,6 +614,34 @@ X_ATOM = {"kind": "atom", "name": "X", "conn": 2}
         None, 2, "spaces file keys must be vertex numbers", id="spaces-letter-key",
     ),
     pytest.param(
+        {"cx": EDGE, "sp": {"1": {"kind": "atom", "name": None, "conn": 1}, "2": S3}},
+        ["decompose-wedge", "--complex", "{cx}", "--spaces", "{sp}"],
+        None, 2, 'atom "name" must be a string, got None', id="atom-name-null",
+    ),
+    pytest.param(
+        {"cx": EDGE, "sp": {"1": {**X_ATOM, "series": [[1], [1, 0, -1]]}, "2": S3}},
+        ["decompose-wedge", "--complex", "{cx}", "--spaces", "{sp}"],
+        None, 2, 'atom "series" must be an object, got [[1], [1, 0, -1]]', id="atom-series-list",
+    ),
+    pytest.param(
+        {"cx": EDGE, "sp": {"1": {**X_ATOM, "series": {"num": 1, "den": [1, 0, -1]}}, "2": S3}},
+        ["decompose-wedge", "--complex", "{cx}", "--spaces", "{sp}"],
+        None, 2, 'atom series "num" must be a list, got 1', id="atom-series-num-int",
+    ),
+    pytest.param(
+        {"cx": EDGE, "sp": {"1": {"kind": "wedge", "children": S2}, "2": S3}},
+        ["decompose-wedge", "--complex", "{cx}", "--spaces", "{sp}"],
+        None, 2, 'wedge "children" must be a list', id="wedge-children-object",
+    ),
+    pytest.param(
+        {"cx": {"m": 2, "facets": [5]}}, ["homology", "--complex", "{cx}"],
+        None, 2, '"facets" entry must be a list, got 5', id="facet-int",
+    ),
+    pytest.param(
+        {"cx": {"m": 2, "facets": {"1": [1, 2]}}}, ["homology", "--complex", "{cx}"],
+        None, 2, "\"facets\" must be a list, got {'1': [1, 2]}", id="facets-object",
+    ),
+    pytest.param(
         {}, ["verify", "--check", "counterexample"],
         "0", 2, "POLYCO_MAX_DEGREE must be >= 1", id="env-degree-zero",
     ),

@@ -49,7 +49,6 @@ from _helpers import (
     regrouped,
     repeated_product,
     summand_grading,
-    surviving_point,
     two_points,
     with_repeats,
 )
@@ -1333,7 +1332,7 @@ def test_mixed_atom_connectivity_reads_dim_off_the_facets():
     # built as the full subcomplex, on seeded complexes with ghost vertices
     rng = random.Random(6131)
     atoms = ghosts = 0
-    for _ in range(60):
+    for _ in range(100):
         K = random_complex(rng, 5)
         pairs = PairAssignment.of([(S(3), S(2))] + [
             (rng.choice(PARITY_DOMAINS), rng.choice(PARITY_CODOMAINS)) for _ in range(K.m - 1)])
@@ -1347,37 +1346,50 @@ def test_mixed_atom_connectivity_reads_dim_off_the_facets():
     assert atoms > 5000 and ghosts > 1000, (atoms, ghosts)
 
 
+def certificate_reads(monkeypatch) -> Counter:
+    """The K_S that the bracket rule asks wedge_of_spheres_type for, counted
+    by call, from an emptied certificate memo, whose misses then count the
+    certificates read."""
+    calls = Counter()
+
+    def certifying(sub):
+        calls[sub] += 1
+        return wedge_of_spheres_type(sub)
+
+    monkeypatch.setattr(polyco.decomp, "wedge_of_spheres_type", certifying)
+    wedge_of_spheres_type.cache_clear()
+    return calls
+
+
 def test_full_subcomplex_built_once_per_support(monkeypatch):
     # the lemma tests and the full subcomplex are per support, not per l:
     # only the missing faces are listed for contractible domains, so each
     # is read off the facet bitmasks once (_full_sub) and no face reaches
-    # the builder, and each distinct K_S of a call is one object with one
-    # certificate read, shared by the factors of every support with that
-    # K_S.  In mixed data only a missing face whose domains are all
+    # the builder, and each distinct K_S is one certificate read (a miss
+    # of wedge_of_spheres_type's memo), shared by the factors of every
+    # support with that K_S.  In mixed data only a missing face whose domains are all
     # contractible is built: a mixed atom reads dim K_S off the facets, and
     # no face is built
-    built, certified = Counter(), Counter()
-    builder, certificate = polyco.decomp._full_sub, polyco.decomp.wedge_of_spheres_type
+    built = Counter()
+    builder = polyco.decomp._full_sub
 
     def building(index, g):
         built[g] += 1
         return builder(index, g)
 
-    def certifying(sub):
-        certified[sub] += 1
-        return certificate(sub)
-
     monkeypatch.setattr(polyco.decomp, "_full_sub", building)
-    monkeypatch.setattr(polyco.decomp, "wedge_of_spheres_type", certifying)
+    certified = certificate_reads(monkeypatch)
     boundary = build(4, [list(f) for f in combinations(range(1, 5), 3)])
     dec = loop_decompose_contractible(boundary, path_pairs([S(2)] * 4), 8)
     assert {f.provenance.support for f in dec.bracket_factors()} == {(1, 2, 3, 4)}
     assert built == {0b11110: 1}  # the one missing face, where every support of 2+ vertices made 11
     assert certified == {full_subcomplex(boundary, (1, 2, 3, 4)): 1}
+    assert wedge_of_spheres_type.cache_info().misses == 1
     # the pentagon: its five diagonals have one K_S (two points), and its
-    # 21 missing faces 12 K_S, the pentagon itself uncertified
+    # 21 missing faces 12 K_S, the pentagon itself uncertified; the
+    # certificate memo reads each K_S once
     built.clear()
-    certified.clear()
+    certified = certificate_reads(monkeypatch)
     pentagon = build(5, [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
     dec = loop_decompose_contractible(pentagon, path_pairs([S(2)] * 5), 3)
     missing = {sum(1 << j for j in S) for k in (2, 3, 4, 5) for S in combinations(range(1, 6), k)
@@ -1385,7 +1397,8 @@ def test_full_subcomplex_built_once_per_support(monkeypatch):
     assert set(built.values()) == {1} and set(built) == missing and len(built) == 21
     distinct = {reference_full_subcomplex(pentagon, S) for k in (2, 3, 4, 5) for S in combinations(range(1, 6), k)
                 if not pentagon.has_face(S)}
-    assert set(certified.values()) == {1} and set(certified) == distinct and len(distinct) == 12
+    assert sum(certified.values()) == 21 and set(certified) == distinct and len(distinct) == 12
+    assert wedge_of_spheres_type.cache_info().misses == 12
     by_total = {}
     for f in dec.bracket_factors():
         by_total.setdefault((len(f.provenance.support), sum(f.provenance.counts)), set()).add(id(f.expr))
@@ -1406,18 +1419,20 @@ def test_full_subcomplex_built_once_per_support(monkeypatch):
     assert not {sum(1 << j for j in support) for support in mixed} & set(built)
 
 
-def test_the_rule_reads_each_full_subcomplex_like_the_face_enumerating_reference():
+def test_the_rule_reads_each_full_subcomplex_like_the_face_enumerating_reference(monkeypatch):
     # the bitmask builder behind the rule and full_subcomplex gives the face
     # verdict of has_face and the K_S of the face-enumerating reference on
-    # every support, and the rule's memo holds each K_S once, under its
-    # value, with the dims of the face-enumerating certificate reference
+    # every support; the rule resolves each missing face by the dims of the
+    # face-enumerating certificate reference, and the certificate memo
+    # misses once per distinct K_S
     rng = random.Random(3531)
-    ghosts = entries = 0
+    certified = certificate_reads(monkeypatch)
+    reference_dims = {}
+    ghosts = calls = 0
     for _ in range(300):
         K = random_complex(rng, 7)
         index, faces = _index(K), set(K.faces())
         pieces = _vertex_pieces(_normal_pairs(K, path_pairs([S(2)] * K.m)))
-        *_, memo, _ = pieces
         for k in range(1, K.m + 1):
             for support in combinations(range(1, K.m + 1), k):
                 sub = _full_sub(index, sum(1 << j for j in support))
@@ -1428,13 +1443,16 @@ def test_the_rule_reads_each_full_subcomplex_like_the_face_enumerating_reference
                     assert want.facets == (tuple(range(1, k + 1)),), (K, support)
                     continue
                 assert sub == want, (K, support)
-                _bracket_rule(K, pieces, support)
-                assert memo[want][0] == want, (K, support)
-        for sub, (same, dims) in memo.items():
-            assert same is sub and dims == reference_wedge_of_spheres_type(sub), sub
+                if (dims := reference_dims.get(want, 0)) == 0:
+                    dims = reference_dims[want] = reference_wedge_of_spheres_type(want)
+                resolved = _bracket_rule(K, pieces, support)
+                assert resolved is None if dims == () else resolved[0] == (want if dims is None else dims)
+                calls += 1
         ghosts += len(K.vertices()) < K.m
-        entries += len(memo)
-    assert ghosts > 80 and entries > 1000, (ghosts, entries)
+    assert set(certified) == set(reference_dims) and sum(certified.values()) == calls
+    assert wedge_of_spheres_type.cache_info().misses == len(reference_dims)
+    assert ghosts > 80 and len(reference_dims) > 300 and calls > 3 * len(reference_dims), (
+        ghosts, len(reference_dims), calls)
 
 
 def _dims_shape(dims) -> str:
@@ -1757,6 +1775,67 @@ def census_listings(monkeypatch, cases):
     return census, listings()
 
 
+def relabelled(dec, live):
+    """dec, a listing over the full subcomplex on the vertices live, with
+    its vertex j written live[j - 1]: in vertex and group provenance, and
+    in the K_{...} label of each mixed atom."""
+    back = lambda vs: tuple(live[j - 1] for j in vs)
+    label = lambda match: "K_{" + ",".join(map(str, back(map(int, match[1].split(","))))) + "}"
+    factors = []
+    for e, n, p in dec.factors:
+        if isinstance(p, BracketGroup):
+            p = BracketGroup(p.weight, back(p.support), tuple(map(back, p.pieces)), p.counts)
+            if isinstance(e, Loop) and isinstance(e.child, Atom) and e.child.name.startswith("ŝ-coprod"):
+                e = _loop_node(_atom(re.sub(r"K_\{([\d,]+)\}", label, e.child.name), e.child.connectivity), 1)
+        elif isinstance(p, int):
+            p = live[p - 1]
+        factors.append(Factor(e, n, p))
+    return Decomposition(tuple(factors), dec.theorem, dec.truncation, dec.degree_bound)
+
+
+def test_a_point_vertex_lists_like_the_full_subcomplex_without_it():
+    # a vertex whose domain and codomain are points puts * into every object
+    # of each diagram through it, in mixed data too: on seeded mixed inputs
+    # with one or more such vertices, the listing equals that of the full
+    # subcomplex on the other vertices with their pairs, mapped back to the
+    # vertex numbers of K, in text and sorted JSON, order and cut included
+    rng = random.Random(4517)
+    listed = 0
+    for trial in range(300):
+        m = rng.randint(2, 5)
+        facets = [rng.sample(range(1, m + 1), rng.randint(1, m)) for _ in range(rng.randint(0, m))]
+        K = build(m, facets if trial % 3 else [range(1, m + 1)])
+        dead = set(rng.sample(range(1, m + 1), rng.randint(1, max(1, m - 2))))
+        live = [j for j in range(1, m + 1) if j not in dead]
+        while True:  # the live pairs, with a non-point domain and a non-point codomain
+            on = [(rng.choice(DOMAIN_POOL), rng.choice(CODOMAIN_POOL)) for _ in live]
+            if any(not isinstance(normalize(x), Point) for x, _ in on) and any(a != POINT for _, a in on):
+                break
+        points = iter(on)
+        pairs = PairAssignment.of([rng.choice(((POINT, POINT), (PX, POINT))) if j in dead else next(points)
+                                   for j in range(1, m + 1)])
+        W = rng.randint(1, 2)
+        dec = loop_decompose(K, pairs, W)
+        want = relabelled(loop_decompose(full_subcomplex(K, live), PairAssignment.of(on), W), live)
+        assert dec.render() == want.render(), (K, pairs, W)
+        assert json.dumps(dec.to_json(), sort_keys=True) == json.dumps(want.to_json(), sort_keys=True)
+        listed += len(dec.bracket_factors())
+    assert listed > 800, listed
+
+
+def test_a_domain_whose_loops_are_a_point_keeps_its_piece_in_mixed_data():
+    # a simply connected atom declared with a point as its loop space is
+    # weakly contractible, but over a codomain that is not a point its
+    # vertex is no point vertex: the support {1, 2} on two points, through
+    # it and a path fibration over S^2, stays a mixed symbolic factor
+    hollow = Atom("Q", 2, loop=POINT)
+    pairs = PairAssignment.of([(hollow, S(2)), (PX, S(2))])
+    dec = loop_decompose(two_points(), pairs, 1)
+    assert [(render(f.expr), f.provenance) for f in dec.bracket_factors()] == [
+        ("Ωŝ-coprod[K_{1,2}; weights [1, 1]]", BracketGroup(1, (1, 2), ((1,), (2,)), (1, 1)))]
+    assert not loop_decompose(two_points(), PairAssignment.of([(hollow, POINT), (PX, S(2))]), 1).bracket_factors()
+
+
 def test_the_census_lists_what_every_support_lists(monkeypatch):
     # supports stay bitmasks until the census lists them: on seeded inputs
     # every listing equals the one whose census is every subset that the
@@ -1890,8 +1969,9 @@ def test_the_census_is_what_the_reference_keeps_in_every_mode(monkeypatch):
     # each census the engine takes, against reference_census on the same
     # vertex data: the faces for point codomains, the missing faces for
     # contractible domains, each support by its own endpoints in mixed data
-    # (never a face or missing face through a vertex whose surviving space
-    # is a point), and every support of at most W summands for hilton_milnor
+    # (never one through a vertex whose surviving space is a point, which
+    # has no piece in any mode), and every support of at most W summands
+    # for hilton_milnor
     calls = recorded_census(monkeypatch)
     seen = Counter()
     for mode, engine, K, data, W, cut in census_mode_cases(4261, 320):
@@ -1902,8 +1982,7 @@ def test_the_census_is_what_the_reference_keeps_in_every_mode(monkeypatch):
         assert census == want and degree_bound == cut, (mode, K, data, W, cut)
         seen[mode] += 1
         seen[mode, "ghosts"] += bool(K.facets) and len(K.vertices()) < K.m
-        seen[mode, "points"] += None in grading or mode == "mixed" and any(
-            surviving_point(*xa) for xa in _normal_pairs(K, data))
+        seen[mode, "points"] += None in grading
         seen[mode, "empty"] += not K.facets
         seen[mode, "simplex"] += K.facets == (tuple(range(1, K.m + 1)),)
         seen[mode, "cut"] += degree_bound is not None
@@ -1925,7 +2004,7 @@ def test_hilton_milnor_walks_only_the_supports_within_the_weight(monkeypatch):
 
 def test_point_pieces_get_no_letters(monkeypatch):
     # every bracket through a piece whose surviving space is a point is a
-    # point, so the counter sees only the other pieces: hilton_milnor over
+    # point, in every mode, so the counter sees only the other pieces: hilton_milnor over
     # POINT, S², S³ counts the 30 groups of S², S³, not the 143 of three
     # letters, and the wedge preset does the same with point spaces.  The
     # listings and their weight cuts match the enumerated references
@@ -1952,12 +2031,16 @@ def test_point_pieces_get_no_letters(monkeypatch):
                                                       (1, 2, 0), (0, 1, 1), (0, 2, 1), (0, 0, 0)}))
     assert_counted_matches(dec, enumerated_wedge(K, spaces, 3, degree_bound=9), 4,
                            reference_grading(PairAssignment.constant_maps(spaces)))
-    # mixed data keeps every piece: its symbolic atoms are not points
+    # mixed data too: vertex 3 puts (Ω*)^l = * into every object of each
+    # diagram through it, so the counter sees the two other pieces and no
+    # listed support runs through vertex 3
     counted.clear()
+    path = build(3, [[1, 2], [2, 3]])
     pairs = PairAssignment.of([(S(3), POINT), (POINT, S(2)), (POINT, POINT)])
-    dec = loop_decompose(build(3, [[1, 2], [2, 3]]), pairs, 2)
-    assert counted == [len(real([1, 1, 1], 2))]
-    assert any(3 in f.provenance.support for f in dec.bracket_factors())
+    dec = loop_decompose(path, pairs, 2)
+    assert counted == [len(real([1, 1], 2))]
+    assert dec.bracket_factors() and not any(3 in f.provenance.support for f in dec.bracket_factors())
+    assert_counted_matches(dec, enumerated_general(path, pairs, 2), 3, reference_grading(pairs))
 
 
 def test_the_weight_cut_is_read_once_per_support_type(monkeypatch):

@@ -370,6 +370,33 @@ def test_json_rejects_non_integer_fields(data, message):
         expr_from_json(data)
 
 
+SPHERE_JSON = {"kind": "sphere", "n": 2}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"kind": "atom", "name": None}, 'atom "name" must be a string, got None'),
+        ({"kind": "atom", "name": 7, "conn": 1}, 'atom "name" must be a string, got 7'),
+        ({"kind": "atom", "name": "A", "conn": 1, "series": [[1], [1, 0, -1]]},
+         r'atom "series" must be an object, got \[\[1\], \[1, 0, -1\]\]'),
+        ({"kind": "atom", "name": "A", "conn": 1, "series": {"num": [1], "den": "1"}},
+         "atom series \"den\" must be a list, got '1'"),
+        ({"kind": "smash", "children": SPHERE_JSON}, 'smash "children" must be a list'),
+        ({"kind": "map_from_susp", "complex": {"m": 2, "facets": [5]}, "child": SPHERE_JSON},
+         '"facets" entry must be a list, got 5'),
+        ({"kind": "map_from_susp", "complex": {"m": 2, "facets": 5}, "child": SPHERE_JSON},
+         '"facets" must be a list, got 5'),
+    ],
+    ids=["name-null", "name-int", "series-list", "series-den-str", "children-object", "facet-int", "facets-int"],
+)
+def test_json_fields_must_have_their_json_type(data, message):
+    # a field of the wrong JSON type is named, not read as a string or
+    # iterated until some other error
+    with pytest.raises(ValueError, match=message):
+        expr_from_json(data)
+
+
 def test_powers_merge_adjacent_equal_children():
     assert Smash((X, X, Y)) == Smash((X, Y), (2, 1))
     assert Smash((X, X), (2, 3)) == Smash((X,), (5,))
