@@ -48,16 +48,22 @@ supports of each type, walked up from the empty one as masks as far as the
 degree cut, with one and per step as face test: the faces of K for point
 codomains (off the full simplex the counter is cut to their types), the
 missing faces for contractible domains, and in mixed data each support by
-its own endpoints; a counted type that lists nothing is skipped.  Each
-listed (weight, support, piece content) group becomes one Factor with its
-bracket count as multiplicity and BracketGroup(weight, support, pieces,
-counts) as provenance, in JSON {"kind": "group", "weight": ..., "support":
-[...], "pieces": [...], "counts": [...]}.  The polyhedral decompositions
-share one engine and one bracket rule, resolved once per listed support,
-and each distinct factor is built once.  The rule reads a support's kind
-off two endpoint masks; for contractible domains it reads K_S off the facet
-bitmasks, each distinct K_S's certificate once (wedge_of_spheres_type's
-memo), and assembles a certified factor from the sphere dimensions read.
+its own endpoints; a counted type that lists nothing is skipped.  The
+engine hands the counted groups to the Decomposition, whose listing
+expands from them on its first read: each (weight, support, piece
+content) becomes one Factor with its bracket count as multiplicity and
+BracketGroup(weight, support, pieces, counts) as provenance, in JSON
+{"kind": "group", "weight": ..., "support": [...], "pieces": [...],
+"counts": [...]}.  Its series is summed per group, and needs no listing:
+the index of group logs keys a factor's log-derivative by the piece
+table's surviving spaces, the rule's shape and the piece content, which
+decide the factor, so a repeated call builds none.  The polyhedral
+decompositions share one engine and one bracket rule, resolved once per
+listed support when called, and each distinct factor is built once.  The
+rule reads a support's kind off two endpoint masks; for contractible
+domains it reads K_S off the facet bitmasks, each distinct K_S's
+certificate once (wedge_of_spheres_type's memo), and assembles a certified
+factor from the sphere dimensions read.
 
 Each input is normalized once, where it enters (_checked), and its
 connectivity is read on that normal form: a loop of an atom through its
@@ -309,6 +315,65 @@ def _provenance_json(p: object, shared: dict) -> dict:
     return {"kind": "base"}
 
 
+def _per_object(factors):
+    # [first factor, multiplicity] per factor object, keyed by id: no deep hashing
+    per_object: dict[int, list] = {}
+    for f in factors:
+        per_object.setdefault(id(f.expr), [f, 0])[1] += f.multiplicity
+    return per_object.values()
+
+
+def _unsupported(expr: SpaceExpr, provenance: object, log) -> "series_mod.Unsupported":
+    # a listing entry's Unsupported, named by its factor and provenance
+    return series_mod.Unsupported(f"factor {render(expr)} [{_provenance_text(provenance, {})}]: {log.reason}")
+
+
+class _IndexInfo(NamedTuple):
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+class _GroupLogs:
+    """The index of group logs, one per process, kept on the class: the
+    sparse log-derivative or the Unsupported value of a group's factor, by
+    (piece table, N) and then (shape, q), which decide the factor, so a
+    repeated call reads its series without building one.  It holds at most
+    maxsize logs, counted in size, a table registered with its first log,
+    and is emptied when a call finds it full; cache_clear and cache_info
+    work as an lru_cache's do."""
+
+    tables: dict[tuple, dict] = {}
+    maxsize, size, misses = 4096, 0, 0
+
+    @classmethod
+    def cache_clear(cls) -> None:
+        cls.tables.clear()
+        cls.size = cls.misses = 0
+
+    @classmethod
+    def cache_info(cls) -> _IndexInfo:
+        return _IndexInfo(cls.misses, cls.maxsize, cls.size)
+
+    @classmethod
+    def logs(cls, at: tuple) -> dict:
+        # the logs of one (piece table, N), empty when new; the index emptied first when full
+        if cls.size >= cls.maxsize:
+            cls.cache_clear()
+        return cls.tables.get(at) or {}
+
+    @classmethod
+    def add(cls, at: tuple, logs: dict, key: tuple, log):
+        # a miss's log, kept while there is room
+        cls.misses += 1
+        if cls.size < cls.maxsize:
+            if not logs:
+                cls.tables[at] = logs
+            logs[key] = log
+            cls.size += 1
+        return log
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """A finite product of space-expression factors with provenance.
@@ -318,6 +383,11 @@ class Decomposition:
     every weight, the least of weight W + 1 within any degree cut.
     degree_bound records the degree through which a degree cut kept every
     factor with homology.  The list is complete when both are None.
+
+    A preset makes its decomposition from the counted groups (_grouped):
+    the factors listing expands from them on its first read, in the order
+    the module docstring gives, and series_product sums the series per
+    group, listing nothing.  One made from a factors tuple has no groups.
     """
 
     factors: tuple[Factor, ...]
@@ -325,16 +395,28 @@ class Decomposition:
     truncation: int | None = None
     degree_bound: int | None = None
 
-    def _per_object(self):
-        # [first factor, multiplicity] per factor object, keyed by id: no deep hashing
-        per_object: dict[int, list] = {}
-        for f in self.factors:
-            per_object.setdefault(id(f.expr), [f, 0])[1] += f.multiplicity
-        return per_object.values()
+    _groups = None  # a preset's (vertex factors, piece table, made, (counts, kept, tallies)); not a field
+
+    @classmethod
+    def _grouped(cls, theorem: str, truncation, degree_bound, base, table, grouped) -> "Decomposition":
+        # base: the vertex factors; grouped: the (counts, kept, tallies) of _class_groups;
+        # made: the call's memo (shape, q) -> factor, for the series and the listing
+        dec = object.__new__(cls)
+        vars(dec).update(theorem=theorem, truncation=truncation, degree_bound=degree_bound,
+                         _groups=(base, table, {}, grouped))
+        return dec
+
+    def __getattr__(self, name: str):
+        # reached only by a grouped decomposition's listing, before its first read
+        if name != "factors" or self._groups is None:
+            raise AttributeError(name)
+        base, _, made, grouped = self._groups
+        factors = vars(self)["factors"] = (*base, *_expand(grouped, made))
+        return factors
 
     def factor_multiset(self) -> Counter:
         out: Counter = Counter()
-        for f, k in self._per_object():  # summed by object before any deep hash
+        for f, k in _per_object(self.factors):  # summed by object before any deep hash
             out[f.expr] += k
         return out
 
@@ -344,25 +426,37 @@ class Decomposition:
     def series_product(self, N: int):
         """The product of the factor series through degree N, or Unsupported.
 
-        Log-derivatives turn the product into a sum: each factor object's
-        memoized log-derivative is added as many times as its total
-        multiplicity, and the product is recovered once from the sum, so no
-        factor is multiplied or raised to a power, and equal expressions
-        need not be merged first.  A factor of connectivity at least N reads
-        1 through N, even one series_of has no rule for; an Unsupported
-        reason names the first other unsupported factor.  Factors are in
-        normal form, so each goes straight to the memoized evaluators behind
-        series_of, without a second normalize."""
+        Log-derivatives turn the product into a sum, recovered once as the
+        product, so no factor is multiplied or raised to a power.  Each
+        listed factor object adds its log-derivative (_log_memo, sparse)
+        times its total multiplicity; a preset's groups are not listed:
+        each adds n times its factor's per kept support, one shape at a
+        time, read from the index of group logs, where a miss builds the
+        factor once for the call and reads _log_memo.  A factor of
+        connectivity at least N reads 1 through N, even one series_of has
+        no rule for; an Unsupported reason names the first other
+        unsupported entry of the listing, with its provenance."""
         total = [0] * (series_mod._degree(N) + 1)
-        for f, k in self._per_object():
-            l = series_mod._log_memo(f.expr, N)
-            if isinstance(l, series_mod.Unsupported):
-                return series_mod.Unsupported(
-                    f"factor {render(f.expr)} [{_provenance_text(f.provenance, {})}]: {l.reason}"
-                )
-            for n, c in enumerate(l):
-                if c:
-                    total[n] += k * c
+        base, table, made, (counts, _, tallies) = self._groups or (self.factors, None, None, ({}, {}, {}))
+        for f, k in _per_object(base):
+            if isinstance(log := series_mod._log_memo(f.expr, N), series_mod.Unsupported):
+                return _unsupported(f.expr, f.provenance, log)
+            for d, c in log:
+                total[d] += k * c
+        logs = _GroupLogs.logs(at := (table, N)) if counts else None
+        for (w, s, q), n in counts.items():
+            for count, (support, pieces, shape, build) in tallies[s]:
+                if (log := logs.get(key := (shape, q))) is None or isinstance(log, series_mod.Unsupported):
+                    l = tuple(filter(None, q))
+                    if (expr := made.get(key)) is None:
+                        expr = made[key] = build(q, l)
+                    if log is None:
+                        log = _GroupLogs.add(at, logs, key, series_mod._log_memo(expr, N))
+                    if isinstance(log, series_mod.Unsupported):
+                        return _unsupported(expr, BracketGroup(w, support, pieces, l), log)
+                k = n * count
+                for d, c in log:
+                    total[d] += k * c
         return series_mod.PoincareSeries.from_log_derivative(total, N)
 
     def render(self) -> str:
@@ -451,43 +545,63 @@ def porter_loop_decomp(spaces: Sequence[SpaceExpr]) -> Decomposition:
     return Decomposition(tuple(factors), "porter", None)
 
 
-def _class_factors(counts, grading: Sequence[int], rule, census, types=None) -> list[Factor]:
-    """The bracket engine: one factor per counted (weight, support, piece
-    content q) group, with grading[j - 1] the piece of vertex j.  counts
-    maps (weight, support type, q) to a count, as lyndon_class_counts
-    does; census maps a support type to its listed supports in order, as
-    _census does, and rule(support) runs once per listed support: None
-    when every group over it vanishes, else (shape, build), and build(q, l)
-    runs once per distinct (shape, q), with l the nonzero entries of q,
-    found once per (weight, type, q).  The order is the counter's, by
-    weight, then q descending, then support type descending, and within a
-    type by support; a class whose type keeps no support is skipped before
-    its l is found.  An entry's Factor and BracketGroup are made by
-    tuple.__new__, fields in order.  Each support type where rule keeps a
-    support becomes a key of types, if given.
+def _class_groups(counts, grading: Sequence[int], rule, census, types=None) -> tuple[dict, dict, dict]:
+    """The bracket engine's call-time half: the counted groups, with no
+    entry per support.  counts maps (weight, support type, q) to a count,
+    as lyndon_class_counts does, with grading[j - 1] the piece of vertex j;
+    census maps a support type to its listed supports in order, as _census
+    does, and rule(support) runs once per listed support: None when every
+    group over it vanishes, else (shape, build), where build(q, l) makes
+    the factor of piece content q with nonzero entries l, which the call's
+    pieces, shape and q decide.  Returns (counts, kept, tallies): kept maps
+    each counted type to its entries, one (support, pieces, shape, build)
+    per kept support, pieces its vertices by piece, and tallies to its
+    [count, first entry] per shape, in order of first entry.  So the class
+    (w, s, q) of count n is the group of weight w and piece content q over
+    each kept support of type s, and a type that keeps none has no group.
+    Each support type that keeps a support becomes a key of types, if
+    given.
     """
-    listed: dict[tuple[int, ...], list] = {}  # type -> what the rule keeps, by support
-    made: dict[object, SpaceExpr] = {}
-    out: list[Factor] = []
-    new = tuple.__new__
-    for (w, s, q), n in counts.items():
-        if (kept := listed.get(s)) is None:
-            kept = listed[s] = []
+    kept: dict[tuple[int, ...], list] = {}
+    tallies: dict[tuple[int, ...], list] = {}
+    for _, s, _ in counts:
+        if s not in kept:
+            entries = kept[s] = []
+            tally: dict = {}
             for support in census.get(s, ()):
                 if (resolved := rule(support)) is not None:
                     on: dict[int, list[int]] = {}
                     for j in support:
                         on.setdefault(grading[j - 1], []).append(j)
-                    pieces = tuple(tuple(on[p]) for p in sorted(on))
-                    kept.append((support, pieces, *resolved))
-            if kept and types is not None:
+                    entries.append(entry := (support, tuple(tuple(on[p]) for p in sorted(on)), *resolved))
+                    tally.setdefault(entry[2], [0, entry])[0] += 1
+            tallies[s] = list(tally.values())
+            if entries and types is not None:
                 types[s] = None
-        if not kept:
+    return counts, kept, tallies
+
+
+def _expand(grouped, made: dict) -> list[Factor]:
+    """The bracket entries of the listing, expanded from the counted groups
+    in the counter's order (by weight, then q descending, then support type
+    descending) and by support within a type: one Factor per kept support,
+    with the class count as multiplicity and BracketGroup(weight, support,
+    pieces, l) as provenance, l the nonzero entries of q, each made by
+    tuple.__new__, fields in order.  A factor is built once per (shape, q)
+    and call, into made."""
+    counts, kept, _ = grouped
+    out: list[Factor] = []
+    new = tuple.__new__
+    for (w, s, q), n in counts.items():
+        if not (entries := kept[s]):
             continue
         l = tuple(filter(None, q))  # the pieces on each support have q_p > 0
-        for support, pieces, shape, build in kept:
-            if (expr := made.get(key := (shape, q))) is None:
-                expr = made[key] = build(q, l)
+        last = made  # no shape: the first entry looks its factor up
+        for support, pieces, shape, build in entries:
+            if shape is not last:  # a run of one shape object shares its factor
+                if (expr := made.get(key := (shape, q))) is None:
+                    expr = made[key] = build(q, l)
+                last = shape
             out.append(new(Factor, (expr, n, new(BracketGroup, (w, support, pieces, l)))))
     return out
 
@@ -496,7 +610,8 @@ def _grading(normal: Sequence, surviving=lambda x: x, per_vertex: bool = False):
     # the piece table of a call: each vertex's piece, each piece's normal
     # form (one piece per distinct form, in order of first vertex, or one
     # per vertex), the class counter over its pieces, each piece's degree,
-    # and the one smash plan over the surviving spaces surviving(form).  A
+    # the surviving spaces surviving(form) in piece order, which key the
+    # index of group logs, and the one smash plan over them.  A
     # vertex whose surviving space is a point has no piece (None), in every
     # mode: a point summand smashes to a point, and a pair whose loop spaces
     # are both points puts (Ω*)^{l_j} = * (l_j >= 1) into every object
@@ -514,7 +629,7 @@ def _grading(normal: Sequence, surviving=lambda x: x, per_vertex: bool = False):
     sizes = tuple(Counter(p for p in grading if p is not None).values())  # pieces are numbered by first vertex
     degrees = tuple(1 if (c := conn(x)) == INFINITE else max(1, c + 1) for x in survivors)
     count = partial(lyndon_class_counts, sizes, degrees=degrees)
-    return grading, spaces, count, degrees, _plan(Smash, survivors)
+    return grading, spaces, count, degrees, tuple(survivors), _plan(Smash, survivors)
 
 
 def hilton_milnor(
@@ -537,7 +652,7 @@ def hilton_milnor(
     if m == 0:
         raise ValueError("need at least one wedge summand")
     normal = [_checked(i, x, 0, "summand {} must be connected") for i, x in enumerate(spaces, start=1)]
-    grading, _, count, degrees, smash = _grading(normal)
+    grading, _, count, degrees, table, smash = _grading(normal)
 
     def build(q, l):
         return _loop(_susp(smash(q)), 1)
@@ -545,12 +660,13 @@ def hilton_milnor(
     counts = count(weight_bound, alphabet="plain", degree_bound=degree_bound)
     # every support is a face of the one facet, and a word of weight W has at most W letters
     census = _census(((2 << m) - 2,), grading, degrees, degree_bound, most=weight_bound)
-    factors = _class_factors(counts, grading, lambda support: (None, build), census)
+    grouped = _class_groups(counts, grading, lambda support: (None, build), census)
     # two letters that are not points carry brackets of every weight, and the
     # least degree of weight W+1 is that of x_a^W x_b, a and b the two least
     ds = sorted(degrees[p] for p in grading if p is not None)
     truncated = len(ds) >= 2 and (degree_bound is None or weight_bound * ds[0] + ds[1] <= degree_bound)
-    return Decomposition(tuple(factors), "hilton-milnor", weight_bound if truncated else None, degree_bound)
+    return Decomposition._grouped("hilton-milnor", weight_bound if truncated else None, degree_bound,
+                                  (), table, grouped)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +737,7 @@ def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
         # mixed endpoint data (one piece per vertex, so l is the vertex content): stay symbolic
         name = "ŝ-coprod[K_{" + ",".join(map(str, support)) + "}; weights ["
         top = max_trace(K, support)
-        return name, lambda q, l: _loop_node(
+        return (name, top), lambda q, l: _loop_node(
             _atom(name + ", ".join(map(str, l)) + "]]", max(0, sum(l) - top)), 1)
 
     def build(q, l):
@@ -708,7 +824,7 @@ def _coproduct_decomposition(
     degree_bound: int | None = None,
 ) -> Decomposition:
     # normal: the normalized (domain, codomain) of each vertex
-    grading, spaces, count, degrees, _, to_point, from_point, _ = pieces = _vertex_pieces(normal)
+    grading, spaces, count, degrees, table, _, to_point, from_point, _ = pieces = _vertex_pieces(normal)
     # the census lists what the rule makes a factor of.  Point codomains
     # keep the faces (keep None): their words use only letters inside a
     # face, so off the full simplex, where every support is one, the states
@@ -723,8 +839,7 @@ def _coproduct_decomposition(
         types = census.keys()
     counts = count(weight_bound, types=types, degree_bound=degree_bound)
     listed: dict[tuple[int, ...], None] = {}
-    brackets = _class_factors(counts, grading, partial(_bracket_rule, K, pieces), census, listed)
-    factors = _base_factors(K, normal) + brackets
+    grouped = _class_groups(counts, grading, partial(_bracket_rule, K, pieces), census, listed)
     # the weight bound cuts the listing when a listed group's support has
     # three or more vertices: it holds two or more face letters, so it
     # carries brackets of every weight, whose factors are points only when
@@ -733,7 +848,8 @@ def _coproduct_decomposition(
     # A support of two vertices holds one letter
     truncated = any(sum(s) >= 3 and (degree_bound is None or _least_face_degree(
         [d for d, k in zip(degrees, s) for _ in range(k)], weight_bound + 1) <= degree_bound) for s in listed)
-    return Decomposition(tuple(factors), theorem, weight_bound if truncated else None, degree_bound)
+    return Decomposition._grouped(theorem, weight_bound if truncated else None, degree_bound,
+                                  tuple(_base_factors(K, normal)), table, grouped)
 
 
 def loop_decompose_wedge(

@@ -13,8 +13,9 @@ sum_{j=1}^{n-1} c_j l_{n-j}, and L turns products into sums, so
 prod_i P_i^(k_i) is the series whose log-derivative is sum_i k_i L_{P_i}.
 from_log_derivative recovers it in one pass, q_n = (sum_{j=1}^n l_j
 q_{n-j}) / n, where the division is exact.  Decomposition.series_product
-works this way, with each factor's log-derivative memoized next to its
-series (_log_memo), and a factor of connectivity at least N read as 1.
+works this way, per group of equal factors, with each factor's
+log-derivative memoized next to its series in sparse form (_log_memo), and
+a factor of connectivity at least N read as 1.
 
 series_of evaluates an expression by the classical rules (Bott-Samelson for
 loops of suspensions of connected spaces, the James-style formulas for loops
@@ -298,15 +299,17 @@ def series_of(e: SpaceExpr, N: int) -> SeriesOrUnsupported:
 
 
 @lru_cache(maxsize=1024)
-def _log_memo(e: SpaceExpr, N: int) -> tuple[int, ...] | Unsupported:
-    """The log-derivative of _series(e, N), memoized as it is, or its
-    Unsupported value.  A miss on e with conn(e) >= N gives 0, the series 1
-    through N, exact as conn is a lower bound (Hurewicz): so such a factor
-    reads 1 even where series_of has no rule for it."""
+def _log_memo(e: SpaceExpr, N: int) -> tuple[tuple[int, int], ...] | Unsupported:
+    """The log-derivative of _series(e, N) in sparse form, its (degree,
+    coefficient) pairs with a nonzero coefficient in degree order, memoized
+    as it is, or its Unsupported value.  A miss on e with conn(e) >= N
+    gives no pair, the series 1 through N, exact as conn is a lower bound
+    (Hurewicz): so such a factor reads 1 even where series_of has no rule
+    for it."""
     if conn(e) >= N:
-        return (0,) * (N + 1)
+        return ()
     p = _series(e, N)
-    return p if isinstance(p, Unsupported) else p.log_derivative()
+    return p if isinstance(p, Unsupported) else tuple((d, c) for d, c in enumerate(p.log_derivative()) if c)
 
 
 @lru_cache(maxsize=1024)

@@ -87,7 +87,9 @@ class Atom:
     """A named space with declared connectivity.
 
     loop: optional expression that Loop(this atom) rewrites to; conn then
-        reads the declared connectivity capped at conn(loop) + 1.
+        reads the declared connectivity capped at conn(loop) + 1.  A loop
+        that normalizes to a point is rejected unless the atom is declared
+        contractible: such an atom is weakly contractible.
     series: optional declared homology series as (numerator, denominator)
         integer coefficient tuples of a rational function in t.
     contractible: marks cones and path spaces; normalizes to Point.
@@ -102,6 +104,9 @@ class Atom:
     def __post_init__(self) -> None:
         if type(self.connectivity) is not int:  # one test on the hot path
             json_int(self.connectivity, f"atom {self.name}: connectivity")
+        if self.loop is not None and not self.contractible and isinstance(normalize(self.loop), Point):
+            raise ValueError(f"atom {self.name}: its loop space is a point, so it is weakly contractible; "
+                             "declare it contractible")
         # tuples keep the atom hashable, so series_of can memoize on it
         if self.series is not None:
             num, den = (_int_coeffs(c) for c in self.series)

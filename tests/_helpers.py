@@ -196,9 +196,13 @@ def reference_em_product_series(degrees, N: int) -> PoincareSeries:
 
 
 def reference_series_product(dec: Decomposition, N: int):
-    """Factor by factor, multiplicity by multiplicity, with no memo."""
+    """Factor by factor, multiplicity by multiplicity, with no memo.  A
+    factor whose reference connectivity is at least N reads 1 through N, as
+    the series_product contract says, even one with no series rule."""
     out = dense_monomial(0, N)
     for f in dec.factors:
+        if _reference_safe_conn(normalize(f.expr)) >= N:
+            continue
         p = _series(normalize(f.expr), N)
         if isinstance(p, Unsupported):
             return Unsupported(

@@ -34,15 +34,15 @@ def test_corpus_digests_do_not_depend_on_the_hash_seed():
 
 
 def test_a_swapped_pair_of_factors_moves_a_record(monkeypatch):
-    # each bracket preset's listings, with their first two groups swapped,
-    # must change some of its records
-    real, unswapped = polyco.decomp._class_factors, corpus.compute()
+    # each bracket preset's listings, with their first two entries swapped
+    # as they expand from the groups, must change some of its records
+    real, unswapped = polyco.decomp._expand, corpus.compute()
 
     def swapped(*args):
         out = real(*args)
         return out[1:2] + out[:1] + out[2:] if len(out) > 1 else out
 
-    monkeypatch.setattr(polyco.decomp, "_class_factors", swapped)
+    monkeypatch.setattr(polyco.decomp, "_expand", swapped)
     moved = corpus.differences(unswapped, corpus.compute())
     for preset in ("wedge/", "general/", "contractible/", "hilton-milnor/"):
         assert any(n.startswith(preset) for n in moved), preset

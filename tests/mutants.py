@@ -49,6 +49,8 @@ CENSUS = (DE + "test_the_census_is_what_the_reference_keeps_in_every_mode",)
 CLOSED_FORMS = DE + "test_splittings_and_closed_forms_match_their_raw_tree_references"
 RESTRICTION = DE + "test_a_point_vertex_lists_like_the_full_subcomplex_without_it"
 
+SERIES_FROM_GROUPS = DE + "test_series_from_groups_matches_the_listing_reference"
+
 MUTANTS = (
     Mutant(
         "first-vertex-is-last", SCOMPLEX,
@@ -207,6 +209,7 @@ MUTANTS = (
         "*_, smash, to_point, from_point, suspended = pieces", "*_, smash, from_point, to_point, suspended = pieces",
         (DE + "test_bracket_rule_matches_the_reference",
          DE + "test_counted_general_matches_enumerated",
+         DE + "test_counted_contractible_matches_enumerated",
          DE + "test_factors_assembled_from_dims_match_the_certificate_path",
          RESTRICTION, GOLDEN),
     ),
@@ -262,6 +265,24 @@ MUTANTS = (
         "cone-sphere-one-dimension-up", DECOMP,
         "with_xs(_sphere(d))", "with_xs(_sphere(d + 1))",
         (DE + "test_bbcg_cone_splitting_boundary_triangle", CLOSED_FORMS),
+    ),
+    Mutant(
+        # a group's factor series added once, however many supports it keeps
+        "group-series-once-per-group", DECOMP,
+        "k = n * count\n", "k = n\n",
+        (SERIES_FROM_GROUPS,),
+    ),
+    Mutant(
+        # groups of one q over supports of different shapes share one log
+        "group-log-index-keyed-without-the-shape", DECOMP,
+        "if (log := logs.get(key := (shape, q))) is None or", "if (log := logs.get(key := q)) is None or",
+        (SERIES_FROM_GROUPS,),
+    ),
+    Mutant(
+        # a mixed support's shape is its atom's name alone, not its connectivity
+        "mixed-shape-without-its-top", DECOMP,
+        "return (name, top), lambda q, l:", "return name, lambda q, l:",
+        (DE + "test_the_index_keys_a_mixed_support_by_its_atom_connectivity",),
     ),
     Mutant(
         "cojoin-without-its-outer-loop", DECOMP,

@@ -560,6 +560,17 @@ def test_a_declared_series_below_the_connectivity_exits_2(tmp_path, capsys):
     assert "atom Y: declared series has homology in degree 2, at or below its connectivity 2" in err
 
 
+def test_an_atom_whose_loop_space_is_a_point_exits_2(tmp_path, capsys):
+    # such an atom is weakly contractible: it must be declared contractible
+    hollow = {"kind": "atom", "name": "Q", "conn": 2, "loop": {"kind": "point"}}
+    path = write(tmp_path, "atom.json", {"1": hollow, "2": {"kind": "sphere", "n": 3}})
+    assert main(["hilton-milnor", "--spaces", path]) == 2
+    err = capsys.readouterr().err
+    assert "atom.json" in err and "atom Q: its loop space is a point" in err and "declare it contractible" in err
+    path = write(tmp_path, "atom.json", {"1": {**hollow, "contractible": True}, "2": {"kind": "sphere", "n": 3}})
+    assert main(["hilton-milnor", "--spaces", path]) == 0
+
+
 def test_internal_error_names_empty_exceptions(monkeypatch, capsys):
     def fail(exc):
         def run(args):

@@ -71,6 +71,7 @@ from polyco.decomp import (
     porter_loop_decomp,
     pullback_square,
     smash_coproduct,
+    _GroupLogs,
     _bracket_rule,
     _normal_pairs,
     _vertex_pieces,
@@ -1099,6 +1100,87 @@ def test_series_product_unsupported_reason_names_first_factor():
     assert out.reason.startswith("factor ΩB [vertex 2]: ")
 
 
+def seeded_presets(seed: int, count: int):
+    """(label, make, N): count seeded calls of every bracket preset, each
+    made afresh by make(), at a truncation N that the call's degree cut, if
+    any, reaches: hilton_milnor with and without a degree cut, the wedge
+    preset, the general one on mixed data with point vertices, and the
+    contractible one, half of it on graphs through every vertex but a
+    ghost, whose missing faces have K_S empty, points or circles."""
+    rng = random.Random(seed)
+    hm_pool = (S(2), S(3), S(4), X1, CP_INFINITY, Susp(S(2)), PX)
+    out = []
+    for i in range(count):
+        kind, N = i % 5, rng.randint(2, 14)
+        if kind < 2:
+            spaces = [rng.choice(hm_pool) for _ in range(rng.randint(1, 4))]
+            bound = N if kind else None
+            W = N + 1 if kind else rng.randint(1, 4)
+            out.append((f"hm {spaces} W={W}", partial(hilton_milnor, spaces, W, degree_bound=bound), N))
+            continue
+        K = random_complex(rng, 5)
+        if kind == 2:
+            spaces = [rng.choice(WEDGE_POOL) for _ in range(K.m)]
+            bound = rng.choice((None, N))
+            out.append((f"wedge {K} {spaces}", partial(loop_decompose_wedge, K, spaces, rng.randint(1, 3),
+                                                       degree_bound=bound), N))
+        elif kind == 3:
+            pairs = PairAssignment.of([(rng.choice(DOMAIN_POOL), rng.choice(CODOMAIN_POOL)) for _ in range(K.m)])
+            out.append((f"general {K} {pairs}", partial(loop_decompose, K, pairs, rng.randint(1, 2)), N))
+        else:
+            codomains = [rng.choice(CODOMAIN_POOL) for _ in range(K.m)]
+            if i % 2:  # one piece, whose supports of one type have K_S of several shapes
+                edges = [rng.sample(range(1, K.m + 1), 2) for _ in range(rng.randint(1, 6))] if K.m > 1 else []
+                K = build(K.m + 1, [*([v] for v in range(1, K.m + 1)), *edges])  # and a ghost vertex
+                codomains = [rng.choice((S(2), S(3), CP_INFINITY))] * K.m
+            pairs = path_pairs(codomains)
+            out.append((f"contractible {K} {pairs}", partial(loop_decompose_contractible, K, pairs,
+                                                             rng.randint(1, 3)), N))
+    return out
+
+
+def test_series_from_groups_matches_the_listing_reference():
+    # series_product sums n x L per group and kept support, from the index
+    # of group logs, without listing: on every preset it equals the factor
+    # by factor product of the listing, Unsupported text included, on a
+    # fresh decomposition with the index empty (every group a miss) and
+    # again on one from a filled index, and after the listing was read
+    # first, as a traced run reads it
+    kinds, unsupported = Counter(), 0
+    for label, make, N in seeded_presets(6101, 320):
+        _GroupLogs.cache_clear()
+        fresh = make()
+        got = fresh.series_product(N)
+        want = reference_series_product(fresh, N)
+        assert got == want, label
+        misses = _GroupLogs.cache_info().misses
+        assert make().series_product(N) == want, label
+        assert _GroupLogs.cache_info().misses == misses, label  # a repeated call builds no factor
+        listed = make()
+        assert listed.factors == fresh.factors
+        assert listed.series_product(N) == want, label
+        kinds[label.split()[0]] += 1
+        unsupported += isinstance(want, Unsupported)
+    assert min(kinds.values()) >= 60 and 20 <= unsupported <= 250, (kinds, unsupported)
+
+
+def test_the_index_keys_a_mixed_support_by_its_atom_connectivity():
+    # one piece table and one support {1,2,3}, on the triangle (top 3) and
+    # on three points (top 1): its weight-1 factor, the loop of an atom of
+    # connectivity 0 or 2, is unsupported at N=1 on the triangle and reads
+    # 1 on the points, where the first unsupported entry is over {1,2};
+    # whichever call fills the index first, the other's series is its own
+    pairs = PairAssignment.of([(S(3), S(2))] * 3)
+    triangle, points = simplex(3), build(3, [[1], [2], [3]])
+    for order in ((triangle, points), (points, triangle)):
+        _GroupLogs.cache_clear()
+        for K in order:
+            dec = loop_decompose(K, pairs, 1)
+            assert dec.series_product(1) == reference_series_product(dec, 1), K
+    assert "K_{1,2,3}" in loop_decompose(triangle, pairs, 1).series_product(1).reason
+    assert "[group w=1 {1}:1 {2}:1]" in loop_decompose(points, pairs, 1).series_product(1).reason
+
+
 # ---------------------------------------------------------------------------
 # counted classes against the enumerated brackets they replace
 # ---------------------------------------------------------------------------
@@ -1173,15 +1255,26 @@ def test_counted_general_matches_enumerated():
 
 
 def test_counted_contractible_matches_enumerated():
+    # every other complex is a graph through every vertex, whose missing
+    # faces have K_S two or three points or a circle, not only the empty
+    # K_S of a support through a ghost vertex; the tally counts the K_S
+    # types the listings reached
     rng = random.Random(5077)
-    for _ in range(30):
+    reached = Counter()
+    for trial in range(40):
         K = random_complex(rng, 4)
-        pairs = path_pairs([rng.choice(CODOMAIN_POOL) for _ in range(K.m)])
         W = affordable_weight(max(1, (K.m - 2) * 2 ** (K.m - 1) + 1))
-        assert_counted_matches(
-            loop_decompose_contractible(K, pairs, W), enumerated_contractible(K, pairs, W), K.m,
-            reference_grading(pairs),
-        )
+        if trial % 2:
+            m = rng.randint(3, 4)
+            edges = [rng.sample(range(1, m + 1), 2) for _ in range(rng.randint(2, 5))]
+            K, W = build(m, [*([v] for v in range(1, m + 1)), *edges]), 2
+        pairs = path_pairs([rng.choice(CODOMAIN_POOL) for _ in range(K.m)])
+        counted = loop_decompose_contractible(K, pairs, W)
+        assert_counted_matches(counted, enumerated_contractible(K, pairs, W), K.m, reference_grading(pairs))
+        for f in counted.bracket_factors():
+            reached[wedge_of_spheres_type(full_subcomplex(K, f.provenance.support))] += 1
+    assert reached[(-1,)] >= 100 and reached[(0,)] >= 40 and reached[(1,)] >= 10, reached
+    assert reached[(0, 0)] >= 10 and reached[None] >= 5, reached
 
 
 def test_counted_hilton_milnor_matches_enumerated():
@@ -1487,7 +1580,7 @@ def test_factors_assembled_from_dims_match_the_certificate_path(monkeypatch):
         listed = listed_supports(calls.pop()[-1])
         normal = _normal_pairs(K, pairs)
         pieces = _vertex_pieces(normal)
-        grading, spaces, _, _, smash, *_ = pieces
+        grading, spaces, _, _, _, smash, *_ = pieces
         for k in range(1, K.m + 1):
             for support in combinations(range(1, K.m + 1), k):
                 on = [normal[j - 1] for j in support]
@@ -1823,17 +1916,20 @@ def test_a_point_vertex_lists_like_the_full_subcomplex_without_it():
     assert listed > 800, listed
 
 
-def test_a_domain_whose_loops_are_a_point_keeps_its_piece_in_mixed_data():
+def test_an_atom_whose_loops_are_a_point_must_be_declared_contractible():
     # a simply connected atom declared with a point as its loop space is
-    # weakly contractible, but over a codomain that is not a point its
-    # vertex is no point vertex: the support {1, 2} on two points, through
-    # it and a path fibration over S^2, stays a mixed symbolic factor
-    hollow = Atom("Q", 2, loop=POINT)
+    # weakly contractible: the constructor rejects it, so no preset reads it
+    # as a non-point domain; declared contractible, it is a point vertex
+    for loop in (POINT, PX, Loop(PX)):
+        with pytest.raises(ValueError, match=r"atom Q: its loop space is a point, so it is weakly "
+                                             r"contractible; declare it contractible"):
+            Atom("Q", 2, loop=loop)
+    hollow = Atom("Q", 2, loop=POINT, contractible=True)
+    assert normalize(hollow) == POINT and Atom("Q", 2, loop=S(1)).loop == S(1)
     pairs = PairAssignment.of([(hollow, S(2)), (PX, S(2))])
-    dec = loop_decompose(two_points(), pairs, 1)
-    assert [(render(f.expr), f.provenance) for f in dec.bracket_factors()] == [
-        ("Ωŝ-coprod[K_{1,2}; weights [1, 1]]", BracketGroup(1, (1, 2), ((1,), (2,)), (1, 1)))]
-    assert not loop_decompose(two_points(), PairAssignment.of([(hollow, POINT), (PX, S(2))]), 1).bracket_factors()
+    assert PairAssignment.of([(hollow, S(2))]).domain_contractible(1)
+    assert loop_decompose(two_points(), pairs, 2).factor_multiset() == \
+        loop_decompose_contractible(two_points(), pairs, 2).factor_multiset()
 
 
 def test_the_census_lists_what_every_support_lists(monkeypatch):

@@ -35,6 +35,7 @@ from polyco.spacexpr import (
     Sphere,
     Susp,
     Wedge,
+    normalize,
 )
 
 S = Sphere
@@ -314,8 +315,17 @@ def test_log_derivatives_round_trip_and_match_the_dense_reference():
     assert PoincareSeries.from_log_derivative([], 2) == one(2)
     # the memo next to the series memo is bounded too, and keeps Unsupported as it is
     assert _log_memo.cache_info().maxsize == _series.cache_info().maxsize == 1024
+    # in sparse form: the (degree, coefficient) pairs of the dense log_derivative's nonzero entries
     e = Loop(S(4), 2)  # in normal form, as the factors of a decomposition are
-    assert _log_memo(e, 12) == series_of(e, 12).log_derivative()
+    dense = series_of(e, 12).log_derivative()
+    assert _log_memo(e, 12) == tuple((d, c) for d, c in enumerate(dense) if c) and len(_log_memo(e, 12)) > 3
+    for trial in range(60):
+        e = Loop(Susp(Smash(tuple(S(rng.randint(1, 4)) for _ in range(rng.randint(1, 3))))))
+        N = rng.randint(0, 30)
+        dense, sparse = _series(normalize(e), N).log_derivative(), _log_memo(normalize(e), N)
+        assert [c for _, c in sparse] == [c for c in dense if c], e
+        assert all(dense[d] == c for d, c in sparse) and [d for d, _ in sparse] == sorted({d for d, _ in sparse})
+    assert _log_memo(Loop(S(9)), 7) == ()  # connectivity 7 >= N: the series 1
     assert _log_memo(S(0), 5) == _series(S(0), 5) and isinstance(_log_memo(S(0), 5), Unsupported)
 
 

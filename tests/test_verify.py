@@ -1,6 +1,7 @@
 """Series checks against their independent oracles."""
 
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -287,3 +288,50 @@ def test_porter_needs_a_component_and_hilton_milnor_reports_disagreeing_oracles(
     r = check_hilton_milnor([S(3), S(5)], 8)
     assert r.notes[-1] == "tensor-algebra and free-product oracles disagree"
     assert r.verdict == FirstDifference(2, 1, 0) and r.rhs == PoincareSeries.one(8)
+
+
+def polyco_memos():
+    """Every memo of the package, found as the benchmark finds them: each
+    module value with a cache_clear, the index of group logs included."""
+    return {f"{name}.{attr}": value for name, mod in list(sys.modules.items())
+            if name == "polyco" or name.startswith("polyco.")
+            for attr, value in vars(mod).items() if callable(getattr(value, "cache_clear", None))}
+
+
+def test_a_stream_of_distinct_inputs_keeps_every_memo_within_its_bound():
+    # 4,600 distinct checks and decompositions with their series, in one
+    # process: each memo with a bound stays within it all along, the index
+    # of group logs fills past its bound and starts again, and the only
+    # memos without a bound are liealg's Moebius tables, keyed by one weight
+    memos = polyco_memos()
+    assert "polyco.decomp._GroupLogs" in memos
+    unbounded = {name for name, memo in memos.items() if memo.cache_info().maxsize is None}
+    assert unbounded == {"polyco.liealg._mobius", "polyco.liealg._mobius_divisors"}
+    for memo in memos.values():
+        memo.cache_clear()
+    rng = random.Random(7207)
+    seen, peak, restarts, last = set(), Counter(), 0, 0
+    while len(seen) < 4600:
+        kind, N = rng.randrange(3), rng.randint(3, 9)
+        spaces = tuple(S(rng.randint(2, 7)) for _ in range(rng.randint(2, 3)))
+        if kind == 2:
+            K = random_complex(rng, 4, allow_empty=False)
+            spaces = tuple(S(rng.randint(2, 5)) for _ in range(K.m))
+        key = (kind, N, spaces, K if kind == 2 else None)
+        if key in seen:
+            continue
+        seen.add(key)
+        if kind == 0:
+            check_hilton_milnor(list(spaces), N)
+        elif kind == 1:
+            check_wedge_case(build(len(spaces), [range(1, len(spaces) + 1)]), list(spaces), N)
+        else:
+            loop_decompose_wedge(K, list(spaces), N + 1, degree_bound=N).series_product(N)
+        for name, memo in memos.items():
+            info = memo.cache_info()
+            if info.maxsize is not None:
+                assert info.currsize <= info.maxsize, (name, info)
+                peak[name] = max(peak[name], info.currsize)
+        size = memos["polyco.decomp._GroupLogs"].cache_info().currsize
+        restarts, last = restarts + (size < last), size
+    assert restarts >= 1 and peak["polyco.decomp._GroupLogs"] > 4000, (restarts, peak)
