@@ -33,37 +33,40 @@ decompositions of the looped coproduct:
     square of a gluing (a disjoint union is the gluing along no overlap).
 
 A bracket factor depends only on its support and its vertex content l (l_j
-counts the letters whose vertex set contains j) summed over each piece.  All
-four bracket decompositions build one piece table per call (_grading): a
-piece is the set of vertices with one normalized summand (hilton_milnor) or
-(domain, codomain) pair, or a single vertex when some support can be mixed
-(a non-point domain and a non-point codomain both occur), and one smash
-plan over each piece's surviving space (its summand, or the loops of its
-domain, or of its codomain when those are a point) builds every
-factor.  So brackets are never listed: lyndon_class_counts counts them
-once per (weight, support type, piece content), where a support's type
-counts its vertices in each piece; a vertex whose surviving space is a
-point has no piece, in every mode.  One census (_census) lists the
-supports of each type, walked up from the empty one as masks as far as the
-degree cut, with one and per step as face test: the faces of K for point
-codomains (off the full simplex the counter is cut to their types), the
-missing faces for contractible domains, and in mixed data each support by
-its own endpoints; a counted type that lists nothing is skipped.  The
-engine hands the counted groups to the Decomposition, whose listing
-expands from them on its first read: each (weight, support, piece
-content) becomes one Factor with its bracket count as multiplicity and
-BracketGroup(weight, support, pieces, counts) as provenance, in JSON
+counts the letters whose vertex set contains j) summed over each piece.
+All four bracket decompositions build one piece table per call (_grading):
+a piece is the set of vertices with one normalized summand (hilton_milnor)
+or (domain, codomain) pair, or a single vertex when some support can be
+mixed (a non-point domain and a non-point codomain both occur), and one
+smash plan over the pieces' surviving spaces (each its summand, or the
+loops of its domain, or of its codomain when those are a point), one per
+distinct table (_smash_plan), builds every factor.  So brackets are never
+listed: lyndon_class_counts counts them once per (weight, support type,
+piece content), where a support's type counts its vertices in each piece; a
+vertex whose surviving space is a point has no piece, in every mode.  One
+census (_census) lists the supports of each type, walked up from the empty
+one as masks as far as the degree cut, with one and per step as face test:
+the faces of K for point codomains (off the full simplex the counter is cut
+to their types), the missing faces for contractible domains, and in mixed
+data each support by its own endpoints; a counted type that lists nothing
+is skipped.  The engine hands the counted groups to the Decomposition,
+whose listing expands from them on its first read: each (weight, support,
+piece content) becomes one Factor with its bracket count as multiplicity
+and BracketGroup(weight, support, pieces, counts) as provenance, in JSON
 {"kind": "group", "weight": ..., "support": [...], "pieces": [...],
-"counts": [...]}.  Its series is summed per group, and needs no listing:
-the index of group logs keys a factor's log-derivative by the piece
-table's surviving spaces, the rule's shape and the piece content, which
-decide the factor, so a repeated call builds none.  The polyhedral
-decompositions share one engine and one bracket rule, resolved once per
-listed support when called, and each distinct factor is built once.  The
-rule reads a support's kind off two endpoint masks; for contractible
-domains it reads K_S off the facet bitmasks, each distinct K_S's
-certificate once (wedge_of_spheres_type's memo), and assembles a certified
-factor from the sphere dimensions read.
+"counts": [...]}.  Its series is summed per group, and needs no listing.
+The polyhedral decompositions share one engine and one bracket rule,
+resolved once per listed support when called into a hashable shape:
+"point", the sphere dimensions of a certified K_S, an uncertified K_S, or a
+mixed support's _Mixed(name, top).  One factor maker (_bracket_factor)
+builds every bracket factor from the smash plan, the shape and the piece
+content, which decide it, each distinct one once per listing; the group
+logs (_group_log, a bounded lru_cache) key a factor's log-derivative by the
+same three and N, the plan by identity, so a repeated call builds no factor
+and hashes no expression.  The rule reads a support's kind off two endpoint
+masks; for contractible domains it reads K_S off the facet bitmasks, each
+distinct K_S's certificate once (wedge_of_spheres_type's memo), and the
+factor is assembled from the sphere dimensions read.
 
 Each input is normalized once, where it enters (_checked), and its
 connectivity is read on that normal form: a loop of an atom through its
@@ -81,12 +84,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from . import series as series_mod
-from .liealg import lyndon_class_counts
+from .liealg import _check_bounds, lyndon_class_counts
 from .scomplex import (
     Face,
     SimplicialComplex,
@@ -328,50 +331,23 @@ def _unsupported(expr: SpaceExpr, provenance: object, log) -> "series_mod.Unsupp
     return series_mod.Unsupported(f"factor {render(expr)} [{_provenance_text(provenance, {})}]: {log.reason}")
 
 
-class _IndexInfo(NamedTuple):
-    misses: int
-    maxsize: int
-    currsize: int
+class _Mixed(NamedTuple):
+    """A mixed support's shape: its symbolic atom's name up to the weights,
+    and top = dim K_S + 1, which its connectivity subtracts."""
+
+    name: str
+    top: int
 
 
-class _GroupLogs:
-    """The index of group logs, one per process, kept on the class: the
-    sparse log-derivative or the Unsupported value of a group's factor, by
-    (piece table, N) and then (shape, q), which decide the factor, so a
-    repeated call reads its series without building one.  It holds at most
-    maxsize logs, counted in size, a table registered with its first log,
-    and is emptied when a call finds it full; cache_clear and cache_info
-    work as an lru_cache's do."""
-
-    tables: dict[tuple, dict] = {}
-    maxsize, size, misses = 4096, 0, 0
-
-    @classmethod
-    def cache_clear(cls) -> None:
-        cls.tables.clear()
-        cls.size = cls.misses = 0
-
-    @classmethod
-    def cache_info(cls) -> _IndexInfo:
-        return _IndexInfo(cls.misses, cls.maxsize, cls.size)
-
-    @classmethod
-    def logs(cls, at: tuple) -> dict:
-        # the logs of one (piece table, N), empty when new; the index emptied first when full
-        if cls.size >= cls.maxsize:
-            cls.cache_clear()
-        return cls.tables.get(at) or {}
-
-    @classmethod
-    def add(cls, at: tuple, logs: dict, key: tuple, log):
-        # a miss's log, kept while there is room
-        cls.misses += 1
-        if cls.size < cls.maxsize:
-            if not logs:
-                cls.tables[at] = logs
-            logs[key] = log
-            cls.size += 1
-        return log
+@lru_cache(maxsize=4096)
+def _group_log(smash, shape, q: tuple[int, ...], N: int):
+    """The sparse log-derivative through degree N, or the Unsupported
+    value, of the bracket factor of a smash plan, a shape and a piece
+    content q, which decide it: a group's series, which a repeated call
+    reads without building its factor.  The plan, one per distinct piece
+    table (_smash_plan), hashes by identity, so a lookup hashes no
+    expression."""
+    return series_mod._log_memo(_bracket_factor(smash, shape, q, {}), N)
 
 
 @dataclass(frozen=True)
@@ -387,7 +363,8 @@ class Decomposition:
     A preset makes its decomposition from the counted groups (_grouped):
     the factors listing expands from them on its first read, in the order
     the module docstring gives, and series_product sums the series per
-    group, listing nothing.  One made from a factors tuple has no groups.
+    group, listing nothing.  One made from a factors tuple has no groups,
+    and a pickle or a copy is made from the listing.
     """
 
     factors: tuple[Factor, ...]
@@ -395,24 +372,27 @@ class Decomposition:
     truncation: int | None = None
     degree_bound: int | None = None
 
-    _groups = None  # a preset's (vertex factors, piece table, made, (counts, kept, tallies)); not a field
+    _groups = None  # a preset's (vertex factors, smash plan, class counts, kept, tallies); not a field
 
     @classmethod
-    def _grouped(cls, theorem: str, truncation, degree_bound, base, table, grouped) -> "Decomposition":
-        # base: the vertex factors; grouped: the (counts, kept, tallies) of _class_groups;
-        # made: the call's memo (shape, q) -> factor, for the series and the listing
+    def _grouped(cls, theorem: str, truncation, degree_bound, groups: tuple) -> "Decomposition":
+        # groups: the vertex factors, the smash plan, the class counts, and
+        # the (kept, tallies) of _class_groups over them
         dec = object.__new__(cls)
-        vars(dec).update(theorem=theorem, truncation=truncation, degree_bound=degree_bound,
-                         _groups=(base, table, {}, grouped))
+        vars(dec).update(theorem=theorem, truncation=truncation, degree_bound=degree_bound, _groups=groups)
         return dec
 
     def __getattr__(self, name: str):
         # reached only by a grouped decomposition's listing, before its first read
         if name != "factors" or self._groups is None:
             raise AttributeError(name)
-        base, _, made, grouped = self._groups
-        factors = vars(self)["factors"] = (*base, *_expand(grouped, made))
+        base, smash, counts, kept, _ = self._groups
+        factors = vars(self)["factors"] = (*base, *_expand(smash, counts, kept))
         return factors
+
+    def __reduce__(self):
+        # the listed form: a pickle or a copy carries the factors, not the groups
+        return type(self), (self.factors, self.theorem, self.truncation, self.degree_bound)
 
     def factor_multiset(self) -> Counter:
         out: Counter = Counter()
@@ -431,29 +411,23 @@ class Decomposition:
         listed factor object adds its log-derivative (_log_memo, sparse)
         times its total multiplicity; a preset's groups are not listed:
         each adds n times its factor's per kept support, one shape at a
-        time, read from the index of group logs, where a miss builds the
-        factor once for the call and reads _log_memo.  A factor of
+        time, read from the group logs (_group_log), where a miss builds
+        the factor and reads _log_memo.  A factor of
         connectivity at least N reads 1 through N, even one series_of has
         no rule for; an Unsupported reason names the first other
         unsupported entry of the listing, with its provenance."""
         total = [0] * (series_mod._degree(N) + 1)
-        base, table, made, (counts, _, tallies) = self._groups or (self.factors, None, None, ({}, {}, {}))
+        base, smash, counts, _, tallies = self._groups or (self.factors, None, {}, None, None)
         for f, k in _per_object(base):
             if isinstance(log := series_mod._log_memo(f.expr, N), series_mod.Unsupported):
                 return _unsupported(f.expr, f.provenance, log)
             for d, c in log:
                 total[d] += k * c
-        logs = _GroupLogs.logs(at := (table, N)) if counts else None
         for (w, s, q), n in counts.items():
-            for count, (support, pieces, shape, build) in tallies[s]:
-                if (log := logs.get(key := (shape, q))) is None or isinstance(log, series_mod.Unsupported):
-                    l = tuple(filter(None, q))
-                    if (expr := made.get(key)) is None:
-                        expr = made[key] = build(q, l)
-                    if log is None:
-                        log = _GroupLogs.add(at, logs, key, series_mod._log_memo(expr, N))
-                    if isinstance(log, series_mod.Unsupported):
-                        return _unsupported(expr, BracketGroup(w, support, pieces, l), log)
+            for count, (support, pieces, shape) in tallies[s]:
+                if isinstance(log := _group_log(smash, shape, q, N), series_mod.Unsupported):
+                    return _unsupported(_bracket_factor(smash, shape, q, {}),
+                                        BracketGroup(w, support, pieces, tuple(filter(None, q))), log)
                 k = n * count
                 for d, c in log:
                     total[d] += k * c
@@ -545,22 +519,20 @@ def porter_loop_decomp(spaces: Sequence[SpaceExpr]) -> Decomposition:
     return Decomposition(tuple(factors), "porter", None)
 
 
-def _class_groups(counts, grading: Sequence[int], rule, census, types=None) -> tuple[dict, dict, dict]:
-    """The bracket engine's call-time half: the counted groups, with no
-    entry per support.  counts maps (weight, support type, q) to a count,
-    as lyndon_class_counts does, with grading[j - 1] the piece of vertex j;
-    census maps a support type to its listed supports in order, as _census
-    does, and rule(support) runs once per listed support: None when every
-    group over it vanishes, else (shape, build), where build(q, l) makes
-    the factor of piece content q with nonzero entries l, which the call's
-    pieces, shape and q decide.  Returns (counts, kept, tallies): kept maps
-    each counted type to its entries, one (support, pieces, shape, build)
-    per kept support, pieces its vertices by piece, and tallies to its
-    [count, first entry] per shape, in order of first entry.  So the class
-    (w, s, q) of count n is the group of weight w and piece content q over
-    each kept support of type s, and a type that keeps none has no group.
-    Each support type that keeps a support becomes a key of types, if
-    given.
+def _class_groups(counts, grading: Sequence[int], rule, census) -> tuple[dict, dict]:
+    """The bracket engine's call-time half: the kept supports of the counted
+    groups, with no entry per support.  counts maps (weight, support type,
+    q) to a count, as lyndon_class_counts does, with grading[j - 1] the
+    piece of vertex j; census maps a support type to its listed supports in
+    order, as _census does, and rule(support) runs once per listed support:
+    None when every group over it vanishes, else its hashable shape, which
+    with q decides the factor (_bracket_factor).  Returns (kept, tallies):
+    kept maps each counted type to its entries, one (support, pieces,
+    shape) per kept support, pieces its vertices by piece, and tallies to
+    its [count, first entry] per shape, in order of first entry.  So the
+    class (w, s, q) of count n is the group of weight w and piece content q
+    over each kept support of type s, and a type that keeps none has no
+    group.
     """
     kept: dict[tuple[int, ...], list] = {}
     tallies: dict[tuple[int, ...], list] = {}
@@ -569,49 +541,53 @@ def _class_groups(counts, grading: Sequence[int], rule, census, types=None) -> t
             entries = kept[s] = []
             tally: dict = {}
             for support in census.get(s, ()):
-                if (resolved := rule(support)) is not None:
+                if (shape := rule(support)) is not None:
                     on: dict[int, list[int]] = {}
                     for j in support:
                         on.setdefault(grading[j - 1], []).append(j)
-                    entries.append(entry := (support, tuple(tuple(on[p]) for p in sorted(on)), *resolved))
-                    tally.setdefault(entry[2], [0, entry])[0] += 1
+                    entries.append(entry := (support, tuple(tuple(on[p]) for p in sorted(on)), shape))
+                    tally.setdefault(shape, [0, entry])[0] += 1
             tallies[s] = list(tally.values())
-            if entries and types is not None:
-                types[s] = None
-    return counts, kept, tallies
+    return kept, tallies
 
 
-def _expand(grouped, made: dict) -> list[Factor]:
+def _expand(smash, counts, kept) -> list[Factor]:
     """The bracket entries of the listing, expanded from the counted groups
     in the counter's order (by weight, then q descending, then support type
     descending) and by support within a type: one Factor per kept support,
     with the class count as multiplicity and BracketGroup(weight, support,
     pieces, l) as provenance, l the nonzero entries of q, each made by
-    tuple.__new__, fields in order.  A factor is built once per (shape, q)
-    and call, into made."""
-    counts, kept, _ = grouped
+    tuple.__new__, fields in order.  A factor is built once per (shape, q)."""
     out: list[Factor] = []
     new = tuple.__new__
+    made: dict = {}  # (shape, q) -> its factor, and q -> the Susp smash(q) they share
     for (w, s, q), n in counts.items():
         if not (entries := kept[s]):
             continue
         l = tuple(filter(None, q))  # the pieces on each support have q_p > 0
         last = made  # no shape: the first entry looks its factor up
-        for support, pieces, shape, build in entries:
+        for support, pieces, shape in entries:
             if shape is not last:  # a run of one shape object shares its factor
                 if (expr := made.get(key := (shape, q))) is None:
-                    expr = made[key] = build(q, l)
+                    expr = made[key] = _bracket_factor(smash, shape, q, made)
                 last = shape
             out.append(new(Factor, (expr, n, new(BracketGroup, (w, support, pieces, l)))))
     return out
+
+
+@lru_cache(maxsize=256)
+def _smash_plan(table: tuple[SpaceExpr, ...]):
+    # the one smash plan over a piece table's surviving spaces, per distinct
+    # table, so that the group logs can key a table by its plan's identity
+    return _plan(Smash, table)
 
 
 def _grading(normal: Sequence, surviving=lambda x: x, per_vertex: bool = False):
     # the piece table of a call: each vertex's piece, each piece's normal
     # form (one piece per distinct form, in order of first vertex, or one
     # per vertex), the class counter over its pieces, each piece's degree,
-    # the surviving spaces surviving(form) in piece order, which key the
-    # index of group logs, and the one smash plan over them.  A
+    # and the one smash plan over the surviving spaces surviving(form) in
+    # piece order, shared by every call with this table (_smash_plan).  A
     # vertex whose surviving space is a point has no piece (None), in every
     # mode: a point summand smashes to a point, and a pair whose loop spaces
     # are both points puts (Ω*)^{l_j} = * (l_j >= 1) into every object
@@ -629,7 +605,7 @@ def _grading(normal: Sequence, surviving=lambda x: x, per_vertex: bool = False):
     sizes = tuple(Counter(p for p in grading if p is not None).values())  # pieces are numbered by first vertex
     degrees = tuple(1 if (c := conn(x)) == INFINITE else max(1, c + 1) for x in survivors)
     count = partial(lyndon_class_counts, sizes, degrees=degrees)
-    return grading, spaces, count, degrees, tuple(survivors), _plan(Smash, survivors)
+    return grading, spaces, count, degrees, _smash_plan(tuple(survivors))
 
 
 def hilton_milnor(
@@ -652,21 +628,17 @@ def hilton_milnor(
     if m == 0:
         raise ValueError("need at least one wedge summand")
     normal = [_checked(i, x, 0, "summand {} must be connected") for i, x in enumerate(spaces, start=1)]
-    grading, _, count, degrees, table, smash = _grading(normal)
-
-    def build(q, l):
-        return _loop(_susp(smash(q)), 1)
-
+    grading, _, count, degrees, smash = _grading(normal)
     counts = count(weight_bound, alphabet="plain", degree_bound=degree_bound)
     # every support is a face of the one facet, and a word of weight W has at most W letters
     census = _census(((2 << m) - 2,), grading, degrees, degree_bound, most=weight_bound)
-    grouped = _class_groups(counts, grading, lambda support: (None, build), census)
+    grouped = _class_groups(counts, grading, lambda support: "point", census)
     # two letters that are not points carry brackets of every weight, and the
     # least degree of weight W+1 is that of x_a^W x_b, a and b the two least
     ds = sorted(degrees[p] for p in grading if p is not None)
     truncated = len(ds) >= 2 and (degree_bound is None or weight_bound * ds[0] + ds[1] <= degree_bound)
     return Decomposition._grouped("hilton-milnor", weight_bound if truncated else None, degree_bound,
-                                  (), table, grouped)
+                                  ((), smash, counts, *grouped))
 
 
 # ---------------------------------------------------------------------------
@@ -693,59 +665,62 @@ def _vertex_pieces(normal: Sequence[tuple[SpaceExpr, SpaceExpr]]):
     # when that loop is a point: one piece per distinct pair, or one per
     # vertex when a support can be mixed (a non-point domain and a non-point
     # codomain both occur).  Then the masks of the vertices with a point
-    # codomain and with a contractible domain, and the memo q -> Susp smash(q)
+    # codomain and with a contractible domain
     to_point, from_point = (sum(2 << j for j, xa in enumerate(normal) if isinstance(xa[side], Point))
                             for side in (1, 0))
     surviving = lambda xa: _loop(xa[1], 1) if isinstance(y := _loop(xa[0], 1), Point) else y
     mixed = (2 << len(normal)) - 2 not in (to_point, from_point)
-    return *_grading(normal, surviving, mixed), to_point, from_point, {}
+    return *_grading(normal, surviving, mixed), to_point, from_point
 
 
 def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
-    """The factor of the groups over a support the census lists: None
-    when they all vanish, else (shape, build).  build(q, l) makes the
-    looped weighted smash coproduct over the full subcomplex on the
-    support, reduced where a lemma applies, for piece content q with
-    nonzero entries l; shape and q are all that it depends on.  The
+    """The shape of the groups over a support the census lists: None when
+    they all vanish, else a hashable value that, with the pieces' smash
+    plan and the piece content, decides the factor (_bracket_factor).  The
     support's kind is read off its vertex mask g: point codomains when
     g & ~to_point is 0, else contractible domains when g & ~from_point is
-    0, else mixed.  A mixed support lists no faces: its atom's connectivity
-    needs only dim K_S + 1, the most support vertices in one facet
-    (max_trace); its atom and loop are made past their checks.
+    0, else mixed.
 
-    Over point codomains the support is a face.  Over contractible domains
-    it is a missing face, whose K_S is read off K's facet bitmasks
-    (_full_sub); supports with equal K_S share a shape (and the one read of
-    wedge_of_spheres_type's memo), so their factors are built once.
-
-    In the reduced branches build(q, l) assembles the factor in normal form
-    from the pieces' one smash plan: Loop Susp of the smash of q_p copies
-    of each piece's surviving loop space, made once per q and call, through
-    a mapping space out of Susp|K_S| when the domains are contractible,
-    assembled from the sphere dimensions already read (_map_from_dims)."""
-    *_, smash, to_point, from_point, suspended = pieces
+    Over point codomains the support is a face, and the shape is "point".
+    Over contractible domains it is a missing face, whose K_S is read off
+    K's facet bitmasks (_full_sub): the shape is the sphere dimensions of
+    its certificate, through wedge_of_spheres_type's memo, or K_S itself
+    when it has none.  A mixed support lists no faces: its shape is
+    _Mixed(name, top), as its atom's connectivity needs only
+    top = dim K_S + 1, the most support vertices in one facet (max_trace)."""
+    *_, to_point, from_point = pieces
     g = sum(1 << j for j in support)
-    sub = dims = None
     if not g & ~to_point:
-        shape = "point"
-    elif not g & ~from_point:
+        return "point"
+    if not g & ~from_point:
         # over a certified contractible realization this is a point
         if (dims := wedge_of_spheres_type(sub := _full_sub(_index(K), g))) == ():
             return None
-        shape = sub if dims is None else dims
-    else:
-        # mixed endpoint data (one piece per vertex, so l is the vertex content): stay symbolic
-        name = "ŝ-coprod[K_{" + ",".join(map(str, support)) + "}; weights ["
-        top = max_trace(K, support)
-        return (name, top), lambda q, l: _loop_node(
-            _atom(name + ", ".join(map(str, l)) + "]]", max(0, sum(l) - top)), 1)
+        return sub if dims is None else dims
+    return _Mixed("ŝ-coprod[K_{" + ",".join(map(str, support)) + "}; weights [", max_trace(K, support))
 
-    def build(q, l):
-        if (susp := suspended.get(q)) is None:
-            susp = suspended[q] = _susp(smash(q))
-        return _loop(susp if sub is None else _map_from_dims(sub, dims, susp), 1)
 
-    return shape, build
+def _bracket_factor(smash, shape, q: tuple[int, ...], suspended: dict) -> SpaceExpr:
+    """The looped weighted smash coproduct of a group of piece content q
+    over a support of this shape (_bracket_rule's), reduced where a lemma
+    applies, in normal form from the pieces' smash plan.  Mixed endpoint
+    data (one piece per vertex, so the nonzero entries l of q are the vertex
+    content) stays symbolic: the loop of an atom of connectivity
+    sum(l) - top = sum(q) - top, made past its checks.  Otherwise it is Loop Susp of the
+    smash of q_p copies of each piece's surviving loop space, which
+    suspended memoizes by q, through a mapping space out of Susp|K_S| when
+    the domains are contractible: assembled from the sphere dimensions
+    read (_map_from_dims), or symbolic over an uncertified K_S."""
+    if (kind := type(shape)) is _Mixed:
+        name, top = shape
+        return _loop_node(_atom(name + ", ".join([str(n) for n in q if n]) + "]]", max(0, sum(q) - top)), 1)
+    if (susp := suspended.get(q)) is None:
+        susp = suspended[q] = _susp(smash(q))
+    if kind is tuple:
+        susp = _map_from_dims(None, shape, susp)
+    elif kind is SimplicialComplex:
+        susp = _map_from_dims(shape, None, susp)
+    return _loop(susp, 1)
 
 
 def class_diagram(
@@ -823,8 +798,10 @@ def _coproduct_decomposition(
     theorem: str,
     degree_bound: int | None = None,
 ) -> Decomposition:
-    # normal: the normalized (domain, codomain) of each vertex
-    grading, spaces, count, degrees, table, _, to_point, from_point, _ = pieces = _vertex_pieces(normal)
+    # normal: the normalized (domain, codomain) of each vertex; the bounds
+    # are checked before any census step
+    _check_bounds(weight_bound, degree_bound)
+    grading, spaces, count, degrees, smash, to_point, from_point = pieces = _vertex_pieces(normal)
     # the census lists what the rule makes a factor of.  Point codomains
     # keep the faces (keep None): their words use only letters inside a
     # face, so off the full simplex, where every support is one, the states
@@ -838,8 +815,8 @@ def _coproduct_decomposition(
     if keep is None and K.facets != (tuple(range(1, K.m + 1)),):
         types = census.keys()
     counts = count(weight_bound, types=types, degree_bound=degree_bound)
-    listed: dict[tuple[int, ...], None] = {}
-    grouped = _class_groups(counts, grading, partial(_bracket_rule, K, pieces), census, listed)
+    grouped = _class_groups(counts, grading, partial(_bracket_rule, K, pieces), census)
+    listed = [s for s, entries in grouped[0].items() if entries]
     # the weight bound cuts the listing when a listed group's support has
     # three or more vertices: it holds two or more face letters, so it
     # carries brackets of every weight, whose factors are points only when
@@ -849,7 +826,7 @@ def _coproduct_decomposition(
     truncated = any(sum(s) >= 3 and (degree_bound is None or _least_face_degree(
         [d for d, k in zip(degrees, s) for _ in range(k)], weight_bound + 1) <= degree_bound) for s in listed)
     return Decomposition._grouped(theorem, weight_bound if truncated else None, degree_bound,
-                                  tuple(_base_factors(K, normal)), table, grouped)
+                                  (tuple(_base_factors(K, normal)), smash, counts, *grouped))
 
 
 def loop_decompose_wedge(

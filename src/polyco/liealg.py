@@ -251,6 +251,15 @@ def lyndon_class_counts(
     return _class_counts(*_class_counts_key(sizes, weight_bound, alphabet, types, degrees, degree_bound))
 
 
+def _check_bounds(weight_bound, degree_bound) -> None:
+    """lyndon_class_counts' checks of its two bounds, which a caller can run
+    before any other work."""
+    if type(weight_bound) is not int or weight_bound < 1:  # no bool, no float
+        raise ValueError(f"weight_bound must be an integer >= 1, got {weight_bound!r}")
+    if degree_bound is not None and type(degree_bound) is not int:
+        raise ValueError(f"degree_bound must be an integer, got {degree_bound!r}")
+
+
 def _class_counts_key(sizes, weight_bound, alphabet, types, degrees, degree_bound) -> tuple:
     """lyndon_class_counts' checks, run on every call: the memo key (sizes,
     weight_bound, alphabet, types as a frozenset of tuples or None, degrees
@@ -258,10 +267,7 @@ def _class_counts_key(sizes, weight_bound, alphabet, types, degrees, degree_boun
     or a float equals and hashes like an int, so each entry is checked
     before the key is looked up, and the degrees join the key only under a
     bound, without which they change nothing."""
-    if type(weight_bound) is not int or weight_bound < 1:  # no bool, no float
-        raise ValueError(f"weight_bound must be an integer >= 1, got {weight_bound!r}")
-    if degree_bound is not None and type(degree_bound) is not int:
-        raise ValueError(f"degree_bound must be an integer, got {degree_bound!r}")
+    _check_bounds(weight_bound, degree_bound)
     if alphabet not in ("face", "plain"):
         raise ValueError(f"alphabet must be 'face' or 'plain', got {alphabet!r}")
     n = tuple(sizes)

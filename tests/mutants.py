@@ -96,7 +96,7 @@ MUTANTS = (
     ),
     Mutant(
         "mixed-atom-one-more-connected", DECOMP,
-        "max(0, sum(l) - top)", "max(0, sum(l) - top + 1)",
+        "max(0, sum(q) - top)", "max(0, sum(q) - top + 1)",
         (DE + "test_mixed_atom_connectivity_reads_dim_off_the_facets",
          DE + "test_bracket_rule_matches_the_reference",
          GOLDEN),
@@ -206,7 +206,7 @@ MUTANTS = (
     Mutant(
         # point codomains are read as contractible domains and back
         "bracket-rule-swaps-endpoint-masks", DECOMP,
-        "*_, smash, to_point, from_point, suspended = pieces", "*_, smash, from_point, to_point, suspended = pieces",
+        "*_, to_point, from_point = pieces", "*_, from_point, to_point = pieces",
         (DE + "test_bracket_rule_matches_the_reference",
          DE + "test_counted_general_matches_enumerated",
          DE + "test_counted_contractible_matches_enumerated",
@@ -273,16 +273,24 @@ MUTANTS = (
         (SERIES_FROM_GROUPS,),
     ),
     Mutant(
-        # groups of one q over supports of different shapes share one log
-        "group-log-index-keyed-without-the-shape", DECOMP,
-        "if (log := logs.get(key := (shape, q))) is None or", "if (log := logs.get(key := q)) is None or",
+        # the groups of one q over the supports of one type share the log of
+        # the type's first shape, whatever their own shapes
+        "group-log-read-by-the-first-shape-of-a-type", DECOMP,
+        "_group_log(smash, shape, q, N)", "_group_log(smash, tallies[s][0][1][2], q, N)",
         (SERIES_FROM_GROUPS,),
     ),
     Mutant(
-        # a mixed support's shape is its atom's name alone, not its connectivity
+        # a mixed support's shape drops its top, so its atom reads top 0
         "mixed-shape-without-its-top", DECOMP,
-        "return (name, top), lambda q, l:", "return name, lambda q, l:",
+        ", max_trace(K, support))", ", 0)",
         (DE + "test_the_index_keys_a_mixed_support_by_its_atom_connectivity",),
+    ),
+    Mutant(
+        # certified sphere dimensions are taken for an uncertified K_S
+        "bracket-factor-reads-dims-as-a-complex", DECOMP,
+        "_map_from_dims(None, shape, susp)", "_map_from_dims(shape, None, susp)",
+        (DE + "test_factors_assembled_from_dims_match_the_certificate_path",
+         DE + "test_bracket_rule_matches_the_reference"),
     ),
     Mutant(
         "cojoin-without-its-outer-loop", DECOMP,

@@ -1,7 +1,9 @@
 """The decomposition operations: diagrams, special cases, theorems, structure."""
 
+import copy
 import json
 import math
+import pickle
 import random
 import re
 import time
@@ -71,8 +73,9 @@ from polyco.decomp import (
     porter_loop_decomp,
     pullback_square,
     smash_coproduct,
-    _GroupLogs,
+    _bracket_factor,
     _bracket_rule,
+    _group_log,
     _normal_pairs,
     _vertex_pieces,
 )
@@ -1148,14 +1151,14 @@ def test_series_from_groups_matches_the_listing_reference():
     # first, as a traced run reads it
     kinds, unsupported = Counter(), 0
     for label, make, N in seeded_presets(6101, 320):
-        _GroupLogs.cache_clear()
+        _group_log.cache_clear()
         fresh = make()
         got = fresh.series_product(N)
         want = reference_series_product(fresh, N)
         assert got == want, label
-        misses = _GroupLogs.cache_info().misses
+        misses = _group_log.cache_info().misses
         assert make().series_product(N) == want, label
-        assert _GroupLogs.cache_info().misses == misses, label  # a repeated call builds no factor
+        assert _group_log.cache_info().misses == misses, label  # a repeated call builds no factor
         listed = make()
         assert listed.factors == fresh.factors
         assert listed.series_product(N) == want, label
@@ -1173,12 +1176,70 @@ def test_the_index_keys_a_mixed_support_by_its_atom_connectivity():
     pairs = PairAssignment.of([(S(3), S(2))] * 3)
     triangle, points = simplex(3), build(3, [[1], [2], [3]])
     for order in ((triangle, points), (points, triangle)):
-        _GroupLogs.cache_clear()
+        _group_log.cache_clear()
         for K in order:
             dec = loop_decompose(K, pairs, 1)
             assert dec.series_product(1) == reference_series_product(dec, 1), K
     assert "K_{1,2,3}" in loop_decompose(triangle, pairs, 1).series_product(1).reason
     assert "[group w=1 {1}:1 {2}:1]" in loop_decompose(points, pairs, 1).series_product(1).reason
+
+
+def test_a_decomposition_pickles_and_copies_as_its_listing():
+    # a preset's decomposition, its listing read or not, pickles and
+    # deep-copies as the decomposition of its listing: the copy has the
+    # same factors, theorem, cuts and series
+    square = build(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
+    presets = (
+        partial(hilton_milnor, [S(2), S(3)], 4),
+        partial(loop_decompose_wedge, build(4, [[1, 2, 3], [3, 4]]), [S(2), S(3), CP_INFINITY, S(2)], 3,
+                degree_bound=12),
+        partial(loop_decompose, square, PairAssignment.of([(S(3), S(2)), (S(3), A1), (S(3), POINT), (X2, S(2))]), 2),
+        partial(loop_decompose_contractible, square, path_pairs([S(2), S(3), S(2), CP_INFINITY]), 3),
+    )
+    copies = (copy.deepcopy, lambda dec: pickle.loads(pickle.dumps(dec)))
+    for make in presets:
+        want = make()
+        assert want.bracket_factors() and want.truncation is not None, make
+        for copy_of in copies:
+            for read_first in (False, True):
+                dec = make()
+                if read_first:
+                    assert dec.factors == want.factors
+                got = copy_of(dec)
+                assert type(got) is Decomposition and got == want, make
+                assert (got.truncation, got.degree_bound) == (want.truncation, want.degree_bound)
+                assert got.series_product(8) == want.series_product(8), make
+
+
+def test_each_bad_bound_is_rejected_before_any_census_step(monkeypatch):
+    # the polyhedral presets check their bounds as the class counter does,
+    # with its messages, before the census walks a support: on ∂Δ¹⁷, whose
+    # census takes a visible fraction of a second, as on a square
+    def census(*args, **kwargs):
+        raise AssertionError("a census step ran before the bounds were checked")
+
+    monkeypatch.setattr(polyco.decomp, "_census", census)
+    boundary17 = build(18, [list(f) for f in combinations(range(1, 19), 17)])
+    square = build(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
+    bad = (
+        (0, None, "weight_bound must be an integer >= 1, got 0"),
+        (True, None, "weight_bound must be an integer >= 1, got True"),
+        (2.0, None, "weight_bound must be an integer >= 1, got 2.0"),
+        (2, "5", "degree_bound must be an integer, got '5'"),
+        (2, 5.0, "degree_bound must be an integer, got 5.0"),
+        (2, False, "degree_bound must be an integer, got False"),
+    )
+    for W, cut, message in bad:
+        calls = [partial(loop_decompose_wedge, boundary17, [S(3)] * 18, W, degree_bound=cut),
+                 partial(loop_decompose_wedge, square, [S(2)] * 4, W, degree_bound=cut),
+                 partial(hilton_milnor, [S(2), S(3)], W, degree_bound=cut)]
+        if cut is None:
+            calls += [partial(loop_decompose, square, const([S(2)] * 4), W),
+                      partial(loop_decompose_contractible, square, path_pairs([S(2)] * 4), W)]
+        for call in calls:
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == message, (call, W, cut)
 
 
 # ---------------------------------------------------------------------------
@@ -1384,10 +1445,10 @@ def test_bracket_rule_matches_the_reference(monkeypatch):
                     for j in support:
                         q[grading[j - 1]] += l[j - 1]
                     q = tuple(q)
-                    got = POINT if resolved is None else resolved[1](q, tuple(filter(None, q)))
+                    got = POINT if resolved is None else _bracket_factor(pieces[4], resolved, q, {})
                     assert got == want, (K, pairs, l)
                     if resolved is not None:
-                        assert keyed.setdefault((resolved[0], q), want) == want, (K, pairs, l)
+                        assert keyed.setdefault((resolved, q), want) == want, (K, pairs, l)
     assert compared > 1000 and 100 < omitted < compared - 100, (compared, omitted)
 
 
@@ -1539,7 +1600,7 @@ def test_the_rule_reads_each_full_subcomplex_like_the_face_enumerating_reference
                 if (dims := reference_dims.get(want, 0)) == 0:
                     dims = reference_dims[want] = reference_wedge_of_spheres_type(want)
                 resolved = _bracket_rule(K, pieces, support)
-                assert resolved is None if dims == () else resolved[0] == (want if dims is None else dims)
+                assert resolved is None if dims == () else resolved == (want if dims is None else dims)
                 calls += 1
         ghosts += len(K.vertices()) < K.m
     assert set(certified) == set(reference_dims) and sum(certified.values()) == calls
@@ -1580,7 +1641,7 @@ def test_factors_assembled_from_dims_match_the_certificate_path(monkeypatch):
         listed = listed_supports(calls.pop()[-1])
         normal = _normal_pairs(K, pairs)
         pieces = _vertex_pieces(normal)
-        grading, spaces, _, _, _, smash, *_ = pieces
+        grading, spaces, _, _, smash, *_ = pieces
         for k in range(1, K.m + 1):
             for support in combinations(range(1, K.m + 1), k):
                 on = [normal[j - 1] for j in support]
@@ -1604,7 +1665,7 @@ def test_factors_assembled_from_dims_match_the_certificate_path(monkeypatch):
                         seen["contractible"] += 1
                         assert want == POINT and dims == (), (K, support)
                         continue
-                    got = resolved[1](q, tuple(filter(None, q)))
+                    got = _bracket_factor(smash, resolved, q, {})
                     assert got == want, (K, support, q)
                     if dims is not None:
                         loops = [c if d < 0 else _loop(c, d + 1) for d in dims]
@@ -1789,26 +1850,18 @@ def test_different_uncertified_subcomplexes_do_not_share_a_factor():
 
 def count_builds(monkeypatch):
     """Counts each (shape, piece content) key's builds through a wrapper
-    around the bracket rule; a build that gives a point is counted under the
-    key "point"."""
+    around the factor maker; a build that gives a point is counted under
+    the key "point"."""
     builds = Counter()
-    rule = polyco.decomp._bracket_rule
+    make = polyco.decomp._bracket_factor
 
-    def counting(K, pieces, support):
-        resolved = rule(K, pieces, support)
-        if resolved is None:
-            return None
-        shape, make = resolved
+    def counted(smash, shape, q, suspended):
+        builds[(shape, q)] += 1
+        expr = make(smash, shape, q, suspended)
+        builds["point"] += isinstance(expr, Point)
+        return expr
 
-        def counted(q, l):
-            builds[(shape, q)] += 1
-            expr = make(q, l)
-            builds["point"] += isinstance(expr, Point)
-            return expr
-
-        return shape, counted
-
-    monkeypatch.setattr(polyco.decomp, "_bracket_rule", counting)
+    monkeypatch.setattr(polyco.decomp, "_bracket_factor", counted)
     return builds
 
 

@@ -1,6 +1,8 @@
 """Static checks on the package source, read as syntax trees."""
 
 import ast
+import functools
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "polyco"
@@ -44,6 +46,24 @@ def test_every_lru_cache_has_a_finite_bound():
                     unbounded.append((path.name, fn.name))
     assert ("scomplex.py", "homology") in seen and UNBOUNDED_BY_DESIGN <= seen  # the walk sees them
     assert sorted(set(unbounded) - UNBOUNDED_BY_DESIGN) == []
+
+
+def test_every_memo_is_a_bounded_lru_cache():
+    """The decorators above are not the only way to write a memo: every
+    module value of the package with a cache_clear, as the benchmark finds
+    the memos it clears, is an lru_cache wrapper with a finite maxsize,
+    save the Moebius tables, read at run time."""
+    memos = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "__main__":  # which runs the command line
+            module = importlib.import_module(f"polyco.{path.stem}" if path.stem != "__init__" else "polyco")
+            for attr, value in vars(module).items():
+                if callable(getattr(value, "cache_clear", None)):
+                    memos[(f"{value.__module__.rsplit('.', 1)[-1]}.py", value.__qualname__)] = value
+    assert ("scomplex.py", "homology") in memos and ("decomp.py", "_group_log") in memos
+    wrong = [key for key, memo in memos.items() if not isinstance(memo, functools._lru_cache_wrapper)
+             or (memo.cache_parameters()["maxsize"] is None) != (key in UNBOUNDED_BY_DESIGN)]
+    assert wrong == []
 
 
 def test_decomp_builds_expressions_only_through_the_normal_form_helpers():

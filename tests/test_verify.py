@@ -292,7 +292,7 @@ def test_porter_needs_a_component_and_hilton_milnor_reports_disagreeing_oracles(
 
 def polyco_memos():
     """Every memo of the package, found as the benchmark finds them: each
-    module value with a cache_clear, the index of group logs included."""
+    module value with a cache_clear, the group logs included."""
     return {f"{name}.{attr}": value for name, mod in list(sys.modules.items())
             if name == "polyco" or name.startswith("polyco.")
             for attr, value in vars(mod).items() if callable(getattr(value, "cache_clear", None))}
@@ -300,17 +300,17 @@ def polyco_memos():
 
 def test_a_stream_of_distinct_inputs_keeps_every_memo_within_its_bound():
     # 4,600 distinct checks and decompositions with their series, in one
-    # process: each memo with a bound stays within it all along, the index
-    # of group logs fills past its bound and starts again, and the only
-    # memos without a bound are liealg's Moebius tables, keyed by one weight
+    # process: each memo with a bound stays within it all along, the group
+    # logs reach their bound and never pass it, and the only memos without
+    # a bound are liealg's Moebius tables, keyed by one weight
     memos = polyco_memos()
-    assert "polyco.decomp._GroupLogs" in memos
+    assert "polyco.decomp._group_log" in memos
     unbounded = {name for name, memo in memos.items() if memo.cache_info().maxsize is None}
     assert unbounded == {"polyco.liealg._mobius", "polyco.liealg._mobius_divisors"}
     for memo in memos.values():
         memo.cache_clear()
     rng = random.Random(7207)
-    seen, peak, restarts, last = set(), Counter(), 0, 0
+    seen, peak = set(), Counter()
     while len(seen) < 4600:
         kind, N = rng.randrange(3), rng.randint(3, 9)
         spaces = tuple(S(rng.randint(2, 7)) for _ in range(rng.randint(2, 3)))
@@ -332,6 +332,4 @@ def test_a_stream_of_distinct_inputs_keeps_every_memo_within_its_bound():
             if info.maxsize is not None:
                 assert info.currsize <= info.maxsize, (name, info)
                 peak[name] = max(peak[name], info.currsize)
-        size = memos["polyco.decomp._GroupLogs"].cache_info().currsize
-        restarts, last = restarts + (size < last), size
-    assert restarts >= 1 and peak["polyco.decomp._GroupLogs"] > 4000, (restarts, peak)
+    assert peak["polyco.decomp._group_log"] == memos["polyco.decomp._group_log"].cache_info().maxsize, peak
