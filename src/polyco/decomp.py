@@ -46,27 +46,36 @@ piece content), where a support's type counts its vertices in each piece; a
 vertex whose surviving space is a point has no piece, in every mode.  One
 census (_census) lists the supports of each type, walked up from the empty
 one as masks as far as the degree cut, with one and per step as face test:
-the faces of K for point codomains (off the full simplex the counter is cut
-to their types), the missing faces for contractible domains, and in mixed
-data each support by its own endpoints; a counted type that lists nothing
-is skipped.  The engine hands the counted groups to the Decomposition,
-whose listing expands from them on its first read: each (weight, support,
-piece content) becomes one Factor with its bracket count as multiplicity
-and BracketGroup(weight, support, pieces, counts) as provenance, in JSON
+the faces of K for point codomains, the missing faces for contractible
+domains, and in mixed data each support by its own endpoints; a counted
+type that lists nothing is skipped.  The engine hands the counted groups
+to the Decomposition with a (count, shape) tally per support type, whose
+series is summed per tally and needs no listing; the listing expands from
+the groups on its first read: each (weight, support, piece content)
+becomes one Factor with its bracket count as multiplicity and
+BracketGroup(weight, support, pieces, counts) as provenance, in JSON
 {"kind": "group", "weight": ..., "support": [...], "pieces": [...],
-"counts": [...]}.  Its series is summed per group, and needs no listing.
-The polyhedral decompositions share one engine and one bracket rule,
-resolved once per listed support when called into a hashable shape:
-"point", the sphere dimensions of a certified K_S, an uncertified K_S, or a
-mixed support's _Mixed(name, top).  One factor maker (_bracket_factor)
-builds every bracket factor from the smash plan, the shape and the piece
-content, which decide it, each distinct one once per listing; the group
-logs (_group_log, a bounded lru_cache) key a factor's log-derivative by the
-same three and N, the plan by identity, so a repeated call builds no factor
-and hashes no expression.  The rule reads a support's kind off two endpoint
-masks; for contractible domains it reads K_S off the facet bitmasks, each
-distinct K_S's certificate once (wedge_of_spheres_type's memo), and the
-factor is assembled from the sphere dimensions read.
+"counts": [...]}.  Where the census runs depends on the mode.  Over point
+codomains (hilton_milnor, and every surviving codomain a point) a factor
+depends only on q, so a type's tally is its number of faces (_face_groups):
+on the full simplex prod_p C(n_p, s_p), with no census until the listing
+is read, and off it len(census[s]) of the call's census, which cuts the
+counter to the faces' types; the supports are listed only for the listing,
+or for an Unsupported series, which names the first entry.  Contractible
+domains and mixed data list their supports at call time, as their shapes
+decide both the series and the weight cut.  The polyhedral decompositions
+share one engine and one bracket rule, resolved once per listed support
+when called into a hashable shape: "point", the sphere dimensions of a
+certified K_S, an uncertified K_S, or a mixed support's _Mixed(name, top).
+One factor maker (_bracket_factor) builds every bracket factor from the
+smash plan, the shape and the piece content, which decide it, each
+distinct one once per listing; the group logs (_group_log, a bounded
+lru_cache) key a factor's log-derivative by the same three and N, the plan
+by identity, so a repeated call builds no factor and hashes no expression.
+The rule reads a support's kind off two endpoint masks; for contractible
+domains it reads K_S off the facet bitmasks, each distinct K_S's
+certificate once (wedge_of_spheres_type's memo), and the factor is
+assembled from the sphere dimensions read.
 
 Each input is normalized once, where it enters (_checked), and its
 connectivity is read on that normal form: a loop of an atom through its
@@ -86,6 +95,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
+from math import comb, prod
 from typing import NamedTuple, Sequence
 
 from . import series as series_mod
@@ -360,11 +370,14 @@ class Decomposition:
     degree_bound records the degree through which a degree cut kept every
     factor with homology.  The list is complete when both are None.
 
-    A preset makes its decomposition from the counted groups (_grouped):
-    the factors listing expands from them on its first read, in the order
-    the module docstring gives, and series_product sums the series per
-    group, listing nothing.  One made from a factors tuple has no groups,
-    and a pickle or a copy is made from the listing.
+    A preset makes its decomposition from the counted groups and their
+    (count, shape) tallies (_grouped): the factors listing expands from
+    them on its first read, in the order the module docstring gives, and
+    series_product sums the series per tally, listing nothing.  Over point
+    codomains the kept supports are made on first need too, by the
+    listing or an Unsupported series, and on the full simplex the census
+    runs only then.  One made from a factors tuple has no groups, and a
+    pickle or a copy is made from the listing.
     """
 
     factors: tuple[Factor, ...]
@@ -372,12 +385,13 @@ class Decomposition:
     truncation: int | None = None
     degree_bound: int | None = None
 
-    _groups = None  # a preset's (vertex factors, smash plan, class counts, kept, tallies); not a field
+    _groups = None  # a preset's (vertex factors, smash plan, class counts, listing, tallies); not a field
 
     @classmethod
     def _grouped(cls, theorem: str, truncation, degree_bound, groups: tuple) -> "Decomposition":
-        # groups: the vertex factors, the smash plan, the class counts, and
-        # the (kept, tallies) of _class_groups over them
+        # groups: the vertex factors, the smash plan, the class counts, the
+        # listing, which makes the kept supports of _class_groups on its one
+        # call, and the tallies
         dec = object.__new__(cls)
         vars(dec).update(theorem=theorem, truncation=truncation, degree_bound=degree_bound, _groups=groups)
         return dec
@@ -386,9 +400,15 @@ class Decomposition:
         # reached only by a grouped decomposition's listing, before its first read
         if name != "factors" or self._groups is None:
             raise AttributeError(name)
-        base, smash, counts, kept, _ = self._groups
-        factors = vars(self)["factors"] = (*base, *_expand(smash, counts, kept))
+        base, smash, counts, *_ = self._groups
+        factors = vars(self)["factors"] = (*base, *_expand(smash, counts, self._kept()))
         return factors
+
+    def _kept(self) -> dict:
+        # a preset's kept supports of each counted type, made on first need
+        if (kept := vars(self).get("_kept_supports")) is None:
+            kept = vars(self)["_kept_supports"] = self._groups[3]()
+        return kept
 
     def __reduce__(self):
         # the listed form: a pickle or a copy carries the factors, not the groups
@@ -410,12 +430,13 @@ class Decomposition:
         product, so no factor is multiplied or raised to a power.  Each
         listed factor object adds its log-derivative (_log_memo, sparse)
         times its total multiplicity; a preset's groups are not listed:
-        each adds n times its factor's per kept support, one shape at a
-        time, read from the group logs (_group_log), where a miss builds
-        the factor and reads _log_memo.  A factor of
+        each adds n times its factor's per kept support, one (count,
+        shape) tally at a time, read from the group logs (_group_log),
+        where a miss builds the factor and reads _log_memo.  A factor of
         connectivity at least N reads 1 through N, even one series_of has
         no rule for; an Unsupported reason names the first other
-        unsupported entry of the listing, with its provenance."""
+        unsupported entry of the listing, with its provenance, which
+        makes the kept supports if no read has made them."""
         total = [0] * (series_mod._degree(N) + 1)
         base, smash, counts, _, tallies = self._groups or (self.factors, None, {}, None, None)
         for f, k in _per_object(base):
@@ -424,8 +445,9 @@ class Decomposition:
             for d, c in log:
                 total[d] += k * c
         for (w, s, q), n in counts.items():
-            for count, (support, pieces, shape) in tallies[s]:
+            for count, shape in tallies[s]:
                 if isinstance(log := _group_log(smash, shape, q, N), series_mod.Unsupported):
+                    support, pieces, _ = next(entry for entry in self._kept()[s] if entry[2] == shape)
                     return _unsupported(_bracket_factor(smash, shape, q, {}),
                                         BracketGroup(w, support, pieces, tuple(filter(None, q))), log)
                 k = n * count
@@ -519,36 +541,62 @@ def porter_loop_decomp(spaces: Sequence[SpaceExpr]) -> Decomposition:
     return Decomposition(tuple(factors), "porter", None)
 
 
-def _class_groups(counts, grading: Sequence[int], rule, census) -> tuple[dict, dict]:
-    """The bracket engine's call-time half: the kept supports of the counted
-    groups, with no entry per support.  counts maps (weight, support type,
-    q) to a count, as lyndon_class_counts does, with grading[j - 1] the
-    piece of vertex j; census maps a support type to its listed supports in
-    order, as _census does, and rule(support) runs once per listed support:
-    None when every group over it vanishes, else its hashable shape, which
-    with q decides the factor (_bracket_factor).  Returns (kept, tallies):
-    kept maps each counted type to its entries, one (support, pieces,
-    shape) per kept support, pieces its vertices by piece, and tallies to
-    its [count, first entry] per shape, in order of first entry.  So the
-    class (w, s, q) of count n is the group of weight w and piece content q
-    over each kept support of type s, and a type that keeps none has no
-    group.
+def _class_groups(counts, grading: Sequence[int], rule, census) -> dict:
+    """The kept supports of the counted groups.  counts maps (weight,
+    support type, q) to a count, as lyndon_class_counts does, with
+    grading[j - 1] the piece of vertex j; census maps a support type to its
+    listed supports in order, as _census does, and rule(support) runs once
+    per listed support: None when every group over it vanishes, else its
+    hashable shape, which with q decides the factor (_bracket_factor).
+    Returns kept, which maps each counted type to its entries, one
+    (support, pieces, shape) per kept support, pieces its vertices by
+    piece.  So the class (w, s, q) of count n is the group of weight w and
+    piece content q over each kept support of type s, and a type that keeps
+    none has no group.  Contractible domains and mixed data run it at call
+    time, as their shapes decide both the series and the weight cut; over
+    point codomains only the listing runs it, with every shape "point"
+    (_face_groups).
     """
     kept: dict[tuple[int, ...], list] = {}
-    tallies: dict[tuple[int, ...], list] = {}
     for _, s, _ in counts:
         if s not in kept:
             entries = kept[s] = []
-            tally: dict = {}
             for support in census.get(s, ()):
                 if (shape := rule(support)) is not None:
                     on: dict[int, list[int]] = {}
                     for j in support:
                         on.setdefault(grading[j - 1], []).append(j)
-                    entries.append(entry := (support, tuple(tuple(on[p]) for p in sorted(on)), shape))
-                    tally.setdefault(shape, [0, entry])[0] += 1
-            tallies[s] = list(tally.values())
-    return kept, tallies
+                    entries.append((support, tuple(tuple(on[p]) for p in sorted(on)), shape))
+    return kept
+
+
+def _tallies(kept: dict) -> dict:
+    # each type's (count, shape) per shape of its kept supports, in order of first entry
+    return {s: [(n, shape) for shape, n in Counter(entry[2] for entry in entries).items()]
+            for s, entries in kept.items()}
+
+
+def _face_groups(counts, grading: Sequence[int | None], sizes: Sequence[int], census, take) -> tuple:
+    """The call-time half over point codomains, where every support the
+    census lists is a face of shape "point", so a type's groups need only
+    its number of supports, and no support is listed: len(census[s]) of the
+    census taken, or with census None, on the full simplex, prod_p C(n_p,
+    s_p), n_p = sizes[p] the vertices of piece p.  There every support of a
+    counted type is a face inside both census cuts, as sum_p s_p deg_p <=
+    sum_p q_p deg_p <= N and |S| <= w <= W.  Returns (listing, tallies):
+    tallies maps each counted type to [(count, "point")], and listing()
+    makes the kept supports (_class_groups) from the census, or from take()
+    when none was taken."""
+    tallies = {}
+    for _, s, _ in counts:
+        if s not in tallies:
+            tallies[s] = [(len(census[s]) if census is not None else
+                           prod([comb(n, k) for n, k in zip(sizes, s)]), "point")]
+
+    def listing() -> dict:
+        return _class_groups(counts, grading, lambda support: "point", take() if census is None else census)
+
+    return listing, tallies
 
 
 def _expand(smash, counts, kept) -> list[Factor]:
@@ -585,7 +633,7 @@ def _smash_plan(table: tuple[SpaceExpr, ...]):
 def _grading(normal: Sequence, surviving=lambda x: x, per_vertex: bool = False):
     # the piece table of a call: each vertex's piece, each piece's normal
     # form (one piece per distinct form, in order of first vertex, or one
-    # per vertex), the class counter over its pieces, each piece's degree,
+    # per vertex), each piece's number of vertices, each piece's degree,
     # and the one smash plan over the surviving spaces surviving(form) in
     # piece order, shared by every call with this table (_smash_plan).  A
     # vertex whose surviving space is a point has no piece (None), in every
@@ -604,8 +652,7 @@ def _grading(normal: Sequence, surviving=lambda x: x, per_vertex: bool = False):
     spaces, survivors = [spaces[p] for p in live], [survivors[p] for p in live]
     sizes = tuple(Counter(p for p in grading if p is not None).values())  # pieces are numbered by first vertex
     degrees = tuple(1 if (c := conn(x)) == INFINITE else max(1, c + 1) for x in survivors)
-    count = partial(lyndon_class_counts, sizes, degrees=degrees)
-    return grading, spaces, count, degrees, _smash_plan(tuple(survivors))
+    return grading, spaces, sizes, degrees, _smash_plan(tuple(survivors))
 
 
 def hilton_milnor(
@@ -628,11 +675,13 @@ def hilton_milnor(
     if m == 0:
         raise ValueError("need at least one wedge summand")
     normal = [_checked(i, x, 0, "summand {} must be connected") for i, x in enumerate(spaces, start=1)]
-    grading, _, count, degrees, smash = _grading(normal)
-    counts = count(weight_bound, alphabet="plain", degree_bound=degree_bound)
-    # every support is a face of the one facet, and a word of weight W has at most W letters
-    census = _census(((2 << m) - 2,), grading, degrees, degree_bound, most=weight_bound)
-    grouped = _class_groups(counts, grading, lambda support: "point", census)
+    grading, _, sizes, degrees, smash = _grading(normal)
+    counts = lyndon_class_counts(sizes, weight_bound, alphabet="plain", degrees=degrees,
+                                 degree_bound=degree_bound)
+    # every support is a face of the one facet, and a word of weight W has
+    # at most W letters: the listing alone walks the census
+    take = partial(_census, ((2 << m) - 2,), grading, degrees, degree_bound, most=weight_bound)
+    grouped = _face_groups(counts, grading, sizes, None, take)
     # two letters that are not points carry brackets of every weight, and the
     # least degree of weight W+1 is that of x_a^W x_b, a and b the two least
     ds = sorted(degrees[p] for p in grading if p is not None)
@@ -801,22 +850,28 @@ def _coproduct_decomposition(
     # normal: the normalized (domain, codomain) of each vertex; the bounds
     # are checked before any census step
     _check_bounds(weight_bound, degree_bound)
-    grading, spaces, count, degrees, smash, to_point, from_point = pieces = _vertex_pieces(normal)
+    grading, spaces, sizes, degrees, smash, to_point, from_point = pieces = _vertex_pieces(normal)
     # the census lists what the rule makes a factor of.  Point codomains
     # keep the faces (keep None): their words use only letters inside a
     # face, so off the full simplex, where every support is one, the states
-    # are cut to the faces' types.  Contractible domains keep the missing
+    # are cut to the faces' types, and on it no census runs until the
+    # listing is read (_face_groups).  Contractible domains keep the missing
     # faces, and mixed data (one piece per vertex) keeps each support by its
     # own endpoint masks; no support runs through a vertex that has no piece
-    keep = types = None
+    keep = types = census = None
     if not all(isinstance(a, Point) for _, a in spaces):
         keep = lambda g, face: face if not g & ~to_point else not face if not g & ~from_point else True
-    census = _census(_index(K).facets, grading, degrees, degree_bound, keep)
-    if keep is None and K.facets != (tuple(range(1, K.m + 1)),):
-        types = census.keys()
-    counts = count(weight_bound, types=types, degree_bound=degree_bound)
-    grouped = _class_groups(counts, grading, partial(_bracket_rule, K, pieces), census)
-    listed = [s for s, entries in grouped[0].items() if entries]
+    take = partial(_census, _index(K).facets, grading, degrees, degree_bound, keep)
+    if keep is not None or K.facets != (tuple(range(1, K.m + 1)),):
+        census = take()
+        types = census.keys() if keep is None else None
+    counts = lyndon_class_counts(sizes, weight_bound, types=types, degrees=degrees, degree_bound=degree_bound)
+    if keep is None:
+        grouped = _face_groups(counts, grading, sizes, census, take)
+    else:
+        kept = _class_groups(counts, grading, partial(_bracket_rule, K, pieces), census)
+        grouped = (lambda: kept), _tallies(kept)
+    listed = [s for s, tally in grouped[1].items() if tally]
     # the weight bound cuts the listing when a listed group's support has
     # three or more vertices: it holds two or more face letters, so it
     # carries brackets of every weight, whose factors are points only when

@@ -32,12 +32,16 @@ normal form and returns the normal form: _plan (wedge, product, smash),
 _susp, _loop and _map_from_susp, which reads K's sphere dimensions and
 assembles from them (_map_from_dims, which a caller already holding them
 calls directly).  normalize is their fold over the tree, normalizing the
-children first.  A caller whose pieces are already normal,
-as the decompositions' factor builds are, calls the helpers directly and
-never walks a tree a second time.  _plan does a compound rule's
-flattening, merging and sorting once for a fixed list of normal pieces and
-returns a build over their powers, so that the many wedges, products or
-smashes of those pieces taken with different powers only sum powers.
+children first, through one bounded memo keyed by the expression
+(_normal_node, an lru_cache of 1,024 entries) for every node with children;
+points, spheres and atoms are read off directly.  So normalizing a form
+that is already normal, or a tree met before, costs one hash and one
+lookup, not a walk.  A caller whose pieces are already normal, as the
+decompositions' factor builds are, calls the helpers directly.  _plan does
+a compound rule's flattening, merging and sorting once for a fixed list of
+normal pieces and returns a build over their powers, so that the many
+wedges, products or smashes of those pieces taken with different powers
+only sum powers.
 The helpers make their nodes through one maker per class (_sphere,
 _susp_node, _loop_node, _Compound._normal; _atom for plain named
 atoms), past the checks and the merge scan of the public constructors,
@@ -57,6 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 from operator import eq, itemgetter
 from typing import Iterable, Sequence, Union
@@ -92,7 +97,8 @@ class Atom:
         contractible: such an atom is weakly contractible.
     series: optional declared homology series as (numerator, denominator)
         integer coefficient tuples of a rational function in t.
-    contractible: marks cones and path spaces; normalizes to Point.
+    contractible: marks cones and path spaces; normalizes to Point.  Stored
+        as a bool, so that no two equal atoms differ in it.
     """
 
     name: str
@@ -104,6 +110,8 @@ class Atom:
     def __post_init__(self) -> None:
         if type(self.connectivity) is not int:  # one test on the hot path
             json_int(self.connectivity, f"atom {self.name}: connectivity")
+        if type(self.contractible) is not bool:  # a flag: contractible=1 is the atom of True
+            object.__setattr__(self, "contractible", bool(self.contractible))
         if self.loop is not None and not self.contractible and isinstance(normalize(self.loop), Point):
             raise ValueError(f"atom {self.name}: its loop space is a point, so it is weakly contractible; "
                              "declare it contractible")
@@ -292,27 +300,31 @@ def sort_key(e: SpaceExpr) -> tuple:
 
 
 def normalize(e: SpaceExpr) -> SpaceExpr:
-    """Canonical form; total and idempotent."""
+    """Canonical form; total and idempotent.  A node with children is
+    normalized through one bounded memo keyed by the expression (_normal_node)."""
     if isinstance(e, Point):
         return POINT
     if isinstance(e, Sphere):
         return e
     if isinstance(e, Atom):
         return POINT if e.contractible else e
+    if isinstance(e, (_Compound, Susp, Loop, MapFromSusp)):
+        return _normal_node(e)
+    raise TypeError(f"not a space expression: {e!r}")
 
+
+@lru_cache(maxsize=1024)
+def _normal_node(e: SpaceExpr) -> SpaceExpr:
+    """The normal form of a compound, suspension, loop or mapping space,
+    memoized: its children come through normalize, and so through this
+    memo, first."""
     if isinstance(e, _Compound):
         return _plan(type(e), [normalize(c) for c in e.children])(e.powers)
-
     if isinstance(e, Susp):
         return _susp(normalize(e.child))
-
     if isinstance(e, Loop):
         return _loop(normalize(e.child), e.count)
-
-    if isinstance(e, MapFromSusp):
-        return _map_from_susp(e.complex, normalize(e.child))
-
-    raise TypeError(f"not a space expression: {e!r}")
+    return _map_from_susp(e.complex, normalize(e.child))
 
 
 def _plan(cls, normal: Sequence[SpaceExpr]):

@@ -31,6 +31,7 @@ from .scomplex import SimplicialComplex, build, join, union_along
 from .series import PoincareSeries, Unsupported, series_of
 from .spacexpr import (
     CP_INFINITY,
+    POINT,
     Loop,
     Point,
     Product,
@@ -144,12 +145,14 @@ def _loops_on_wedge(spaces: Sequence[SpaceExpr], N: int):
 
 def _desuspend(e: SpaceExpr) -> list[SpaceExpr]:
     # the X_i with e = Susp X_1 v ... v Susp X_k: one for a positive sphere
-    # or a suspension, and for a wedge each child's, once per power, since
-    # Susp(A v B) = Susp A v Susp B
+    # or a suspension, the point for a point (* = Susp *), and for a wedge
+    # each child's, once per power, since Susp(A v B) = Susp A v Susp B
     e = normalize(e)
     out = []
     for c, k in zip(e.children, e.powers) if isinstance(e, Wedge) else ((e, 1),):
-        if isinstance(c, Sphere) and c.n >= 1:
+        if isinstance(c, Point):  # a wedge's normal form has no point child
+            out.append(POINT)
+        elif isinstance(c, Sphere) and c.n >= 1:
             out += [Sphere(c.n - 1)] * k
         elif isinstance(c, Susp):
             out += [c.child] * k

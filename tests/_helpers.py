@@ -44,6 +44,9 @@ from polyco.series import (
 from polyco.spacexpr import (
     _RANK,
     _Compound,
+    _loop_node,
+    _plan,
+    _susp,
     INFINITE,
     POINT,
     Atom,
@@ -329,6 +332,50 @@ def reference_normalize(e: SpaceExpr) -> SpaceExpr:
         return MapFromSusp(e.complex, c)
     factors = [c if d + 1 == 0 else Loop(c, d + 1) for d in dims]
     return reference_normalize(Product(tuple(factors)))
+
+
+def reference_normal_fold(e: SpaceExpr) -> SpaceExpr:
+    """normalize as a plain fold with no memo: each child folded first, then
+    its constructor's normal-form helper.  The loop rules an atom's loop
+    replacement or a product's children reach, and the loops a certified
+    mapping space assembles, are folded here too, so no step reads
+    normalize's memo."""
+    if isinstance(e, Point):
+        return POINT
+    if isinstance(e, Sphere):
+        return e
+    if isinstance(e, Atom):
+        return POINT if e.contractible else e
+    if isinstance(e, _Compound):
+        return _plan(type(e), [reference_normal_fold(c) for c in e.children])(e.powers)
+    if isinstance(e, Susp):
+        return _susp(reference_normal_fold(e.child))
+    if isinstance(e, Loop):
+        return _reference_loop(reference_normal_fold(e.child), e.count)
+    if isinstance(e, MapFromSusp):
+        c = reference_normal_fold(e.child)
+        if isinstance(c, Point):
+            return POINT
+        if (dims := wedge_of_spheres_type(e.complex)) is None:
+            return MapFromSusp(e.complex, c)
+        loops = [c if d + 1 == 0 else _reference_loop(c, d + 1) for d in dims]
+        return loops[0] if len(loops) == 1 else _plan(Product, loops)([1] * len(loops))
+    raise TypeError(f"not a space expression: {e!r}")
+
+
+def _reference_loop(c: SpaceExpr, k: int) -> SpaceExpr:
+    # the loop rules on a folded child c, with no memo
+    while isinstance(c, Loop):
+        k += c.count
+        c = c.child
+    if isinstance(c, Point):
+        return POINT
+    if isinstance(c, Product):
+        return _plan(Product, [_reference_loop(x, k) for x in c.children])(c.powers)
+    if isinstance(c, Atom) and c.loop is not None:
+        once = reference_normal_fold(c.loop)
+        return once if k == 1 else _reference_loop(once, k - 1)
+    return _loop_node(c, k)
 
 
 def _reference_grouped(children, sep: str, power: str) -> str:

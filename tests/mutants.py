@@ -50,6 +50,7 @@ CLOSED_FORMS = DE + "test_splittings_and_closed_forms_match_their_raw_tree_refer
 RESTRICTION = DE + "test_a_point_vertex_lists_like_the_full_subcomplex_without_it"
 
 SERIES_FROM_GROUPS = DE + "test_series_from_groups_matches_the_listing_reference"
+TALLIES = DE + "test_each_tally_is_the_tally_of_the_listing_on_every_preset"
 
 MUTANTS = (
     Mutant(
@@ -276,8 +277,29 @@ MUTANTS = (
         # the groups of one q over the supports of one type share the log of
         # the type's first shape, whatever their own shapes
         "group-log-read-by-the-first-shape-of-a-type", DECOMP,
-        "_group_log(smash, shape, q, N)", "_group_log(smash, tallies[s][0][1][2], q, N)",
-        (SERIES_FROM_GROUPS,),
+        "_group_log(smash, shape, q, N)", "_group_log(smash, tallies[s][0][1], q, N)",
+        (SERIES_FROM_GROUPS, TALLIES),
+    ),
+    Mutant(
+        # a face type's count chooses its vertices among all vertices, not within each piece
+        "face-count-over-all-vertices", DECOMP,
+        "comb(n, k) for n, k in zip(sizes, s)", "comb(len(grading), k) for n, k in zip(sizes, s)",
+        (DE + "test_a_full_simplex_series_over_point_codomains_lists_nothing", TALLIES, SERIES_FROM_GROUPS),
+    ),
+    Mutant(
+        # hilton_milnor's listing walks every support, past W summands
+        "deferred-listing-drops-the-weight-cap", DECOMP,
+        "degree_bound, most=weight_bound)", "degree_bound)",
+        CENSUS,
+    ),
+    Mutant(
+        # normalize's memoized branch builds a compound from its children as given
+        "memoized-compound-skips-the-plan-sort", SPACEXPR,
+        "return _plan(type(e), [normalize(c) for c in e.children])(e.powers)",
+        "return type(e)._normal(tuple([normalize(c) for c in e.children]), e.powers)",
+        (SP + "test_the_normalize_memo_gives_the_fold_it_replaces",
+         SP + "test_powers_match_the_expanded_reference",
+         SP + "test_expr_equal_permutation_invariance"),
     ),
     Mutant(
         # a mixed support's shape drops its top, so its atom reads top 0

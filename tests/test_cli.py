@@ -180,6 +180,14 @@ def test_verify_hilton_milnor_with_a_wedge_summand(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["checks"][0]["verdict"] == {"kind": "equal"}
 
 
+def test_verify_hilton_milnor_with_a_point_summand(tmp_path, capsys):
+    # a point is the suspension of a point, so it is a summand the check takes
+    spaces = write(tmp_path, "hm.json", {"1": {"kind": "point"}, "2": {"kind": "sphere", "n": 3}})
+    argv = ["verify", "--check", "hilton-milnor", "--spaces", spaces, "--max-degree", "6"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("hilton-milnor: Equal (N=6, W=7)\n")
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["homology", "--complex", "/nonexistent/k.json"]) == 2
     err = capsys.readouterr().err

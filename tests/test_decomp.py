@@ -1167,6 +1167,133 @@ def test_series_from_groups_matches_the_listing_reference():
     assert min(kinds.values()) >= 60 and 20 <= unsupported <= 250, (kinds, unsupported)
 
 
+def refusing(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+    return refuse
+
+
+def test_a_full_simplex_series_over_point_codomains_lists_nothing(monkeypatch):
+    # over point codomains on the full simplex, and for hilton_milnor, a
+    # type's tally is its number of supports, prod_p C(n_p, s_p): the series
+    # of a fresh decomposition takes no census and runs neither the rule nor
+    # the listing's half, and equals the product of the listing, read once
+    # they are back.  Spaces repeat, so a piece often has several vertices
+    rng = random.Random(6211)
+    supported = (S(2), S(3), CP_INFINITY, Susp(S(2)), PX, POINT)
+    cases, several = [], 0
+    for i in range(150):
+        m, N = rng.randint(1, 6), rng.randint(2, 12)
+        spaces = [rng.choice(supported[:rng.randint(2, 6)]) for _ in range(m)]
+        several += len(set(spaces)) < m
+        if i % 3 == 0:
+            cases.append((partial(hilton_milnor, spaces, rng.choice((rng.randint(1, 4), N + 1)),
+                                  degree_bound=rng.choice((None, N))), N))
+        elif i % 3 == 1:
+            cases.append((partial(loop_decompose_wedge, simplex(m), spaces, rng.randint(1, 3),
+                                  degree_bound=rng.choice((None, N))), N))
+        else:
+            cases.append((partial(loop_decompose, simplex(m), const(spaces), rng.randint(1, 2)), N))
+    got = []
+    with monkeypatch.context() as patch:
+        for name in ("_census", "_bracket_rule", "_class_groups"):
+            patch.setattr(polyco.decomp, name, refusing(name))
+        for make, N in cases:
+            got.append(make().series_product(N))
+    for (make, N), series in zip(cases, got):
+        want = reference_series_product(make(), N)
+        assert series == want and not isinstance(want, Unsupported), make
+    assert several > 80, several
+
+
+def test_a_face_series_off_the_simplex_takes_one_census_and_no_rule(monkeypatch):
+    # off the full simplex, point codomains need the census for the types
+    # that cut the counter: a fresh decomposition's series takes it once
+    # and runs neither the rule nor the listing's half, and the listing
+    # reads that census again, through no rule, and no second census
+    rng = random.Random(6217)
+    supported = (S(2), S(3), CP_INFINITY, PX, POINT)
+    compared = 0
+    while compared < 150:
+        K = random_complex(rng, 6)
+        if K.facets == (tuple(range(1, K.m + 1)),):
+            continue
+        N = rng.randint(2, 12)
+        spaces = [rng.choice(supported) for _ in range(K.m)]
+        if compared % 2:
+            make = partial(loop_decompose_wedge, K, spaces, rng.randint(1, 3), degree_bound=rng.choice((None, N)))
+        else:
+            make = partial(loop_decompose, K, const(spaces), rng.randint(1, 2))
+        taken = []
+        real = polyco.decomp._census
+        with monkeypatch.context() as patch:
+            patch.setattr(polyco.decomp, "_census", lambda *args: taken.append(1) or real(*args))
+            for name in ("_bracket_rule", "_class_groups"):
+                patch.setattr(polyco.decomp, name, refusing(name))
+            dec = make()
+            series = dec.series_product(N)
+        assert taken == [1], make
+        want = make().factors
+        with monkeypatch.context() as patch:
+            for name in ("_census", "_bracket_rule"):
+                patch.setattr(polyco.decomp, name, refusing(name))
+            assert dec.factors == want
+        assert series == reference_series_product(dec, N) == dec.series_product(N), make
+        compared += 1
+
+
+def listing_tallies(dec, grading, shape_of) -> dict:
+    """Each support type's [(count, shape)] read off the listing: its
+    distinct supports in order of first entry, tallied by shape_of(support)
+    in order of first support."""
+    pieces = max((p for p in grading if p is not None), default=-1) + 1
+    supports: dict = {}
+    for f in dec.bracket_factors():
+        support = f.provenance.support
+        s = tuple(sum(grading[j - 1] == p for j in support) for p in range(pieces))
+        supports.setdefault(s, {}).setdefault(support)
+    return {s: [(n, shape) for shape, n in Counter(map(shape_of, listed)).items()]
+            for s, listed in supports.items()}
+
+
+def test_each_tally_is_the_tally_of_the_listing_on_every_preset():
+    # a preset's (count, shape) per support type against the listing it
+    # expands, on seeded inputs of every preset, full simplices included;
+    # and its series, Unsupported text included (X1 declares no series),
+    # reads the same before the listing is read, when an Unsupported value
+    # makes its first entry, and after
+    rng = random.Random(6229)
+    cases = [(label, make, N) for label, make, N in seeded_presets(6229, 320)]
+    for i in range(80):
+        m, N = rng.randint(1, 5), rng.randint(2, 12)
+        spaces = [rng.choice(WEDGE_POOL) for _ in range(m)]
+        cases.append((f"wedge simplex {spaces}", partial(loop_decompose_wedge, simplex(m), spaces, rng.randint(1, 3),
+                                                         degree_bound=rng.choice((None, N))), N))
+    kinds, unsupported = Counter(), Counter()
+    for label, make, N in cases:
+        dec = make()
+        before = dec.series_product(N)
+        *_, tallies = dec._groups
+        engine, args = make.func, make.args
+        if engine is hilton_milnor:
+            grading, shape_of = reference_live_grading(const(args[0])), lambda support: "point"
+        else:
+            K, data = args[:2]
+            pairs = const(data) if engine is loop_decompose_wedge else data
+            grading = reference_live_grading(pairs)
+            shape_of = partial(_bracket_rule, K, _vertex_pieces(_normal_pairs(K, pairs)))
+        assert {s: tally for s, tally in tallies.items() if tally} == listing_tallies(dec, grading, shape_of), label
+        after = dec.series_product(N)
+        want = reference_series_product(dec, N)
+        assert before == after == want, label
+        if isinstance(want, Unsupported):
+            assert before.reason == after.reason == want.reason, label
+            unsupported[label.split()[0]] += 1
+        kinds[label.split()[0]] += 1
+    assert min(kinds.values()) >= 60 and min(unsupported[k] for k in ("hm", "wedge", "general")) >= 5, (
+        kinds, unsupported)
+
+
 def test_the_index_keys_a_mixed_support_by_its_atom_connectivity():
     # one piece table and one support {1,2,3}, on the triangle (top 3) and
     # on three points (top 1): its weight-1 factor, the loop of an atom of
@@ -1415,7 +1542,9 @@ def test_bracket_rule_matches_the_reference(monkeypatch):
     # census omits has the per-l reference factor POINT, and resolving a
     # listed support once gives the factor the per-l rule gives, built from
     # the piece content of l, for several contents on it; one (shape, piece
-    # content) never stands for two factors, across all supports of a complex
+    # content) never stands for two factors, across all supports of a complex.
+    # The listing is read first: over point codomains on the full simplex
+    # only the listing takes the census
     calls = recorded_census(monkeypatch)
     rng = random.Random(5089)
     compared = omitted = 0
@@ -1424,7 +1553,7 @@ def test_bracket_rule_matches_the_reference(monkeypatch):
         pairs = PairAssignment.of(
             [(rng.choice(DOMAIN_POOL), rng.choice(CODOMAIN_POOL)) for _ in range(K.m)]
         )
-        loop_decompose(K, pairs, 1)
+        loop_decompose(K, pairs, 1).factors
         listed = listed_supports(calls.pop()[-1])
         pieces = _vertex_pieces(_normal_pairs(K, pairs))
         grading = pieces[0]
@@ -2120,12 +2249,13 @@ def test_the_census_is_what_the_reference_keeps_in_every_mode(monkeypatch):
     # contractible domains, each support by its own endpoints in mixed data
     # (never one through a vertex whose surviving space is a point, which
     # has no piece in any mode), and every support of at most W summands
-    # for hilton_milnor
+    # for hilton_milnor.  Each listing is read, as over point codomains on
+    # the full simplex, and for hilton_milnor, only the listing takes it
     calls = recorded_census(monkeypatch)
     seen = Counter()
     for mode, engine, K, data, W, cut in census_mode_cases(4261, 320):
         args = (data, W) if engine is hilton_milnor else (K, data, W)
-        engine(*args) if cut is None else engine(*args, degree_bound=cut)
+        (engine(*args) if cut is None else engine(*args, degree_bound=cut)).factors
         grading, degrees, degree_bound, _, census = calls.pop()
         want = reference_census(*as_pairs(engine, K, data), degrees, cut, W if engine is hilton_milnor else None)
         assert census == want and degree_bound == cut, (mode, K, data, W, cut)
@@ -2143,12 +2273,13 @@ def test_the_census_is_what_the_reference_keeps_in_every_mode(monkeypatch):
 
 def test_hilton_milnor_walks_only_the_supports_within_the_weight(monkeypatch):
     # a word of weight W has at most W letters: over 30 summands at W=2 the
-    # census walks the 466 supports of at most two summands, not all 2^30
+    # census walks the 466 supports of at most two summands, not all 2^30,
+    # when the listing is read, which alone takes it
     calls = recorded_census(monkeypatch)
     dec = hilton_milnor([S(2 + i % 3) for i in range(30)], 2)
+    assert len(dec.factors) == 30 + 435 and dec.truncation == 2
     (*_, census), = calls
     assert Counter(map(len, listed_supports(census))) == {0: 1, 1: 30, 2: 435}
-    assert len(dec.factors) == 30 + 435 and dec.truncation == 2
 
 
 def test_point_pieces_get_no_letters(monkeypatch):

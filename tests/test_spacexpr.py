@@ -11,6 +11,7 @@ from _helpers import (
     _ReferenceUnderflow,
     random_expr,
     reference_conn,
+    reference_normal_fold,
     reference_normalize,
     reference_render,
     reference_series,
@@ -34,6 +35,7 @@ from polyco.spacexpr import (
     Susp,
     Wedge,
     _RANK,
+    _normal_node,
     _plan,
     conn,
     expr_from_json,
@@ -162,6 +164,43 @@ def test_normalize_idempotent_randomized():
         e = random_expr(rng)
         n = normalize(e)
         assert normalize(n) == n
+
+
+def test_the_normalize_memo_gives_the_fold_it_replaces():
+    # on seeded raw trees, with repeated children and atoms of every kind:
+    # normalizing with the memo emptied before each tree, again with it
+    # filled by every tree, and through the memo-free fold give one form,
+    # field types included (repr), and normalizing that form gives it back
+    rng = random.Random(20261021)
+    trees = [with_repeats(rng, random_expr(rng, rng.randint(1, 4))) for _ in range(400)]
+    cold = []
+    for e in trees:
+        _normal_node.cache_clear()
+        cold.append(normalize(e))
+    assert _normal_node.cache_info().maxsize <= 1024
+    for e, form in zip(trees, cold):
+        want = reference_normal_fold(e)
+        assert form == want and repr(form) == repr(want), render(e)
+    hits = _normal_node.cache_info().hits
+    for e, form in zip(trees, cold):
+        warm = normalize(e)
+        assert repr(warm) == repr(form) and repr(normalize(form)) == repr(form), render(e)
+    assert _normal_node.cache_info().hits > hits + 300
+    assert sum(not isinstance(e, (type(POINT), Sphere, Atom)) for e in trees) > 250
+
+
+def test_a_bool_int_twin_gets_its_own_normal_form():
+    # an atom's contractible flag is stored as a bool, so the twin that
+    # spells it 1 or 0 is the same atom: inside a wedge, whichever twin
+    # fills the memo, the other's form is its own memo-free fold, field
+    # types included
+    assert Atom("A", 1, contractible=1).contractible is True
+    assert Atom("A", 1, contractible=0).contractible is False
+    for flags in ((True, 1), (1, True), (False, 0), (0, False)):
+        _normal_node.cache_clear()
+        for flag in flags:
+            e = Wedge((Atom("A", 1, contractible=flag), S(3)))
+            assert repr(normalize(e)) == repr(reference_normal_fold(e)), flags
 
 
 def test_expr_equal_permutation_invariance():

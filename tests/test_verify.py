@@ -13,7 +13,7 @@ from _helpers import random_complex
 from polyco.decomp import loop_decompose_wedge
 from polyco.scomplex import build
 from polyco.series import PoincareSeries, Unsupported
-from polyco.spacexpr import CP_INFINITY, Atom, Product, Sphere, Susp, Wedge
+from polyco.spacexpr import CP_INFINITY, POINT, Atom, Product, Sphere, Susp, Wedge
 from polyco.verify import (
     Equal,
     FirstDifference,
@@ -57,6 +57,16 @@ def test_hilton_milnor_suspension_inputs():
     w = Atom("W", 1, series=((1, 0, 1), (1,)))
     r = check_hilton_milnor([Susp(w), S(3)], 8)
     assert isinstance(r.verdict, Equal)
+
+
+def test_hilton_milnor_reads_a_point_summand_as_the_suspended_point():
+    # * = Σ*, so a point summand desuspends to a point, whose Hall factors
+    # are points: the check agrees with both oracles, alone or with a sphere
+    for summands in ([POINT, S(3)], [POINT], [S(3), POINT, S(5)]):
+        r = check_hilton_milnor(summands, 8)
+        assert isinstance(r.verdict, Equal), r.render()
+    assert check_hilton_milnor([POINT, S(3)], 8).rhs == check_hilton_milnor([S(3)], 8).rhs
+    assert check_hilton_milnor([POINT], 8).rhs == PoincareSeries.one(8)
 
 
 def test_hilton_milnor_desuspends_a_wedge_of_suspensions_child_by_child():
@@ -301,10 +311,11 @@ def polyco_memos():
 def test_a_stream_of_distinct_inputs_keeps_every_memo_within_its_bound():
     # 4,600 distinct checks and decompositions with their series, in one
     # process: each memo with a bound stays within it all along, the group
-    # logs reach their bound and never pass it, and the only memos without
-    # a bound are liealg's Moebius tables, keyed by one weight
+    # logs and normalize's memo reach their bounds and never pass them, and
+    # the only memos without a bound are liealg's Moebius tables, keyed by
+    # one weight
     memos = polyco_memos()
-    assert "polyco.decomp._group_log" in memos
+    assert "polyco.decomp._group_log" in memos and "polyco.spacexpr._normal_node" in memos
     unbounded = {name for name, memo in memos.items() if memo.cache_info().maxsize is None}
     assert unbounded == {"polyco.liealg._mobius", "polyco.liealg._mobius_divisors"}
     for memo in memos.values():
@@ -332,4 +343,5 @@ def test_a_stream_of_distinct_inputs_keeps_every_memo_within_its_bound():
             if info.maxsize is not None:
                 assert info.currsize <= info.maxsize, (name, info)
                 peak[name] = max(peak[name], info.currsize)
-    assert peak["polyco.decomp._group_log"] == memos["polyco.decomp._group_log"].cache_info().maxsize, peak
+    for name in ("polyco.decomp._group_log", "polyco.spacexpr._normal_node"):
+        assert peak[name] == memos[name].cache_info().maxsize, peak
