@@ -44,38 +44,39 @@ distinct table (_smash_plan), builds every factor.  So brackets are never
 listed: lyndon_class_counts counts them once per (weight, support type,
 piece content), where a support's type counts its vertices in each piece; a
 vertex whose surviving space is a point has no piece, in every mode.  One
-census (_census) lists the supports of each type, walked up from the empty
-one as masks as far as the degree cut, with one and per step as face test:
-the faces of K for point codomains, the missing faces for contractible
-domains, and in mixed data each support by its own endpoints; a counted
-type that lists nothing is skipped.  The engine hands the counted groups
-to the Decomposition with a (count, shape) tally per support type, whose
-series is summed per tally and needs no listing; the listing expands from
+census (_census) is the one place where a support is classified: it walks
+the supports of each type up from the empty one as masks, as far as the
+degree cut, with one and per step as face test, and keeps each with its
+shape, which the bracket rule (_bracket_rule) reads off two endpoint masks
+and that test: "point" on a face over point codomains, None (every group a
+point) off one and on a face over contractible domains, the sphere
+dimensions of a certified K_S or an uncertified K_S on a missing face, and
+a mixed support's _Mixed(name, top).  Over point codomains, where every
+kept support is a face of shape "point", the census runs no rule and lists
+the faces, bare.  One function (_groups) makes the call-time half of every
+preset: a (count, shape) tally per counted support type, whose series is
+summed per tally and needs no listing, and the listing, which expands from
 the groups on its first read: each (weight, support, piece content)
 becomes one Factor with its bracket count as multiplicity and
 BracketGroup(weight, support, pieces, counts) as provenance, in JSON
 {"kind": "group", "weight": ..., "support": [...], "pieces": [...],
 "counts": [...]}.  Where the census runs depends on the mode.  Over point
 codomains (hilton_milnor, and every surviving codomain a point) a factor
-depends only on q, so a type's tally is its number of faces (_face_groups):
-on the full simplex prod_p C(n_p, s_p), with no census until the listing
-is read, and off it len(census[s]) of the call's census, which cuts the
-counter to the faces' types; the supports are listed only for the listing,
-or for an Unsupported series, which names the first entry.  Contractible
-domains and mixed data list their supports at call time, as their shapes
-decide both the series and the weight cut.  The polyhedral decompositions
-share one engine and one bracket rule, resolved once per listed support
-when called into a hashable shape: "point", the sphere dimensions of a
-certified K_S, an uncertified K_S, or a mixed support's _Mixed(name, top).
-One factor maker (_bracket_factor) builds every bracket factor from the
-smash plan, the shape and the piece content, which decide it, each
+depends only on q, and on the full simplex a type's tally is prod_p
+C(n_p, s_p), with no census until the listing is read.  Off it, and in
+every other mode, the census runs at call time: over point codomains it
+cuts the counter to the faces' types, and elsewhere the shapes decide both
+the series and the weight cut; a type's tally counts its entries per
+shape.  In every mode the kept supports, with their pieces, are made only
+for the listing, or for an Unsupported series, which names the first
+entry.  One factor maker (_bracket_factor) builds every bracket factor from
+the smash plan, the shape and the piece content, which decide it, each
 distinct one once per listing; the group logs (_group_log, a bounded
 lru_cache) key a factor's log-derivative by the same three and N, the plan
 by identity, so a repeated call builds no factor and hashes no expression.
-The rule reads a support's kind off two endpoint masks; for contractible
-domains it reads K_S off the facet bitmasks, each distinct K_S's
-certificate once (wedge_of_spheres_type's memo), and the factor is
-assembled from the sphere dimensions read.
+For contractible domains the rule reads K_S off the facet bitmasks, each
+distinct K_S's certificate once (wedge_of_spheres_type's memo), and the
+factor is assembled from the sphere dimensions read.
 
 Each input is normalized once, where it enters (_checked), and its
 connectivity is read on that normal form: a loop of an atom through its
@@ -371,13 +372,13 @@ class Decomposition:
     factor with homology.  The list is complete when both are None.
 
     A preset makes its decomposition from the counted groups and their
-    (count, shape) tallies (_grouped): the factors listing expands from
-    them on its first read, in the order the module docstring gives, and
-    series_product sums the series per tally, listing nothing.  Over point
-    codomains the kept supports are made on first need too, by the
-    listing or an Unsupported series, and on the full simplex the census
-    runs only then.  One made from a factors tuple has no groups, and a
-    pickle or a copy is made from the listing.
+    (count, shape) tallies (_grouped, from _groups): the factors listing
+    expands from them on its first read, in the order the module docstring
+    gives, and series_product sums the series per tally, listing nothing.
+    The kept supports are made on first need too, in every mode, by the
+    listing or an Unsupported series; over point codomains on the full
+    simplex the census runs only then.  One made from a factors tuple has
+    no groups, and a pickle or a copy is made from the listing.
     """
 
     factors: tuple[Factor, ...]
@@ -390,8 +391,8 @@ class Decomposition:
     @classmethod
     def _grouped(cls, theorem: str, truncation, degree_bound, groups: tuple) -> "Decomposition":
         # groups: the vertex factors, the smash plan, the class counts, the
-        # listing, which makes the kept supports of _class_groups on its one
-        # call, and the tallies
+        # listing, which makes the kept supports on its one call, and the
+        # tallies (_groups)
         dec = object.__new__(cls)
         vars(dec).update(theorem=theorem, truncation=truncation, degree_bound=degree_bound, _groups=groups)
         return dec
@@ -541,60 +542,47 @@ def porter_loop_decomp(spaces: Sequence[SpaceExpr]) -> Decomposition:
     return Decomposition(tuple(factors), "porter", None)
 
 
-def _class_groups(counts, grading: Sequence[int], rule, census) -> dict:
-    """The kept supports of the counted groups.  counts maps (weight,
-    support type, q) to a count, as lyndon_class_counts does, with
-    grading[j - 1] the piece of vertex j; census maps a support type to its
-    listed supports in order, as _census does, and rule(support) runs once
-    per listed support: None when every group over it vanishes, else its
-    hashable shape, which with q decides the factor (_bracket_factor).
-    Returns kept, which maps each counted type to its entries, one
-    (support, pieces, shape) per kept support, pieces its vertices by
-    piece.  So the class (w, s, q) of count n is the group of weight w and
-    piece content q over each kept support of type s, and a type that keeps
-    none has no group.  Contractible domains and mixed data run it at call
-    time, as their shapes decide both the series and the weight cut; over
-    point codomains only the listing runs it, with every shape "point"
-    (_face_groups).
-    """
-    kept: dict[tuple[int, ...], list] = {}
-    for _, s, _ in counts:
-        if s not in kept:
-            entries = kept[s] = []
-            for support in census.get(s, ()):
-                if (shape := rule(support)) is not None:
-                    on: dict[int, list[int]] = {}
-                    for j in support:
-                        on.setdefault(grading[j - 1], []).append(j)
-                    entries.append((support, tuple(tuple(on[p]) for p in sorted(on)), shape))
-    return kept
+def _groups(counts, grading: Sequence[int | None], sizes: Sequence[int], census, take, shaped: bool) -> tuple:
+    """The call-time half of every preset: (listing, tallies) of the
+    counted groups.  counts maps (weight, support type, q) to a count, as
+    lyndon_class_counts does, with grading[j - 1] the piece of vertex j and
+    sizes[p] the vertices of piece p.  census is the census taken at call
+    time (_census), whose entries are (support, shape) when shaped, else
+    bare faces of shape "point", or None on the full simplex over point
+    codomains, where take() takes it.
 
-
-def _tallies(kept: dict) -> dict:
-    # each type's (count, shape) per shape of its kept supports, in order of first entry
-    return {s: [(n, shape) for shape, n in Counter(entry[2] for entry in entries).items()]
-            for s, entries in kept.items()}
-
-
-def _face_groups(counts, grading: Sequence[int | None], sizes: Sequence[int], census, take) -> tuple:
-    """The call-time half over point codomains, where every support the
-    census lists is a face of shape "point", so a type's groups need only
-    its number of supports, and no support is listed: len(census[s]) of the
-    census taken, or with census None, on the full simplex, prod_p C(n_p,
-    s_p), n_p = sizes[p] the vertices of piece p.  There every support of a
-    counted type is a face inside both census cuts, as sum_p s_p deg_p <=
-    sum_p q_p deg_p <= N and |S| <= w <= W.  Returns (listing, tallies):
-    tallies maps each counted type to [(count, "point")], and listing()
-    makes the kept supports (_class_groups) from the census, or from take()
-    when none was taken."""
+    tallies maps each counted type to its (count, shape) per shape of its
+    entries, in order of first entry: with census None, [(prod_p C(n_p,
+    s_p), "point")], n_p = sizes[p], as there every support of a counted
+    type is a face inside both census cuts (sum_p s_p deg_p <= sum_p q_p
+    deg_p <= N and |S| <= w <= W).  listing() makes kept, which maps each
+    counted type to one (support, pieces, shape) per entry, pieces its
+    vertices by piece, from the census, or from take() when none was
+    taken.  So the class (w, s, q) of count n is the group of weight w and
+    piece content q over each kept support of type s, and a type that
+    keeps none has no group."""
     tallies = {}
     for _, s, _ in counts:
         if s not in tallies:
-            tallies[s] = [(len(census[s]) if census is not None else
-                           prod([comb(n, k) for n, k in zip(sizes, s)]), "point")]
+            if census is None:
+                tallies[s] = [(prod([comb(n, k) for n, k in zip(sizes, s)]), "point")]
+            elif shaped:
+                tallies[s] = [(n, shape) for shape, n in Counter([shape for _, shape in census.get(s, ())]).items()]
+            else:
+                tallies[s] = [(len(census[s]), "point")]
 
     def listing() -> dict:
-        return _class_groups(counts, grading, lambda support: "point", take() if census is None else census)
+        taken = take() if census is None else census
+        kept: dict[tuple[int, ...], list] = {}
+        for s in tallies:
+            entries = kept[s] = []
+            for entry in taken.get(s, ()):
+                support, shape = entry if shaped else (entry, "point")
+                on: dict[int, list[int]] = {}
+                for j in support:
+                    on.setdefault(grading[j - 1], []).append(j)
+                entries.append((support, tuple(tuple(on[p]) for p in sorted(on)), shape))
+        return kept
 
     return listing, tallies
 
@@ -681,7 +669,7 @@ def hilton_milnor(
     # every support is a face of the one facet, and a word of weight W has
     # at most W letters: the listing alone walks the census
     take = partial(_census, ((2 << m) - 2,), grading, degrees, degree_bound, most=weight_bound)
-    grouped = _face_groups(counts, grading, sizes, None, take)
+    grouped = _groups(counts, grading, sizes, None, take, False)
     # two letters that are not points carry brackets of every weight, and the
     # least degree of weight W+1 is that of x_a^W x_b, a and b the two least
     ds = sorted(degrees[p] for p in grading if p is not None)
@@ -722,28 +710,32 @@ def _vertex_pieces(normal: Sequence[tuple[SpaceExpr, SpaceExpr]]):
     return *_grading(normal, surviving, mixed), to_point, from_point
 
 
-def _bracket_rule(K: SimplicialComplex, pieces, support: tuple[int, ...]):
-    """The shape of the groups over a support the census lists: None when
-    they all vanish, else a hashable value that, with the pieces' smash
-    plan and the piece content, decides the factor (_bracket_factor).  The
-    support's kind is read off its vertex mask g: point codomains when
+def _bracket_rule(K: SimplicialComplex, to_point: int, from_point: int, support: tuple[int, ...],
+                  g: int, face: bool):
+    """The shape of the groups over a support, the one reading of its kind:
+    None when they all vanish, else a hashable value that, with the pieces'
+    smash plan and the piece content, decides the factor (_bracket_factor).
+    The census calls it on each support it walks (_census), with g the
+    support's vertex mask and face whether it is a face of K; to_point and
+    from_point mask the vertices with a point codomain and with a
+    contractible domain.  The kind is read off g: point codomains when
     g & ~to_point is 0, else contractible domains when g & ~from_point is
     0, else mixed.
 
-    Over point codomains the support is a face, and the shape is "point".
-    Over contractible domains it is a missing face, whose K_S is read off
-    K's facet bitmasks (_full_sub): the shape is the sphere dimensions of
-    its certificate, through wedge_of_spheres_type's memo, or K_S itself
-    when it has none.  A mixed support lists no faces: its shape is
-    _Mixed(name, top), as its atom's connectivity needs only
-    top = dim K_S + 1, the most support vertices in one facet (max_trace)."""
-    *_, to_point, from_point = pieces
-    g = sum(1 << j for j in support)
+    Over point codomains the shape is "point" on a face and None off one,
+    where the words need a letter outside every face.  Over contractible
+    domains it is None on a face, whose mapping space is out of a suspended
+    simplex; off one, K_S is read off K's facet bitmasks (_full_sub), and
+    the shape is the sphere dimensions of its certificate, through
+    wedge_of_spheres_type's memo, or K_S itself when it has none.  A mixed
+    support's shape is _Mixed(name, top), face or not, as its atom's
+    connectivity needs only top = dim K_S + 1, the most support vertices in
+    one facet (max_trace)."""
     if not g & ~to_point:
-        return "point"
+        return "point" if face else None
     if not g & ~from_point:
-        # over a certified contractible realization this is a point
-        if (dims := wedge_of_spheres_type(sub := _full_sub(_index(K), g))) == ():
+        # over a face, or a certified contractible realization, this is a point
+        if face or (dims := wedge_of_spheres_type(sub := _full_sub(_index(K), g))) == ():
             return None
         return sub if dims is None else dims
     return _Mixed("ŝ-coprod[K_{" + ",".join(map(str, support)) + "}; weights [", max_trace(K, support))
@@ -800,20 +792,22 @@ def _least_face_degree(degrees: Sequence[int], w: int) -> int:
 
 
 def _census(facets: Sequence[int], grading: Sequence[int | None], degrees: Sequence[int],
-            degree_bound: int | None, keep=None, most=INFINITE) -> dict[tuple[int, ...], list[Face]]:
+            degree_bound: int | None, rule=None, most=INFINITE) -> dict[tuple[int, ...], list]:
     """The supports by type (s_p vertices in piece p, grading[j - 1] the piece
-    of vertex j or None), each type's in lexicographic order: with keep
-    None the faces of the facet bitmasks, () under the zero type, else
-    those that keep(mask, is a face) admits.  Walked up from the empty
-    support by a vertex with a piece above its largest, least first, each
-    tuple extending its parent's, with the and of its vertices' facet-index
-    bitsets, so a support is a face when that and is not 0.  A face is
-    extended only inside the and of its closed neighbourhoods when keep is
-    None.  The walk stops past most vertices and past degree_bound: a
-    support of type s carries a counted class only when sum_p s_p *
-    degrees[p] <= degree_bound, as q_p >= s_p."""
+    of vertex j or None), each type's in lexicographic order, with their
+    shapes: with rule None, over point codomains, the faces of the facet
+    bitmasks, bare, each of shape "point", () under the zero type; else
+    (support, shape) for each support whose shape rule(support, mask, is a
+    face) is not None (_bracket_rule).  Walked up from the empty support by
+    a vertex with a piece above its largest, least first, each tuple
+    extending its parent's, with the and of its vertices' facet-index
+    bitsets, so a support is a face when that and is not 0.  With rule None
+    a face is extended only inside the and of its closed neighbourhoods.
+    The walk stops past most vertices and past degree_bound: a support of
+    type s carries a counted class only when sum_p s_p * degrees[p] <=
+    degree_bound, as q_p >= s_p."""
     through = [0] * (len(grading) + 1)  # vertex -> the indices of its facets, as a bitset
-    closed = [0 if keep is None else -1] * (len(grading) + 1)  # vertex -> its closed neighbourhood
+    closed = [0 if rule is None else -1] * (len(grading) + 1)  # vertex -> its closed neighbourhood
     for i, F in enumerate(facets):
         for v in _vertices(F):
             through[v] |= 1 << i
@@ -824,17 +818,18 @@ def _census(facets: Sequence[int], grading: Sequence[int | None], degrees: Seque
             masks[p] |= 1 << j
     cost = [0] + [0 if p is None else degrees[p] for p in grading]
     bound = INFINITE if degree_bound is None else degree_bound
-    census: dict[tuple[int, ...], list[Face]] = {}
+    census: dict[tuple[int, ...], list] = {}
     stack = [((), 0, -1, sum(masks), 0)]  # (support, its mask, and of facet bitsets, candidates, degree)
     while stack:
         face, g, common, near, degree = stack.pop()
-        if keep is None or keep(g, common != 0):
-            census.setdefault(tuple([(g & P).bit_count() for P in masks]), []).append(face)
+        if rule is None or (shape := rule(face, g, common != 0)) is not None:
+            census.setdefault(tuple([(g & P).bit_count() for P in masks]), []).append(
+                face if rule is None else (face, shape))
         above = 0  # the candidates above v
         while near and len(face) < most:  # those above face's largest vertex, pushed greatest first
             v = near.bit_length() - 1
             near ^= (low := 1 << v)
-            if ((shared := common & through[v]) or keep) and (d := degree + cost[v]) <= bound:
+            if ((shared := common & through[v]) or rule) and (d := degree + cost[v]) <= bound:
                 stack.append((face + (v,), g | low, shared, above & closed[v], d))
             above |= low
     return census
@@ -850,28 +845,22 @@ def _coproduct_decomposition(
     # normal: the normalized (domain, codomain) of each vertex; the bounds
     # are checked before any census step
     _check_bounds(weight_bound, degree_bound)
-    grading, spaces, sizes, degrees, smash, to_point, from_point = pieces = _vertex_pieces(normal)
-    # the census lists what the rule makes a factor of.  Point codomains
-    # keep the faces (keep None): their words use only letters inside a
-    # face, so off the full simplex, where every support is one, the states
-    # are cut to the faces' types, and on it no census runs until the
-    # listing is read (_face_groups).  Contractible domains keep the missing
-    # faces, and mixed data (one piece per vertex) keeps each support by its
-    # own endpoint masks; no support runs through a vertex that has no piece
-    keep = types = census = None
-    if not all(isinstance(a, Point) for _, a in spaces):
-        keep = lambda g, face: face if not g & ~to_point else not face if not g & ~from_point else True
-    take = partial(_census, _index(K).facets, grading, degrees, degree_bound, keep)
-    if keep is not None or K.facets != (tuple(range(1, K.m + 1)),):
-        census = take()
-        types = census.keys() if keep is None else None
+    grading, spaces, sizes, degrees, smash, to_point, from_point = _vertex_pieces(normal)
+    # the census lists each support with its shape, the rule's.  Over point
+    # codomains it runs no rule and lists the faces: their words use only
+    # letters inside a face, so off the full simplex, where every support is
+    # one, the states are cut to the faces' types, and on it no census runs
+    # until the listing is read.  Otherwise the rule keeps each support by
+    # its own endpoint masks, at call time, as the shapes decide both the
+    # series and the weight cut; no support runs through a vertex that has
+    # no piece
+    rule = None if all(isinstance(a, Point) for _, a in spaces) else partial(_bracket_rule, K, to_point, from_point)
+    take = partial(_census, _index(K).facets, grading, degrees, degree_bound, rule)
+    census = None if rule is None and K.facets == (tuple(range(1, K.m + 1)),) else take()
+    types = None if rule or census is None else census.keys()
     counts = lyndon_class_counts(sizes, weight_bound, types=types, degrees=degrees, degree_bound=degree_bound)
-    if keep is None:
-        grouped = _face_groups(counts, grading, sizes, census, take)
-    else:
-        kept = _class_groups(counts, grading, partial(_bracket_rule, K, pieces), census)
-        grouped = (lambda: kept), _tallies(kept)
-    listed = [s for s, tally in grouped[1].items() if tally]
+    listing, tallies = _groups(counts, grading, sizes, census, take, rule is not None)
+    listed = [s for s, tally in tallies.items() if tally]
     # the weight bound cuts the listing when a listed group's support has
     # three or more vertices: it holds two or more face letters, so it
     # carries brackets of every weight, whose factors are points only when
@@ -881,7 +870,7 @@ def _coproduct_decomposition(
     truncated = any(sum(s) >= 3 and (degree_bound is None or _least_face_degree(
         [d for d, k in zip(degrees, s) for _ in range(k)], weight_bound + 1) <= degree_bound) for s in listed)
     return Decomposition._grouped(theorem, weight_bound if truncated else None, degree_bound,
-                                  (tuple(_base_factors(K, normal)), smash, counts, *grouped))
+                                  (tuple(_base_factors(K, normal)), smash, counts, listing, tallies))
 
 
 def loop_decompose_wedge(

@@ -236,7 +236,7 @@ def check_counterexample(N: int) -> VerificationReport:
     (a finite product of circles and loops of 3-spheres) differs from loops of
     the wedge of two products, starting in degree 3."""
     square, spaces = counterexample_inputs()
-    lhs = loop_decompose_wedge(square, spaces, 1).series_product(N)
+    lhs = loop_decompose_wedge(square, spaces, N + 1, degree_bound=N).series_product(N)
     pp = Product((CP_INFINITY, CP_INFINITY))
     rhs = series_of(Loop(Wedge((pp, pp))), N)
     return _report(

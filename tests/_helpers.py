@@ -13,6 +13,7 @@ from polyco.decomp import (
     BracketGroup,
     Decomposition,
     Factor,
+    _Mixed,
     _base_factors,
     _normal_pairs,
     _provenance_text,
@@ -1305,6 +1306,36 @@ def reference_census(K, pairs, degrees, degree_bound=None, most=None):
                     s[grading[j - 1]] += 1
                 census.setdefault(tuple(s), []).append(S)
     return {s: sorted(supports) for s, supports in census.items()}
+
+
+def reference_rule(K, pairs, support):
+    """The shape of the groups over a support, read from has_face and the
+    face-enumerating references: over point codomains "point" on a face
+    and None off one; over contractible domains None on a face or over a
+    K_S of contractible certificate, else the certificate's sphere
+    dimensions, or K_S when it has none; otherwise, mixed, the atom name of
+    reference_bracket_factor up to its weights, with dim K_S + 1."""
+    on = [(normalize(x), normalize(a)) for x, a in (pairs.pairs[j - 1] for j in support)]
+    face = K.has_face(support)
+    if all(isinstance(a, Point) for _, a in on):
+        return "point" if face else None
+    sub = reference_full_subcomplex(K, support)
+    if all(isinstance(x, Point) for x, _ in on):
+        if face or (dims := reference_wedge_of_spheres_type(sub)) == ():
+            return None
+        return sub if dims is None else dims
+    return _Mixed(f"ŝ-coprod[K_{{{','.join(map(str, support))}}}; weights [", sub.dim() + 1)
+
+
+def reference_shaped_census(K, pairs, degrees, degree_bound=None):
+    """reference_census filtered through reference_rule: {type: [(support,
+    shape)]} for each kept subset whose shape is not None, a type that
+    keeps none left out."""
+    out = {}
+    for s, supports in reference_census(K, pairs, degrees, degree_bound).items():
+        if kept := [(S, shape) for S in supports if (shape := reference_rule(K, pairs, S)) is not None]:
+            out[s] = kept
+    return out
 
 
 def enumerated_general(K, pairs, weight_bound) -> Decomposition:

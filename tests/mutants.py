@@ -174,18 +174,18 @@ MUTANTS = (
     Mutant(
         # every support is taken for a missing face: a face reaches the rule's builder
         "census-lets-faces-through", DECOMP,
-        "keep(g, common != 0)", "keep(g, not g)",
+        "rule(face, g, common != 0)", "rule(face, g, not g)",
         (DE + "test_full_subcomplex_built_once_per_support", *CENSUS),
     ),
     Mutant(
         "contractible-branch-keeps-faces", DECOMP,
-        "else not face if not g & ~from_point", "else True if not g & ~from_point",
+        "if face or (dims := wedge_of_spheres_type(", "if (dims := wedge_of_spheres_type(",
         (DE + "test_contractible_rule_over_a_face_is_a_point",
          DE + "test_counted_contractible_matches_enumerated", *CENSUS),
     ),
     Mutant(
         "mixed-point-codomains-keep-non-faces", DECOMP,
-        "lambda g, face: face if", "lambda g, face: True if",
+        'return "point" if face else None', 'return "point"',
         (DE + "test_bracket_rule_matches_the_reference", *CENSUS),
     ),
     Mutant(
@@ -207,12 +207,12 @@ MUTANTS = (
     Mutant(
         # point codomains are read as contractible domains and back
         "bracket-rule-swaps-endpoint-masks", DECOMP,
-        "*_, to_point, from_point = pieces", "*_, from_point, to_point = pieces",
+        "partial(_bracket_rule, K, to_point, from_point)", "partial(_bracket_rule, K, from_point, to_point)",
         (DE + "test_bracket_rule_matches_the_reference",
          DE + "test_counted_general_matches_enumerated",
          DE + "test_counted_contractible_matches_enumerated",
          DE + "test_factors_assembled_from_dims_match_the_certificate_path",
-         RESTRICTION, GOLDEN),
+         GOLDEN),
     ),
     Mutant(
         # every piece mask one vertex up: each face counted under its neighbour's type
@@ -237,7 +237,7 @@ MUTANTS = (
     Mutant(
         # pairwise adjacent vertices with no common facet (a hollow triangle) are listed
         "census-without-the-common-facet-test", DECOMP,
-        "if ((shared := common & through[v]) or keep) and", "if ((shared := common & through[v]) or ~0) and",
+        "if ((shared := common & through[v]) or rule) and", "if ((shared := common & through[v]) or ~0) and",
         (DE + "test_the_face_census_is_the_faces_within_the_cut",),
     ),
     Mutant(
@@ -285,6 +285,27 @@ MUTANTS = (
         "face-count-over-all-vertices", DECOMP,
         "comb(n, k) for n, k in zip(sizes, s)", "comb(len(grading), k) for n, k in zip(sizes, s)",
         (DE + "test_a_full_simplex_series_over_point_codomains_lists_nothing", TALLIES, SERIES_FROM_GROUPS),
+    ),
+    Mutant(
+        # off the full simplex a face type's tally is read as on it: every
+        # choice of its vertices within the pieces, faces or not
+        "face-tally-counts-the-simplex", DECOMP,
+        'tallies[s] = [(len(census[s]), "point")]',
+        'tallies[s] = [(prod([comb(n, k) for n, k in zip(sizes, s)]), "point")]',
+        (DE + "test_a_face_series_off_the_simplex_takes_one_census_and_no_rule", TALLIES, SERIES_FROM_GROUPS),
+    ),
+    Mutant(
+        # a classified type's tally counts only its first entry's shape
+        "shaped-tally-reads-the-first-entry", DECOMP,
+        "Counter([shape for _, shape in census.get(s, ())])", "Counter([shape for _, shape in census.get(s, ())[:1]])",
+        (TALLIES, SERIES_FROM_GROUPS),
+    ),
+    Mutant(
+        # a kept support's pieces in order of its vertices, not of the pieces
+        "listing-pieces-in-support-order", DECOMP,
+        "tuple(tuple(on[p]) for p in sorted(on))", "tuple(tuple(on[p]) for p in on)",
+        (DE + "test_counted_wedge_matches_enumerated", DE + "test_grouped_listing_matches_the_regrouped_reference",
+         GOLDEN),
     ),
     Mutant(
         # hilton_milnor's listing walks every support, past W summands

@@ -39,6 +39,7 @@ from _helpers import (
     recursive_render,
     reference_bracket_factor,
     reference_census,
+    reference_shaped_census,
     reference_class_counts,
     reference_grading,
     reference_live_grading,
@@ -80,7 +81,9 @@ from polyco.decomp import (
     _vertex_pieces,
 )
 from polyco.liealg import Bracket, plain_alphabet, stats
-from polyco.scomplex import _full_sub, _index, build, disjoint_union, full_subcomplex, join, wedge_of_spheres_type
+from polyco.scomplex import (
+    SimplicialComplex, _full_sub, _index, build, disjoint_union, full_subcomplex, join, wedge_of_spheres_type,
+)
 from polyco.series import PoincareSeries, Unsupported, series_of
 from polyco.spacexpr import (
     CP_INFINITY,
@@ -1196,10 +1199,11 @@ def test_a_full_simplex_series_over_point_codomains_lists_nothing(monkeypatch):
             cases.append((partial(loop_decompose, simplex(m), const(spaces), rng.randint(1, 2)), N))
     got = []
     with monkeypatch.context() as patch:
-        for name in ("_census", "_bracket_rule", "_class_groups"):
+        for name in ("_census", "_bracket_rule"):
             patch.setattr(polyco.decomp, name, refusing(name))
         for make, N in cases:
-            got.append(make().series_product(N))
+            got.append((dec := make()).series_product(N))
+            assert "_kept_supports" not in vars(dec), make
     for (make, N), series in zip(cases, got):
         want = reference_series_product(make(), N)
         assert series == want and not isinstance(want, Unsupported), make
@@ -1228,11 +1232,10 @@ def test_a_face_series_off_the_simplex_takes_one_census_and_no_rule(monkeypatch)
         real = polyco.decomp._census
         with monkeypatch.context() as patch:
             patch.setattr(polyco.decomp, "_census", lambda *args: taken.append(1) or real(*args))
-            for name in ("_bracket_rule", "_class_groups"):
-                patch.setattr(polyco.decomp, name, refusing(name))
+            patch.setattr(polyco.decomp, "_bracket_rule", refusing("_bracket_rule"))
             dec = make()
             series = dec.series_product(N)
-        assert taken == [1], make
+        assert taken == [1] and "_kept_supports" not in vars(dec), make
         want = make().factors
         with monkeypatch.context() as patch:
             for name in ("_census", "_bracket_rule"):
@@ -1281,7 +1284,7 @@ def test_each_tally_is_the_tally_of_the_listing_on_every_preset():
             K, data = args[:2]
             pairs = const(data) if engine is loop_decompose_wedge else data
             grading = reference_live_grading(pairs)
-            shape_of = partial(_bracket_rule, K, _vertex_pieces(_normal_pairs(K, pairs)))
+            shape_of = partial(bracket_rule, K, _vertex_pieces(_normal_pairs(K, pairs)))
         assert {s: tally for s, tally in tallies.items() if tally} == listing_tallies(dec, grading, shape_of), label
         after = dec.series_product(N)
         want = reference_series_product(dec, N)
@@ -1502,8 +1505,8 @@ def recorded_census(monkeypatch):
     calls = []
     real = polyco.decomp._census
 
-    def recording(facets, grading, degrees, degree_bound, keep=None, most=math.inf):
-        census = real(facets, grading, degrees, degree_bound, keep, most)
+    def recording(facets, grading, degrees, degree_bound, rule=None, most=math.inf):
+        census = real(facets, grading, degrees, degree_bound, rule, most)
         calls.append((grading, degrees, degree_bound, most, census))
         return census
 
@@ -1512,7 +1515,17 @@ def recorded_census(monkeypatch):
 
 
 def listed_supports(census):
-    return {support for supports in census.values() for support in supports}
+    # a census's supports, whose entries are bare faces or (support, shape)
+    return {entry[0] if entry and type(entry[0]) is tuple else entry
+            for entries in census.values() for entry in entries}
+
+
+def bracket_rule(K, pieces, support):
+    """The engine's rule on one support of K, over the piece table pieces
+    (_vertex_pieces), its mask and face verdict read as the census reads
+    them."""
+    *_, to_point, from_point = pieces
+    return _bracket_rule(K, to_point, from_point, support, sum(1 << j for j in support), K.has_face(support))
 
 
 def test_contractible_rule_over_a_face_is_a_point(monkeypatch):
@@ -1561,7 +1574,7 @@ def test_bracket_rule_matches_the_reference(monkeypatch):
         keyed = {}
         for k in range(2, K.m + 1):
             for support in combinations(range(1, K.m + 1), k):
-                resolved = _bracket_rule(K, pieces, support) if support in listed else None
+                resolved = bracket_rule(K, pieces, support) if support in listed else None
                 for _ in range(3):
                     l = tuple(rng.randint(1, 4) if j in support else 0 for j in range(1, K.m + 1))
                     want = reference_bracket_factor(K, pairs, support, l)
@@ -1728,7 +1741,7 @@ def test_the_rule_reads_each_full_subcomplex_like_the_face_enumerating_reference
                 assert sub == want, (K, support)
                 if (dims := reference_dims.get(want, 0)) == 0:
                     dims = reference_dims[want] = reference_wedge_of_spheres_type(want)
-                resolved = _bracket_rule(K, pieces, support)
+                resolved = bracket_rule(K, pieces, support)
                 assert resolved is None if dims == () else resolved == (want if dims is None else dims)
                 calls += 1
         ghosts += len(K.vertices()) < K.m
@@ -1750,9 +1763,9 @@ def test_factors_assembled_from_dims_match_the_certificate_path(monkeypatch):
     # the factor through _map_from_susp on the reference K_S, which reads
     # the certificate again, and (certified) the product plan that a lone
     # sphere skips, on contractible and general pairs, for dims of every
-    # shape; a listed support that the rule drops has dims (), and one that
-    # the census omits (a face, or one through a vertex whose surviving
-    # space is a point) has the per-l reference factor POINT
+    # shape; a support that the census omits (a face, one through a vertex
+    # whose surviving space is a point, or one that the rule drops, which
+    # has dims ()) has the per-l reference factor POINT
     calls = recorded_census(monkeypatch)
     rng = random.Random(3533)
     shapes, seen = Counter(), Counter()
@@ -1780,20 +1793,19 @@ def test_factors_assembled_from_dims_match_the_certificate_path(monkeypatch):
                 dims = reference_wedge_of_spheres_type(sub)
                 shapes[_dims_shape(dims)] += 1
                 if support not in listed:
-                    seen["face" if K.has_face(support) else "point vertex"] += 1
+                    through_point = None in [grading[j - 1] for j in support]
+                    kind = "face" if K.has_face(support) else "point vertex" if through_point else "contractible"
+                    seen[kind] += 1
                     l = tuple(rng.randint(1, 2) if j in support else 0 for j in range(1, K.m + 1))
                     assert reference_bracket_factor(K, pairs, support, l) == POINT, (K, support)
+                    assert kind != "contractible" or dims == (), (K, support)
                     continue
-                resolved = _bracket_rule(K, pieces, support)
+                resolved = bracket_rule(K, pieces, support)
                 used = sorted({grading[j - 1] for j in support})
                 for _ in range(2):
                     q = tuple(rng.randint(1, 2) if p in used else 0 for p in range(len(spaces)))
                     c = _susp(smash(q))
                     want = _loop(_map_from_susp(sub, c), 1)
-                    if resolved is None:
-                        seen["contractible"] += 1
-                        assert want == POINT and dims == (), (K, support)
-                        continue
                     got = _bracket_factor(smash, resolved, q, {})
                     assert got == want, (K, support, q)
                     if dims is not None:
@@ -2033,7 +2045,8 @@ def as_pairs(engine, K, data):
 def census_listings(monkeypatch, cases):
     """The text and sorted JSON of each (engine, K, data, W, degree bound)
     listing, then of the same listing with the census taken from
-    reference_census."""
+    reference_census, filtered through reference_rule when the engine
+    classifies its supports by its rule."""
     def listings():
         out = []
         for engine, K, data, W, cut in cases:
@@ -2043,10 +2056,14 @@ def census_listings(monkeypatch, cases):
             out.append((dec.render(), json.dumps(dec.to_json(), sort_keys=True)))
         return out
 
+    def reference(facets, grading, degrees, degree_bound, rule=None, most=None):
+        if rule is None:
+            return reference_census(*current, degrees, degree_bound, most)
+        return reference_shaped_census(*current, degrees, degree_bound)
+
     current = []
     census = listings()
-    monkeypatch.setattr(polyco.decomp, "_census", lambda facets, grading, degrees, degree_bound, keep=None,
-                        most=None: reference_census(*current, degrees, degree_bound, most))
+    monkeypatch.setattr(polyco.decomp, "_census", reference)
     return census, listings()
 
 
@@ -2117,7 +2134,8 @@ def test_an_atom_whose_loops_are_a_point_must_be_declared_contractible():
 def test_the_census_lists_what_every_support_lists(monkeypatch):
     # supports stay bitmasks until the census lists them: on seeded inputs
     # every listing equals the one whose census is every subset that the
-    # keep rules admit through has_face (reference_census), in text and
+    # reference rule keeps through has_face (reference_census, filtered
+    # through reference_rule when the engine runs its rule), in text and
     # sorted JSON, order included.  The inputs cover the contractible and
     # general presets and hilton_milnor, ghost vertices (every support
     # through one is a missing face) and full simplices, under every preset
@@ -2249,15 +2267,22 @@ def test_the_census_is_what_the_reference_keeps_in_every_mode(monkeypatch):
     # contractible domains, each support by its own endpoints in mixed data
     # (never one through a vertex whose surviving space is a point, which
     # has no piece in any mode), and every support of at most W summands
-    # for hilton_milnor.  Each listing is read, as over point codomains on
-    # the full simplex, and for hilton_milnor, only the listing takes it
+    # for hilton_milnor.  Where a vertex with a piece has a non-point
+    # codomain, the engine runs its rule, and the census is that reference
+    # filtered through reference_rule, with each support's shape.  Each
+    # listing is read, as over point codomains on the full simplex, and
+    # for hilton_milnor, only the listing takes it
     calls = recorded_census(monkeypatch)
     seen = Counter()
     for mode, engine, K, data, W, cut in census_mode_cases(4261, 320):
         args = (data, W) if engine is hilton_milnor else (K, data, W)
         (engine(*args) if cut is None else engine(*args, degree_bound=cut)).factors
         grading, degrees, degree_bound, _, census = calls.pop()
-        want = reference_census(*as_pairs(engine, K, data), degrees, cut, W if engine is hilton_milnor else None)
+        pairs = as_pairs(engine, K, data)
+        if any(p is not None and not isinstance(normalize(a), Point) for p, (_, a) in zip(grading, pairs[1].pairs)):
+            want = reference_shaped_census(*pairs, degrees, cut)
+        else:
+            want = reference_census(*pairs, degrees, cut, W if engine is hilton_milnor else None)
         assert census == want and degree_bound == cut, (mode, K, data, W, cut)
         seen[mode] += 1
         seen[mode, "ghosts"] += bool(K.facets) and len(K.vertices()) < K.m
@@ -2269,6 +2294,41 @@ def test_the_census_is_what_the_reference_keeps_in_every_mode(monkeypatch):
         assert seen[mode] >= 300, seen
         assert min(seen[mode, what] for what in ("ghosts", "points", "empty", "simplex")) >= 20, seen
     assert seen["faces", "cut"] >= 50 and seen["hilton-milnor", "cut"] >= 50, seen
+
+
+def test_the_census_classifies_each_support_like_the_reference_rule():
+    # _census with the engine's rule, the one reading of a support's kind,
+    # on seeded vertex data mixing point codomains, contractible domains,
+    # mixed pairs and point pairs (no piece), over random complexes with
+    # ghost vertices, empty ones and full simplices, with and without a
+    # degree cut: its (support, shape) entries are reference_census
+    # filtered through reference_rule, each type's in lexicographic order
+    rng = random.Random(4271)
+    seen = Counter()
+    for i in range(330):
+        m = rng.randint(1, 6)
+        facets = [rng.sample(range(1, m + 1), rng.randint(1, max(1, m - 1))) for _ in range(rng.randint(1, m + 1))]
+        K = build(m, []) if i % 10 == 0 else simplex(m) if i % 10 == 1 else build(m, facets)
+        kinds = [rng.choice(((1, 1, 1, 3), (0, 1, 2, 3), (0, 0, 2, 3))[i % 3]) for _ in range(m)]
+        pairs = PairAssignment.of([
+            ((rng.choice((S(3), X2, CP_INFINITY)), POINT), (PX, rng.choice((S(2), A1, CP_INFINITY))),
+             (rng.choice((S(3), X2)), rng.choice((S(2), A1))), (POINT, POINT))[kind] for kind in kinds])
+        grading, _, _, degrees, _, to_point, from_point = _vertex_pieces(_normal_pairs(K, pairs))
+        assert grading == reference_live_grading(pairs)
+        cut = rng.choice((None, rng.randint(2, 12)))
+        rule = partial(_bracket_rule, K, to_point, from_point)
+        census = polyco.decomp._census(_index(K).facets, grading, degrees, cut, rule)
+        assert census == reference_shaped_census(K, pairs, degrees, cut), (K, pairs, cut)
+        shapes = [shape for entries in census.values() for support, shape in entries if len(support) > 1]
+        seen["point"] += "point" in shapes
+        seen["contractible"] += any(type(shape) in (tuple, SimplicialComplex) for shape in shapes)
+        seen["mixed"] += any(type(shape) is polyco.decomp._Mixed for shape in shapes)
+        seen["ghosts"] += bool(K.facets) and len(K.vertices()) < K.m
+        seen["simplex"] += K.facets == (tuple(range(1, K.m + 1)),)
+        seen["points"] += None in grading
+        seen["cut"] += cut is not None
+    assert min(seen[what] for what in ("point", "contractible", "mixed")) >= 40, seen
+    assert min(seen[what] for what in ("ghosts", "simplex", "points", "cut")) >= 25, seen
 
 
 def test_hilton_milnor_walks_only_the_supports_within_the_weight(monkeypatch):
@@ -2367,7 +2427,7 @@ def test_contractible_realization_builds_no_factor(monkeypatch):
     pairs = path_pairs([S(2), S(3), CP_INFINITY])
     assert wedge_of_spheres_type(path) == ()
     assert reference_bracket_factor(path, pairs, (1, 2, 3), (1, 2, 1)) == POINT
-    assert _bracket_rule(path, _vertex_pieces(_normal_pairs(path, pairs)), (1, 2, 3)) is None
+    assert bracket_rule(path, _vertex_pieces(_normal_pairs(path, pairs)), (1, 2, 3)) is None
     builds = count_builds(monkeypatch)
     dec = loop_decompose_contractible(path, pairs, 6)
     assert {f.provenance.support for f in dec.bracket_factors()} == {(1, 3)}

@@ -135,6 +135,23 @@ def test_counterexample_difference():
         assert rn.verdict.degree == 3
 
 
+def test_counterexample_reads_its_listing_at_the_weight_bound_it_reports():
+    # the square's listing is complete at W = 1 and at W = N + 1 under the
+    # degree cut N, the bound every check uses and the report states: the
+    # report is the one its W = 1 series gives, and at N = 8 its verdict is
+    # the difference in degree 3
+    square, spaces = polyco.verify.counterexample_inputs()
+    for N in (2, 3, 5, 8, 12):
+        at_one = loop_decompose_wedge(square, spaces, 1)
+        at_bound = loop_decompose_wedge(square, spaces, N + 1, degree_bound=N)
+        assert at_one.truncation is None and at_bound.truncation is None, N
+        assert at_bound.factors == at_one.factors, N
+        r = check_counterexample(N)
+        assert r == polyco.verify._report(r.name, N, at_one.series_product(N), r.rhs, r.notes), N
+        assert r.W == N + 1 and f"(N={N}, W={N + 1})" in r.render(), N
+    assert check_counterexample(8).verdict == FirstDifference(3, Fraction(20), Fraction(24))
+
+
 def test_counterexample_sides():
     r = check_counterexample(6)
     assert r.lhs.compare(closed_form([1], [1, -4, 6, -4, 1], 6)) is None
