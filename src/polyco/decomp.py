@@ -34,7 +34,7 @@ decompositions of the looped coproduct:
 
 A bracket factor depends only on its support and its vertex content l (l_j
 counts the letters whose vertex set contains j) summed over each piece.
-All four bracket decompositions build one piece table per call (_grading):
+All four bracket decompositions build one piece table per input (_grading):
 a piece is the set of vertices with one normalized summand (hilton_milnor)
 or (domain, codomain) pair, or a single vertex when some support can be
 mixed (a non-point domain and a non-point codomain both occur), and one
@@ -73,10 +73,23 @@ entry.  One factor maker (_bracket_factor) builds every bracket factor from
 the smash plan, the shape and the piece content, which decide it, each
 distinct one once per listing; the group logs (_group_log, a bounded
 lru_cache) key a factor's log-derivative by the same three and N, the plan
-by identity, so a repeated call builds no factor and hashes no expression.
+by identity, so new groups over a known piece table build no factor and
+hash no expression.
 For contractible domains the rule reads K_S off the facet bitmasks, each
 distinct K_S's certificate once (wedge_of_spheres_type's memo), and the
 factor is assembled from the sphere dimensions read.
+
+A repeated call is one lookup.  Each preset checks its inputs and bounds
+first, then looks its call-time half up in a bounded lru_cache keyed by
+its normal forms, its weight bound and degree cut, and K for the
+polyhedral presets (_hilton_milnor_groups, _coproduct_groups).  An entry
+is one _Groups: the vertex factors, the smash plan, the class counts, the
+tallies with the census they were read from, and the truncation, never a
+listing; a repeated call builds only its Decomposition around it.  The
+series memo (_grouped_series, a bounded lru_cache) holds each groups
+object's series per N, keyed by the object's identity, so a repeated
+series_product is one lookup too.  The listing and its kept supports are
+made per decomposition, on its first read.
 
 Each input is normalized once, where it enters (_checked), and its
 connectivity is read on that normal form: a loop of an atom through its
@@ -361,6 +374,24 @@ def _group_log(smash, shape, q: tuple[int, ...], N: int):
     return series_mod._log_memo(_bracket_factor(smash, shape, q, {}), N)
 
 
+@dataclass(eq=False)
+class _Groups:
+    """A preset's call-time half for one input, which the preset memos
+    (_hilton_milnor_groups, _coproduct_groups) hold: the vertex factors,
+    the smash plan, the class counts, listing(), which makes the kept
+    supports afresh on each call, and the (count, shape) tallies (_groups),
+    with the census they were read from, and the truncation.  It hashes by
+    identity, as the smash plan does, so the series memo (_grouped_series)
+    keys by it and hashes no expression."""
+
+    base: tuple
+    smash: object
+    counts: dict
+    listing: object
+    tallies: dict
+    truncation: int | None
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """A finite product of space-expression factors with provenance.
@@ -371,14 +402,15 @@ class Decomposition:
     degree_bound records the degree through which a degree cut kept every
     factor with homology.  The list is complete when both are None.
 
-    A preset makes its decomposition from the counted groups and their
-    (count, shape) tallies (_grouped, from _groups): the factors listing
-    expands from them on its first read, in the order the module docstring
-    gives, and series_product sums the series per tally, listing nothing.
-    The kept supports are made on first need too, in every mode, by the
-    listing or an Unsupported series; over point codomains on the full
-    simplex the census runs only then.  One made from a factors tuple has
-    no groups, and a pickle or a copy is made from the listing.
+    A preset makes its decomposition around the groups of its input
+    (_Groups, from the preset memos), shared by every equal call: the
+    factors listing expands from them on its first read, in the order the
+    module docstring gives, and series_product sums the series per tally,
+    listing nothing, once per groups and N.  The kept supports are made on
+    the listing's first read, per decomposition, as is the listing; over
+    point codomains on the full simplex the census runs only then.  One
+    made from a factors tuple has no groups, and a pickle or a copy is made
+    from the listing.
     """
 
     factors: tuple[Factor, ...]
@@ -386,30 +418,21 @@ class Decomposition:
     truncation: int | None = None
     degree_bound: int | None = None
 
-    _groups = None  # a preset's (vertex factors, smash plan, class counts, listing, tallies); not a field
+    _groups = None  # a preset's _Groups; not a field
 
     @classmethod
-    def _grouped(cls, theorem: str, truncation, degree_bound, groups: tuple) -> "Decomposition":
-        # groups: the vertex factors, the smash plan, the class counts, the
-        # listing, which makes the kept supports on its one call, and the
-        # tallies (_groups)
+    def _grouped(cls, theorem: str, degree_bound, groups: _Groups) -> "Decomposition":
         dec = object.__new__(cls)
-        vars(dec).update(theorem=theorem, truncation=truncation, degree_bound=degree_bound, _groups=groups)
+        vars(dec).update(theorem=theorem, truncation=groups.truncation, degree_bound=degree_bound, _groups=groups)
         return dec
 
     def __getattr__(self, name: str):
         # reached only by a grouped decomposition's listing, before its first read
-        if name != "factors" or self._groups is None:
+        if name != "factors" or (groups := self._groups) is None:
             raise AttributeError(name)
-        base, smash, counts, *_ = self._groups
-        factors = vars(self)["factors"] = (*base, *_expand(smash, counts, self._kept()))
+        kept = vars(self)["_kept_supports"] = groups.listing()
+        factors = vars(self)["factors"] = (*groups.base, *_expand(groups.smash, groups.counts, kept))
         return factors
-
-    def _kept(self) -> dict:
-        # a preset's kept supports of each counted type, made on first need
-        if (kept := vars(self).get("_kept_supports")) is None:
-            kept = vars(self)["_kept_supports"] = self._groups[3]()
-        return kept
 
     def __reduce__(self):
         # the listed form: a pickle or a copy carries the factors, not the groups
@@ -436,25 +459,14 @@ class Decomposition:
         where a miss builds the factor and reads _log_memo.  A factor of
         connectivity at least N reads 1 through N, even one series_of has
         no rule for; an Unsupported reason names the first other
-        unsupported entry of the listing, with its provenance, which
-        makes the kept supports if no read has made them."""
-        total = [0] * (series_mod._degree(N) + 1)
-        base, smash, counts, _, tallies = self._groups or (self.factors, None, {}, None, None)
-        for f, k in _per_object(base):
-            if isinstance(log := series_mod._log_memo(f.expr, N), series_mod.Unsupported):
-                return _unsupported(f.expr, f.provenance, log)
-            for d, c in log:
-                total[d] += k * c
-        for (w, s, q), n in counts.items():
-            for count, shape in tallies[s]:
-                if isinstance(log := _group_log(smash, shape, q, N), series_mod.Unsupported):
-                    support, pieces, _ = next(entry for entry in self._kept()[s] if entry[2] == shape)
-                    return _unsupported(_bracket_factor(smash, shape, q, {}),
-                                        BracketGroup(w, support, pieces, tuple(filter(None, q))), log)
-                k = n * count
-                for d, c in log:
-                    total[d] += k * c
-        return series_mod.PoincareSeries.from_log_derivative(total, N)
+        unsupported entry of the listing, with its provenance.  A preset's
+        series is read once per groups and N (_grouped_series), so a
+        repeated call is one lookup; N is checked before it, as 8.0 and
+        True would find the entries of 8 and 1."""
+        N = series_mod._degree(N)
+        if self._groups is None:
+            return _series_product(self.factors, None, N)
+        return _grouped_series(self._groups, N)
 
     def render(self) -> str:
         total = sum(f.multiplicity for f in self.factors)
@@ -487,6 +499,37 @@ class Decomposition:
                             "provenance": _provenance_json(p, shared)})
         return {"theorem": self.theorem, "truncation": self.truncation,
                 "degree_bound": self.degree_bound, "factors": factors}
+
+
+def _series_product(base, groups: _Groups | None, N: int):
+    # Decomposition.series_product of these vertex (or listed) factors and
+    # these groups; an Unsupported group names its first kept support of
+    # that shape, from kept supports made for it alone
+    total = [0] * (N + 1)
+    for f, k in _per_object(base):
+        if isinstance(log := series_mod._log_memo(f.expr, N), series_mod.Unsupported):
+            return _unsupported(f.expr, f.provenance, log)
+        for d, c in log:
+            total[d] += k * c
+    smash, counts, tallies = (groups.smash, groups.counts, groups.tallies) if groups else (None, {}, None)
+    for (w, s, q), n in counts.items():
+        for count, shape in tallies[s]:
+            if isinstance(log := _group_log(smash, shape, q, N), series_mod.Unsupported):
+                support, pieces, _ = next(entry for entry in groups.listing()[s] if entry[2] == shape)
+                return _unsupported(_bracket_factor(smash, shape, q, {}),
+                                    BracketGroup(w, support, pieces, tuple(filter(None, q))), log)
+            k = n * count
+            for d, c in log:
+                total[d] += k * c
+    return series_mod.PoincareSeries.from_log_derivative(total, N)
+
+
+@lru_cache(maxsize=256)
+def _grouped_series(groups: _Groups, N: int):
+    """A preset decomposition's series_product through degree N, checked,
+    per groups object, which hashes by identity: a repeated call's series
+    is one lookup."""
+    return _series_product(groups.base, groups, N)
 
 
 # ---------------------------------------------------------------------------
@@ -659,23 +702,32 @@ def hilton_milnor(
     factors carry no homology at or below that degree (read from the piece
     table's degrees), which leaves truncated series products unchanged.
     """
-    m = len(spaces)
-    if m == 0:
+    if len(spaces) == 0:
         raise ValueError("need at least one wedge summand")
-    normal = [_checked(i, x, 0, "summand {} must be connected") for i, x in enumerate(spaces, start=1)]
+    normal = tuple(_checked(i, x, 0, "summand {} must be connected") for i, x in enumerate(spaces, start=1))
+    # the bounds are checked before the lookup, as 3.0 and True would find
+    # the entries of 3 and 1
+    _check_bounds(weight_bound, degree_bound)
+    return Decomposition._grouped("hilton-milnor", degree_bound,
+                                  _hilton_milnor_groups(normal, weight_bound, degree_bound))
+
+
+@lru_cache(maxsize=128)
+def _hilton_milnor_groups(normal: tuple[SpaceExpr, ...], weight_bound: int, degree_bound: int | None) -> _Groups:
+    # hilton_milnor's call-time half over the summands' normal forms, once per input
+    m = len(normal)
     grading, _, sizes, degrees, smash = _grading(normal)
     counts = lyndon_class_counts(sizes, weight_bound, alphabet="plain", degrees=degrees,
                                  degree_bound=degree_bound)
     # every support is a face of the one facet, and a word of weight W has
     # at most W letters: the listing alone walks the census
     take = partial(_census, ((2 << m) - 2,), grading, degrees, degree_bound, most=weight_bound)
-    grouped = _groups(counts, grading, sizes, None, take, False)
+    listing, tallies = _groups(counts, grading, sizes, None, take, False)
     # two letters that are not points carry brackets of every weight, and the
     # least degree of weight W+1 is that of x_a^W x_b, a and b the two least
     ds = sorted(degrees[p] for p in grading if p is not None)
     truncated = len(ds) >= 2 and (degree_bound is None or weight_bound * ds[0] + ds[1] <= degree_bound)
-    return Decomposition._grouped("hilton-milnor", weight_bound if truncated else None, degree_bound,
-                                  ((), smash, counts, *grouped))
+    return _Groups((), smash, counts, listing, tallies, weight_bound if truncated else None)
 
 
 # ---------------------------------------------------------------------------
@@ -843,8 +895,16 @@ def _coproduct_decomposition(
     degree_bound: int | None = None,
 ) -> Decomposition:
     # normal: the normalized (domain, codomain) of each vertex; the bounds
-    # are checked before any census step
+    # are checked before the lookup, and so before any census step
     _check_bounds(weight_bound, degree_bound)
+    return Decomposition._grouped(theorem, degree_bound,
+                                  _coproduct_groups(K, tuple(normal), weight_bound, degree_bound))
+
+
+@lru_cache(maxsize=128)
+def _coproduct_groups(K: SimplicialComplex, normal: tuple[tuple[SpaceExpr, SpaceExpr], ...], weight_bound: int,
+                      degree_bound: int | None) -> _Groups:
+    # the polyhedral presets' call-time half, once per input
     grading, spaces, sizes, degrees, smash, to_point, from_point = _vertex_pieces(normal)
     # the census lists each support with its shape, the rule's.  Over point
     # codomains it runs no rule and lists the faces: their words use only
@@ -869,8 +929,8 @@ def _coproduct_decomposition(
     # A support of two vertices holds one letter
     truncated = any(sum(s) >= 3 and (degree_bound is None or _least_face_degree(
         [d for d, k in zip(degrees, s) for _ in range(k)], weight_bound + 1) <= degree_bound) for s in listed)
-    return Decomposition._grouped(theorem, weight_bound if truncated else None, degree_bound,
-                                  (tuple(_base_factors(K, normal)), smash, counts, listing, tallies))
+    return _Groups(tuple(_base_factors(K, normal)), smash, counts, listing, tallies,
+                   weight_bound if truncated else None)
 
 
 def loop_decompose_wedge(

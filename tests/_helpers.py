@@ -1,6 +1,7 @@
 """Seeded random generators shared by the property suites."""
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, compress, repeat
@@ -65,6 +66,43 @@ from polyco.spacexpr import (
     normalize,
     render,
 )
+
+
+def polyco_memos() -> dict:
+    """Every memo of the package, found as the benchmark finds them: each
+    module value with a cache_clear, by its module's and its own name."""
+    return {f"{name}.{attr}": value for name, mod in list(sys.modules.items())
+            if name == "polyco" or name.startswith("polyco.")
+            for attr, value in vars(mod).items() if callable(getattr(value, "cache_clear", None))}
+
+
+def clear_polyco_memos() -> None:
+    for memo in polyco_memos().values():
+        memo.cache_clear()
+
+
+class _MemoReset:
+    # every assignment to an attribute clears every polyco memo; a
+    # monkeypatch undoes an attribute by assigning its old value back
+    armed = False
+
+    def __setattr__(self, name: str, value) -> None:
+        clear_polyco_memos()
+        object.__setattr__(self, name, value)
+
+
+_MEMO_RESET = _MemoReset()
+
+
+def patch_clearing_memos(patch, target, name: str, value) -> None:
+    """patch.setattr(target, name, value), with every polyco memo cleared
+    as the patch is applied and again as it is undone, at the end of its
+    monkeypatch context or of the test: no entry made before the patch
+    skips the patched function, and none made under it outlives it, such
+    as a memoized census maker bound to a patched _census."""
+    patch.setattr(_MEMO_RESET, "armed", True)
+    patch.setattr(target, name, value)
+
 
 ATOM_POOL = (
     Atom("X", 1),

@@ -51,6 +51,7 @@ RESTRICTION = DE + "test_a_point_vertex_lists_like_the_full_subcomplex_without_i
 
 SERIES_FROM_GROUPS = DE + "test_series_from_groups_matches_the_listing_reference"
 TALLIES = DE + "test_each_tally_is_the_tally_of_the_listing_on_every_preset"
+WARM_COLD = DE + "test_a_warm_call_equals_a_cold_one"
 
 MUTANTS = (
     Mutant(
@@ -334,6 +335,49 @@ MUTANTS = (
         "_map_from_dims(None, shape, susp)", "_map_from_dims(shape, None, susp)",
         (DE + "test_factors_assembled_from_dims_match_the_certificate_path",
          DE + "test_bracket_rule_matches_the_reference"),
+    ),
+    Mutant(
+        # hilton_milnor's memo keyed by the summands and W alone: a miss
+        # computes under the caller's degree cut, and a hit returns the
+        # groups of whichever cut came first
+        "preset-memo-key-without-the-degree-cut", DECOMP,
+        '    return Decomposition._grouped("hilton-milnor", degree_bound,\n'
+        "                                  _hilton_milnor_groups(normal, weight_bound, degree_bound))\n\n\n"
+        "@lru_cache(maxsize=128)\n"
+        "def _hilton_milnor_groups(normal: tuple[SpaceExpr, ...], weight_bound: int, degree_bound: int | None)"
+        " -> _Groups:\n",
+        "    global _CUT\n    _CUT = degree_bound\n"
+        '    return Decomposition._grouped("hilton-milnor", degree_bound,\n'
+        "                                  _hilton_milnor_groups(normal, weight_bound, None))\n\n\n"
+        "@lru_cache(maxsize=128)\n"
+        "def _hilton_milnor_groups(normal: tuple[SpaceExpr, ...], weight_bound: int, degree_bound: int | None)"
+        " -> _Groups:\n    degree_bound = _CUT\n",
+        (WARM_COLD,),
+    ),
+    Mutant(
+        # the polyhedral presets' memo keyed without K: a hit returns the
+        # groups of whichever complex came first with these pairs and bounds
+        "coproduct-memo-key-without-the-complex", DECOMP,
+        "    return Decomposition._grouped(theorem, degree_bound,\n"
+        "                                  _coproduct_groups(K, tuple(normal), weight_bound, degree_bound))\n\n\n"
+        "@lru_cache(maxsize=128)\n"
+        "def _coproduct_groups(K: SimplicialComplex, normal: tuple[tuple[SpaceExpr, SpaceExpr], ...], weight_bound: int,\n"
+        "                      degree_bound: int | None) -> _Groups:\n",
+        "    global _K\n    _K = K\n"
+        "    return Decomposition._grouped(theorem, degree_bound,\n"
+        "                                  _coproduct_groups(None, tuple(normal), weight_bound, degree_bound))\n\n\n"
+        "@lru_cache(maxsize=128)\n"
+        "def _coproduct_groups(K: SimplicialComplex, normal: tuple[tuple[SpaceExpr, SpaceExpr], ...], weight_bound: int,\n"
+        "                      degree_bound: int | None) -> _Groups:\n    K = _K\n",
+        (WARM_COLD,),
+    ),
+    Mutant(
+        # hilton_milnor's bounds checked only past the lookup, by the class
+        # counter on a miss: a warm 3.0 or True finds the entry of 3 or 1
+        "bounds-checked-after-the-lookup", DECOMP,
+        '    _check_bounds(weight_bound, degree_bound)\n    return Decomposition._grouped("hilton-milnor"',
+        '    return Decomposition._grouped("hilton-milnor"',
+        (DE + "test_a_bad_bound_raises_alike_with_the_memos_warm_or_cold",),
     ),
     Mutant(
         "cojoin-without-its-outer-loop", DECOMP,

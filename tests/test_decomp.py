@@ -20,6 +20,7 @@ from _helpers import (
     _loop_smash_of_loops,
     _reference_safe_conn,
     all_face_letters,
+    clear_polyco_memos,
     enumerated_contractible,
     enumerated_general,
     enumerated_hilton_milnor,
@@ -28,6 +29,7 @@ from _helpers import (
     group_of,
     listing_order,
     multidegree,
+    patch_clearing_memos,
     per_group_listing,
     random_complex,
     random_expr,
@@ -76,7 +78,10 @@ from polyco.decomp import (
     smash_coproduct,
     _bracket_factor,
     _bracket_rule,
+    _coproduct_groups,
     _group_log,
+    _grouped_series,
+    _hilton_milnor_groups,
     _normal_pairs,
     _vertex_pieces,
 )
@@ -1170,10 +1175,15 @@ def test_series_from_groups_matches_the_listing_reference():
     assert min(kinds.values()) >= 60 and 20 <= unsupported <= 250, (kinds, unsupported)
 
 
-def refusing(name):
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"{name} ran")
-    return refuse
+def ran(name, *args, **kwargs):
+    raise AssertionError(f"{name} ran")
+
+
+def refuse(patch, *names):
+    # each named decomp function raises if it runs, with every memo cleared
+    # as the patch is applied and as it is undone
+    for name in names:
+        patch_clearing_memos(patch, polyco.decomp, name, partial(ran, name))
 
 
 def test_a_full_simplex_series_over_point_codomains_lists_nothing(monkeypatch):
@@ -1199,8 +1209,7 @@ def test_a_full_simplex_series_over_point_codomains_lists_nothing(monkeypatch):
             cases.append((partial(loop_decompose, simplex(m), const(spaces), rng.randint(1, 2)), N))
     got = []
     with monkeypatch.context() as patch:
-        for name in ("_census", "_bracket_rule"):
-            patch.setattr(polyco.decomp, name, refusing(name))
+        refuse(patch, "_census", "_bracket_rule")
         for make, N in cases:
             got.append((dec := make()).series_product(N))
             assert "_kept_supports" not in vars(dec), make
@@ -1232,14 +1241,13 @@ def test_a_face_series_off_the_simplex_takes_one_census_and_no_rule(monkeypatch)
         real = polyco.decomp._census
         with monkeypatch.context() as patch:
             patch.setattr(polyco.decomp, "_census", lambda *args: taken.append(1) or real(*args))
-            patch.setattr(polyco.decomp, "_bracket_rule", refusing("_bracket_rule"))
+            refuse(patch, "_bracket_rule")
             dec = make()
             series = dec.series_product(N)
         assert taken == [1] and "_kept_supports" not in vars(dec), make
         want = make().factors
         with monkeypatch.context() as patch:
-            for name in ("_census", "_bracket_rule"):
-                patch.setattr(polyco.decomp, name, refusing(name))
+            refuse(patch, "_census", "_bracket_rule")
             assert dec.factors == want
         assert series == reference_series_product(dec, N) == dec.series_product(N), make
         compared += 1
@@ -1276,7 +1284,7 @@ def test_each_tally_is_the_tally_of_the_listing_on_every_preset():
     for label, make, N in cases:
         dec = make()
         before = dec.series_product(N)
-        *_, tallies = dec._groups
+        tallies = dec._groups.tallies
         engine, args = make.func, make.args
         if engine is hilton_milnor:
             grading, shape_of = reference_live_grading(const(args[0])), lambda support: "point"
@@ -1348,7 +1356,7 @@ def test_each_bad_bound_is_rejected_before_any_census_step(monkeypatch):
     def census(*args, **kwargs):
         raise AssertionError("a census step ran before the bounds were checked")
 
-    monkeypatch.setattr(polyco.decomp, "_census", census)
+    patch_clearing_memos(monkeypatch, polyco.decomp, "_census", census)
     boundary17 = build(18, [list(f) for f in combinations(range(1, 19), 17)])
     square = build(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
     bad = (
@@ -1370,6 +1378,113 @@ def test_each_bad_bound_is_rejected_before_any_census_step(monkeypatch):
             with pytest.raises(ValueError) as raised:
                 call()
             assert str(raised.value) == message, (call, W, cut)
+
+
+def raised_text(call) -> str:
+    with pytest.raises(ValueError) as raised:
+        call()
+    return str(raised.value)
+
+
+def test_a_bad_bound_raises_alike_with_the_memos_warm_or_cold():
+    # a memo key takes 3.0 and True for 3 and 1: after warm calls of every
+    # preset at W = 1 and 3, degree cuts 1 and 4, and N = 1 and 8, a float
+    # or bool bound or N raises the error it raises with every memo cleared
+    K = build(5, [[1, 2, 3], [3, 4], [5]])
+    spaces = [S(2), S(3), CP_INFINITY, S(2), S(3)]
+    mixed = PairAssignment.of([(S(3), S(2)), (S(3), POINT), (PX, A1), (CP_INFINITY, S(2)), (POINT, S(3))])
+    presets = (
+        (partial(hilton_milnor, spaces), True),
+        (partial(loop_decompose_wedge, K, spaces), True),
+        (partial(loop_decompose, K, mixed), False),
+        (partial(loop_decompose_contractible, K, path_pairs(spaces)), False),
+    )
+    checked = 0
+    for preset, cuts in presets:
+        def make(W, cut, N=None):
+            dec = preset(W) if cut is None else preset(W, degree_bound=cut)
+            return dec if N is None else dec.series_product(N)
+
+        cut_values = (None, 4) if cuts else (None,)
+        bad = [partial(make, W, cut) for W in (3.0, True) for cut in cut_values]
+        bad += [partial(make, 3, cut) for cut in ((4.0, True) if cuts else ())]
+        bad += [partial(make, 3, cut, N) for cut in cut_values for N in (8.0, True)]
+        clear_polyco_memos()
+        cold = [raised_text(call) for call in bad]
+        for W in (1, 3):
+            for cut in (None, 1, 4) if cuts else (None,):
+                for N in (1, 8):
+                    make(W, cut, N)
+        assert [raised_text(call) for call in bad] == cold, preset
+        for text in cold:
+            assert re.fullmatch(r"(weight_bound must be an integer >= 1|degree_bound must be an integer"
+                                r"|truncation degree must be an integer), got (3\.0|4\.0|8\.0|True)", text), text
+        checked += len(cold)
+    assert checked == 2 * 10 + 2 * 4, checked
+
+
+def memo_siblings(make, N):
+    """Calls that differ from make's in one part of a memo key only: a
+    preset with a degree cut under another cut (N - 1 for N, N for none),
+    and a polyhedral preset over another complex on the same vertices (one
+    facet fewer, the empty complex for one facet)."""
+    out = []
+    if "degree_bound" in make.keywords:
+        cut = make.keywords["degree_bound"]
+        out.append(partial(make, degree_bound=N if cut is None else N - 1))
+    if make.func is not hilton_milnor:
+        K, *rest = make.args
+        out.append(partial(make.func, build(K.m, K.facets[1:]), *rest, **make.keywords))
+    return out
+
+
+def warm_cold_fields(dec, N):
+    # everything a caller reads off a decomposition, its series first
+    series = (dec.series_product(N), dec.series_product(N // 2))
+    return (*series, dec.render(), dec.to_json(), dec.factor_multiset(), dec.truncation, dec.degree_bound)
+
+
+def test_a_warm_call_equals_a_cold_one():
+    # on seeded inputs of every preset (mixed and contractible data, ghost
+    # vertices, with and without a degree cut), a repeated call, whose
+    # groups and series come from the memos, equals the same call made with
+    # every memo cleared, field by field, Unsupported text included; so do
+    # the calls that differ from it in one part of a memo key (the degree
+    # cut, or K), made while the memos hold the others
+    kinds, unsupported, moved = Counter(), 0, 0
+    for label, make, N in seeded_presets(6301, 200):
+        calls = [make, *memo_siblings(make, N)]
+        cold = []
+        for call in calls:
+            clear_polyco_memos()
+            cold.append(warm_cold_fields(call(), N))
+        for call in calls:
+            call().series_product(N)
+        for call, want in zip(calls, cold):
+            assert warm_cold_fields(call(), N) == want, (label, call)
+        kinds[label.split()[0]] += 1
+        unsupported += isinstance(cold[0][0], Unsupported)
+        moved += any(fields[2:] != cold[0][2:] for fields in cold[1:])
+    assert min(kinds.values()) >= 40 and unsupported >= 5 and moved >= 100, (kinds, unsupported, moved)
+
+
+def test_an_equal_input_finds_the_memo_entries():
+    # a repeated call shares the first call's groups and reads its series
+    # from the series memo; an equal input that is not the same objects
+    # (fresh spheres and atoms, a rebuilt K) finds the same entry
+    for label, make, N in seeded_presets(6311, 100):
+        memo = _hilton_milnor_groups if make.func is hilton_milnor else _coproduct_groups
+        first = make()
+        want = first.series_product(N)
+        hits, series_hits = memo.cache_info().hits, _grouped_series.cache_info().hits
+        again = make()
+        assert again._groups is first._groups and memo.cache_info().hits == hits + 1, label
+        assert again.series_product(N) is want and _grouped_series.cache_info().hits == series_hits + 1, label
+        twin_args = copy.deepcopy(make.args)
+        assert twin_args[0] is not make.args[0] and twin_args[0] == make.args[0], label
+        twin = make.func(*twin_args, **make.keywords)
+        assert twin._groups is first._groups and memo.cache_info().hits == hits + 2, label
+        assert twin.series_product(N) is want, label
 
 
 # ---------------------------------------------------------------------------
@@ -1501,7 +1616,8 @@ def test_presets_reject_float_and_bool_bounds():
 
 def recorded_census(monkeypatch):
     """Records each census the engine takes, as (grading, degrees, degree
-    bound, most, census), in call order."""
+    bound, most, census), in call order.  The presets' call-time halves run
+    unmemoized meanwhile, so an input seen before takes its census again."""
     calls = []
     real = polyco.decomp._census
 
@@ -1510,7 +1626,9 @@ def recorded_census(monkeypatch):
         calls.append((grading, degrees, degree_bound, most, census))
         return census
 
-    monkeypatch.setattr(polyco.decomp, "_census", recording)
+    patch_clearing_memos(monkeypatch, polyco.decomp, "_census", recording)
+    for name in ("_hilton_milnor_groups", "_coproduct_groups"):
+        monkeypatch.setattr(polyco.decomp, name, getattr(polyco.decomp, name).__wrapped__)
     return calls
 
 
@@ -1652,7 +1770,7 @@ def certificate_reads(monkeypatch) -> Counter:
         calls[sub] += 1
         return wedge_of_spheres_type(sub)
 
-    monkeypatch.setattr(polyco.decomp, "wedge_of_spheres_type", certifying)
+    patch_clearing_memos(monkeypatch, polyco.decomp, "wedge_of_spheres_type", certifying)
     wedge_of_spheres_type.cache_clear()
     return calls
 
@@ -1673,7 +1791,7 @@ def test_full_subcomplex_built_once_per_support(monkeypatch):
         built[g] += 1
         return builder(index, g)
 
-    monkeypatch.setattr(polyco.decomp, "_full_sub", building)
+    patch_clearing_memos(monkeypatch, polyco.decomp, "_full_sub", building)
     certified = certificate_reads(monkeypatch)
     boundary = build(4, [list(f) for f in combinations(range(1, 5), 3)])
     dec = loop_decompose_contractible(boundary, path_pairs([S(2)] * 4), 8)
@@ -2002,7 +2120,7 @@ def count_builds(monkeypatch):
         builds["point"] += isinstance(expr, Point)
         return expr
 
-    monkeypatch.setattr(polyco.decomp, "_bracket_factor", counted)
+    patch_clearing_memos(monkeypatch, polyco.decomp, "_bracket_factor", counted)
     return builds
 
 
@@ -2063,7 +2181,7 @@ def census_listings(monkeypatch, cases):
 
     current = []
     census = listings()
-    monkeypatch.setattr(polyco.decomp, "_census", reference)
+    patch_clearing_memos(monkeypatch, polyco.decomp, "_census", reference)
     return census, listings()
 
 
@@ -2202,7 +2320,7 @@ def test_the_face_census_lists_what_every_face_lists(monkeypatch):
         walked.append(tuple(sum(map(len, c.values())) for c in (census, uncut, every)))
         return census
 
-    monkeypatch.setattr(polyco.decomp, "_census", recording)
+    patch_clearing_memos(monkeypatch, polyco.decomp, "_census", recording)
     census, reference = census_listings(monkeypatch, cases)
     assert census == reference
     ghosts = [K for _, K, *_ in cases if K.facets and len(K.vertices()) < K.m]
@@ -2355,7 +2473,7 @@ def test_point_pieces_get_no_letters(monkeypatch):
         counted.append(len(out := real(*args, **options)))
         return out
 
-    monkeypatch.setattr(polyco.decomp, "lyndon_class_counts", counting)
+    patch_clearing_memos(monkeypatch, polyco.decomp, "lyndon_class_counts", counting)
     spaces = [POINT, S(2), S(3)]
     dec = hilton_milnor(spaces, 8)
     assert counted == [30] and len(real([1, 1, 1], 8, alphabet="plain")) == 143
@@ -2396,7 +2514,7 @@ def test_the_weight_cut_is_read_once_per_support_type(monkeypatch):
         reads[tuple(sorted(degrees)), w] += 1
         return real(degrees, w)
 
-    monkeypatch.setattr(polyco.decomp, "_least_face_degree", reading)
+    patch_clearing_memos(monkeypatch, polyco.decomp, "_least_face_degree", reading)
     K = build(4, [[1, 2, 3], [2, 3, 4]])
     make = partial(loop_decompose_wedge, K, [S(2), S(3), S(3), S(9)], degree_bound=13)
     dec = make(1)

@@ -14,6 +14,7 @@ from _helpers import (
     indicator_order,
     letter_class_counts,
     multidegree,
+    patch_clearing_memos,
     per_type_counts,
     pruned_hall_basis,
     reference_class_counts,
@@ -626,7 +627,7 @@ def test_relabelings_of_one_decomposition_run_one_dp(monkeypatch):
         asked.append(tuple(sizes))
         return lyndon_class_counts(sizes, *args, **options)
 
-    monkeypatch.setattr(decomp, "lyndon_class_counts", counter)
+    patch_clearing_memos(monkeypatch, decomp, "lyndon_class_counts", counter)
     _class_counts.cache_clear()
     decs = [
         loop_decompose_contractible(K, PairAssignment.path_fibrations(Sphere(n) for n in codomains), 6)

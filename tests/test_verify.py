@@ -1,7 +1,6 @@
 """Series checks against their independent oracles."""
 
 import random
-import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -9,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import polyco.verify
-from _helpers import random_complex
+from _helpers import polyco_memos, random_complex
 from polyco.decomp import loop_decompose_wedge
 from polyco.scomplex import build
 from polyco.series import PoincareSeries, Unsupported
@@ -317,22 +316,16 @@ def test_porter_needs_a_component_and_hilton_milnor_reports_disagreeing_oracles(
     assert r.verdict == FirstDifference(2, 1, 0) and r.rhs == PoincareSeries.one(8)
 
 
-def polyco_memos():
-    """Every memo of the package, found as the benchmark finds them: each
-    module value with a cache_clear, the group logs included."""
-    return {f"{name}.{attr}": value for name, mod in list(sys.modules.items())
-            if name == "polyco" or name.startswith("polyco.")
-            for attr, value in vars(mod).items() if callable(getattr(value, "cache_clear", None))}
-
-
 def test_a_stream_of_distinct_inputs_keeps_every_memo_within_its_bound():
     # 4,600 distinct checks and decompositions with their series, in one
     # process: each memo with a bound stays within it all along, the group
-    # logs and normalize's memo reach their bounds and never pass them, and
-    # the only memos without a bound are liealg's Moebius tables, keyed by
-    # one weight
+    # logs, normalize's memo, the preset memos and the series memo reach
+    # their bounds and never pass them, and the only memos without a bound
+    # are liealg's Moebius tables, keyed by one weight
     memos = polyco_memos()
-    assert "polyco.decomp._group_log" in memos and "polyco.spacexpr._normal_node" in memos
+    filled = ("polyco.decomp._group_log", "polyco.spacexpr._normal_node", "polyco.decomp._hilton_milnor_groups",
+              "polyco.decomp._coproduct_groups", "polyco.decomp._grouped_series")
+    assert set(filled) <= memos.keys()
     unbounded = {name for name, memo in memos.items() if memo.cache_info().maxsize is None}
     assert unbounded == {"polyco.liealg._mobius", "polyco.liealg._mobius_divisors"}
     for memo in memos.values():
@@ -360,5 +353,5 @@ def test_a_stream_of_distinct_inputs_keeps_every_memo_within_its_bound():
             if info.maxsize is not None:
                 assert info.currsize <= info.maxsize, (name, info)
                 peak[name] = max(peak[name], info.currsize)
-    for name in ("polyco.decomp._group_log", "polyco.spacexpr._normal_node"):
+    for name in filled:
         assert peak[name] == memos[name].cache_info().maxsize, peak
