@@ -39,12 +39,12 @@ a piece is the set of vertices with one normalized summand (hilton_milnor)
 or (domain, codomain) pair, or a single vertex when some support can be
 mixed (a non-point domain and a non-point codomain both occur), and one
 smash plan over the pieces' surviving spaces (each its summand, or the
-loops of its domain, or of its codomain when those are a point), one per
-distinct table (_smash_plan), builds every factor.  So brackets are never
-listed: lyndon_class_counts counts them once per (weight, support type,
-piece content), where a support's type counts its vertices in each piece; a
-vertex whose surviving space is a point has no piece, in every mode.  One
-census (_census) is the one place where a support is classified: it walks
+loops of its domain, or of its codomain when those are a point) builds
+every factor.  So brackets are never listed: lyndon_class_counts counts
+them once per (weight, support type, piece content), where a support's
+type counts its vertices in each piece; a vertex whose surviving space is
+a point has no piece, in every mode.  One census (_census) is the one
+place where a support is classified: it walks
 the supports of each type up from the empty one as masks, as far as the
 degree cut, with one and per step as face test, and keeps each with its
 shape, which the bracket rule (_bracket_rule) reads off two endpoint masks
@@ -71,10 +71,7 @@ shape.  In every mode the kept supports, with their pieces, are made only
 for the listing, or for an Unsupported series, which names the first
 entry.  One factor maker (_bracket_factor) builds every bracket factor from
 the smash plan, the shape and the piece content, which decide it, each
-distinct one once per listing; the group logs (_group_log, a bounded
-lru_cache) key a factor's log-derivative by the same three and N, the plan
-by identity, so new groups over a known piece table build no factor and
-hash no expression.
+distinct (shape, piece content) once per listing or series.
 For contractible domains the rule reads K_S off the facet bitmasks, each
 distinct K_S's certificate once (wedge_of_spheres_type's memo), and the
 factor is assembled from the sphere dimensions read.
@@ -84,12 +81,11 @@ first, then looks its call-time half up in a bounded lru_cache keyed by
 its normal forms, its weight bound and degree cut, and K for the
 polyhedral presets (_hilton_milnor_groups, _coproduct_groups).  An entry
 is one _Groups: the vertex factors, the smash plan, the class counts, the
-tallies with the census they were read from, and the truncation, never a
-listing; a repeated call builds only its Decomposition around it.  The
-series memo (_grouped_series, a bounded lru_cache) holds each groups
-object's series per N, keyed by the object's identity, so a repeated
-series_product is one lookup too.  The listing and its kept supports are
-made per decomposition, on its first read.
+tallies with the census they were read from, the truncation, and the
+series last read through it with its N, never a listing; a repeated call
+builds only its Decomposition around it, and a repeated series_product
+at the same N reads the entry's series.  The listing and its kept
+supports are made per decomposition, on its first read.
 
 Each input is normalized once, where it enters (_checked), and its
 connectivity is read on that normal form: a loop of an atom through its
@@ -363,26 +359,16 @@ class _Mixed(NamedTuple):
     top: int
 
 
-@lru_cache(maxsize=4096)
-def _group_log(smash, shape, q: tuple[int, ...], N: int):
-    """The sparse log-derivative through degree N, or the Unsupported
-    value, of the bracket factor of a smash plan, a shape and a piece
-    content q, which decide it: a group's series, which a repeated call
-    reads without building its factor.  The plan, one per distinct piece
-    table (_smash_plan), hashes by identity, so a lookup hashes no
-    expression."""
-    return series_mod._log_memo(_bracket_factor(smash, shape, q, {}), N)
-
-
 @dataclass(eq=False)
 class _Groups:
     """A preset's call-time half for one input, which the preset memos
     (_hilton_milnor_groups, _coproduct_groups) hold: the vertex factors,
     the smash plan, the class counts, listing(), which makes the kept
     supports afresh on each call, and the (count, shape) tallies (_groups),
-    with the census they were read from, and the truncation.  It hashes by
-    identity, as the smash plan does, so the series memo (_grouped_series)
-    keys by it and hashes no expression."""
+    with the census they were read from, and the truncation.  series is one
+    slot, (N, the series through N) of the last series_product read, so the
+    entry owns its series and no memo outlives it; one slot, as a caller
+    reads one N per entry, whose key holds its degree cut."""
 
     base: tuple
     smash: object
@@ -390,6 +376,7 @@ class _Groups:
     listing: object
     tallies: dict
     truncation: int | None
+    series: tuple = (None, None)
 
 
 @dataclass(frozen=True)
@@ -406,11 +393,11 @@ class Decomposition:
     (_Groups, from the preset memos), shared by every equal call: the
     factors listing expands from them on its first read, in the order the
     module docstring gives, and series_product sums the series per tally,
-    listing nothing, once per groups and N.  The kept supports are made on
-    the listing's first read, per decomposition, as is the listing; over
-    point codomains on the full simplex the census runs only then.  One
-    made from a factors tuple has no groups, and a pickle or a copy is made
-    from the listing.
+    listing nothing, and keeps it in the groups' slot.  The kept supports
+    are made on the listing's first read, per decomposition, as is the
+    listing; over point codomains on the full simplex the census runs only
+    then.  One made from a factors tuple has no groups, and a pickle or a
+    copy is made from the listing.
     """
 
     factors: tuple[Factor, ...]
@@ -455,18 +442,20 @@ class Decomposition:
         listed factor object adds its log-derivative (_log_memo, sparse)
         times its total multiplicity; a preset's groups are not listed:
         each adds n times its factor's per kept support, one (count,
-        shape) tally at a time, read from the group logs (_group_log),
-        where a miss builds the factor and reads _log_memo.  A factor of
-        connectivity at least N reads 1 through N, even one series_of has
-        no rule for; an Unsupported reason names the first other
-        unsupported entry of the listing, with its provenance.  A preset's
-        series is read once per groups and N (_grouped_series), so a
-        repeated call is one lookup; N is checked before it, as 8.0 and
-        True would find the entries of 8 and 1."""
+        shape) tally at a time, each distinct (shape, q) factor built once
+        per call and read through _log_memo.  A factor of connectivity at
+        least N reads 1 through N, even one series_of has no rule for; an
+        Unsupported reason names the first other unsupported entry of the
+        listing, with its provenance.  A preset's series is kept in its
+        groups' slot with its N, so a repeated call at that N is one
+        lookup; N is checked before it, as 8.0 and True would find the
+        series of 8 and 1."""
         N = series_mod._degree(N)
-        if self._groups is None:
+        if (groups := self._groups) is None:
             return _series_product(self.factors, None, N)
-        return _grouped_series(self._groups, N)
+        if (slot := groups.series)[0] != N:
+            slot = groups.series = N, _series_product(groups.base, groups, N)
+        return slot[1]
 
     def render(self) -> str:
         total = sum(f.multiplicity for f in self.factors)
@@ -512,24 +501,17 @@ def _series_product(base, groups: _Groups | None, N: int):
         for d, c in log:
             total[d] += k * c
     smash, counts, tallies = (groups.smash, groups.counts, groups.tallies) if groups else (None, {}, None)
+    made: dict = {}  # as in _expand
     for (w, s, q), n in counts.items():
         for count, shape in tallies[s]:
-            if isinstance(log := _group_log(smash, shape, q, N), series_mod.Unsupported):
+            expr = _bracket_factor(smash, shape, q, made)
+            if isinstance(log := series_mod._log_memo(expr, N), series_mod.Unsupported):
                 support, pieces, _ = next(entry for entry in groups.listing()[s] if entry[2] == shape)
-                return _unsupported(_bracket_factor(smash, shape, q, {}),
-                                    BracketGroup(w, support, pieces, tuple(filter(None, q))), log)
+                return _unsupported(expr, BracketGroup(w, support, pieces, tuple(filter(None, q))), log)
             k = n * count
             for d, c in log:
                 total[d] += k * c
     return series_mod.PoincareSeries.from_log_derivative(total, N)
-
-
-@lru_cache(maxsize=256)
-def _grouped_series(groups: _Groups, N: int):
-    """A preset decomposition's series_product through degree N, checked,
-    per groups object, which hashes by identity: a repeated call's series
-    is one lookup."""
-    return _series_product(groups.base, groups, N)
 
 
 # ---------------------------------------------------------------------------
@@ -647,18 +629,9 @@ def _expand(smash, counts, kept) -> list[Factor]:
         last = made  # no shape: the first entry looks its factor up
         for support, pieces, shape in entries:
             if shape is not last:  # a run of one shape object shares its factor
-                if (expr := made.get(key := (shape, q))) is None:
-                    expr = made[key] = _bracket_factor(smash, shape, q, made)
-                last = shape
+                expr, last = _bracket_factor(smash, shape, q, made), shape
             out.append(new(Factor, (expr, n, new(BracketGroup, (w, support, pieces, l)))))
     return out
-
-
-@lru_cache(maxsize=256)
-def _smash_plan(table: tuple[SpaceExpr, ...]):
-    # the one smash plan over a piece table's surviving spaces, per distinct
-    # table, so that the group logs can key a table by its plan's identity
-    return _plan(Smash, table)
 
 
 def _grading(normal: Sequence, surviving=lambda x: x, per_vertex: bool = False):
@@ -666,14 +639,14 @@ def _grading(normal: Sequence, surviving=lambda x: x, per_vertex: bool = False):
     # form (one piece per distinct form, in order of first vertex, or one
     # per vertex), each piece's number of vertices, each piece's degree,
     # and the one smash plan over the surviving spaces surviving(form) in
-    # piece order, shared by every call with this table (_smash_plan).  A
-    # vertex whose surviving space is a point has no piece (None), in every
-    # mode: a point summand smashes to a point, and a pair whose loop spaces
-    # are both points puts (Ω*)^{l_j} = * (l_j >= 1) into every object
-    # Σ ∧_S (ΩY_j(σ))^{l_j} of a group's diagram, whose homotopy limit is
-    # then a point.  A degree is conn + 1 of the surviving space, the least
-    # degree each vertex adds to a factor; 1 for a space with no finite
-    # bound or below connected, such as ΩS^0, whose factors have no series
+    # piece order.  A vertex whose surviving space is a point has no piece
+    # (None), in every mode: a point summand smashes to a point, and a pair
+    # whose loop spaces are both points puts (Ω*)^{l_j} = * (l_j >= 1) into
+    # every object Σ ∧_S (ΩY_j(σ))^{l_j} of a group's diagram, whose
+    # homotopy limit is then a point.  A degree is conn + 1 of the
+    # surviving space, the least degree each vertex adds to a factor; 1 for
+    # a space with no finite bound or below connected, such as ΩS^0, whose
+    # factors have no series
     ids: dict = {}
     grading = [ids.setdefault(j if per_vertex else x, len(ids)) for j, x in enumerate(normal)]
     spaces = list(normal) if per_vertex else list(ids)
@@ -683,7 +656,7 @@ def _grading(normal: Sequence, surviving=lambda x: x, per_vertex: bool = False):
     spaces, survivors = [spaces[p] for p in live], [survivors[p] for p in live]
     sizes = tuple(Counter(p for p in grading if p is not None).values())  # pieces are numbered by first vertex
     degrees = tuple(1 if (c := conn(x)) == INFINITE else max(1, c + 1) for x in survivors)
-    return grading, spaces, sizes, degrees, _smash_plan(tuple(survivors))
+    return grading, spaces, sizes, degrees, _plan(Smash, survivors)
 
 
 def hilton_milnor(
@@ -793,27 +766,33 @@ def _bracket_rule(K: SimplicialComplex, to_point: int, from_point: int, support:
     return _Mixed("ŝ-coprod[K_{" + ",".join(map(str, support)) + "}; weights [", max_trace(K, support))
 
 
-def _bracket_factor(smash, shape, q: tuple[int, ...], suspended: dict) -> SpaceExpr:
+def _bracket_factor(smash, shape, q: tuple[int, ...], made: dict) -> SpaceExpr:
     """The looped weighted smash coproduct of a group of piece content q
     over a support of this shape (_bracket_rule's), reduced where a lemma
-    applies, in normal form from the pieces' smash plan.  Mixed endpoint
+    applies, in normal form from the pieces' smash plan, once per (shape,
+    q) in made, a caller's dict over one smash plan.  Mixed endpoint
     data (one piece per vertex, so the nonzero entries l of q are the vertex
     content) stays symbolic: the loop of an atom of connectivity
     sum(l) - top = sum(q) - top, made past its checks.  Otherwise it is Loop Susp of the
     smash of q_p copies of each piece's surviving loop space, which
-    suspended memoizes by q, through a mapping space out of Susp|K_S| when
+    made also memoizes by q, through a mapping space out of Susp|K_S| when
     the domains are contractible: assembled from the sphere dimensions
     read (_map_from_dims), or symbolic over an uncertified K_S."""
+    if (expr := made.get(key := (shape, q))) is not None:
+        return expr
     if (kind := type(shape)) is _Mixed:
         name, top = shape
-        return _loop_node(_atom(name + ", ".join([str(n) for n in q if n]) + "]]", max(0, sum(q) - top)), 1)
-    if (susp := suspended.get(q)) is None:
-        susp = suspended[q] = _susp(smash(q))
-    if kind is tuple:
-        susp = _map_from_dims(None, shape, susp)
-    elif kind is SimplicialComplex:
-        susp = _map_from_dims(shape, None, susp)
-    return _loop(susp, 1)
+        expr = _loop_node(_atom(name + ", ".join([str(n) for n in q if n]) + "]]", max(0, sum(q) - top)), 1)
+    else:
+        if (susp := made.get(q)) is None:
+            susp = made[q] = _susp(smash(q))
+        if kind is tuple:
+            susp = _map_from_dims(None, shape, susp)
+        elif kind is SimplicialComplex:
+            susp = _map_from_dims(shape, None, susp)
+        expr = _loop(susp, 1)
+    made[key] = expr
+    return expr
 
 
 def class_diagram(

@@ -275,11 +275,17 @@ MUTANTS = (
         (SERIES_FROM_GROUPS,),
     ),
     Mutant(
-        # the groups of one q over the supports of one type share the log of
-        # the type's first shape, whatever their own shapes
+        # the groups of one q over the supports of one type share the factor
+        # of the type's first shape, whatever their own shapes
         "group-log-read-by-the-first-shape-of-a-type", DECOMP,
-        "_group_log(smash, shape, q, N)", "_group_log(smash, tallies[s][0][1], q, N)",
+        "for count, shape in tallies[s]:", "for count, shape in [(n, tallies[s][0][1]) for n, _ in tallies[s]]:",
         (SERIES_FROM_GROUPS, TALLIES),
+    ),
+    Mutant(
+        # a preset entry's series slot is read whatever N it was filled at
+        "series-slot-ignores-n", DECOMP,
+        "if (slot := groups.series)[0] != N:", "if (slot := groups.series)[0] is None:",
+        (SERIES_FROM_GROUPS,),
     ),
     Mutant(
         # a face type's count chooses its vertices among all vertices, not within each piece

@@ -1,6 +1,7 @@
 """The decomposition operations: diagrams, special cases, theorems, structure."""
 
 import copy
+import gc
 import json
 import math
 import pickle
@@ -78,9 +79,8 @@ from polyco.decomp import (
     smash_coproduct,
     _bracket_factor,
     _bracket_rule,
+    _Groups,
     _coproduct_groups,
-    _group_log,
-    _grouped_series,
     _hilton_milnor_groups,
     _normal_pairs,
     _vertex_pieces,
@@ -1150,26 +1150,37 @@ def seeded_presets(seed: int, count: int):
     return out
 
 
-def test_series_from_groups_matches_the_listing_reference():
-    # series_product sums n x L per group and kept support, from the index
-    # of group logs, without listing: on every preset it equals the factor
-    # by factor product of the listing, Unsupported text included, on a
-    # fresh decomposition with the index empty (every group a miss) and
-    # again on one from a filled index, and after the listing was read
-    # first, as a traced run reads it
+def test_series_from_groups_matches_the_listing_reference(monkeypatch):
+    # series_product sums n x L per group and kept support, without
+    # listing: on every preset it equals the factor by factor product of
+    # the listing, Unsupported text included, on a fresh decomposition
+    # with every memo empty, and a repeated call reads the first call's
+    # series and builds no factor; so does one after the listing was read
+    # first, as a traced run reads it.  A second N on the same groups reads
+    # its own series, and N again after it the first one's
+    calls = Counter()
+    make_factor = polyco.decomp._bracket_factor
+
+    def counted(*args):
+        calls["built"] += 1
+        return make_factor(*args)
+
+    monkeypatch.setattr(polyco.decomp, "_bracket_factor", counted)
     kinds, unsupported = Counter(), 0
     for label, make, N in seeded_presets(6101, 320):
-        _group_log.cache_clear()
+        clear_polyco_memos()
         fresh = make()
         got = fresh.series_product(N)
         want = reference_series_product(fresh, N)
         assert got == want, label
-        misses = _group_log.cache_info().misses
-        assert make().series_product(N) == want, label
-        assert _group_log.cache_info().misses == misses, label  # a repeated call builds no factor
+        built = calls["built"]
+        assert make().series_product(N) is got, label
+        assert calls["built"] == built, label  # a repeated call builds no factor
         listed = make()
         assert listed.factors == fresh.factors
-        assert listed.series_product(N) == want, label
+        assert listed.series_product(N) is got, label
+        assert listed.series_product(N // 2) == reference_series_product(fresh, N // 2), label
+        assert make().series_product(N) == want, label
         kinds[label.split()[0]] += 1
         unsupported += isinstance(want, Unsupported)
     assert min(kinds.values()) >= 60 and 20 <= unsupported <= 250, (kinds, unsupported)
@@ -1310,11 +1321,11 @@ def test_the_index_keys_a_mixed_support_by_its_atom_connectivity():
     # on three points (top 1): its weight-1 factor, the loop of an atom of
     # connectivity 0 or 2, is unsupported at N=1 on the triangle and reads
     # 1 on the points, where the first unsupported entry is over {1,2};
-    # whichever call fills the index first, the other's series is its own
+    # whichever call fills the log memo first, the other's series is its own
     pairs = PairAssignment.of([(S(3), S(2))] * 3)
     triangle, points = simplex(3), build(3, [[1], [2], [3]])
     for order in ((triangle, points), (points, triangle)):
-        _group_log.cache_clear()
+        clear_polyco_memos()
         for K in order:
             dec = loop_decompose(K, pairs, 1)
             assert dec.series_product(1) == reference_series_product(dec, 1), K
@@ -1469,22 +1480,41 @@ def test_a_warm_call_equals_a_cold_one():
 
 
 def test_an_equal_input_finds_the_memo_entries():
-    # a repeated call shares the first call's groups and reads its series
-    # from the series memo; an equal input that is not the same objects
-    # (fresh spheres and atoms, a rebuilt K) finds the same entry
+    # a repeated call shares the first call's groups and reads the series
+    # they hold, the first call's object; an equal input that is not the
+    # same objects (fresh spheres and atoms, a rebuilt K) finds the same entry
     for label, make, N in seeded_presets(6311, 100):
         memo = _hilton_milnor_groups if make.func is hilton_milnor else _coproduct_groups
         first = make()
         want = first.series_product(N)
-        hits, series_hits = memo.cache_info().hits, _grouped_series.cache_info().hits
+        hits = memo.cache_info().hits
         again = make()
         assert again._groups is first._groups and memo.cache_info().hits == hits + 1, label
-        assert again.series_product(N) is want and _grouped_series.cache_info().hits == series_hits + 1, label
+        assert again.series_product(N) is want and again._groups.series[1] is want, label
         twin_args = copy.deepcopy(make.args)
         assert twin_args[0] is not make.args[0] and twin_args[0] == make.args[0], label
         twin = make.func(*twin_args, **make.keywords)
         assert twin._groups is first._groups and memo.cache_info().hits == hits + 2, label
         assert twin.series_product(N) is want, label
+
+
+def test_no_memo_keeps_a_preset_entry_past_its_eviction():
+    # 300 distinct series-reading calls of hilton_milnor and the wedge
+    # preset, then 300 distinct listing-only ones: the preset memos evict
+    # the first 300 entries, and nothing else keeps them alive, so at most
+    # the 128 + 128 entries the two memos hold are left
+    clear_polyco_memos()
+    edge = build(2, [[1, 2]])
+    for cut in range(4, 304):  # each cut a distinct key of each preset
+        for dec in (hilton_milnor([S(2), S(3)], 2, degree_bound=cut),
+                    loop_decompose_wedge(edge, [S(2), S(3)], 2, degree_bound=cut)):
+            if cut < 154:
+                dec.series_product(4)
+            else:
+                dec.factors
+    del dec
+    gc.collect()
+    assert sum(type(o) is _Groups for o in gc.get_objects()) <= 256
 
 
 # ---------------------------------------------------------------------------
@@ -2109,15 +2139,16 @@ def test_different_uncertified_subcomplexes_do_not_share_a_factor():
 
 def count_builds(monkeypatch):
     """Counts each (shape, piece content) key's builds through a wrapper
-    around the factor maker; a build that gives a point is counted under
-    the key "point"."""
+    around the factor maker, a call whose key its caller's dict does not
+    hold yet; a build that gives a point is counted under the key "point"."""
     builds = Counter()
     make = polyco.decomp._bracket_factor
 
-    def counted(smash, shape, q, suspended):
-        builds[(shape, q)] += 1
-        expr = make(smash, shape, q, suspended)
-        builds["point"] += isinstance(expr, Point)
+    def counted(smash, shape, q, made):
+        if (built := (shape, q) not in made):
+            builds[(shape, q)] += 1
+        expr = make(smash, shape, q, made)
+        builds["point"] += built and isinstance(expr, Point)
         return expr
 
     patch_clearing_memos(monkeypatch, polyco.decomp, "_bracket_factor", counted)

@@ -60,7 +60,7 @@ def test_every_memo_is_a_bounded_lru_cache():
             for attr, value in vars(module).items():
                 if callable(getattr(value, "cache_clear", None)):
                     memos[(f"{value.__module__.rsplit('.', 1)[-1]}.py", value.__qualname__)] = value
-    assert ("scomplex.py", "homology") in memos and ("decomp.py", "_group_log") in memos
+    assert ("scomplex.py", "homology") in memos and ("decomp.py", "_coproduct_groups") in memos
     assert memos[("spacexpr.py", "_normal_node")].cache_parameters()["maxsize"] <= 1024  # normalize's memo
     wrong = [key for key, memo in memos.items() if not isinstance(memo, functools._lru_cache_wrapper)
              or (memo.cache_parameters()["maxsize"] is None) != (key in UNBOUNDED_BY_DESIGN)]
