@@ -33,70 +33,32 @@ decompositions of the looped coproduct:
     square of a gluing (a disjoint union is the gluing along no overlap).
 
 A bracket factor depends only on its support and its vertex content l (l_j
-counts the letters whose vertex set contains j) summed over each piece.
-All four bracket decompositions build one piece table per input (_grading):
-a piece is the set of vertices with one normalized summand (hilton_milnor)
-or (domain, codomain) pair, or a single vertex when some support can be
-mixed (a non-point domain and a non-point codomain both occur), and one
-smash plan over the pieces' surviving spaces (each its summand, or the
-loops of its domain, or of its codomain when those are a point) builds
-every factor.  So brackets are never listed: lyndon_class_counts counts
-them once per (weight, support type, piece content), where a support's
-type counts its vertices in each piece; a vertex whose surviving space is
-a point has no piece, in every mode.  One census (_census) is the one
-place where a support is classified: it walks
-the supports of each type up from the empty one as masks, as far as the
-degree cut, with one and per step as face test, and keeps each with its
-shape, which the bracket rule (_bracket_rule) reads off two endpoint masks
-and that test: "point" on a face over point codomains, None (every group a
-point) off one and on a face over contractible domains, the sphere
-dimensions of a certified K_S or an uncertified K_S on a missing face, and
-a mixed support's _Mixed(name, top).  Over point codomains, where every
-kept support is a face of shape "point", the census runs no rule and lists
-the faces, bare.  One function (_groups) makes the call-time half of every
-preset: a (count, shape) tally per counted support type, whose series is
-summed per tally and needs no listing, and the listing, which expands from
-the groups on its first read: each (weight, support, piece content)
-becomes one Factor with its bracket count as multiplicity and
-BracketGroup(weight, support, pieces, counts) as provenance, in JSON
-{"kind": "group", "weight": ..., "support": [...], "pieces": [...],
-"counts": [...]}.  Where the census runs depends on the mode.  Over point
-codomains (hilton_milnor, and every surviving codomain a point) a factor
-depends only on q, and on the full simplex a type's tally is prod_p
-C(n_p, s_p), with no census until the listing is read.  Off it, and in
-every other mode, the census runs at call time: over point codomains it
-cuts the counter to the faces' types, and elsewhere the shapes decide both
-the series and the weight cut; a type's tally counts its entries per
-shape.  In every mode the kept supports, with their pieces, are made only
-for the listing, or for an Unsupported series, which names the first
-entry.  One factor maker (_bracket_factor) builds every bracket factor from
-the smash plan, the shape and the piece content, which decide it, each
-distinct (shape, piece content) once per listing or series.
-For contractible domains the rule reads K_S off the facet bitmasks, each
-distinct K_S's certificate once (wedge_of_spheres_type's memo), and the
-factor is assembled from the sphere dimensions read.
+counts the letters whose vertex set contains j) summed over each piece, a
+piece being the vertices that share one normalized summand or pair, or one
+vertex unless every codomain is a point or every domain contractible.  So
+brackets are counted, never listed: each (weight, support, piece content)
+is one Factor with its bracket count as multiplicity and its BracketGroup
+as provenance, in JSON {"kind": "group", "weight": ..., "support": [...],
+"pieces": [...], "counts": [...]}.
 
-A repeated call is one lookup.  Each preset checks its inputs and bounds
-first, then looks its call-time half up in a bounded lru_cache keyed by
-its normal forms, its weight bound and degree cut, and K for the
-polyhedral presets (_hilton_milnor_groups, _coproduct_groups).  An entry
-is one _Groups: the vertex factors, the smash plan, the class counts, the
-tallies with the census they were read from, the truncation, and the
-series last read through it with its N, never a listing; a repeated call
-builds only its Decomposition around it, and a repeated series_product
-at the same N reads the entry's series.  The listing and its kept
-supports are made per decomposition, on its first read.
+What a caller can rely on:
 
-Each input is normalized once, where it enters (_checked), and its
-connectivity is read on that normal form: a loop of an atom through its
-loop replacement, and a point always passes.  An error names the input as
-given.  Every expression made (factor, closed form, diagram object,
-splitting summand) comes from those forms by spacexpr's normal-form
-helpers, never a raw tree normalized later, save _display_wedge's Wedge,
-which shows named contractible atoms.  Point factors are dropped, and
-factor order is deterministic: vertex factors by vertex, then bracket
-groups by weight, piece content descending, support type descending, then
-support (so raising the weight bound only appends factors).
+  * factor order is deterministic: vertex factors by vertex, then bracket
+    groups by weight, piece content descending, support type (its vertices
+    in each piece) descending, then support, so raising the weight bound
+    only appends factors; point factors are dropped;
+  * each input is normalized once, where it enters, and its connectivity is
+    read on that normal form; an error names the input as given.  Every
+    expression made (factor, closed form, diagram object, splitting summand)
+    is in normal form, save the wedges a diagram displays, which keep named
+    contractible atoms;
+  * a preset's listing is made on the first read of its factors, per
+    decomposition, and series_product sums the series from the counted
+    groups without making it.  An equal call (equal normal forms, bounds and
+    complex) finds those groups, and the series last read at its N, in a
+    bounded memo;
+  * a listing is cut only by the weight bound or the degree cut passed, and
+    Decomposition.truncation and degree_bound say when it is.
 """
 
 from __future__ import annotations
@@ -393,11 +355,10 @@ class Decomposition:
     (_Groups, from the preset memos), shared by every equal call: the
     factors listing expands from them on its first read, in the order the
     module docstring gives, and series_product sums the series per tally,
-    listing nothing, and keeps it in the groups' slot.  The kept supports
-    are made on the listing's first read, per decomposition, as is the
-    listing; over point codomains on the full simplex the census runs only
-    then.  One made from a factors tuple has no groups, and a pickle or a
-    copy is made from the listing.
+    listing nothing, and keeps it in the groups' slot.  The listing is
+    made on its first read, per decomposition; over point codomains on the
+    full simplex the census runs only then.  One made from a factors tuple
+    has no groups, and a pickle or a copy is made from the listing.
     """
 
     factors: tuple[Factor, ...]
@@ -417,8 +378,7 @@ class Decomposition:
         # reached only by a grouped decomposition's listing, before its first read
         if name != "factors" or (groups := self._groups) is None:
             raise AttributeError(name)
-        kept = vars(self)["_kept_supports"] = groups.listing()
-        factors = vars(self)["factors"] = (*groups.base, *_expand(groups.smash, groups.counts, kept))
+        factors = vars(self)["factors"] = (*groups.base, *_expand(groups.smash, groups.counts, groups.listing()))
         return factors
 
     def __reduce__(self):
@@ -735,8 +695,7 @@ def _vertex_pieces(normal: Sequence[tuple[SpaceExpr, SpaceExpr]]):
     return *_grading(normal, surviving, mixed), to_point, from_point
 
 
-def _bracket_rule(K: SimplicialComplex, to_point: int, from_point: int, support: tuple[int, ...],
-                  g: int, face: bool):
+def _bracket_rule(K: SimplicialComplex, to_point: int, from_point: int, g: int, face: bool):
     """The shape of the groups over a support, the one reading of its kind:
     None when they all vanish, else a hashable value that, with the pieces'
     smash plan and the piece content, decides the factor (_bracket_factor).
@@ -763,7 +722,7 @@ def _bracket_rule(K: SimplicialComplex, to_point: int, from_point: int, support:
         if face or (dims := wedge_of_spheres_type(sub := _full_sub(_index(K), g))) == ():
             return None
         return sub if dims is None else dims
-    return _Mixed("ŝ-coprod[K_{" + ",".join(map(str, support)) + "}; weights [", max_trace(K, support))
+    return _Mixed("ŝ-coprod[K_{" + ",".join(map(str, S := _vertices(g))) + "}; weights [", max_trace(K, S))
 
 
 def _bracket_factor(smash, shape, q: tuple[int, ...], made: dict) -> SpaceExpr:
@@ -828,8 +787,8 @@ def _census(facets: Sequence[int], grading: Sequence[int | None], degrees: Seque
     of vertex j or None), each type's in lexicographic order, with their
     shapes: with rule None, over point codomains, the faces of the facet
     bitmasks, bare, each of shape "point", () under the zero type; else
-    (support, shape) for each support whose shape rule(support, mask, is a
-    face) is not None (_bracket_rule).  Walked up from the empty support by
+    (support, shape) for each support whose shape rule(its mask, is a face)
+    is not None (_bracket_rule).  Walked up from the empty support by
     a vertex with a piece above its largest, least first, each tuple
     extending its parent's, with the and of its vertices' facet-index
     bitsets, so a support is a face when that and is not 0.  With rule None
@@ -853,7 +812,7 @@ def _census(facets: Sequence[int], grading: Sequence[int | None], degrees: Seque
     stack = [((), 0, -1, sum(masks), 0)]  # (support, its mask, and of facet bitsets, candidates, degree)
     while stack:
         face, g, common, near, degree = stack.pop()
-        if rule is None or (shape := rule(face, g, common != 0)) is not None:
+        if rule is None or (shape := rule(g, common != 0)) is not None:
             census.setdefault(tuple([(g & P).bit_count() for P in masks]), []).append(
                 face if rule is None else (face, shape))
         above = 0  # the candidates above v

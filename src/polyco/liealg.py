@@ -144,8 +144,7 @@ def hall_basis(alphabet: Sequence[Generator], weight_bound: int) -> list[Bracket
 
     Deterministic order: (weight, word lexicographic in alphabet order).
     """
-    if type(weight_bound) is not int or weight_bound < 1:  # no bool, no float
-        raise ValueError(f"weight_bound must be an integer >= 1, got {weight_bound!r}")
+    _check_bounds(weight_bound, None)
     words = sorted(lyndon_words(len(alphabet), weight_bound), key=lambda w: (len(w), w))
     memo: dict[tuple[int, ...], Bracket] = {}
     return [_standard_bracketing(w, alphabet, memo) for w in words]
@@ -176,8 +175,8 @@ def stats(b: Bracket, m: int) -> BracketStats:
     return BracketStats(dict(bJ), tuple(l), b.weight)
 
 
-@lru_cache(maxsize=None)
 def _mobius(n: int) -> int:
+    # mu(n), read only on a miss of _mobius_divisors' memo
     out, p = 1, 2
     while p * p <= n:
         if n % p == 0:
@@ -192,7 +191,7 @@ def _mobius(n: int) -> int:
 @lru_cache(maxsize=None)
 def _mobius_divisors(n: int) -> tuple[tuple[int, int], ...]:
     """(d, mu(d)) for the divisors d > 1 of n with mu(d) != 0."""
-    return tuple((d, _mobius(d)) for d in range(2, n + 1) if n % d == 0 and _mobius(d))
+    return tuple((d, mu) for d in range(2, n + 1) if n % d == 0 and (mu := _mobius(d)))
 
 
 def lyndon_class_counts(

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import add, mul, sub
 from typing import Sequence, Union
 
 from .spacexpr import (
@@ -124,19 +124,19 @@ class PoincareSeries:
                 f"mismatched truncation degrees {self.N} and {other.N}"
             )
 
-    def __add__(self, other: "PoincareSeries") -> "PoincareSeries":
+    def _elementwise(self, op, other: "PoincareSeries") -> "PoincareSeries":
+        # op of the coefficients in each degree: __add__ and __sub__
         try:  # as in __mul__: a non-series has no N
             self._check(other)
         except AttributeError:
             return NotImplemented
-        return PoincareSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return PoincareSeries(tuple(map(op, self.coeffs, other.coeffs)))
+
+    def __add__(self, other: "PoincareSeries") -> "PoincareSeries":
+        return self._elementwise(add, other)
 
     def __sub__(self, other: "PoincareSeries") -> "PoincareSeries":
-        try:
-            self._check(other)
-        except AttributeError:
-            return NotImplemented
-        return PoincareSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._elementwise(sub, other)
 
     def __mul__(self, other: "PoincareSeries") -> "PoincareSeries":
         try:  # no type test on the hot path: a non-series has no N

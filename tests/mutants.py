@@ -97,6 +97,13 @@ MUTANTS = (
          VE + "test_porter_cases"),
     ),
     Mutant(
+        # the shared coefficientwise body subtracts for a sum
+        "series-sum-subtracts", SERIES,
+        "return self._elementwise(add, other)", "return self._elementwise(sub, other)",
+        (SE + "test_ring_laws_randomized", SE + "test_series_examples",
+         "tests/test_acceptance.py::test_criterion_11b_series_ring_laws"),
+    ),
+    Mutant(
         "mixed-atom-one-more-connected", DECOMP,
         "max(0, sum(q) - top)", "max(0, sum(q) - top + 1)",
         (DE + "test_mixed_atom_connectivity_reads_dim_off_the_facets",
@@ -145,6 +152,12 @@ MUTANTS = (
         (CUT_EXACTLY,),
     ),
     Mutant(
+        # mu drops the sign of a prime factor left over past its square root
+        "mobius-drops-the-last-prime", LIEALG,
+        "return -out if n > 1 else out", "return out",
+        (LI + "test_class_counts_match_witt_on_plain_alphabets", *LANE),
+    ),
+    Mutant(
         "degree-lane-limit-one-short", LIEALG,
         "degree_bound + 1) << dshift", "degree_bound) << dshift",
         LANE,
@@ -175,7 +188,7 @@ MUTANTS = (
     Mutant(
         # every support is taken for a missing face: a face reaches the rule's builder
         "census-lets-faces-through", DECOMP,
-        "rule(face, g, common != 0)", "rule(face, g, not g)",
+        "rule(g, common != 0)", "rule(g, not g)",
         (DE + "test_full_subcomplex_built_once_per_support", *CENSUS),
     ),
     Mutant(
@@ -332,7 +345,7 @@ MUTANTS = (
     Mutant(
         # a mixed support's shape drops its top, so its atom reads top 0
         "mixed-shape-without-its-top", DECOMP,
-        ", max_trace(K, support))", ", 0)",
+        ", max_trace(K, S))", ", 0)",
         (DE + "test_the_index_keys_a_mixed_support_by_its_atom_connectivity",),
     ),
     Mutant(

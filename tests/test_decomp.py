@@ -10,7 +10,7 @@ import re
 import time
 from collections import Counter
 from functools import partial
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -1223,7 +1223,7 @@ def test_a_full_simplex_series_over_point_codomains_lists_nothing(monkeypatch):
         refuse(patch, "_census", "_bracket_rule")
         for make, N in cases:
             got.append((dec := make()).series_product(N))
-            assert "_kept_supports" not in vars(dec), make
+            assert "factors" not in vars(dec), make
     for (make, N), series in zip(cases, got):
         want = reference_series_product(make(), N)
         assert series == want and not isinstance(want, Unsupported), make
@@ -1255,7 +1255,7 @@ def test_a_face_series_off_the_simplex_takes_one_census_and_no_rule(monkeypatch)
             refuse(patch, "_bracket_rule")
             dec = make()
             series = dec.series_product(N)
-        assert taken == [1] and "_kept_supports" not in vars(dec), make
+        assert taken == [1] and "factors" not in vars(dec), make
         want = make().factors
         with monkeypatch.context() as patch:
             refuse(patch, "_census", "_bracket_rule")
@@ -1673,7 +1673,7 @@ def bracket_rule(K, pieces, support):
     (_vertex_pieces), its mask and face verdict read as the census reads
     them."""
     *_, to_point, from_point = pieces
-    return _bracket_rule(K, to_point, from_point, support, sum(1 << j for j in support), K.has_face(support))
+    return _bracket_rule(K, to_point, from_point, sum(1 << j for j in support), K.has_face(support))
 
 
 def test_contractible_rule_over_a_face_is_a_point(monkeypatch):
@@ -2633,6 +2633,27 @@ def test_class_diagram_needs_one_vertex_per_piece():
     d = class_diagram(K, distinct, group)
     assert (d.complex, d.weights) == (K, group.counts)
     assert d == smash_coproduct(K, distinct, group.counts)
+
+
+def test_a_ghost_vertex_with_a_point_codomain_makes_every_diagram_through_it_a_point():
+    # vertex 3 lies in no face of K, so Y_3 is its codomain * on every face,
+    # and (ΩA_3)^{l_3} = * sits in every object of a group's diagram through
+    # it: each such factor is a point, and ΩC_K = ΩS^3.  Every group through
+    # vertex 3 up to content 2 per vertex is checked, the listed ones among
+    # them, whether the listing keeps them symbolic or not
+    K = build(3, [[1, 2]])
+    pairs = PairAssignment.of([(S(3), S(2)), (POINT, S(2)), (S(3), POINT)])
+    dec = loop_decompose(K, pairs, 2)
+    assert [f for f in dec.factors if not isinstance(f.provenance, BracketGroup)] == [Factor(Loop(S(3)), 1, 1)]
+    groups = {BracketGroup(sum(l), support, tuple((j,) for j in support), l)
+              for k in (2, 3) for support in combinations((1, 2, 3), k) if 3 in support
+              for l in product((1, 2), repeat=k)}
+    listed = {f.provenance for f in dec.bracket_factors() if 3 in f.provenance.support}
+    assert {(g.support, g.counts) for g in listed} <= {(g.support, g.counts) for g in groups}
+    for group in groups:
+        objects = class_diagram(K, pairs, group).objects
+        assert len(objects) == len(full_subcomplex(K, group.support).faces()), group
+        assert all(value == POINT for value in objects.values()), group
 
 
 def test_mixed_decomposition_builds_no_diagrams():

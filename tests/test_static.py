@@ -7,9 +7,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "polyco"
 
-# keyed by one int weight, so each holds at most as many small entries as
+# keyed by one int weight, so it holds at most as many small entries as
 # the largest weight a process has asked for: no bound is needed
-UNBOUNDED_BY_DESIGN = {("liealg.py", "_mobius"), ("liealg.py", "_mobius_divisors")}
+UNBOUNDED_BY_DESIGN = {("liealg.py", "_mobius_divisors")}
 
 RAW_CONSTRUCTORS = {"Atom", "Loop", "MapFromSusp", "Product", "Smash", "Sphere", "Susp", "Wedge"}
 
@@ -52,7 +52,7 @@ def test_every_memo_is_a_bounded_lru_cache():
     """The decorators above are not the only way to write a memo: every
     module value of the package with a cache_clear, as the benchmark finds
     the memos it clears, is an lru_cache wrapper with a finite maxsize,
-    save the Moebius tables, read at run time."""
+    save the Moebius table, read at run time."""
     memos = {}
     for path in sorted(SRC.glob("*.py")):
         if path.stem != "__main__":  # which runs the command line

@@ -320,14 +320,14 @@ def test_a_stream_of_distinct_inputs_keeps_every_memo_within_its_bound():
     # 4,600 distinct checks and decompositions with their series, in one
     # process: each memo with a bound stays within it all along,
     # normalize's memo and the preset memos reach their bounds and never
-    # pass them, and the only memos without a bound are liealg's Moebius
-    # tables, keyed by one weight
+    # pass them, and the only memo without a bound is liealg's Moebius
+    # table, keyed by one weight
     memos = polyco_memos()
     filled = ("polyco.spacexpr._normal_node", "polyco.decomp._hilton_milnor_groups",
               "polyco.decomp._coproduct_groups")
     assert set(filled) <= memos.keys()
     unbounded = {name for name, memo in memos.items() if memo.cache_info().maxsize is None}
-    assert unbounded == {"polyco.liealg._mobius", "polyco.liealg._mobius_divisors"}
+    assert unbounded == {"polyco.liealg._mobius_divisors"}
     for memo in memos.values():
         memo.cache_clear()
     rng = random.Random(7207)
