@@ -1,17 +1,17 @@
 """Memo traffic on the benchmark's request streams: the hits, misses and size
 of every memo of the package.
 
-    python tests/memo_traffic.py [--seed SEED] [--rounds N] [WORKLOAD ...]
+    python tests/memo_traffic.py [--rounds N]
 
-For each workload of ``perfbench/workloads.py`` (every one when none is
-named), its inputs are built, every memo of the package is cleared, and the
-seeded stream's first rounds are sent through ``workloads.execute``: as many
-rounds as a benchmark run of ``BENCHMARK.json``'s ``run_seconds`` sends, or
-N.  Then one row per memo gives its hits, misses and current size.  The
-memos are found as the benchmark finds them, each module value of the
-package with a ``cache_clear``, and named by their defining module.
-Outputs are not checked and nothing is timed; perfbench is read, not
-changed.  Standard library only.
+For each workload of ``perfbench/workloads.py``, its inputs are built,
+every memo of the package is cleared, and the first rounds of its stream
+at seed 7 are sent through ``workloads.execute``: as many rounds as a
+benchmark run of ``BENCHMARK.json``'s ``run_seconds`` sends, or N.  Then
+one row per memo gives its hits, misses and current size.  The memos are
+found as the benchmark finds them, each module value of the package with
+a ``cache_clear``, and named by their defining module.  Outputs are not
+checked and nothing is timed; perfbench is read, not changed.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -29,7 +29,10 @@ import polyco  # noqa: E402
 from _helpers import polyco_memos  # noqa: E402
 
 
-def _load_workloads():
+SEED = 7
+
+
+def load_workloads():
     # perfbench/workloads.py as a module, with no bytecode written next to it
     spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
@@ -48,7 +51,7 @@ def memos() -> dict:
     return dict(sorted({f"{m.__module__}.{m.__qualname__}": m for m in polyco_memos().values()}.items()))
 
 
-def traffic(workloads, name: str, seed: int, rounds: int | None) -> tuple[int, int, dict]:
+def traffic(workloads, name: str, rounds: int | None) -> tuple[int, int, dict]:
     """(rounds, requests, {memo: cache_info()}) after the workload's stream
     from cold memos."""
     workload = workloads.catalogue()[name]
@@ -58,7 +61,7 @@ def traffic(workloads, name: str, seed: int, rounds: int | None) -> tuple[int, i
     inputs = {s.name: [workloads.make_inputs(polyco, v) for v in s.variants] for s in workload.slots}
     for memo in memos().values():
         memo.cache_clear()
-    stream, sent = workloads.rounds(workload, seed), 0
+    stream, sent = workloads.rounds(workload, SEED), 0
     for _ in range(rounds):
         for slot, i in next(stream):
             workloads.execute(polyco, inputs[slot.name][i])
@@ -68,19 +71,12 @@ def traffic(workloads, name: str, seed: int, rounds: int | None) -> tuple[int, i
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("workloads", nargs="*", metavar="WORKLOAD")
-    ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--rounds", type=int, default=None)
     args = ap.parse_args(argv)
-    workloads = _load_workloads()
-    names = args.workloads or list(workloads.catalogue())
-    unknown = [n for n in names if n not in workloads.catalogue()]
-    if unknown:
-        print(f"unknown workload: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    for name in names:
-        rounds, sent, info = traffic(workloads, name, args.seed, args.rounds)
-        print(f"workload {name}: {rounds} rounds, {sent} requests, seed {args.seed}")
+    workloads = load_workloads()
+    for name in workloads.catalogue():
+        rounds, sent, info = traffic(workloads, name, args.rounds)
+        print(f"workload {name}: {rounds} rounds, {sent} requests, seed {SEED}")
         print(f"  {'hits':>8} {'misses':>8} {'size':>8}  memo")
         for key, (hits, misses, _, size) in info.items():
             print(f"  {hits:8d} {misses:8d} {size:8d}  {key}")
